@@ -26,8 +26,6 @@ from .freealg import (
     monomial_to_obj,
     normalize,
     poly_from_obj,
-    poly_to_obj,
-    q_mul,
     reduce_word,
     subst,
     subst_words,
@@ -49,10 +47,7 @@ from .intlinalg import IntRowLattice, bezout, ext_gcd
 from .orders import (
     MonotoneInjection,
     Profile,
-    StabilizationReport,
     apply_renaming,
-    chain_stabilization_check,
-    cmp_profiles,
     cmp_total,
     minimal_elements,
     pwo_leq,

@@ -269,10 +269,6 @@ def normalize(weighted_words) -> QPoly:
     return QPoly(acc)
 
 
-def q_mul(f: QPoly, g: QPoly) -> QPoly:
-    return f * g
-
-
 def commutator(f: QPoly, g: QPoly) -> QPoly:
     return f * g - g * f
 
@@ -370,19 +366,6 @@ def monomial_to_obj(m: CanonicalMonomial) -> dict:
 
 def monomial_from_obj(obj: dict) -> CanonicalMonomial:
     return CanonicalMonomial.make(obj.get("y", ()), obj.get("c", ()), obj.get("d", ()))
-
-
-def poly_to_obj(f: QPoly, sort_key=None) -> list:
-    """Polynomial as a list of {"coeff": str, "m": monomial} records.
-
-    Coefficients are serialized as strings so arbitrary-precision values
-    survive any JSON consumer.  sort_key fixes the term order; the default
-    sorts on the raw component tuples, which is deterministic but arbitrary.
-    """
-    if sort_key is None:
-        sort_key = lambda m: (m.yexp, m.cseq, m.dseq)
-    items = sorted(f.terms.items(), key=lambda mc: sort_key(mc[0]))
-    return [{"coeff": str(c), "m": monomial_to_obj(m)} for m, c in items]
 
 
 def poly_from_obj(obj) -> QPoly:

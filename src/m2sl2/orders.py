@@ -3,19 +3,20 @@
 A canonical monomial maps to a profile: pure-y monomials give a variant-1
 profile (just the exponent sequence u1), monomials with odd letters give a
 variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for the
-c- and d-slots).  Profiles compare two ways:
+c- and d-slots).  The two orders:
 
-* cmp_total is a linear well-order.  Finite-support integer sequences compare
-  by their highest differing index (right to left); variant 1 sits below
-  variant 2; within variant 2 the total z-count decides first, then u3, then
-  u2, then u1.
+* total_key / cmp_total is a linear well-order.  Finite-support integer
+  sequences compare by their highest differing index (right to left);
+  variant 1 sits below variant 2; within variant 2 the total z-count decides
+  first, then u3, then u2, then u1.  total_key encodes this as a plain tuple
+  read straight off the monomial, so sorting and max() need no comparator.
 
 * pwo_leq is the Higman-style embedding order: u <= v when some strictly
   increasing index map phi puts every entry of u under the matching entry of
   v (componentwise on the (u1, u2, u3) triples for variant 2, with the same
   phi for all three).  The right operand carries an implicit infinite zero
   tail.  This order is a well partial order, which is what makes the
-  ascending-chain machinery downstream terminate.
+  ascending-chain machinery downstream (reduction.chain_demo) terminate.
 """
 
 from dataclasses import dataclass
@@ -88,57 +89,24 @@ def xi_inv(p: Profile) -> CanonicalMonomial:
 
 # --- the linear well-order --------------------------------------------------
 
-def _cmp_rightmost(u, v) -> int:
-    """Compare finite-support sequences: the highest index where they differ
-    decides, missing entries read as 0."""
-    for k in range(max(len(u), len(v)) - 1, -1, -1):
-        a = u[k] if k < len(u) else 0
-        b = v[k] if k < len(v) else 0
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+def total_key(m: CanonicalMonomial) -> tuple:
+    """Sort key for the linear well-order, as a plain tuple.
 
-
-def cmp_profiles(p: Profile, q: Profile) -> int:
-    if p.variant != q.variant:
-        return -1 if p.variant < q.variant else 1
-    if p.variant == 1:
-        return _cmp_rightmost(p.u1, q.u1)
-    dp = sum(p.u2) + sum(p.u3)
-    dq = sum(q.u2) + sum(q.u3)
-    if dp != dq:
-        return -1 if dp < dq else 1
-    c = _cmp_rightmost(p.u3, q.u3)
-    if c:
-        return c
-    c = _cmp_rightmost(p.u2, q.u2)
-    if c:
-        return c
-    return _cmp_rightmost(p.u1, q.u1)
+    On a trimmed count sequence like yexp, "highest differing index decides"
+    is (length, entries read right to left).  Slot sequences are sorted and,
+    at equal z-count, of equal length, so comparing them reversed is the same
+    rule on their slot counts.
+    """
+    y = (len(m.yexp), m.yexp[::-1])
+    if not m.cseq:
+        return (1, y)
+    return (2, len(m.cseq) + len(m.dseq), m.dseq[::-1], m.cseq[::-1], y)
 
 
 def cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:
     """Linear well-order on canonical monomials: -1, 0, or 1."""
-    return cmp_profiles(xi(a), xi(b))
-
-
-def total_key(m: CanonicalMonomial):
-    """functools-style sort key object for cmp_total."""
-    return _TotalKey(m)
-
-
-class _TotalKey:
-    __slots__ = ("m", "p")
-
-    def __init__(self, m):
-        self.m = m
-        self.p = xi(m)
-
-    def __lt__(self, other):
-        return cmp_profiles(self.p, other.p) < 0
-
-    def __eq__(self, other):
-        return cmp_profiles(self.p, other.p) == 0
+    ka, kb = total_key(a), total_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 # --- monotone injections ----------------------------------------------------
@@ -199,9 +167,6 @@ class MonotoneInjection:
                 raise CannotExtendError(f"no room to extend injection at index {i}")
             assigned[i] = cand
         return MonotoneInjection(tuple(sorted(assigned.items())))
-
-    def image(self, i: int) -> int:
-        return self.covering((i,))(i)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -374,7 +339,7 @@ def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPol
     return QPoly(acc)
 
 
-# --- antichains and stabilization -------------------------------------------
+# --- antichains -------------------------------------------------------------
 
 def minimal_elements(monomials) -> list[CanonicalMonomial]:
     """The <='-minimal elements of a finite set (duplicates collapsed)."""
@@ -384,42 +349,3 @@ def minimal_elements(monomials) -> list[CanonicalMonomial]:
         if not any(other != m and pwo_leq(other, m) is not None for other in items):
             out.append(m)
     return out
-
-
-@dataclass
-class StabilizationReport:
-    retained: list
-    last_growth_step: int | None
-    steps: int
-    truncated: bool
-
-    @property
-    def stabilized_at(self) -> int | None:
-        """Step of last growth, when the whole stream was seen; None if the
-        budget cut the stream and growth may have continued."""
-        return None if self.truncated else self.last_growth_step
-
-
-def chain_stabilization_check(stream, budget: int) -> StabilizationReport:
-    """Feed monomials; retain each one not <='-dominated by a retained one.
-
-    Retention is never revisited: an element kept early stays kept even if a
-    later arrival sits below it.  By the well-partial-order property the
-    retained family cannot grow forever, so on any infinite stream growth
-    stops; the budget merely bounds how much of the stream is examined.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    retained: list[CanonicalMonomial] = []
-    steps = 0
-    last_growth = None
-    truncated = False
-    for m in stream:
-        if steps >= budget:
-            truncated = True
-            break
-        steps += 1
-        if not any(pwo_leq(r, m) is not None for r in retained):
-            retained.append(m)
-            last_growth = steps
-    return StabilizationReport(retained, last_growth, steps, truncated)

@@ -23,11 +23,13 @@ from .freealg import (
     Word,
     monomial_to_obj,
     normalize,
+    _exponent_vectors,
     _trim,
 )
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
+    _expand_counts,
     apply_renaming,
     pwo_leq,
     push_profile,
@@ -86,13 +88,6 @@ def _seq_sub(v, pushed) -> tuple[int, ...]:
     return _trim(out)
 
 
-def _spread_counts(u) -> list[int]:
-    out: list[int] = []
-    for i, n in enumerate(u, start=1):
-        out.extend([i] * n)
-    return out
-
-
 def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial) -> ReducerTriple:
     """Factor target = N . phi(m) . P, given m <=' target.
 
@@ -111,8 +106,8 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial) -> Redu
     n_part = CanonicalMonomial(l1)
     if pm.variant == 1:
         return ReducerTriple(phi, n_part, ())
-    extra_c = _spread_counts(_seq_sub(pt.u2, pushed.u2))
-    extra_d = _spread_counts(_seq_sub(pt.u3, pushed.u3))
+    extra_c = _expand_counts(_seq_sub(pt.u2, pushed.u2))
+    extra_d = _expand_counts(_seq_sub(pt.u3, pushed.u3))
     zlen = len(m.cseq) + len(m.dseq)
     if zlen % 2 == 0:
         first, second = extra_c, extra_d
@@ -234,7 +229,10 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
 
     Reports which steps grew the chain.  On a fully consumed stream the last
     growth step is where the chain stabilized; when the budget truncates the
-    stream no stabilization claim is made.
+    stream no stabilization claim is made.  On a stream of unit monomials a
+    monomial is adjoined exactly when no adjoined one embeds into it, and
+    adjoined ones are never revisited, so the well-partial-order property
+    bounds how long the chain can grow.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -252,18 +250,6 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             gens.append(r)
             adjoined.append((steps, leading(r)))
     return ChainReport(adjoined, steps, truncated, gens)
-
-
-def _y_monomials_upto(max_degree: int, max_index: int):
-    """Pure-y monomials with degree <= max_degree, indices <= max_index."""
-    from itertools import combinations_with_replacement
-
-    for d in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(1, max_index + 1), d):
-            yexp = [0] * max_index
-            for i in combo:
-                yexp[i - 1] += 1
-            yield CanonicalMonomial(_trim(yexp))
 
 
 def membership_bounded(f: QPoly, generators, max_degree: int,
@@ -310,7 +296,8 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
             if gp.degree > max_degree:
                 continue
             room = max_degree - gdeg_min
-            for n_mon in _y_monomials_upto(room, cap):
+            for n_mon in (CanonicalMonomial.make(yv) for d in range(room + 1)
+                          for yv in _exponent_vectors(cap, d)):
                 room_p = room - n_mon.degree
                 left = QPoly.monomial(n_mon) * gp
                 for olen in range(0, room_p + 1):

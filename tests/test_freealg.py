@@ -19,8 +19,6 @@ from m2sl2 import (
     monomial_to_obj,
     normalize,
     poly_from_obj,
-    poly_to_obj,
-    q_mul,
     reduce_word,
     subst,
     subst_words,
@@ -28,6 +26,7 @@ from m2sl2 import (
     y,
     z,
 )
+from m2sl2.cli import poly_obj
 from tests.util import rand_lie, rand_monomial, rand_qpoly, rand_word
 
 
@@ -112,7 +111,7 @@ def test_q_mul_examples():
     assert y1 * y1 == QPoly.monomial(mk((2,)))
     assert z1 * z1 == QPoly.monomial(mk((), (1,), (1,)))
     assert z1 * y1 == QPoly.monomial(mk((1,), (1,)), -1)
-    assert q_mul(y1, z1) == QPoly.monomial(mk((1,), (1,)))
+    assert y1 * z1 == QPoly.monomial(mk((1,), (1,)))
 
 
 def test_commutator_examples():
@@ -218,7 +217,7 @@ def test_poly_obj_roundtrip_randomized():
     rng = random.Random(45)
     for _ in range(80):
         f = rand_qpoly(rng)
-        obj = poly_to_obj(f)
+        obj = poly_obj(f)
         for rec in obj:
             assert isinstance(rec["coeff"], str)  # coefficients travel as strings
         assert poly_from_obj(obj) == f

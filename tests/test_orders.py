@@ -11,7 +11,7 @@ from m2sl2 import (
     Profile,
     QPoly,
     apply_renaming,
-    chain_stabilization_check,
+    chain_demo,
     cmp_total,
     minimal_elements,
     pwo_leq,
@@ -28,6 +28,7 @@ from tests.util import (
     check_comp,
     check_mult4,
     monomial_indices,
+    oracle_cmp_total,
     rand_injection,
     rand_monomial,
 )
@@ -122,6 +123,15 @@ def test_total_key_sorting_agrees_with_cmp():
     s = sorted(ms, key=total_key)
     for a, b in zip(s, s[1:]):
         assert cmp_total(a, b) <= 0
+
+
+def test_cmp_total_matches_oracle_exhaustive():
+    from m2sl2 import enumerate_basis
+
+    base = list(enumerate_basis(4, 3))
+    for a in base:
+        for b in base:
+            assert cmp_total(a, b) == oracle_cmp_total(a, b), (a, b)
 
 
 # --- injections --------------------------------------------------------------
@@ -288,9 +298,17 @@ def test_minimal_elements_cover():
         assert pwo_leq(a, b) is None and pwo_leq(b, a) is None
 
 
+def monomial_stream(monomials):
+    return (QPoly.monomial(m) for m in monomials)
+
+
+def retained(report):
+    return [ld.lm for _, ld in report.adjoined]
+
+
 def test_chain_powers_of_y1():
-    report = chain_stabilization_check((mk((k,)) for k in range(1, 30)), budget=100)
-    assert [m for m in report.retained] == [mk((1,))]
+    report = chain_demo(monomial_stream(mk((k,)) for k in range(1, 30)), budget=100)
+    assert retained(report) == [mk((1,))]
     assert report.stabilized_at == 1
     assert not report.truncated
 
@@ -299,13 +317,13 @@ def test_chain_descending_indices():
     # y5, y4, y3, y2, y1: nothing dominates anything that came before it,
     # and retained elements are never re-examined
     stream = [mk((0, 0, 0, 0, 1)), mk((0, 0, 0, 1)), mk((0, 0, 1)), mk((0, 1)), mk((1,))]
-    report = chain_stabilization_check(stream, budget=100)
-    assert report.retained == stream
+    report = chain_demo(monomial_stream(stream), budget=100)
+    assert retained(report) == stream
     assert report.stabilized_at == 5
 
 
 def test_chain_budget_truncation():
-    report = chain_stabilization_check((mk((k,)) for k in range(1, 1000)), budget=5)
+    report = chain_demo(monomial_stream(mk((k,)) for k in range(1, 1000)), budget=5)
     assert report.truncated
     assert report.stabilized_at is None
     assert report.steps == 5
@@ -315,7 +333,7 @@ def test_chain_degree_six_enumeration_stabilizes():
     from m2sl2 import enumerate_basis
 
     stream = list(enumerate_basis(6, 2))
-    report = chain_stabilization_check(iter(stream), budget=10 ** 6)
+    report = chain_demo(monomial_stream(stream), budget=10 ** 6)
     assert not report.truncated
     assert report.stabilized_at is not None
     assert report.stabilized_at < len(stream)
@@ -323,4 +341,4 @@ def test_chain_degree_six_enumeration_stabilizes():
 
 def test_chain_budget_validation():
     with pytest.raises(ValueError):
-        chain_stabilization_check(iter(()), budget=0)
+        chain_demo(iter(()), budget=0)

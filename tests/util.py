@@ -195,6 +195,38 @@ def assert_witness_valid(a: CanonicalMonomial, b: CanonicalMonomial, phi: Monoto
         assert all(at(ra, s)[k] <= at(rb, t)[k] for k in range(3)), (a, b, phi)
 
 
+# --- independent order oracle ----------------------------------------------
+
+def _cmp_rightmost(u, v) -> int:
+    """The highest index where two count sequences differ decides; missing
+    entries read as 0."""
+    for k in range(max(len(u), len(v)) - 1, -1, -1):
+        a = u[k] if k < len(u) else 0
+        b = v[k] if k < len(v) else 0
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+def oracle_cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:
+    """The linear well-order straight from its definition: variant 1 (pure y)
+    below variant 2; within variant 2 the z-count decides, then the d-slot
+    counts u3, the c-slot counts u2, the y-exponents u1, each right to left.
+    Slot counts come from monomial_rows, not from the package's profiles."""
+    va, vb = (2 if a.cseq else 1), (2 if b.cseq else 1)
+    if va != vb:
+        return -1 if va < vb else 1
+    za, zb = len(a.cseq) + len(a.dseq), len(b.cseq) + len(b.dseq)
+    if za != zb:
+        return -1 if za < zb else 1
+    ra, rb = monomial_rows(a), monomial_rows(b)
+    for col in (2, 1, 0):
+        c = _cmp_rightmost([r[col] for r in ra], [r[col] for r in rb])
+        if c:
+            return c
+    return 0
+
+
 # --- profiles, exhaustively --------------------------------------------------
 
 def v1_profiles(support: int, entry_cap: int):
