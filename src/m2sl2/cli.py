@@ -37,20 +37,18 @@ def sorted_terms_desc(f: QPoly):
     return sorted(f.terms.items(), key=lambda mc: total_key(mc[0]), reverse=True)
 
 
+def format_term(c: int, m) -> str:
+    """One signed term, e.g. "+ y1", "- 3*z1*z2" or "+ 1"."""
+    body = format_monomial(m)
+    if abs(c) != 1:
+        body = f"{abs(c)}*{body}"
+    return f"{'+' if c > 0 else '-'} {body}"
+
+
 def format_qpoly(f: QPoly) -> str:
     if f.is_zero():
         return "0"
-    chunks = []
-    for m, c in sorted_terms_desc(f):
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        body = format_monomial(m)
-        if mag != 1:
-            body = f"{mag}*{body}"
-        elif body == "1":
-            body = "1"
-        chunks.append(f"{sign} {body}")
-    return " ".join(chunks)
+    return " ".join(format_term(c, m) for m, c in sorted_terms_desc(f))
 
 
 def poly_obj(f: QPoly) -> list:
@@ -179,12 +177,7 @@ def cmd_chain_demo(args) -> int:
         print(json.dumps(report.to_obj()))
     else:
         for step, ld in report.adjoined:
-            sign = "+" if ld.lc > 0 else "-"
-            mag = abs(ld.lc)
-            body = format_monomial(ld.lm)
-            if mag != 1:
-                body = f"{mag}*{body}"
-            print(f"step {step}: adjoined {sign} {body}")
+            print(f"step {step}: adjoined {format_term(ld.lc, ld.lm)}")
         if report.truncated:
             print(f"budget exhausted after {report.steps} steps; no stabilization claim")
         else:

@@ -1,9 +1,11 @@
 """Profiles and the two orders that drive the reduction engine.
 
-A canonical monomial maps to a profile: pure-y monomials give a variant-1
-profile (just the exponent sequence u1), monomials with odd letters give a
-variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for the
-c- and d-slots).  The two orders:
+A canonical monomial maps to a profile (xi): pure-y monomials give a
+variant-1 profile (just the exponent sequence u1), monomials with odd letters
+give a variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for
+the c- and d-slots).  Profiles, xi, xi_inv and push_profile are the paper's
+profile map; the orders below read the same counts straight off the monomial,
+so the engine never builds a Profile.  The two orders:
 
 * total_key / cmp_total is a linear well-order.  Finite-support integer
   sequences compare by their highest differing index (right to left);
@@ -12,11 +14,13 @@ c- and d-slots).  The two orders:
   read straight off the monomial, so sorting and max() need no comparator.
 
 * pwo_leq is the Higman-style embedding order: u <= v when some strictly
-  increasing index map phi puts every entry of u under the matching entry of
-  v (componentwise on the (u1, u2, u3) triples for variant 2, with the same
-  phi for all three).  The right operand carries an implicit infinite zero
-  tail.  This order is a well partial order, which is what makes the
-  ascending-chain machinery downstream (reduction.chain_demo) terminate.
+  increasing index map phi puts every (y-exponent, c-slot count, d-slot
+  count) row of u under the row of v at the matching index, componentwise
+  with the same phi for all three columns.  Pure-y monomials only compare
+  with pure-y ones, whose rows are (e, 0, 0).  The right operand carries an
+  implicit infinite zero tail.  This order is a well partial order, which is
+  what makes the ascending-chain machinery downstream (reduction.chain_demo)
+  terminate.
 """
 
 from dataclasses import dataclass
@@ -182,15 +186,13 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
-def seq_embed(u, v, leq=None):
+def seq_embed(u, v, leq):
     """Greedy leftmost embedding of sequence u into sequence v.
 
     Returns the 1-based positions used, or None.  Greedy is complete here:
     any embedding can be pushed left position by position without breaking
     later choices, so failure of the greedy scan means no embedding exists.
     """
-    if leq is None:
-        leq = lambda a, b: a <= b
     pos: list[int] = []
     p = 0
     for x in u:
@@ -203,48 +205,38 @@ def seq_embed(u, v, leq=None):
     return tuple(pos)
 
 
-def _triple_rows(p: Profile, length: int):
-    u1, u2, u3 = p.u1, p.u2, p.u3
-    return [
-        (
-            u1[k] if k < len(u1) else 0,
-            u2[k] if k < len(u2) else 0,
-            u3[k] if k < len(u3) else 0,
-        )
-        for k in range(length)
-    ]
+def _slot_rows(m: CanonicalMonomial) -> list[tuple[int, int, int]]:
+    """(y-exponent, c-slot count, d-slot count) for indices 1..max_index."""
+    n = m.max_index
+    ys = list(m.yexp) + [0] * (n - len(m.yexp))
+    cs, ds = [0] * n, [0] * n
+    for i in m.cseq:
+        cs[i - 1] += 1
+    for i in m.dseq:
+        ds[i - 1] += 1
+    return list(zip(ys, cs, ds))
 
 
 def _leq3(a, b):
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-def pwo_leq_profiles(p: Profile, q: Profile) -> MonotoneInjection | None:
-    if p.variant != q.variant:
-        return None
-    if p.variant == 1:
-        u = p.u1
-        v = list(q.u1) + [0] * len(u)
-        emb = seq_embed(u, v)
-    else:
-        lu = max(len(p.u1), len(p.u2), len(p.u3))
-        lv = max(len(q.u1), len(q.u2), len(q.u3))
-        u = _triple_rows(p, lu)
-        v = _triple_rows(q, lv) + [(0, 0, 0)] * lu
-        emb = seq_embed(u, v, _leq3)
-    if emb is None:
-        return None
-    return MonotoneInjection(tuple((i, t) for i, t in enumerate(emb, start=1)))
-
-
 def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
     """Embedding-order test a <=' b; returns a witness injection or None.
 
     Monomials of different variants never compare.  The witness maps the
-    (padded) profile positions of a strictly increasingly into those of b,
-    entrywise dominated; positions of b beyond its support count as zero.
+    indices 1..max_index of a strictly increasingly into those of b so that
+    each (y-exponent, c-slot count, d-slot count) row of a sits entrywise
+    under its image row; indices of b beyond its support count as zero rows.
+    Pure-y rows are (e, 0, 0), so one scan serves both variants.
     """
-    return pwo_leq_profiles(xi(a), xi(b))
+    if bool(a.cseq) != bool(b.cseq):
+        return None
+    u = _slot_rows(a)
+    emb = seq_embed(u, _slot_rows(b) + [(0, 0, 0)] * len(u), _leq3)
+    if emb is None:
+        return None
+    return MonotoneInjection(tuple(enumerate(emb, start=1)))
 
 
 # --- renaming endomorphisms -------------------------------------------------

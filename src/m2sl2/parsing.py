@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .freealg import QPoly, Word, normalize
 
+# Input caps that keep hostile input from costing a traceback: letter indices
+# size the dense exponent tuples, and each '(' or '[' costs parser recursion.
+MAX_LETTER_INDEX = 10_000
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -55,7 +60,12 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             if j == i + 1:
                 raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
-            idx = int(text[i + 1:j])
+            digits = text[i + 1:j].lstrip("0") or "0"
+            # the length test keeps int() off huge digit strings
+            if len(digits) > len(str(MAX_LETTER_INDEX)) or int(digits) > MAX_LETTER_INDEX:
+                raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
+                                 (f"index <= {MAX_LETTER_INDEX}",))
+            idx = int(digits)
             if idx < 1:
                 raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
             toks.append(Token("VAR", (ch, idx), i))
@@ -92,6 +102,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.k]
@@ -143,19 +154,23 @@ class _Parser:
         if t.kind == "INT":
             self.take()
             return ("int", t.value)
+        if t.kind not in ("LPAREN", "LBRACK"):
+            raise ParseError(_describe(t), t.pos, _ATOM_STARTS)
+        self.take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.pos, ())
         if t.kind == "LPAREN":
-            self.take()
             node = self.expr()
             self.expect("RPAREN", "')'")
-            return node
-        if t.kind == "LBRACK":
-            self.take()
+        else:
             a = self.expr()
             self.expect("COMMA", "','")
             b = self.expr()
             self.expect("RBRACK", "']'")
-            return ("br", a, b)
-        raise ParseError(_describe(t), t.pos, _ATOM_STARTS)
+            node = ("br", a, b)
+        self.depth -= 1
+        return node
 
 
 def parse(text: str):

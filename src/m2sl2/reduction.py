@@ -14,7 +14,9 @@ a nonzero residue freezes into the remainder and reduction continues on the
 strictly smaller tail.  Strict descent in a well-order terminates.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
@@ -24,18 +26,14 @@ from .freealg import (
     monomial_to_obj,
     normalize,
     _exponent_vectors,
-    _trim,
 )
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
-    _expand_counts,
     apply_renaming,
     pwo_leq,
-    push_profile,
     rename_monomial,
     total_key,
-    xi,
 )
 
 
@@ -76,40 +74,34 @@ class ReducerTriple:
         }
 
 
-def _seq_sub(v, pushed) -> tuple[int, ...]:
-    length = max(len(v), len(pushed))
-    out = []
-    for k in range(length):
-        a = v[k] if k < len(v) else 0
-        b = pushed[k] if k < len(pushed) else 0
-        if a < b:
-            raise NotEmbeddableError("pushed profile exceeds the target")
-        out.append(a - b)
-    return _trim(out)
+def _fit(big, small) -> tuple[int, ...]:
+    """The sorted multiset big - small; small must lie inside big."""
+    rest = Counter(big)
+    rest.subtract(small)
+    if any(n < 0 for n in rest.values()):
+        raise NotEmbeddableError("phi(m) does not fit under the target")
+    return tuple(sorted(rest.elements()))
 
 
 def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial) -> ReducerTriple:
     """Factor target = N . phi(m) . P, given m <=' target.
 
-    The y-exponents of N are whatever the push of m along phi leaves missing
-    from the target; likewise the extra c- and d-slot letters make up P,
-    interleaved so that they land in the right slot classes after the z-block
-    of phi(m).  No sign appears: N adds no even letter to the right of an odd
-    one, and P only appends.
+    N carries the y-exponents that phi(m) = rename_monomial(m, phi) leaves
+    missing from the target; the c- and d-slot letters of the target that
+    phi(m) does not use make up P, interleaved so that they land in the right
+    slot classes after the z-block of phi(m).  No sign appears: N adds no even
+    letter to the right of an odd one, and P only appends.
     """
     phi = pwo_leq(m, target)
     if phi is None:
         raise NotEmbeddableError("source monomial does not embed into the target")
-    pm, pt = xi(m), xi(target)
-    pushed = push_profile(pm, phi, "both")
-    l1 = _seq_sub(pt.u1, pushed.u1)
-    n_part = CanonicalMonomial(l1)
-    if pm.variant == 1:
-        return ReducerTriple(phi, n_part, ())
-    extra_c = _expand_counts(_seq_sub(pt.u2, pushed.u2))
-    extra_d = _expand_counts(_seq_sub(pt.u3, pushed.u3))
-    zlen = len(m.cseq) + len(m.dseq)
-    if zlen % 2 == 0:
+    pm = rename_monomial(m, phi, "both")
+    ny = [t - e for t, e in zip_longest(target.yexp, pm.yexp, fillvalue=0)]
+    if any(e < 0 for e in ny):
+        raise NotEmbeddableError("phi(m) does not fit under the target")
+    extra_c = _fit(target.cseq, pm.cseq)
+    extra_d = _fit(target.dseq, pm.dseq)
+    if len(pm.cseq) == len(pm.dseq):
         first, second = extra_c, extra_d
     else:
         # the z-block of phi(m) ends on a c-slot, so P starts with a d-letter
@@ -121,7 +113,7 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial) -> Redu
         p_word.append(first[k])
         if k < len(second):
             p_word.append(second[k])
-    return ReducerTriple(phi, n_part, tuple(p_word))
+    return ReducerTriple(phi, CanonicalMonomial.make(ny), tuple(p_word))
 
 
 def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> Word:
@@ -171,6 +163,11 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
         if g.is_zero():
             raise ZeroPolynomialError("generators must be nonzero")
         lds.append(leading(g))
+    return _reduce(f, gens, lds, trace)
+
+
+def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly:
+    """The reduce_by loop, given each generator's leading data."""
     remainder = QPoly.zero()
     work = f
     while not work.is_zero():
@@ -232,11 +229,13 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     stream no stabilization claim is made.  On a stream of unit monomials a
     monomial is adjoined exactly when no adjoined one embeds into it, and
     adjoined ones are never revisited, so the well-partial-order property
-    bounds how long the chain can grow.
+    bounds how long the chain can grow.  Each generator's leading term is
+    computed once, when it is adjoined.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
+    lds: list[LeadingData] = []
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
     truncated = False
@@ -245,10 +244,11 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = reduce_by(fpoly, gens)
+        r = _reduce(fpoly, gens, lds)
         if not r.is_zero():
             gens.append(r)
-            adjoined.append((steps, leading(r)))
+            lds.append(leading(r))
+            adjoined.append((steps, lds[-1]))
     return ChainReport(adjoined, steps, truncated, gens)
 
 

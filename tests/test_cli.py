@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import m2sl2
 from m2sl2 import CanonicalMonomial, QPoly, parse_poly
 from m2sl2.cli import format_monomial, format_qpoly, main
 
@@ -194,6 +199,26 @@ def test_parse_error_json(capsys):
     assert obj["error"] == "ParseError"
     assert obj["offset"] == 3
     assert "'*'" in obj["expected"]
+
+
+@pytest.mark.parametrize("expr,offset", [
+    ("(" * 3000 + "y1" + ")" * 3000, 100),  # nesting cap, not RecursionError
+    ("y100000000000", 1),                   # index cap, not MemoryError
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_hostile_input_is_parse_error(expr, offset, as_json):
+    # a fresh interpreter, so stderr holds exactly what a shell user would see
+    src = str(Path(m2sl2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "m2sl2.cli", "normalize", expr] + (["--json"] if as_json else [])
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if as_json:
+        obj = json.loads(proc.stderr)
+        assert obj["error"] == "ParseError" and obj["offset"] == offset
+    else:
+        assert proc.stderr.startswith(f"error: syntax error at byte {offset}")
 
 
 def test_missing_file_is_domain_error(capsys):

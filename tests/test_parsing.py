@@ -70,6 +70,10 @@ def test_parse_words_raw():
         ("w1", 0, None),
         ("", 0, "'y'"),
         ("[y1,y2,z1]", 6, "']'"),
+        ("y100000000000", 1, "index <= 10000"),
+        ("y" + "9" * 5000, 1, "index <= 10000"),
+        ("(" * 3000 + "y1" + ")" * 3000, 100, None),
+        ("[" * 60 + "(" * 41 + "y1", 100, None),
     ],
 )
 def test_parse_errors(text, offset, expected_any):
@@ -79,6 +83,11 @@ def test_parse_errors(text, offset, expected_any):
     if expected_any is not None:
         assert expected_any in ei.value.expected
     assert f"at byte {offset}" in str(ei.value)
+
+
+def test_caps_admit_their_limits():
+    assert parse_poly("y10000") == QPoly.monomial(mk((0,) * 9999 + (1,)))
+    assert parse_poly("(" * 100 + "y1" + ")" * 100) == parse_poly("y1")
 
 
 def test_error_mentions_offending_lexeme():

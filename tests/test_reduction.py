@@ -13,6 +13,7 @@ from m2sl2 import (
     ZeroPolynomialError,
     apply_reducer,
     chain_demo,
+    enumerate_basis,
     evaluate,
     factorize_embedding,
     leading,
@@ -20,6 +21,7 @@ from m2sl2 import (
     membership_bounded,
     monomial_from_obj,
     normalize,
+    pwo_leq,
     reduce_by,
     reduce_word,
     reducer_word,
@@ -91,6 +93,18 @@ def test_factorize_not_embeddable():
 
 def test_factorize_roundtrip_randomized():
     check_mult5(random.Random(80), 300)
+
+
+def test_factorize_roundtrip_exhaustive():
+    basis = list(enumerate_basis(4, 3))
+    pairs = 0
+    for a in basis:
+        for b in basis:
+            if pwo_leq(a, b) is None:
+                continue
+            pairs += 1
+            assert reduce_word(reducer_word(factorize_embedding(a, b), a)) == (1, b)
+    assert pairs == 2751
 
 
 def test_triple_serialization():
