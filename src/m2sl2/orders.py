@@ -11,7 +11,8 @@ so the engine never builds a Profile.  The two orders:
   sequences compare by their highest differing index (right to left);
   variant 1 sits below variant 2; within variant 2 the total z-count decides
   first, then u3, then u2, then u1.  total_key encodes this as a plain tuple
-  read straight off the monomial, so sorting and max() need no comparator.
+  read straight off the monomial, so sorting and max() need no comparator;
+  neg_total_key negates it, so a heapq min-heap pops the largest first.
 
 * pwo_leq is the Higman-style embedding order: u <= v when some strictly
   increasing index map phi puts every (y-exponent, c-slot count, d-slot
@@ -105,6 +106,22 @@ def total_key(m: CanonicalMonomial) -> tuple:
     if not m.cseq:
         return (1, y)
     return (2, len(m.cseq) + len(m.dseq), m.dseq[::-1], m.cseq[::-1], y)
+
+
+def neg_total_key(m: CanonicalMonomial) -> tuple:
+    """total_key with every integer negated, so it sorts in reverse order.
+
+    heapq is a min-heap; keyed by this, it pops the largest monomial first.
+    Negation reverses every comparison because no comparison of two keys of
+    distinct monomials reaches a prefix case: each sequence in the key comes
+    after the component that fixes its length (len(yexp), and the z-count
+    for cseq and dseq).
+    """
+    y = (-len(m.yexp), tuple([-e for e in m.yexp[::-1]]))
+    if not m.cseq:
+        return (-1, y)
+    return (-2, -len(m.cseq) - len(m.dseq), tuple([-i for i in m.dseq[::-1]]),
+            tuple([-i for i in m.cseq[::-1]]), y)
 
 
 def cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:
@@ -230,8 +247,24 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     under its image row; indices of b beyond its support count as zero rows.
     Pure-y rows are (e, 0, 0), so one scan serves both variants.
     """
-    if bool(a.cseq) != bool(b.cseq):
+    if bool(a.cseq) != bool(b.cseq) or _sums_exceed(a, b):
         return None
+    return _scan_rows(a, b)
+
+
+def _sums_exceed(a: CanonicalMonomial, b: CanonicalMonomial) -> bool:
+    """A column sum of a's rows exceeds b's, so a cannot embed into b.
+
+    An embedding puts each row of a under a distinct row of b, so it keeps
+    every column sum of a at or below b's: the y-degree and the c- and d-slot
+    counts.  Most pairs fail here, before any row is built.
+    """
+    return (len(a.cseq) > len(b.cseq) or len(a.dseq) > len(b.dseq)
+            or sum(a.yexp) > sum(b.yexp))
+
+
+def _scan_rows(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
+    """The greedy row scan behind pwo_leq, for monomials of one variant."""
     u = _slot_rows(a)
     emb = seq_embed(u, _slot_rows(b) + [(0, 0, 0)] * len(u), _leq3)
     if emb is None:

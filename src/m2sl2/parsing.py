@@ -12,13 +12,15 @@ output is a plain weighted word list over the graded letters.
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, ResourceBoundError
 from .freealg import QPoly, Word, normalize
 
 # Input caps that keep hostile input from costing a traceback: letter indices
-# size the dense exponent tuples, and each '(' or '[' costs parser recursion.
+# size the dense exponent tuples, each '(' or '[' costs parser recursion, and
+# every word of the expansion is built in memory.
 MAX_LETTER_INDEX = 10_000
 MAX_NESTING = 100
+MAX_WORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,46 @@ def to_words(node) -> list[tuple[int, Word]]:
     raise ValueError(f"unknown node kind {kind!r}")
 
 
+def word_count(node) -> int:
+    """How many words to_words(node) returns, computed from the tree alone.
+
+    Raises ResourceBoundError as soon as any list to_words would build (a
+    node's expansion, or a partial product inside a "mul") holds more than
+    MAX_WORDS words, so no expansion starts that would blow past the cap.
+    """
+    kind = node[0]
+    if kind == "int":
+        n = 1 if node[1] else 0
+    elif kind == "var":
+        n = 1
+    elif kind == "pow":
+        b, k = word_count(node[1]), node[2]
+        # for b >= 2, b^k > MAX_WORDS once k reaches MAX_WORDS.bit_length()
+        n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
+    elif kind == "mul":
+        n = 1
+        for sub in node[1]:
+            n *= word_count(sub)
+            _check_words(n)
+    elif kind == "add":
+        n = sum(word_count(sub) for _, sub in node[1])
+    elif kind == "br":
+        n = 2 * word_count(node[1]) * word_count(node[2])
+    else:
+        raise ValueError(f"unknown node kind {kind!r}")
+    _check_words(n)
+    return n
+
+
+def _check_words(n: int) -> None:
+    if n > MAX_WORDS:
+        raise ResourceBoundError(f"expression expands to more than {MAX_WORDS} words")
+
+
 def parse_words(text: str) -> list[tuple[int, Word]]:
-    return to_words(parse(text))
+    node = parse(text)
+    word_count(node)
+    return to_words(node)
 
 
 def parse_poly(text: str) -> QPoly:

@@ -16,6 +16,7 @@ strictly smaller tail.  Strict descent in a well-order terminates.
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
@@ -31,6 +32,7 @@ from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
     apply_renaming,
+    neg_total_key,
     pwo_leq,
     rename_monomial,
     total_key,
@@ -151,7 +153,9 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     leading coefficients at lm(f); Euclidean division lc(f) = q*d + r
     subtracts q times that combination and freezes any nonzero residue r into
     the remainder.  Each step strictly lowers the working leading monomial,
-    and the well-order guarantees termination.
+    and the well-order guarantees termination.  The loop is heap-driven: each
+    term's order key is computed once, when the term enters the working
+    polynomial, and no polynomial is copied per step.
 
     When `trace` is a list, subtraction records
     {"against", "beta", "q", "phi", "N", "P"} and freeze records
@@ -167,36 +171,57 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
 
 
 def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly:
-    """The reduce_by loop, given each generator's leading data."""
-    remainder = QPoly.zero()
-    work = f
-    while not work.is_zero():
-        ld = leading(work)
-        usable = [k for k in range(len(gens)) if pwo_leq(lds[k].lm, ld.lm) is not None]
+    """The reduce_by loop, given each generator's leading data.
+
+    `work` maps each live term to its coefficient; `heap` holds
+    (neg_total_key(m), m) for every monomial pushed when it entered `work`,
+    so the smallest entry is the leading term.  An entry whose monomial has
+    since cancelled out of `work` is stale and skipped when popped (lazy
+    deletion); a monomial never re-enters after it was the leading term,
+    because every later term lies strictly below it.
+    """
+    work = dict(f.terms)
+    heap = [(neg_total_key(m), m) for m in work]
+    heapify(heap)
+    rem: dict[CanonicalMonomial, int] = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.get(lm)
+        if lc is None:
+            continue
+        usable = [k for k in range(len(gens)) if pwo_leq(lds[k].lm, lm) is not None]
         if usable:
             d, betas = bezout([lds[k].lc for k in usable])
-            q, r = divmod(ld.lc, d)
+            q, r = divmod(lc, d)
             if q:
-                subtrahend = QPoly.zero()
                 for k, beta in zip(usable, betas):
                     if not beta:
                         continue
-                    triple = factorize_embedding(lds[k].lm, ld.lm)
-                    subtrahend = subtrahend + apply_reducer(triple, gens[k]) * beta
+                    triple = factorize_embedding(lds[k].lm, lm)
+                    # lm's own coefficient ends at r; it is dropped below
+                    scale = beta * q
+                    for m, c in apply_reducer(triple, gens[k]).terms.items():
+                        c *= scale
+                        n = work.get(m)
+                        if n is None:
+                            work[m] = -c
+                            heappush(heap, (neg_total_key(m), m))
+                        elif n == c:
+                            del work[m]
+                        else:
+                            work[m] = n - c
                     if trace is not None:
                         rec = {"against": k, "beta": str(beta), "q": str(q)}
                         rec.update(triple.to_obj())
                         trace.append(rec)
-                work = work - subtrahend * q
         else:
-            r = ld.lc
+            r = lc
+        work.pop(lm, None)
         if r:
-            frozen = QPoly.monomial(ld.lm, r)
-            remainder = remainder + frozen
-            work = work - frozen
+            rem[lm] = r
             if trace is not None:
-                trace.append({"frozen": {"coeff": str(r), "m": monomial_to_obj(ld.lm)}})
-    return remainder
+                trace.append({"frozen": {"coeff": str(r), "m": monomial_to_obj(lm)}})
+    return QPoly(rem)
 
 
 @dataclass

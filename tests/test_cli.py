@@ -221,6 +221,22 @@ def test_hostile_input_is_parse_error(expr, offset, as_json):
         assert proc.stderr.startswith(f"error: syntax error at byte {offset}")
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_expansion_cap_is_resource_error(as_json):
+    # 2^50 words: the cap fires before any word is built
+    src = str(Path(m2sl2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    expr = "[" * 50 + "y1" + ",z2]" * 50
+    argv = [sys.executable, "-m", "m2sl2.cli", "normalize", expr] + (["--json"] if as_json else [])
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if as_json:
+        assert json.loads(proc.stderr)["error"] == "ResourceBoundError"
+    else:
+        assert proc.stderr.startswith("error: expression expands to more than")
+
+
 def test_missing_file_is_domain_error(capsys):
     rc, _, err = run(capsys, "pwos-min", "/nonexistent/monos.txt")
     assert rc == 1 and "error:" in err

@@ -13,6 +13,7 @@ from m2sl2 import (
     apply_renaming,
     chain_demo,
     cmp_total,
+    enumerate_basis,
     minimal_elements,
     pwo_leq,
     push_profile,
@@ -22,6 +23,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
+from m2sl2.orders import _scan_rows, _sums_exceed, neg_total_key
 from tests.util import (
     assert_witness_valid,
     brute_embed,
@@ -134,6 +136,13 @@ def test_cmp_total_matches_oracle_exhaustive():
             assert cmp_total(a, b) == oracle_cmp_total(a, b), (a, b)
 
 
+def test_neg_total_key_reverses_total_key_exhaustive():
+    keys = [(total_key(m), neg_total_key(m)) for m in enumerate_basis(4, 3)]
+    for ka, na in keys:
+        for kb, nb in keys:
+            assert (na < nb) == (ka > kb), (ka, kb)
+
+
 # --- injections --------------------------------------------------------------
 
 def test_injection_validation():
@@ -224,6 +233,18 @@ def test_pwo_compatible_with_cmp():
         b = rand_monomial(rng, max_degree=5, max_index=4)
         if pwo_leq(a, b) is not None:
             assert cmp_total(a, b) <= 0, (a, b)
+
+
+def test_sums_reject_never_contradicts_scan_exhaustive():
+    base = list(enumerate_basis(4, 3))
+    rejected = 0
+    for a in base:
+        for b in base:
+            if bool(a.cseq) != bool(b.cseq) or not _sums_exceed(a, b):
+                continue
+            rejected += 1
+            assert _scan_rows(a, b) is None, (a, b)
+    assert rejected > 0
 
 
 def test_greedy_vs_brute_small_random():

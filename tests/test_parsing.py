@@ -6,6 +6,7 @@ from m2sl2 import (
     CanonicalMonomial,
     ParseError,
     QPoly,
+    ResourceBoundError,
     normalize,
     parse_poly,
     parse_words,
@@ -14,6 +15,7 @@ from m2sl2 import (
     z,
 )
 from m2sl2.cli import format_qpoly
+from m2sl2.parsing import MAX_WORDS, parse, word_count
 from tests.util import rand_qpoly
 
 
@@ -88,6 +90,29 @@ def test_parse_errors(text, offset, expected_any):
 def test_caps_admit_their_limits():
     assert parse_poly("y10000") == QPoly.monomial(mk((0,) * 9999 + (1,)))
     assert parse_poly("(" * 100 + "y1" + ")" * 100) == parse_poly("y1")
+
+
+@pytest.mark.parametrize("text", [
+    "0", "7", "y1", "0*y1", "y1^0", "0^0", "0^3", "1^9", "(y1+z1)^3",
+    "(y1 - y1)^2", "2*(y1+z2)*(z1+z2+y3)", "[y1+z1, [z2, y1*y2 + 3]]",
+    "[[y1,z1],[z2,0]]", "(0*y1 + y2)^4 - [y1,y2]^2",
+])
+def test_word_count_matches_expansion(text):
+    assert word_count(parse(text)) == len(parse_words(text))
+
+
+def test_word_cap():
+    # counted from the tree: none of these expansions is ever built
+    assert word_count(parse("(" + "+".join(["y1"] * 1000) + ")^2")) == MAX_WORDS
+    for text in (
+        "[" * 50 + "y1" + ",z2]" * 50,      # 2^50 words
+        "(" + "+".join(["y1"] * 1001) + ")^2",
+        "(y1+z1)^100000000000",            # no huge power is computed either
+        "0*(y1+z1+z2)^13",                 # a factor past the cap, product empty
+        "[y1,z1]^20",
+    ):
+        with pytest.raises(ResourceBoundError, match="words"):
+            parse_words(text)
 
 
 def test_error_mentions_offending_lexeme():

@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import m2sl2.reduction as reduction
 from m2sl2 import (
     CanonicalMonomial,
     MonotoneInjection,
@@ -21,6 +23,7 @@ from m2sl2 import (
     membership_bounded,
     monomial_from_obj,
     normalize,
+    parse_poly,
     pwo_leq,
     reduce_by,
     reduce_word,
@@ -35,6 +38,7 @@ from tests.util import (
     inflate,
     rand_monomial,
     rand_qpoly,
+    reference_reduce,
 )
 
 
@@ -228,6 +232,73 @@ def test_reduce_by_idempotent_on_remainder():
             continue
         r = reduce_by(f, gens)
         assert reduce_by(r, gens) == r
+
+
+# the benchmark's generators, unit-coefficient ones whose lifts often hit
+# existing terms with opposite coefficients, and a mix that takes many steps
+GEN_FAMILIES = {
+    "bench": ["6*y1^2 + y1", "4*z1*z2 - y2", "10*y2*z1 + 3"],
+    "unit": ["y2 - y1", "z1*z2 - z2*z1 + y1*z1", "y1*z1*z2 - y2"],
+    "mixed": ["2*y1*y2 - y1^2", "3*z1*z2 + z2*z1 - y3", "y3*z1 - 2*z2"],
+}
+
+
+def rand_sparse_poly(rng, basis, terms):
+    return QPoly({m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(basis, terms)})
+
+
+def count_keys(monkeypatch, name):
+    """Count calls of reduction.<name>, per monomial."""
+    counts: Counter = Counter()
+    fn = getattr(reduction, name)
+
+    def counted(m):
+        counts[m] += 1
+        return fn(m)
+
+    monkeypatch.setattr(reduction, name, counted)
+    return counts
+
+
+def test_reduce_by_matches_reference_loop(monkeypatch):
+    keyed = count_keys(monkeypatch, "neg_total_key")
+    basis = list(enumerate_basis(7, 3))
+    rng = random.Random(86)
+    cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
+    cases.append(("mixed", 100))
+    recreated = 0
+    for fam, terms in cases:
+        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
+        f = rand_sparse_poly(rng, basis, terms)
+        keyed.clear()
+        trace: list = []
+        r = reduce_by(f, gens, trace=trace)
+        ref_trace: list = []
+        ref = reference_reduce(f, gens, trace=ref_trace)
+        assert r == ref
+        assert list(r.terms) == list(ref.terms)  # frozen in the same order
+        assert trace == ref_trace
+        # a monomial keyed twice cancelled out of the working polynomial and
+        # came back, so one of its two heap entries went stale
+        recreated += sum(1 for n in keyed.values() if n > 1)
+    assert recreated > 0
+
+
+def test_reduce_by_keys_each_entering_term_once(monkeypatch):
+    keyed = count_keys(monkeypatch, "neg_total_key")
+    leading_keys = count_keys(monkeypatch, "total_key")
+    gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
+    f = rand_sparse_poly(random.Random(87), list(enumerate_basis(7, 3)), 300)
+    trace: list = []
+    reduce_by(f, gens, trace=trace)
+    # a term enters work from f or from one lifted reducer's terms
+    entering = len(f.terms) + sum(len(gens[rec["against"]].terms)
+                                  for rec in trace if "against" in rec)
+    # every freeze is a step; a max() loop would key every live term per step
+    assert sum(1 for rec in trace if "frozen" in rec) > 100
+    assert sum(keyed.values()) <= entering
+    # total_key only finds each generator's leading term; no step runs max()
+    assert sum(leading_keys.values()) == sum(len(g.terms) for g in gens)
 
 
 # --- ascending chains --------------------------------------------------------

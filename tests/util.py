@@ -18,12 +18,17 @@ from m2sl2 import (
     Profile,
     QPoly,
     alpha,
+    apply_reducer,
     beta,
+    bezout,
     cmp_total,
+    factorize_embedding,
     gamma,
+    monomial_to_obj,
     normalize,
     pwo_leq,
     push_profile,
+    total_key,
     xi,
     xi_inv,
 )
@@ -403,3 +408,41 @@ def check_mult6(rng, count):
         g = lift_reducer(f, target)
         gld = leading(g)
         assert gld.lm == target and gld.lc == ld.lc, (f, target, g)
+
+
+# --- reference reduction loop ------------------------------------------------
+
+def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
+    """reduce_by written the plain way: every step takes max() over all terms
+    by total_key and updates whole QPoly values, so it shares no heap, no
+    reversed key and no in-place term update with the package's loop.  Same
+    arguments, result and trace records as reduce_by."""
+    lead = [max(g.terms, key=total_key) for g in gens]
+    remainder = QPoly.zero()
+    work = f
+    while not work.is_zero():
+        lm = max(work.terms, key=total_key)
+        lc = work.terms[lm]
+        usable = [k for k in range(len(gens)) if pwo_leq(lead[k], lm) is not None]
+        r = lc
+        if usable:
+            d, betas = bezout([gens[k].terms[lead[k]] for k in usable])
+            q, r = divmod(lc, d)
+            subtrahend = QPoly.zero()
+            for k, b in zip(usable, betas):
+                if not (q and b):
+                    continue
+                triple = factorize_embedding(lead[k], lm)
+                subtrahend = subtrahend + apply_reducer(triple, gens[k]) * b
+                if trace is not None:
+                    rec = {"against": k, "beta": str(b), "q": str(q)}
+                    rec.update(triple.to_obj())
+                    trace.append(rec)
+            work = work - subtrahend * q
+        if r:
+            frozen = QPoly.monomial(lm, r)
+            remainder = remainder + frozen
+            work = work - frozen
+            if trace is not None:
+                trace.append({"frozen": {"coeff": str(r), "m": monomial_to_obj(lm)}})
+    return remainder
