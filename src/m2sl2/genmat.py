@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import ResourceBoundError
 from .freealg import CanonicalMonomial, QPoly, enumerate_basis
 from .intlinalg import IntRowLattice
-from .ring import MultiPoly, alpha, beta, gamma
+from .ring import MultiPoly, Term, alpha, beta, gamma
 
 _ZERO = MultiPoly.zero()
 
@@ -73,15 +73,6 @@ class GMatrix2:
         return (self.e11, self.e12, self.e21, self.e22)
 
 
-def zero_matrix() -> GMatrix2:
-    return GMatrix2(_ZERO, _ZERO, _ZERO, _ZERO)
-
-
-def identity_matrix() -> GMatrix2:
-    one = MultiPoly.one()
-    return GMatrix2(one, _ZERO, _ZERO, one)
-
-
 @lru_cache(maxsize=None)
 def generic_y(i: int) -> GMatrix2:
     a = alpha(i)
@@ -93,11 +84,60 @@ def generic_z(i: int) -> GMatrix2:
     return GMatrix2(_ZERO, beta(i), gamma(i), _ZERO)
 
 
-def eval_word(w) -> GMatrix2:
-    acc = identity_matrix()
+def _family_term(family: str, items: list[tuple[int, int]]) -> Term:
+    """Sorted (index, exponent) pairs of one family as a ring term."""
+    return tuple([((family, i), e) for i, e in items])
+
+
+def _word_entries(w) -> tuple[tuple[int, Term, int], tuple[int, Term, int]]:
+    """The two nonzero entries of a word's generic evaluation, in closed form.
+
+    Follow rows 1 and 2 of the product through the word.  The rows always sit
+    in opposite columns: Y_i keeps a row's column and multiplies it by
+    alpha_i, negated in column 2; Z_i moves column 1 to 2 through beta_i and
+    column 2 to 1 through gamma_i.  So the k-th odd letter (k = 0, 1, ...)
+    gives row 1 a beta when k is even and a gamma when k is odd, and row 2
+    the other one; an even letter negates row 1 after an odd number of odd
+    letters and row 2 after an even number.  Returns two
+    (entry position, term, sign) triples, positions running e11, e12, e21,
+    e22: the diagonal pair for an even number of odd letters, else the
+    off-diagonal pair.
+    """
+    ys: dict[int, int] = {}
+    cs: dict[int, int] = {}
+    ds: dict[int, int] = {}
+    nz = 0
+    flips = [0, 0]  # even letters seen after an even / odd number of odd ones
     for fam, idx in w:
-        acc = acc * (generic_y(idx) if fam == "y" else generic_z(idx))
-    return acc
+        if fam == "y":
+            ys[idx] = ys.get(idx, 0) + 1
+            flips[nz & 1] += 1
+        elif fam == "z":
+            slot = ds if nz & 1 else cs
+            slot[idx] = slot.get(idx, 0) + 1
+            nz += 1
+        else:
+            raise ValueError(f"unknown letter family {fam!r}")
+    y_items, c_items, d_items = sorted(ys.items()), sorted(cs.items()), sorted(ds.items())
+    for items in (y_items, c_items, d_items):
+        if items and items[0][0] < 1:
+            raise ValueError("letter index must be >= 1")
+    a = _family_term("alpha", y_items)
+    row1 = a + _family_term("beta", c_items) + _family_term("gamma", d_items)
+    row2 = a + _family_term("beta", d_items) + _family_term("gamma", c_items)
+    sign1 = -1 if flips[1] & 1 else 1
+    sign2 = -1 if flips[0] & 1 else 1
+    if nz & 1:
+        return (1, row1, sign1), (2, row2, sign2)
+    return (0, row1, sign1), (3, row2, sign2)
+
+
+def eval_word(w) -> GMatrix2:
+    """The product of the generic matrices along the word w."""
+    entries = [_ZERO] * 4
+    for pos, term, sign in _word_entries(w):
+        entries[pos] = MultiPoly({term: sign})
+    return GMatrix2(*entries)
 
 
 def evaluate(f) -> GMatrix2:
@@ -106,18 +146,27 @@ def evaluate(f) -> GMatrix2:
     Accepts a QPoly, a single CanonicalMonomial, or an iterable of
     (coeff, word) pairs; the last form evaluates raw words with no canonical
     reduction, which is what makes cross-checks against the rewriting honest.
+    Each word adds its two signed terms straight into the four entries; no
+    matrix or polynomial product is formed.
     """
     if isinstance(f, CanonicalMonomial):
         return eval_word(f.word())
     if isinstance(f, QPoly):
         pairs = ((c, m.word()) for m, c in f.terms.items())
     else:
-        pairs = ((c, tuple(w)) for c, w in f)
-    acc = zero_matrix()
+        pairs = f
+    acc: tuple[dict, ...] = ({}, {}, {}, {})
     for coeff, w in pairs:
-        if coeff:
-            acc = acc + eval_word(w) * coeff
-    return acc
+        if not coeff:
+            continue
+        for pos, term, sign in _word_entries(w):
+            entry = acc[pos]
+            n = entry.get(term, 0) + sign * coeff
+            if n:
+                entry[term] = n
+            else:
+                del entry[term]
+    return GMatrix2(*(MultiPoly(entry) for entry in acc))
 
 
 def is_graded_weak_identity(f) -> bool:
@@ -133,11 +182,7 @@ def monomial_row(m: CanonicalMonomial) -> dict:
     a single +/-1 term each, which is what makes the independence matrix easy
     to rank exactly.
     """
-    row: dict = {}
-    for pos, poly in enumerate(evaluate(m).entries()):
-        for term, coeff in poly.terms.items():
-            row[(pos, term)] = coeff
-    return row
+    return {(pos, term): sign for pos, term, sign in _word_entries(m.word())}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@
     atom   := 'y' uint | 'z' uint | uint | '(' expr ')' | '[' expr ',' expr ']'
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
-are commutators and expand before any canonical reduction, so the parser's
-output is a plain weighted word list over the graded letters.
+are commutators.  `parse_words` expands an expression into a plain weighted
+word list over the graded letters, with no canonical reduction; `parse_poly`
+normalizes the operands of every product on the way to its canonical
+polynomial.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,15 @@ from .freealg import QPoly, Word, normalize
 
 # Input caps that keep hostile input from costing a traceback: letter indices
 # size the dense exponent tuples, each '(' or '[' costs parser recursion, and
-# every word of the expansion is built in memory.
+# every word of the expansion is built in memory.  A power of a single word is
+# built in one step, so the letters and the coefficient bits (bounded by
+# k * bit_length) that such powers build are capped too, summed over the
+# expression.
 MAX_LETTER_INDEX = 10_000
 MAX_NESTING = 100
 MAX_WORDS = 1_000_000
+MAX_POWER_LETTERS = 10_000_000
+MAX_POWER_BITS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -186,37 +193,82 @@ def parse(text: str):
     return node
 
 
-def to_words(node) -> list[tuple[int, Word]]:
-    """Expand an expression tree to a weighted word list (no reduction)."""
-    kind = node[0]
-    if kind == "int":
-        return [(node[1], ())] if node[1] else []
-    if kind == "var":
-        return [(1, (node[1],))]
-    if kind == "pow":
-        base = to_words(node[1])
-        out: list[tuple[int, Word]] = [(1, ())]
-        for _ in range(node[2]):
-            out = [(c0 * c1, w0 + w1) for c0, w0 in out for c1, w1 in base]
-        return out
-    if kind == "mul":
-        out = [(1, ())]
-        for sub in node[1]:
-            expansion = to_words(sub)
-            out = [(c0 * c1, w0 + w1) for c0, w0 in out for c1, w1 in expansion]
-        return out
-    if kind == "add":
-        out = []
-        for sign, sub in node[1]:
-            out.extend((sign * c, w) for c, w in to_words(sub))
-        return out
-    if kind == "br":
-        left = to_words(node[1])
-        right = to_words(node[2])
-        out = [(cl * cr, wl + wr) for cl, wl in left for cr, wr in right]
-        out.extend((-cl * cr, wr + wl) for cl, wl in left for cr, wr in right)
-        return out
-    raise ValueError(f"unknown node kind {kind!r}")
+def _times(left, right) -> list[tuple[int, Word]]:
+    return [(c0 * c1, w0 + w1) for c0, w0 in left for c1, w1 in right]
+
+
+def _power(base: list[tuple[int, Word]], k: int, fold, spent: list[int]) -> list[tuple[int, Word]]:
+    if k == 0:
+        return [(1, ())]
+    if not base:
+        return []
+    if len(base) == 1:
+        # one word: the closed form, after charging its size to the caps
+        ((c, w),) = base
+        spent[0] += len(w) * k
+        spent[1] += abs(c).bit_length() * k if abs(c) > 1 else 0
+        if spent[0] > MAX_POWER_LETTERS:
+            raise ResourceBoundError(
+                f"powers of single words build more than {MAX_POWER_LETTERS} letters")
+        if spent[1] > MAX_POWER_BITS:
+            raise ResourceBoundError(
+                f"powers of single words build coefficients of more than {MAX_POWER_BITS} bits")
+        return [(c ** k, w * k)]
+    out = base
+    for _ in range(k - 1):
+        out = _times(fold(out), base)
+    return out
+
+
+def _raw(ws: list[tuple[int, Word]]) -> list[tuple[int, Word]]:
+    return ws
+
+
+def to_words(node, fold=_raw) -> list[tuple[int, Word]]:
+    """Expand an expression tree to a weighted word list.
+
+    `fold` is applied to every operand of a product ("mul", "pow" and "br"
+    nodes) before it is multiplied; the default keeps it as it is, so the
+    result is the raw expansion with no reduction.  A fold that replaces a
+    word list by another with the same normalize() image leaves the
+    normalized result unchanged and keeps the operands small.
+    """
+    spent = [0, 0]  # letters and coefficient bits built by one-word powers
+
+    def expand(node):
+        kind = node[0]
+        if kind == "int":
+            return [(node[1], ())] if node[1] else []
+        if kind == "var":
+            return [(1, (node[1],))]
+        if kind == "pow":
+            return _power(fold(expand(node[1])), node[2], fold, spent)
+        if kind == "mul":
+            out = [(1, ())]
+            for sub in node[1]:
+                out = _times(fold(out), fold(expand(sub)))
+            return out
+        if kind == "add":
+            out = []
+            for sign, sub in node[1]:
+                out.extend((sign * c, w) for c, w in expand(sub))
+            return out
+        if kind == "br":
+            left = fold(expand(node[1]))
+            right = fold(expand(node[2]))
+            out = _times(left, right)
+            out.extend((-cl * cr, wr + wl) for cl, wl in left for cr, wr in right)
+            return out
+        raise ValueError(f"unknown node kind {kind!r}")
+
+    return expand(node)
+
+
+def _canonical_words(ws: list[tuple[int, Word]]) -> list[tuple[int, Word]]:
+    """A list of two or more words replaced by its normalized terms."""
+    if len(ws) < 2:
+        return ws
+    return [(c, m.word()) for m, c in normalize(ws).terms.items()]
 
 
 def word_count(node) -> int:
@@ -256,10 +308,20 @@ def _check_words(n: int) -> None:
 
 
 def parse_words(text: str) -> list[tuple[int, Word]]:
+    """The raw expansion of an expression: words exactly as written out."""
     node = parse(text)
     word_count(node)
     return to_words(node)
 
 
 def parse_poly(text: str) -> QPoly:
-    return normalize(parse_words(text))
+    """The canonical polynomial of an expression.
+
+    Equal to normalize(parse_words(text)), but every product operand of two
+    or more words is normalized before it is multiplied, so a power or a
+    product of sums costs the size of its canonical form, not of its raw
+    expansion.  The word cap still applies to the raw expansion.
+    """
+    node = parse(text)
+    word_count(node)
+    return normalize(to_words(node, _canonical_words))

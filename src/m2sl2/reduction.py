@@ -85,18 +85,21 @@ def _fit(big, small) -> tuple[int, ...]:
     return tuple(sorted(rest.elements()))
 
 
-def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial) -> ReducerTriple:
+def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
+                        phi: MonotoneInjection | None = None) -> ReducerTriple:
     """Factor target = N . phi(m) . P, given m <=' target.
 
     N carries the y-exponents that phi(m) = rename_monomial(m, phi) leaves
     missing from the target; the c- and d-slot letters of the target that
     phi(m) does not use make up P, interleaved so that they land in the right
     slot classes after the z-block of phi(m).  No sign appears: N adds no even
-    letter to the right of an odd one, and P only appends.
+    letter to the right of an odd one, and P only appends.  `phi` defaults to
+    the witness pwo_leq(m, target); a caller that already holds it passes it.
     """
-    phi = pwo_leq(m, target)
     if phi is None:
-        raise NotEmbeddableError("source monomial does not embed into the target")
+        phi = pwo_leq(m, target)
+        if phi is None:
+            raise NotEmbeddableError("source monomial does not embed into the target")
     pm = rename_monomial(m, phi, "both")
     ny = [t - e for t, e in zip_longest(target.yexp, pm.yexp, fillvalue=0)]
     if any(e < 0 for e in ny):
@@ -189,15 +192,19 @@ def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly
         lc = work.get(lm)
         if lc is None:
             continue
-        usable = [k for k in range(len(gens)) if pwo_leq(lds[k].lm, lm) is not None]
+        usable = []  # (generator index, embedding witness)
+        for k in range(len(gens)):
+            phi = pwo_leq(lds[k].lm, lm)
+            if phi is not None:
+                usable.append((k, phi))
         if usable:
-            d, betas = bezout([lds[k].lc for k in usable])
+            d, betas = bezout([lds[k].lc for k, _ in usable])
             q, r = divmod(lc, d)
             if q:
-                for k, beta in zip(usable, betas):
+                for (k, phi), beta in zip(usable, betas):
                     if not beta:
                         continue
-                    triple = factorize_embedding(lds[k].lm, lm)
+                    triple = factorize_embedding(lds[k].lm, lm, phi)
                     # lm's own coefficient ends at r; it is dropped below
                     scale = beta * q
                     for m, c in apply_reducer(triple, gens[k]).terms.items():

@@ -46,6 +46,7 @@ from tests.util import (
     expected_y_product,
     expected_z_product,
     monomial_rows,
+    product_eval_word,
     rand_lie,
     rand_word,
     v1_profiles,
@@ -121,6 +122,7 @@ def test_criterion_4_rewriting_soundness():
             w = rand_word(rng, max_len=8, max_index=4)
             sign, m = reduce_word(w)
             assert eval_word(w) == evaluate(m) * sign, w
+            assert eval_word(w) == product_eval_word(w), w
 
 
 def test_criterion_5_order_lemma_suites():

@@ -1,0 +1,37 @@
+"""The benchmark's traced run wraps package functions by name; every name it
+patches must keep resolving, or `perfbench/run.py --trace 1` stops working."""
+
+import importlib
+import sys
+
+import m2sl2.cli
+import m2sl2.genmat
+
+# the benchmark directory holds no bytecode; importing it must not add any
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True
+try:
+    from perfbench.tracing import Tracer, instrument
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+
+def test_every_traced_name_resolves_and_restores():
+    originals = {
+        (m2sl2.cli, "main"): m2sl2.cli.main,
+        (m2sl2.genmat, "eval_word"): m2sl2.genmat.eval_word,
+        (m2sl2.genmat, "evaluate"): m2sl2.genmat.evaluate,
+    }
+    tracer = Tracer()
+    try:
+        instrument(tracer)  # getattr without a default: a missing name raises here
+        patched = [(owner, attr) for owner, attr, _ in tracer._undo]
+        assert len(patched) == len(set(patched)) >= 26
+        for owner, attr in patched:
+            assert getattr(owner, attr).__name__ == "traced", (owner, attr)
+    finally:
+        tracer.restore()
+    for (owner, attr), fn in originals.items():
+        assert getattr(owner, attr) is fn
+    for name in ("cli", "parsing", "freealg", "genmat", "ring", "reduction", "intlinalg"):
+        importlib.import_module(f"m2sl2.{name}")

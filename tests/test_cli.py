@@ -237,6 +237,38 @@ def test_expansion_cap_is_resource_error(as_json):
         assert proc.stderr.startswith("error: expression expands to more than")
 
 
+def test_is_identity_never_rewrites(capsys, monkeypatch):
+    # the oracle evaluates raw words; the rewriting it checks is never consulted
+    import m2sl2.freealg
+
+    def refuse(w):
+        raise AssertionError("is-identity called reduce_word")
+
+    monkeypatch.setattr(m2sl2.freealg, "reduce_word", refuse)
+    for expr, want in (("[[y1,z1],[z2,y2]] + z1*y2 + y2*z1", "false"),
+                       ("(y1*z1 + z1*y1)*(z2+y3)^2", "true"),
+                       ("(z1+z2)*(z2+z3)*(z3+z1) - (z3+z1)*(z2+z3)*(z1+z2)", "true")):
+        rc, out, _ = run(capsys, "is-identity", expr)
+        assert rc == 0 and out == want + "\n"
+        rc, out, _ = run(capsys, "is-identity", expr, "--json")
+        assert rc == 0 and json.loads(out) == {"identity": want == "true"}
+    with pytest.raises(AssertionError, match="reduce_word"):
+        parse_poly("y1 + z1")
+
+
+def test_huge_powers_of_single_words(capsys):
+    rc, out, _ = run(capsys, "normalize", "1^100000000000000")
+    assert rc == 0 and out == "+ 1\n"
+    rc, out, _ = run(capsys, "normalize", "0^100000000000000")
+    assert rc == 0 and out == "0\n"
+    rc, out, _ = run(capsys, "is-identity", "(-1)^100000000000001 + 1")
+    assert rc == 0 and out == "true\n"
+    rc, _, err = run(capsys, "normalize", "y1^100000000000000", "--json")
+    assert rc == 1 and json.loads(err)["error"] == "ResourceBoundError"
+    rc, _, err = run(capsys, "is-identity", "3^100000000000000")
+    assert rc == 1 and err.startswith("error: powers of single words build coefficients")
+
+
 def test_missing_file_is_domain_error(capsys):
     rc, _, err = run(capsys, "pwos-min", "/nonexistent/monos.txt")
     assert rc == 1 and "error:" in err

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -23,9 +23,12 @@ from m2sl2 import (
     y,
     z,
 )
+from m2sl2.genmat import monomial_row
 from tests.util import (
     expected_y_product,
     expected_z_product,
+    product_eval_word,
+    product_evaluate,
     rand_qpoly,
     rand_word,
 )
@@ -111,3 +114,61 @@ def test_independence_small():
 def test_independence_resource_bound():
     with pytest.raises(ResourceBoundError):
         independence_report(6, 3, max_monomials=10)
+
+
+def test_eval_word_matches_product_oracle_exhaustive():
+    letters = [("y", 1), ("y", 2), ("z", 1), ("z", 2)]
+    count = 0
+    for n in range(7):
+        for w in product(letters, repeat=n):
+            assert eval_word(w) == product_eval_word(w), w
+            count += 1
+    assert count == 5461
+
+
+def test_evaluate_word_lists_with_cancellation():
+    rng = random.Random(73)
+    cancelled = 0
+    for _ in range(150):
+        ws = [(rng.choice((-3, -2, -1, 1, 2, 3)), rand_word(rng, max_len=6, max_index=3))
+              for _ in range(rng.randint(1, 6))]
+        extra = []
+        for c, w in ws:
+            pick = rng.random()
+            if pick < 0.3:
+                extra.append((-c, w))  # the same word cancels outright
+            elif pick < 0.6:
+                sign, m = reduce_word(w)
+                extra.append((-c * sign, m.word()))  # a rewritten word cancels it
+            elif pick < 0.7:
+                extra.append((0, w))
+        ws += extra
+        rng.shuffle(ws)
+        got = evaluate(ws)
+        assert got == product_evaluate(ws), ws
+        cancelled += got.is_zero() and len(ws) > 1
+    assert cancelled > 0
+
+
+def test_evaluate_drops_terms_that_cancel_between_words():
+    # y1*z1 and z1*y1 put opposite terms in the same two entries
+    g = evaluate([(1, word(y(1), z(1))), (1, word(z(1), y(1)))])
+    assert g.is_zero()
+    g = evaluate([(2, word(y(1), z(1))), (1, word(z(1), y(1)))])
+    assert g == evaluate([(1, word(y(1), z(1)))])
+
+
+def test_monomial_row_matches_product_oracle():
+    for m in enumerate_basis(4, 2):
+        want = {}
+        for pos, poly in enumerate(product_eval_word(m.word()).entries()):
+            for term, coeff in poly.terms.items():
+                want[(pos, term)] = coeff
+        assert monomial_row(m) == want, m
+
+
+def test_eval_word_rejects_bad_letters():
+    with pytest.raises(ValueError):
+        eval_word((("x", 1),))
+    with pytest.raises(ValueError):
+        eval_word((("z", 0),))

@@ -15,8 +15,29 @@ from m2sl2 import (
     z,
 )
 from m2sl2.cli import format_qpoly
+import m2sl2.parsing
 from m2sl2.parsing import MAX_WORDS, parse, word_count
 from tests.util import rand_qpoly
+
+
+def rand_expr(rng: random.Random, depth: int) -> str:
+    """A random grammar string: sums, products, powers (^0 included),
+    commutators, zero and signed integer coefficients, nested to `depth`."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.2:
+            return str(rng.choice((0, 0, 1, 2, 3)))
+        return f"{rng.choice('yz')}{rng.randint(1, 3)}"
+    r = rng.random()
+    if r < 0.3:
+        parts = [rand_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+        return " + ".join(parts) if rng.random() < 0.5 else " - ".join(parts)
+    if r < 0.55:
+        return "*".join(f"({rand_expr(rng, depth - 1)})" for _ in range(rng.randint(2, 3)))
+    if r < 0.75:
+        return f"({rand_expr(rng, depth - 1)})^{rng.randint(0, 3)}"
+    if r < 0.9:
+        return f"[{rand_expr(rng, depth - 1)}, {rand_expr(rng, depth - 1)}]"
+    return f"-{rng.randint(0, 3)}*({rand_expr(rng, depth - 1)})"
 
 
 def mk(yexp=(), cseq=(), dseq=()):
@@ -113,6 +134,71 @@ def test_word_cap():
     ):
         with pytest.raises(ResourceBoundError, match="words"):
             parse_words(text)
+
+
+def test_parse_poly_matches_raw_expansion_randomized():
+    # parse_poly normalizes product operands on the way; the raw expansion
+    # normalized once must give the same polynomial
+    rng = random.Random(91)
+    shapes = {"^0": 0, "0": 0, "[": 0, ")^": 0}
+    for _ in range(600):
+        text = rand_expr(rng, 4)
+        for key in shapes:
+            shapes[key] += key in text
+        assert parse_poly(text) == normalize(parse_words(text)), text
+    assert all(n >= 20 for n in shapes.values()), shapes
+    for text in ("((y1+z1)^2)^3", "((z1+z2)^2*(y1-z1))^2", "[(y1+z1)^2, z2]^2",
+                 "(y1 - y1 + z1)^3", "(2*y1 + 0*z1)^4", "(z1*z2 - z2*z1 + 3)^3"):
+        assert parse_poly(text) == normalize(parse_words(text)), text
+
+
+def test_parse_poly_folds_product_operands(monkeypatch):
+    # (y1+z1+z2)^12 has 531,441 raw words but 140 canonical terms; with every
+    # operand folded, no list handed to normalize holds a thousand words
+    sizes = []
+    real = m2sl2.parsing.normalize
+
+    def counting(ws):
+        sizes.append(len(ws))
+        return real(ws)
+
+    monkeypatch.setattr(m2sl2.parsing, "normalize", counting)
+    f = parse_poly("(y1+z1+z2)^12")
+    assert len(f.terms) == 140 and max(sizes) < 1000
+
+
+def test_powers_of_single_words():
+    assert parse_words("y1^4") == [(1, (("y", 1),) * 4)]
+    assert parse_words("(2*z1*y2)^3") == [(8, (("z", 1), ("y", 2)) * 3)]
+    assert len(parse_words("(y1 - y1)^5")) == 32  # two words: expanded, cancelled later
+    assert parse_poly("(y1 - y1)^5").is_zero()
+    assert parse_words("0^5") == [] and parse_words("0^0") == [(1, ())]
+    assert parse_words("(-1)^100000000000001") == [(-1, ())]
+    assert parse_poly("1^100000000000000") == QPoly.one()
+    assert parse_poly("(y1 + y1)^3") == QPoly.monomial(mk((3,)), 8)
+
+
+def test_power_caps(monkeypatch):
+    for text in ("y1^100000000000000", "(z1*z2)^5000001"):
+        for parse_fn in (parse_words, parse_poly):
+            with pytest.raises(ResourceBoundError, match="letters"):
+                parse_fn(text)
+    for text in ("2^2000001", "(3*y1)^2000001"):
+        for parse_fn in (parse_words, parse_poly):
+            with pytest.raises(ResourceBoundError, match="bits"):
+                parse_fn(text)
+    assert parse_words("2^2000000") == [(2 ** 2000000, ())]  # at the cap
+    # the caps bound what all powers of single words build together
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
+    assert parse_poly("y1^50 * y1^50") == parse_poly("y1^100")
+    assert parse_poly("(y1^10)^9") == parse_poly("y1^90")  # 10 + 90 letters
+    for text in ("y1^50 * y1^51", "(y1^10)^10", "y1^40 + z1^40 + y2^40"):
+        with pytest.raises(ResourceBoundError, match="letters"):
+            parse_poly(text)
+    assert parse_poly("2^25 - 2^25 + 1^1000") == QPoly.one()  # 50 + 50 + 0 bits
+    with pytest.raises(ResourceBoundError, match="bits"):
+        parse_poly("2^25 * 2^26")
 
 
 def test_error_mentions_offending_lexeme():

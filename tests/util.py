@@ -57,6 +57,41 @@ def expected_z_product(indices) -> GMatrix2:
     return GMatrix2(zero, upper, lower, zero)
 
 
+# --- independent evaluation oracle -------------------------------------------
+
+def _mat_mul(a, b):
+    """Product of two 2x2 matrices given as (e11, e12, e21, e22) tuples."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def product_eval_word(w) -> GMatrix2:
+    """A word's generic evaluation as the letter-by-letter product of general
+    2x2 matrices over the alpha/beta/gamma ring, with Y_i = diag(a_i, -a_i)
+    and Z_i = [[0, b_i], [c_i, 0]] built here from the ring's variables."""
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    acc = (one, zero, zero, one)
+    for fam, idx in w:
+        if fam == "y":
+            letter = (alpha(idx), zero, zero, -alpha(idx))
+        else:
+            letter = (zero, beta(idx), gamma(idx), zero)
+        acc = _mat_mul(acc, letter)
+    return GMatrix2(*acc)
+
+
+def product_evaluate(weighted_words) -> GMatrix2:
+    """The sum of coeff * product_eval_word(word) over (coeff, word) pairs."""
+    acc = [MultiPoly.zero()] * 4
+    for c, w in weighted_words:
+        acc = [x + y * c for x, y in zip(acc, product_eval_word(w).entries())]
+    return GMatrix2(*acc)
+
+
 def rand_monomial(rng: random.Random, max_degree=8, max_index=5, variant=None) -> CanonicalMonomial:
     if variant is None:
         variant = rng.choice((1, 2))
