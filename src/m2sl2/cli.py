@@ -158,13 +158,12 @@ def cmd_reduce(args) -> int:
 
 
 def _builtin_stream(degree: int, indices: int, order: str):
-    monos = list(enumerate_basis(degree, indices))
-    if order == "lex":
-        monos.sort(key=lambda m: (m.yexp, m.cseq, m.dseq))
-    elif order == "total":
-        monos.sort(key=total_key)
-    # "graded" keeps the enumerator's degree-graded order
-    return [QPoly.monomial(m) for m in monos]
+    monos = enumerate_basis(degree, indices)  # validates the caps at once
+    if order == "graded":
+        # the enumerator's own order: stream lazily, so --budget bounds the work
+        return (QPoly.monomial(m) for m in monos)
+    key = total_key if order == "total" else (lambda m: (m.yexp, m.cseq, m.dseq))
+    return [QPoly.monomial(m) for m in sorted(monos, key=key)]
 
 
 def cmd_chain_demo(args) -> int:

@@ -45,6 +45,10 @@ def word(*letters: Letter) -> Word:
     return tuple(letters)
 
 
+_new = object.__new__
+_set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+
+
 def _trim(seq) -> tuple[int, ...]:
     seq = list(seq)
     while seq and seq[-1] == 0:
@@ -86,6 +90,17 @@ class CanonicalMonomial:
     @classmethod
     def make(cls, yexp=(), cseq=(), dseq=()) -> "CanonicalMonomial":
         return cls(_trim(yexp), tuple(cseq), tuple(dseq))
+
+    @classmethod
+    def _trusted(cls, yexp: tuple, cseq: tuple, dseq: tuple) -> "CanonicalMonomial":
+        """Build without re-validation, for engine code whose tuples are
+        canonical by construction: trimmed yexp, sorted slot sequences of
+        admissible lengths, indices >= 1."""
+        m = _new(cls)
+        _set(m, "yexp", yexp)
+        _set(m, "cseq", cseq)
+        _set(m, "dseq", dseq)
+        return m
 
     @property
     def degree(self) -> int:
@@ -146,11 +161,14 @@ def reduce_word(w: Word) -> tuple[int, CanonicalMonomial]:
             ycount[idx] = ycount.get(idx, 0) + 1
         else:
             raise ValueError(f"unknown letter family {fam!r}")
+    if (ycount and min(ycount) < 1) or (zs and min(zs) < 1):
+        raise ValueError("letter index must be >= 1")
     yexp = [0] * (max(ycount) if ycount else 0)
     for idx, e in ycount.items():
         yexp[idx - 1] = e
     sign = -1 if t % 2 else 1
-    return sign, CanonicalMonomial(_trim(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2])))
+    return sign, CanonicalMonomial._trusted(tuple(yexp), tuple(sorted(zs[0::2])),
+                                            tuple(sorted(zs[1::2])))
 
 
 class QPoly:
@@ -391,9 +409,15 @@ def _exponent_vectors(slots: int, total: int):
 
 def enumerate_basis(max_degree: int, max_index: int):
     """All canonical monomials with degree <= max_degree and every letter
-    index <= max_index, in a fixed degree-graded order."""
+    index <= max_index, in a fixed degree-graded order.
+
+    The caps are checked on the call; the monomials are generated lazily."""
     if max_degree < 0 or max_index < 1:
         raise ValueError("need max_degree >= 0 and max_index >= 1")
+    return _basis(max_degree, max_index)
+
+
+def _basis(max_degree: int, max_index: int):
     idx = range(1, max_index + 1)
     for d in range(max_degree + 1):
         for ydeg in range(d, -1, -1):

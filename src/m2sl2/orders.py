@@ -27,7 +27,7 @@ so the engine never builds a Profile.  The two orders:
 from dataclasses import dataclass
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import CanonicalMonomial, QPoly, _trim
+from .freealg import CanonicalMonomial, QPoly
 
 RENAME_MODES = ("both", "y_only", "z_only")
 
@@ -339,7 +339,7 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
     if mode in ("both", "z_only"):
         cseq = tuple(phi(i) for i in cseq)
         dseq = tuple(phi(i) for i in dseq)
-    return CanonicalMonomial(_trim(yexp), cseq, dseq)
+    return CanonicalMonomial._trusted(yexp, cseq, dseq)
 
 
 def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:

@@ -7,7 +7,11 @@ witness phi, the monomial M factors exactly as
     M  =  N . phi(g's leading monomial) . P         (sign +1)
 
 with N pure-y on the left and P a pure-z word on the right, so g lifts to a
-reducer with leading term exactly M and unchanged leading coefficient.
+reducer with leading term exactly M and unchanged leading coefficient.  The
+lift is a closed-form map on each term of g, with no word product: rename
+along phi, add N's y-exponents, and append P's letters to the slot classes,
+its even-position letters (counting from 0) to the c-slots when the renamed
+term's z-length is even and to the d-slots when it is odd (apply_reducer).
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
 a nonzero residue freezes into the remainder and reduction continues on the
@@ -31,6 +35,7 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
+    _monomial_need,
     apply_renaming,
     neg_total_key,
     pwo_leq,
@@ -128,11 +133,50 @@ def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> Word:
 
 
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
-    """N . phi(f) . P as a canonical polynomial."""
-    out = QPoly.monomial(triple.n_part) * apply_renaming(f, triple.phi, "both")
-    if triple.p_word:
-        out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
-    return out
+    """N . phi(f) . P as a canonical polynomial, in closed form.
+
+    phi is extended once over the support of all of f's terms, as
+    apply_renaming does, so it acts as one letter substitution.  Each term m
+    then maps to a single canonical monomial with sign +1, with no word
+    product: rename m's indices, add N's y-exponents, and append P's letters
+    to the slot classes.  P's letter at position k (from 0) lands at
+    z-position L + k, where L is the z-length of phi(m); so P's even-position
+    letters join the c-slots when L is even and the d-slots when L is odd,
+    and its odd-position letters join the other class.  Each class is then
+    sorted.  Renaming along one injection is injective and N and P are fixed,
+    so no two terms merge and every coefficient carries over unchanged.
+    """
+    p = triple.p_word
+    if p and min(p) < 1:
+        raise ValueError("letter index must be >= 1")
+    need: set[int] = set()
+    for m in f.terms:
+        need.update(_monomial_need(m, "both"))
+    image = dict(triple.phi.covering(need).pairs)
+    ny = triple.n_part.yexp
+    p_even, p_odd = p[0::2], p[1::2]
+    out: dict[CanonicalMonomial, int] = {}
+    for m, c in f.terms.items():
+        yexp = ny
+        if m.yexp:
+            # m.yexp ends on a nonzero entry, so its image fixes the top index
+            y = list(ny) + [0] * (image[len(m.yexp)] - len(ny))
+            for i, e in enumerate(m.yexp, start=1):
+                if e:
+                    y[image[i] - 1] += e
+            yexp = tuple(y)
+        cseq = [image[i] for i in m.cseq]
+        dseq = [image[i] for i in m.dseq]
+        if len(cseq) == len(dseq):
+            cseq += p_even
+            dseq += p_odd
+        else:
+            cseq += p_odd
+            dseq += p_even
+        cseq.sort()
+        dseq.sort()
+        out[CanonicalMonomial._trusted(yexp, tuple(cseq), tuple(dseq))] = c
+    return QPoly(out)
 
 
 def lift_reducer(f: QPoly, target: CanonicalMonomial) -> QPoly:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,59 @@ def test_chain_demo_budget_truncation(tmp_path, capsys):
     rc, out, _ = run(capsys, "chain-demo", str(stream), "--budget", "2", "--json")
     obj = json.loads(out)
     assert obj[-1] == {"stabilized_at": None, "truncated": True}
+
+
+CHAIN_D6_I3 = {  # chain-demo --degree 6 --indices 3 over the 1,627-monomial basis
+    "graded": 5,
+    "lex": 2,
+    "total": 85,
+}
+
+
+@pytest.mark.parametrize("order", sorted(CHAIN_D6_I3))
+def test_chain_demo_builtin_orders_exact(capsys, order):
+    step = CHAIN_D6_I3[order]
+    argv = ("chain-demo", "--degree", "6", "--indices", "3", "--order", order)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == ("step 1: adjoined + 1\n"
+                   f"step {step}: adjoined + z1\n"
+                   f"stabilized at step {step} (1627 steps seen)\n")
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, err) == (0, "")
+    assert out == ('[{"step": 1, "lt": {"coeff": "1", "m": {"y": [], "c": [], "d": []}}}, '
+                   f'{{"step": {step}, "lt": {{"coeff": "1", "m": {{"y": [], "c": [1], "d": []}}}}}}, '
+                   f'{{"stabilized_at": {step}}}]\n')
+
+
+def test_chain_demo_graded_budget_boundary(capsys):
+    # a budget equal to the stream length consumes it whole: no truncation
+    rc, out, _ = run(capsys, "chain-demo", "--degree", "6", "--indices", "3", "--budget", "1627")
+    assert rc == 0 and out.endswith("stabilized at step 5 (1627 steps seen)\n")
+    rc, out, _ = run(capsys, "chain-demo", "--degree", "6", "--indices", "3", "--budget", "1626")
+    assert rc == 0 and out.endswith("budget exhausted after 1626 steps; no stabilization claim\n")
+
+
+def test_chain_demo_bad_degree_reported_before_bad_budget(capsys):
+    rc, out, err = run(capsys, "chain-demo", "--degree", "-1", "--budget", "0")
+    assert (rc, out, err) == (1, "", "error: need max_degree >= 0 and max_index >= 1\n")
+    rc, out, err = run(capsys, "chain-demo", "--degree", "-1", "--budget", "0", "--json")
+    assert (rc, out) == (1, "")
+    assert err == ('{"error": "ValueError", "message": '
+                   '"need max_degree >= 0 and max_index >= 1"}\n')
+    rc, out, err = run(capsys, "chain-demo", "--degree", "3", "--budget", "0")
+    assert (rc, out, err) == (1, "", "error: budget must be >= 1\n")
+
+
+def test_chain_demo_graded_streams_under_budget(capsys):
+    # the basis has 94,991,472 monomials; the budget must stop the enumeration
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "chain-demo", "--degree", "14", "--indices", "6", "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert out == ("step 1: adjoined + 1\n"
+                   "step 8: adjoined + z1\n"
+                   "budget exhausted after 10 steps; no stabilization claim\n")
 
 
 def test_independence_cli(capsys):

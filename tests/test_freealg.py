@@ -75,6 +75,14 @@ def test_reduce_word_sign_counts_yz_inversions():
     assert reduce_word(word(y(1), z(1)))[0] == 1
 
 
+def test_reduce_word_rejects_index_zero():
+    # reduce_word builds its monomial without re-validation, so it checks
+    # letter indices itself
+    for w in ((("z", 0),), (("y", 0),), (("y", 0), ("y", 2)), (("z", 1), ("z", -3))):
+        with pytest.raises(ValueError):
+            reduce_word(w)
+
+
 def test_reduce_word_idempotent_randomized():
     rng = random.Random(40)
     for _ in range(300):
@@ -88,6 +96,8 @@ def test_reduce_word_canonical_output(letters):
     w = tuple(letters)
     sign, m = reduce_word(w)
     assert sign in (1, -1)
+    # the trusted build passes the validating constructor
+    assert CanonicalMonomial(m.yexp, m.cseq, m.dseq) == m
     # the output is already reduced
     assert reduce_word(m.word()) == (1, m)
     # letter multiset is preserved family by family

@@ -36,6 +36,8 @@ from tests.util import (
     check_mult5,
     check_mult6,
     inflate,
+    monomial_indices,
+    product_apply_reducer,
     rand_monomial,
     rand_qpoly,
     reference_reduce,
@@ -138,6 +140,56 @@ def test_lift_randomized():
     check_mult6(random.Random(81), 300)
 
 
+def test_apply_reducer_matches_product_oracle():
+    rng = random.Random(88)
+    seen = Counter()
+    cases = 0
+    while cases < 5000:
+        g = rand_qpoly(rng, max_terms=4, max_degree=6, max_index=5)
+        if g.is_zero():
+            continue
+        lm = leading(g).lm
+        triple = factorize_embedding(lm, inflate(rng, lm))
+        lifted = apply_reducer(triple, g)
+        assert lifted == product_apply_reducer(triple, g), (triple, g)
+        for m in lifted.terms:  # built without re-validation
+            assert CanonicalMonomial(m.yexp, m.cseq, m.dseq) == m
+        cases += 1
+        covered = set(triple.phi.support)
+        seen["multi-term"] += len(g.terms) > 1
+        seen["covering"] += any(monomial_indices(m) - covered for m in g.terms)
+        if triple.p_word:
+            zlens = {len(m.cseq) + len(m.dseq) for m in g.terms}
+            seen["P after pure-y"] += 0 in zlens
+            seen["P after odd z"] += any(n % 2 for n in zlens)
+            seen["P after even z"] += any(n and n % 2 == 0 for n in zlens)
+    assert len(seen) == 5 and min(seen.values()) >= 500, seen
+
+    # every embedding pair of a small basis, lifting three-term generators
+    # whose two fixed terms use index 4, outside every basis monomial
+    extras = [mk((0, 0, 0, 2)), mk((), (4,)), mk((1,), (1,), (4,)), mk((0, 1), (4, 4), (2,))]
+    pairs = 0
+    basis = list(enumerate_basis(3, 3))
+    for a in basis:
+        for b in basis:
+            if pwo_leq(a, b) is None:
+                continue
+            pairs += 1
+            triple = factorize_embedding(a, b)
+            for s, t in zip(extras, extras[1:] + extras[:1]):
+                g = mono(a, 5) + mono(s, -2) + mono(t, 3)
+                assert apply_reducer(triple, g) == product_apply_reducer(triple, g), (a, b, g)
+    assert pairs == 618
+
+    # a P letter below 1, say from a hand-edited trace, is refused as the
+    # word product refuses it
+    triple = ReducerTriple(MonotoneInjection(((1, 1),)), mk(), (0,))
+    with pytest.raises(ValueError):
+        apply_reducer(triple, mono(mk((), (1,))))
+    with pytest.raises(ValueError):
+        product_apply_reducer(triple, mono(mk((), (1,))))
+
+
 def test_lift_keeps_ideal_membership():
     # the lift of an identity is an identity: outer multiplications and
     # renamings preserve the vanishing on generic matrices
@@ -202,7 +254,7 @@ def replay_trace(f, gens, trace, remainder):
             monomial_from_obj(rec["N"]),
             tuple(rec["P"]),
         )
-        lift = apply_reducer(triple, gens[rec["against"]])
+        lift = product_apply_reducer(triple, gens[rec["against"]])
         rebuilt = rebuilt + lift * (int(rec["beta"]) * int(rec["q"]))
     assert frozen == remainder
     assert rebuilt + remainder == f
@@ -299,6 +351,25 @@ def test_reduce_by_keys_each_entering_term_once(monkeypatch):
     assert sum(keyed.values()) <= entering
     # total_key only finds each generator's leading term; no step runs max()
     assert sum(leading_keys.values()) == sum(len(g.terms) for g in gens)
+
+
+def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
+    # the benchmark's traced rows for the factorization and the lift wrap
+    # these two names; a step that bypassed either would read as 0 there
+    calls: Counter = Counter()
+    for name in ("factorize_embedding", "apply_reducer"):
+        def counted(*args, _fn=getattr(reduction, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(reduction, name, counted)
+    gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
+    f = rand_sparse_poly(random.Random(89), list(enumerate_basis(7, 3)), 100)
+    trace: list = []
+    reduce_by(f, gens, trace=trace)
+    steps = sum(1 for rec in trace if "against" in rec)
+    assert steps > 50
+    assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
 
 
 # --- ascending chains --------------------------------------------------------

@@ -18,7 +18,7 @@ from m2sl2 import (
     Profile,
     QPoly,
     alpha,
-    apply_reducer,
+    apply_renaming,
     beta,
     bezout,
     cmp_total,
@@ -317,7 +317,10 @@ def check_comp(rng, count):
         m = rand_monomial(rng)
         phi = rand_injection(rng, rng.randint(0, 6))
         for mode in ("both", "y_only", "z_only"):
-            left = xi(rename_monomial(m, phi, mode))
+            renamed = rename_monomial(m, phi, mode)
+            # built without re-validation; the validating constructor agrees
+            assert CanonicalMonomial(renamed.yexp, renamed.cseq, renamed.dseq) == renamed
+            left = xi(renamed)
             right = push_profile(xi(m), phi, mode)
             assert left == right, (m, phi, mode)
 
@@ -447,6 +450,17 @@ def check_mult6(rng, count):
 
 # --- reference reduction loop ------------------------------------------------
 
+def product_apply_reducer(triple, f: QPoly) -> QPoly:
+    """The lift N . phi(f) . P as two products of whole words: N times the
+    renamed f, then times the word P, each product canonicalized through
+    reduce_word.  The package's apply_reducer computes the same polynomial in
+    closed form, term by term."""
+    out = QPoly.monomial(triple.n_part) * apply_renaming(f, triple.phi, "both")
+    if triple.p_word:
+        out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
+    return out
+
+
 def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
     """reduce_by written the plain way: every step takes max() over all terms
     by total_key and updates whole QPoly values, so it shares no heap, no
@@ -468,7 +482,7 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
                 if not (q and b):
                     continue
                 triple = factorize_embedding(lead[k], lm)
-                subtrahend = subtrahend + apply_reducer(triple, gens[k]) * b
+                subtrahend = subtrahend + product_apply_reducer(triple, gens[k]) * b
                 if trace is not None:
                     rec = {"against": k, "beta": str(b), "q": str(q)}
                     rec.update(triple.to_obj())
