@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import EngineError, ParseError
-from .freealg import QPoly, enumerate_basis, monomial_to_obj
+from .freealg import QPoly, _interleave, enumerate_basis, monomial_to_obj
 from .genmat import independence_report, is_graded_weak_identity
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
 from .parsing import parse_poly, parse_words
@@ -26,10 +26,7 @@ def format_monomial(m) -> str:
             parts.append(f"y{i}")
         elif e > 1:
             parts.append(f"y{i}^{e}")
-    for k in range(len(m.cseq)):
-        parts.append(f"z{m.cseq[k]}")
-        if k < len(m.dseq):
-            parts.append(f"z{m.dseq[k]}")
+    parts.extend(f"z{i}" for i in _interleave(m.cseq, m.dseq))
     return "*".join(parts) if parts else "1"
 
 

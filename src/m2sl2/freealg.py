@@ -22,6 +22,7 @@ canonical representations.
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import GradeMismatchError
 
@@ -54,6 +55,15 @@ def _trim(seq) -> tuple[int, ...]:
     while seq and seq[-1] == 0:
         seq.pop()
     return tuple(seq)
+
+
+def _interleave(first, second) -> list[int]:
+    """first[0] second[0] first[1] second[1] ...: the z-block layout
+    c1 d1 c2 d2 ...; len(second) must be len(first) or one less."""
+    out = [0] * (len(first) + len(second))
+    out[0::2] = first
+    out[1::2] = second
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,10 +137,7 @@ class CanonicalMonomial:
         letters: list[Letter] = []
         for i, e in enumerate(self.yexp, start=1):
             letters.extend([("y", i)] * e)
-        for k in range(len(self.cseq)):
-            letters.append(("z", self.cseq[k]))
-            if k < len(self.dseq):
-                letters.append(("z", self.dseq[k]))
+        letters.extend([("z", i) for i in _interleave(self.cseq, self.dseq)])
         return tuple(letters)
 
     def __repr__(self):
@@ -415,6 +422,24 @@ def enumerate_basis(max_degree: int, max_index: int):
     if max_degree < 0 or max_index < 1:
         raise ValueError("need max_degree >= 0 and max_index >= 1")
     return _basis(max_degree, max_index)
+
+
+def _basis_size(max_degree: int, max_index: int, cap: int) -> int:
+    """How many monomials enumerate_basis yields, in closed form, or a count
+    past `cap` once the running sum exceeds it.
+
+    At degree d and y-degree e there are C(e+n-1, n-1) y-exponent vectors
+    and multisets of c = ceil((d-e)/2) c-slots and h = floor((d-e)/2)
+    d-slots over n indices.  Every summand is at least 1, so the loop stops
+    within cap + 1 summands whatever the caps are."""
+    n, total = max_index, 0
+    for d in range(max_degree + 1):
+        for e in range(d + 1):
+            h = (d - e) // 2
+            total += comb(e + n - 1, e) * comb(d - e - h + n - 1, d - e - h) * comb(h + n - 1, h)
+            if total > cap:
+                return total
+    return total
 
 
 def _basis(max_degree: int, max_index: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceBoundError
-from .freealg import CanonicalMonomial, QPoly, enumerate_basis
+from .freealg import CanonicalMonomial, QPoly, _basis_size, enumerate_basis
 from .intlinalg import IntRowLattice
 from .ring import MultiPoly, Term, alpha, beta, gamma
 
@@ -213,13 +213,13 @@ def independence_report(max_degree: int = 6, max_index: int = 3,
     independent matrices, i.e. that no nonzero integer combination of them is
     a graded weak identity.
     """
+    monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
+    count = _basis_size(max_degree, max_index, max_monomials)
+    if count > max_monomials:
+        raise ResourceBoundError(
+            f"enumeration exceeded {max_monomials} monomials; tighten the caps"
+        )
     lattice = IntRowLattice()
-    count = 0
-    for m in enumerate_basis(max_degree, max_index):
-        count += 1
-        if count > max_monomials:
-            raise ResourceBoundError(
-                f"enumeration exceeded {max_monomials} monomials; tighten the caps"
-            )
+    for m in monos:
         lattice.add(monomial_row(m))
     return IndependenceReport(max_degree, max_index, count, lattice.rank)

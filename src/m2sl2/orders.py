@@ -22,6 +22,13 @@ so the engine never builds a Profile.  The two orders:
   implicit infinite zero tail.  This order is a well partial order, which is
   what makes the ascending-chain machinery downstream (reduction.chain_demo)
   terminate.
+
+Renaming endomorphisms act through one kernel.  rename_monomial,
+apply_renaming and push_profile each extend the injection with covering once
+per call, over every index the call touches, read the extension as a dict,
+and push counts and slot indices through it (_push_counts, _rename).
+apply_renaming extends once for the whole polynomial; reduction.apply_reducer
+is apply_renaming plus N's y-exponents and P's letters.
 """
 
 from dataclasses import dataclass
@@ -274,30 +281,47 @@ def _scan_rows(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection 
 
 # --- renaming endomorphisms -------------------------------------------------
 
+def _push_counts(u, image: dict[int, int]) -> tuple[int, ...]:
+    """Push a trimmed count sequence along the image dict: result[image[i]] = u[i]."""
+    if not u:
+        return ()
+    out = [0] * image[len(u)]  # u ends on a nonzero entry, whose image is the top
+    for i, e in enumerate(u, start=1):
+        if e:
+            out[image[i] - 1] = e
+    return tuple(out)
+
+
+def _rename(m: CanonicalMonomial, image: dict[int, int], mode: str) -> CanonicalMonomial:
+    """Rename m's letter indices through an image dict covering them.
+
+    Strict monotonicity keeps slot sequences sorted and never merges
+    exponents, so the result is canonical and no sign appears."""
+    yexp, cseq, dseq = m.yexp, m.cseq, m.dseq
+    if mode != "z_only":
+        yexp = _push_counts(yexp, image)
+    if mode != "y_only":
+        cseq = tuple([image[i] for i in cseq])
+        dseq = tuple([image[i] for i in dseq])
+    return CanonicalMonomial._trusted(yexp, cseq, dseq)
+
+
 def _nonzero_positions(u):
     return [i for i, e in enumerate(u, start=1) if e]
 
 
-def _push_seq(u, phi: MonotoneInjection):
-    """Push a count sequence along phi: result[phi(i)] = u[i]."""
-    nz = _nonzero_positions(u)
-    if not nz:
-        return ()
-    phi = phi.covering(nz)
-    out: dict[int, int] = {}
-    for i in nz:
-        out[phi(i)] = u[i - 1]
-    top = max(out)
-    return tuple(out.get(k, 0) for k in range(1, top + 1))
+def _check_mode(mode: str) -> None:
+    if mode not in RENAME_MODES:
+        raise ValueError(f"mode must be one of {RENAME_MODES}")
 
 
 def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
     """Indices the renaming has to cover.  One shared extension per operation:
     extending per component would let the u2 and u3 pushes drift apart."""
     need: set[int] = set()
-    if mode in ("both", "y_only"):
+    if mode != "z_only":
         need.update(_nonzero_positions(m.yexp))
-    if mode in ("both", "z_only"):
+    if mode != "y_only":
         need.update(m.cseq)
         need.update(m.dseq)
     return need
@@ -305,41 +329,25 @@ def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
 
 def push_profile(p: Profile, phi: MonotoneInjection, mode: str = "both") -> Profile:
     """The profile-side action matching rename on monomials."""
-    if mode not in RENAME_MODES:
-        raise ValueError(f"mode must be one of {RENAME_MODES}")
-    need: set[int] = set()
-    if mode in ("both", "y_only"):
-        need.update(_nonzero_positions(p.u1))
-    if p.variant == 2 and mode in ("both", "z_only"):
+    _check_mode(mode)
+    push_y, push_z = mode != "z_only", mode != "y_only"  # u2, u3 are empty in variant 1
+    need: set[int] = set(_nonzero_positions(p.u1)) if push_y else set()
+    if push_z:
         need.update(_nonzero_positions(p.u2))
         need.update(_nonzero_positions(p.u3))
-    if need:
-        phi = phi.covering(need)
+    image = dict(phi.covering(need).pairs)
     u1, u2, u3 = p.u1, p.u2, p.u3
-    if mode in ("both", "y_only"):
-        u1 = _push_seq(u1, phi)
-    if p.variant == 2 and mode in ("both", "z_only"):
-        u2 = _push_seq(u2, phi)
-        u3 = _push_seq(u3, phi)
+    if push_y:
+        u1 = _push_counts(u1, image)
+    if push_z:
+        u2, u3 = _push_counts(u2, image), _push_counts(u3, image)
     return Profile(p.variant, u1, u2, u3)
 
 
 def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "both") -> CanonicalMonomial:
-    """Rename letter indices along phi.  Strict monotonicity keeps slot
-    sequences sorted and never merges exponents, so the result is canonical
-    and no sign appears."""
-    if mode not in RENAME_MODES:
-        raise ValueError(f"mode must be one of {RENAME_MODES}")
-    need = _monomial_need(m, mode)
-    if need:
-        phi = phi.covering(need)
-    yexp, cseq, dseq = m.yexp, m.cseq, m.dseq
-    if mode in ("both", "y_only"):
-        yexp = _push_seq(yexp, phi)
-    if mode in ("both", "z_only"):
-        cseq = tuple(phi(i) for i in cseq)
-        dseq = tuple(phi(i) for i in dseq)
-    return CanonicalMonomial._trusted(yexp, cseq, dseq)
+    """Rename letter indices along phi, extended over m's indices."""
+    _check_mode(mode)
+    return _rename(m, dict(phi.covering(_monomial_need(m, mode)).pairs), mode)
 
 
 def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
@@ -349,19 +357,14 @@ def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPol
     renaming acts as a single letter substitution.  Extending monomial by
     monomial instead could merge terms (phi 1->2 sends both y1*y2 and y1*y3
     to y2*y3 under separate extensions) and break strict order preservation.
+    Under one extension the renaming is injective, so no two terms merge.
     """
-    if mode not in RENAME_MODES:
-        raise ValueError(f"mode must be one of {RENAME_MODES}")
+    _check_mode(mode)
     need: set[int] = set()
     for m in f.terms:
         need.update(_monomial_need(m, mode))
-    if need:
-        phi = phi.covering(need)
-    acc: dict[CanonicalMonomial, int] = {}
-    for m, c in f.terms.items():
-        r = rename_monomial(m, phi, mode)
-        acc[r] = acc.get(r, 0) + c
-    return QPoly(acc)
+    image = dict(phi.covering(need).pairs)
+    return QPoly({_rename(m, image, mode): c for m, c in f.terms.items()})
 
 
 # --- antichains -------------------------------------------------------------

@@ -9,9 +9,10 @@ witness phi, the monomial M factors exactly as
 with N pure-y on the left and P a pure-z word on the right, so g lifts to a
 reducer with leading term exactly M and unchanged leading coefficient.  The
 lift is a closed-form map on each term of g, with no word product: rename
-along phi, add N's y-exponents, and append P's letters to the slot classes,
-its even-position letters (counting from 0) to the c-slots when the renamed
-term's z-length is even and to the d-slots when it is odd (apply_reducer).
+along phi (orders.apply_renaming), add N's y-exponents, and append P's
+letters to the slot classes, its even-position letters (counting from 0) to
+the c-slots when the renamed term's z-length is even and to the d-slots when
+it is odd (apply_reducer).
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
 a nonzero residue freezes into the remainder and reduction continues on the
@@ -28,9 +29,11 @@ from .freealg import (
     CanonicalMonomial,
     QPoly,
     Word,
+    _exponent_vectors,
+    _interleave,
+    _trim,
     monomial_to_obj,
     normalize,
-    _exponent_vectors,
 )
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
@@ -118,12 +121,8 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
         first, second = extra_d, extra_c
     if len(first) - len(second) not in (0, 1):
         raise NotEmbeddableError("slot deficits cannot interleave into a word")
-    p_word: list[int] = []
-    for k in range(len(first)):
-        p_word.append(first[k])
-        if k < len(second):
-            p_word.append(second[k])
-    return ReducerTriple(phi, CanonicalMonomial.make(ny), tuple(p_word))
+    n_part = CanonicalMonomial._trusted(_trim(ny), (), ())
+    return ReducerTriple(phi, n_part, tuple(_interleave(first, second)))
 
 
 def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> Word:
@@ -135,47 +134,31 @@ def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> Word:
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
-    phi is extended once over the support of all of f's terms, as
-    apply_renaming does, so it acts as one letter substitution.  Each term m
-    then maps to a single canonical monomial with sign +1, with no word
-    product: rename m's indices, add N's y-exponents, and append P's letters
-    to the slot classes.  P's letter at position k (from 0) lands at
-    z-position L + k, where L is the z-length of phi(m); so P's even-position
-    letters join the c-slots when L is even and the d-slots when L is odd,
-    and its odd-position letters join the other class.  Each class is then
-    sorted.  Renaming along one injection is injective and N and P are fixed,
-    so no two terms merge and every coefficient carries over unchanged.
+    This is apply_renaming(f, phi) followed by two additions per term, with
+    no word product.  The renaming extends phi once over all of f's indices,
+    so it acts as one letter substitution.  Each renamed term then gains N's
+    y-exponents and P's letters, with sign +1.  P's letter at position k
+    (from 0) lands at z-position L + k, where L is the renamed term's
+    z-length; so P's even-position letters join the c-slots when L is even
+    and the d-slots when L is odd, and its odd-position letters join the
+    other class.  Each class is then sorted.  Renaming along one injection is
+    injective and N and P are fixed, so no two terms merge and every
+    coefficient carries over unchanged.
     """
     p = triple.p_word
     if p and min(p) < 1:
         raise ValueError("letter index must be >= 1")
-    need: set[int] = set()
-    for m in f.terms:
-        need.update(_monomial_need(m, "both"))
-    image = dict(triple.phi.covering(need).pairs)
     ny = triple.n_part.yexp
     p_even, p_odd = p[0::2], p[1::2]
     out: dict[CanonicalMonomial, int] = {}
-    for m, c in f.terms.items():
-        yexp = ny
-        if m.yexp:
-            # m.yexp ends on a nonzero entry, so its image fixes the top index
-            y = list(ny) + [0] * (image[len(m.yexp)] - len(ny))
-            for i, e in enumerate(m.yexp, start=1):
-                if e:
-                    y[image[i] - 1] += e
-            yexp = tuple(y)
-        cseq = [image[i] for i in m.cseq]
-        dseq = [image[i] for i in m.dseq]
-        if len(cseq) == len(dseq):
-            cseq += p_even
-            dseq += p_odd
+    for m, c in apply_renaming(f, triple.phi, "both").terms.items():
+        # both exponent rows are trimmed, so their sum is too
+        yexp = tuple([a + b for a, b in zip_longest(ny, m.yexp, fillvalue=0)])
+        if len(m.cseq) == len(m.dseq):
+            cseq, dseq = m.cseq + p_even, m.dseq + p_odd
         else:
-            cseq += p_odd
-            dseq += p_even
-        cseq.sort()
-        dseq.sort()
-        out[CanonicalMonomial._trusted(yexp, tuple(cseq), tuple(dseq))] = c
+            cseq, dseq = m.cseq + p_odd, m.dseq + p_even
+        out[CanonicalMonomial._trusted(yexp, tuple(sorted(cseq)), tuple(sorted(dseq)))] = c
     return QPoly(out)
 
 
@@ -360,11 +343,9 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
     count = 0
     for g in gens:
         gdeg_min = min(m.degree for m in g.terms)
-        support = set()
+        support: set[int] = set()
         for m in g.terms:
-            support.update(i for i, e in enumerate(m.yexp, start=1) if e)
-            support.update(m.cseq)
-            support.update(m.dseq)
+            support.update(_monomial_need(m, "both"))
         src = sorted(support)
         for targets in combinations(range(1, cap + 1), len(src)):
             phi = MonotoneInjection(tuple(zip(src, targets)))
@@ -381,11 +362,7 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
                     for elen in elens:
                         for och in combinations_with_replacement(range(1, cap + 1), olen):
                             for ech in combinations_with_replacement(range(1, cap + 1), elen):
-                                p_word: list[int] = []
-                                for k in range(olen):
-                                    p_word.append(och[k])
-                                    if k < elen:
-                                        p_word.append(ech[k])
+                                p_word = _interleave(och, ech)
                                 prod = left
                                 if p_word:
                                     prod = left * normalize(

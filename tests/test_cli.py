@@ -230,6 +230,21 @@ def test_independence_cli(capsys):
     assert obj["rank"] == 16 and obj["monomials"] == 16
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_independence_refuses_before_enumerating(capsys, as_json):
+    # 19,319,265 basis monomials: the closed-form count refuses at once
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "independence", "--degree", "12", "--indices", "6",
+                       *(["--json"] if as_json else []))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    msg = "enumeration exceeded 200000 monomials; tighten the caps"
+    if as_json:
+        assert json.loads(err) == {"error": "ResourceBoundError", "message": msg}
+    else:
+        assert err == f"error: {msg}\n"
+
+
 def test_pwos_min_cli(tmp_path, capsys):
     f = tmp_path / "monos.txt"
     f.write_text("y1^2\ny1\ny2\nz1\n")

@@ -23,6 +23,7 @@ from m2sl2 import (
     y,
     z,
 )
+from m2sl2.freealg import _basis_size
 from m2sl2.genmat import monomial_row
 from tests.util import (
     expected_y_product,
@@ -114,6 +115,22 @@ def test_independence_small():
 def test_independence_resource_bound():
     with pytest.raises(ResourceBoundError):
         independence_report(6, 3, max_monomials=10)
+    # the cap counts the whole basis, and a basis of exactly the cap is allowed
+    assert independence_report(2, 2, max_monomials=16).monomials == 16
+    with pytest.raises(ResourceBoundError, match="exceeded 15 monomials"):
+        independence_report(2, 2, max_monomials=15)
+
+
+def test_basis_size_closed_form_matches_enumeration():
+    for degree in range(7):
+        for indices in range(1, 5):
+            n = sum(1 for _ in enumerate_basis(degree, indices))
+            assert _basis_size(degree, indices, 10**9) == n, (degree, indices)
+    for (degree, indices), n in {(6, 3): 1627, (7, 3): 3376, (8, 3): 6574}.items():
+        assert _basis_size(degree, indices, 10**9) == n
+    # past the cap the sum stops early, with any count above the cap
+    assert 1627 >= _basis_size(6, 3, 100) > 100
+    assert _basis_size(10**12, 10**12, 200_000) > 200_000
 
 
 def test_eval_word_matches_product_oracle_exhaustive():

@@ -33,6 +33,7 @@ from tests.util import (
     oracle_cmp_total,
     rand_injection,
     rand_monomial,
+    word_renaming,
 )
 
 
@@ -278,6 +279,60 @@ def test_rename_profile_agreement_partial_injection():
     m = mk((), (1, 2, 4, 5), (1, 1, 5))
     for mode in ("both", "y_only", "z_only"):
         assert xi(rename_monomial(m, phi, mode)) == push_profile(xi(m), phi, mode)
+
+
+# fixed injections, two with holes the covering extension has to fill
+RENAME_INJECTIONS = (
+    MonotoneInjection.identity(),
+    MonotoneInjection(((2, 5),)),
+    MonotoneInjection(((1, 3), (4, 9))),
+    MonotoneInjection.from_targets((2, 3, 7)),
+    MonotoneInjection(((3, 3),)),
+)
+# index 2 must land strictly between 1 and 2: no room
+NO_ROOM = MonotoneInjection(((1, 1), (3, 2)))
+
+
+def _renamed_indices(m, mode):
+    fams = {"both": "yz", "y_only": "y", "z_only": "z"}[mode]
+    return {i for fam, i in m.word() if fam in fams}
+
+
+def test_rename_kernel_matches_word_oracle():
+    """rename_monomial, apply_renaming and push_profile against the renaming
+    done letter by letter on words, on every monomial of a small basis."""
+    basis = list(enumerate_basis(3, 3))
+    # distinct coefficients, so a merged or dropped term shows
+    whole = QPoly({m: k for k, m in enumerate(basis, start=1)})
+    for mode in ("both", "y_only", "z_only"):
+        for phi in RENAME_INJECTIONS:
+            for m in basis:
+                got = rename_monomial(m, phi, mode)
+                assert QPoly.monomial(got) == word_renaming(QPoly.monomial(m), phi, mode), (m, phi, mode)
+                assert CanonicalMonomial(got.yexp, got.cseq, got.dseq) == got
+                assert push_profile(xi(m), phi, mode) == xi(got), (m, phi, mode)
+            assert apply_renaming(whole, phi, mode) == word_renaming(whole, phi, mode)
+            for a, b in zip(basis, basis[7:] + basis[:7]):
+                f = QPoly({a: 2, b: -3})
+                assert apply_renaming(f, phi, mode) == word_renaming(f, phi, mode), (f, phi, mode)
+        refused = 0
+        for m in basis:
+            if 2 not in _renamed_indices(m, mode):
+                want = word_renaming(QPoly.monomial(m), NO_ROOM, mode)
+                assert QPoly.monomial(rename_monomial(m, NO_ROOM, mode)) == want
+                assert apply_renaming(QPoly.monomial(m), NO_ROOM, mode) == want
+                assert push_profile(xi(m), NO_ROOM, mode) == xi(rename_monomial(m, NO_ROOM, mode))
+                continue
+            refused += 1
+            for call in (lambda: rename_monomial(m, NO_ROOM, mode),
+                         lambda: apply_renaming(QPoly.monomial(m), NO_ROOM, mode),
+                         lambda: push_profile(xi(m), NO_ROOM, mode),
+                         lambda: word_renaming(QPoly.monomial(m), NO_ROOM, mode)):
+                with pytest.raises(CannotExtendError):
+                    call()
+        assert refused > 0
+        with pytest.raises(CannotExtendError):
+            apply_renaming(whole, NO_ROOM, mode)
 
 
 def test_comp_suite_small():

@@ -18,7 +18,6 @@ from m2sl2 import (
     Profile,
     QPoly,
     alpha,
-    apply_renaming,
     beta,
     bezout,
     cmp_total,
@@ -28,6 +27,7 @@ from m2sl2 import (
     normalize,
     pwo_leq,
     push_profile,
+    reduce_word,
     total_key,
     xi,
     xi_inv,
@@ -350,8 +350,6 @@ def check_mult1(rng, count):
 
 def check_mult2(rng, count):
     """Pure-z words absorb on the right, with sign +1 throughout."""
-    from m2sl2 import reduce_word
-
     for _ in range(count):
         w1 = rand_zword(rng, max_len=5)
         w2 = rand_zword(rng, max_len=5)
@@ -422,7 +420,6 @@ def check_mult4(rng, count):
 
 def check_mult5(rng, count):
     """factorize_embedding reconstructs the target with sign +1."""
-    from m2sl2 import reduce_word
     from m2sl2.reduction import factorize_embedding, reducer_word
 
     for _ in range(count):
@@ -450,12 +447,30 @@ def check_mult6(rng, count):
 
 # --- reference reduction loop ------------------------------------------------
 
+def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
+    """apply_renaming done on words: phi is extended once over the indices of
+    the renamed letter families in all of f's words, each letter index of
+    each word is mapped through that extension, and the renamed word goes
+    back through reduce_word, whose sign must be +1 (y letters still stand
+    before z letters)."""
+    fams = {"both": "yz", "y_only": "y", "z_only": "z"}[mode]
+    words = {m: m.word() for m in f.terms}
+    phi = phi.covering({i for w in words.values() for fam, i in w if fam in fams})
+    acc: dict = {}
+    for m, c in f.terms.items():
+        sign, r = reduce_word(tuple((fam, phi(i) if fam in fams else i)
+                                    for fam, i in words[m]))
+        assert sign == 1, (m, phi, mode)
+        acc[r] = acc.get(r, 0) + c
+    return QPoly(acc)
+
+
 def product_apply_reducer(triple, f: QPoly) -> QPoly:
     """The lift N . phi(f) . P as two products of whole words: N times the
-    renamed f, then times the word P, each product canonicalized through
+    word-renamed f, then times the word P, each product canonicalized through
     reduce_word.  The package's apply_reducer computes the same polynomial in
-    closed form, term by term."""
-    out = QPoly.monomial(triple.n_part) * apply_renaming(f, triple.phi, "both")
+    closed form, term by term, through apply_renaming."""
+    out = QPoly.monomial(triple.n_part) * word_renaming(f, triple.phi)
     if triple.p_word:
         out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
     return out
