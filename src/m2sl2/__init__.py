@@ -53,7 +53,6 @@ from .orders import (
     pwo_leq,
     push_profile,
     rename_monomial,
-    seq_embed,
     total_key,
     xi,
     xi_inv,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import EngineError, ParseError
-from .freealg import QPoly, _interleave, enumerate_basis, monomial_to_obj
+from .freealg import QPoly, _capped_basis_size, _interleave, enumerate_basis, monomial_to_obj
 from .genmat import independence_report, is_graded_weak_identity
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
 from .parsing import parse_poly, parse_words
@@ -159,6 +159,7 @@ def _builtin_stream(degree: int, indices: int, order: str):
     if order == "graded":
         # the enumerator's own order: stream lazily, so --budget bounds the work
         return (QPoly.monomial(m) for m in monos)
+    _capped_basis_size(degree, indices)  # sorting holds the whole basis: refuse before
     key = total_key if order == "total" else (lambda m: (m.yexp, m.cseq, m.dseq))
     return [QPoly.monomial(m) for m in sorted(monos, key=key)]
 

@@ -20,11 +20,11 @@ integer combinations of canonical monomials and arithmetic always returns
 canonical representations.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import GradeMismatchError
+from .errors import GradeMismatchError, ResourceBoundError
 
 Letter = tuple[str, int]  # ("y" | "z", index >= 1)
 Word = tuple[Letter, ...]
@@ -47,7 +47,7 @@ def word(*letters: Letter) -> Word:
 
 
 _new = object.__new__
-_set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+_set = object.__setattr__  # bypasses CanonicalMonomial's blocking __setattr__
 
 
 def _trim(seq) -> tuple[int, ...]:
@@ -66,7 +66,6 @@ def _interleave(first, second) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class CanonicalMonomial:
     """A basis monomial: y-exponents plus the sorted c- and d-slot indices.
 
@@ -75,27 +74,34 @@ class CanonicalMonomial:
     z-block, each sorted ascending.  The z-block interleaves them
     c1 d1 c2 d2 ..., so len(dseq) is len(cseq) or len(cseq) - 1, and both are
     empty together.
+
+    Instances are immutable and slotted.  The hash is computed once, at
+    construction.  The embedding data that orders.pwo_leq reads is built on
+    first use and kept (see _embedding).
     """
 
-    yexp: tuple[int, ...] = ()
-    cseq: tuple[int, ...] = ()
-    dseq: tuple[int, ...] = ()
+    __slots__ = ("yexp", "cseq", "dseq", "_hash", "_emb")
 
-    def __post_init__(self):
-        if self.yexp and self.yexp[-1] == 0:
+    def __init__(self, yexp: tuple = (), cseq: tuple = (), dseq: tuple = ()):
+        if yexp and yexp[-1] == 0:
             raise ValueError("yexp must have trailing zeros trimmed")
-        if any(e < 0 for e in self.yexp):
+        if any(e < 0 for e in yexp):
             raise ValueError("negative exponent")
-        for seq in (self.cseq, self.dseq):
+        for seq in (cseq, dseq):
             if any(i < 1 for i in seq):
                 raise ValueError("z index must be >= 1")
             if any(seq[k] > seq[k + 1] for k in range(len(seq) - 1)):
                 raise ValueError("slot indices must be sorted ascending")
-        if self.cseq:
-            if len(self.dseq) not in (len(self.cseq), len(self.cseq) - 1):
+        if cseq:
+            if len(dseq) not in (len(cseq), len(cseq) - 1):
                 raise ValueError("d-slot count must be c-slot count or one less")
-        elif self.dseq:
+        elif dseq:
             raise ValueError("d-slots cannot exist without c-slots")
+        _set(self, "yexp", yexp)
+        _set(self, "cseq", cseq)
+        _set(self, "dseq", dseq)
+        _set(self, "_hash", hash((yexp, cseq, dseq)))
+        _set(self, "_emb", None)
 
     @classmethod
     def make(cls, yexp=(), cseq=(), dseq=()) -> "CanonicalMonomial":
@@ -110,7 +116,49 @@ class CanonicalMonomial:
         _set(m, "yexp", yexp)
         _set(m, "cseq", cseq)
         _set(m, "dseq", dseq)
+        _set(m, "_hash", hash((yexp, cseq, dseq)))
+        _set(m, "_emb", None)
         return m
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return (self.__class__, (self.yexp, self.cseq, self.dseq))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.yexp == other.yexp
+                and self.cseq == other.cseq and self.dseq == other.dseq)
+
+    def __hash__(self):
+        return self._hash
+
+    def _embedding(self) -> tuple:
+        """(has odd letters, c-slot count, d-slot count, y-degree, rows),
+        built on the first call and kept.
+
+        rows holds the (y-exponent, c-slot count, d-slot count) triple of
+        each index 1..max_index.  orders.pwo_leq reads the counts for its
+        cheap reject and scans the rows."""
+        emb = self._emb
+        if emb is None:
+            n = self.max_index
+            cs, ds = [0] * n, [0] * n
+            for i in self.cseq:
+                cs[i - 1] += 1
+            for i in self.dseq:
+                ds[i - 1] += 1
+            ys = self.yexp + (0,) * (n - len(self.yexp))
+            emb = (bool(self.cseq), len(self.cseq), len(self.dseq), sum(self.yexp),
+                   tuple(zip(ys, cs, ds)))
+            _set(self, "_emb", emb)
+        return emb
 
     @property
     def degree(self) -> int:
@@ -404,14 +452,34 @@ def poly_from_obj(obj) -> QPoly:
 # --- enumeration ------------------------------------------------------------
 
 def _exponent_vectors(slots: int, total: int):
-    """All tuples of `slots` nonnegative ints summing to `total`."""
+    """All tuples of `slots` nonnegative ints summing to `total`, in ascending
+    lexicographic order.
+
+    Iterative, so any slot count works: the successor of v moves one unit
+    from its rightmost nonzero entry k to entry k-1 and sends the rest of
+    v[k] to the last slot.  k is tracked, so each step costs O(1) before the
+    tuple is built."""
     if slots == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _exponent_vectors(slots - 1, total - first):
-            yield (first,) + rest
+    v = [0] * slots
+    v[-1] = total
+    k = slots - 1 if total else 0  # rightmost nonzero entry (0 when none is)
+    while True:
+        yield tuple(v)
+        if k == 0:
+            return
+        rest = v[k] - 1
+        v[k - 1] += 1
+        v[k] = 0
+        v[-1] = rest
+        k = slots - 1 if rest else k - 1
+
+
+# the most monomials a command may hold at once (independence, and chain-demo
+# in lex or total order, which sort the whole basis)
+MAX_BASIS = 200_000
 
 
 def enumerate_basis(max_degree: int, max_index: int):
@@ -440,6 +508,15 @@ def _basis_size(max_degree: int, max_index: int, cap: int) -> int:
             if total > cap:
                 return total
     return total
+
+
+def _capped_basis_size(max_degree: int, max_index: int, cap: int = MAX_BASIS) -> int:
+    """_basis_size, or ResourceBoundError when it is past `cap`: commands
+    that hold the whole basis at once check this before they enumerate."""
+    count = _basis_size(max_degree, max_index, cap)
+    if count > cap:
+        raise ResourceBoundError(f"enumeration exceeded {cap} monomials; tighten the caps")
+    return count
 
 
 def _basis(max_degree: int, max_index: int):

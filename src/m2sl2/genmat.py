@@ -16,8 +16,7 @@ tolerance anywhere.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ResourceBoundError
-from .freealg import CanonicalMonomial, QPoly, _basis_size, enumerate_basis
+from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
 from .intlinalg import IntRowLattice
 from .ring import MultiPoly, Term, alpha, beta, gamma
 
@@ -206,7 +205,7 @@ class IndependenceReport:
 
 
 def independence_report(max_degree: int = 6, max_index: int = 3,
-                        max_monomials: int = 200_000) -> IndependenceReport:
+                        max_monomials: int = MAX_BASIS) -> IndependenceReport:
     """Rank of the evaluation matrix of all basis monomials within the caps.
 
     Full rank certifies that the enumerated monomials evaluate to Z-linearly
@@ -214,11 +213,7 @@ def independence_report(max_degree: int = 6, max_index: int = 3,
     a graded weak identity.
     """
     monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
-    count = _basis_size(max_degree, max_index, max_monomials)
-    if count > max_monomials:
-        raise ResourceBoundError(
-            f"enumeration exceeded {max_monomials} monomials; tighten the caps"
-        )
+    count = _capped_basis_size(max_degree, max_index, max_monomials)
     lattice = IntRowLattice()
     for m in monos:
         lattice.add(monomial_row(m))

@@ -19,9 +19,10 @@ so the engine never builds a Profile.  The two orders:
   count) row of u under the row of v at the matching index, componentwise
   with the same phi for all three columns.  Pure-y monomials only compare
   with pure-y ones, whose rows are (e, 0, 0).  The right operand carries an
-  implicit infinite zero tail.  This order is a well partial order, which is
-  what makes the ascending-chain machinery downstream (reduction.chain_demo)
-  terminate.
+  implicit infinite zero tail.  The rows and column sums come from the
+  embedding data each monomial builds once (CanonicalMonomial._embedding).
+  This order is a well partial order, which is what makes the
+  ascending-chain machinery downstream (reduction.chain_demo) terminate.
 
 Renaming endomorphisms act through one kernel.  rename_monomial,
 apply_renaming and push_profile each extend the injection with covering once
@@ -210,41 +211,6 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
-def seq_embed(u, v, leq):
-    """Greedy leftmost embedding of sequence u into sequence v.
-
-    Returns the 1-based positions used, or None.  Greedy is complete here:
-    any embedding can be pushed left position by position without breaking
-    later choices, so failure of the greedy scan means no embedding exists.
-    """
-    pos: list[int] = []
-    p = 0
-    for x in u:
-        p += 1
-        while p <= len(v) and not leq(x, v[p - 1]):
-            p += 1
-        if p > len(v):
-            return None
-        pos.append(p)
-    return tuple(pos)
-
-
-def _slot_rows(m: CanonicalMonomial) -> list[tuple[int, int, int]]:
-    """(y-exponent, c-slot count, d-slot count) for indices 1..max_index."""
-    n = m.max_index
-    ys = list(m.yexp) + [0] * (n - len(m.yexp))
-    cs, ds = [0] * n, [0] * n
-    for i in m.cseq:
-        cs[i - 1] += 1
-    for i in m.dseq:
-        ds[i - 1] += 1
-    return list(zip(ys, cs, ds))
-
-
-def _leq3(a, b):
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
 def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
     """Embedding-order test a <=' b; returns a witness injection or None.
 
@@ -252,31 +218,50 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     indices 1..max_index of a strictly increasingly into those of b so that
     each (y-exponent, c-slot count, d-slot count) row of a sits entrywise
     under its image row; indices of b beyond its support count as zero rows.
-    Pure-y rows are (e, 0, 0), so one scan serves both variants.
+    Pure-y rows are (e, 0, 0), so one scan serves both variants.  Both
+    operands' counts and rows come from their cached embedding data.
     """
-    if bool(a.cseq) != bool(b.cseq) or _sums_exceed(a, b):
+    ea = a._emb or a._embedding()
+    eb = b._emb or b._embedding()
+    if _rejects(ea, eb):
         return None
-    return _scan_rows(a, b)
+    return _scan(ea[4], eb[4])
 
 
-def _sums_exceed(a: CanonicalMonomial, b: CanonicalMonomial) -> bool:
-    """A column sum of a's rows exceeds b's, so a cannot embed into b.
+def _rejects(ea: tuple, eb: tuple) -> bool:
+    """The variants differ or a column sum of a's rows exceeds b's, so a
+    cannot embed into b (ea, eb: CanonicalMonomial._embedding data).
 
     An embedding puts each row of a under a distinct row of b, so it keeps
-    every column sum of a at or below b's: the y-degree and the c- and d-slot
-    counts.  Most pairs fail here, before any row is built.
+    every column sum of a at or below b's: the c- and d-slot counts and the
+    y-degree.  Most pairs fail here, before any row is scanned.
     """
-    return (len(a.cseq) > len(b.cseq) or len(a.dseq) > len(b.dseq)
-            or sum(a.yexp) > sum(b.yexp))
+    return ea[0] != eb[0] or ea[1] > eb[1] or ea[2] > eb[2] or ea[3] > eb[3]
 
 
-def _scan_rows(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
-    """The greedy row scan behind pwo_leq, for monomials of one variant."""
-    u = _slot_rows(a)
-    emb = seq_embed(u, _slot_rows(b) + [(0, 0, 0)] * len(u), _leq3)
-    if emb is None:
-        return None
-    return MonotoneInjection(tuple(enumerate(emb, start=1)))
+def _scan(ra: tuple, rb: tuple) -> MonotoneInjection | None:
+    """Greedy leftmost embedding of the rows ra into the rows rb, followed by
+    an infinite zero tail; the witness injection or None.
+
+    Greedy is complete here: any embedding can be pushed left row by row
+    without breaking later choices, so failure of the greedy scan means no
+    embedding exists.
+    """
+    nb = len(rb)
+    pos: list[int] = []
+    p = 0  # rows of rb (and of its zero tail) used up so far
+    for ya, ca, da in ra:
+        while p < nb:
+            yb, cb, db = rb[p]
+            p += 1
+            if ya <= yb and ca <= cb and da <= db:
+                break
+        else:
+            if ya or ca or da:  # only zero rows fit into the tail
+                return None
+            p += 1
+        pos.append(p)
+    return MonotoneInjection(tuple(enumerate(pos, start=1)))
 
 
 # --- renaming endomorphisms -------------------------------------------------

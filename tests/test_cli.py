@@ -221,6 +221,45 @@ def test_chain_demo_graded_streams_under_budget(capsys):
                    "budget exhausted after 10 steps; no stabilization claim\n")
 
 
+def _fresh_cli(*argv):
+    """Run the CLI in a fresh interpreter, so stderr holds exactly what a
+    shell user would see: (completed process, seconds)."""
+    src = str(Path(m2sl2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "m2sl2.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc, time.perf_counter() - start
+
+
+def test_chain_demo_graded_many_indices():
+    # 5,000 y-exponent slots: the enumeration must not recurse once per slot
+    argv = ("chain-demo", "--degree", "2", "--indices", "5000", "--budget", "10")
+    proc, seconds = _fresh_cli(*argv)
+    assert seconds < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("step 1: adjoined + 1\n"
+                           "budget exhausted after 10 steps; no stabilization claim\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--degree", "2", "--indices", "5000", "--order", "lex"),  # 62,512,501 monomials
+    ("--degree", "14", "--indices", "6", "--order", "total", "--budget", "10"),  # 94,991,472
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_chain_demo_sorted_orders_refuse_before_sorting(argv, as_json):
+    # lex and total sort the whole basis before the budget applies, so they
+    # take the independence cap and refuse at once from the closed-form count
+    proc, seconds = _fresh_cli("chain-demo", *argv, *(["--json"] if as_json else []))
+    assert seconds < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    msg = "enumeration exceeded 200000 monomials; tighten the caps"
+    if as_json:
+        assert json.loads(proc.stderr) == {"error": "ResourceBoundError", "message": msg}
+    else:
+        assert proc.stderr == f"error: {msg}\n"
+
+
 def test_independence_cli(capsys):
     rc, out, _ = run(capsys, "independence", "--degree", "2", "--indices", "2")
     assert rc == 0

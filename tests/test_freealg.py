@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from m2sl2 import (
     ONE,
     CanonicalMonomial,
     GradeMismatchError,
+    ResourceBoundError,
     LieBracket,
     LieVar,
     QPoly,
@@ -27,7 +30,13 @@ from m2sl2 import (
     z,
 )
 from m2sl2.cli import poly_obj
-from tests.util import rand_lie, rand_monomial, rand_qpoly, rand_word
+from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
+from tests.util import (
+    rand_lie,
+    rand_monomial,
+    rand_qpoly,
+    recursive_exponent_vectors,
+)
 
 
 def mk(yexp=(), cseq=(), dseq=()):
@@ -214,6 +223,58 @@ def test_generators_die_under_any_graded_substitution():
             assert all(f in ("y", "z") for f, _ in w)
 
 
+def _each_constructor(m):
+    """m rebuilt by the public constructor, make, monomial_from_obj, the
+    trusted constructor and reduce_word."""
+    yield CanonicalMonomial(m.yexp, m.cseq, m.dseq)
+    yield CanonicalMonomial.make(list(m.yexp) + [0, 0], list(m.cseq), list(m.dseq))
+    yield monomial_from_obj(monomial_to_obj(m))
+    yield CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
+    sign, r = reduce_word(m.word())
+    assert sign == 1
+    yield r
+
+
+def test_equal_monomials_from_every_constructor():
+    rng = random.Random(46)
+    for _ in range(200):
+        m = rand_monomial(rng)
+        copies = list(_each_constructor(m))
+        for a in copies:
+            # the cached hash is the hash of the three tuples, as before
+            assert a == m and hash(a) == hash(m) == hash((m.yexp, m.cseq, m.dseq))
+        assert len(set(copies)) == 1
+        assert len({m: 0, **{a: 0 for a in copies}}) == 1
+
+
+def test_monomial_copy_and_pickle_roundtrip():
+    rng = random.Random(47)
+    for _ in range(60):
+        for m in _each_constructor(rand_monomial(rng)):
+            if rng.random() < 0.5:
+                m._embedding()  # warm caches travel nowhere, but must not break anything
+            for back in (copy.copy(m), copy.deepcopy(m),
+                         *(pickle.loads(pickle.dumps(m, proto))
+                           for proto in range(pickle.HIGHEST_PROTOCOL + 1))):
+                assert type(back) is CanonicalMonomial
+                assert back == m and hash(back) == hash(m)
+                assert back._embedding() == m._embedding()
+    # pickling rebuilds through the validating constructor
+    bad = CanonicalMonomial._trusted((0,), (), ())
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(bad))
+
+
+def test_monomial_is_immutable():
+    m = mk((1,), (2,), ())
+    for name, value in (("yexp", (2,)), ("cseq", ()), ("_hash", 0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    with pytest.raises(AttributeError):
+        del m.yexp
+    assert m == mk((1,), (2,), ()) and m.yexp == (1,)
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_monomial_obj_roundtrip():
@@ -251,3 +312,31 @@ def test_enumerate_basis_counts_against_direct_formula():
     # z1 z1, y1 z1 z1, z1 z1 z1 -> 10 monomials
     base = list(enumerate_basis(3, 1))
     assert len(base) == 10
+
+
+def test_exponent_vectors_match_recursive_oracle():
+    for slots in range(7):
+        for total in range(7):
+            assert list(_exponent_vectors(slots, total)) == list(
+                recursive_exponent_vectors(slots, total)), (slots, total)
+
+
+def test_exponent_vectors_many_slots():
+    # one generator frame for any slot count: the recursion used to give out
+    # at about a thousand slots
+    vecs = _exponent_vectors(5000, 2)
+    assert next(vecs) == (0,) * 4999 + (2,)
+    assert next(vecs) == (0,) * 4998 + (1, 1)
+    assert sum(1 for _ in _exponent_vectors(5000, 1)) == 5000
+
+
+def test_capped_basis_size_boundary():
+    # a basis of exactly the cap passes, one over refuses; the default cap is
+    # the one independence and chain-demo --order lex|total share
+    assert _capped_basis_size(6, 3, 1627) == 1627
+    with pytest.raises(ResourceBoundError, match="^enumeration exceeded 1626 monomials; tighten"):
+        _capped_basis_size(6, 3, 1626)
+    assert MAX_BASIS == 200_000
+    assert _capped_basis_size(8, 3) == 6574
+    with pytest.raises(ResourceBoundError, match="exceeded 200000 monomials"):
+        _capped_basis_size(2, 5000)

@@ -17,22 +17,24 @@ from m2sl2 import (
     minimal_elements,
     pwo_leq,
     push_profile,
+    reduce_word,
     rename_monomial,
-    seq_embed,
     total_key,
     xi,
     xi_inv,
 )
-from m2sl2.orders import _scan_rows, _sums_exceed, neg_total_key
+from m2sl2.orders import _rejects, _scan, neg_total_key
 from tests.util import (
     assert_witness_valid,
     brute_embed,
     check_comp,
     check_mult4,
+    greedy_witness,
     monomial_indices,
     oracle_cmp_total,
     rand_injection,
     rand_monomial,
+    seq_embed,
     word_renaming,
 )
 
@@ -241,10 +243,11 @@ def test_sums_reject_never_contradicts_scan_exhaustive():
     rejected = 0
     for a in base:
         for b in base:
-            if bool(a.cseq) != bool(b.cseq) or not _sums_exceed(a, b):
+            ea, eb = a._embedding(), b._embedding()
+            if ea[0] != eb[0] or not _rejects(ea, eb):
                 continue
             rejected += 1
-            assert _scan_rows(a, b) is None, (a, b)
+            assert _scan(ea[4], eb[4]) is None, (a, b)
     assert rejected > 0
 
 
@@ -255,6 +258,34 @@ def test_greedy_vs_brute_small_random():
         b = rand_monomial(rng, max_degree=5, max_index=4)
         got = pwo_leq(a, b)
         assert (got is not None) == brute_embed(a, b), (a, b)
+
+
+def test_pwo_leq_warm_caches_match_oracles():
+    """Every monomial is compared many times, so nearly every call reads
+    embedding data cached by an earlier one; the answers and witnesses must
+    match the cold oracles, whichever constructor built the operands."""
+    rng = random.Random(57)
+    pool = []
+    for _ in range(40):
+        m = rand_monomial(rng, max_degree=5, max_index=4)
+        sign, r = reduce_word(m.word())
+        assert sign == 1
+        pool += [m, r, CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq),
+                 CanonicalMonomial(m.yexp, m.cseq, m.dseq)]
+    expect = {}
+    for _ in range(3):
+        for a in pool:
+            for b in rng.sample(pool, 40):
+                got = pwo_leq(a, b)
+                key = ((a.yexp, a.cseq, a.dseq), (b.yexp, b.cseq, b.dseq))
+                if key not in expect:
+                    expect[key] = greedy_witness(a, b)
+                    assert (expect[key] is not None) == brute_embed(a, b), (a, b)
+                assert (None if got is None else got.pairs) == expect[key], (a, b)
+                if got is not None:
+                    assert_witness_valid(a, b, got)
+    assert all(m._emb is not None for m in pool)
+    assert sum(w is not None for w in expect.values()) > 100
 
 
 # --- renaming ----------------------------------------------------------------

@@ -221,6 +221,36 @@ def brute_embed(a: CanonicalMonomial, b: CanonicalMonomial) -> bool:
     return False
 
 
+def seq_embed(u, v, leq):
+    """Greedy leftmost embedding of sequence u into sequence v.
+
+    Returns the 1-based positions used, or None.  Greedy is complete here:
+    any embedding can be pushed left position by position without breaking
+    later choices, so failure of the greedy scan means no embedding exists.
+    """
+    pos: list[int] = []
+    p = 0
+    for x in u:
+        p += 1
+        while p <= len(v) and not leq(x, v[p - 1]):
+            p += 1
+        if p > len(v):
+            return None
+        pos.append(p)
+    return tuple(pos)
+
+
+def greedy_witness(a: CanonicalMonomial, b: CanonicalMonomial):
+    """The leftmost embedding of a's rows into b's rows plus a zero tail, as
+    (source, target) pairs, or None; rows come from monomial_rows."""
+    if bool(a.cseq) != bool(b.cseq):
+        return None
+    ra = monomial_rows(a)
+    rb = monomial_rows(b) + [(0, 0, 0)] * len(ra)
+    emb = seq_embed(ra, rb, lambda x, y: all(p <= q for p, q in zip(x, y)))
+    return None if emb is None else tuple(enumerate(emb, start=1))
+
+
 def assert_witness_valid(a: CanonicalMonomial, b: CanonicalMonomial, phi: MonotoneInjection):
     """Check a claimed embedding witness entry by entry."""
     ra = monomial_rows(a)
@@ -510,3 +540,17 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
             if trace is not None:
                 trace.append({"frozen": {"coeff": str(r), "m": monomial_to_obj(lm)}})
     return remainder
+
+
+# --- independent enumeration oracle ------------------------------------------
+
+def recursive_exponent_vectors(slots: int, total: int):
+    """All tuples of `slots` nonnegative ints summing to `total`, first entry
+    ascending outermost: the recursive enumeration freealg used to run."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in recursive_exponent_vectors(slots - 1, total - first):
+            yield (first,) + rest
