@@ -230,13 +230,32 @@ class QPoly:
     """An integer combination of canonical monomials.
 
     Treat instances as immutable.  The term dict maps CanonicalMonomial to a
-    nonzero int, so equality is plain dict equality.
+    nonzero int, so equality is plain dict equality.  The index support that
+    a renaming of the polynomial has to cover is built on first use and kept
+    (see _index_support).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_support")
 
     def __init__(self, terms: dict[CanonicalMonomial, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._support = None
+
+    def _index_support(self) -> tuple[int, ...]:
+        """Every letter index some term uses (a nonzero y-exponent or a slot
+        letter), sorted; built on the first call and kept.
+
+        reduction.apply_reducer extends its witness over this once per lift,
+        so a generator's support is computed once, not once per step."""
+        support = self._support
+        if support is None:
+            idx: set[int] = set()
+            for m in self.terms:
+                idx.update([i for i, e in enumerate(m.yexp, start=1) if e])
+                idx.update(m.cseq)
+                idx.update(m.dseq)
+            support = self._support = tuple(sorted(idx))
+        return support
 
     @classmethod
     def zero(cls) -> "QPoly":

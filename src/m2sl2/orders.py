@@ -28,8 +28,10 @@ Renaming endomorphisms act through one kernel.  rename_monomial,
 apply_renaming and push_profile each extend the injection with covering once
 per call, over every index the call touches, read the extension as a dict,
 and push counts and slot indices through it (_push_counts, _rename).
-apply_renaming extends once for the whole polynomial; reduction.apply_reducer
-is apply_renaming plus N's y-exponents and P's letters.
+apply_renaming extends once for the whole polynomial.  The reduction step
+calls the kernel itself: factorize_embedding renames through the witness's
+pairs with no extension, and apply_reducer extends once over the generator's
+kept index support, then adds N's y-exponents and P's letters.
 """
 
 from dataclasses import dataclass
@@ -277,18 +279,19 @@ def _push_counts(u, image: dict[int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rename(m: CanonicalMonomial, image: dict[int, int], mode: str) -> CanonicalMonomial:
-    """Rename m's letter indices through an image dict covering them.
+def _rename(m: CanonicalMonomial, image: dict[int, int], mode: str) -> tuple:
+    """m's (yexp, cseq, dseq) with the letter indices renamed through an
+    image dict covering them; a missing index raises KeyError.
 
     Strict monotonicity keeps slot sequences sorted and never merges
-    exponents, so the result is canonical and no sign appears."""
+    exponents, so the three tuples are canonical and no sign appears."""
     yexp, cseq, dseq = m.yexp, m.cseq, m.dseq
     if mode != "z_only":
         yexp = _push_counts(yexp, image)
     if mode != "y_only":
         cseq = tuple([image[i] for i in cseq])
         dseq = tuple([image[i] for i in dseq])
-    return CanonicalMonomial._trusted(yexp, cseq, dseq)
+    return yexp, cseq, dseq
 
 
 def _nonzero_positions(u):
@@ -332,7 +335,8 @@ def push_profile(p: Profile, phi: MonotoneInjection, mode: str = "both") -> Prof
 def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "both") -> CanonicalMonomial:
     """Rename letter indices along phi, extended over m's indices."""
     _check_mode(mode)
-    return _rename(m, dict(phi.covering(_monomial_need(m, mode)).pairs), mode)
+    image = dict(phi.covering(_monomial_need(m, mode)).pairs)
+    return CanonicalMonomial._trusted(*_rename(m, image, mode))
 
 
 def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
@@ -349,7 +353,8 @@ def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPol
     for m in f.terms:
         need.update(_monomial_need(m, mode))
     image = dict(phi.covering(need).pairs)
-    return QPoly({_rename(m, image, mode): c for m, c in f.terms.items()})
+    return QPoly({CanonicalMonomial._trusted(*_rename(m, image, mode)): c
+                  for m, c in f.terms.items()})
 
 
 # --- antichains -------------------------------------------------------------

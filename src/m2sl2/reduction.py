@@ -7,19 +7,21 @@ witness phi, the monomial M factors exactly as
     M  =  N . phi(g's leading monomial) . P         (sign +1)
 
 with N pure-y on the left and P a pure-z word on the right, so g lifts to a
-reducer with leading term exactly M and unchanged leading coefficient.  The
-lift is a closed-form map on each term of g, with no word product: rename
-along phi (orders.apply_renaming), add N's y-exponents, and append P's
-letters to the slot classes, its even-position letters (counting from 0) to
-the c-slots when the renamed term's z-length is even and to the d-slots when
-it is odd (apply_reducer).
+reducer with leading term exactly M and unchanged leading coefficient.  One
+reduction step renames once: factorize_embedding reads N and P off lm(g)
+renamed straight through the witness, which pwo_leq builds over all of
+lm(g)'s indices, and apply_reducer extends the witness once, over g's cached
+index support (QPoly._index_support), for the rest of g's terms.  The lift
+is a closed-form map on each term of g, with no word product: rename along
+the extension, add N's y-exponents, and append P's letters to the slot
+classes, its even-position letters (counting from 0) to the c-slots when the
+renamed term's z-length is even and to the d-slots when it is odd.
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
 a nonzero residue freezes into the remainder and reduction continues on the
 strictly smaller tail.  Strict descent in a well-order terminates.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
@@ -38,7 +40,7 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
-    _monomial_need,
+    _rename,
     apply_renaming,
     neg_total_key,
     pwo_leq,
@@ -84,37 +86,53 @@ class ReducerTriple:
         }
 
 
-def _fit(big, small) -> tuple[int, ...]:
-    """The sorted multiset big - small; small must lie inside big."""
-    rest = Counter(big)
-    rest.subtract(small)
-    if any(n < 0 for n in rest.values()):
+def _fit(big: tuple, small: tuple) -> tuple[int, ...]:
+    """The multiset big - small of two sorted tuples, sorted, by one merge;
+    small must lie inside big."""
+    out = []
+    j, n = 0, len(small)
+    for x in big:
+        if j < n and small[j] == x:
+            j += 1
+        else:
+            out.append(x)
+    if j < n:  # small[j] matched nothing in big
         raise NotEmbeddableError("phi(m) does not fit under the target")
-    return tuple(sorted(rest.elements()))
+    return tuple(out)
 
 
 def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
                         phi: MonotoneInjection | None = None) -> ReducerTriple:
     """Factor target = N . phi(m) . P, given m <=' target.
 
-    N carries the y-exponents that phi(m) = rename_monomial(m, phi) leaves
-    missing from the target; the c- and d-slot letters of the target that
-    phi(m) does not use make up P, interleaved so that they land in the right
-    slot classes after the z-block of phi(m).  No sign appears: N adds no even
-    letter to the right of an odd one, and P only appends.  `phi` defaults to
-    the witness pwo_leq(m, target); a caller that already holds it passes it.
+    N carries the y-exponents that phi(m) leaves missing from the target; the
+    c- and d-slot letters of the target that phi(m) does not use make up P,
+    interleaved so that they land in the right slot classes after the z-block
+    of phi(m).  No sign appears: N adds no even letter to the right of an odd
+    one, and P only appends.  `phi` defaults to the witness pwo_leq(m,
+    target); a caller that already holds it passes it.
+
+    phi(m)'s rows are renamed straight through phi's pairs, which a pwo_leq
+    witness has for every index 1..max_index of m; only a caller's phi that
+    falls short is extended, as rename_monomial extends it.  No phi(m)
+    monomial is built, and the slot deficits are one merge over the sorted
+    slot tuples.  The triple keeps phi as given.
     """
     if phi is None:
         phi = pwo_leq(m, target)
         if phi is None:
             raise NotEmbeddableError("source monomial does not embed into the target")
-    pm = rename_monomial(m, phi, "both")
-    ny = [t - e for t, e in zip_longest(target.yexp, pm.yexp, fillvalue=0)]
+    try:
+        py, pc, pd = _rename(m, dict(phi.pairs), "both")
+    except KeyError:  # phi lacks one of m's indices
+        pm = rename_monomial(m, phi, "both")
+        py, pc, pd = pm.yexp, pm.cseq, pm.dseq
+    ny = [t - e for t, e in zip_longest(target.yexp, py, fillvalue=0)]
     if any(e < 0 for e in ny):
         raise NotEmbeddableError("phi(m) does not fit under the target")
-    extra_c = _fit(target.cseq, pm.cseq)
-    extra_d = _fit(target.dseq, pm.dseq)
-    if len(pm.cseq) == len(pm.dseq):
+    extra_c = _fit(target.cseq, pc)
+    extra_d = _fit(target.dseq, pd)
+    if len(pc) == len(pd):
         first, second = extra_c, extra_d
     else:
         # the z-block of phi(m) ends on a c-slot, so P starts with a d-letter
@@ -135,9 +153,10 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
     This is apply_renaming(f, phi) followed by two additions per term, with
-    no word product.  The renaming extends phi once over all of f's indices,
-    so it acts as one letter substitution.  Each renamed term then gains N's
-    y-exponents and P's letters, with sign +1.  P's letter at position k
+    no word product and no intermediate monomial.  phi is extended once, over
+    f's index support, which f computes on its first lift and keeps, so the
+    renaming acts as one letter substitution.  Each renamed term then gains
+    N's y-exponents and P's letters, with sign +1.  P's letter at position k
     (from 0) lands at z-position L + k, where L is the renamed term's
     z-length; so P's even-position letters join the c-slots when L is even
     and the d-slots when L is odd, and its odd-position letters join the
@@ -148,16 +167,18 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     p = triple.p_word
     if p and min(p) < 1:
         raise ValueError("letter index must be >= 1")
+    image = dict(triple.phi.covering(f._index_support()).pairs)
     ny = triple.n_part.yexp
     p_even, p_odd = p[0::2], p[1::2]
     out: dict[CanonicalMonomial, int] = {}
-    for m, c in apply_renaming(f, triple.phi, "both").terms.items():
+    for m, c in f.terms.items():
+        yexp, cseq, dseq = _rename(m, image, "both")
         # both exponent rows are trimmed, so their sum is too
-        yexp = tuple([a + b for a, b in zip_longest(ny, m.yexp, fillvalue=0)])
-        if len(m.cseq) == len(m.dseq):
-            cseq, dseq = m.cseq + p_even, m.dseq + p_odd
+        yexp = tuple([a + b for a, b in zip_longest(ny, yexp, fillvalue=0)])
+        if len(cseq) == len(dseq):
+            cseq, dseq = cseq + p_even, dseq + p_odd
         else:
-            cseq, dseq = m.cseq + p_odd, m.dseq + p_even
+            cseq, dseq = cseq + p_odd, dseq + p_even
         out[CanonicalMonomial._trusted(yexp, tuple(sorted(cseq)), tuple(sorted(dseq)))] = c
     return QPoly(out)
 
@@ -343,10 +364,7 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
     count = 0
     for g in gens:
         gdeg_min = min(m.degree for m in g.terms)
-        support: set[int] = set()
-        for m in g.terms:
-            support.update(_monomial_need(m, "both"))
-        src = sorted(support)
+        src = g._index_support()
         for targets in combinations(range(1, cap + 1), len(src)):
             phi = MonotoneInjection(tuple(zip(src, targets)))
             gp = apply_renaming(g, phi, "both")

@@ -7,6 +7,7 @@ import pytest
 import m2sl2.reduction as reduction
 from m2sl2 import (
     CanonicalMonomial,
+    CannotExtendError,
     MonotoneInjection,
     NotEmbeddableError,
     QPoly,
@@ -40,6 +41,7 @@ from tests.util import (
     product_apply_reducer,
     rand_monomial,
     rand_qpoly,
+    reference_factorize,
     reference_reduce,
 )
 
@@ -111,6 +113,56 @@ def test_factorize_roundtrip_exhaustive():
             pairs += 1
             assert reduce_word(reducer_word(factorize_embedding(a, b), a)) == (1, b)
     assert pairs == 2751
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the embedding error it raised."""
+    try:
+        return fn(*args)
+    except (NotEmbeddableError, CannotExtendError) as exc:
+        return type(exc), str(exc)
+
+
+def test_factorize_matches_reference_exhaustive():
+    basis = list(enumerate_basis(3, 3))
+    seen: Counter = Counter()
+    rng = random.Random(90)
+    for a in basis:
+        for b in basis:
+            phi = pwo_leq(a, b)
+            want = outcome(reference_factorize, a, b)
+            assert outcome(factorize_embedding, a, b) == want, (a, b)
+            if phi is not None:
+                seen["witness"] += 1
+                assert factorize_embedding(a, b, phi) == want, (a, b)
+            else:
+                seen[want[1]] += 1
+            # a caller's injection on a random part of 1..max_index + 1 falls
+            # short of a's indices when it misses one: the extension path,
+            # where a hole between close targets leaves no room
+            srcs = sorted(rng.sample(range(1, a.max_index + 2), rng.randint(0, a.max_index)))
+            tgts = sorted(rng.sample(range(1, len(srcs) + 3), len(srcs)))
+            short = MonotoneInjection(tuple(zip(srcs, tgts)))
+            want = outcome(reference_factorize, a, b, short)
+            assert outcome(factorize_embedding, a, b, short) == want, (a, b, short)
+            if not monomial_indices(a) <= set(srcs):
+                if isinstance(want, ReducerTriple):
+                    seen["extended: triple"] += 1
+                elif want[0] is CannotExtendError:
+                    seen["extended: no room"] += 1
+                else:
+                    seen["extended: " + want[1]] += 1
+    assert seen["witness"] == 618
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+    # validated monomials always leave slot deficits that interleave, so the
+    # interleave failure needs a target built unvalidated, with two more
+    # d-slots than c-slots
+    bad = CanonicalMonomial._trusted((), (1,), (2, 3))
+    for phi in (MonotoneInjection(((1, 1),)), MonotoneInjection()):
+        want = outcome(reference_factorize, mk((), (1,)), bad, phi)
+        assert want == (NotEmbeddableError, "slot deficits cannot interleave into a word")
+        assert outcome(factorize_embedding, mk((), (1,)), bad, phi) == want
 
 
 def test_triple_serialization():
@@ -188,6 +240,23 @@ def test_apply_reducer_matches_product_oracle():
         apply_reducer(triple, mono(mk((), (1,))))
     with pytest.raises(ValueError):
         product_apply_reducer(triple, mono(mk((), (1,))))
+
+
+def test_apply_reducer_warm_support_matches_product_oracle():
+    # one generator lifted under many triples: its index support is built on
+    # the first lift and kept, and lm uses only indices 1 and 2, so every
+    # lift extends the witness over the other terms' indices 3 and 4
+    g = mono(mk((), (1,), (2,)), 3) + mono(mk((0, 0, 2)), -2) + mono(mk((1,), (4,)), 5)
+    lm = leading(g).lm
+    assert lm == mk((), (1,), (2,)) and g._support is None
+    rng = random.Random(91)
+    triples = set()
+    for _ in range(300):
+        triple = factorize_embedding(lm, inflate(rng, lm))
+        assert apply_reducer(triple, g) == product_apply_reducer(triple, g), triple
+        assert g._support == (1, 2, 3, 4)
+        triples.add(json.dumps(triple.to_obj()))
+    assert len(triples) > 100
 
 
 def test_lift_keeps_ideal_membership():
@@ -370,6 +439,38 @@ def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
     steps = sum(1 for rec in trace if "against" in rec)
     assert steps > 50
     assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
+
+
+def test_support_built_once_per_generator(monkeypatch):
+    # count, per polynomial, the _index_support calls that build the support
+    # rather than read the kept one; building every generator's support on
+    # every _reduce call would build it once per stream item per generator
+    builds: Counter = Counter()
+    build = QPoly._index_support
+
+    def counted(self):
+        if self._support is None:
+            builds[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(QPoly, "_index_support", counted)
+    rng = random.Random(92)
+    basis = list(enumerate_basis(6, 3))
+    stream = [mono(m, rng.choice((-6, -4, -3, 2, 3, 5, 7))) for m in rng.sample(basis, 120)]
+    report = chain_demo(stream)
+    assert len(report.generators) >= 20
+    assert sum(builds.values()) >= 10
+    assert set(builds) <= {id(g) for g in report.generators}
+    assert max(builds.values()) == 1
+
+    builds.clear()
+    gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
+    f = rand_sparse_poly(rng, list(enumerate_basis(7, 3)), 200)
+    for _ in range(2):  # the kept support outlives one reduce_by call
+        trace: list = []
+        reduce_by(f, gens, trace=trace)
+        assert sum(1 for rec in trace if "against" in rec) > 50
+    assert builds == Counter({id(g): 1 for g in gens})
 
 
 # --- ascending chains --------------------------------------------------------

@@ -6,7 +6,8 @@ that agreement actually means something.
 """
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, zip_longest
 
 from m2sl2 import (
     CanonicalMonomial,
@@ -15,6 +16,7 @@ from m2sl2 import (
     LieVar,
     MonotoneInjection,
     MultiPoly,
+    NotEmbeddableError,
     Profile,
     QPoly,
     alpha,
@@ -27,7 +29,9 @@ from m2sl2 import (
     normalize,
     pwo_leq,
     push_profile,
+    ReducerTriple,
     reduce_word,
+    rename_monomial,
     total_key,
     xi,
     xi_inv,
@@ -504,6 +508,42 @@ def product_apply_reducer(triple, f: QPoly) -> QPoly:
     if triple.p_word:
         out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
     return out
+
+
+def counter_fit(big, small) -> tuple:
+    """The sorted multiset big - small through Counter arithmetic; small must
+    lie inside big."""
+    rest = Counter(big)
+    rest.subtract(small)
+    if any(n < 0 for n in rest.values()):
+        raise NotEmbeddableError("phi(m) does not fit under the target")
+    return tuple(sorted(rest.elements()))
+
+
+def reference_factorize(m: CanonicalMonomial, target: CanonicalMonomial, phi=None):
+    """factorize_embedding the plain way: build phi(m) with rename_monomial
+    (phi extended with covering over m's indices), subtract its y-exponents
+    from the target's, and take the slot deficits with counter_fit.  Same
+    arguments, result and NotEmbeddableError messages as the package's."""
+    if phi is None:
+        phi = pwo_leq(m, target)
+        if phi is None:
+            raise NotEmbeddableError("source monomial does not embed into the target")
+    pm = rename_monomial(m, phi, "both")
+    ny = [t - e for t, e in zip_longest(target.yexp, pm.yexp, fillvalue=0)]
+    if any(e < 0 for e in ny):
+        raise NotEmbeddableError("phi(m) does not fit under the target")
+    extra_c = counter_fit(target.cseq, pm.cseq)
+    extra_d = counter_fit(target.dseq, pm.dseq)
+    if len(pm.cseq) == len(pm.dseq):
+        first, second = extra_c, extra_d
+    else:
+        first, second = extra_d, extra_c
+    if len(first) - len(second) not in (0, 1):
+        raise NotEmbeddableError("slot deficits cannot interleave into a word")
+    p_word = [0] * (len(first) + len(second))
+    p_word[0::2], p_word[1::2] = first, second
+    return ReducerTriple(phi, CanonicalMonomial.make(ny), tuple(p_word))
 
 
 def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
