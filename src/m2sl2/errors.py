@@ -32,8 +32,10 @@ class CannotExtendError(EngineError):
 class ParseError(EngineError):
     """Syntax error in an input expression.
 
-    Carries the byte offset of the offending token and the set of token
-    descriptions that would have been accepted there.
+    Carries the offset of the offending token, counted in characters of the
+    input string (the message says "at byte" for stable output, but a
+    non-ASCII character before the token makes the two differ), and the set
+    of token descriptions that would have been accepted there.
     """
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):

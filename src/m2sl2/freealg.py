@@ -389,20 +389,23 @@ class LieBracket:
 LieExpr = LieVar | LieBracket
 
 
+def _times(left, right) -> list[tuple[int, Word]]:
+    """The product of two weighted word lists, left operand outermost, with
+    no canonical reduction."""
+    return [(c0 * c1, w0 + w1) for c0, w0 in left for c1, w1 in right]
+
+
+def _bracket(left, right) -> list[tuple[int, Word]]:
+    """The commutator AB - BA of two weighted word lists: AB's words, then
+    BA's, each product with the left operand outermost."""
+    return _times(left, right) + [(-c0 * c1, w1 + w0) for c0, w0 in left for c1, w1 in right]
+
+
 def lie_to_words(e: LieExpr) -> list[tuple[int, Word]]:
     """Expand brackets in the free algebra, with no canonical reduction."""
     if isinstance(e, LieVar):
         return [(1, (e.letter,))]
-    left = lie_to_words(e.left)
-    right = lie_to_words(e.right)
-    out: list[tuple[int, Word]] = []
-    for cl, wl in left:
-        for cr, wr in right:
-            out.append((cl * cr, wl + wr))
-    for cr, wr in right:
-        for cl, wl in left:
-            out.append((-cl * cr, wr + wl))
-    return out
+    return _bracket(lie_to_words(e.left), lie_to_words(e.right))
 
 
 def lie_to_poly(e: LieExpr) -> QPoly:
@@ -428,7 +431,7 @@ def subst_words(weighted_words, sigma: dict[Letter, LieExpr]) -> list[tuple[int,
         for letter in w:
             image = sigma.get(letter)
             expansion = [(1, (letter,))] if image is None else lie_to_words(image)
-            parts = [(c0 * c1, w0 + w1) for c0, w0 in parts for c1, w1 in expansion]
+            parts = _times(parts, expansion)
         out.extend(parts)
     return out
 

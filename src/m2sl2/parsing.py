@@ -12,10 +12,11 @@ normalizes the operands of every product on the way to its canonical
 polynomial.
 """
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError, ResourceBoundError
-from .freealg import QPoly, Word, normalize
+from .freealg import QPoly, Word, _bracket, _times, normalize
 
 # Input caps that keep hostile input from costing a traceback: letter indices
 # size the dense exponent tuples, each '(' or '[' costs parser recursion, and
@@ -30,46 +31,34 @@ MAX_POWER_LETTERS = 10_000_000
 MAX_POWER_BITS = 4_000_000
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
+class Token(NamedTuple):
+    kind: str  # "VAR", "INT", "EOF", or the operator character itself
     value: object
     pos: int
 
 
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    ",": "COMMA",
-}
+# one token per match: whitespace | operator | letter and index digits |
+# integer | any other character.  \s is exactly str.isspace() and \d exactly
+# the decimal digits int() reads.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
+                    r"|(?P<int>\d+)|(?P<other>.)", re.S)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The input's tokens, ending in EOF."""
     toks: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        if group == "space":
             continue
-        if ch in _SINGLE:
-            toks.append(Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        if ch in ("y", "z"):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+        lexeme, i = match[group], match.start()
+        if group == "op":
+            toks.append(Token(lexeme, lexeme, i))
+        elif group == "var":
+            ch = lexeme[0]
+            if len(lexeme) == 1:
                 raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
-            digits = text[i + 1:j].lstrip("0") or "0"
+            digits = lexeme[1:].lstrip("0") or "0"
             # the length test keeps int() off huge digit strings
             if len(digits) > len(str(MAX_LETTER_INDEX)) or int(digits) > MAX_LETTER_INDEX:
                 raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
@@ -78,17 +67,11 @@ def tokenize(text: str) -> list[Token]:
             if idx < 1:
                 raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
             toks.append(Token("VAR", (ch, idx), i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", int(text[i:j]), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, ())
-    toks.append(Token("EOF", None, n))
+        elif group == "int":
+            toks.append(Token("INT", int(lexeme), i))
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", i, ())
+    toks.append(Token("EOF", None, len(text)))
     return toks
 
 
@@ -129,17 +112,17 @@ class _Parser:
 
     def expr(self):
         items = [(1, self.term())]
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if self.take().kind == "PLUS" else -1
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.take().kind == "+" else -1
             items.append((sign, self.term()))
         return ("add", items)
 
     def term(self):
         sign = 1
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if self.take().kind == "PLUS" else -1
+        if self.peek().kind in ("+", "-"):
+            sign = 1 if self.take().kind == "+" else -1
         factors = [self.factor()]
-        while self.peek().kind == "STAR":
+        while self.peek().kind == "*":
             self.take()
             factors.append(self.factor())
         node = ("mul", factors) if len(factors) > 1 else factors[0]
@@ -149,7 +132,7 @@ class _Parser:
 
     def factor(self):
         node = self.atom()
-        if self.peek().kind == "CARET":
+        if self.peek().kind == "^":
             self.take()
             t = self.expect("INT", "nonnegative integer exponent")
             node = ("pow", node, t.value)
@@ -163,27 +146,28 @@ class _Parser:
         if t.kind == "INT":
             self.take()
             return ("int", t.value)
-        if t.kind not in ("LPAREN", "LBRACK"):
+        if t.kind not in ("(", "["):
             raise ParseError(_describe(t), t.pos, _ATOM_STARTS)
         self.take()
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.pos, ())
-        if t.kind == "LPAREN":
+        if t.kind == "(":
             node = self.expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
         else:
             a = self.expr()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             b = self.expr()
-            self.expect("RBRACK", "']'")
+            self.expect("]", "']'")
             node = ("br", a, b)
         self.depth -= 1
         return node
 
 
 def parse(text: str):
-    """Parse to an expression tree; raises ParseError with a byte offset."""
+    """Parse to an expression tree; raises ParseError with the offending
+    token's offset, counted in characters of `text`."""
     p = _Parser(tokenize(text))
     node = p.expr()
     t = p.peek()
@@ -191,10 +175,6 @@ def parse(text: str):
         raise ParseError(_describe(t), t.pos,
                          ("'*'", "'+'", "'-'", "'^'", "')'", "']'", "','", "end of input"))
     return node
-
-
-def _times(left, right) -> list[tuple[int, Word]]:
-    return [(c0 * c1, w0 + w1) for c0, w0 in left for c1, w1 in right]
 
 
 def _power(base: list[tuple[int, Word]], k: int, fold, spent: list[int]) -> list[tuple[int, Word]]:
@@ -254,11 +234,7 @@ def to_words(node, fold=_raw) -> list[tuple[int, Word]]:
                 out.extend((sign * c, w) for c, w in expand(sub))
             return out
         if kind == "br":
-            left = fold(expand(node[1]))
-            right = fold(expand(node[2]))
-            out = _times(left, right)
-            out.extend((-cl * cr, wr + wl) for cl, wl in left for cr, wr in right)
-            return out
+            return _bracket(fold(expand(node[1])), fold(expand(node[2])))
         raise ValueError(f"unknown node kind {kind!r}")
 
     return expand(node)

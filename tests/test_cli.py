@@ -312,6 +312,7 @@ def test_parse_error_json(capsys):
 @pytest.mark.parametrize("expr,offset", [
     ("(" * 3000 + "y1" + ")" * 3000, 100),  # nesting cap, not RecursionError
     ("y100000000000", 1),                   # index cap, not MemoryError
+    ("y\u00b2", 1),                         # isdigit() but not int(), not ValueError
 ])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_hostile_input_is_parse_error(expr, offset, as_json):

@@ -1,12 +1,17 @@
 import random
+import re
+import sys
 
 import pytest
 
 from m2sl2 import (
     CanonicalMonomial,
+    LieBracket,
+    LieVar,
     ParseError,
     QPoly,
     ResourceBoundError,
+    lie_to_words,
     normalize,
     parse_poly,
     parse_words,
@@ -16,8 +21,8 @@ from m2sl2 import (
 )
 from m2sl2.cli import format_qpoly
 import m2sl2.parsing
-from m2sl2.parsing import MAX_WORDS, parse, word_count
-from tests.util import rand_qpoly
+from m2sl2.parsing import MAX_WORDS, parse, tokenize, word_count
+from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly
 
 
 def rand_expr(rng: random.Random, depth: int) -> str:
@@ -47,6 +52,7 @@ def mk(yexp=(), cseq=(), dseq=()):
 def test_words_and_atoms():
     assert parse_poly("y1") == QPoly.letter(y(1))
     assert parse_poly("z12") == QPoly.letter(z(12))
+    assert parse_poly("\u0663*z\u0661\u0662") == parse_poly("3*z12")  # Arabic-Indic digits
     assert parse_poly("0").is_zero()
     assert parse_poly("-3") == QPoly.one() * -3
     assert parse_poly("y1*y2 - y2*y1").is_zero()
@@ -97,6 +103,10 @@ def test_parse_words_raw():
         ("y" + "9" * 5000, 1, "index <= 10000"),
         ("(" * 3000 + "y1" + ")" * 3000, 100, None),
         ("[" * 60 + "(" * 41 + "y1", 100, None),
+        # isdigit() but not decimal: int() cannot read these
+        ("y\u00b2", 1, "digits"),
+        ("\u00b2", 0, None),
+        ("y1^\u00b2", 3, None),
     ],
 )
 def test_parse_errors(text, offset, expected_any):
@@ -167,6 +177,18 @@ def test_parse_poly_folds_product_operands(monkeypatch):
     assert len(f.terms) == 140 and max(sizes) < 1000
 
 
+def test_bracket_raw_word_order():
+    # AB's words, then BA's, each with the left operand outermost
+    y1, y2, z1, z2 = y(1), y(2), z(1), z(2)
+    assert parse_words("[y1 + 2*z1, z2 - y2]") == [
+        (1, (y1, z2)), (-1, (y1, y2)), (2, (z1, z2)), (-2, (z1, y2)),
+        (-1, (z2, y1)), (1, (y2, y1)), (-2, (z2, z1)), (2, (y2, z1)),
+    ]
+    # Lie brackets expand through the same product
+    e = LieBracket(LieVar(z1), LieBracket(LieBracket(LieVar(y1), LieVar(y2)), LieVar(z2)))
+    assert lie_to_words(e) == parse_words("[z1, [[y1, y2], z2]]")
+
+
 def test_powers_of_single_words():
     assert parse_words("y1^4") == [(1, (("y", 1),) * 4)]
     assert parse_words("(2*z1*y2)^3") == [(8, (("z", 1), ("y", 2)) * 3)]
@@ -222,3 +244,58 @@ def test_print_parse_roundtrip_corpus():
 def test_whitespace_insensitive():
     assert parse_poly(" y1 * y2 ") == parse_poly("y1*y2")
     assert parse_poly("[ z1 , z2 ]") == parse_poly("[z1,z2]")
+
+
+# the scanner's alphabet: Unicode whitespace (U+00A0, U+2003, U+3000, U+001C)
+# and the zero-width space U+200B, which is not whitespace; ASCII and
+# Arabic-Indic digits; letter tokens at and past the index caps; a
+# superscript two, which isdigit() accepts but int() cannot read
+_SCAN_PIECES = (
+    " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u200b",
+    "+", "-", "*", "^", "(", ")", "[", "]", ",", "y", "z", "w", "\u00e9",
+    "0", "1", "7", "10", "\u0661", "\u0660", "\u0663\u0662",
+    "y0", "y00", "z007", "y10000", "y10001", "y1", "z12", "y\u0661", "z\u0660\u0663",
+    "\u00b2",
+)
+
+
+def _scan(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset, exc.expected)
+
+
+def test_tokenize_matches_loop_oracle():
+    rng = random.Random(97)
+    kinds = {v: k for k, v in LOOP_KINDS.items()}
+    loop_fails = 0
+    for _ in range(100_000):
+        text = "".join(rng.choice(_SCAN_PIECES) for _ in range(rng.randint(0, 8)))
+        got = _scan(lambda t: [(k.kind, k.value, k.pos) for k in tokenize(t)], text)
+        # the regex scanner reads '\u00b2' as any other character, such as
+        # '#'; the loop read it with the digit run around it
+        want = _scan(loop_tokenize, text.replace("\u00b2", "#"))
+        if isinstance(want, list):
+            want = [(kinds.get(k, k), v, pos) for k, v, pos in want]
+        else:
+            want = (want[0], want[1].replace("'#'", "'\u00b2'")) + want[2:]
+        assert got == want, text
+        try:
+            loop_tokenize(text)
+        except ValueError:  # int() could not read the run holding '\u00b2'
+            loop_fails += 1
+        except ParseError:
+            pass
+    assert loop_fails > 1000
+
+
+def test_scanner_character_classes():
+    # \s is exactly str.isspace() and \d exactly the decimal digits int() reads
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in every if c.isspace())
+    assert "".join(re.findall(r"\s", every)) == spaces
+    assert [t.kind for t in tokenize(spaces)] == ["EOF"]
+    decimals = re.findall(r"\d", every)
+    assert decimals == [c for c in every if c.isdecimal()]
+    assert all(0 <= int(c) <= 9 for c in decimals)

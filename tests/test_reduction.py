@@ -39,6 +39,7 @@ from tests.util import (
     inflate,
     monomial_indices,
     product_apply_reducer,
+    product_membership_bounded,
     rand_monomial,
     rand_qpoly,
     reference_factorize,
@@ -547,6 +548,54 @@ def test_membership_honors_reductions():
         if diff.is_zero():
             continue
         assert membership_bounded(diff, gens, max(diff.degree, 1))
+
+
+def test_membership_matches_product_oracle():
+    # the package lifts through apply_reducer; the oracle multiplies words
+    rng = random.Random(85)
+    answers, cases = Counter(), 0
+    while cases < 40:
+        gens = [rand_qpoly(rng, max_terms=2, max_degree=2, max_index=2)
+                for _ in range(rng.randint(1, 2))]
+        f = rand_qpoly(rng, max_terms=2, max_degree=3, max_index=2)
+        if rng.random() < 0.5:
+            f = f - reduce_by(f, gens)  # a member, found by any large enough family
+        if f.is_zero():
+            continue
+        cases += 1
+        args = (f, gens, max(f.degree, 1) + (rng.random() < 0.25), rng.choice((None, 2, 3, 3)))
+        for cap in (100_000, 1, 5, 20, 80, 300):
+            outcomes = []
+            for fn in (membership_bounded, product_membership_bounded):
+                try:
+                    outcomes.append(fn(*args, max_candidates=cap))
+                except ResourceBoundError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (args, cap)
+            answers[outcomes[0] if isinstance(outcomes[0], bool) else "bound"] += 1
+    assert answers[True] >= 10 and answers[False] >= 10 and answers["bound"] >= 60, answers
+
+
+def test_membership_needs_no_word_product(monkeypatch):
+    # the lift is apply_reducer's closed form: the answers stay the oracle's
+    # with the word product and reduction.normalize made to raise
+    g = QPoly({mk((1,)): 2, mk((), (1,)): 1})
+    cases = [
+        (mono(mk((0, 2, 1))), [mono(mk((1,)))], 3),
+        (mono(mk((), (1,))), [mono(mk((1,)))], 2),
+        (mono(mk((1,))), [mono(mk((1,)), 2)], 1),
+        (apply_reducer(ReducerTriple(MonotoneInjection(((1, 2),)), mk((1,)), (3,)), g), [g], 3),
+        (QPoly({mk((2,)): 1, mk((), (1,)): 1}), [g], 2),
+    ]
+    want = [product_membership_bounded(*case) for case in cases]
+    assert want == [True, False, False, True, False]
+
+    def boom(*args):
+        raise AssertionError("membership_bounded multiplied words")
+
+    monkeypatch.setattr(QPoly, "__mul__", boom)
+    monkeypatch.setattr(reduction, "normalize", boom)
+    assert [membership_bounded(*case) for case in cases] == want
 
 
 def test_membership_resource_bound():

@@ -7,18 +7,21 @@ that agreement actually means something.
 
 import random
 from collections import Counter
-from itertools import combinations, zip_longest
+from itertools import combinations, combinations_with_replacement, zip_longest
 
 from m2sl2 import (
     CanonicalMonomial,
     GMatrix2,
+    IntRowLattice,
     LieBracket,
     LieVar,
     MonotoneInjection,
     MultiPoly,
     NotEmbeddableError,
+    ParseError,
     Profile,
     QPoly,
+    ResourceBoundError,
     alpha,
     beta,
     bezout,
@@ -594,3 +597,124 @@ def recursive_exponent_vectors(slots: int, total: int):
     for first in range(total + 1):
         for rest in recursive_exponent_vectors(slots - 1, total - first):
             yield (first,) + rest
+
+
+# --- reference scanner --------------------------------------------------------
+
+LOOP_KINDS = {
+    "+": "PLUS",
+    "-": "MINUS",
+    "*": "STAR",
+    "^": "CARET",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACK",
+    "]": "RBRACK",
+    ",": "COMMA",
+}
+
+
+def loop_tokenize(text: str) -> list[tuple]:
+    """A character-by-character scanner with named operator kinds
+    (LOOP_KINDS), returning (kind, value, pos) tuples: the oracle for
+    parsing.tokenize.  It reads runs of isdigit() characters with int(), so
+    a digit int() cannot read (such as '\u00b2') raises ValueError here,
+    where tokenize raises ParseError."""
+    cap = 10_000  # the package's MAX_LETTER_INDEX
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in LOOP_KINDS:
+            toks.append((LOOP_KINDS[ch], ch, i))
+            i += 1
+            continue
+        if ch in ("y", "z"):
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
+            digits = text[i + 1:j].lstrip("0") or "0"
+            if len(digits) > len(str(cap)) or int(digits) > cap:
+                raise ParseError(f"letter index above {cap}", i + 1, (f"index <= {cap}",))
+            idx = int(digits)
+            if idx < 1:
+                raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
+            toks.append(("VAR", (ch, idx), i))
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", int(text[i:j]), i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i, ())
+    toks.append(("EOF", None, n))
+    return toks
+
+
+# --- reference membership -----------------------------------------------------
+
+def product_membership_bounded(f: QPoly, generators, max_degree: int,
+                               max_index: int | None = None,
+                               max_candidates: int = 100_000) -> bool:
+    """membership_bounded built from word products: each candidate is
+    N * word_renaming(g, phi) * P through QPoly.__mul__, with P a normalized
+    z-word, and the degree filter reads the product.  The enumeration order,
+    and so the point where max_candidates is passed, is the package's."""
+    if f.is_zero():
+        return True
+    if f.degree > max_degree:
+        raise ValueError("f exceeds the degree bound")
+    gens = [g for g in generators if not g.is_zero()]
+    if max_index is None:
+        src_max = max([f.max_index] + [g.max_index for g in gens], default=1)
+        max_index = max(1, src_max) + max_degree
+    cap = max_index
+
+    def vec(poly: QPoly) -> dict:
+        return {(m.yexp, m.cseq, m.dseq): c for m, c in poly.terms.items()}
+
+    lattice = IntRowLattice()
+    count = 0
+    for g in gens:
+        gdeg_min = min(m.degree for m in g.terms)
+        src = sorted({i for m in g.terms for _, i in m.word()})
+        for targets in combinations(range(1, cap + 1), len(src)):
+            phi = MonotoneInjection(tuple(zip(src, targets)))
+            gp = word_renaming(g, phi)
+            if gp.degree > max_degree:
+                continue
+            room = max_degree - gdeg_min
+            for n_mon in (CanonicalMonomial.make(yv) for d in range(room + 1)
+                          for yv in recursive_exponent_vectors(cap, d)):
+                room_p = room - n_mon.degree
+                left = QPoly.monomial(n_mon) * gp
+                for olen in range(0, room_p + 1):
+                    elens = [e for e in (olen - 1, olen) if 0 <= e <= room_p - olen]
+                    for elen in elens:
+                        for och in combinations_with_replacement(range(1, cap + 1), olen):
+                            for ech in combinations_with_replacement(range(1, cap + 1), elen):
+                                p_word = [0] * (olen + elen)
+                                p_word[0::2], p_word[1::2] = och, ech
+                                prod = left
+                                if p_word:
+                                    prod = left * normalize(
+                                        [(1, tuple(("z", i) for i in p_word))]
+                                    )
+                                if prod.is_zero() or prod.degree > max_degree:
+                                    continue
+                                count += 1
+                                if count > max_candidates:
+                                    raise ResourceBoundError(
+                                        f"membership enumeration exceeded {max_candidates} products"
+                                    )
+                                lattice.add(vec(prod))
+    return lattice.contains(vec(f))
