@@ -17,29 +17,19 @@ from .freealg import (
     LieBracket,
     LieVar,
     QPoly,
-    commutator,
     enumerate_basis,
     identity_generators,
-    lie_to_poly,
     lie_to_words,
-    monomial_from_obj,
     monomial_to_obj,
     normalize,
-    poly_from_obj,
     reduce_word,
-    subst,
     subst_words,
-    word,
-    y,
-    z,
 )
 from .genmat import (
     GMatrix2,
     IndependenceReport,
     eval_word,
     evaluate,
-    generic_y,
-    generic_z,
     independence_report,
     is_graded_weak_identity,
 )
@@ -47,7 +37,6 @@ from .intlinalg import IntRowLattice, bezout, ext_gcd
 from .orders import (
     MonotoneInjection,
     Profile,
-    apply_renaming,
     cmp_total,
     minimal_elements,
     pwo_leq,
@@ -66,11 +55,9 @@ from .reduction import (
     chain_demo,
     factorize_embedding,
     leading,
-    lift_reducer,
     membership_bounded,
     reduce_by,
-    reducer_word,
 )
-from .ring import MultiPoly, alpha, beta, gamma
+from .ring import MultiPoly
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -51,7 +51,7 @@ def format_qpoly(f: QPoly) -> str:
 def poly_obj(f: QPoly) -> list:
     """Polynomial as {"coeff": str, "m": monomial} records, leading term
     first.  Coefficients are strings so arbitrary-precision values survive
-    any JSON consumer; freealg.poly_from_obj reads them back."""
+    any JSON consumer."""
     return [{"coeff": str(c), "m": monomial_to_obj(m)} for m, c in sorted_terms_desc(f)]
 
 

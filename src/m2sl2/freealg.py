@@ -30,22 +30,6 @@ Letter = tuple[str, int]  # ("y" | "z", index >= 1)
 Word = tuple[Letter, ...]
 
 
-def y(i: int) -> Letter:
-    if i < 1:
-        raise ValueError("letter index must be >= 1")
-    return ("y", i)
-
-
-def z(i: int) -> Letter:
-    if i < 1:
-        raise ValueError("letter index must be >= 1")
-    return ("z", i)
-
-
-def word(*letters: Letter) -> Word:
-    return tuple(letters)
-
-
 _new = object.__new__
 _set = object.__setattr__  # bypasses CanonicalMonomial's blocking __setattr__
 
@@ -167,10 +151,6 @@ class CanonicalMonomial:
     @property
     def grade(self) -> int:
         return (len(self.cseq) + len(self.dseq)) % 2
-
-    @property
-    def is_pure_y(self) -> bool:
-        return not self.cseq
 
     @property
     def max_index(self) -> int:
@@ -361,10 +341,6 @@ def normalize(weighted_words) -> QPoly:
     return QPoly(acc)
 
 
-def commutator(f: QPoly, g: QPoly) -> QPoly:
-    return f * g - g * f
-
-
 # --- Lie expressions over the letters -------------------------------------
 
 @dataclass(frozen=True)
@@ -408,10 +384,6 @@ def lie_to_words(e: LieExpr) -> list[tuple[int, Word]]:
     return _bracket(lie_to_words(e.left), lie_to_words(e.right))
 
 
-def lie_to_poly(e: LieExpr) -> QPoly:
-    return normalize(lie_to_words(e))
-
-
 def subst_words(weighted_words, sigma: dict[Letter, LieExpr]) -> list[tuple[int, Word]]:
     """Substitute letters by Lie expressions, expanding in the free algebra.
 
@@ -436,10 +408,6 @@ def subst_words(weighted_words, sigma: dict[Letter, LieExpr]) -> list[tuple[int,
     return out
 
 
-def subst(weighted_words, sigma: dict[Letter, LieExpr]) -> QPoly:
-    return normalize(subst_words(weighted_words, sigma))
-
-
 def identity_generators() -> list[list[tuple[int, Word]]]:
     """The three defining relations as raw weighted word lists:
     [y1, y2],  z1 z2 z3 - z3 z2 z1,  y1 z1 + z1 y1.
@@ -453,22 +421,8 @@ def identity_generators() -> list[list[tuple[int, Word]]]:
     ]
 
 
-# --- serialization ----------------------------------------------------------
-
 def monomial_to_obj(m: CanonicalMonomial) -> dict:
     return {"y": list(m.yexp), "c": list(m.cseq), "d": list(m.dseq)}
-
-
-def monomial_from_obj(obj: dict) -> CanonicalMonomial:
-    return CanonicalMonomial.make(obj.get("y", ()), obj.get("c", ()), obj.get("d", ()))
-
-
-def poly_from_obj(obj) -> QPoly:
-    acc: dict[CanonicalMonomial, int] = {}
-    for rec in obj:
-        m = monomial_from_obj(rec["m"])
-        acc[m] = acc.get(m, 0) + int(rec["coeff"])
-    return QPoly(acc)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -549,6 +503,7 @@ def _basis(max_degree: int, max_index: int):
             clen = (zlen + 1) // 2
             dlen = zlen // 2
             for yv in _exponent_vectors(max_index, ydeg):
+                yexp = _trim(yv)
                 for cs in combinations_with_replacement(idx, clen):
                     for ds in combinations_with_replacement(idx, dlen):
-                        yield CanonicalMonomial(_trim(yv), cs, ds)
+                        yield CanonicalMonomial._trusted(yexp, cs, ds)

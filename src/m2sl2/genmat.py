@@ -14,11 +14,10 @@ tolerance anywhere.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
 from .intlinalg import IntRowLattice
-from .ring import MultiPoly, Term, alpha, beta, gamma
+from .ring import MultiPoly, Term
 
 _ZERO = MultiPoly.zero()
 
@@ -67,20 +66,6 @@ class GMatrix2:
             and self.e21.is_zero()
             and self.e22.is_zero()
         )
-
-    def entries(self) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-        return (self.e11, self.e12, self.e21, self.e22)
-
-
-@lru_cache(maxsize=None)
-def generic_y(i: int) -> GMatrix2:
-    a = alpha(i)
-    return GMatrix2(a, _ZERO, _ZERO, -a)
-
-
-@lru_cache(maxsize=None)
-def generic_z(i: int) -> GMatrix2:
-    return GMatrix2(_ZERO, beta(i), gamma(i), _ZERO)
 
 
 def _family_term(family: str, items: list[tuple[int, int]]) -> Term:

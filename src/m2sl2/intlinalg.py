@@ -1,4 +1,4 @@
-"""Incremental integer row spaces with Hermite pivot structure.
+"""Incremental integer row spaces in echelon form.
 
 Rows are sparse dicts mapping a sortable column key to a nonzero int.  The
 lattice keeps one pivot row per leading column, combined by extended gcd, so
@@ -111,19 +111,3 @@ class IntRowLattice:
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
-
-    def hermite_rows(self) -> list[dict]:
-        """Pivot rows in Hermite normal form: positive pivots, entries above
-        each pivot reduced into [0, pivot)."""
-        cols = sorted(self.pivots)
-        rows = {c: dict(self.pivots[c]) for c in cols}
-        for i, c in enumerate(cols):
-            piv = rows[c]
-            p = piv[c]
-            for c2 in cols[:i]:
-                upper = rows[c2]
-                v = upper.get(c, 0)
-                q = v // p  # floor: leaves residue in [0, p)
-                if q:
-                    _row_axpy(upper, piv, -q)
-        return [rows[c] for c in cols]

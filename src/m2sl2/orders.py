@@ -24,11 +24,10 @@ so the engine never builds a Profile.  The two orders:
   This order is a well partial order, which is what makes the
   ascending-chain machinery downstream (reduction.chain_demo) terminate.
 
-Renaming endomorphisms act through one kernel.  rename_monomial,
-apply_renaming and push_profile each extend the injection with covering once
-per call, over every index the call touches, read the extension as a dict,
-and push counts and slot indices through it (_push_counts, _rename).
-apply_renaming extends once for the whole polynomial.  The reduction step
+Renaming endomorphisms act through one kernel.  rename_monomial and
+push_profile each extend the injection with covering once per call, over
+every index the call touches, read the extension as a dict, and push counts
+and slot indices through it (_push_counts, _rename).  The reduction step
 calls the kernel itself: factorize_embedding renames through the witness's
 pairs with no extension, and apply_reducer extends once over the generator's
 kept index support, then adds N's y-exponents and P's letters.
@@ -37,7 +36,7 @@ kept index support, then adds N's y-exponents and P's letters.
 from dataclasses import dataclass
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import CanonicalMonomial, QPoly
+from .freealg import CanonicalMonomial
 
 RENAME_MODES = ("both", "y_only", "z_only")
 
@@ -170,12 +169,6 @@ class MonotoneInjection:
     def identity(cls) -> "MonotoneInjection":
         return cls(())
 
-    def __call__(self, i: int) -> int:
-        for s, t in self.pairs:
-            if s == i:
-                return t
-        raise KeyError(i)
-
     def covering(self, indices) -> "MonotoneInjection":
         """Extend to cover every index in `indices`.
 
@@ -198,10 +191,6 @@ class MonotoneInjection:
                 raise CannotExtendError(f"no room to extend injection at index {i}")
             assigned[i] = cand
         return MonotoneInjection(tuple(sorted(assigned.items())))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.pairs)
 
     def to_obj(self) -> list:
         return [[s, t] for s, t in self.pairs]
@@ -337,24 +326,6 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
     _check_mode(mode)
     image = dict(phi.covering(_monomial_need(m, mode)).pairs)
     return CanonicalMonomial._trusted(*_rename(m, image, mode))
-
-
-def apply_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
-    """Rename every monomial of f along phi; coefficients ride along.
-
-    The covering extension is computed once for the whole polynomial, so the
-    renaming acts as a single letter substitution.  Extending monomial by
-    monomial instead could merge terms (phi 1->2 sends both y1*y2 and y1*y3
-    to y2*y3 under separate extensions) and break strict order preservation.
-    Under one extension the renaming is injective, so no two terms merge.
-    """
-    _check_mode(mode)
-    need: set[int] = set()
-    for m in f.terms:
-        need.update(_monomial_need(m, mode))
-    image = dict(phi.covering(need).pairs)
-    return QPoly({CanonicalMonomial._trusted(*_rename(m, image, mode)): c
-                  for m, c in f.terms.items()})
 
 
 # --- antichains -------------------------------------------------------------

@@ -23,8 +23,11 @@ from .freealg import QPoly, Word, _bracket, _times, normalize
 # every word of the expansion is built in memory.  A power of a single word is
 # built in one step, so the letters and the coefficient bits (bounded by
 # k * bit_length) that such powers build are capped too, summed over the
-# expression.
+# expression.  Integer literals are capped at the 4,300 digits that int()
+# reads by default from Python 3.10.7 on (earlier versions read more), so
+# every Python refuses the same literals, with a ParseError.
 MAX_LETTER_INDEX = 10_000
+MAX_COEFF_DIGITS = 4_300
 MAX_NESTING = 100
 MAX_WORDS = 1_000_000
 MAX_POWER_LETTERS = 10_000_000
@@ -68,6 +71,9 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
             toks.append(Token("VAR", (ch, idx), i))
         elif group == "int":
+            if len(lexeme) > MAX_COEFF_DIGITS:
+                raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
+                                 (f"at most {MAX_COEFF_DIGITS} digits",))
             toks.append(Token("INT", int(lexeme), i))
         else:
             raise ParseError(f"unexpected character {lexeme!r}", i, ())

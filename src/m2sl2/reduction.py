@@ -30,7 +30,6 @@ from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
     CanonicalMonomial,
     QPoly,
-    Word,
     _exponent_vectors,
     _interleave,
     _trim,
@@ -142,20 +141,15 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     return ReducerTriple(phi, n_part, tuple(_interleave(first, second)))
 
 
-def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> Word:
-    """The literal word N . phi(m) . P, before any reduction."""
-    renamed = rename_monomial(m, triple.phi, "both")
-    return triple.n_part.word() + renamed.word() + tuple(("z", i) for i in triple.p_word)
-
-
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
-    This is apply_renaming(f, phi) followed by two additions per term, with
-    no word product and no intermediate monomial.  phi is extended once, over
-    f's index support, which f computes on its first lift and keeps, so the
-    renaming acts as one letter substitution.  Each renamed term then gains
-    N's y-exponents and P's letters, with sign +1.  P's letter at position k
+    Each term of f is renamed along phi, then gains N's y-exponents and P's
+    letters, with sign +1, no word product and no intermediate monomial.
+    phi is extended once, over f's index support, which f computes on its
+    first lift and keeps, so the renaming acts as one letter substitution;
+    extending term by term could merge terms (phi 1->2 sends both y1*y2 and
+    y1*y3 to y2*y3 under separate extensions).  P's letter at position k
     (from 0) lands at z-position L + k, where L is the renamed term's
     z-length; so P's even-position letters join the c-slots when L is even
     and the d-slots when L is odd, and its odd-position letters join the
@@ -180,19 +174,6 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
             cseq, dseq = cseq + p_odd, dseq + p_even
         out[CanonicalMonomial._trusted(yexp, tuple(sorted(cseq)), tuple(sorted(dseq)))] = c
     return QPoly(out)
-
-
-def lift_reducer(f: QPoly, target: CanonicalMonomial) -> QPoly:
-    """Lift f so its leading monomial becomes `target` exactly.
-
-    Requires lm(f) <=' target.  Renaming preserves the strict order between
-    monomials and the outer factors move every non-leading term strictly
-    below the lifted leading term, so lm of the result is the target and the
-    leading coefficient is lc(f).
-    """
-    ld = leading(f)
-    triple = factorize_embedding(ld.lm, target)
-    return apply_reducer(triple, f)
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:

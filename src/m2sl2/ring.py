@@ -142,42 +142,5 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def sorted_terms(self) -> list[tuple[Term, int]]:
-        """Terms in the canonical (graded-lex on (family, index)) order."""
-        return sorted(self.terms.items(), key=lambda tc: (sum(e for _, e in tc[0]), tc[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for term, coeff in self.sorted_terms():
-            factors = []
-            for (fam, idx), exp in term:
-                name = f"{fam[0]}{idx}"
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                piece = body
-            elif coeff == -1 and factors:
-                piece = "-" + body
-            elif factors:
-                piece = f"{coeff}*{body}"
-            else:
-                piece = str(coeff)
-            chunks.append(piece)
-        out = chunks[0]
-        for piece in chunks[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
-
-
-def alpha(i: int) -> MultiPoly:
-    return MultiPoly.var("alpha", i)
-
-
-def beta(i: int) -> MultiPoly:
-    return MultiPoly.var("beta", i)
-
-
-def gamma(i: int) -> MultiPoly:
-    return MultiPoly.var("gamma", i)
+    def __repr__(self):
+        return f"MultiPoly({self.terms!r})"

@@ -313,6 +313,8 @@ def test_parse_error_json(capsys):
     ("(" * 3000 + "y1" + ")" * 3000, 100),  # nesting cap, not RecursionError
     ("y100000000000", 1),                   # index cap, not MemoryError
     ("y\u00b2", 1),                         # isdigit() but not int(), not ValueError
+    pytest.param("1" * 5000, 0, id="literal-5000-digits"),        # not int()'s ValueError
+    pytest.param("y1^" + "1" * 5000, 3, id="exponent-5000-digits"),
 ])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_hostile_input_is_parse_error(expr, offset, as_json):

@@ -14,28 +14,25 @@ from m2sl2 import (
     LieBracket,
     LieVar,
     QPoly,
-    commutator,
     enumerate_basis,
     identity_generators,
-    lie_to_poly,
-    monomial_from_obj,
+    lie_to_words,
     monomial_to_obj,
     normalize,
-    poly_from_obj,
     reduce_word,
-    subst,
     subst_words,
-    word,
-    y,
-    z,
 )
 from m2sl2.cli import poly_obj
 from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
 from tests.util import (
+    monomial_from_obj,
     rand_lie,
     rand_monomial,
     rand_qpoly,
     recursive_exponent_vectors,
+    word,
+    y,
+    z,
 )
 
 
@@ -62,9 +59,8 @@ def test_monomial_props():
     m = mk((2, 0, 1), (1, 3), (2,))
     assert m.degree == 6
     assert m.grade == 1
-    assert not m.is_pure_y
     assert m.max_index == 3
-    assert ONE.degree == 0 and ONE.is_pure_y
+    assert ONE.degree == 0
     assert m.word() == (("y", 1), ("y", 1), ("y", 3), ("z", 1), ("z", 2), ("z", 3))
 
 
@@ -136,10 +132,10 @@ def test_q_mul_examples():
 def test_commutator_examples():
     y1, y2 = QPoly.letter(y(1)), QPoly.letter(y(2))
     z1 = QPoly.letter(z(1))
-    assert commutator(y1, y2).is_zero()
+    assert (y1 * y2 - y2 * y1).is_zero()
     f = rand_qpoly(random.Random(41))
-    assert commutator(f, f).is_zero()
-    assert commutator(y1, z1) == QPoly.monomial(mk((1,), (1,)), 2)
+    assert (f * f - f * f).is_zero()
+    assert y1 * z1 - z1 * y1 == QPoly.monomial(mk((1,), (1,)), 2)
 
 
 def test_qpoly_algebra_randomized():
@@ -172,9 +168,9 @@ def test_degree_and_max_index():
 # --- Lie expressions and substitution ---------------------------------------
 
 def test_lie_to_poly_examples():
-    assert lie_to_poly(LieVar(y(3))) == QPoly.letter(y(3))
-    assert lie_to_poly(LieBracket(LieVar(y(1)), LieVar(y(2)))).is_zero()
-    got = lie_to_poly(LieBracket(LieVar(z(1)), LieVar(z(2))))
+    assert normalize(lie_to_words(LieVar(y(3)))) == QPoly.letter(y(3))
+    assert normalize(lie_to_words(LieBracket(LieVar(y(1)), LieVar(y(2))))).is_zero()
+    got = normalize(lie_to_words(LieBracket(LieVar(z(1)), LieVar(z(2)))))
     want = QPoly.monomial(mk((), (1,), (2,))) - QPoly.monomial(mk((), (2,), (1,)))
     assert got == want
 
@@ -188,22 +184,22 @@ def test_lie_grades():
 
 def test_subst_examples():
     f = [(1, word(y(1), z(1)))]
-    assert subst(f, {}) == QPoly.monomial(mk((1,), (1,)))
+    assert normalize(subst_words(f, {})) == QPoly.monomial(mk((1,), (1,)))
 
     f = [(1, word(y(1), y(2))), (-1, word(y(2), y(1)))]
     sigma = {y(1): LieBracket(LieVar(z(1)), LieVar(z(2))), y(2): LieVar(y(3))}
-    assert subst(f, sigma).is_zero()
+    assert normalize(subst_words(f, sigma)).is_zero()
 
     f = [(1, word(z(1), z(2), z(3))), (-1, word(z(3), z(2), z(1)))]
     sigma = {z(2): LieBracket(LieVar(y(1)), LieVar(z(2)))}
-    assert subst(f, sigma).is_zero()
+    assert normalize(subst_words(f, sigma)).is_zero()
 
 
 def test_subst_grade_mismatch():
     with pytest.raises(GradeMismatchError):
-        subst([(1, word(z(1)))], {z(1): LieVar(y(1))})
+        subst_words([(1, word(z(1)))], {z(1): LieVar(y(1))})
     with pytest.raises(GradeMismatchError):
-        subst([(1, word(y(1)))], {y(1): LieBracket(LieVar(y(2)), LieVar(z(1)))})
+        subst_words([(1, word(y(1)))], {y(1): LieBracket(LieVar(y(2)), LieVar(z(1)))})
 
 
 def test_generators_die_under_any_graded_substitution():
@@ -216,7 +212,7 @@ def test_generators_die_under_any_graded_substitution():
             letter: rand_lie(rng, 0 if letter[0] == "y" else 1, rng.randint(0, 2))
             for letter in letters
         }
-        assert subst(g, sigma).is_zero()
+        assert normalize(subst_words(g, sigma)).is_zero()
         # the raw expanded image is a sum of honest free words
         for coeff, w in subst_words(g, sigma):
             assert isinstance(coeff, int)
@@ -224,8 +220,8 @@ def test_generators_die_under_any_graded_substitution():
 
 
 def _each_constructor(m):
-    """m rebuilt by the public constructor, make, monomial_from_obj, the
-    trusted constructor and reduce_word."""
+    """m rebuilt by the public constructor, make (also from its JSON record),
+    the trusted constructor and reduce_word."""
     yield CanonicalMonomial(m.yexp, m.cseq, m.dseq)
     yield CanonicalMonomial.make(list(m.yexp) + [0, 0], list(m.cseq), list(m.dseq))
     yield monomial_from_obj(monomial_to_obj(m))
@@ -291,7 +287,7 @@ def test_poly_obj_roundtrip_randomized():
         obj = poly_obj(f)
         for rec in obj:
             assert isinstance(rec["coeff"], str)  # coefficients travel as strings
-        assert poly_from_obj(obj) == f
+        assert QPoly({monomial_from_obj(rec["m"]): int(rec["coeff"]) for rec in obj}) == f
 
 
 # --- basis enumeration -------------------------------------------------------
@@ -319,6 +315,16 @@ def test_exponent_vectors_match_recursive_oracle():
         for total in range(7):
             assert list(_exponent_vectors(slots, total)) == list(
                 recursive_exponent_vectors(slots, total)), (slots, total)
+
+
+def test_trusted_basis_matches_validating_build():
+    # enumerate_basis builds without re-validation; each monomial must be
+    # what the validating constructor builds from the same tuples
+    for max_degree in range(7):
+        for max_index in range(1, 5):
+            basis = list(enumerate_basis(max_degree, max_index))
+            assert all(type(m.yexp) is type(m.cseq) is type(m.dseq) is tuple for m in basis)
+            assert basis == [CanonicalMonomial(m.yexp, m.cseq, m.dseq) for m in basis]
 
 
 def test_exponent_vectors_many_slots():

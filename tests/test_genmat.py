@@ -7,43 +7,42 @@ from m2sl2 import (
     CanonicalMonomial,
     QPoly,
     ResourceBoundError,
-    alpha,
-    beta,
     enumerate_basis,
     eval_word,
     evaluate,
-    gamma,
-    generic_y,
-    generic_z,
     independence_report,
     is_graded_weak_identity,
     normalize,
     reduce_word,
-    word,
-    y,
-    z,
 )
 from m2sl2.freealg import _basis_size
 from m2sl2.genmat import monomial_row
 from tests.util import (
+    alpha,
+    beta,
+    entries,
     expected_y_product,
     expected_z_product,
+    gamma,
     product_eval_word,
     product_evaluate,
     rand_qpoly,
     rand_word,
+    word,
+    y,
+    z,
 )
 
 
 def test_generic_matrices():
-    gy = generic_y(2)
+    gy = eval_word((("y", 2),))
     assert gy.e11 == alpha(2) and gy.e22 == -alpha(2)
     assert gy.e12 == 0 and gy.e21 == 0
     assert (gy.e11 + gy.e22).is_zero()  # traceless
-    gz = generic_z(1)
+    gz = eval_word((("z", 1),))
     assert gz.e12 == beta(1) and gz.e21 == gamma(1)
     assert gz.e11 == 0 and gz.e22 == 0
-    assert generic_z(1) != generic_z(2)
+    assert gz != eval_word((("z", 2),))
 
 
 def test_eval_pure_y_words():
@@ -178,7 +177,7 @@ def test_evaluate_drops_terms_that_cancel_between_words():
 def test_monomial_row_matches_product_oracle():
     for m in enumerate_basis(4, 2):
         want = {}
-        for pos, poly in enumerate(product_eval_word(m.word()).entries()):
+        for pos, poly in enumerate(entries(product_eval_word(m.word()))):
             for term, coeff in poly.terms.items():
                 want[(pos, term)] = coeff
         assert monomial_row(m) == want, m

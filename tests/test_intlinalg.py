@@ -30,6 +30,9 @@ def test_rank_and_membership():
     assert lat.rank == 2
     assert lat.contains({0: 2, 1: 3})
     assert not lat.contains({0: 1})  # odd first coordinate unreachable
+    neg = IntRowLattice()
+    neg.add({0: -2, 1: 1})
+    assert neg.pivots[0] == {0: 2, 1: -1}  # a new pivot row is stored with a positive pivot
 
 
 def test_gcd_pivot_combination():
@@ -88,15 +91,3 @@ def test_unimodularity_preserves_span():
         probe = {c: rng.randint(-6, 6) for c in range(4)}
         assert a.contains(dict(probe)) == b.contains(dict(probe))
 
-
-def test_hermite_rows():
-    lat = IntRowLattice()
-    lat.add({0: 1, 1: 5})
-    lat.add({1: 3})
-    rows = lat.hermite_rows()
-    assert rows == [{0: 1, 1: 2}, {1: 3}]
-    # pivots positive, entries above a pivot land in [0, pivot)
-    lat2 = IntRowLattice()
-    lat2.add({0: -2, 1: 1})
-    (r,) = lat2.hermite_rows()
-    assert r[0] > 0

@@ -4,13 +4,15 @@ import random
 import pytest
 
 from m2sl2 import (
+    ONE,
     CanonicalMonomial,
     CannotExtendError,
     InvalidProfileError,
     MonotoneInjection,
     Profile,
     QPoly,
-    apply_renaming,
+    ReducerTriple,
+    apply_reducer,
     chain_demo,
     cmp_total,
     enumerate_basis,
@@ -154,22 +156,15 @@ def test_injection_validation():
         MonotoneInjection(((1, 2), (2, 2)))  # target repeats
     with pytest.raises(ValueError):
         MonotoneInjection(((2, 1), (1, 3)))  # sources out of order
-
-
-def test_injection_call_and_support():
-    phi = MonotoneInjection.from_targets((2, 5))
-    assert phi(1) == 2 and phi(2) == 5
-    assert phi.support == (1, 2)
-    with pytest.raises(KeyError):
-        phi(3)
+    assert MonotoneInjection.from_targets((2, 5)).pairs == ((1, 2), (2, 5))
 
 
 def test_covering_prefers_identity_above():
     phi = MonotoneInjection.from_targets((3,))
-    ext = phi.covering((1, 2, 7))
-    assert ext(1) == 3
-    assert ext(2) == 4  # identity image 2 is blocked by the target 3
-    assert ext(7) == 7  # identity image available above the stored pairs
+    ext = dict(phi.covering((1, 2, 7)).pairs)
+    assert ext[1] == 3
+    assert ext[2] == 4  # identity image 2 is blocked by the target 3
+    assert ext[7] == 7  # identity image available above the stored pairs
 
 
 def test_covering_real_hole():
@@ -189,11 +184,11 @@ def test_seq_embed_examples():
 
 def test_pwo_examples():
     w = pwo_leq(mk((1,)), mk((0, 3)))
-    assert w is not None and w(1) == 2
+    assert w is not None and w.pairs == ((1, 2),)
     assert pwo_leq(mk((1,)), mk((), (1,))) is None
     w = pwo_leq(mk((), (1,), (2,)), mk((), (1, 2), (1, 2)))
     assert w is not None
-    assert [w(i) for i in (1, 2)] == [1, 2]
+    assert w.pairs == ((1, 1), (2, 2))
 
 
 def test_pwo_zero_tail():
@@ -290,12 +285,12 @@ def test_pwo_leq_warm_caches_match_oracles():
 
 # --- renaming ----------------------------------------------------------------
 
-def test_apply_renaming_examples():
+def test_renaming_examples():
     phi = MonotoneInjection(((1, 2), (2, 5)))
-    f = QPoly.monomial(mk((1,), (2,)))
-    assert apply_renaming(f, phi, "both") == QPoly.monomial(mk((0, 1), (5,)))
-    assert apply_renaming(f, phi, "y_only") == QPoly.monomial(mk((0, 1), (2,)))
-    assert apply_renaming(f, phi, "z_only") == QPoly.monomial(mk((1,), (5,)))
+    m = mk((1,), (2,))
+    assert rename_monomial(m, phi, "both") == mk((0, 1), (5,))
+    assert rename_monomial(m, phi, "y_only") == mk((0, 1), (2,))
+    assert rename_monomial(m, phi, "z_only") == mk((1,), (5,))
 
 
 def test_renaming_rejects_unknown_mode():
@@ -329,9 +324,16 @@ def _renamed_indices(m, mode):
     return {i for fam, i in m.word() if fam in fams}
 
 
+def renamed_whole(f, phi):
+    """f renamed along phi with one extension for all its terms: apply_reducer
+    with N = 1 and an empty P (mode "both")."""
+    return apply_reducer(ReducerTriple(phi, ONE, ()), f)
+
+
 def test_rename_kernel_matches_word_oracle():
-    """rename_monomial, apply_renaming and push_profile against the renaming
-    done letter by letter on words, on every monomial of a small basis."""
+    """rename_monomial and push_profile, in every mode, and the whole-polynomial
+    renaming inside apply_reducer, against the renaming done letter by letter
+    on words, on every monomial of a small basis."""
     basis = list(enumerate_basis(3, 3))
     # distinct coefficients, so a merged or dropped term shows
     whole = QPoly({m: k for k, m in enumerate(basis, start=1)})
@@ -342,28 +344,30 @@ def test_rename_kernel_matches_word_oracle():
                 assert QPoly.monomial(got) == word_renaming(QPoly.monomial(m), phi, mode), (m, phi, mode)
                 assert CanonicalMonomial(got.yexp, got.cseq, got.dseq) == got
                 assert push_profile(xi(m), phi, mode) == xi(got), (m, phi, mode)
-            assert apply_renaming(whole, phi, mode) == word_renaming(whole, phi, mode)
-            for a, b in zip(basis, basis[7:] + basis[:7]):
-                f = QPoly({a: 2, b: -3})
-                assert apply_renaming(f, phi, mode) == word_renaming(f, phi, mode), (f, phi, mode)
+            if mode == "both":
+                assert renamed_whole(whole, phi) == word_renaming(whole, phi, mode)
+                for a, b in zip(basis, basis[7:] + basis[:7]):
+                    f = QPoly({a: 2, b: -3})
+                    assert renamed_whole(f, phi) == word_renaming(f, phi, mode), (f, phi)
         refused = 0
         for m in basis:
             if 2 not in _renamed_indices(m, mode):
                 want = word_renaming(QPoly.monomial(m), NO_ROOM, mode)
                 assert QPoly.monomial(rename_monomial(m, NO_ROOM, mode)) == want
-                assert apply_renaming(QPoly.monomial(m), NO_ROOM, mode) == want
+                if mode == "both":
+                    assert renamed_whole(QPoly.monomial(m), NO_ROOM) == want
                 assert push_profile(xi(m), NO_ROOM, mode) == xi(rename_monomial(m, NO_ROOM, mode))
                 continue
             refused += 1
             for call in (lambda: rename_monomial(m, NO_ROOM, mode),
-                         lambda: apply_renaming(QPoly.monomial(m), NO_ROOM, mode),
+                         lambda: renamed_whole(QPoly.monomial(m), NO_ROOM),
                          lambda: push_profile(xi(m), NO_ROOM, mode),
                          lambda: word_renaming(QPoly.monomial(m), NO_ROOM, mode)):
                 with pytest.raises(CannotExtendError):
                     call()
         assert refused > 0
         with pytest.raises(CannotExtendError):
-            apply_renaming(whole, NO_ROOM, mode)
+            renamed_whole(whole, NO_ROOM)
 
 
 def test_comp_suite_small():

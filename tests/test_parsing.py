@@ -11,18 +11,16 @@ from m2sl2 import (
     ParseError,
     QPoly,
     ResourceBoundError,
+    is_graded_weak_identity,
     lie_to_words,
     normalize,
     parse_poly,
     parse_words,
-    word,
-    y,
-    z,
 )
 from m2sl2.cli import format_qpoly
 import m2sl2.parsing
 from m2sl2.parsing import MAX_WORDS, parse, tokenize, word_count
-from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly
+from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly, word, y, z
 
 
 def rand_expr(rng: random.Random, depth: int) -> str:
@@ -107,6 +105,11 @@ def test_parse_words_raw():
         ("y\u00b2", 1, "digits"),
         ("\u00b2", 0, None),
         ("y1^\u00b2", 3, None),
+        # int() refuses more than 4,300 digits from Python 3.10.7 on; the cap
+        # is the same on every Python, and leading zeros count
+        pytest.param("1" * 5000, 0, "at most 4300 digits", id="literal-5000-digits"),
+        pytest.param("0" * 4300 + "1", 0, "at most 4300 digits", id="literal-4301-digits"),
+        pytest.param("y1^" + "1" * 5000, 3, "at most 4300 digits", id="exponent-5000-digits"),
     ],
 )
 def test_parse_errors(text, offset, expected_any):
@@ -121,6 +124,9 @@ def test_parse_errors(text, offset, expected_any):
 def test_caps_admit_their_limits():
     assert parse_poly("y10000") == QPoly.monomial(mk((0,) * 9999 + (1,)))
     assert parse_poly("(" * 100 + "y1" + ")" * 100) == parse_poly("y1")
+    assert parse_poly("9" * 4300) == QPoly.one() * int("9" * 4300)
+    assert parse_poly("0" * 4299 + "7") == QPoly.one() * 7
+    assert parse_poly("0^" + "9" * 4300).is_zero()
 
 
 @pytest.mark.parametrize("text", [
@@ -160,6 +166,20 @@ def test_parse_poly_matches_raw_expansion_randomized():
     for text in ("((y1+z1)^2)^3", "((z1+z2)^2*(y1-z1))^2", "[(y1+z1)^2, z2]^2",
                  "(y1 - y1 + z1)^3", "(2*y1 + 0*z1)^4", "(z1*z2 - z2*z1 + 3)^3"):
         assert parse_poly(text) == normalize(parse_words(text)), text
+
+
+def test_basis_theorem_on_random_expressions():
+    # the finite basis of graded identities, seen on a finite window: the
+    # generic-matrix oracle, on the raw words, finds an identity exactly when
+    # the rewriting normalizes the expression to 0
+    rng = random.Random(11)
+    zeros = 0
+    for _ in range(1000):
+        text = rand_expr(rng, 4)
+        zero = parse_poly(text).is_zero()
+        assert is_graded_weak_identity(parse_words(text)) == zero, text
+        zeros += zero
+    assert 100 <= zeros <= 900, zeros
 
 
 def test_parse_poly_folds_product_operands(monkeypatch):

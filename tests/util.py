@@ -22,12 +22,11 @@ from m2sl2 import (
     Profile,
     QPoly,
     ResourceBoundError,
-    alpha,
-    beta,
+    apply_reducer,
     bezout,
     cmp_total,
     factorize_embedding,
-    gamma,
+    leading,
     monomial_to_obj,
     normalize,
     pwo_leq,
@@ -39,6 +38,41 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
+
+
+# --- letters, ring variables and JSON records ---------------------------------
+
+def y(i: int) -> tuple:
+    return ("y", i)
+
+
+def z(i: int) -> tuple:
+    return ("z", i)
+
+
+def word(*letters) -> tuple:
+    return tuple(letters)
+
+
+def alpha(i: int) -> MultiPoly:
+    return MultiPoly.var("alpha", i)
+
+
+def beta(i: int) -> MultiPoly:
+    return MultiPoly.var("beta", i)
+
+
+def gamma(i: int) -> MultiPoly:
+    return MultiPoly.var("gamma", i)
+
+
+def entries(g: GMatrix2) -> tuple:
+    return (g.e11, g.e12, g.e21, g.e22)
+
+
+def monomial_from_obj(obj: dict) -> CanonicalMonomial:
+    """Read back a {"y", "c", "d"} record that monomial_to_obj wrote."""
+    return CanonicalMonomial.make(obj["y"], obj["c"], obj["d"])
 
 
 def expected_y_product(indices) -> GMatrix2:
@@ -95,7 +129,7 @@ def product_evaluate(weighted_words) -> GMatrix2:
     """The sum of coeff * product_eval_word(word) over (coeff, word) pairs."""
     acc = [MultiPoly.zero()] * 4
     for c, w in weighted_words:
-        acc = [x + y * c for x, y in zip(acc, product_eval_word(w).entries())]
+        acc = [x + e * c for x, e in zip(acc, entries(product_eval_word(w)))]
     return GMatrix2(*acc)
 
 
@@ -455,10 +489,26 @@ def check_mult4(rng, count):
         done += 1
 
 
+def reducer_word(triple: ReducerTriple, m: CanonicalMonomial) -> tuple:
+    """The literal word N . phi(m) . P, before any reduction."""
+    renamed = rename_monomial(m, triple.phi, "both")
+    return triple.n_part.word() + renamed.word() + tuple(("z", i) for i in triple.p_word)
+
+
+def lift_reducer(f: QPoly, target: CanonicalMonomial) -> QPoly:
+    """Lift f so its leading monomial becomes `target` exactly, through the
+    package's factorize_embedding and apply_reducer.
+
+    Requires lm(f) <=' target.  Renaming preserves the strict order between
+    monomials and the outer factors move every non-leading term strictly
+    below the lifted leading term, so lm of the result is the target and the
+    leading coefficient is lc(f).
+    """
+    return apply_reducer(factorize_embedding(leading(f).lm, target), f)
+
+
 def check_mult5(rng, count):
     """factorize_embedding reconstructs the target with sign +1."""
-    from m2sl2.reduction import factorize_embedding, reducer_word
-
     for _ in range(count):
         m = rand_monomial(rng, max_degree=6, max_index=4)
         target = inflate(rng, m)
@@ -469,8 +519,6 @@ def check_mult5(rng, count):
 
 def check_mult6(rng, count):
     """lift_reducer hits the target leading monomial with the old coefficient."""
-    from m2sl2 import leading, lift_reducer
-
     for _ in range(count):
         f = rand_qpoly(rng, max_terms=4, max_degree=5, max_index=4)
         if f.is_zero():
@@ -485,17 +533,18 @@ def check_mult6(rng, count):
 # --- reference reduction loop ------------------------------------------------
 
 def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
-    """apply_renaming done on words: phi is extended once over the indices of
+    """A polynomial renamed on words: phi is extended once over the indices of
     the renamed letter families in all of f's words, each letter index of
     each word is mapped through that extension, and the renamed word goes
     back through reduce_word, whose sign must be +1 (y letters still stand
-    before z letters)."""
+    before z letters).  In mode "both" this is apply_reducer with N = 1 and
+    an empty P."""
     fams = {"both": "yz", "y_only": "y", "z_only": "z"}[mode]
     words = {m: m.word() for m in f.terms}
-    phi = phi.covering({i for w in words.values() for fam, i in w if fam in fams})
+    image = dict(phi.covering({i for w in words.values() for fam, i in w if fam in fams}).pairs)
     acc: dict = {}
     for m, c in f.terms.items():
-        sign, r = reduce_word(tuple((fam, phi(i) if fam in fams else i)
+        sign, r = reduce_word(tuple((fam, image[i] if fam in fams else i)
                                     for fam, i in words[m]))
         assert sign == 1, (m, phi, mode)
         acc[r] = acc.get(r, 0) + c
@@ -506,7 +555,7 @@ def product_apply_reducer(triple, f: QPoly) -> QPoly:
     """The lift N . phi(f) . P as two products of whole words: N times the
     word-renamed f, then times the word P, each product canonicalized through
     reduce_word.  The package's apply_reducer computes the same polynomial in
-    closed form, term by term, through apply_renaming."""
+    closed form, term by term."""
     out = QPoly.monomial(triple.n_part) * word_renaming(f, triple.phi)
     if triple.p_word:
         out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
