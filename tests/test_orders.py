@@ -156,7 +156,14 @@ def test_injection_validation():
         MonotoneInjection(((1, 2), (2, 2)))  # target repeats
     with pytest.raises(ValueError):
         MonotoneInjection(((2, 1), (1, 3)))  # sources out of order
-    assert MonotoneInjection.from_targets((2, 5)).pairs == ((1, 2), (2, 5))
+
+
+def test_injection_call_and_support():
+    phi = MonotoneInjection.from_targets((2, 5))
+    images = dict(phi.pairs)
+    assert images[1] == 2 and images[2] == 5
+    assert tuple(images) == (1, 2)
+    assert 3 not in images
 
 
 def test_covering_prefers_identity_above():
