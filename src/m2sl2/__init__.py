@@ -46,7 +46,7 @@ from .orders import (
     xi,
     xi_inv,
 )
-from .parsing import parse, parse_poly, parse_words
+from .parsing import parse, parse_poly
 from .reduction import (
     ChainReport,
     LeadingData,

@@ -242,10 +242,6 @@ class QPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "QPoly":
-        return cls({ONE: 1})
-
-    @classmethod
     def monomial(cls, m: CanonicalMonomial, coeff: int = 1) -> "QPoly":
         return cls({m: coeff})
 

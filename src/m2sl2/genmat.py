@@ -14,10 +14,13 @@ tolerance anywhere.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
+from .freealg import (MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, _times,
+                      enumerate_basis)
 from .intlinalg import IntRowLattice
-from .ring import MultiPoly, Term
+from .parsing import _power, _raw, word_count
+from .ring import MultiPoly, Term, _mul_terms
 
 _ZERO = MultiPoly.zero()
 
@@ -139,6 +142,21 @@ def evaluate(f) -> GMatrix2:
         pairs = ((c, m.word()) for m, c in f.terms.items())
     else:
         pairs = f
+    return GMatrix2(*(MultiPoly(entry) for entry in _words_matrix(pairs)))
+
+
+# --- the parse tree in the generic-matrix ring --------------------------------
+# A matrix is a tuple of four Term -> int dicts (e11, e12, e21, e22) with no
+# zero coefficient; an empty dict is a zero block, which products skip.
+
+# (product entry, left entry, right entry) for the eight block products
+_PRODUCT_BLOCKS = ((0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 3),
+                   (2, 2, 0), (2, 3, 2), (3, 2, 1), (3, 3, 3))
+
+
+def _words_matrix(pairs) -> tuple[dict, ...]:
+    """The generic evaluation of (coeff, word) pairs: each word adds its two
+    signed terms straight into the four entries."""
     acc: tuple[dict, ...] = ({}, {}, {}, {})
     for coeff, w in pairs:
         if not coeff:
@@ -150,7 +168,108 @@ def evaluate(f) -> GMatrix2:
                 entry[term] = n
             else:
                 del entry[term]
-    return GMatrix2(*(MultiPoly(entry) for entry in acc))
+    return acc
+
+
+def _add_into(acc: tuple[dict, ...], m: tuple[dict, ...], sign: int) -> None:
+    for entry, other in zip(acc, m):
+        for t, c in other.items():
+            n = entry.get(t, 0) + sign * c
+            if n:
+                entry[t] = n
+            else:
+                del entry[t]
+
+
+def _mat_mul(a: tuple[dict, ...], b: tuple[dict, ...]) -> tuple[dict, ...]:
+    out: tuple[dict, ...] = ({}, {}, {}, {})
+    for o, i, j in _PRODUCT_BLOCKS:
+        x, y = a[i], b[j]
+        if not (x and y):
+            continue
+        entry = out[o]
+        for s, cs in x.items():
+            for t, ct in y.items():
+                key = _mul_terms(s, t)
+                n = entry.get(key, 0) + cs * ct
+                if n:
+                    entry[key] = n
+                else:
+                    del entry[key]
+    return out
+
+
+def _mat_pow(m: tuple[dict, ...], k: int) -> tuple[dict, ...]:
+    """m^k for k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else _mat_mul(out, m)
+        k >>= 1
+        if not k:
+            return out
+        m = _mat_mul(m, m)
+
+
+def _as_matrix(v) -> tuple[dict, ...]:
+    """A value of the tree walk, word list or matrix, as a matrix."""
+    return _words_matrix(v) if isinstance(v, list) else v
+
+
+def evaluate_tree(node) -> GMatrix2:
+    """The generic evaluation of a parse tree (parsing.parse), node by node.
+
+    Equal to evaluate(parsing.to_words(node)), with the same errors: the word
+    cap is checked first, by parsing.word_count.  A node whose raw expansion
+    has at most one word is kept as that word list, built by the parser's own
+    word product and power, so every power of a single word charges the
+    power caps as to_words does, in the same order and from one budget for
+    the whole expression.  Every other node is a matrix: sums add, products
+    multiply, a power squares and a bracket is AB - BA, so the cost follows
+    the tree, not its raw expansion.  No canonical reduction is involved.
+    """
+    word_count(node)
+    spent = [0, 0]  # letters and coefficient bits built by one-word powers
+
+    def walk(node):
+        kind = node[0]
+        if kind == "int":
+            return [(node[1], ())] if node[1] else []
+        if kind == "var":
+            return [(1, (node[1],))]
+        if kind == "pow":
+            base, k = walk(node[1]), node[2]
+            if isinstance(base, list):
+                return _power(base, k, _raw, spent)
+            return _mat_pow(base, k) if k else [(1, ())]
+        if kind == "add":
+            parts = [(sign, walk(sub)) for sign, sub in node[1]]
+            words = [(sign * c, w) for sign, v in parts if isinstance(v, list) for c, w in v]
+            mats = [(sign, v) for sign, v in parts if not isinstance(v, list)]
+            if not mats and len(words) <= 1:
+                return words
+            acc = _words_matrix(words)
+            for sign, m in mats:
+                _add_into(acc, m, sign)
+            return acc
+        if kind == "mul":
+            vals = [walk(sub) for sub in node[1]]
+            if [] in vals:  # no raw words: stays a word list, as in to_words
+                return []
+            if all(isinstance(v, list) for v in vals):
+                return reduce(_times, vals, [(1, ())])
+            return reduce(_mat_mul, map(_as_matrix, vals))
+        if kind == "br":
+            a, b = walk(node[1]), walk(node[2])
+            if a == [] or b == []:  # no raw words: stays a word list
+                return []
+            a, b = _as_matrix(a), _as_matrix(b)
+            out = _mat_mul(a, b)
+            _add_into(out, _mat_mul(b, a), -1)
+            return out
+        raise ValueError(f"unknown node kind {kind!r}")
+
+    return GMatrix2(*(MultiPoly(entry) for entry in _as_matrix(walk(node))))
 
 
 def is_graded_weak_identity(f) -> bool:

@@ -160,15 +160,6 @@ class MonotoneInjection:
                 raise ValueError("pairs must strictly increase in source and target")
             last_s, last_t = s, t
 
-    @classmethod
-    def from_targets(cls, targets) -> "MonotoneInjection":
-        """Map 1..n onto the given strictly increasing targets."""
-        return cls(tuple((i, t) for i, t in enumerate(targets, start=1)))
-
-    @classmethod
-    def identity(cls) -> "MonotoneInjection":
-        return cls(())
-
     def covering(self, indices) -> "MonotoneInjection":
         """Extend to cover every index in `indices`.
 

@@ -199,7 +199,8 @@ def _power(base: list[tuple[int, Word]], k: int, fold, spent: list[int]) -> list
         if spent[1] > MAX_POWER_BITS:
             raise ResourceBoundError(
                 f"powers of single words build coefficients of more than {MAX_POWER_BITS} bits")
-        return [(c ** k, w * k)]
+        # the empty word stays empty: w * k cannot repeat it past sys.maxsize times
+        return [(c ** k, w * k if w else w)]
     out = base
     for _ in range(k - 1):
         out = _times(fold(out), base)

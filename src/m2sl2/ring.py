@@ -8,21 +8,11 @@ comparing dicts decides equality without any normalization pass.
 Coefficients are plain Python ints: no precision ceiling, no floats anywhere.
 """
 
-FAMILIES = ("alpha", "beta", "gamma")
-
 # ((family, index), exponent), sorted by (family, index), exponents >= 1
 Var = tuple[str, int]
 Term = tuple[tuple[Var, int], ...]
 
 _ONE_TERM: Term = ()
-
-
-def _check_var(family: str, index: int) -> Var:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown variable family {family!r}")
-    if index < 1:
-        raise ValueError(f"variable index must be >= 1, got {index}")
-    return (family, index)
 
 
 def _mul_terms(s: Term, t: Term) -> Term:
@@ -68,15 +58,6 @@ class MultiPoly:
     @classmethod
     def const(cls, n: int) -> "MultiPoly":
         return cls({_ONE_TERM: n}) if n else cls()
-
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls.const(1)
-
-    @classmethod
-    def var(cls, family: str, index: int) -> "MultiPoly":
-        v = _check_var(family, index)
-        return cls({((v, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms

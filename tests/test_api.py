@@ -20,7 +20,7 @@ EXPORTS = [
     "factorize_embedding", "freealg", "genmat", "identity_generators", "independence_report",
     "intlinalg", "is_graded_weak_identity", "leading", "lie_to_words", "membership_bounded",
     "minimal_elements", "monomial_to_obj", "normalize", "orders", "parse", "parse_poly",
-    "parse_words", "parsing", "push_profile", "pwo_leq", "reduce_by", "reduce_word",
+    "parsing", "push_profile", "pwo_leq", "reduce_by", "reduce_word",
     "reduction", "rename_monomial", "ring", "subst_words", "total_key", "xi", "xi_inv",
 ]
 

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import m2sl2
-from m2sl2 import CanonicalMonomial, QPoly, parse_poly
+from m2sl2 import ONE, CanonicalMonomial, QPoly, parse_poly
+import m2sl2.cli
 from m2sl2.cli import format_monomial, format_qpoly, main
+from tests.util import raw_evaluate_tree
 
 
 def mk(yexp=(), cseq=(), dseq=()):
@@ -34,7 +36,7 @@ def test_format_qpoly_leading_term_first():
     f = QPoly.monomial(mk((1,)), 3) + QPoly.monomial(mk((1, 1)), -1)
     assert format_qpoly(f) == "- y1*y2 + 3*y1"
     assert format_qpoly(QPoly.zero()) == "0"
-    assert format_qpoly(QPoly.one()) == "+ 1"
+    assert format_qpoly(QPoly.monomial(ONE)) == "+ 1"
 
 
 # --- subcommands -------------------------------------------------------------
@@ -378,6 +380,91 @@ def test_huge_powers_of_single_words(capsys):
     assert rc == 1 and json.loads(err)["error"] == "ResourceBoundError"
     rc, _, err = run(capsys, "is-identity", "3^100000000000000")
     assert rc == 1 and err.startswith("error: powers of single words build coefficients")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_empty_word_powers_past_maxsize(capsys, as_json):
+    # the empty word's power is built without repeating it k times
+    huge = "99999999999999999999"
+    flag = ("--json",) if as_json else ()
+    rc, out, _ = run(capsys, "normalize", f"1^{huge}", *flag)
+    assert rc == 0
+    assert (json.loads(out) == [{"coeff": "1", "m": {"y": [], "c": [], "d": []}}]
+            if as_json else out == "+ 1\n")
+    rc, out, _ = run(capsys, "is-identity", f"(-1)^{huge}*y1", *flag)
+    assert rc == 0
+    assert json.loads(out) == {"identity": False} if as_json else out == "false\n"
+    rc, _, err = run(capsys, "is-identity", f"y1^{huge}", *flag)
+    message = json.loads(err)["message"] if as_json else err
+    assert rc == 1 and "powers of single words build more than 10000000 letters" in message
+
+
+def test_is_identity_tree_matches_raw_words_on_caps(capsys, monkeypatch):
+    cases = ["1^100000000000000", "0^100000000000000", "(-1)^100000000000001 + 1",
+             "y1^100000000000000", "3^100000000000000", "[" * 50 + "y1" + ",z2]" * 50,
+             "(y1+z1+z2)^13", "y1^99999999999999999999", "(-1)^99999999999999999999*y1",
+             "0*y1^10000001", "(0*(y1+z1) + y1)^10000001", "[0, y1^10000001]",
+             "y1^3*(y1+z1)*y1^9999998", "(y1+z1)^2*2^2000001"]
+
+    def outputs():
+        return [run(capsys, "is-identity", expr, *flag)
+                for expr in cases for flag in ((), ("--json",))]
+
+    tree = outputs()
+    monkeypatch.setattr(m2sl2.cli, "evaluate_tree", raw_evaluate_tree)
+    assert outputs() == tree
+    assert sum(rc == 1 for rc, _, _ in tree) == 20
+
+
+def test_is_identity_power_of_sum_within_budget(capsys):
+    # 531,441 raw words; evaluated on the tree it takes milliseconds
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "is-identity", "(y1+z1+z2)^12")
+    assert rc == 0 and out == "false\n"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    # one parser serves every call; no call, good or bad, changes what the
+    # next one prints
+    gens = tmp_path / "gens.txt"
+    gens.write_text("2*y1\n")
+    stream = tmp_path / "stream.txt"
+    stream.write_text("y1^2\nz1*z2\ny1\n")
+    calls = [
+        ["chain-demo", "--degree", "2"],
+        ["normalize", "(y1+z1)^2"],
+        ["is-identity", "[y1,y2]", "--json"],
+        ["compare", "y1^2", "y1*y2"],
+        ["embed", "y1", "y2^3"],
+        ["factor", "z1", "z1*z2", "--json"],
+        ["reduce", "3*y1", str(gens), "--json"],
+        ["chain-demo", str(stream)],
+        ["chain-demo", "--degree", "3", "--indices", "2", "--order", "total", "--json"],
+        ["independence", "--degree", "3"],
+        ["pwos-min", str(stream)],
+        ["normalize", "--help"],
+    ]
+
+    def call(argv):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        cap = capsys.readouterr()
+        return rc, cap.out, cap.err
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(m2sl2.cli, "build_parser", refuse)
+    first = [call(argv) for argv in calls]
+    assert [rc for rc, _, _ in first] == [0] * (len(calls) - 1) + [("exit", 0)]
+    usage = call(["compare", "y1"])
+    assert usage[0] == ("exit", 2) and usage[2].startswith("usage: m2sl2 compare")
+    again = [call(argv) for argv in reversed(calls)]
+    assert again == first[::-1]
+    assert call(["compare", "y1"]) == usage
 
 
 def test_missing_file_is_domain_error(capsys):

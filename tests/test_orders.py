@@ -32,6 +32,7 @@ from tests.util import (
     check_comp,
     check_mult4,
     greedy_witness,
+    injection_onto,
     monomial_indices,
     oracle_cmp_total,
     rand_injection,
@@ -159,7 +160,7 @@ def test_injection_validation():
 
 
 def test_injection_call_and_support():
-    phi = MonotoneInjection.from_targets((2, 5))
+    phi = injection_onto((2, 5))
     images = dict(phi.pairs)
     assert images[1] == 2 and images[2] == 5
     assert tuple(images) == (1, 2)
@@ -167,7 +168,7 @@ def test_injection_call_and_support():
 
 
 def test_covering_prefers_identity_above():
-    phi = MonotoneInjection.from_targets((3,))
+    phi = injection_onto((3,))
     ext = dict(phi.covering((1, 2, 7)).pairs)
     assert ext[1] == 3
     assert ext[2] == 4  # identity image 2 is blocked by the target 3
@@ -302,7 +303,7 @@ def test_renaming_examples():
 
 def test_renaming_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        rename_monomial(mk((1,)), MonotoneInjection.identity(), "z")
+        rename_monomial(mk((1,)), MonotoneInjection(), "z")
 
 
 def test_rename_profile_agreement_partial_injection():
@@ -316,10 +317,10 @@ def test_rename_profile_agreement_partial_injection():
 
 # fixed injections, two with holes the covering extension has to fill
 RENAME_INJECTIONS = (
-    MonotoneInjection.identity(),
+    MonotoneInjection(),
     MonotoneInjection(((2, 5),)),
     MonotoneInjection(((1, 3), (4, 9))),
-    MonotoneInjection.from_targets((2, 3, 7)),
+    injection_onto((2, 3, 7)),
     MonotoneInjection(((3, 3),)),
 )
 # index 2 must land strictly between 1 and 2: no room

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from m2sl2 import (
+    ONE,
     CanonicalMonomial,
     LieBracket,
     LieVar,
@@ -15,12 +16,12 @@ from m2sl2 import (
     lie_to_words,
     normalize,
     parse_poly,
-    parse_words,
 )
 from m2sl2.cli import format_qpoly
 import m2sl2.parsing
-from m2sl2.parsing import MAX_WORDS, parse, tokenize, word_count
-from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly, word, y, z
+from m2sl2.genmat import evaluate_tree
+from m2sl2.parsing import MAX_WORDS, parse, parse_words, tokenize, word_count
+from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly, raw_evaluate_tree, word, y, z
 
 
 def rand_expr(rng: random.Random, depth: int) -> str:
@@ -52,15 +53,15 @@ def test_words_and_atoms():
     assert parse_poly("z12") == QPoly.letter(z(12))
     assert parse_poly("\u0663*z\u0661\u0662") == parse_poly("3*z12")  # Arabic-Indic digits
     assert parse_poly("0").is_zero()
-    assert parse_poly("-3") == QPoly.one() * -3
+    assert parse_poly("-3") == QPoly.monomial(ONE) * -3
     assert parse_poly("y1*y2 - y2*y1").is_zero()
 
 
 def test_powers_and_parens():
     assert parse_poly("y1^3") == QPoly.monomial(mk((3,)))
     assert parse_poly("(y1 + y2)^2") == parse_poly("y1^2 + 2*y1*y2 + y2^2")
-    assert parse_poly("y1^0") == QPoly.one()
-    assert parse_poly("2^3") == QPoly.one() * 8
+    assert parse_poly("y1^0") == QPoly.monomial(ONE)
+    assert parse_poly("2^3") == QPoly.monomial(ONE) * 8
 
 
 def test_commutators():
@@ -124,8 +125,8 @@ def test_parse_errors(text, offset, expected_any):
 def test_caps_admit_their_limits():
     assert parse_poly("y10000") == QPoly.monomial(mk((0,) * 9999 + (1,)))
     assert parse_poly("(" * 100 + "y1" + ")" * 100) == parse_poly("y1")
-    assert parse_poly("9" * 4300) == QPoly.one() * int("9" * 4300)
-    assert parse_poly("0" * 4299 + "7") == QPoly.one() * 7
+    assert parse_poly("9" * 4300) == QPoly.monomial(ONE) * int("9" * 4300)
+    assert parse_poly("0" * 4299 + "7") == QPoly.monomial(ONE) * 7
     assert parse_poly("0^" + "9" * 4300).is_zero()
 
 
@@ -182,6 +183,49 @@ def test_basis_theorem_on_random_expressions():
     assert 100 <= zeros <= 900, zeros
 
 
+def _outcome(evaluate_fn, text):
+    """The evaluation, or the ResourceBoundError message."""
+    try:
+        return evaluate_fn(parse(text))
+    except ResourceBoundError as exc:
+        return str(exc)
+
+
+# where a node's expansion crosses between at most one word and more
+TREE_EDGE_CASES = (
+    "0*(y1+z1)", "(y1+z1)*0*y1", "[0, y1+z1]", "[y1+z1, 0]^2", "(0*(y1+z1) + y1)^3",
+    "(y1+z1)^0", "((y1+z1)*0)^0", "y1*y2*(y1+z1)*z1*z2*(z1-y2)*y3", "[y1, z1]",
+    "[(y1+z1)^2, y2*z1]", "-2*[y1*z1, z2]^2", "(y1 - y1)^3 + 4", "(2*z1 + 3)^5",
+)
+
+
+def test_tree_evaluation_matches_raw_words():
+    # is-identity evaluates the parse tree; the raw words' evaluation is the
+    # oracle, entry by entry
+    rng = random.Random(23)
+    for _ in range(1200):
+        text = rand_expr(rng, 4)
+        assert _outcome(evaluate_tree, text) == _outcome(raw_evaluate_tree, text), text
+    for text in TREE_EDGE_CASES:
+        assert evaluate_tree(parse(text)) == raw_evaluate_tree(parse(text)), text
+
+
+def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
+    errors = 0
+    for text in ("0*y1^101", "[0, y1^101]", "[y1^101, 0]", "(0*(y1+z1) + y1)^101",
+                 "((y1+z1)*0)^0 * y1^101", "(y1^101 + z1)^0", "y1^60*(y1+z1)*y1^41",
+                 "(y1+z1)^2 * y1^100", "(y1^10)^9 + (y1+z1)^3", "(y1^10 + z1)^9",
+                 "2^50 * (y1+z1) * 2^51", "(2*y1^5 + z1)^3 * (3*y1)^30", "[2^60, y1+z1^40]",
+                 "(3*y1^2)^60", "([0, y1+z1] + y1)^101", "([y1, 0] - y1)^101",
+                 "(y1+z1)^" + "9" * 30, "1^" + "9" * 30 + " * y1^100"):
+        want = _outcome(raw_evaluate_tree, text)
+        assert _outcome(evaluate_tree, text) == want, text
+        errors += isinstance(want, str)
+    assert errors == 13, errors
+
+
 def test_parse_poly_folds_product_operands(monkeypatch):
     # (y1+z1+z2)^12 has 531,441 raw words but 140 canonical terms; with every
     # operand folded, no list handed to normalize holds a thousand words
@@ -216,7 +260,8 @@ def test_powers_of_single_words():
     assert parse_poly("(y1 - y1)^5").is_zero()
     assert parse_words("0^5") == [] and parse_words("0^0") == [(1, ())]
     assert parse_words("(-1)^100000000000001") == [(-1, ())]
-    assert parse_poly("1^100000000000000") == QPoly.one()
+    assert parse_poly("1^100000000000000") == QPoly.monomial(ONE)
+    assert parse_words("1^99999999999999999999") == [(1, ())]  # past sys.maxsize
     assert parse_poly("(y1 + y1)^3") == QPoly.monomial(mk((3,)), 8)
 
 
@@ -238,7 +283,7 @@ def test_power_caps(monkeypatch):
     for text in ("y1^50 * y1^51", "(y1^10)^10", "y1^40 + z1^40 + y2^40"):
         with pytest.raises(ResourceBoundError, match="letters"):
             parse_poly(text)
-    assert parse_poly("2^25 - 2^25 + 1^1000") == QPoly.one()  # 50 + 50 + 0 bits
+    assert parse_poly("2^25 - 2^25 + 1^1000") == QPoly.monomial(ONE)  # 50 + 50 + 0 bits
     with pytest.raises(ResourceBoundError, match="bits"):
         parse_poly("2^25 * 2^26")
 

@@ -6,6 +6,7 @@ import pytest
 
 import m2sl2.reduction as reduction
 from m2sl2 import (
+    ONE,
     CanonicalMonomial,
     CannotExtendError,
     MonotoneInjection,
@@ -179,7 +180,7 @@ def test_triple_serialization():
 # --- lifting -----------------------------------------------------------------
 
 def test_lift_examples():
-    f = mono(mk((1,))) + QPoly.one() * 4
+    f = mono(mk((1,))) + QPoly.monomial(ONE) * 4
     g = lift_reducer(f, mk((2, 1)))
     assert leading(g).lm == mk((2, 1))
     assert leading(g).lc == 1

@@ -1,24 +1,14 @@
 import random
 
-import pytest
-
 from m2sl2 import MultiPoly
 from tests.util import alpha, beta, gamma
 
 
 def test_constructors():
     assert MultiPoly.zero().is_zero()
-    assert not MultiPoly.one().is_zero()
+    assert not MultiPoly.const(1).is_zero()
     assert MultiPoly.const(0) == 0
-    assert MultiPoly.const(5) == MultiPoly.one() * 5
-    assert MultiPoly.var("alpha", 2).terms == {((("alpha", 2), 1),): 1}
-
-
-def test_var_validation():
-    with pytest.raises(ValueError):
-        MultiPoly.var("delta", 1)
-    with pytest.raises(ValueError):
-        MultiPoly.var("alpha", 0)
+    assert MultiPoly.const(5) == MultiPoly.const(1) * 5
 
 
 def test_basic_identities():

@@ -25,6 +25,7 @@ from m2sl2 import (
     apply_reducer,
     bezout,
     cmp_total,
+    evaluate,
     factorize_embedding,
     leading,
     monomial_to_obj,
@@ -38,6 +39,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
+from m2sl2.parsing import to_words, word_count
 
 
 # --- letters, ring variables and JSON records ---------------------------------
@@ -54,16 +56,21 @@ def word(*letters) -> tuple:
     return tuple(letters)
 
 
+def ring_var(family: str, i: int) -> MultiPoly:
+    """The ring variable family_i, as its one-term dict."""
+    return MultiPoly({(((family, i), 1),): 1})
+
+
 def alpha(i: int) -> MultiPoly:
-    return MultiPoly.var("alpha", i)
+    return ring_var("alpha", i)
 
 
 def beta(i: int) -> MultiPoly:
-    return MultiPoly.var("beta", i)
+    return ring_var("beta", i)
 
 
 def gamma(i: int) -> MultiPoly:
-    return MultiPoly.var("gamma", i)
+    return ring_var("gamma", i)
 
 
 def entries(g: GMatrix2) -> tuple:
@@ -77,7 +84,7 @@ def monomial_from_obj(obj: dict) -> CanonicalMonomial:
 
 def expected_y_product(indices) -> GMatrix2:
     """Closed form for a product of generic diagonal matrices."""
-    prod = MultiPoly.one()
+    prod = MultiPoly.const(1)
     for i in indices:
         prod = prod * alpha(i)
     return GMatrix2(prod, MultiPoly.zero(), MultiPoly.zero(),
@@ -86,7 +93,7 @@ def expected_y_product(indices) -> GMatrix2:
 
 def expected_z_product(indices) -> GMatrix2:
     """Alternating beta/gamma products decided purely by position parity."""
-    upper, lower = MultiPoly.one(), MultiPoly.one()
+    upper, lower = MultiPoly.const(1), MultiPoly.const(1)
     for pos, i in enumerate(indices, start=1):
         if pos % 2:
             upper, lower = upper * beta(i), lower * gamma(i)
@@ -110,11 +117,18 @@ def _mat_mul(a, b):
     )
 
 
+def raw_evaluate_tree(node) -> GMatrix2:
+    """A parse tree's generic evaluation through its raw words, after the
+    word cap: the oracle for genmat.evaluate_tree."""
+    word_count(node)
+    return evaluate(to_words(node))
+
+
 def product_eval_word(w) -> GMatrix2:
     """A word's generic evaluation as the letter-by-letter product of general
     2x2 matrices over the alpha/beta/gamma ring, with Y_i = diag(a_i, -a_i)
     and Z_i = [[0, b_i], [c_i, 0]] built here from the ring's variables."""
-    zero, one = MultiPoly.zero(), MultiPoly.one()
+    zero, one = MultiPoly.zero(), MultiPoly.const(1)
     acc = (one, zero, zero, one)
     for fam, idx in w:
         if fam == "y":
@@ -172,7 +186,12 @@ def rand_qpoly(rng: random.Random, max_terms=4, max_degree=6, max_index=4) -> QP
 def rand_injection(rng: random.Random, n: int, spread=4) -> MonotoneInjection:
     """A random strictly increasing map defined on 1..n."""
     targets = sorted(rng.sample(range(1, n + spread + 1), n)) if n else []
-    return MonotoneInjection.from_targets(targets)
+    return injection_onto(targets)
+
+
+def injection_onto(targets) -> MonotoneInjection:
+    """The injection mapping 1..n onto the given strictly increasing targets."""
+    return MonotoneInjection(tuple(enumerate(targets, start=1)))
 
 
 def rand_lie(rng: random.Random, grade: int, depth: int, max_index=4):
