@@ -15,7 +15,7 @@ from .errors import EngineError, ParseError
 from .freealg import QPoly, _capped_basis_size, _interleave, enumerate_basis, monomial_to_obj
 from .genmat import evaluate_tree, independence_report
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
-from .parsing import parse, parse_poly
+from .parsing import coeff_str, parse, parse_poly
 from .reduction import chain_demo, factorize_embedding, reduce_by
 
 # Bound but not called here: the benchmark tracer patches these names (ROADMAP item 1).
@@ -42,7 +42,7 @@ def format_term(c: int, m) -> str:
     """One signed term, e.g. "+ y1", "- 3*z1*z2" or "+ 1"."""
     body = format_monomial(m)
     if abs(c) != 1:
-        body = f"{abs(c)}*{body}"
+        body = f"{coeff_str(abs(c))}*{body}"
     return f"{'+' if c > 0 else '-'} {body}"
 
 
@@ -56,7 +56,7 @@ def poly_obj(f: QPoly) -> list:
     """Polynomial as {"coeff": str, "m": monomial} records, leading term
     first.  Coefficients are strings so arbitrary-precision values survive
     any JSON consumer."""
-    return [{"coeff": str(c), "m": monomial_to_obj(m)} for m, c in sorted_terms_desc(f)]
+    return [{"coeff": coeff_str(c), "m": monomial_to_obj(m)} for m, c in sorted_terms_desc(f)]
 
 
 def _single_monomial(text: str):
@@ -177,12 +177,14 @@ def cmd_chain_demo(args) -> int:
     if args.json:
         print(json.dumps(report.to_obj()))
     else:
-        for step, ld in report.adjoined:
-            print(f"step {step}: adjoined {format_term(ld.lc, ld.lm)}")
+        # every line is formatted before the first is printed, so an error prints none
+        lines = [f"step {step}: adjoined {format_term(ld.lc, ld.lm)}"
+                 for step, ld in report.adjoined]
         if report.truncated:
-            print(f"budget exhausted after {report.steps} steps; no stabilization claim")
+            lines.append(f"budget exhausted after {report.steps} steps; no stabilization claim")
         else:
-            print(f"stabilized at step {report.stabilized_at} ({report.steps} steps seen)")
+            lines.append(f"stabilized at step {report.stabilized_at} ({report.steps} steps seen)")
+        print("\n".join(lines))
     return 0
 
 

@@ -25,6 +25,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import GradeMismatchError, ResourceBoundError
+from .intlinalg import _row_axpy
 
 Letter = tuple[str, int]  # ("y" | "z", index >= 1)
 Word = tuple[Letter, ...]
@@ -274,12 +275,7 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            n = acc.get(m, 0) + c
-            if n:
-                acc[m] = n
-            else:
-                acc.pop(m, None)
+        _row_axpy(acc, other.terms, 1)
         return QPoly(acc)
 
     def __sub__(self, other) -> "QPoly":
@@ -293,10 +289,11 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         acc: dict[CanonicalMonomial, int] = {}
+        right = [(m2.word(), c2) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
             w1 = m1.word()
-            for m2, c2 in other.terms.items():
-                sign, m = reduce_word(w1 + m2.word())
+            for w2, c2 in right:
+                sign, m = reduce_word(w1 + w2)
                 n = acc.get(m, 0) + sign * c1 * c2
                 if n:
                     acc[m] = n

@@ -14,13 +14,11 @@ tolerance anywhere.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .freealg import (MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, _times,
-                      enumerate_basis)
-from .intlinalg import IntRowLattice
-from .parsing import _power, _raw, word_count
-from .ring import MultiPoly, Term, _mul_terms
+from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
+from .intlinalg import IntRowLattice, _row_axpy
+from .parsing import fold_tree
+from .ring import MultiPoly, Term, _mul_into
 
 _ZERO = MultiPoly.zero()
 
@@ -171,105 +169,32 @@ def _words_matrix(pairs) -> tuple[dict, ...]:
     return acc
 
 
-def _add_into(acc: tuple[dict, ...], m: tuple[dict, ...], sign: int) -> None:
+def _add_into(acc: tuple[dict, ...], m: tuple[dict, ...], sign: int) -> tuple[dict, ...]:
     for entry, other in zip(acc, m):
-        for t, c in other.items():
-            n = entry.get(t, 0) + sign * c
-            if n:
-                entry[t] = n
-            else:
-                del entry[t]
+        _row_axpy(entry, other, sign)
+    return acc
 
 
 def _mat_mul(a: tuple[dict, ...], b: tuple[dict, ...]) -> tuple[dict, ...]:
     out: tuple[dict, ...] = ({}, {}, {}, {})
     for o, i, j in _PRODUCT_BLOCKS:
-        x, y = a[i], b[j]
-        if not (x and y):
-            continue
-        entry = out[o]
-        for s, cs in x.items():
-            for t, ct in y.items():
-                key = _mul_terms(s, t)
-                n = entry.get(key, 0) + cs * ct
-                if n:
-                    entry[key] = n
-                else:
-                    del entry[key]
+        _mul_into(out[o], a[i], b[j])
     return out
-
-
-def _mat_pow(m: tuple[dict, ...], k: int) -> tuple[dict, ...]:
-    """m^k for k >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            out = m if out is None else _mat_mul(out, m)
-        k >>= 1
-        if not k:
-            return out
-        m = _mat_mul(m, m)
-
-
-def _as_matrix(v) -> tuple[dict, ...]:
-    """A value of the tree walk, word list or matrix, as a matrix."""
-    return _words_matrix(v) if isinstance(v, list) else v
 
 
 def evaluate_tree(node) -> GMatrix2:
     """The generic evaluation of a parse tree (parsing.parse), node by node.
 
-    Equal to evaluate(parsing.to_words(node)), with the same errors: the word
-    cap is checked first, by parsing.word_count.  A node whose raw expansion
-    has at most one word is kept as that word list, built by the parser's own
-    word product and power, so every power of a single word charges the
-    power caps as to_words does, in the same order and from one budget for
-    the whole expression.  Every other node is a matrix: sums add, products
-    multiply, a power squares and a bracket is AB - BA, so the cost follows
-    the tree, not its raw expansion.  No canonical reduction is involved.
+    Equal to evaluate(parsing.to_words(node)), with the same errors:
+    parsing.fold_tree over the four-entry matrices, so the word cap is
+    checked first and every power of a single word charges the power caps as
+    to_words does.  A node of two or more raw words is a matrix: sums add,
+    products multiply, a power squares and a bracket is AB - BA, so the cost
+    follows the tree, not its raw expansion.  No canonical reduction is
+    involved.
     """
-    word_count(node)
-    spent = [0, 0]  # letters and coefficient bits built by one-word powers
-
-    def walk(node):
-        kind = node[0]
-        if kind == "int":
-            return [(node[1], ())] if node[1] else []
-        if kind == "var":
-            return [(1, (node[1],))]
-        if kind == "pow":
-            base, k = walk(node[1]), node[2]
-            if isinstance(base, list):
-                return _power(base, k, _raw, spent)
-            return _mat_pow(base, k) if k else [(1, ())]
-        if kind == "add":
-            parts = [(sign, walk(sub)) for sign, sub in node[1]]
-            words = [(sign * c, w) for sign, v in parts if isinstance(v, list) for c, w in v]
-            mats = [(sign, v) for sign, v in parts if not isinstance(v, list)]
-            if not mats and len(words) <= 1:
-                return words
-            acc = _words_matrix(words)
-            for sign, m in mats:
-                _add_into(acc, m, sign)
-            return acc
-        if kind == "mul":
-            vals = [walk(sub) for sub in node[1]]
-            if [] in vals:  # no raw words: stays a word list, as in to_words
-                return []
-            if all(isinstance(v, list) for v in vals):
-                return reduce(_times, vals, [(1, ())])
-            return reduce(_mat_mul, map(_as_matrix, vals))
-        if kind == "br":
-            a, b = walk(node[1]), walk(node[2])
-            if a == [] or b == []:  # no raw words: stays a word list
-                return []
-            a, b = _as_matrix(a), _as_matrix(b)
-            out = _mat_mul(a, b)
-            _add_into(out, _mat_mul(b, a), -1)
-            return out
-        raise ValueError(f"unknown node kind {kind!r}")
-
-    return GMatrix2(*(MultiPoly(entry) for entry in _as_matrix(walk(node))))
+    entries = fold_tree(node, _words_matrix, _add_into, _mat_mul)
+    return GMatrix2(*(MultiPoly(entry) for entry in entries))
 
 
 def is_graded_weak_identity(f) -> bool:

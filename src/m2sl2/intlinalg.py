@@ -46,6 +46,8 @@ def bezout(values: list[int]) -> tuple[int, list[int]]:
 
 
 def _row_axpy(dst: dict, src: dict, factor: int) -> None:
+    """dst += factor * src in place, dropping entries that cancel: the one
+    sparse sum behind rows, polynomials and matrix entries."""
     if not factor:
         return
     for col, val in src.items():

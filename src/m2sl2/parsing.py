@@ -6,10 +6,14 @@
     atom   := 'y' uint | 'z' uint | uint | '(' expr ')' | '[' expr ',' expr ']'
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
-are commutators.  `parse_words` expands an expression into a plain weighted
-word list over the graded letters, with no canonical reduction; `parse_poly`
-normalizes the operands of every product on the way to its canonical
-polynomial.
+are commutators.  `to_words` expands a parse tree into its raw weighted word
+list over the graded letters, with no canonical reduction; `parse_words` is
+that expansion of a text.  `fold_tree` folds a parse tree into a ring instead,
+keeping nodes of at most one raw word as words and everything else as ring
+values, so that the cost follows the tree, not its raw expansion.
+`parse_poly` is that fold over canonical polynomials (QPoly), and
+genmat.evaluate_tree the same fold over generic matrices.  The word cap and
+the power caps are applied here alone, the same way by every walk.
 """
 
 import re
@@ -17,21 +21,32 @@ from typing import NamedTuple
 
 from .errors import ParseError, ResourceBoundError
 from .freealg import QPoly, Word, _bracket, _times, normalize
+from .intlinalg import _row_axpy
 
 # Input caps that keep hostile input from costing a traceback: letter indices
 # size the dense exponent tuples, each '(' or '[' costs parser recursion, and
 # every word of the expansion is built in memory.  A power of a single word is
 # built in one step, so the letters and the coefficient bits (bounded by
 # k * bit_length) that such powers build are capped too, summed over the
-# expression.  Integer literals are capped at the 4,300 digits that int()
-# reads by default from Python 3.10.7 on (earlier versions read more), so
-# every Python refuses the same literals, with a ParseError.
+# expression.  Integers are capped at the 4,300 digits that int() and str()
+# convert by default from Python 3.10.7 on (earlier versions convert more),
+# so every Python refuses the same ones: a longer literal is a ParseError, a
+# longer coefficient in the output a ResourceBoundError (coeff_str).
 MAX_LETTER_INDEX = 10_000
 MAX_COEFF_DIGITS = 4_300
 MAX_NESTING = 100
 MAX_WORDS = 1_000_000
 MAX_POWER_LETTERS = 10_000_000
 MAX_POWER_BITS = 4_000_000
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS  # the least integer of MAX_COEFF_DIGITS + 1 digits
+
+
+def coeff_str(c: int) -> str:
+    """The decimal text of a coefficient that becomes output; raises
+    ResourceBoundError past MAX_COEFF_DIGITS digits, before any output."""
+    if abs(c) >= _COEFF_BOUND:
+        raise ResourceBoundError(f"coefficient longer than {MAX_COEFF_DIGITS} digits")
+    return str(c)
 
 
 class Token(NamedTuple):
@@ -183,13 +198,17 @@ def parse(text: str):
     return node
 
 
-def _power(base: list[tuple[int, Word]], k: int, fold, spent: list[int]) -> list[tuple[int, Word]]:
+def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple[int, Word]]:
+    """The k-th power of a raw word list, left operand outermost.
+
+    A power of a single word is built in closed form, after charging its
+    letters and coefficient bits to `spent`, the budget of the whole
+    expression; this is the only place the power caps are charged."""
     if k == 0:
         return [(1, ())]
     if not base:
         return []
     if len(base) == 1:
-        # one word: the closed form, after charging its size to the caps
         ((c, w),) = base
         spent[0] += len(w) * k
         spent[1] += abs(c).bit_length() * k if abs(c) > 1 else 0
@@ -203,23 +222,13 @@ def _power(base: list[tuple[int, Word]], k: int, fold, spent: list[int]) -> list
         return [(c ** k, w * k if w else w)]
     out = base
     for _ in range(k - 1):
-        out = _times(fold(out), base)
+        out = _times(out, base)
     return out
 
 
-def _raw(ws: list[tuple[int, Word]]) -> list[tuple[int, Word]]:
-    return ws
-
-
-def to_words(node, fold=_raw) -> list[tuple[int, Word]]:
-    """Expand an expression tree to a weighted word list.
-
-    `fold` is applied to every operand of a product ("mul", "pow" and "br"
-    nodes) before it is multiplied; the default keeps it as it is, so the
-    result is the raw expansion with no reduction.  A fold that replaces a
-    word list by another with the same normalize() image leaves the
-    normalized result unchanged and keeps the operands small.
-    """
+def to_words(node) -> list[tuple[int, Word]]:
+    """Expand an expression tree to its raw weighted word list, with no
+    reduction: the words exactly as written out."""
     spent = [0, 0]  # letters and coefficient bits built by one-word powers
 
     def expand(node):
@@ -229,11 +238,11 @@ def to_words(node, fold=_raw) -> list[tuple[int, Word]]:
         if kind == "var":
             return [(1, (node[1],))]
         if kind == "pow":
-            return _power(fold(expand(node[1])), node[2], fold, spent)
+            return _power(expand(node[1]), node[2], spent)
         if kind == "mul":
             out = [(1, ())]
             for sub in node[1]:
-                out = _times(fold(out), fold(expand(sub)))
+                out = _times(out, expand(sub))
             return out
         if kind == "add":
             out = []
@@ -241,17 +250,89 @@ def to_words(node, fold=_raw) -> list[tuple[int, Word]]:
                 out.extend((sign * c, w) for c, w in expand(sub))
             return out
         if kind == "br":
-            return _bracket(fold(expand(node[1])), fold(expand(node[2])))
+            return _bracket(expand(node[1]), expand(node[2]))
         raise ValueError(f"unknown node kind {kind!r}")
 
     return expand(node)
 
 
-def _canonical_words(ws: list[tuple[int, Word]]) -> list[tuple[int, Word]]:
-    """A list of two or more words replaced by its normalized terms."""
-    if len(ws) < 2:
-        return ws
-    return [(c, m.word()) for m, c in normalize(ws).terms.items()]
+def fold_tree(node, lift, add, mul, charge=None):
+    """Fold an expression tree into a ring, node by node.
+
+    The word cap is checked first, by word_count.  A node whose raw
+    expansion has at most one word is kept as that word list, built by
+    _times and _power, so every power of a single word charges the power
+    caps as to_words does, in the same order and from one budget for the
+    whole expression.  Every other node is a ring value: a sum lifts its
+    word operands with lift(words) and adds the rest with add(acc, value,
+    sign), products multiply with mul(a, b), a power squares and a bracket
+    is add(mul(a, b), mul(b, a), -1).  add may update acc in place; the fold
+    only passes an acc that lift or mul has just built.  When given,
+    charge(value) returns either the value or a word list to stand for it as
+    a power's base; a word list is billed to the caps and powered by _power,
+    and its power stays a word list.  The fold returns a ring value.
+    """
+    word_count(node)
+    spent = [0, 0]  # letters and coefficient bits built by one-word powers
+
+    def ring(v):
+        return lift(v) if isinstance(v, list) else v
+
+    def walk(node):
+        kind = node[0]
+        if kind == "int":
+            return [(node[1], ())] if node[1] else []
+        if kind == "var":
+            return [(1, (node[1],))]
+        if kind == "pow":
+            base, k = walk(node[1]), node[2]
+            if charge is not None and not isinstance(base, list):
+                base = charge(base)
+            if isinstance(base, list) or not k:  # k == 0 is the word 1, whatever the base
+                return _power(base, k, spent)
+            out = None
+            while k:  # repeated squaring, low bits first
+                if k & 1:
+                    out = base if out is None else mul(out, base)
+                k >>= 1
+                if k:
+                    base = mul(base, base)
+            return out
+        if kind == "add":
+            words, vals = [], []
+            for sign, sub in node[1]:
+                v = walk(sub)
+                if isinstance(v, list):
+                    for c, w in v:
+                        words.append((sign * c, w))
+                else:
+                    vals.append((sign, v))
+            if not vals and len(words) < 2:
+                return words
+            acc = lift(words)
+            for sign, v in vals:
+                acc = add(acc, v, sign)
+            return acc
+        if kind == "mul":
+            vals = [walk(sub) for sub in node[1]]
+            if [] in vals:  # no raw words: stays a word list, as in to_words
+                return []
+            out = vals[0]
+            for v in vals[1:]:
+                if isinstance(out, list) and isinstance(v, list):
+                    out = _times(out, v)
+                else:
+                    out = mul(ring(out), ring(v))
+            return out
+        if kind == "br":
+            a, b = walk(node[1]), walk(node[2])
+            if a == [] or b == []:  # no raw words: stays a word list
+                return []
+            a, b = ring(a), ring(b)
+            return add(mul(a, b), mul(b, a), -1)
+        raise ValueError(f"unknown node kind {kind!r}")
+
+    return ring(walk(node))
 
 
 def word_count(node) -> int:
@@ -297,14 +378,26 @@ def parse_words(text: str) -> list[tuple[int, Word]]:
     return to_words(node)
 
 
+def _add_terms(acc: QPoly, other: QPoly, sign: int) -> QPoly:
+    """acc + sign * other, built in acc's own term dict."""
+    _row_axpy(acc.terms, other.terms, sign)
+    return acc
+
+
+def _one_term_words(f: QPoly):
+    """parse_poly's charge: a power base of at most one canonical term
+    stands as that term's word list, so the caps bill it; else f itself."""
+    return [(c, m.word()) for m, c in f.terms.items()] if len(f.terms) < 2 else f
+
+
 def parse_poly(text: str) -> QPoly:
     """The canonical polynomial of an expression.
 
-    Equal to normalize(parse_words(text)), but every product operand of two
-    or more words is normalized before it is multiplied, so a power or a
-    product of sums costs the size of its canonical form, not of its raw
-    expansion.  The word cap still applies to the raw expansion.
+    Equal to normalize(parse_words(text)): fold_tree over QPoly, so a power
+    or a product of sums costs the size of its canonical form, not of its
+    raw expansion.  The word cap still applies to the raw expansion, and a
+    power whose base normalizes to one term charges the power caps as that
+    term's word.
     """
-    node = parse(text)
-    word_count(node)
-    return normalize(to_words(node, _canonical_words))
+    # normalize is looked up on each call, so a wrapper patched over it sees the lifts
+    return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__, _one_term_words)

@@ -45,6 +45,7 @@ from .orders import (
     rename_monomial,
     total_key,
 )
+from .parsing import coeff_str
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class LeadingData:
     lm: CanonicalMonomial
 
     def to_obj(self) -> dict:
-        return {"coeff": str(self.lc), "m": monomial_to_obj(self.lm)}
+        return {"coeff": coeff_str(self.lc), "m": monomial_to_obj(self.lm)}
 
 
 def leading(f: QPoly) -> LeadingData:
@@ -246,7 +247,7 @@ def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly
                         else:
                             work[m] = n - c
                     if trace is not None:
-                        rec = {"against": k, "beta": str(beta), "q": str(q)}
+                        rec = {"against": k, "beta": coeff_str(beta), "q": coeff_str(q)}
                         rec.update(triple.to_obj())
                         trace.append(rec)
         else:
@@ -255,7 +256,7 @@ def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly
         if r:
             rem[lm] = r
             if trace is not None:
-                trace.append({"frozen": {"coeff": str(r), "m": monomial_to_obj(lm)}})
+                trace.append({"frozen": {"coeff": coeff_str(r), "m": monomial_to_obj(lm)}})
     return QPoly(rem)
 
 

@@ -8,6 +8,8 @@ comparing dicts decides equality without any normalization pass.
 Coefficients are plain Python ints: no precision ceiling, no floats anywhere.
 """
 
+from .intlinalg import _row_axpy
+
 # ((family, index), exponent), sorted by (family, index), exponents >= 1
 Var = tuple[str, int]
 Term = tuple[tuple[Var, int], ...]
@@ -38,6 +40,19 @@ def _mul_terms(s: Term, t: Term) -> Term:
     out.extend(s[i:])
     out.extend(t[j:])
     return tuple(out)
+
+
+def _mul_into(acc: dict, left: dict, right: dict) -> None:
+    """acc += left * right for two Term -> int dicts, in place, dropping terms
+    that cancel: the one product behind MultiPoly and genmat's matrices."""
+    for s, cs in left.items():
+        for t, ct in right.items():
+            key = _mul_terms(s, t)
+            n = acc.get(key, 0) + cs * ct
+            if n:
+                acc[key] = n
+            else:
+                acc.pop(key, None)
 
 
 class MultiPoly:
@@ -83,12 +98,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         acc = dict(self.terms)
-        for t, c in other.terms.items():
-            n = acc.get(t, 0) + c
-            if n:
-                acc[t] = n
-            else:
-                acc.pop(t, None)
+        _row_axpy(acc, other.terms, 1)
         return MultiPoly(acc)
 
     __radd__ = __add__
@@ -111,14 +121,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         acc: dict[Term, int] = {}
-        for s, cs in self.terms.items():
-            for t, ct in other.terms.items():
-                key = _mul_terms(s, t)
-                n = acc.get(key, 0) + cs * ct
-                if n:
-                    acc[key] = n
-                else:
-                    acc.pop(key, None)
+        _mul_into(acc, self.terms, other.terms)
         return MultiPoly(acc)
 
     __rmul__ = __mul__

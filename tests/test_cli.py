@@ -399,6 +399,36 @@ def test_empty_word_powers_past_maxsize(capsys, as_json):
     assert rc == 1 and "powers of single words build more than 10000000 letters" in message
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_coefficients_too_long_to_print(tmp_path, capsys, as_json):
+    # a coefficient past MAX_COEFF_DIGITS is a ResourceBoundError before any
+    # output, on every Python: 2^20000 has 6,021 digits
+    flag = ("--json",) if as_json else ()
+    stream = tmp_path / "stream.txt"
+    stream.write_text("y2\n2^20000*y1\n")  # y2 is adjoined, then the huge one
+    gens = tmp_path / "gens.txt"
+    gens.write_text("y1\n")
+    trace = tmp_path / "trace.json"
+    for argv in (["normalize", "2^20000"], ["reduce", "2^20000*y1"],
+                 ["reduce", "2^20000*y1", str(gens), "--trace", str(trace)],  # q in the trace
+                 ["chain-demo", str(stream)]):
+        rc, out, err = run(capsys, *argv, *flag)
+        assert rc == 1 and out == "", argv
+        if as_json:
+            assert json.loads(err) == {"error": "ResourceBoundError",
+                                       "message": "coefficient longer than 4300 digits"}
+        else:
+            assert err == "error: coefficient longer than 4300 digits\n"
+    assert not trace.exists()
+    # without a trace the remainder 0 has nothing to convert
+    rc, out, _ = run(capsys, "reduce", "2^20000*y1", str(gens))
+    assert rc == 0 and out == "0\n"
+    rc, out, _ = run(capsys, "normalize", "2^14000", *flag)  # 4,215 digits
+    want = str(2 ** 14000)
+    assert rc == 0 and len(want) == 4215
+    assert json.loads(out)[0]["coeff"] == want if as_json else out == f"+ {want}*1\n"
+
+
 def test_is_identity_tree_matches_raw_words_on_caps(capsys, monkeypatch):
     cases = ["1^100000000000000", "0^100000000000000", "(-1)^100000000000001 + 1",
              "y1^100000000000000", "3^100000000000000", "[" * 50 + "y1" + ",z2]" * 50,

@@ -226,6 +226,25 @@ def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
     assert errors == 13, errors
 
 
+def test_parse_poly_charges_one_term_power_bases(monkeypatch):
+    # a power whose base normalizes to one term charges the caps as that
+    # term's word; the raw expansion has two words there and charges nothing
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
+    with pytest.raises(ResourceBoundError, match="letters"):
+        parse_poly("(y1^10 + y1^10)^9")  # 20 + 90 letters
+    for text in ("(2^20 + 2^20)^5", "(2^20*y1 + 2^20*y1)^5"):  # 80 + 110 bits
+        with pytest.raises(ResourceBoundError, match="bits"):
+            parse_poly(text)
+    for text, want in (("(y1 + y1)^19 * y1^80", QPoly.monomial(mk((99,)), 2 ** 19)),
+                       ("(y1^10 - y1^10 + z1)^9", QPoly.monomial(mk((), (1,) * 5, (1,) * 4)))):
+        assert parse_poly(text) == want, text
+    # (y1 + y1)^19 * y1^80 answers there too, but its 2^19 raw words are not built here
+    for text in ("(y1^10 + y1^10)^9", "(2^20 + 2^20)^5", "(2^20*y1 + 2^20*y1)^5",
+                 "(y1^10 - y1^10 + z1)^9"):
+        assert parse_words(text), text
+
+
 def test_parse_poly_folds_product_operands(monkeypatch):
     # (y1+z1+z2)^12 has 531,441 raw words but 140 canonical terms; with every
     # operand folded, no list handed to normalize holds a thousand words

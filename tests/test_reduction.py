@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -29,6 +30,7 @@ from m2sl2 import (
     reduce_word,
 )
 from tests.util import (
+    brute_embed,
     check_mult5,
     check_mult6,
     inflate,
@@ -355,6 +357,25 @@ def test_reduce_by_idempotent_on_remainder():
             continue
         r = reduce_by(f, gens)
         assert reduce_by(r, gens) == r
+
+
+def test_remainder_terms_are_reduced():
+    # every remainder term r*m is reduced: either no generator's leading
+    # monomial embeds into m (decided by exhaustive search), or r is a
+    # nonzero residue below the gcd of the embedding generators' leading
+    # coefficients
+    rng = random.Random(21)
+    terms = 0
+    for _ in range(400):
+        gens = [rand_qpoly(rng) for _ in range(rng.randint(1, 4))]
+        f = rand_qpoly(rng, max_terms=8)
+        gens = [g for g in gens if not g.is_zero()]
+        lds = [leading(g) for g in gens]
+        for m, r in reduce_by(f, gens).terms.items():
+            usable = [ld.lc for ld in lds if brute_embed(ld.lm, m)]
+            assert not usable or 0 < r < math.gcd(*usable), (f, gens, m, r)
+            terms += 1
+    assert terms == 1747, terms
 
 
 # the benchmark's generators, unit-coefficient ones whose lifts often hit
