@@ -227,7 +227,9 @@ class QPoly:
         letter), sorted; built on the first call and kept.
 
         reduction.apply_reducer extends its witness over this once per lift,
-        so a generator's support is computed once, not once per step."""
+        so a generator's support is computed once, not once per step.  The
+        lifted polynomial is the generator's tail, to which reduction._record
+        hands the whole generator's support."""
         support = self._support
         if support is None:
             idx: set[int] = set()

@@ -165,8 +165,15 @@ class MonotoneInjection:
 
         New images take the smallest value that keeps both columns strictly
         increasing; a hole whose neighbouring targets leave no room raises
-        CannotExtendError.
+        CannotExtendError.  When the sources are exactly 1..n, as in every
+        pwo_leq witness, and every index lies in 1..n, there is nothing to
+        extend and self is returned without building a set.
         """
+        indices = tuple(indices)  # a tuple passes through uncopied
+        n = len(self.pairs)
+        if n and self.pairs[-1][0] == n:  # the sources are exactly 1..n
+            if not indices or (min(indices) >= 1 and max(indices) <= n):
+                return self
         need = sorted(set(indices) - {s for s, _ in self.pairs})
         if not need:
             return self

@@ -7,15 +7,28 @@ witness phi, the monomial M factors exactly as
     M  =  N . phi(g's leading monomial) . P         (sign +1)
 
 with N pure-y on the left and P a pure-z word on the right, so g lifts to a
-reducer with leading term exactly M and unchanged leading coefficient.  One
-reduction step renames once: factorize_embedding reads N and P off lm(g)
+reducer with leading term exactly M and unchanged leading coefficient.
+
+Everything the loop needs from a generator is built once, in one record per
+generator (_record): its leading data, the embedding header of its leading
+monomial (the variant flag, the slot counts and the y-degree that the cheap
+reject of the embedding order compares) and its tail, g minus its leading
+term.  reduce_by builds the records once per call; chain_demo builds one when
+it adjoins a generator and keeps it for the rest of the stream.  At each step
+a generator whose kept header already rules out lm(g) <=' M is skipped
+without a pwo_leq call.
+
+One reduction step renames once: factorize_embedding reads N and P off lm(g)
 renamed straight through the witness, which pwo_leq builds over all of
 lm(g)'s indices, and apply_reducer extends the witness once, over g's cached
-index support (QPoly._index_support), for the rest of g's terms.  The lift
-is a closed-form map on each term of g, with no word product: rename along
-the extension, add N's y-exponents, and append P's letters to the slot
-classes, its even-position letters (counting from 0) to the c-slots when the
-renamed term's z-length is even and to the d-slots when it is odd.
+index support (QPoly._index_support, which the tail shares), for the tail's
+terms.  Only the tail is lifted: lm(g) lifts to M itself, whose coefficient
+the Euclidean division below settles, and the renaming is injective, so no
+tail term lands on M.  The lift is a closed-form map on each term, with no
+word product: rename along the extension, add N's y-exponents, and append
+P's letters to the slot classes, its even-position letters (counting from 0)
+to the c-slots when the renamed term's z-length is even and to the d-slots
+when it is odd.
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
 a nonzero residue freezes into the remainder and reduction continues on the
@@ -126,9 +139,12 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     except KeyError:  # phi lacks one of m's indices
         pm = rename_monomial(m, phi, "both")
         py, pc, pd = pm.yexp, pm.cseq, pm.dseq
-    ny = [t - e for t, e in zip_longest(target.yexp, py, fillvalue=0)]
-    if any(e < 0 for e in ny):
+    ty = target.yexp
+    # py is trimmed, so a py longer than ty has a nonzero entry past ty's end
+    ny = [t - e for t, e in zip(ty, py)]
+    if len(py) > len(ty) or (ny and min(ny) < 0):
         raise NotEmbeddableError("phi(m) does not fit under the target")
+    ny += ty[len(py):]
     extra_c = _fit(target.cseq, pc)
     extra_d = _fit(target.dseq, pd)
     if len(pc) == len(pd):
@@ -157,7 +173,14 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     other class.  Each class is then sorted.  Renaming along one injection is
     injective and N and P are fixed, so no two terms merge and every
     coefficient carries over unchanged.
+
+    The reduction loop passes a generator's tail (see _record), which keeps
+    the generator's index support, so the extension is the one the whole
+    generator would get.  An empty tail, such as every unit-monomial
+    generator's, is returned at once.
     """
+    if not f.terms:
+        return f
     p = triple.p_word
     if p and min(p) < 1:
         raise ValueError("letter index must be >= 1")
@@ -193,17 +216,34 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     {"against", "beta", "q", "phi", "N", "P"} and freeze records
     {"frozen": {"coeff", "m"}} are appended in execution order.
     """
-    gens = list(generators)
-    lds = []
-    for g in gens:
+    recs = []
+    for g in generators:
         if g.is_zero():
             raise ZeroPolynomialError("generators must be nonzero")
-        lds.append(leading(g))
-    return _reduce(f, gens, lds, trace)
+        recs.append(_record(g))
+    return _reduce(f, recs, trace)
 
 
-def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly:
-    """The reduce_by loop, given each generator's leading data.
+def _record(g: QPoly) -> tuple:
+    """What the reduction loop reads of a nonzero generator g, built once:
+    (variant, c-slots, d-slots, y-degree, leading data, tail).
+
+    The first four entries are the embedding header of lm(g), the counts
+    that orders._rejects compares.  The tail is g minus its leading term; it
+    keeps g's index support, so apply_reducer extends a witness over the
+    same indices as for g.  A plain tuple, because the loop unpacks one per
+    generator per step.
+    """
+    ld = leading(g)
+    lm = ld.lm
+    tail = QPoly({m: c for m, c in g.terms.items() if m != lm})
+    tail._support = g._index_support()
+    variant, cslots, dslots, ydeg, _ = lm._emb or lm._embedding()
+    return variant, cslots, dslots, ydeg, ld, tail
+
+
+def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
+    """The reduce_by loop, given each generator's record (see _record).
 
     `work` maps each live term to its coefficient; `heap` holds
     (neg_total_key(m), m) for every monomial pushed when it entered `work`,
@@ -211,6 +251,11 @@ def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly
     since cancelled out of `work` is stale and skipped when popped (lazy
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
+
+    At each step a generator whose kept header fails orders._rejects against
+    lm's is skipped before pwo_leq is called.  Only the tail of a usable
+    generator is lifted and subtracted: its leading term would land on lm,
+    whose coefficient ends at the residue r, and lm leaves `work` anyway.
     """
     work = dict(f.terms)
     heap = [(neg_total_key(m), m) for m in work]
@@ -221,22 +266,25 @@ def _reduce(f: QPoly, gens: list, lds: list, trace: list | None = None) -> QPoly
         lc = work.get(lm)
         if lc is None:
             continue
-        usable = []  # (generator index, embedding witness)
-        for k in range(len(gens)):
-            phi = pwo_leq(lds[k].lm, lm)
+        variant, cslots, dslots, ydeg, _ = lm._emb or lm._embedding()
+        usable = []  # (generator index, leading data, tail, embedding witness)
+        for k, (gv, gc, gd, gy, ld, tail) in enumerate(recs):
+            if gv != variant or gc > cslots or gd > dslots or gy > ydeg:
+                continue
+            phi = pwo_leq(ld.lm, lm)
             if phi is not None:
-                usable.append((k, phi))
+                usable.append((k, ld, tail, phi))
         if usable:
-            d, betas = bezout([lds[k].lc for k, _ in usable])
+            d, betas = bezout([ld.lc for _, ld, _, _ in usable])
             q, r = divmod(lc, d)
             if q:
-                for (k, phi), beta in zip(usable, betas):
+                for (k, ld, tail, phi), beta in zip(usable, betas):
                     if not beta:
                         continue
-                    triple = factorize_embedding(lds[k].lm, lm, phi)
-                    # lm's own coefficient ends at r; it is dropped below
+                    triple = factorize_embedding(ld.lm, lm, phi)
+                    # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
                     scale = beta * q
-                    for m, c in apply_reducer(triple, gens[k]).terms.items():
+                    for m, c in apply_reducer(triple, tail).terms.items():
                         c *= scale
                         n = work.get(m)
                         if n is None:
@@ -290,13 +338,14 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     stream no stabilization claim is made.  On a stream of unit monomials a
     monomial is adjoined exactly when no adjoined one embeds into it, and
     adjoined ones are never revisited, so the well-partial-order property
-    bounds how long the chain can grow.  Each generator's leading term is
-    computed once, when it is adjoined.
+    bounds how long the chain can grow.  Each generator's record (_record:
+    leading term, embedding header, tail) is built once, when it is
+    adjoined, and kept for the rest of the stream.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
-    lds: list[LeadingData] = []
+    recs: list[tuple] = []
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
     truncated = False
@@ -305,11 +354,11 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = _reduce(fpoly, gens, lds)
+        r = _reduce(fpoly, recs)
         if not r.is_zero():
             gens.append(r)
-            lds.append(leading(r))
-            adjoined.append((steps, lds[-1]))
+            recs.append(_record(r))
+            adjoined.append((steps, recs[-1][4]))
     return ChainReport(adjoined, steps, truncated, gens)
 
 

@@ -1,0 +1,129 @@
+"""Fuzz the command line in-process: every run ends in an answer (exit 0), a
+structured error (exit 1, JSON under --json) or a usage error (exit 2), and
+no exception escapes cli.main.
+
+The inputs stay small so the whole module runs in a few seconds: `reduce`
+and `chain-demo` read files of at most 8 items of at most 3 terms over
+enumerate_basis(4, 2), and `normalize` and `is-identity` read grammar
+strings with up to three characters inserted, deleted or replaced.
+Examples are derandomized, so every run sees the same inputs.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from m2sl2 import enumerate_basis
+from m2sl2.cli import format_monomial, main
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+BASIS = [format_monomial(m) for m in enumerate_basis(4, 2)]
+
+# a nonzero coefficient times a basis monomial ("1" among them)
+TERM = st.tuples(st.integers(-9, 9).filter(bool), st.sampled_from(BASIS))
+POLY = st.lists(TERM, min_size=1, max_size=3).map(
+    lambda terms: " + ".join(f"({c})*{m}" for c, m in terms))
+ITEMS = st.lists(POLY, max_size=8)
+# a stream may hold zero items, which reduce to zero and adjoin nothing
+STREAM = st.lists(st.one_of(POLY, st.just("0")), max_size=8)
+
+ATOMS = ("y1", "y2", "z1", "z2", "z3", "3", "(-2)", "0")
+
+
+def _expr(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(children, children).map(lambda t: f"[{t[0]}, {t[1]}]"),
+    )
+
+
+GRAMMAR = st.recursive(st.sampled_from(ATOMS), _expr, max_leaves=6)
+EDIT_CHARS = "yz0123456789+-*^()[], x"
+EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                 st.integers(0, 10_000), st.sampled_from(EDIT_CHARS))
+
+
+def mutate(text: str, edits) -> str:
+    for op, pos, ch in edits:
+        i = pos % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif i < len(text):
+            text = text[:i] + (ch if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+def run(argv):
+    """Exit status, stdout and stderr of one in-process call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse reports a usage error this way
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def check(argv):
+    rc, out, err = run(argv)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if "--json" in argv and rc == 0:
+        json.loads(out)
+    if "--json" in argv and rc == 1:
+        obj = json.loads(err)
+        assert {"error", "message"} <= set(obj), (argv, err)
+    if rc == 1 and "--json" not in argv:
+        assert err.startswith("error: "), (argv, err)
+    return rc
+
+
+def write_lines(directory: str, name: str, lines) -> str:
+    path = Path(directory) / name
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+@FUZZ
+@given(st.one_of(POLY, st.just("0")), ITEMS, st.integers(0, 4), st.booleans(), st.booleans())
+def test_reduce_fuzz(expr, gens, zero_gen, as_json, traced):
+    if zero_gen == 0:  # one draw in five adds a zero generator, an error
+        gens = gens + ["0"]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["reduce", expr, write_lines(tmp, "gens.txt", gens)]
+        trace_path = Path(tmp) / "trace.json"
+        if traced:
+            argv += ["--trace", str(trace_path)]
+        if as_json:
+            argv.append("--json")
+        rc = check(argv)
+        if rc == 0 and traced:
+            assert isinstance(json.loads(trace_path.read_text(encoding="utf-8")), list)
+
+
+@FUZZ
+@given(STREAM, st.booleans(), st.one_of(st.none(), st.integers(-1, 9)))
+def test_chain_demo_fuzz(items, as_json, budget):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["chain-demo", write_lines(tmp, "stream.txt", items)]
+        if budget is not None:
+            argv += ["--budget", str(budget)]
+        if as_json:
+            argv.append("--json")
+        check(argv)
+
+
+@FUZZ
+@given(GRAMMAR, st.lists(EDIT, max_size=3), st.sampled_from(("normalize", "is-identity")),
+       st.booleans())
+def test_expression_fuzz(expr, edits, command, as_json):
+    argv = [command, mutate(expr, edits)]
+    if as_json:
+        argv.append("--json")
+    check(argv)

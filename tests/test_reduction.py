@@ -542,6 +542,71 @@ def test_chain_demo_budget_validation():
         chain_demo([], budget=0)
 
 
+def rand_stream(rng, basis, max_items):
+    """1..max_items items of 1-3 terms over basis, coefficients +-[1, 9]."""
+    return [QPoly({rng.choice(basis): rng.choice((-1, 1)) * rng.randint(1, 9)
+                   for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(1, max_items))]
+
+
+def reference_chain(stream):
+    """chain_demo written the plain way: reference_reduce on each item, every
+    nonzero remainder adjoined with its leading data."""
+    gens, adjoined = [], []
+    for step, f in enumerate(stream, start=1):
+        r = reference_reduce(f, gens)
+        if not r.is_zero():
+            gens.append(r)
+            adjoined.append((step, leading(r)))
+    return adjoined, gens
+
+
+def test_chain_demo_matches_reference_chain():
+    # multi-term streams: the adjoined generators have nonempty tails, which
+    # unit-monomial streams never reach
+    rng = random.Random(14)
+    basis = list(enumerate_basis(4, 2))
+    seen = Counter()
+    for _ in range(200):
+        stream = rand_stream(rng, basis, 12)
+        report = chain_demo(stream)
+        adjoined, gens = reference_chain(stream)
+        assert report.adjoined == adjoined
+        assert [list(g.terms.items()) for g in report.generators] == \
+            [list(g.terms.items()) for g in gens]
+        seen["generators"] += len(gens)
+        seen["multi-term"] += sum(len(g.terms) > 1 for g in gens)
+    assert seen["generators"] > 1000 and seen["multi-term"] > 600, seen
+
+
+def test_generator_record_built_once(monkeypatch):
+    built: Counter = Counter()
+    record = reduction._record
+
+    def counted(g):
+        built[id(g)] += 1
+        return record(g)
+
+    monkeypatch.setattr(reduction, "_record", counted)
+    rng = random.Random(93)
+    basis = list(enumerate_basis(4, 2))
+    stream = rand_stream(rng, basis, 40) + rand_stream(rng, basis, 40)
+    report = chain_demo(stream)
+    # one record per adjoined generator, kept across the later stream items
+    assert len(stream) > 2 * len(report.generators) >= 20
+    assert built == Counter({id(g): 1 for g in report.generators})
+    assert any(len(g.terms) > 1 for g in report.generators)
+
+    gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
+    f = rand_sparse_poly(rng, list(enumerate_basis(7, 3)), 200)
+    for calls in (1, 2):  # one record per generator per reduce_by call
+        trace: list = []
+        reduce_by(f, gens, trace=trace)
+        assert sum(1 for rec in trace if "against" in rec) > 50
+        assert built == Counter({id(g): 1 for g in report.generators}) + \
+            Counter({id(g): calls for g in gens})
+
+
 # --- bounded membership ------------------------------------------------------
 
 def test_membership_examples():
