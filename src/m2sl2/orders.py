@@ -165,15 +165,8 @@ class MonotoneInjection:
 
         New images take the smallest value that keeps both columns strictly
         increasing; a hole whose neighbouring targets leave no room raises
-        CannotExtendError.  When the sources are exactly 1..n, as in every
-        pwo_leq witness, and every index lies in 1..n, there is nothing to
-        extend and self is returned without building a set.
+        CannotExtendError.
         """
-        indices = tuple(indices)  # a tuple passes through uncopied
-        n = len(self.pairs)
-        if n and self.pairs[-1][0] == n:  # the sources are exactly 1..n
-            if not indices or (min(indices) >= 1 and max(indices) <= n):
-                return self
         need = sorted(set(indices) - {s for s, _ in self.pairs})
         if not need:
             return self
@@ -217,13 +210,22 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     return _scan(ea[4], eb[4])
 
 
+def _header(m: CanonicalMonomial) -> tuple:
+    """The embedding header of m, (has odd letters, c-slot count, d-slot
+    count, y-degree): the leading entries of its cached embedding data, and
+    all that _rejects compares."""
+    return (m._emb or m._embedding())[:4]
+
+
 def _rejects(ea: tuple, eb: tuple) -> bool:
     """The variants differ or a column sum of a's rows exceeds b's, so a
-    cannot embed into b (ea, eb: CanonicalMonomial._embedding data).
+    cannot embed into b (ea, eb: headers, or the embedding data they lead).
 
     An embedding puts each row of a under a distinct row of b, so it keeps
     every column sum of a at or below b's: the c- and d-slot counts and the
     y-degree.  Most pairs fail here, before any row is scanned.
+    reduction._reduce repeats this comparison inline, on headers from
+    _header, because it runs once per generator per reduction step.
     """
     return ea[0] != eb[0] or ea[1] > eb[1] or ea[2] > eb[2] or ea[3] > eb[3]
 

@@ -52,6 +52,7 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
+    _header,
     _rename,
     neg_total_key,
     pwo_leq,
@@ -139,12 +140,9 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     except KeyError:  # phi lacks one of m's indices
         pm = rename_monomial(m, phi, "both")
         py, pc, pd = pm.yexp, pm.cseq, pm.dseq
-    ty = target.yexp
-    # py is trimmed, so a py longer than ty has a nonzero entry past ty's end
-    ny = [t - e for t, e in zip(ty, py)]
-    if len(py) > len(ty) or (ny and min(ny) < 0):
+    ny = [t - e for t, e in zip_longest(target.yexp, py, fillvalue=0)]
+    if any(e < 0 for e in ny):
         raise NotEmbeddableError("phi(m) does not fit under the target")
-    ny += ty[len(py):]
     extra_c = _fit(target.cseq, pc)
     extra_d = _fit(target.dseq, pd)
     if len(pc) == len(pd):
@@ -220,26 +218,24 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     for g in generators:
         if g.is_zero():
             raise ZeroPolynomialError("generators must be nonzero")
-        recs.append(_record(g))
+        recs.append(_record(g, leading(g)))
     return _reduce(f, recs, trace)
 
 
-def _record(g: QPoly) -> tuple:
-    """What the reduction loop reads of a nonzero generator g, built once:
-    (variant, c-slots, d-slots, y-degree, leading data, tail).
+def _record(g: QPoly, ld: LeadingData) -> tuple:
+    """What the reduction loop reads of a nonzero generator g with leading
+    data ld, built once: (variant, c-slots, d-slots, y-degree, ld, tail).
 
-    The first four entries are the embedding header of lm(g), the counts
-    that orders._rejects compares.  The tail is g minus its leading term; it
-    keeps g's index support, so apply_reducer extends a witness over the
-    same indices as for g.  A plain tuple, because the loop unpacks one per
-    generator per step.
+    The first four entries are the embedding header of lm(g)
+    (orders._header).  The tail is g minus its leading term; it keeps g's
+    index support, so apply_reducer extends a witness over the same indices
+    as for g.  A plain tuple, because the loop unpacks one per generator per
+    step, and Python 3.11 specializes that unpacking for exact tuples only (a
+    NamedTuple made the chain engine about 13% slower).
     """
-    ld = leading(g)
-    lm = ld.lm
-    tail = QPoly({m: c for m, c in g.terms.items() if m != lm})
+    tail = QPoly({m: c for m, c in g.terms.items() if m != ld.lm})
     tail._support = g._index_support()
-    variant, cslots, dslots, ydeg, _ = lm._emb or lm._embedding()
-    return variant, cslots, dslots, ydeg, ld, tail
+    return (*_header(ld.lm), ld, tail)
 
 
 def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
@@ -252,10 +248,11 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
 
-    At each step a generator whose kept header fails orders._rejects against
-    lm's is skipped before pwo_leq is called.  Only the tail of a usable
-    generator is lifted and subtracted: its leading term would land on lm,
-    whose coefficient ends at the residue r, and lm leaves `work` anyway.
+    At each step a generator whose kept header fails the orders._rejects
+    comparison against lm's, inlined here, is skipped before pwo_leq is
+    called.  Only the tail of a usable generator is lifted and subtracted:
+    its leading term would land on lm, whose coefficient ends at the residue
+    r, and lm leaves `work` anyway.
     """
     work = dict(f.terms)
     heap = [(neg_total_key(m), m) for m in work]
@@ -266,9 +263,10 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
         lc = work.get(lm)
         if lc is None:
             continue
-        variant, cslots, dslots, ydeg, _ = lm._emb or lm._embedding()
+        variant, cslots, dslots, ydeg = _header(lm)
         usable = []  # (generator index, leading data, tail, embedding witness)
         for k, (gv, gc, gd, gy, ld, tail) in enumerate(recs):
+            # orders._rejects, inlined
             if gv != variant or gc > cslots or gd > dslots or gy > ydeg:
                 continue
             phi = pwo_leq(ld.lm, lm)
@@ -357,8 +355,9 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
         r = _reduce(fpoly, recs)
         if not r.is_zero():
             gens.append(r)
-            recs.append(_record(r))
-            adjoined.append((steps, recs[-1][4]))
+            ld = leading(r)
+            recs.append(_record(r, ld))
+            adjoined.append((steps, ld))
     return ChainReport(adjoined, steps, truncated, gens)
 
 

@@ -583,9 +583,9 @@ def test_generator_record_built_once(monkeypatch):
     built: Counter = Counter()
     record = reduction._record
 
-    def counted(g):
+    def counted(g, ld):
         built[id(g)] += 1
-        return record(g)
+        return record(g, ld)
 
     monkeypatch.setattr(reduction, "_record", counted)
     rng = random.Random(93)

@@ -11,7 +11,6 @@ from itertools import combinations, combinations_with_replacement, zip_longest
 
 from m2sl2 import (
     CanonicalMonomial,
-    CannotExtendError,
     GMatrix2,
     IntRowLattice,
     LieBracket,
@@ -193,34 +192,6 @@ def rand_injection(rng: random.Random, n: int, spread=4) -> MonotoneInjection:
 def injection_onto(targets) -> MonotoneInjection:
     """The injection mapping 1..n onto the given strictly increasing targets."""
     return MonotoneInjection(tuple(enumerate(targets, start=1)))
-
-
-def rand_partial_injection(rng: random.Random, n: int, spread=4) -> MonotoneInjection:
-    """A random strictly increasing map on n sources drawn from 1..n + spread,
-    so its support may have holes."""
-    sources = sorted(rng.sample(range(1, n + spread + 1), n))
-    targets = sorted(rng.sample(range(1, n + 2 * spread + 1), n))
-    return MonotoneInjection(tuple(zip(sources, targets)))
-
-
-def reference_covering(phi: MonotoneInjection, indices) -> MonotoneInjection:
-    """MonotoneInjection.covering with no fast path: every index not among
-    the sources gets the smallest legal image at or above itself, else the
-    smallest legal one."""
-    assigned = dict(phi.pairs)
-    need = sorted(set(indices) - set(assigned))
-    if not need:
-        return phi
-    for i in need:
-        lo = max((t for s, t in assigned.items() if s < i), default=0)
-        hi = min((t for s, t in assigned.items() if s > i), default=None)
-        cand = max(lo + 1, i)
-        if hi is not None and cand >= hi:
-            cand = lo + 1
-        if hi is not None and cand >= hi:
-            raise CannotExtendError(f"no room to extend injection at index {i}")
-        assigned[i] = cand
-    return MonotoneInjection(tuple(sorted(assigned.items())))
 
 
 def rand_lie(rng: random.Random, grade: int, depth: int, max_index=4):
