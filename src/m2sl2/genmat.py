@@ -233,8 +233,7 @@ class IndependenceReport:
         }
 
 
-def independence_report(max_degree: int = 6, max_index: int = 3,
-                        max_monomials: int = MAX_BASIS) -> IndependenceReport:
+def independence_report(max_degree: int = 6, max_index: int = 3) -> IndependenceReport:
     """Rank of the evaluation matrix of all basis monomials within the caps.
 
     Full rank certifies that the enumerated monomials evaluate to Z-linearly
@@ -242,7 +241,7 @@ def independence_report(max_degree: int = 6, max_index: int = 3,
     a graded weak identity.
     """
     monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
-    count = _capped_basis_size(max_degree, max_index, max_monomials)
+    count = _capped_basis_size(max_degree, max_index, MAX_BASIS)
     lattice = IntRowLattice()
     for m in monos:
         lattice.add(monomial_row(m))

@@ -11,8 +11,8 @@ so the engine never builds a Profile.  The two orders:
   sequences compare by their highest differing index (right to left);
   variant 1 sits below variant 2; within variant 2 the total z-count decides
   first, then u3, then u2, then u1.  total_key encodes this as a plain tuple
-  read straight off the monomial, so sorting and max() need no comparator;
-  neg_total_key negates it, so a heapq min-heap pops the largest first.
+  read straight off the monomial, so sorting, max() and bisect need no
+  comparator.  It is injective: distinct monomials get distinct keys.
 
 * pwo_leq is the Higman-style embedding order: u <= v when some strictly
   increasing index map phi puts every (y-exponent, c-slot count, d-slot
@@ -115,22 +115,6 @@ def total_key(m: CanonicalMonomial) -> tuple:
     if not m.cseq:
         return (1, y)
     return (2, len(m.cseq) + len(m.dseq), m.dseq[::-1], m.cseq[::-1], y)
-
-
-def neg_total_key(m: CanonicalMonomial) -> tuple:
-    """total_key with every integer negated, so it sorts in reverse order.
-
-    heapq is a min-heap; keyed by this, it pops the largest monomial first.
-    Negation reverses every comparison because no comparison of two keys of
-    distinct monomials reaches a prefix case: each sequence in the key comes
-    after the component that fixes its length (len(yexp), and the z-count
-    for cseq and dseq).
-    """
-    y = (-len(m.yexp), tuple([-e for e in m.yexp[::-1]]))
-    if not m.cseq:
-        return (-1, y)
-    return (-2, -len(m.cseq) - len(m.dseq), tuple([-i for i in m.dseq[::-1]]),
-            tuple([-i for i in m.cseq[::-1]]), y)
 
 
 def cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:

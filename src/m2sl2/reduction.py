@@ -35,8 +35,8 @@ a nonzero residue freezes into the remainder and reduction continues on the
 strictly smaller tail.  Strict descent in a well-order terminates.
 """
 
+from bisect import insort
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
@@ -54,7 +54,6 @@ from .orders import (
     MonotoneInjection,
     _header,
     _rename,
-    neg_total_key,
     pwo_leq,
     rename_monomial,
     total_key,
@@ -206,9 +205,9 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     leading coefficients at lm(f); Euclidean division lc(f) = q*d + r
     subtracts q times that combination and freezes any nonzero residue r into
     the remainder.  Each step strictly lowers the working leading monomial,
-    and the well-order guarantees termination.  The loop is heap-driven: each
-    term's order key is computed once, when the term enters the working
-    polynomial, and no polynomial is copied per step.
+    and the well-order guarantees termination.  The loop walks a list sorted
+    by total_key: each term's order key is computed once, when the term
+    enters the working polynomial, and no polynomial is copied per step.
 
     When `trace` is a list, subtraction records
     {"against", "beta", "q", "phi", "N", "P"} and freeze records
@@ -241,10 +240,12 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
 def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     """The reduce_by loop, given each generator's record (see _record).
 
-    `work` maps each live term to its coefficient; `heap` holds
-    (neg_total_key(m), m) for every monomial pushed when it entered `work`,
-    so the smallest entry is the leading term.  An entry whose monomial has
-    since cancelled out of `work` is stale and skipped when popped (lazy
+    `work` maps each live term to its coefficient; `keyed` holds
+    (total_key(m), m) for every monomial inserted when it entered `work`,
+    sorted ascending, so its last entry is the leading term.  total_key is
+    injective, so two entries tie only when their monomials are equal, and
+    CanonicalMonomial needs no `<`.  An entry whose monomial has since
+    cancelled out of `work` is stale and skipped when popped (lazy
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
 
@@ -255,11 +256,10 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     r, and lm leaves `work` anyway.
     """
     work = dict(f.terms)
-    heap = [(neg_total_key(m), m) for m in work]
-    heapify(heap)
+    keyed = sorted([(total_key(m), m) for m in work])
     rem: dict[CanonicalMonomial, int] = {}
-    while heap:
-        lm = heappop(heap)[1]
+    while keyed:
+        lm = keyed.pop()[1]
         lc = work.get(lm)
         if lc is None:
             continue
@@ -287,7 +287,7 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
                         n = work.get(m)
                         if n is None:
                             work[m] = -c
-                            heappush(heap, (neg_total_key(m), m))
+                            insort(keyed, (total_key(m), m))
                         elif n == c:
                             del work[m]
                         else:

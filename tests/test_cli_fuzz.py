@@ -1,24 +1,34 @@
 """Fuzz the command line in-process: every run ends in an answer (exit 0), a
-structured error (exit 1, JSON under --json) or a usage error (exit 2), and
-no exception escapes cli.main.
+structured error (exit 1, JSON under --json) or a usage error (exit 2), within
+2 s, and no exception escapes cli.main.
 
 The inputs stay small so the whole module runs in a few seconds: `reduce`
 and `chain-demo` read files of at most 8 items of at most 3 terms over
-enumerate_basis(4, 2), and `normalize` and `is-identity` read grammar
-strings with up to three characters inserted, deleted or replaced.
-Examples are derandomized, so every run sees the same inputs.
+enumerate_basis(4, 2); `normalize` and `is-identity` read grammar strings,
+and `compare`, `embed` and `factor` monomial strings, with up to three
+characters inserted, deleted or replaced; `pwos-min` reads files of at most
+8 such lines, some of them not monomials; `independence` takes small and
+oversize caps.  Examples are derandomized, so every run sees the same
+inputs.  A few hostile inputs also run in a fresh interpreter, so no
+traceback can hide in what a shell user would see.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2sl2 import enumerate_basis
+import m2sl2
+from m2sl2 import enumerate_basis, genmat
 from m2sl2.cli import format_monomial, main
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -48,6 +58,7 @@ GRAMMAR = st.recursive(st.sampled_from(ATOMS), _expr, max_leaves=6)
 EDIT_CHARS = "yz0123456789+-*^()[], x"
 EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
                  st.integers(0, 10_000), st.sampled_from(EDIT_CHARS))
+EDITS = st.lists(EDIT, max_size=3)
 
 
 def mutate(text: str, edits) -> str:
@@ -72,7 +83,9 @@ def run(argv):
 
 
 def check(argv):
+    start = time.perf_counter()
     rc, out, err = run(argv)
+    assert time.perf_counter() - start < 2, argv
     assert rc in (0, 1, 2), (argv, rc, err)
     if "--json" in argv and rc == 0:
         json.loads(out)
@@ -120,10 +133,87 @@ def test_chain_demo_fuzz(items, as_json, budget):
 
 
 @FUZZ
-@given(GRAMMAR, st.lists(EDIT, max_size=3), st.sampled_from(("normalize", "is-identity")),
+@given(GRAMMAR, EDITS, st.sampled_from(("normalize", "is-identity")),
        st.booleans())
 def test_expression_fuzz(expr, edits, command, as_json):
     argv = [command, mutate(expr, edits)]
     if as_json:
         argv.append("--json")
     check(argv)
+
+
+# a basis monomial, as is or with up to three character edits
+MONOMIAL = st.one_of(st.sampled_from(BASIS),
+                     st.tuples(st.sampled_from(BASIS), EDITS).map(lambda t: mutate(*t)))
+
+
+@FUZZ
+@given(MONOMIAL, MONOMIAL, st.booleans(), st.sampled_from(("compare", "embed", "factor")),
+       st.booleans())
+def test_monomial_pair_fuzz(left, right, glue, command, as_json):
+    if glue:  # left times anything mostly embeds left, so factor often answers
+        right = f"{left}*{right}"
+    argv = [command, left, right]
+    if as_json:
+        argv.append("--json")
+    check(argv)
+
+
+@FUZZ
+@given(st.lists(st.one_of(MONOMIAL, POLY), max_size=8), st.booleans())
+def test_pwos_min_fuzz(lines, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["pwos-min", write_lines(tmp, "monomials.txt", lines)]
+        if as_json:
+            argv.append("--json")
+        check(argv)
+
+
+@FUZZ
+@given(st.integers(-2, 5), st.integers(-1, 4), st.booleans())
+def test_independence_fuzz(degree, indices, as_json):
+    argv = ["independence", "--degree", str(degree), "--indices", str(indices)]
+    if as_json:
+        argv.append("--json")
+    check(argv)
+
+
+def _enumerated(m):
+    raise AssertionError("an oversize basis was enumerated")
+
+
+@pytest.mark.parametrize("degree, indices", [(100, 100), (8, 40), (40, 3), (2, 5000)])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_independence_refuses_oversize_before_enumerating(monkeypatch, degree, indices, as_json):
+    monkeypatch.setattr(genmat, "monomial_row", _enumerated)
+    argv = ["independence", "--degree", str(degree), "--indices", str(indices)]
+    if as_json:
+        argv.append("--json")
+    rc, out, err = run(argv)
+    assert rc == 1 and out == ""
+    message = json.loads(err)["message"] if as_json else err
+    assert "enumeration exceeded 200000 monomials" in message
+
+
+HOSTILE = [
+    pytest.param(("compare", "y1 + y2", "z1"), id="compare-polynomial"),
+    pytest.param(("embed", "y1", "(" * 3000 + "y1" + ")" * 3000), id="embed-nesting-cap"),
+    pytest.param(("factor", "z1", "y1^99999999999999999999"), id="factor-letters-cap"),
+    pytest.param(("independence", "--degree", "100", "--indices", "100"), id="independence-cap"),
+    pytest.param(("independence", "--degree", "x"), id="independence-usage"),
+    pytest.param(("pwos-min", "{bad_utf8}"), id="pwos-min-undecodable"),
+    pytest.param(("pwos-min", "{missing}"), id="pwos-min-missing"),
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE)
+def test_hostile_input_has_no_traceback(tmp_path, argv):
+    bad_utf8 = tmp_path / "bad.txt"
+    bad_utf8.write_bytes(b"y1\n\xff\xfe z1\n")
+    argv = [a.format(bad_utf8=bad_utf8, missing=tmp_path / "missing.txt") for a in argv]
+    src = str(Path(m2sl2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "m2sl2.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode in (1, 2), (argv, proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)

@@ -10,6 +10,7 @@ from m2sl2 import (
     enumerate_basis,
     eval_word,
     evaluate,
+    genmat,
     independence_report,
     is_graded_weak_identity,
     normalize,
@@ -111,13 +112,15 @@ def test_independence_small():
     assert obj["rank"] == obj["monomials"] == 16
 
 
-def test_independence_resource_bound():
-    with pytest.raises(ResourceBoundError):
-        independence_report(6, 3, max_monomials=10)
+def test_independence_resource_bound(monkeypatch):
+    with pytest.raises(ResourceBoundError, match="exceeded 200000 monomials"):
+        independence_report(2, 5000)
     # the cap counts the whole basis, and a basis of exactly the cap is allowed
-    assert independence_report(2, 2, max_monomials=16).monomials == 16
+    monkeypatch.setattr(genmat, "MAX_BASIS", 16)
+    assert independence_report(2, 2).monomials == 16
+    monkeypatch.setattr(genmat, "MAX_BASIS", 15)
     with pytest.raises(ResourceBoundError, match="exceeded 15 monomials"):
-        independence_report(2, 2, max_monomials=15)
+        independence_report(2, 2)
 
 
 def test_basis_size_closed_form_matches_enumeration():

@@ -25,7 +25,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
-from m2sl2.orders import _rejects, _scan, neg_total_key
+from m2sl2.orders import _rejects, _scan
 from tests.util import (
     assert_witness_valid,
     brute_embed,
@@ -140,13 +140,6 @@ def test_cmp_total_matches_oracle_exhaustive():
     for a in base:
         for b in base:
             assert cmp_total(a, b) == oracle_cmp_total(a, b), (a, b)
-
-
-def test_neg_total_key_reverses_total_key_exhaustive():
-    keys = [(total_key(m), neg_total_key(m)) for m in enumerate_basis(4, 3)]
-    for ka, na in keys:
-        for kb, nb in keys:
-            assert (na < nb) == (ka > kb), (ka, kb)
 
 
 # --- injections --------------------------------------------------------------

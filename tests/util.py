@@ -619,8 +619,8 @@ def reference_factorize(m: CanonicalMonomial, target: CanonicalMonomial, phi=Non
 
 def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
     """reduce_by written the plain way: every step takes max() over all terms
-    by total_key and updates whole QPoly values, so it shares no heap, no
-    reversed key and no in-place term update with the package's loop.  Same
+    by total_key and updates whole QPoly values, so it shares no sorted
+    worklist and no in-place term update with the package's loop.  Same
     arguments, result and trace records as reduce_by."""
     lead = [max(g.terms, key=total_key) for g in gens]
     remainder = QPoly.zero()
