@@ -213,8 +213,18 @@ def cmd_pwos_min(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads only -h and --... tokens as options, so an expression or a path
+    may start with a minus sign ("-y1"); subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="m2sl2",
         description="Canonical forms, identity checks, and well-order reduction "
                     "for the 2-graded pair of 2x2 integer matrices and their "

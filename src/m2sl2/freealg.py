@@ -17,11 +17,16 @@ sign; only moving z past y costs a sign.
 
 The canonical monomial pins down a basis of the quotient: polynomials are
 integer combinations of canonical monomials and arithmetic always returns
-canonical representations.
+canonical representations.  Two of them multiply in closed form (_mono_mul):
+a.b carries the sign (-1)^(zlen(a) * ydeg(b)), from moving b's y-letters past
+a's z-block; the y-exponents add; and b's c- and d-slot letters join a's
+slot classes, swapping class when zlen(a) is odd, because b's z-block then
+starts on a d-slot.  No product goes through words; reduce_word reads a word
+in, and CanonicalMonomial.word writes one out.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 from math import comb
 
 from .errors import GradeMismatchError, ResourceBoundError
@@ -207,6 +212,23 @@ def reduce_word(w: Word) -> tuple[int, CanonicalMonomial]:
                                             tuple(sorted(zs[1::2])))
 
 
+def _mono_mul(ay: tuple, ac: tuple, ad: tuple,
+              by: tuple, bc: tuple, bd: tuple) -> tuple[int, CanonicalMonomial]:
+    """The product of the canonical monomials with parts (ay, ac, ad) and
+    (by, bc, bd), as (sign, monomial), by the rule in the module docstring.
+
+    a's parts must be canonical; b's slot tuples may come in any order, as
+    each slot class that gains letters is sorted here.  The sum of two
+    trimmed exponent rows is trimmed."""
+    if len(ac) == len(ad):  # zlen(a) is even
+        sign = 1
+    else:
+        bc, bd, sign = bd, bc, (-1 if sum(by) & 1 else 1)
+    return sign, CanonicalMonomial._trusted(
+        tuple([e + f for e, f in zip_longest(ay, by, fillvalue=0)]) if by else ay,
+        tuple(sorted(ac + bc)) if bc else ac, tuple(sorted(ad + bd)) if bd else ad)
+
+
 class QPoly:
     """An integer combination of canonical monomials.
 
@@ -291,11 +313,11 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         acc: dict[CanonicalMonomial, int] = {}
-        right = [(m2.word(), c2) for m2, c2 in other.terms.items()]
+        right = [(m2.yexp, m2.cseq, m2.dseq, c2) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            w1 = m1.word()
-            for w2, c2 in right:
-                sign, m = reduce_word(w1 + w2)
+            ay, ac, ad = m1.yexp, m1.cseq, m1.dseq
+            for by, bc, bd, c2 in right:
+                sign, m = _mono_mul(ay, ac, ad, by, bc, bd)
                 n = acc.get(m, 0) + sign * c1 * c2
                 if n:
                     acc[m] = n

@@ -20,8 +20,6 @@ from .intlinalg import IntRowLattice, _row_axpy
 from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
 
-_ZERO = MultiPoly.zero()
-
 
 @dataclass(frozen=True)
 class GMatrix2:
@@ -119,10 +117,7 @@ def _word_entries(w) -> tuple[tuple[int, Term, int], tuple[int, Term, int]]:
 
 def eval_word(w) -> GMatrix2:
     """The product of the generic matrices along the word w."""
-    entries = [_ZERO] * 4
-    for pos, term, sign in _word_entries(w):
-        entries[pos] = MultiPoly({term: sign})
-    return GMatrix2(*entries)
+    return evaluate([(1, w)])
 
 
 def evaluate(f) -> GMatrix2:

@@ -116,6 +116,7 @@ class _Parser:
         self.toks = toks
         self.k = 0
         self.depth = 0
+        self.powered = False  # did the last factor read end in an exponent
 
     def peek(self) -> Token:
         return self.toks[self.k]
@@ -153,7 +154,8 @@ class _Parser:
 
     def factor(self):
         node = self.atom()
-        if self.peek().kind == "^":
+        self.powered = self.peek().kind == "^"
+        if self.powered:
             self.take()
             t = self.expect("INT", "nonnegative integer exponent")
             node = ("pow", node, t.value)
@@ -193,8 +195,10 @@ def parse(text: str):
     node = p.expr()
     t = p.peek()
     if t.kind != "EOF":
-        raise ParseError(_describe(t), t.pos,
-                         ("'*'", "'+'", "'-'", "'^'", "')'", "']'", "','", "end of input"))
+        # a complete expression continues only by an operator; a factor that
+        # has its exponent takes no second one
+        caret = () if p.powered else ("'^'",)
+        raise ParseError(_describe(t), t.pos, ("'*'", "'+'", "'-'", *caret, "end of input"))
     return node
 
 

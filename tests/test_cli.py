@@ -311,6 +311,61 @@ def test_parse_error_json(capsys):
     assert "'*'" in obj["expected"]
 
 
+@pytest.mark.parametrize("expr,offset,expected", [
+    ("y1)", 2, ("'*'", "'+'", "'-'", "'^'", "end of input")),
+    ("y1 y2", 3, ("'*'", "'+'", "'-'", "'^'", "end of input")),
+    ("y1^2^3", 4, ("'*'", "'+'", "'-'", "end of input")),
+    ("z1 + (y1^2)]", 11, ("'*'", "'+'", "'-'", "'^'", "end of input")),
+    ("z1 + y1^2 ,", 10, ("'*'", "'+'", "'-'", "end of input")),
+])
+def test_trailing_token_error_lists_what_may_follow(capsys, expr, offset, expected):
+    # after a complete expression only an operator may follow, and '^' only
+    # when the last factor has no exponent yet
+    rc, _, err = run(capsys, "normalize", expr, "--json")
+    assert rc == 1
+    obj = json.loads(err)
+    assert (obj["offset"], obj["expected"]) == (offset, list(expected))
+    rc, _, err = run(capsys, "normalize", expr)
+    assert err.endswith(f"(expected {', '.join(expected)})\n")
+
+
+@pytest.mark.parametrize("argv,out", [
+    (("normalize", "-y1"), "- y1\n"),
+    (("normalize", "-2*y1", "--json"),
+     '[{"coeff": "-2", "m": {"y": [1], "c": [], "d": []}}]\n'),
+    (("normalize", "--", "-y1"), "- y1\n"),
+    (("is-identity", "-[y1,y2]"), "true\n"),
+    (("compare", "-y1", "y2"), "<\n"),
+    (("embed", "-y1", "y1*y2"), "1->1\n"),
+    (("factor", "-z1", "y1*z1*z2"), "phi: 1->1\nN: y1\nP: z2\n"),
+    (("reduce", "-y1"), "- y1\n"),
+])
+def test_leading_minus_is_an_expression(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_single_dash_arguments_are_not_options(capsys):
+    # a negative option value still reaches the engine's own check
+    rc, _, err = run(capsys, "independence", "--degree", "-1")
+    assert (rc, err) == (1, "error: need max_degree >= 0 and max_index >= 1\n")
+    # a file argument that starts with a minus sign is a path
+    rc, _, err = run(capsys, "chain-demo", "-x")
+    assert rc == 1 and "No such file" in err
+    with pytest.raises(SystemExit) as ei:
+        main(["normalize", "-h"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: m2sl2 normalize")
+    with pytest.raises(SystemExit) as ei:
+        main(["normalize", "--y1"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+
+
+def test_leading_minus_in_a_fresh_interpreter():
+    proc, _ = _fresh_cli("normalize", "-y1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "- y1\n", "")
+
+
 @pytest.mark.parametrize("expr,offset", [
     ("(" * 3000 + "y1" + ")" * 3000, 100),  # nesting cap, not RecursionError
     ("y100000000000", 1),                   # index cap, not MemoryError

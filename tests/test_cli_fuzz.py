@@ -8,9 +8,12 @@ enumerate_basis(4, 2); `normalize` and `is-identity` read grammar strings,
 and `compare`, `embed` and `factor` monomial strings, with up to three
 characters inserted, deleted or replaced; `pwos-min` reads files of at most
 8 such lines, some of them not monomials; `independence` takes small and
-oversize caps.  Examples are derandomized, so every run sees the same
-inputs.  A few hostile inputs also run in a fresh interpreter, so no
-traceback can hide in what a shell user would see.
+oversize caps.  Half of the expression arguments start with a minus sign,
+which must read as part of the expression, not as an option, and a syntax
+error never lists the token it rejects among the expected ones.  Examples
+are derandomized, so every run sees the same inputs.  A few hostile inputs
+also run in a fresh interpreter, so no traceback can hide in what a shell
+user would see.
 """
 
 import io
@@ -28,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import m2sl2
-from m2sl2 import enumerate_basis, genmat
+from m2sl2 import ParseError, enumerate_basis, genmat
 from m2sl2.cli import format_monomial, main
+from m2sl2.parsing import parse
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -43,6 +47,13 @@ ITEMS = st.lists(POLY, max_size=8)
 # a stream may hold zero items, which reduce to zero and adjoin nothing
 STREAM = st.lists(st.one_of(POLY, st.just("0")), max_size=8)
 
+
+def signed(strategy):
+    """The strategy's strings, half of them behind a leading minus sign,
+    which the command line must read as part of the expression."""
+    return st.one_of(strategy, strategy.map(lambda text: "-" + text))
+
+
 ATOMS = ("y1", "y2", "z1", "z2", "z3", "3", "(-2)", "0")
 
 
@@ -54,7 +65,7 @@ def _expr(children):
     )
 
 
-GRAMMAR = st.recursive(st.sampled_from(ATOMS), _expr, max_leaves=6)
+GRAMMAR = signed(st.recursive(st.sampled_from(ATOMS), _expr, max_leaves=6))
 EDIT_CHARS = "yz0123456789+-*^()[], x"
 EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
                  st.integers(0, 10_000), st.sampled_from(EDIT_CHARS))
@@ -104,7 +115,8 @@ def write_lines(directory: str, name: str, lines) -> str:
 
 
 @FUZZ
-@given(st.one_of(POLY, st.just("0")), ITEMS, st.integers(0, 4), st.booleans(), st.booleans())
+@given(signed(st.one_of(POLY, st.just("0"))), ITEMS, st.integers(0, 4), st.booleans(),
+       st.booleans())
 def test_reduce_fuzz(expr, gens, zero_gen, as_json, traced):
     if zero_gen == 0:  # one draw in five adds a zero generator, an error
         gens = gens + ["0"]
@@ -136,15 +148,29 @@ def test_chain_demo_fuzz(items, as_json, budget):
 @given(GRAMMAR, EDITS, st.sampled_from(("normalize", "is-identity")),
        st.booleans())
 def test_expression_fuzz(expr, edits, command, as_json):
-    argv = [command, mutate(expr, edits)]
+    text = mutate(expr, edits)
+    argv = [command, text]
     if as_json:
         argv.append("--json")
-    check(argv)
+    # only a "--" prefix makes the expression an option
+    assert check(argv) != 2 or text.startswith("--"), text
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert _token_name(text, exc.offset) not in exc.expected, (text, exc.expected)
+
+
+def _token_name(text: str, offset: int) -> str:
+    """How a ParseError's `expected` would name the token at offset."""
+    if offset >= len(text):
+        return "end of input"
+    ch = text[offset]
+    return "integer" if ch.isdecimal() else repr(ch)
 
 
 # a basis monomial, as is or with up to three character edits
-MONOMIAL = st.one_of(st.sampled_from(BASIS),
-                     st.tuples(st.sampled_from(BASIS), EDITS).map(lambda t: mutate(*t)))
+MONOMIAL = signed(st.one_of(st.sampled_from(BASIS),
+                            st.tuples(st.sampled_from(BASIS), EDITS).map(lambda t: mutate(*t))))
 
 
 @FUZZ

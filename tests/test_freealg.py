@@ -23,7 +23,7 @@ from m2sl2 import (
     subst_words,
 )
 from m2sl2.cli import poly_obj
-from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
+from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors, _mono_mul
 from tests.util import (
     monomial_from_obj,
     rand_lie,
@@ -127,6 +127,28 @@ def test_q_mul_examples():
     assert z1 * z1 == QPoly.monomial(mk((), (1,), (1,)))
     assert z1 * y1 == QPoly.monomial(mk((1,), (1,)), -1)
     assert y1 * z1 == QPoly.monomial(mk((1,), (1,)))
+
+
+def test_mono_mul_matches_word_product_exhaustive():
+    # every ordered pair of two small bases: the closed-form product against
+    # reduce_word on the concatenated canonical words
+    pairs = 0
+    for basis in (list(enumerate_basis(3, 3)), list(enumerate_basis(4, 2))):
+        for a in basis:
+            wa, parts = a.word(), (a.yexp, a.cseq, a.dseq)
+            for b in basis:
+                assert _mono_mul(*parts, b.yexp, b.cseq, b.dseq) == reduce_word(wa + b.word()), (a, b)
+                pairs += 1
+    assert pairs == 18_212
+
+
+def test_mono_mul_sign_and_slot_swap():
+    # z1 times y1*z2: y1 moves past one odd letter, and z2 lands on a d-slot
+    assert _mono_mul((), (1,), (), (1,), (2,), ()) == (-1, mk((1,), (1,), (2,)))
+    # an even z-block keeps b's classes, and y-letters cost no sign past it
+    assert _mono_mul((), (1,), (3,), (1,), (2,), ()) == (1, mk((1,), (1, 2), (3,)))
+    # y-exponents add, and b's slot tuples need not come sorted
+    assert _mono_mul((0, 1), (), (), (2,), (3, 1), (2,)) == (1, mk((2, 1), (1, 3), (2,)))
 
 
 def test_commutator_examples():

@@ -666,7 +666,7 @@ def test_membership_matches_product_oracle():
 
 def test_membership_needs_no_word_product(monkeypatch):
     # the lift is apply_reducer's closed form: the answers stay the oracle's
-    # with the word product and reduction.normalize made to raise
+    # with QPoly.__mul__ and reduction.normalize made to raise
     g = QPoly({mk((1,)): 2, mk((), (1,)): 1})
     cases = [
         (mono(mk((0, 2, 1))), [mono(mk((1,)))], 3),

@@ -570,14 +570,22 @@ def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly
     return QPoly(acc)
 
 
+def word_product(a: QPoly, b: QPoly) -> QPoly:
+    """a * b through words: each pair of terms concatenates the two canonical
+    words and reduce_word (by way of normalize) canonicalizes the result.
+    QPoly.__mul__ computes the same polynomial in closed form."""
+    return normalize([(c1 * c2, m1.word() + m2.word())
+                      for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()])
+
+
 def product_apply_reducer(triple, f: QPoly) -> QPoly:
     """The lift N . phi(f) . P as two products of whole words: N times the
     word-renamed f, then times the word P, each product canonicalized through
     reduce_word.  The package's apply_reducer computes the same polynomial in
     closed form, term by term."""
-    out = QPoly.monomial(triple.n_part) * word_renaming(f, triple.phi)
+    out = word_product(QPoly.monomial(triple.n_part), word_renaming(f, triple.phi))
     if triple.p_word:
-        out = out * normalize([(1, tuple(("z", i) for i in triple.p_word))])
+        out = word_product(out, normalize([(1, tuple(("z", i) for i in triple.p_word))]))
     return out
 
 
@@ -734,7 +742,7 @@ def product_membership_bounded(f: QPoly, generators, max_degree: int,
                                max_index: int | None = None,
                                max_candidates: int = 100_000) -> bool:
     """membership_bounded built from word products: each candidate is
-    N * word_renaming(g, phi) * P through QPoly.__mul__, with P a normalized
+    N * word_renaming(g, phi) * P through word_product, with P a normalized
     z-word, and the degree filter reads the product.  The enumeration order,
     and so the point where max_candidates is passed, is the package's."""
     if f.is_zero():
@@ -764,7 +772,7 @@ def product_membership_bounded(f: QPoly, generators, max_degree: int,
             for n_mon in (CanonicalMonomial.make(yv) for d in range(room + 1)
                           for yv in recursive_exponent_vectors(cap, d)):
                 room_p = room - n_mon.degree
-                left = QPoly.monomial(n_mon) * gp
+                left = word_product(QPoly.monomial(n_mon), gp)
                 for olen in range(0, room_p + 1):
                     elens = [e for e in (olen - 1, olen) if 0 <= e <= room_p - olen]
                     for elen in elens:
@@ -774,9 +782,9 @@ def product_membership_bounded(f: QPoly, generators, max_degree: int,
                                 p_word[0::2], p_word[1::2] = och, ech
                                 prod = left
                                 if p_word:
-                                    prod = left * normalize(
+                                    prod = word_product(left, normalize(
                                         [(1, tuple(("z", i) for i in p_word))]
-                                    )
+                                    ))
                                 if prod.is_zero() or prod.degree > max_degree:
                                     continue
                                 count += 1
