@@ -132,6 +132,17 @@ class _Parser:
             raise ParseError(_describe(t), t.pos, (what,))
         return self.take()
 
+    def close(self, kind: str, what: str) -> None:
+        """Take the token that ends a complete expression; else the error
+        lists what may follow it, `what` last."""
+        t = self.peek()
+        if t.kind != kind:
+            # a complete expression continues only by an operator; a factor
+            # that has its exponent takes no second one
+            caret = () if self.powered else ("'^'",)
+            raise ParseError(_describe(t), t.pos, ("'*'", "'+'", "'-'", *caret, what))
+        self.take()
+
     def expr(self):
         items = [(1, self.term())]
         while self.peek().kind in ("+", "-"):
@@ -177,12 +188,12 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.pos, ())
         if t.kind == "(":
             node = self.expr()
-            self.expect(")", "')'")
+            self.close(")", "')'")
         else:
             a = self.expr()
-            self.expect(",", "','")
+            self.close(",", "','")
             b = self.expr()
-            self.expect("]", "']'")
+            self.close("]", "']'")
             node = ("br", a, b)
         self.depth -= 1
         return node
@@ -193,12 +204,7 @@ def parse(text: str):
     token's offset, counted in characters of `text`."""
     p = _Parser(tokenize(text))
     node = p.expr()
-    t = p.peek()
-    if t.kind != "EOF":
-        # a complete expression continues only by an operator; a factor that
-        # has its exponent takes no second one
-        caret = () if p.powered else ("'^'",)
-        raise ParseError(_describe(t), t.pos, ("'*'", "'+'", "'-'", *caret, "end of input"))
+    p.close("EOF", "end of input")
     return node
 
 

@@ -317,6 +317,13 @@ def test_parse_error_json(capsys):
     ("y1^2^3", 4, ("'*'", "'+'", "'-'", "end of input")),
     ("z1 + (y1^2)]", 11, ("'*'", "'+'", "'-'", "'^'", "end of input")),
     ("z1 + y1^2 ,", 10, ("'*'", "'+'", "'-'", "end of input")),
+    # inside brackets the closer takes the place of the end of input
+    ("(y1 y2)", 4, ("'*'", "'+'", "'-'", "'^'", "')'")),
+    ("[y1 y2, z1]", 4, ("'*'", "'+'", "'-'", "'^'", "','")),
+    ("[y1, z1^2 y2]", 10, ("'*'", "'+'", "'-'", "']'")),
+    ("(y1^2^3)", 5, ("'*'", "'+'", "'-'", "')'")),
+    ("((y1)^2 z1)", 8, ("'*'", "'+'", "'-'", "')'")),
+    ("(y1", 3, ("'*'", "'+'", "'-'", "'^'", "')'")),
 ])
 def test_trailing_token_error_lists_what_may_follow(capsys, expr, offset, expected):
     # after a complete expression only an operator may follow, and '^' only
