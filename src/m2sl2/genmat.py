@@ -181,9 +181,9 @@ def evaluate_tree(node) -> GMatrix2:
     """The generic evaluation of a parse tree (parsing.parse), node by node.
 
     Equal to evaluate(parsing.to_words(node)), with the same errors:
-    parsing.fold_tree over the four-entry matrices, so the word cap is
-    checked first and every power of a single word charges the power caps as
-    to_words does.  A node of two or more raw words is a matrix: sums add,
+    parsing.fold_tree over the four-entry matrices, so every power of a
+    single word charges the power caps as to_words does (parse has checked
+    the word cap).  A node of two or more raw words is a matrix: sums add,
     products multiply, a power squares and a bracket is AB - BA, so the cost
     follows the tree, not its raw expansion.  No canonical reduction is
     involved.

@@ -6,18 +6,25 @@
     atom   := 'y' uint | 'z' uint | uint | '(' expr ')' | '[' expr ',' expr ']'
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
-are commutators.  `to_words` expands a parse tree into its raw weighted word
-list over the graded letters, with no canonical reduction; `parse_words` is
-that expansion of a text.  `fold_tree` folds a parse tree into a ring instead,
-keeping nodes of at most one raw word as words and everything else as ring
-values, so that the cost follows the tree, not its raw expansion.
-`parse_poly` is that fold over canonical polynomials (QPoly), and
-genmat.evaluate_tree the same fold over generic matrices.  The word cap and
-the power caps are applied here alone, the same way by every walk.
+are commutators.  `parse` reads a text in one pass of recursive descent,
+pulling tokens straight from the compiled scanner's matches.  Each node gets
+its raw word count as it is built, and a product of letters and integers
+(parenthesized ones included, the term's sign too) becomes one word leaf.
+Errors keep a fixed precedence: the first lexical error anywhere in the text
+(a bad character, a letter index out of range, a literal too long), then the
+first syntax or nesting error, then the word cap, then the power caps.
+
+`to_words` expands a parse tree into its raw weighted word list over the
+graded letters, with no canonical reduction; `parse_words` is that expansion
+of a text.  `fold_tree` folds a parse tree into a ring instead, keeping nodes
+of at most one raw word as words and everything else as ring values, so that
+the cost follows the tree, not its raw expansion.  `parse_poly` is that fold
+over canonical polynomials (QPoly), and genmat.evaluate_tree the same fold
+over generic matrices.  The word cap and the power caps are applied here
+alone, the same way by every walk.
 """
 
 import re
-from typing import NamedTuple
 
 from .errors import ParseError, ResourceBoundError
 from .freealg import QPoly, Word, _bracket, _times, normalize
@@ -49,144 +56,174 @@ def coeff_str(c: int) -> str:
     return str(c)
 
 
-class Token(NamedTuple):
-    kind: str  # "VAR", "INT", "EOF", or the operator character itself
-    value: object
-    pos: int
-
-
-# one token per match: whitespace | operator | letter and index digits |
+# one match per token: whitespace | operator | letter and index digits |
 # integer | any other character.  \s is exactly str.isspace() and \d exactly
 # the decimal digits int() reads.
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
                     r"|(?P<int>\d+)|(?P<other>.)", re.S)
 
-
-def tokenize(text: str) -> list[Token]:
-    """The input's tokens, ending in EOF."""
-    toks: list[Token] = []
-    for match in _TOKEN.finditer(text):
-        group = match.lastgroup
-        if group == "space":
-            continue
-        lexeme, i = match[group], match.start()
-        if group == "op":
-            toks.append(Token(lexeme, lexeme, i))
-        elif group == "var":
-            ch = lexeme[0]
-            if len(lexeme) == 1:
-                raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
-            digits = lexeme[1:].lstrip("0") or "0"
-            # the length test keeps int() off huge digit strings
-            if len(digits) > len(str(MAX_LETTER_INDEX)) or int(digits) > MAX_LETTER_INDEX:
-                raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
-                                 (f"index <= {MAX_LETTER_INDEX}",))
-            idx = int(digits)
-            if idx < 1:
-                raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
-            toks.append(Token("VAR", (ch, idx), i))
-        elif group == "int":
-            if len(lexeme) > MAX_COEFF_DIGITS:
-                raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
-                                 (f"at most {MAX_COEFF_DIGITS} digits",))
-            toks.append(Token("INT", int(lexeme), i))
-        else:
-            raise ParseError(f"unexpected character {lexeme!r}", i, ())
-    toks.append(Token("EOF", None, len(text)))
-    return toks
-
-
-# expression nodes: ("int", n) | ("var", letter) | ("pow", node, k)
-#                   ("mul", [nodes]) | ("add", [(sign, node), ...]) | ("br", a, b)
+# expression nodes, each with its raw word count n (len(to_words(node))):
+#   ("w", n, coeff, word)  a word leaf, a product of letters and integers:
+#                          the word list [(coeff, word)], or [] if coeff is 0
+#   ("pow", n, node, k)    ("mul", n, [nodes])    ("br", n, a, b)
+#   ("add", n, [(sign, node), ...])
 
 _ATOM_STARTS = ("'y'", "'z'", "integer", "'('", "'['")
+_SIGNS = ("+", "-")
+_INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
 
 
-def _describe(t: Token) -> str:
-    if t.kind == "EOF":
-        return "input ended"
-    if t.kind == "VAR":
-        fam, idx = t.value
-        return f"got {fam}{idx}"
-    return f"got {t.value!r}"
+def _leaf(coeff: int, word: tuple) -> tuple:
+    return ("w", 1 if coeff else 0, coeff, word)
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.k = 0
+    """Recursive descent in one pass over the scanner's matches.
+
+    The current token is kind ("VAR", "INT", "EOF" or the operator character),
+    value and pos.  A lexical error raises as soon as it is read, being the
+    first one in the text; a syntax error first reads the rest of the text, so
+    that a lexical error after it wins.  A node whose count passes MAX_WORDS
+    only sets `over`, for parse to raise once the text is read."""
+
+    __slots__ = ("matches", "end", "kind", "value", "pos", "depth", "powered", "over")
+
+    def __init__(self, text: str):
+        self.matches = _TOKEN.finditer(text)
+        self.end = len(text)
         self.depth = 0
         self.powered = False  # did the last factor read end in an exponent
+        self.over = False
+        self.advance()
 
-    def peek(self) -> Token:
-        return self.toks[self.k]
+    def advance(self) -> None:
+        for match in self.matches:
+            group = match.lastgroup
+            if group == "space":
+                continue
+            lexeme, i = match[0], match.start()
+            if group == "op":
+                self.kind = self.value = lexeme
+            elif group == "var":
+                ch = lexeme[0]
+                if len(lexeme) == 1:
+                    raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
+                digits = lexeme[1:].lstrip("0")
+                # the length test keeps int() off huge digit strings
+                idx = int(digits or "0") if len(digits) <= _INDEX_DIGITS else MAX_LETTER_INDEX + 1
+                if idx > MAX_LETTER_INDEX:
+                    raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
+                                     (f"index <= {MAX_LETTER_INDEX}",))
+                if idx < 1:
+                    raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
+                self.kind, self.value = "VAR", (ch, idx)
+            elif group == "int":
+                if len(lexeme) > MAX_COEFF_DIGITS:
+                    raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
+                                     (f"at most {MAX_COEFF_DIGITS} digits",))
+                self.kind, self.value = "INT", int(lexeme)
+            else:
+                raise ParseError(f"unexpected character {lexeme!r}", i, ())
+            self.pos = i
+            return
+        self.kind, self.value, self.pos = "EOF", None, self.end
 
-    def take(self) -> Token:
-        t = self.toks[self.k]
-        self.k += 1
-        return t
+    def fail(self, expected: tuple, message: str = "") -> None:
+        """Raise a syntax error at the current token, unless the rest of the
+        text holds a lexical error, which is raised instead."""
+        kind, value, pos = self.kind, self.value, self.pos
+        message = message or ("input ended" if kind == "EOF" else
+                              f"got {value[0]}{value[1]}" if kind == "VAR" else f"got {value!r}")
+        while self.kind != "EOF":
+            self.advance()
+        raise ParseError(message, pos, expected)
 
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(_describe(t), t.pos, (what,))
-        return self.take()
+    def counted(self, n: int) -> int:
+        if n > MAX_WORDS:
+            self.over = True
+            return MAX_WORDS + 1
+        return n
 
     def close(self, kind: str, what: str) -> None:
         """Take the token that ends a complete expression; else the error
         lists what may follow it, `what` last."""
-        t = self.peek()
-        if t.kind != kind:
+        if self.kind != kind:
             # a complete expression continues only by an operator; a factor
             # that has its exponent takes no second one
             caret = () if self.powered else ("'^'",)
-            raise ParseError(_describe(t), t.pos, ("'*'", "'+'", "'-'", *caret, what))
-        self.take()
+            self.fail(("'*'", "'+'", "'-'", *caret, what))
+        self.advance()
 
     def expr(self):
-        items = [(1, self.term())]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.take().kind == "+" else -1
+        node = self.term()
+        if self.kind not in _SIGNS:
+            return node
+        items = [(1, node)]
+        while self.kind in _SIGNS:
+            sign = 1 if self.kind == "+" else -1
+            self.advance()
             items.append((sign, self.term()))
-        return ("add", items)
+        return ("add", self.counted(sum(sub[1] for _, sub in items)), items)
 
     def term(self):
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = 1 if self.take().kind == "+" else -1
-        factors = [self.factor()]
-        while self.peek().kind == "*":
-            self.take()
-            factors.append(self.factor())
-        node = ("mul", factors) if len(factors) > 1 else factors[0]
-        if sign < 0:
-            node = ("mul", [("int", -1), node])
-        return node
+        # the run of one-word factors since the last other factor, sign
+        # included, is coeff * word; `run` says whether it holds any
+        coeff, word, run = 1, (), False
+        if self.kind in _SIGNS:
+            if self.kind == "-":
+                coeff, run = -1, True
+            self.advance()
+        subs = []
+        while True:
+            kind, value = self.kind, self.value
+            if kind == "VAR":
+                self.advance()
+                node = ("w", 1, 1, (value,))
+            elif kind == "INT":
+                self.advance()
+                node = _leaf(value, ())
+            elif kind == "(" or kind == "[":
+                node = self.group()
+            else:
+                self.fail(_ATOM_STARTS)
+            self.powered = self.kind == "^"
+            if self.powered:
+                self.advance()
+                if self.kind != "INT":
+                    self.fail(("nonnegative integer exponent",))
+                k, b = self.value, node[1]
+                self.advance()
+                # for b >= 2, b^k passes MAX_WORDS once k reaches its bit length
+                n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
+                node = ("pow", self.counted(n), node, k)
+            if node[0] == "w":
+                coeff *= node[2]
+                word += node[3]
+                run = True
+            else:
+                if run:
+                    subs.append(_leaf(coeff, word))
+                    coeff, word, run = 1, (), False
+                subs.append(node)
+            if self.kind != "*":
+                break
+            self.advance()
+        if run:
+            subs.append(_leaf(coeff, word))
+        if len(subs) == 1:
+            return subs[0]
+        n = 1
+        for sub in subs:  # every partial product counts toward the cap
+            n = self.counted(n * sub[1])
+        return ("mul", n, subs)
 
-    def factor(self):
-        node = self.atom()
-        self.powered = self.peek().kind == "^"
-        if self.powered:
-            self.take()
-            t = self.expect("INT", "nonnegative integer exponent")
-            node = ("pow", node, t.value)
-        return node
-
-    def atom(self):
-        t = self.peek()
-        if t.kind == "VAR":
-            self.take()
-            return ("var", t.value)
-        if t.kind == "INT":
-            self.take()
-            return ("int", t.value)
-        if t.kind not in ("(", "["):
-            raise ParseError(_describe(t), t.pos, _ATOM_STARTS)
-        self.take()
+    def group(self):
+        opener = self.kind
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.pos, ())
-        if t.kind == "(":
+            self.fail((), f"nesting deeper than {MAX_NESTING} levels")
+        self.advance()
+        if opener == "(":
             node = self.expr()
             self.close(")", "')'")
         else:
@@ -194,17 +231,23 @@ class _Parser:
             self.close(",", "','")
             b = self.expr()
             self.close("]", "']'")
-            node = ("br", a, b)
+            node = ("br", self.counted(2 * a[1] * b[1]), a, b)
         self.depth -= 1
         return node
 
 
 def parse(text: str):
-    """Parse to an expression tree; raises ParseError with the offending
-    token's offset, counted in characters of `text`."""
-    p = _Parser(tokenize(text))
+    """Parse to an expression tree within the word cap.
+
+    Errors come in a fixed order: the first lexical error anywhere in the
+    text, then the first syntax or nesting error, then the word cap (a
+    ResourceBoundError).  A ParseError carries the offending token's offset,
+    counted in characters of `text`."""
+    p = _Parser(text)
     node = p.expr()
     p.close("EOF", "end of input")
+    if p.over:
+        raise ResourceBoundError(f"expression expands to more than {MAX_WORDS} words")
     return node
 
 
@@ -243,24 +286,22 @@ def to_words(node) -> list[tuple[int, Word]]:
 
     def expand(node):
         kind = node[0]
-        if kind == "int":
-            return [(node[1], ())] if node[1] else []
-        if kind == "var":
-            return [(1, (node[1],))]
+        if kind == "w":
+            return [(node[2], node[3])] if node[1] else []
         if kind == "pow":
-            return _power(expand(node[1]), node[2], spent)
+            return _power(expand(node[2]), node[3], spent)
         if kind == "mul":
             out = [(1, ())]
-            for sub in node[1]:
+            for sub in node[2]:
                 out = _times(out, expand(sub))
             return out
         if kind == "add":
             out = []
-            for sign, sub in node[1]:
+            for sign, sub in node[2]:
                 out.extend((sign * c, w) for c, w in expand(sub))
             return out
         if kind == "br":
-            return _bracket(expand(node[1]), expand(node[2]))
+            return _bracket(expand(node[2]), expand(node[3]))
         raise ValueError(f"unknown node kind {kind!r}")
 
     return expand(node)
@@ -269,20 +310,19 @@ def to_words(node) -> list[tuple[int, Word]]:
 def fold_tree(node, lift, add, mul, charge=None):
     """Fold an expression tree into a ring, node by node.
 
-    The word cap is checked first, by word_count.  A node whose raw
-    expansion has at most one word is kept as that word list, built by
-    _times and _power, so every power of a single word charges the power
-    caps as to_words does, in the same order and from one budget for the
-    whole expression.  Every other node is a ring value: a sum lifts its
-    word operands with lift(words) and adds the rest with add(acc, value,
-    sign), products multiply with mul(a, b), a power squares and a bracket
-    is add(mul(a, b), mul(b, a), -1).  add may update acc in place; the fold
-    only passes an acc that lift or mul has just built.  When given,
-    charge(value) returns either the value or a word list to stand for it as
-    a power's base; a word list is billed to the caps and powered by _power,
-    and its power stays a word list.  The fold returns a ring value.
+    A node whose raw expansion has at most one word is kept as that word
+    list: a word leaf as it stands, other nodes built by _times and _power,
+    so every power of a single word charges the power caps as to_words does,
+    in the same order and from one budget for the whole expression.  Every
+    other node is a ring value: a sum lifts its word operands with
+    lift(words) and adds the rest with add(acc, value, sign), products
+    multiply with mul(a, b), a power squares and a bracket is add(mul(a, b),
+    mul(b, a), -1).  add may update acc in place; the fold only passes an
+    acc that lift or mul has just built.  When given, charge(value) returns
+    either the value or a word list to stand for it as a power's base; a
+    word list is billed to the caps and powered by _power, and its power
+    stays a word list.  The fold returns a ring value.
     """
-    word_count(node)
     spent = [0, 0]  # letters and coefficient bits built by one-word powers
 
     def ring(v):
@@ -290,12 +330,10 @@ def fold_tree(node, lift, add, mul, charge=None):
 
     def walk(node):
         kind = node[0]
-        if kind == "int":
-            return [(node[1], ())] if node[1] else []
-        if kind == "var":
-            return [(1, (node[1],))]
+        if kind == "w":
+            return [(node[2], node[3])] if node[1] else []
         if kind == "pow":
-            base, k = walk(node[1]), node[2]
+            base, k = walk(node[2]), node[3]
             if charge is not None and not isinstance(base, list):
                 base = charge(base)
             if isinstance(base, list) or not k:  # k == 0 is the word 1, whatever the base
@@ -310,7 +348,7 @@ def fold_tree(node, lift, add, mul, charge=None):
             return out
         if kind == "add":
             words, vals = [], []
-            for sign, sub in node[1]:
+            for sign, sub in node[2]:
                 v = walk(sub)
                 if isinstance(v, list):
                     for c, w in v:
@@ -324,7 +362,7 @@ def fold_tree(node, lift, add, mul, charge=None):
                 acc = add(acc, v, sign)
             return acc
         if kind == "mul":
-            vals = [walk(sub) for sub in node[1]]
+            vals = [walk(sub) for sub in node[2]]
             if [] in vals:  # no raw words: stays a word list, as in to_words
                 return []
             out = vals[0]
@@ -335,7 +373,7 @@ def fold_tree(node, lift, add, mul, charge=None):
                     out = mul(ring(out), ring(v))
             return out
         if kind == "br":
-            a, b = walk(node[1]), walk(node[2])
+            a, b = walk(node[2]), walk(node[3])
             if a == [] or b == []:  # no raw words: stays a word list
                 return []
             a, b = ring(a), ring(b)
@@ -345,47 +383,9 @@ def fold_tree(node, lift, add, mul, charge=None):
     return ring(walk(node))
 
 
-def word_count(node) -> int:
-    """How many words to_words(node) returns, computed from the tree alone.
-
-    Raises ResourceBoundError as soon as any list to_words would build (a
-    node's expansion, or a partial product inside a "mul") holds more than
-    MAX_WORDS words, so no expansion starts that would blow past the cap.
-    """
-    kind = node[0]
-    if kind == "int":
-        n = 1 if node[1] else 0
-    elif kind == "var":
-        n = 1
-    elif kind == "pow":
-        b, k = word_count(node[1]), node[2]
-        # for b >= 2, b^k > MAX_WORDS once k reaches MAX_WORDS.bit_length()
-        n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
-    elif kind == "mul":
-        n = 1
-        for sub in node[1]:
-            n *= word_count(sub)
-            _check_words(n)
-    elif kind == "add":
-        n = sum(word_count(sub) for _, sub in node[1])
-    elif kind == "br":
-        n = 2 * word_count(node[1]) * word_count(node[2])
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
-    _check_words(n)
-    return n
-
-
-def _check_words(n: int) -> None:
-    if n > MAX_WORDS:
-        raise ResourceBoundError(f"expression expands to more than {MAX_WORDS} words")
-
-
 def parse_words(text: str) -> list[tuple[int, Word]]:
     """The raw expansion of an expression: words exactly as written out."""
-    node = parse(text)
-    word_count(node)
-    return to_words(node)
+    return to_words(parse(text))
 
 
 def _add_terms(acc: QPoly, other: QPoly, sign: int) -> QPoly:

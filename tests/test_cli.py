@@ -11,7 +11,7 @@ import m2sl2
 from m2sl2 import ONE, CanonicalMonomial, QPoly, parse_poly
 import m2sl2.cli
 from m2sl2.cli import format_monomial, format_qpoly, main
-from tests.util import raw_evaluate_tree
+from tests.util import oracle_parse, raw_evaluate_tree
 
 
 def mk(yexp=(), cseq=(), dseq=()):
@@ -503,6 +503,7 @@ def test_is_identity_tree_matches_raw_words_on_caps(capsys, monkeypatch):
                 for expr in cases for flag in ((), ("--json",))]
 
     tree = outputs()
+    monkeypatch.setattr(m2sl2.cli, "parse", oracle_parse)
     monkeypatch.setattr(m2sl2.cli, "evaluate_tree", raw_evaluate_tree)
     assert outputs() == tree
     assert sum(rc == 1 for rc, _, _ in tree) == 20

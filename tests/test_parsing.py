@@ -20,8 +20,19 @@ from m2sl2 import (
 from m2sl2.cli import format_qpoly
 import m2sl2.parsing
 from m2sl2.genmat import evaluate_tree
-from m2sl2.parsing import MAX_WORDS, parse, parse_words, tokenize, word_count
-from tests.util import LOOP_KINDS, loop_tokenize, rand_qpoly, raw_evaluate_tree, word, y, z
+from m2sl2.parsing import MAX_WORDS, _Parser, parse, parse_words, to_words
+from tests.util import (
+    LOOP_KINDS,
+    loop_tokenize,
+    oracle_parse,
+    oracle_word_count,
+    oracle_words,
+    rand_qpoly,
+    raw_evaluate_tree,
+    word,
+    y,
+    z,
+)
 
 
 def rand_expr(rng: random.Random, depth: int) -> str:
@@ -136,12 +147,14 @@ def test_caps_admit_their_limits():
     "[[y1,z1],[z2,0]]", "(0*y1 + y2)^4 - [y1,y2]^2",
 ])
 def test_word_count_matches_expansion(text):
-    assert word_count(parse(text)) == len(parse_words(text))
+    # the count each node gets as the parser builds it, at the root
+    assert parse(text)[1] == oracle_word_count(oracle_parse(text)) == len(parse_words(text))
 
 
 def test_word_cap():
-    # counted from the tree: none of these expansions is ever built
-    assert word_count(parse("(" + "+".join(["y1"] * 1000) + ")^2")) == MAX_WORDS
+    # counted as the tree is built: none of these expansions is ever built
+    text = "(" + "+".join(["y1"] * 1000) + ")^2"
+    assert parse(text)[1] == oracle_word_count(oracle_parse(text)) == MAX_WORDS
     for text in (
         "[" * 50 + "y1" + ",z2]" * 50,      # 2^50 words
         "(" + "+".join(["y1"] * 1001) + ")^2",
@@ -184,9 +197,11 @@ def test_basis_theorem_on_random_expressions():
 
 
 def _outcome(evaluate_fn, text):
-    """The evaluation, or the ResourceBoundError message."""
+    """The evaluation of the text's tree, or the ResourceBoundError message:
+    genmat.evaluate_tree on the package's tree, raw_evaluate_tree on the
+    oracle's."""
     try:
-        return evaluate_fn(parse(text))
+        return evaluate_fn((oracle_parse if evaluate_fn is raw_evaluate_tree else parse)(text))
     except ResourceBoundError as exc:
         return str(exc)
 
@@ -207,7 +222,7 @@ def test_tree_evaluation_matches_raw_words():
         text = rand_expr(rng, 4)
         assert _outcome(evaluate_tree, text) == _outcome(raw_evaluate_tree, text), text
     for text in TREE_EDGE_CASES:
-        assert evaluate_tree(parse(text)) == raw_evaluate_tree(parse(text)), text
+        assert evaluate_tree(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
 
 
 def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
@@ -350,13 +365,24 @@ def _scan(fn, text):
         return ("ParseError", str(exc), exc.offset, exc.expected)
 
 
+def _scanned(text: str) -> list[tuple]:
+    """The (kind, value, pos) tokens the parser pulls from the scanner,
+    ending in EOF."""
+    p = _Parser(text)
+    toks = []
+    while p.kind != "EOF":
+        toks.append((p.kind, p.value, p.pos))
+        p.advance()
+    return toks + [("EOF", None, p.pos)]
+
+
 def test_tokenize_matches_loop_oracle():
     rng = random.Random(97)
     kinds = {v: k for k, v in LOOP_KINDS.items()}
     loop_fails = 0
     for _ in range(100_000):
         text = "".join(rng.choice(_SCAN_PIECES) for _ in range(rng.randint(0, 8)))
-        got = _scan(lambda t: [(k.kind, k.value, k.pos) for k in tokenize(t)], text)
+        got = _scan(_scanned, text)
         # the regex scanner reads '\u00b2' as any other character, such as
         # '#'; the loop read it with the digit run around it
         want = _scan(loop_tokenize, text.replace("\u00b2", "#"))
@@ -379,7 +405,99 @@ def test_scanner_character_classes():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     spaces = "".join(c for c in every if c.isspace())
     assert "".join(re.findall(r"\s", every)) == spaces
-    assert [t.kind for t in tokenize(spaces)] == ["EOF"]
+    assert _scanned(spaces) == [("EOF", None, len(spaces))]
     decimals = re.findall(r"\d", every)
     assert decimals == [c for c in every if c.isdecimal()]
     assert all(0 <= int(c) <= 9 for c in decimals)
+
+
+def _whole_outcome(parse_fn, count_fn, words_fn, text):
+    """The raw words and word count of a text, or the error's type, message,
+    offset and expected tuple."""
+    try:
+        node = parse_fn(text)
+        return ("ok", count_fn(node), words_fn(node))
+    except (ParseError, ResourceBoundError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "offset", None),
+                getattr(exc, "expected", None))
+
+
+def _mutated(rng: random.Random) -> str:
+    """A grammar string, one in five with an exponent raised to 4-40, with up
+    to three edits: a scanner piece inserted or put in place of a character,
+    or a character deleted."""
+    text = rand_expr(rng, rng.randint(0, 4))
+    if rng.random() < 0.2:
+        text = re.sub(r"\^\d", lambda _: f"^{rng.randint(4, 40)}", text, count=1)
+    for _ in range(rng.randint(0, 3)):
+        i, r = rng.randint(0, len(text)), rng.random()
+        if r < 0.3:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_SCAN_PIECES) + text[i + (r >= 0.65):]
+    return text
+
+
+def front_end_outcomes(n: int, seed: int) -> tuple[dict, list]:
+    """Run n mutated strings through the package's one-pass parser and the
+    three-pass oracle, asserting that the whole outcomes agree.  Return how
+    many ended in each outcome type, and the successes' texts and words."""
+    rng = random.Random(seed)
+    seen: dict = {}
+    ok = []
+    for _ in range(n):
+        text = _mutated(rng)
+        got = _whole_outcome(parse, lambda node: node[1], to_words, text)
+        want = _whole_outcome(oracle_parse, oracle_word_count, oracle_words, text)
+        assert got == want, text
+        seen[got[0]] = seen.get(got[0], 0) + 1
+        if got[0] == "ok":
+            ok.append((text, want[2]))
+    return seen, ok
+
+
+def test_parse_matches_three_pass_oracle(monkeypatch):
+    # small caps keep every expansion small and bring the word cap and the
+    # power caps into reach of the short strings
+    with monkeypatch.context() as patch:
+        patch.setattr(m2sl2.parsing, "MAX_WORDS", 2000)
+        patch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+        patch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
+        seen, ok = front_end_outcomes(20_000, 101)
+    assert seen["ok"] > 5000 and seen["ParseError"] > 5000, seen
+    assert seen["ResourceBoundError"] > 50, seen
+    # both folds, back under the real caps: parse_poly also bills a power
+    # base that normalizes to one term, which the raw expansion does not
+    for i, (text, words) in enumerate(ok):
+        assert parse_poly(text) == normalize(words), text
+        if i % 4 == 0:
+            assert evaluate_tree(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    ("y1 y2 $", 6, "unexpected character '$'"),
+    ("(" * 150 + "y1\u00a7", 152, "unexpected character '\u00a7'"),
+    ("[y1, z1 y0", 9, "letter index must be >= 1"),
+    ("y1 y2 " + "9" * 4301, 6, "integer longer than 4300 digits"),
+    ("(" * 101 + "y1 + 1*" + "\u00b2", 108, "unexpected character"),
+    ("y1)) y", 6, "letter 'y' needs an index"),
+])
+def test_lexical_error_after_syntax_error_wins(text, offset, message):
+    for parse_fn in (parse, oracle_parse):
+        with pytest.raises(ParseError, match=re.escape(message)) as ei:
+            parse_fn(text)
+        assert ei.value.offset == offset
+
+
+def test_syntax_error_wins_over_the_caps(monkeypatch):
+    # a syntax error is reported although the text also passes the word cap,
+    # and the word cap before any power cap
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+    with pytest.raises(ParseError, match="got y2"):
+        parse_poly("(y1+z1)^100 y2")
+    with pytest.raises(ParseError, match="input ended"):
+        parse_poly("y1^1000 * (y1+z1)^100 *")
+    with pytest.raises(ResourceBoundError, match="words"):
+        parse_poly("y1^1000 * (y1+z1)^100")
+    with pytest.raises(ResourceBoundError, match="letters"):
+        parse_poly("y1^1000 * (y1+z1)^2")

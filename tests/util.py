@@ -6,8 +6,10 @@ that agreement actually means something.
 """
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, zip_longest
+from typing import NamedTuple
 
 from m2sl2 import (
     CanonicalMonomial,
@@ -39,7 +41,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
-from m2sl2.parsing import to_words, word_count
+import m2sl2.parsing as caps  # read for the cap constants alone, at call time
 
 
 # --- letters, ring variables and JSON records ---------------------------------
@@ -118,10 +120,10 @@ def _mat_mul(a, b):
 
 
 def raw_evaluate_tree(node) -> GMatrix2:
-    """A parse tree's generic evaluation through its raw words, after the
-    word cap: the oracle for genmat.evaluate_tree."""
-    word_count(node)
-    return evaluate(to_words(node))
+    """An oracle_parse tree's generic evaluation through its raw words,
+    after the word cap: the oracle for genmat.evaluate_tree."""
+    oracle_word_count(node)
+    return evaluate(oracle_words(node))
 
 
 def product_eval_word(w) -> GMatrix2:
@@ -734,6 +736,237 @@ def loop_tokenize(text: str) -> list[tuple]:
         raise ParseError(f"unexpected character {ch!r}", i, ())
     toks.append(("EOF", None, n))
     return toks
+
+
+# --- reference parser ----------------------------------------------------------
+# The three-pass front end the package had before its one-pass parser: a full
+# token list, a tree of single letters and integers, a word-count walk, and an
+# expansion of its own.  It shares no code with m2sl2.parsing, whose caps it
+# reads when called, so a test that patches a cap patches both.
+
+class Token(NamedTuple):
+    kind: str  # "VAR", "INT", "EOF", or the operator character itself
+    value: object
+    pos: int
+
+
+_ORACLE_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
+                           r"|(?P<int>\d+)|(?P<other>.)", re.S)
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    """The input's tokens, ending in EOF; raises the first lexical error."""
+    toks: list[Token] = []
+    for match in _ORACLE_TOKEN.finditer(text):
+        group = match.lastgroup
+        if group == "space":
+            continue
+        lexeme, i = match[group], match.start()
+        if group == "op":
+            toks.append(Token(lexeme, lexeme, i))
+        elif group == "var":
+            ch, cap = lexeme[0], caps.MAX_LETTER_INDEX
+            if len(lexeme) == 1:
+                raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
+            digits = lexeme[1:].lstrip("0") or "0"
+            if len(digits) > len(str(cap)) or int(digits) > cap:
+                raise ParseError(f"letter index above {cap}", i + 1, (f"index <= {cap}",))
+            idx = int(digits)
+            if idx < 1:
+                raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
+            toks.append(Token("VAR", (ch, idx), i))
+        elif group == "int":
+            if len(lexeme) > caps.MAX_COEFF_DIGITS:
+                raise ParseError(f"integer longer than {caps.MAX_COEFF_DIGITS} digits", i,
+                                 (f"at most {caps.MAX_COEFF_DIGITS} digits",))
+            toks.append(Token("INT", int(lexeme), i))
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", i, ())
+    toks.append(Token("EOF", None, len(text)))
+    return toks
+
+
+# oracle nodes: ("int", n) | ("var", letter) | ("pow", node, k)
+#               ("mul", [nodes]) | ("add", [(sign, node), ...]) | ("br", a, b)
+
+def _describe(t: Token) -> str:
+    if t.kind == "EOF":
+        return "input ended"
+    if t.kind == "VAR":
+        return f"got {t.value[0]}{t.value[1]}"
+    return f"got {t.value!r}"
+
+
+class OracleParser:
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.k = 0
+        self.depth = 0
+        self.powered = False  # did the last factor read end in an exponent
+
+    def peek(self) -> Token:
+        return self.toks[self.k]
+
+    def take(self) -> Token:
+        t = self.toks[self.k]
+        self.k += 1
+        return t
+
+    def close(self, kind: str, what: str) -> None:
+        t = self.peek()
+        if t.kind != kind:
+            caret = () if self.powered else ("'^'",)
+            raise ParseError(_describe(t), t.pos, ("'*'", "'+'", "'-'", *caret, what))
+        self.take()
+
+    def expr(self):
+        items = [(1, self.term())]
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.take().kind == "+" else -1
+            items.append((sign, self.term()))
+        return ("add", items)
+
+    def term(self):
+        sign = 1
+        if self.peek().kind in ("+", "-"):
+            sign = 1 if self.take().kind == "+" else -1
+        factors = [self.factor()]
+        while self.peek().kind == "*":
+            self.take()
+            factors.append(self.factor())
+        node = ("mul", factors) if len(factors) > 1 else factors[0]
+        if sign < 0:
+            node = ("mul", [("int", -1), node])
+        return node
+
+    def factor(self):
+        node = self.atom()
+        self.powered = self.peek().kind == "^"
+        if self.powered:
+            self.take()
+            t = self.peek()
+            if t.kind != "INT":
+                raise ParseError(_describe(t), t.pos, ("nonnegative integer exponent",))
+            node = ("pow", node, self.take().value)
+        return node
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "VAR":
+            self.take()
+            return ("var", t.value)
+        if t.kind == "INT":
+            self.take()
+            return ("int", t.value)
+        if t.kind not in ("(", "["):
+            raise ParseError(_describe(t), t.pos, ("'y'", "'z'", "integer", "'('", "'['"))
+        self.take()
+        self.depth += 1
+        if self.depth > caps.MAX_NESTING:
+            raise ParseError(f"nesting deeper than {caps.MAX_NESTING} levels", t.pos, ())
+        if t.kind == "(":
+            node = self.expr()
+            self.close(")", "')'")
+        else:
+            a = self.expr()
+            self.close(",", "','")
+            b = self.expr()
+            self.close("]", "']'")
+            node = ("br", a, b)
+        self.depth -= 1
+        return node
+
+
+def oracle_parse(text: str):
+    """The oracle's tree of a text; raises ParseError only, never the word
+    cap (oracle_word_count checks that)."""
+    p = OracleParser(oracle_tokenize(text))
+    node = p.expr()
+    p.close("EOF", "end of input")
+    return node
+
+
+def oracle_word_count(node) -> int:
+    """How many words oracle_words(node) returns, from the tree alone; raises
+    ResourceBoundError once any list the expansion builds (a node's, or a
+    partial product's) would pass the word cap."""
+    cap = caps.MAX_WORDS
+
+    def check(n):
+        if n > cap:
+            raise ResourceBoundError(f"expression expands to more than {cap} words")
+        return n
+
+    kind = node[0]
+    if kind == "int":
+        n = 1 if node[1] else 0
+    elif kind == "var":
+        n = 1
+    elif kind == "pow":
+        b, k = oracle_word_count(node[1]), node[2]
+        n = b ** k if b <= 1 else b ** min(k, cap.bit_length())
+    elif kind == "mul":
+        n = 1
+        for sub in node[1]:
+            n = check(n * oracle_word_count(sub))
+    elif kind == "add":
+        n = sum(oracle_word_count(sub) for _, sub in node[1])
+    else:
+        n = 2 * oracle_word_count(node[1]) * oracle_word_count(node[2])
+    return check(n)
+
+
+def _words_times(left, right):
+    return [(c0 * c1, w0 + w1) for c0, w0 in left for c1, w1 in right]
+
+
+def oracle_words(node) -> list[tuple[int, tuple]]:
+    """The raw weighted words of an oracle tree, left operand outermost and
+    AB's words before BA's in a bracket; a power of one word is built in one
+    step after charging its letters and coefficient bits to the power caps,
+    summed over the tree in the order the words are built."""
+    spent = [0, 0]
+
+    def power(base, k):
+        if k == 0:
+            return [(1, ())]
+        if not base:
+            return []
+        if len(base) > 1:
+            out = base
+            for _ in range(k - 1):
+                out = _words_times(out, base)
+            return out
+        ((c, w),) = base
+        spent[0] += len(w) * k
+        spent[1] += abs(c).bit_length() * k if abs(c) > 1 else 0
+        if spent[0] > caps.MAX_POWER_LETTERS:
+            raise ResourceBoundError(
+                f"powers of single words build more than {caps.MAX_POWER_LETTERS} letters")
+        if spent[1] > caps.MAX_POWER_BITS:
+            raise ResourceBoundError("powers of single words build coefficients of more "
+                                     f"than {caps.MAX_POWER_BITS} bits")
+        return [(c ** k, w * k if w else w)]
+
+    def expand(node):
+        kind = node[0]
+        if kind == "int":
+            return [(node[1], ())] if node[1] else []
+        if kind == "var":
+            return [(1, (node[1],))]
+        if kind == "pow":
+            return power(expand(node[1]), node[2])
+        if kind == "mul":
+            out = [(1, ())]
+            for sub in node[1]:
+                out = _words_times(out, expand(sub))
+            return out
+        if kind == "add":
+            return [(sign * c, w) for sign, sub in node[1] for c, w in expand(sub)]
+        a, b = expand(node[1]), expand(node[2])
+        return _words_times(a, b) + [(-c0 * c1, w1 + w0) for c0, w0 in a for c1, w1 in b]
+
+    return expand(node)
 
 
 # --- reference membership -----------------------------------------------------
