@@ -26,7 +26,7 @@ in, and CanonicalMonomial.word writes one out.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement, product, zip_longest
 from math import comb
 
 from .errors import GradeMismatchError, ResourceBoundError
@@ -382,16 +382,24 @@ class LieBracket:
 LieExpr = LieVar | LieBracket
 
 
-def _times(left, right) -> list[tuple[int, Word]]:
-    """The product of two weighted word lists, left operand outermost, with
-    no canonical reduction."""
-    return [(c0 * c1, w0 + w1) for c0, w0 in left for c1, w1 in right]
+def _product(lists) -> list[tuple[int, Word]]:
+    """The product of weighted word lists, left operand outermost, with no
+    canonical reduction: each word of it is built in one pass over its
+    factors' words, not copied per factor."""
+    out = []
+    for combo in product(*lists):
+        coeff, letters = 1, []
+        for c, w in combo:
+            coeff *= c
+            letters += w
+        out.append((coeff, tuple(letters)))
+    return out
 
 
 def _bracket(left, right) -> list[tuple[int, Word]]:
     """The commutator AB - BA of two weighted word lists: AB's words, then
     BA's, each product with the left operand outermost."""
-    return _times(left, right) + [(-c0 * c1, w1 + w0) for c0, w0 in left for c1, w1 in right]
+    return _product([left, right]) + [(-c0 * c1, w1 + w0) for c0, w0 in left for c1, w1 in right]
 
 
 def lie_to_words(e: LieExpr) -> list[tuple[int, Word]]:
@@ -420,7 +428,7 @@ def subst_words(weighted_words, sigma: dict[Letter, LieExpr]) -> list[tuple[int,
         for letter in w:
             image = sigma.get(letter)
             expansion = [(1, (letter,))] if image is None else lie_to_words(image)
-            parts = _times(parts, expansion)
+            parts = _product([parts, expansion])
         out.extend(parts)
     return out
 

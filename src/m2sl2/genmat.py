@@ -177,18 +177,26 @@ def _mat_mul(a: tuple[dict, ...], b: tuple[dict, ...]) -> tuple[dict, ...]:
     return out
 
 
+def _row1_terms(m: tuple[dict, ...]) -> list[tuple[int, int]]:
+    """A matrix's canonical terms as (degree, coefficient) pairs, read off
+    row 1 (e11, e12): each canonical monomial puts one term there, with sign
+    +-1, and distinct monomials put distinct terms, so no two cancel."""
+    return [(sum(e for _, e in term), c) for entry in m[:2] for term, c in entry.items()]
+
+
 def evaluate_tree(node) -> GMatrix2:
     """The generic evaluation of a parse tree (parsing.parse), node by node.
 
-    Equal to evaluate(parsing.to_words(node)), with the same errors:
-    parsing.fold_tree over the four-entry matrices, so every power of a
-    single word charges the power caps as to_words does (parse has checked
-    the word cap).  A node of two or more raw words is a matrix: sums add,
-    products multiply, a power squares and a bracket is AB - BA, so the cost
-    follows the tree, not its raw expansion.  No canonical reduction is
-    involved.
+    Equal to evaluate(parsing.to_words(node)): parsing.fold_tree over the
+    four-entry matrices (parse has checked the word cap).  Sums, brackets
+    and the nodes built on them are matrices: sums add, products multiply, a
+    power squares and a bracket is AB - BA, so the cost follows the tree, not
+    its raw expansion.  A power whose base has one canonical term charges the power
+    caps by that term, read off row 1, as parse_poly does; to_words charges
+    only powers of single raw words, so such an input may fail here and
+    expand there.  No canonical reduction is involved.
     """
-    entries = fold_tree(node, _words_matrix, _add_into, _mat_mul)
+    entries = fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms)
     return GMatrix2(*(MultiPoly(entry) for entry in entries))
 
 

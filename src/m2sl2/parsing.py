@@ -16,18 +16,20 @@ first syntax or nesting error, then the word cap, then the power caps.
 
 `to_words` expands a parse tree into its raw weighted word list over the
 graded letters, with no canonical reduction; `parse_words` is that expansion
-of a text.  `fold_tree` folds a parse tree into a ring instead, keeping nodes
-of at most one raw word as words and everything else as ring values, so that
-the cost follows the tree, not its raw expansion.  `parse_poly` is that fold
-over canonical polynomials (QPoly), and genmat.evaluate_tree the same fold
-over generic matrices.  The word cap and the power caps are applied here
-alone, the same way by every walk.
+of a text.  `fold_tree` folds a parse tree into a ring instead, keeping
+products and powers of word leaves as words and everything else as ring
+values, so that the cost follows the tree, not its raw expansion.
+`parse_poly` is that fold over canonical polynomials (QPoly), and
+genmat.evaluate_tree the same fold over generic matrices.  The word cap and
+the power caps are applied here alone; both folds charge a power by its
+base's canonical term when it has one, the raw expansion by its base's word.
 """
 
 import re
+from itertools import groupby
 
 from .errors import ParseError, ResourceBoundError
-from .freealg import QPoly, Word, _bracket, _times, normalize
+from .freealg import QPoly, Word, _bracket, _product, normalize
 from .intlinalg import _row_axpy
 
 # Input caps that keep hostile input from costing a traceback: letter indices
@@ -35,7 +37,8 @@ from .intlinalg import _row_axpy
 # every word of the expansion is built in memory.  A power of a single word is
 # built in one step, so the letters and the coefficient bits (bounded by
 # k * bit_length) that such powers build are capped too, summed over the
-# expression.  Integers are capped at the 4,300 digits that int() and str()
+# expression; a power of a value of one canonical term is charged the same.
+# Integers are capped at the 4,300 digits that int() and str()
 # convert by default from Python 3.10.7 on (earlier versions convert more),
 # so every Python refuses the same ones: a longer literal is a ParseError, a
 # longer coefficient in the output a ResourceBoundError (coeff_str).
@@ -167,8 +170,8 @@ class _Parser:
 
     def term(self):
         # the run of one-word factors since the last other factor, sign
-        # included, is coeff * word; `run` says whether it holds any
-        coeff, word, run = 1, (), False
+        # included, is coeff * letters; `run` says whether it holds any
+        coeff, letters, run = 1, [], False
         if self.kind in _SIGNS:
             if self.kind == "-":
                 coeff, run = -1, True
@@ -198,18 +201,18 @@ class _Parser:
                 node = ("pow", self.counted(n), node, k)
             if node[0] == "w":
                 coeff *= node[2]
-                word += node[3]
+                letters += node[3]
                 run = True
             else:
                 if run:
-                    subs.append(_leaf(coeff, word))
-                    coeff, word, run = 1, (), False
+                    subs.append(_leaf(coeff, tuple(letters)))
+                    coeff, letters, run = 1, [], False
                 subs.append(node)
             if self.kind != "*":
                 break
             self.advance()
         if run:
-            subs.append(_leaf(coeff, word))
+            subs.append(_leaf(coeff, tuple(letters)))
         if len(subs) == 1:
             return subs[0]
         n = 1
@@ -251,32 +254,36 @@ def parse(text: str):
     return node
 
 
+def _charge_power(degree: int, c: int, k: int, spent: list[int]) -> None:
+    """Charge the k-th power of one term, of `degree` letters and coefficient
+    c, to `spent`, the budget of the whole expression: degree * k letters and
+    k times c's bit length (nothing for c = +-1).  Every power of a value of
+    one word or one canonical term is charged here."""
+    spent[0] += degree * k
+    spent[1] += abs(c).bit_length() * k if abs(c) > 1 else 0
+    if spent[0] > MAX_POWER_LETTERS:
+        raise ResourceBoundError(
+            f"powers of single words build more than {MAX_POWER_LETTERS} letters")
+    if spent[1] > MAX_POWER_BITS:
+        raise ResourceBoundError(
+            f"powers of single words build coefficients of more than {MAX_POWER_BITS} bits")
+
+
 def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple[int, Word]]:
     """The k-th power of a raw word list, left operand outermost.
 
     A power of a single word is built in closed form, after charging its
-    letters and coefficient bits to `spent`, the budget of the whole
-    expression; this is the only place the power caps are charged."""
+    letters and coefficient bits to `spent` (_charge_power)."""
     if k == 0:
         return [(1, ())]
     if not base:
         return []
     if len(base) == 1:
         ((c, w),) = base
-        spent[0] += len(w) * k
-        spent[1] += abs(c).bit_length() * k if abs(c) > 1 else 0
-        if spent[0] > MAX_POWER_LETTERS:
-            raise ResourceBoundError(
-                f"powers of single words build more than {MAX_POWER_LETTERS} letters")
-        if spent[1] > MAX_POWER_BITS:
-            raise ResourceBoundError(
-                f"powers of single words build coefficients of more than {MAX_POWER_BITS} bits")
+        _charge_power(len(w), c, k, spent)
         # the empty word stays empty: w * k cannot repeat it past sys.maxsize times
         return [(c ** k, w * k if w else w)]
-    out = base
-    for _ in range(k - 1):
-        out = _times(out, base)
-    return out
+    return _product([base] * k)
 
 
 def to_words(node) -> list[tuple[int, Word]]:
@@ -291,10 +298,7 @@ def to_words(node) -> list[tuple[int, Word]]:
         if kind == "pow":
             return _power(expand(node[2]), node[3], spent)
         if kind == "mul":
-            out = [(1, ())]
-            for sub in node[2]:
-                out = _times(out, expand(sub))
-            return out
+            return _product([expand(sub) for sub in node[2]])
         if kind == "add":
             out = []
             for sign, sub in node[2]:
@@ -307,23 +311,23 @@ def to_words(node) -> list[tuple[int, Word]]:
     return expand(node)
 
 
-def fold_tree(node, lift, add, mul, charge=None):
+def fold_tree(node, lift, add, mul, terms):
     """Fold an expression tree into a ring, node by node.
 
-    A node whose raw expansion has at most one word is kept as that word
-    list: a word leaf as it stands, other nodes built by _times and _power,
-    so every power of a single word charges the power caps as to_words does,
-    in the same order and from one budget for the whole expression.  Every
-    other node is a ring value: a sum lifts its word operands with
-    lift(words) and adds the rest with add(acc, value, sign), products
-    multiply with mul(a, b), a power squares and a bracket is add(mul(a, b),
-    mul(b, a), -1).  add may update acc in place; the fold only passes an
-    acc that lift or mul has just built.  When given, charge(value) returns
-    either the value or a word list to stand for it as a power's base; a
-    word list is billed to the caps and powered by _power, and its power
-    stays a word list.  The fold returns a ring value.
+    Word leaves, and products and powers built of them alone, are kept as
+    word lists of at most one word: a run of them in a product is multiplied
+    by _product, a power by _power.  Every other node is a ring value, never
+    a list: a sum lifts its word operands with lift(words) and
+    adds the rest with add(acc, value, sign), products multiply with
+    mul(a, b), a power squares and a bracket is add(mul(a, b), mul(b, a), -1).
+    add may update acc in place; the fold only passes an acc that lift or
+    mul has just built.  terms(value) lists a ring value's canonical terms as
+    (degree, coefficient) pairs, and a power of a value of one term, word or
+    ring value alike, charges the power caps by that term (_charge_power), in
+    the order of the walk and from one budget for the whole expression.  The
+    fold returns a ring value.
     """
-    spent = [0, 0]  # letters and coefficient bits built by one-word powers
+    spent = [0, 0]  # letters and coefficient bits built by powers of one term
 
     def ring(v):
         return lift(v) if isinstance(v, list) else v
@@ -334,10 +338,11 @@ def fold_tree(node, lift, add, mul, charge=None):
             return [(node[2], node[3])] if node[1] else []
         if kind == "pow":
             base, k = walk(node[2]), node[3]
-            if charge is not None and not isinstance(base, list):
-                base = charge(base)
             if isinstance(base, list) or not k:  # k == 0 is the word 1, whatever the base
                 return _power(base, k, spent)
+            base_terms = terms(base)
+            if len(base_terms) == 1:
+                _charge_power(*base_terms[0], k, spent)
             out = None
             while k:  # repeated squaring, low bits first
                 if k & 1:
@@ -351,32 +356,21 @@ def fold_tree(node, lift, add, mul, charge=None):
             for sign, sub in node[2]:
                 v = walk(sub)
                 if isinstance(v, list):
-                    for c, w in v:
-                        words.append((sign * c, w))
+                    words.extend((sign * c, w) for c, w in v)
                 else:
                     vals.append((sign, v))
-            if not vals and len(words) < 2:
-                return words
             acc = lift(words)
             for sign, v in vals:
                 acc = add(acc, v, sign)
             return acc
         if kind == "mul":
-            vals = [walk(sub) for sub in node[2]]
-            if [] in vals:  # no raw words: stays a word list, as in to_words
-                return []
-            out = vals[0]
-            for v in vals[1:]:
-                if isinstance(out, list) and isinstance(v, list):
-                    out = _times(out, v)
-                else:
-                    out = mul(ring(out), ring(v))
+            out = None
+            for cls, run in groupby([walk(sub) for sub in node[2]], type):
+                for v in ((_product(run),) if cls is list else run):
+                    out = v if out is None else mul(ring(out), ring(v))
             return out
         if kind == "br":
-            a, b = walk(node[2]), walk(node[3])
-            if a == [] or b == []:  # no raw words: stays a word list
-                return []
-            a, b = ring(a), ring(b)
+            a, b = ring(walk(node[2])), ring(walk(node[3]))
             return add(mul(a, b), mul(b, a), -1)
         raise ValueError(f"unknown node kind {kind!r}")
 
@@ -394,20 +388,15 @@ def _add_terms(acc: QPoly, other: QPoly, sign: int) -> QPoly:
     return acc
 
 
-def _one_term_words(f: QPoly):
-    """parse_poly's charge: a power base of at most one canonical term
-    stands as that term's word list, so the caps bill it; else f itself."""
-    return [(c, m.word()) for m, c in f.terms.items()] if len(f.terms) < 2 else f
-
-
 def parse_poly(text: str) -> QPoly:
     """The canonical polynomial of an expression.
 
     Equal to normalize(parse_words(text)): fold_tree over QPoly, so a power
     or a product of sums costs the size of its canonical form, not of its
     raw expansion.  The word cap still applies to the raw expansion, and a
-    power whose base normalizes to one term charges the power caps as that
-    term's word.
+    power whose base normalizes to one term charges the power caps by that
+    term, as genmat.evaluate_tree does.
     """
     # normalize is looked up on each call, so a wrapper patched over it sees the lifts
-    return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__, _one_term_words)
+    return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
+                     lambda f: [(m.degree, c) for m, c in f.terms.items()])

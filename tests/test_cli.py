@@ -422,7 +422,9 @@ def test_is_identity_never_rewrites(capsys, monkeypatch):
     monkeypatch.setattr(m2sl2.freealg, "reduce_word", refuse)
     for expr, want in (("[[y1,z1],[z2,y2]] + z1*y2 + y2*z1", "false"),
                        ("(y1*z1 + z1*y1)*(z2+y3)^2", "true"),
-                       ("(z1+z2)*(z2+z3)*(z3+z1) - (z3+z1)*(z2+z3)*(z1+z2)", "true")):
+                       ("(z1+z2)*(z2+z3)*(z3+z1) - (z3+z1)*(z2+z3)*(z1+z2)", "true"),
+                       # a power of a base of one canonical term, charged by row 1
+                       ("(y1*y2 + y2*y1)^3 - 8*y1^3*y2^3", "true")):
         rc, out, _ = run(capsys, "is-identity", expr)
         assert rc == 0 and out == want + "\n"
         rc, out, _ = run(capsys, "is-identity", expr, "--json")
@@ -442,6 +444,15 @@ def test_huge_powers_of_single_words(capsys):
     assert rc == 1 and json.loads(err)["error"] == "ResourceBoundError"
     rc, _, err = run(capsys, "is-identity", "3^100000000000000")
     assert rc == 1 and err.startswith("error: powers of single words build coefficients")
+    # a base of two words and one canonical term: both commands charge its
+    # power by that term, and refuse before squaring 1.9-million-bit numbers
+    for flag in ((), ("--json",)):
+        t0 = time.perf_counter()
+        outcomes = [run(capsys, cmd, "(3^1200000*y1 + y1)^19", *flag)
+                    for cmd in ("normalize", "is-identity")]
+        assert time.perf_counter() - t0 < 1.0
+        assert outcomes[0] == outcomes[1] and outcomes[0][:2] == (1, "")
+        assert "coefficients of more than 4000000 bits" in outcomes[0][2]
 
 
 @pytest.mark.parametrize("as_json", [False, True])

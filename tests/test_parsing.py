@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from m2sl2 import (
 )
 from m2sl2.cli import format_qpoly
 import m2sl2.parsing
-from m2sl2.genmat import evaluate_tree
+from m2sl2.genmat import evaluate, evaluate_tree
 from m2sl2.parsing import MAX_WORDS, _Parser, parse, parse_words, to_words
 from tests.util import (
     LOOP_KINDS,
@@ -242,22 +243,29 @@ def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
 
 
 def test_parse_poly_charges_one_term_power_bases(monkeypatch):
-    # a power whose base normalizes to one term charges the caps as that
-    # term's word; the raw expansion has two words there and charges nothing
+    # a power whose base has one canonical term charges the caps by that
+    # term, in both folds; the raw expansion has two words there and charges
+    # nothing
     monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
     monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
-    with pytest.raises(ResourceBoundError, match="letters"):
-        parse_poly("(y1^10 + y1^10)^9")  # 20 + 90 letters
-    for text in ("(2^20 + 2^20)^5", "(2^20*y1 + 2^20*y1)^5"):  # 80 + 110 bits
-        with pytest.raises(ResourceBoundError, match="bits"):
+    for text, cap in (("(y1^10 + y1^10)^9", "letters"),  # 20 + 90 letters
+                      ("0*(y1^10+y1^10)^9", "letters"),
+                      ("(2^20 + 2^20)^5", "bits"),  # 80 + 110 bits
+                      ("(2^20*y1 + 2^20*y1)^5", "bits")):
+        with pytest.raises(ResourceBoundError, match=cap) as ei:
             parse_poly(text)
+        with pytest.raises(ResourceBoundError) as tree_ei:
+            evaluate_tree(parse(text))
+        assert str(tree_ei.value) == str(ei.value), text
     for text, want in (("(y1 + y1)^19 * y1^80", QPoly.monomial(mk((99,)), 2 ** 19)),
                        ("(y1^10 - y1^10 + z1)^9", QPoly.monomial(mk((), (1,) * 5, (1,) * 4)))):
         assert parse_poly(text) == want, text
+        assert evaluate_tree(parse(text)) == evaluate(want), text
     # (y1 + y1)^19 * y1^80 answers there too, but its 2^19 raw words are not built here
     for text in ("(y1^10 + y1^10)^9", "(2^20 + 2^20)^5", "(2^20*y1 + 2^20*y1)^5",
                  "(y1^10 - y1^10 + z1)^9"):
         assert parse_words(text), text
+    assert parse_words("0*(y1^10+y1^10)^9") == []
 
 
 def test_parse_poly_folds_product_operands(monkeypatch):
@@ -273,6 +281,20 @@ def test_parse_poly_folds_product_operands(monkeypatch):
     monkeypatch.setattr(m2sl2.parsing, "normalize", counting)
     f = parse_poly("(y1+z1+z2)^12")
     assert len(f.terms) == 140 and max(sizes) < 1000
+
+
+def test_long_products_in_linear_time():
+    # a product of 160,000 letters, written out or as powers of one letter:
+    # its word is built once, not copied per factor as it grows, which took
+    # over a minute per walk
+    n = 160_000
+    want = QPoly.monomial(mk((n,)))
+    for text in ("*".join(["y1"] * n), "*".join(["y1^1"] * n)):
+        t0 = time.perf_counter()
+        assert parse_poly(text) == want
+        assert evaluate_tree(parse(text)) == evaluate(want)
+        assert parse_words(text) == [(1, (y(1),) * n)]
+        assert time.perf_counter() - t0 < 5.0
 
 
 def test_bracket_raw_word_order():
