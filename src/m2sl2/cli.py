@@ -85,64 +85,49 @@ def _phi_text(phi) -> str:
 
 
 # --- subcommand handlers ----------------------------------------------------
+# Each returns its stdout as a list of lines and prints nothing: main writes
+# them once the command has succeeded, so a failing command prints none.
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> list[str]:
     f = parse_poly(args.expr)
-    if args.json:
-        print(json.dumps(poly_obj(f)))
-    else:
-        print(format_qpoly(f))
-    return 0
+    return [json.dumps(poly_obj(f)) if args.json else format_qpoly(f)]
 
 
-def cmd_is_identity(args) -> int:
+def cmd_is_identity(args) -> list[str]:
     # generic evaluation of the parse tree: the oracle sees no reduction
     ok = evaluate_tree(parse(args.expr)).is_zero()
-    if args.json:
-        print(json.dumps({"identity": ok}))
-    else:
-        print("true" if ok else "false")
-    return 0
+    return [json.dumps({"identity": ok}) if args.json else ("true" if ok else "false")]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[str]:
     a = _single_monomial(args.left)
     b = _single_monomial(args.right)
     c = cmp_total(a, b)
     out = "<" if c < 0 else ("=" if c == 0 else ">")
-    if args.json:
-        print(json.dumps({"order": out}))
-    else:
-        print(out)
-    return 0
+    return [json.dumps({"order": out}) if args.json else out]
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> list[str]:
     a = _single_monomial(args.left)
     b = _single_monomial(args.right)
     phi = pwo_leq(a, b)
     if args.json:
-        print(json.dumps({"phi": None if phi is None else phi.to_obj()}))
-    else:
-        print("incomparable" if phi is None else _phi_text(phi))
-    return 0
+        return [json.dumps({"phi": None if phi is None else phi.to_obj()})]
+    return ["incomparable" if phi is None else _phi_text(phi)]
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> list[str]:
     a = _single_monomial(args.left)
     b = _single_monomial(args.right)
     triple = factorize_embedding(a, b)
     if args.json:
-        print(json.dumps(triple.to_obj()))
-    else:
-        print(f"phi: {_phi_text(triple.phi)}")
-        print(f"N: {format_monomial(triple.n_part)}")
-        p = "*".join(f"z{i}" for i in triple.p_word)
-        print(f"P: {p if p else '(empty)'}")
-    return 0
+        return [json.dumps(triple.to_obj())]
+    p = "*".join(f"z{i}" for i in triple.p_word)
+    return [f"phi: {_phi_text(triple.phi)}", f"N: {format_monomial(triple.n_part)}",
+            f"P: {p or '(empty)'}"]
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> list[str]:
     f = parse_poly(args.expr)
     gens = [parse_poly(s) for s in _read_exprs(args.gens)] if args.gens else []
     trace: list | None = [] if (args.trace or args.json) else None
@@ -152,10 +137,8 @@ def cmd_reduce(args) -> int:
             json.dump(trace, fh, indent=1)
             fh.write("\n")
     if args.json:
-        print(json.dumps({"remainder": poly_obj(r), "trace": trace}))
-    else:
-        print(format_qpoly(r))
-    return 0
+        return [json.dumps({"remainder": poly_obj(r), "trace": trace})]
+    return [format_qpoly(r)]
 
 
 def _builtin_stream(degree: int, indices: int, order: str):
@@ -168,49 +151,35 @@ def _builtin_stream(degree: int, indices: int, order: str):
     return [QPoly.monomial(m) for m in sorted(monos, key=key)]
 
 
-def cmd_chain_demo(args) -> int:
+def cmd_chain_demo(args) -> list[str]:
     if args.stream:
         stream = [parse_poly(s) for s in _read_exprs(args.stream)]
     else:
         stream = _builtin_stream(args.degree, args.indices, args.order)
     report = chain_demo(stream, args.budget)
     if args.json:
-        print(json.dumps(report.to_obj()))
-    else:
-        # every line is formatted before the first is printed, so an error prints none
-        lines = [f"step {step}: adjoined {format_term(ld.lc, ld.lm)}"
-                 for step, ld in report.adjoined]
-        if report.truncated:
-            lines.append(f"budget exhausted after {report.steps} steps; no stabilization claim")
-        else:
-            lines.append(f"stabilized at step {report.stabilized_at} ({report.steps} steps seen)")
-        print("\n".join(lines))
-    return 0
+        return [json.dumps(report.to_obj())]
+    lines = [f"step {step}: adjoined {format_term(ld.lc, ld.lm)}" for step, ld in report.adjoined]
+    if report.truncated:
+        return lines + [f"budget exhausted after {report.steps} steps; no stabilization claim"]
+    return lines + [f"stabilized at step {report.stabilized_at} ({report.steps} steps seen)"]
 
 
-def cmd_independence(args) -> int:
+def cmd_independence(args) -> list[str]:
     rep = independence_report(args.degree, args.indices)
     if args.json:
-        print(json.dumps(rep.to_obj()))
-    else:
-        print(f"degree: {rep.degree}")
-        print(f"indices: {rep.indices}")
-        print(f"monomials: {rep.monomials}")
-        print(f"rank: {rep.rank}")
-        print(f"full rank: {'yes' if rep.full_rank else 'no'}")
-    return 0
+        return [json.dumps(rep.to_obj())]
+    return [f"degree: {rep.degree}", f"indices: {rep.indices}", f"monomials: {rep.monomials}",
+            f"rank: {rep.rank}", f"full rank: {'yes' if rep.full_rank else 'no'}"]
 
 
-def cmd_pwos_min(args) -> int:
+def cmd_pwos_min(args) -> list[str]:
     monos = [_single_monomial(s) for s in _read_exprs(args.file)]
     mins = minimal_elements(monos)
     mins.sort(key=total_key)
     if args.json:
-        print(json.dumps([monomial_to_obj(m) for m in mins]))
-    else:
-        for m in mins:
-            print(format_monomial(m))
-    return 0
+        return [json.dumps([monomial_to_obj(m) for m in mins])]
+    return [format_monomial(m) for m in mins]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -299,7 +268,9 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        for line in args.func(args):
+            print(line)
+        return 0
     except (EngineError, ValueError, OSError) as exc:
         if getattr(args, "json", False):
             obj = {"error": type(exc).__name__, "message": str(exc)}

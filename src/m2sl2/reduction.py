@@ -35,16 +35,16 @@ strictly smaller tail.  Strict descent in a well-order terminates.
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, zip_longest
+from itertools import combinations, zip_longest
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
     CanonicalMonomial,
     QPoly,
-    _exponent_vectors,
     _interleave,
     _mono_mul,
     _trim,
+    enumerate_basis,
     monomial_to_obj,
     normalize,  # unused here; the benchmark's tracer wraps reduction.normalize
 )
@@ -360,14 +360,17 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
     """Truncated membership test for the one-sided closure of the generators.
 
     Enumerates lifts N . phi(g) . P (apply_reducer) over all monotone
-    injections phi of g's index support into 1..cap, pure-y left factors N,
-    and pure-z right words P, keeping lifts whose degree
-    deg N + deg g + len P stays within max_degree, then asks whether f lies
+    injections phi of g's index support into 1..cap and every canonical
+    monomial of degree <= max_degree - deg g with indices <= cap, read as its
+    pure-y part N and its pure-z block P, so each lift's degree
+    deg N + deg g + len P stays within max_degree; then asks whether f lies
     in the Z-row-span of their coefficient vectors.  A True answer is a
     certificate; a False answer only says the truncated family misses f,
     because the cap and the degree bound cut the enumeration off.  This is a
     bounded check, not a decision procedure.
     """
+    if max_index is not None and max_index < 1:
+        raise ValueError("need max_index >= 1")
     if f.is_zero():
         return True
     if f.degree > max_degree:
@@ -376,7 +379,6 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
     if max_index is None:
         src_max = max([f.max_index] + [g.max_index for g in gens], default=1)
         max_index = max(1, src_max) + max_degree
-    slots = range(1, max_index + 1)
 
     def vec(poly: QPoly) -> dict:
         return {(m.yexp, m.cseq, m.dseq): c for m, c in poly.terms.items()}
@@ -385,25 +387,20 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
     count = 0
     for g in gens:
         # a lift adds deg N + len P to every term of g and cancels none, so
-        # its degree is deg N + deg g + len P: the loops stop at `room`
+        # its degree is deg N + deg g + len P: the monomials stop at `room`
         room = max_degree - g.degree
         if room < 0:
             continue
         src = g._index_support()
-        for targets in combinations(slots, len(src)):
+        for targets in combinations(range(1, max_index + 1), len(src)):
             phi = MonotoneInjection(tuple(zip(src, targets)))
-            for n_mon in (CanonicalMonomial.make(yv) for d in range(room + 1)
-                          for yv in _exponent_vectors(max_index, d)):
-                room_p = room - n_mon.degree
-                for olen in range(room_p + 1):
-                    for elen in [e for e in (olen - 1, olen) if 0 <= e <= room_p - olen]:
-                        for och in combinations_with_replacement(slots, olen):
-                            for ech in combinations_with_replacement(slots, elen):
-                                count += 1
-                                if count > max_candidates:
-                                    raise ResourceBoundError(
-                                        f"membership enumeration exceeded {max_candidates} products"
-                                    )
-                                p_word = tuple(_interleave(och, ech))
-                                lattice.add(vec(apply_reducer(ReducerTriple(phi, n_mon, p_word), g)))
+            for m in enumerate_basis(room, max_index):
+                count += 1
+                if count > max_candidates:
+                    raise ResourceBoundError(
+                        f"membership enumeration exceeded {max_candidates} products"
+                    )
+                n_mon = CanonicalMonomial._trusted(m.yexp, (), ())
+                p_word = tuple(_interleave(m.cseq, m.dseq))
+                lattice.add(vec(apply_reducer(ReducerTriple(phi, n_mon, p_word), g)))
     return lattice.contains(vec(f))

@@ -294,6 +294,14 @@ def test_pwos_min_cli(tmp_path, capsys):
     assert out.splitlines() == ["y1", "z1"]
 
 
+@pytest.mark.parametrize("body", ["", "# comments only\n\n  # and blanks\n"])
+def test_pwos_min_empty_answer_prints_nothing(tmp_path, capsys, body):
+    f = tmp_path / "monos.txt"
+    f.write_text(body)
+    assert run(capsys, "pwos-min", str(f)) == (0, "", "")
+    assert run(capsys, "pwos-min", str(f), "--json") == (0, "[]\n", "")
+
+
 # --- error paths -------------------------------------------------------------
 
 def test_parse_error_exit_code(capsys):

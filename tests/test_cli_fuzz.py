@@ -98,6 +98,8 @@ def check(argv):
     rc, out, err = run(argv)
     assert time.perf_counter() - start < 2, argv
     assert rc in (0, 1, 2), (argv, rc, err)
+    if rc != 0:  # a failing command writes nothing to stdout
+        assert out == "", (argv, rc, out)
     if "--json" in argv and rc == 0:
         json.loads(out)
     if "--json" in argv and rc == 1:
@@ -244,4 +246,5 @@ def test_hostile_input_has_no_traceback(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-m", "m2sl2.cli", *argv], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode in (1, 2), (argv, proc.returncode, proc.stderr)
+    assert proc.stdout == "", (argv, proc.stdout)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)

@@ -620,6 +620,9 @@ def test_membership_detects_coefficient_obstruction():
     # 2*y1 generates only even multiples in degree 1
     assert not membership_bounded(mono(mk((1,))), [mono(mk((1,)), 2)], 1)
     assert membership_bounded(mono(mk((1,)), 4), [mono(mk((1,)), 2)], 1)
+    for bad in (0, -1):  # no index to enumerate over: refused, not read as constants only
+        with pytest.raises(ValueError):
+            membership_bounded(mono(mk((1,)), 4), [mono(mk((1,)), 2)], 1, max_index=bad)
 
 
 def test_membership_honors_reductions():

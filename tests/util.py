@@ -976,8 +976,9 @@ def product_membership_bounded(f: QPoly, generators, max_degree: int,
                                max_candidates: int = 100_000) -> bool:
     """membership_bounded built from word products: each candidate is
     N * word_renaming(g, phi) * P through word_product, with P a normalized
-    z-word, and the degree filter reads the product.  The enumeration order,
-    and so the point where max_candidates is passed, is the package's."""
+    z-word, and the degree filter reads the product.  Both count the same
+    candidates, so both raise exactly when the count passes max_candidates,
+    whatever order each enumerates them in."""
     if f.is_zero():
         return True
     if f.degree > max_degree:
