@@ -278,9 +278,6 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             if other == 0:

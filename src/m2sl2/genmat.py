@@ -36,14 +36,6 @@ class GMatrix2:
             self.e22 + other.e22,
         )
 
-    def __sub__(self, other: "GMatrix2") -> "GMatrix2":
-        return GMatrix2(
-            self.e11 - other.e11,
-            self.e12 - other.e12,
-            self.e21 - other.e21,
-            self.e22 - other.e22,
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return GMatrix2(self.e11 * other, self.e12 * other, self.e21 * other, self.e22 * other)

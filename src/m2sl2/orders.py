@@ -68,9 +68,6 @@ class Profile:
             if c - d not in (0, 1):
                 raise InvalidProfileError("c-slot count minus d-slot count must be 0 or 1")
 
-    def to_obj(self) -> dict:
-        return {"v": self.variant, "u1": list(self.u1), "u2": list(self.u2), "u3": list(self.u3)}
-
 
 def _counts(seq) -> tuple[int, ...]:
     if not seq:

@@ -304,9 +304,7 @@ def to_words(node) -> list[tuple[int, Word]]:
             for sign, sub in node[2]:
                 out.extend((sign * c, w) for c, w in expand(sub))
             return out
-        if kind == "br":
-            return _bracket(expand(node[2]), expand(node[3]))
-        raise ValueError(f"unknown node kind {kind!r}")
+        return _bracket(expand(node[2]), expand(node[3]))  # "br", the one kind left
 
     return expand(node)
 
@@ -369,10 +367,8 @@ def fold_tree(node, lift, add, mul, terms):
                 for v in ((_product(run),) if cls is list else run):
                     out = v if out is None else mul(ring(out), ring(v))
             return out
-        if kind == "br":
-            a, b = ring(walk(node[2])), ring(walk(node[3]))
-            return add(mul(a, b), mul(b, a), -1)
-        raise ValueError(f"unknown node kind {kind!r}")
+        a, b = ring(walk(node[2])), ring(walk(node[3]))  # "br", the one kind left
+        return add(mul(a, b), mul(b, a), -1)
 
     return ring(walk(node))
 

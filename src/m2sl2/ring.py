@@ -77,9 +77,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = MultiPoly.const(other)

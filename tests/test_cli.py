@@ -87,6 +87,9 @@ def test_embed(capsys):
     assert json.loads(out) == {"phi": [[1, 2]]}
     rc, out, _ = run(capsys, "embed", "y1", "z1", "--json")
     assert json.loads(out) == {"phi": None}
+    # the constant monomial embeds by the empty witness
+    assert run(capsys, "embed", "1", "y1") == (0, "(empty)\n", "")
+    assert run(capsys, "embed", "1", "y1", "--json") == (0, '{"phi": []}\n', "")
 
 
 def test_factor(capsys):
@@ -96,6 +99,9 @@ def test_factor(capsys):
     rc, out, _ = run(capsys, "factor", "z1", "z1*z2", "--json")
     obj = json.loads(out)
     assert obj == {"phi": [[1, 1]], "N": {"y": [], "c": [], "d": []}, "P": [2]}
+    assert run(capsys, "factor", "1", "y1") == (0, "phi: (empty)\nN: y1\nP: (empty)\n", "")
+    assert run(capsys, "factor", "1", "y1", "--json") == (
+        0, '{"phi": [], "N": {"y": [1], "c": [], "d": []}, "P": []}\n', "")
 
 
 def test_factor_incomparable_is_domain_error(capsys):

@@ -51,6 +51,10 @@ def test_monomial_validation():
         CanonicalMonomial((), (), (1,))  # d-slots cannot outnumber c-slots
     with pytest.raises(ValueError):
         CanonicalMonomial((), (1, 2), (3, 4, 5))
+    with pytest.raises(ValueError, match="negative exponent"):
+        CanonicalMonomial((-1,))
+    with pytest.raises(ValueError, match="z index must be >= 1"):
+        CanonicalMonomial((), (0,))
     # length difference of one is the odd-length case
     CanonicalMonomial((), (1, 2), (1,))
 
@@ -86,6 +90,8 @@ def test_reduce_word_rejects_index_zero():
     for w in ((("z", 0),), (("y", 0),), (("y", 0), ("y", 2)), (("z", 1), ("z", -3))):
         with pytest.raises(ValueError):
             reduce_word(w)
+    with pytest.raises(ValueError, match="unknown letter family"):
+        reduce_word((("x", 1),))
 
 
 def test_reduce_word_idempotent_randomized():
@@ -118,6 +124,8 @@ def test_normalize_examples():
     assert normalize([(1, word(y(1), y(2))), (-1, word(y(2), y(1)))]).is_zero()
     assert normalize([(1, word(z(1), y(1))), (1, word(y(1), z(1)))]).is_zero()
     assert normalize([(2, word(z(1), z(2), z(3))), (-2, word(z(3), z(2), z(1)))]).is_zero()
+    # a zero coefficient is skipped, and the live pair next to it kept
+    assert normalize([(0, word(y(1))), (3, word(y(2)))]) == QPoly.monomial(mk((0, 1)), 3)
 
 
 def test_q_mul_examples():
@@ -185,6 +193,12 @@ def test_degree_and_max_index():
     assert f.degree == 3
     assert f.max_index == 2
     assert QPoly.zero().degree == -1
+
+
+def test_qpoly_equals_integers():
+    # an integer compares as that multiple of the constant monomial
+    assert QPoly.monomial(ONE, -2) == -2 and QPoly() == 0
+    assert QPoly.letter(y(1)) != 1 and QPoly.monomial(ONE, 3) != 0
 
 
 # --- Lie expressions and substitution ---------------------------------------

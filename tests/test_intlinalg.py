@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from m2sl2 import IntRowLattice, bezout, ext_gcd
 
 
@@ -20,6 +22,12 @@ def test_bezout():
     assert d == 2 and 4 * cs[0] + 6 * cs[1] == 2
     d, cs = bezout([-3])
     assert d == 3 and cs[0] * -3 == 3
+    # zeros get the coefficient 0, leading ones included
+    assert bezout([0, 6, -4]) == (2, [0, -1, -2])
+    assert bezout([0, 0, 5]) == (5, [0, 0, 1])
+    for values, message in (([], "empty list"), ([0, 0], "all zeros")):
+        with pytest.raises(ValueError, match=message):
+            bezout(values)
 
 
 def test_rank_and_membership():

@@ -66,6 +66,12 @@ def test_profile_validation():
         Profile(2, (), (1,), (0, 2))  # more d's than c's
     with pytest.raises(InvalidProfileError):
         Profile(2, (), (0, 3), (1,))  # difference above one
+    for args, message in (((3,), "variant must be 1 or 2"),
+                          ((1, (-1, 1)), "profile entries must be >= 0"),
+                          ((1, (1, 0)), "trailing zeros must be trimmed"),
+                          ((1, (), (1,)), "variant 1 carries only u1")):
+        with pytest.raises(InvalidProfileError, match=message):
+            Profile(*args)
     Profile(2, (), (1, 1), (0, 2))
     Profile(2, (1,), (1,), ())
 

@@ -614,6 +614,8 @@ def test_membership_examples():
     assert membership_bounded(mono(mk((0, 2, 1))), [mono(mk((1,)))], 3)
     assert not membership_bounded(mono(mk((), (1,))), [mono(mk((1,)))], 2)
     assert membership_bounded(QPoly.zero(), [mono(mk((1,)))], 2)
+    with pytest.raises(ValueError, match="f exceeds the degree bound"):
+        membership_bounded(mono(mk((2,))), [mono(mk((1,)))], 1)
 
 
 def test_membership_detects_coefficient_obstruction():
