@@ -14,6 +14,7 @@ tolerance anywhere.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
 from .intlinalg import IntRowLattice, _row_axpy
@@ -107,6 +108,45 @@ def _word_entries(w) -> tuple[tuple[int, Term, int], tuple[int, Term, int]]:
     return (0, row1, sign1), (3, row2, sign2)
 
 
+def _slot_entries(monos):
+    """The two nonzero entries of each canonical monomial's generic
+    evaluation, read off its slots, as _word_entries gives them for its word.
+
+    The canonical word puts every y-letter first, then the z-block
+    c1 d1 c2 d2 ...  So row 1's term is alpha^yexp * beta^cseq * gamma^dseq
+    with sign +1, and row 2's swaps beta and gamma, with sign (-1)^ydeg.  An
+    even z-block length gives the diagonal pair (e11, e22), an odd one the
+    off-diagonal pair (e12, e21).  The families sort alpha < beta < gamma, so
+    joining the three parts gives the term already sorted.  Each part is
+    built once per distinct y-exponent tuple or slot tuple in this call.
+    """
+    alphas: dict = {}
+    betas: dict = {}
+    gammas: dict = {}
+    for m in monos:
+        yexp, c, d = m.yexp, m.cseq, m.dseq
+        ys = alphas.get(yexp)
+        if ys is None:
+            a = _family_term("alpha", [(i, e) for i, e in enumerate(yexp, 1) if e])
+            ys = alphas[yexp] = (a, -1 if sum(yexp) & 1 else 1)
+        a, sign2 = ys
+        row1 = a + _slot_part(betas, "beta", c) + _slot_part(gammas, "gamma", d)
+        row2 = a + _slot_part(betas, "beta", d) + _slot_part(gammas, "gamma", c)
+        if len(c) != len(d):
+            yield (1, row1, 1), (2, row2, sign2)
+        else:
+            yield (0, row1, 1), (3, row2, sign2)
+
+
+def _slot_part(memo: dict, family: str, seq: tuple) -> Term:
+    """The family's term for a sorted slot tuple, built on its first call
+    with that tuple and kept in memo."""
+    part = memo.get(seq)
+    if part is None:
+        part = memo[seq] = _family_term(family, [(i, len(list(run))) for i, run in groupby(seq)])
+    return part
+
+
 def eval_word(w) -> GMatrix2:
     """The product of the generic matrices along the word w."""
     return evaluate([(1, w)])
@@ -116,18 +156,21 @@ def evaluate(f) -> GMatrix2:
     """Evaluate a polynomial at the generic matrices.
 
     Accepts a QPoly, a single CanonicalMonomial, or an iterable of
-    (coeff, word) pairs; the last form evaluates raw words with no canonical
-    reduction, which is what makes cross-checks against the rewriting honest.
-    Each word adds its two signed terms straight into the four entries; no
-    matrix or polynomial product is formed.
+    (coeff, word) pairs.  A canonical monomial adds its two signed slot
+    entries (_slot_entries: row 1 alpha^yexp * beta^cseq * gamma^dseq with
+    sign +1, row 2 with beta and gamma swapped and sign (-1)^ydeg), scaled
+    by its coefficient; no word is built.  The pairs evaluate raw words with
+    no canonical reduction, which is what makes cross-checks against the
+    rewriting honest: each word adds its two signed terms, followed through
+    the word (_word_entries).  No matrix or polynomial product is formed.
     """
     if isinstance(f, CanonicalMonomial):
-        return eval_word(f.word())
+        f = QPoly({f: 1})
     if isinstance(f, QPoly):
-        pairs = ((c, m.word()) for m, c in f.terms.items())
+        entries = _entries_matrix(zip(f.terms.values(), _slot_entries(f.terms)))
     else:
-        pairs = f
-    return GMatrix2(*(MultiPoly(entry) for entry in _words_matrix(pairs)))
+        entries = _words_matrix(f)
+    return GMatrix2(*(MultiPoly(entry) for entry in entries))
 
 
 # --- the parse tree in the generic-matrix ring --------------------------------
@@ -139,14 +182,12 @@ _PRODUCT_BLOCKS = ((0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 3),
                    (2, 2, 0), (2, 3, 2), (3, 2, 1), (3, 3, 3))
 
 
-def _words_matrix(pairs) -> tuple[dict, ...]:
-    """The generic evaluation of (coeff, word) pairs: each word adds its two
-    signed terms straight into the four entries."""
+def _entries_matrix(pairs) -> tuple[dict, ...]:
+    """The four entries summed over (coeff, two) pairs, where two holds the
+    (position, term, sign) triples of one monomial or one word."""
     acc: tuple[dict, ...] = ({}, {}, {}, {})
-    for coeff, w in pairs:
-        if not coeff:
-            continue
-        for pos, term, sign in _word_entries(w):
+    for coeff, two in pairs:
+        for pos, term, sign in two:
             entry = acc[pos]
             n = entry.get(term, 0) + sign * coeff
             if n:
@@ -154,6 +195,12 @@ def _words_matrix(pairs) -> tuple[dict, ...]:
             else:
                 del entry[term]
     return acc
+
+
+def _words_matrix(pairs) -> tuple[dict, ...]:
+    """The generic evaluation of (coeff, word) pairs: each word adds its two
+    signed terms straight into the four entries."""
+    return _entries_matrix((coeff, _word_entries(w)) for coeff, w in pairs if coeff)
 
 
 def _add_into(acc: tuple[dict, ...], m: tuple[dict, ...], sign: int) -> tuple[dict, ...]:
@@ -198,14 +245,17 @@ def is_graded_weak_identity(f) -> bool:
 
 
 def monomial_row(m: CanonicalMonomial) -> dict:
-    """The evaluation of m flattened to a sparse integer row.
+    """The evaluation of m flattened to a sparse integer row, read off its
+    slots (_slot_entries).
 
     Columns are (entry position, commutative-term key) pairs; entry positions
     run e11, e12, e21, e22.  Each basis monomial hits exactly two entries with
-    a single +/-1 term each, which is what makes the independence matrix easy
-    to rank exactly.
+    a single +/-1 term each: alpha^yexp * beta^cseq * gamma^dseq with +1 and
+    the beta/gamma swap with (-1)^ydeg, in e11 and e22 for an even z-block,
+    else in e12 and e21.  That is what makes the independence matrix easy to
+    rank exactly.
     """
-    return {(pos, term): sign for pos, term, sign in _word_entries(m.word())}
+    return {(pos, term): sign for pos, term, sign in next(_slot_entries((m,)))}
 
 
 @dataclass(frozen=True)
@@ -238,6 +288,6 @@ def independence_report(max_degree: int = 6, max_index: int = 3) -> Independence
     monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
     count = _capped_basis_size(max_degree, max_index, MAX_BASIS)
     lattice = IntRowLattice()
-    for m in monos:
-        lattice.add(monomial_row(m))
+    for (p1, t1, s1), (p2, t2, s2) in _slot_entries(monos):
+        lattice.add({(p1, t1): s1, (p2, t2): s2})
     return IndependenceReport(max_degree, max_index, count, lattice.rank)

@@ -13,13 +13,14 @@ The corpus covers all nine subcommands, each call in text and under `--json`:
 a sample of the benchmark's golden pool, random `compare`, `embed` and
 `factor` pairs (the empty witness among them, and some non-monomials),
 `pwos-min` on random, empty, comment-only and missing files, `independence`
-at degrees -1..5 and indices -1..3, `chain-demo` in all three orders at small
-caps and on random streams, `reduce` with and without `--trace`, random and
-mutated expressions for `normalize` and `is-identity`, the resource caps, and
-usage errors whose messages read the same on every supported Python.  Calls
-run in-process in a temporary directory, with file arguments as bare names, so
-every path in a message is the same on every run.  Texts are built here
-from `random.Random(SEED)`, not by the package.
+at degrees -1..5 and indices -1..3 and at the sizes 6/3, 7/3 and 4/5,
+`chain-demo` in all three orders at small caps and on random streams,
+`reduce` with and without `--trace`, random and mutated expressions for
+`normalize` and `is-identity`, the resource caps, and usage errors whose
+messages read the same on every supported Python.  Calls run in-process in
+a temporary directory, with file arguments as bare names, so every path in a
+message is the same on every run.  Texts are built here from
+`random.Random(SEED)`, not by the package.
 """
 
 import argparse
@@ -160,6 +161,9 @@ def corpus() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
     for degree in range(-1, 6):
         for indices in range(-1, 4):
             add("independence", "--degree", str(degree), "--indices", str(indices))
+    # the sizes the benchmark's identity workload ranks, and two next to them
+    for degree, indices in ((5, 3), (6, 3), (7, 3), (4, 5)):
+        add("independence", "--degree", str(degree), "--indices", str(indices))
 
     for order in ("graded", "lex", "total"):
         for degree, indices in ((0, 1), (2, 1), (3, 2), (4, 2)):

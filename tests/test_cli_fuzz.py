@@ -208,14 +208,14 @@ def test_independence_fuzz(degree, indices, as_json):
     check(argv)
 
 
-def _enumerated(m):
+def _enumerated(monos):
     raise AssertionError("an oversize basis was enumerated")
 
 
 @pytest.mark.parametrize("degree, indices", [(100, 100), (8, 40), (40, 3), (2, 5000)])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_independence_refuses_oversize_before_enumerating(monkeypatch, degree, indices, as_json):
-    monkeypatch.setattr(genmat, "monomial_row", _enumerated)
+    monkeypatch.setattr(genmat, "_slot_entries", _enumerated)
     argv = ["independence", "--degree", str(degree), "--indices", str(indices)]
     if as_json:
         argv.append("--json")

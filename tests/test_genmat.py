@@ -17,7 +17,7 @@ from m2sl2 import (
     reduce_word,
 )
 from m2sl2.freealg import _basis_size
-from m2sl2.genmat import monomial_row
+from m2sl2.genmat import _slot_entries, _word_entries, monomial_row
 from tests.util import (
     alpha,
     beta,
@@ -110,6 +110,8 @@ def test_independence_small():
     assert rep.full_rank
     obj = rep.to_obj()
     assert obj["rank"] == obj["monomials"] == 16
+    rep = independence_report(7, 3)
+    assert (rep.monomials, rep.rank) == (3376, 3376)
 
 
 def test_independence_resource_bound(monkeypatch):
@@ -178,12 +180,29 @@ def test_evaluate_drops_terms_that_cancel_between_words():
 
 
 def test_monomial_row_matches_product_oracle():
-    for m in enumerate_basis(4, 2):
+    for m in enumerate_basis(5, 3):
         want = {}
         for pos, poly in enumerate(entries(product_eval_word(m.word()))):
             for term, coeff in poly.terms.items():
                 want[(pos, term)] = coeff
         assert monomial_row(m) == want, m
+
+
+@pytest.mark.parametrize("caps, count", [((6, 3), 1627), ((4, 5), 1606)])
+def test_slot_entries_match_word_walk(caps, count):
+    # one call over the whole basis, so every part is built once and then
+    # reused; c- and d-slot tuples swap roles between monomials, which a memo
+    # keyed by the slot tuple alone, not by its family, would confuse
+    monos = list(enumerate_basis(*caps))
+    assert len(monos) == count
+    slots = {(m.cseq, m.dseq) for m in monos}
+    assert ((1,), (2,)) in slots and ((2,), (1,)) in slots
+    assert ((1, 2), (3,)) in slots and ((3, 3), (1, 2)) in slots
+    for m, got in zip(monos, _slot_entries(monos), strict=True):
+        assert got == _word_entries(m.word()), m
+        assert monomial_row(m) == {(pos, term): sign for pos, term, sign in got}, m
+    f = QPoly({m: k % 7 - 3 for k, m in enumerate(monos)})
+    assert evaluate(f) == evaluate([(c, m.word()) for m, c in f.terms.items()])
 
 
 def test_eval_word_rejects_bad_letters():
