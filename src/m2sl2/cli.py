@@ -12,7 +12,8 @@ import json
 import sys
 
 from .errors import EngineError, ParseError
-from .freealg import QPoly, _capped_basis_size, _interleave, enumerate_basis, monomial_to_obj
+from .freealg import (MAX_BASIS, QPoly, _capped_basis_size, _interleave, enumerate_basis,
+                      monomial_to_obj)
 from .genmat import evaluate_tree, independence_report
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
 from .parsing import coeff_str, parse, parse_poly
@@ -141,12 +142,15 @@ def cmd_reduce(args) -> list[str]:
     return [format_qpoly(r)]
 
 
-def _builtin_stream(degree: int, indices: int, order: str):
+def _builtin_stream(degree: int, indices: int, order: str, budget: int):
     monos = enumerate_basis(degree, indices)  # validates the caps at once
+    if order != "graded" or budget > MAX_BASIS:
+        # sorting holds the whole basis, and a budget past the cap may stream
+        # it all: refuse before
+        _capped_basis_size(degree, indices)
     if order == "graded":
         # the enumerator's own order: stream lazily, so --budget bounds the work
         return (QPoly.monomial(m) for m in monos)
-    _capped_basis_size(degree, indices)  # sorting holds the whole basis: refuse before
     key = total_key if order == "total" else (lambda m: (m.yexp, m.cseq, m.dseq))
     return [QPoly.monomial(m) for m in sorted(monos, key=key)]
 
@@ -155,7 +159,7 @@ def cmd_chain_demo(args) -> list[str]:
     if args.stream:
         stream = [parse_poly(s) for s in _read_exprs(args.stream)]
     else:
-        stream = _builtin_stream(args.degree, args.indices, args.order)
+        stream = _builtin_stream(args.degree, args.indices, args.order, args.budget)
     report = chain_demo(stream, args.budget)
     if args.json:
         return [json.dumps(report.to_obj())]

@@ -246,7 +246,9 @@ class QPoly:
 
     def _index_support(self) -> tuple[int, ...]:
         """Every letter index some term uses (a nonzero y-exponent or a slot
-        letter), sorted; built on the first call and kept.
+        letter), sorted; built on the first call and kept.  A term's indices
+        are those of the nonzero rows of its embedding data (see
+        CanonicalMonomial._embedding).
 
         reduction.apply_reducer extends its witness over this once per lift,
         so a generator's support is computed once, not once per step.  The
@@ -254,11 +256,8 @@ class QPoly:
         hands the whole generator's support."""
         support = self._support
         if support is None:
-            idx: set[int] = set()
-            for m in self.terms:
-                idx.update([i for i, e in enumerate(m.yexp, start=1) if e])
-                idx.update(m.cseq)
-                idx.update(m.dseq)
+            idx = {i for m in self.terms
+                   for i, row in enumerate((m._emb or m._embedding())[4], start=1) if any(row)}
             support = self._support = tuple(sorted(idx))
         return support
 

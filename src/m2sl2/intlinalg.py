@@ -24,22 +24,17 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def bezout(values: list[int]) -> tuple[int, list[int]]:
     """gcd of a nonempty list plus one choice of Bezout coefficients.
 
-    Returns (d, coeffs) with d = gcd(values) > 0 and sum(c*v) = d.
+    Returns (d, coeffs) with d = gcd(values) > 0 and sum(c*v) = d.  A fold
+    of ext_gcd from d = 0, with no zero special-cased: ext_gcd(0, v) is
+    (|v|, 0, sign v) and ext_gcd(0, 0) is (0, 1, 0), so every zero gets the
+    coefficient 0 and the first nonzero value starts from its sign.
     """
     if not values:
         raise ValueError("bezout of an empty list")
-    d = abs(values[0])
-    coeffs = [1 if values[0] >= 0 else -1]
-    if values[0] == 0:
-        coeffs = [0]
-    for v in values[1:]:
-        if d == 0 and v == 0:
-            coeffs.append(0)
-            continue
-        g, x, y = ext_gcd(d, v)
-        coeffs = [c * x for c in coeffs]
-        coeffs.append(y)
-        d = g
+    d, coeffs = 0, []
+    for v in values:
+        d, x, y = ext_gcd(d, v)
+        coeffs = [c * x for c in coeffs] + [y]
     if d == 0:
         raise ValueError("bezout of all zeros")
     return d, coeffs

@@ -4,8 +4,10 @@ A canonical monomial maps to a profile (xi): pure-y monomials give a
 variant-1 profile (just the exponent sequence u1), monomials with odd letters
 give a variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for
 the c- and d-slots).  Profiles, xi, xi_inv and push_profile are the paper's
-profile map; the orders below read the same counts straight off the monomial,
-so the engine never builds a Profile.  The two orders:
+profile map.  The per-index counts have one source, the rows of the
+monomial's cached embedding data (CanonicalMonomial._embedding): xi reads
+its u2 and u3 there, and so do pwo_leq and the renaming's index cover, so
+the engine never builds a Profile.  The two orders:
 
 * total_key / cmp_total is a linear well-order.  Finite-support integer
   sequences compare by their highest differing index (right to left);
@@ -36,7 +38,7 @@ kept index support, then adds N's y-exponents and P's letters.
 from dataclasses import dataclass
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import CanonicalMonomial
+from .freealg import CanonicalMonomial, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
 
@@ -69,20 +71,15 @@ class Profile:
                 raise InvalidProfileError("c-slot count minus d-slot count must be 0 or 1")
 
 
-def _counts(seq) -> tuple[int, ...]:
-    if not seq:
-        return ()
-    out = [0] * max(seq)
-    for i in seq:
-        out[i - 1] += 1
-    return tuple(out)
-
-
 def xi(m: CanonicalMonomial) -> Profile:
-    """The profile of a canonical monomial.  Bijective onto valid profiles."""
+    """The profile of a canonical monomial.  Bijective onto valid profiles.
+
+    u2 and u3 are the c- and d-slot columns of m's cached embedding rows,
+    trimmed: the rows run to m's largest index, which may be a y-index."""
     if not m.cseq:
         return Profile(1, m.yexp)
-    return Profile(2, m.yexp, _counts(m.cseq), _counts(m.dseq))
+    _, cs, ds = zip(*(m._emb or m._embedding())[4])
+    return Profile(2, m.yexp, _trim(cs), _trim(ds))
 
 
 def _expand_counts(u) -> tuple[int, ...]:
@@ -274,15 +271,13 @@ def _check_mode(mode: str) -> None:
 
 
 def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
-    """Indices the renaming has to cover.  One shared extension per operation:
-    extending per component would let the u2 and u3 pushes drift apart."""
-    need: set[int] = set()
-    if mode != "z_only":
-        need.update(_nonzero_positions(m.yexp))
-    if mode != "y_only":
-        need.update(m.cseq)
-        need.update(m.dseq)
-    return need
+    """Indices the renaming has to cover: those whose cached embedding row
+    has a y-exponent (unless z_only) or a slot count (unless y_only).  One
+    shared extension per operation: extending per component would let the
+    u2 and u3 pushes drift apart."""
+    push_y, push_z = mode != "z_only", mode != "y_only"
+    return {i for i, (e, c, d) in enumerate((m._emb or m._embedding())[4], start=1)
+            if (push_y and e) or (push_z and (c or d))}
 
 
 def push_profile(p: Profile, phi: MonotoneInjection, mode: str = "both") -> Profile:

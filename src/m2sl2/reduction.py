@@ -98,17 +98,14 @@ class ReducerTriple:
 
 
 def _fit(big: tuple, small: tuple) -> tuple[int, ...]:
-    """The multiset big - small of two sorted tuples, sorted, by one merge;
-    small must lie inside big."""
-    out = []
-    j, n = 0, len(small)
-    for x in big:
-        if j < n and small[j] == x:
-            j += 1
-        else:
-            out.append(x)
-    if j < n:  # small[j] matched nothing in big
-        raise NotEmbeddableError("phi(m) does not fit under the target")
+    """The multiset big - small of two sorted tuples, sorted: each letter of
+    small is taken out of big; small must lie inside big."""
+    out = list(big)
+    for x in small:
+        try:
+            out.remove(x)
+        except ValueError:  # x is not left in big
+            raise NotEmbeddableError("phi(m) does not fit under the target") from None
     return tuple(out)
 
 
@@ -126,8 +123,8 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     phi(m)'s rows are renamed straight through phi's pairs, which a pwo_leq
     witness has for every index 1..max_index of m; only a caller's phi that
     falls short is extended, as rename_monomial extends it.  No phi(m)
-    monomial is built, and the slot deficits are one merge over the sorted
-    slot tuples.  The triple keeps phi as given.
+    monomial is built, and the slot deficits come from _fit.  The triple
+    keeps phi as given.
     """
     if phi is None:
         phi = pwo_leq(m, target)

@@ -171,7 +171,9 @@ def corpus() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
                 add("chain-demo", "--order", order, "--degree", str(degree),
                     "--indices", str(indices), *budget)
         add("chain-demo", "--order", order, "--degree", "-1")
-    for order in ("lex", "total"):  # these sort the whole basis, so they refuse a large one
+    # lex and total sort the whole basis, and graded may stream all of it
+    # under the default budget, so each refuses a large one
+    for order in ("lex", "total", "graded"):
         add("chain-demo", "--order", order, "--degree", "2", "--indices", "5000")
     for _ in range(12):
         budget = ("--budget", str(rng.randint(0, 6))) if rng.random() < 0.3 else ()

@@ -253,11 +253,14 @@ def test_chain_demo_graded_many_indices():
 @pytest.mark.parametrize("argv", [
     ("--degree", "2", "--indices", "5000", "--order", "lex"),  # 62,512,501 monomials
     ("--degree", "14", "--indices", "6", "--order", "total", "--budget", "10"),  # 94,991,472
+    ("--degree", "2", "--indices", "5000"),  # graded, under the default budget of 1,000,000
 ])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_chain_demo_sorted_orders_refuse_before_sorting(argv, as_json):
-    # lex and total sort the whole basis before the budget applies, so they
-    # take the independence cap and refuse at once from the closed-form count
+    # lex and total sort the whole basis before the budget applies, and a
+    # graded stream under a budget past the cap may stream all of it, so
+    # they take the independence cap and refuse at once from the
+    # closed-form count
     proc, seconds = _fresh_cli("chain-demo", *argv, *(["--json"] if as_json else []))
     assert seconds < 1.0
     assert proc.returncode == 1 and proc.stdout == ""

@@ -26,6 +26,7 @@ from m2sl2.cli import poly_obj
 from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors, _mono_mul
 from tests.util import (
     monomial_from_obj,
+    monomial_indices,
     rand_lie,
     rand_monomial,
     rand_qpoly,
@@ -193,6 +194,23 @@ def test_degree_and_max_index():
     assert f.degree == 3
     assert f.max_index == 2
     assert QPoly.zero().degree == -1
+
+
+def test_index_support_matches_monomial_indices():
+    # the support reads each term's embedding rows: with the rows cold (built
+    # by the call) and warm (built before it), and across zero rows
+    f = QPoly.monomial(mk((1,), (3,))) + QPoly.monomial(mk((0, 0, 0, 2)))
+    assert f._index_support() == (1, 3, 4)
+    rng = random.Random(48)
+    for _ in range(400):
+        f = rand_qpoly(rng, max_terms=5, max_degree=6, max_index=6)
+        want = tuple(sorted(set().union(*map(monomial_indices, f.terms))))
+        cold = QPoly({CanonicalMonomial(m.yexp, m.cseq, m.dseq): c for m, c in f.terms.items()})
+        assert all(m._emb is None for m in cold.terms)
+        assert cold._index_support() == want, f
+        for m in f.terms:
+            m._embedding()
+        assert QPoly(f.terms)._index_support() == want, f
 
 
 def test_qpoly_equals_integers():

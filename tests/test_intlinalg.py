@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from m2sl2 import IntRowLattice, bezout, ext_gcd
+from tests.util import reference_bezout
 
 
 def test_ext_gcd():
@@ -28,6 +30,26 @@ def test_bezout():
     for values, message in (([], "empty list"), ([0, 0], "all zeros")):
         with pytest.raises(ValueError, match=message):
             bezout(values)
+
+
+def _outcome(fn, values):
+    try:
+        return fn(values)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bezout_matches_reference():
+    # the choice of coefficients is pinned: reduce traces print them as beta
+    cases = 0
+    for n in range(1, 5):
+        for values in itertools.product(range(-6, 7), repeat=n):
+            values = list(values)
+            want = _outcome(reference_bezout, values)
+            assert _outcome(bezout, values) == want, values
+            assert (want == "bezout of all zeros") == (not any(values))
+            cases += 1
+    assert cases == 13 + 13**2 + 13**3 + 13**4
 
 
 def test_rank_and_membership():

@@ -81,6 +81,14 @@ def test_xi_roundtrip_randomized():
     for _ in range(1000):
         m = rand_monomial(rng)
         assert xi_inv(xi(m)) == m
+    # a whole basis, each monomial with its embedding data cold, then warm:
+    # the slot columns of the rows run to the largest index of any family
+    for m in enumerate_basis(5, 4):
+        cold = CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
+        p = xi(cold)
+        assert xi_inv(p) == m, m
+        m._embedding()
+        assert xi(m) == p, m
 
 
 # --- the linear order --------------------------------------------------------
@@ -375,6 +383,24 @@ def test_rename_kernel_matches_word_oracle():
         assert refused > 0
         with pytest.raises(CannotExtendError):
             renamed_whole(whole, NO_ROOM)
+
+    # rename_monomial alone on a larger basis, each monomial with its
+    # embedding data cold (a fresh copy per call) and warm
+    for m in enumerate_basis(5, 4):
+        warm = CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
+        warm._embedding()
+        for mode in ("both", "y_only", "z_only"):
+            for phi in (*RENAME_INJECTIONS, NO_ROOM):
+                try:
+                    want = word_renaming(QPoly.monomial(m), phi, mode)
+                except CannotExtendError:
+                    want = None
+                for src in (CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq), warm):
+                    if want is None:
+                        with pytest.raises(CannotExtendError):
+                            rename_monomial(src, phi, mode)
+                    else:
+                        assert QPoly.monomial(rename_monomial(src, phi, mode)) == want, (m, phi, mode)
 
 
 def test_comp_suite_small():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -33,6 +34,7 @@ from tests.util import (
     brute_embed,
     check_mult5,
     check_mult6,
+    counter_fit,
     inflate,
     lift_reducer,
     monomial_from_obj,
@@ -125,6 +127,21 @@ def outcome(fn, *args):
         return fn(*args)
     except (NotEmbeddableError, CannotExtendError) as exc:
         return type(exc), str(exc)
+
+
+def test_fit_matches_counter_fit():
+    # every pair of sorted tuples of length <= 4 over 1..4, fits and misses
+    tuples = [t for n in range(5) for t in combinations_with_replacement(range(1, 5), n)]
+    seen: Counter = Counter()
+    for big in tuples:
+        for small in tuples:
+            want = outcome(counter_fit, big, small)
+            assert outcome(reduction._fit, big, small) == want, (big, small)
+            seen["miss" if want == (NotEmbeddableError, "phi(m) does not fit under the target")
+                 else "fit"] += 1
+    # a fit splits big into small and the rest: C(12, 4) pairs of multisets
+    # over 1..4 of total size <= 4
+    assert seen == {"fit": 495, "miss": 4405}, seen
 
 
 def test_factorize_matches_reference_exhaustive():

@@ -25,9 +25,9 @@ from m2sl2 import (
     QPoly,
     ResourceBoundError,
     apply_reducer,
-    bezout,
     cmp_total,
     evaluate,
+    ext_gcd,
     factorize_embedding,
     leading,
     monomial_to_obj,
@@ -553,6 +553,30 @@ def check_mult6(rng, count):
 
 # --- reference reduction loop ------------------------------------------------
 
+def reference_bezout(values: list[int]) -> tuple[int, list[int]]:
+    """bezout with every zero special-cased: a leading value's coefficient
+    is its sign (0 for 0), and a zero met while the gcd is still 0 gets 0.
+    The package folds ext_gcd from d = 0 instead; the coefficients, which
+    reduce traces print as beta, must come out the same."""
+    if not values:
+        raise ValueError("bezout of an empty list")
+    d = abs(values[0])
+    coeffs = [1 if values[0] >= 0 else -1]
+    if values[0] == 0:
+        coeffs = [0]
+    for v in values[1:]:
+        if d == 0 and v == 0:
+            coeffs.append(0)
+            continue
+        g, x, y = ext_gcd(d, v)
+        coeffs = [c * x for c in coeffs]
+        coeffs.append(y)
+        d = g
+    if d == 0:
+        raise ValueError("bezout of all zeros")
+    return d, coeffs
+
+
 def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly:
     """A polynomial renamed on words: phi is extended once over the indices of
     the renamed letter families in all of f's words, each letter index of
@@ -641,7 +665,7 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
         usable = [k for k in range(len(gens)) if pwo_leq(lead[k], lm) is not None]
         r = lc
         if usable:
-            d, betas = bezout([gens[k].terms[lead[k]] for k in usable])
+            d, betas = reference_bezout([gens[k].terms[lead[k]] for k in usable])
             q, r = divmod(lc, d)
             subtrahend = QPoly.zero()
             for k, b in zip(usable, betas):
