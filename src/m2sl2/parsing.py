@@ -9,7 +9,11 @@ Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
 are commutators.  `parse` reads a text in one pass of recursive descent,
 pulling tokens straight from the compiled scanner's matches.  Each node gets
 its raw word count as it is built, and a product of letters and integers
-(parenthesized ones included, the term's sign too) becomes one word leaf.
+(parenthesized ones included, the term's sign too) becomes one word leaf.  So
+does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
+`(-y1)^3`): the leaf keeps, as its charge, the letters that power would have
+charged to the power caps, and the folds bill that charge where the power
+stood.  Powers of every other base stay power nodes.
 Errors keep a fixed precedence: the first lexical error anywhere in the text
 (a bad character, a letter index out of range, a literal too long), then the
 first syntax or nesting error, then the word cap, then the power caps.
@@ -22,7 +26,8 @@ values, so that the cost follows the tree, not its raw expansion.
 `parse_poly` is that fold over canonical polynomials (QPoly), and
 genmat.evaluate_tree the same fold over generic matrices.  The word cap and
 the power caps are applied here alone; both folds charge a power by its
-base's canonical term when it has one, the raw expansion by its base's word.
+base's canonical term when it has one, the raw expansion by its base's word,
+and all three bill a word leaf's charge when they reach it.
 """
 
 import re
@@ -66,8 +71,10 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
                     r"|(?P<int>\d+)|(?P<other>.)", re.S)
 
 # expression nodes, each with its raw word count n (len(to_words(node))):
-#   ("w", n, coeff, word)  a word leaf, a product of letters and integers:
-#                          the word list [(coeff, word)], or [] if coeff is 0
+#   ("w", n, coeff, word, charge)  a word leaf, a product of letters,
+#           integers and their powers of coefficient -1, 0 or 1: the word
+#           list [(coeff, word)], or [] if coeff is 0; those powers would
+#           have charged `charge` letters to the power caps
 #   ("pow", n, node, k)    ("mul", n, [nodes])    ("br", n, a, b)
 #   ("add", n, [(sign, node), ...])
 
@@ -76,8 +83,18 @@ _SIGNS = ("+", "-")
 _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
 
 
-def _leaf(coeff: int, word: tuple) -> tuple:
-    return ("w", 1 if coeff else 0, coeff, word)
+def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
+    return ("w", 1 if coeff else 0, coeff, word, charge)
+
+
+def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
+    """The leaf of a run of one-word factors: its sign, its other integer
+    coefficients, its letters and its charge.  Two or more coefficients are
+    multiplied as a balanced product tree, in time near-linear in their
+    digits, where one at a time would be quadratic."""
+    while len(lits) > 1:
+        lits = [a * b for a, b in zip(lits[::2], lits[1::2])] + lits[len(lits) & ~1:]
+    return _leaf(sign * lits[0] if lits else sign, tuple(letters), charge)
 
 
 class _Parser:
@@ -87,9 +104,11 @@ class _Parser:
     value and pos.  A lexical error raises as soon as it is read, being the
     first one in the text; a syntax error first reads the rest of the text, so
     that a lexical error after it wins.  A node whose count passes MAX_WORDS
-    only sets `over`, for parse to raise once the text is read."""
+    only sets `over`, for parse to raise once the text is read.  `absorbed`
+    counts the letters built by powers taken into word leaves."""
 
-    __slots__ = ("matches", "end", "kind", "value", "pos", "depth", "powered", "over")
+    __slots__ = ("matches", "end", "kind", "value", "pos", "depth", "powered", "over",
+                 "absorbed")
 
     def __init__(self, text: str):
         self.matches = _TOKEN.finditer(text)
@@ -97,6 +116,7 @@ class _Parser:
         self.depth = 0
         self.powered = False  # did the last factor read end in an exponent
         self.over = False
+        self.absorbed = 0
         self.advance()
 
     def advance(self) -> None:
@@ -170,18 +190,19 @@ class _Parser:
 
     def term(self):
         # the run of one-word factors since the last other factor, sign
-        # included, is coeff * letters; `run` says whether it holds any
-        coeff, letters, run = 1, [], False
+        # included, is sign * prod(lits) * letters, charging `charge`
+        # letters; `run` says whether it holds any
+        sign, lits, letters, charge, run = 1, [], [], 0, False
         if self.kind in _SIGNS:
             if self.kind == "-":
-                coeff, run = -1, True
+                sign, run = -1, True
             self.advance()
         subs = []
         while True:
             kind, value = self.kind, self.value
             if kind == "VAR":
                 self.advance()
-                node = ("w", 1, 1, (value,))
+                node = ("w", 1, 1, (value,), 0)
             elif kind == "INT":
                 self.advance()
                 node = _leaf(value, ())
@@ -194,31 +215,49 @@ class _Parser:
                 self.advance()
                 if self.kind != "INT":
                     self.fail(("nonnegative integer exponent",))
-                k, b = self.value, node[1]
+                k = self.value
                 self.advance()
-                # for b >= 2, b^k passes MAX_WORDS once k reaches its bit length
-                n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
-                node = ("pow", self.counted(n), node, k)
+                node = self.power(node, k)
             if node[0] == "w":
-                coeff *= node[2]
+                if node[2] != 1:
+                    lits.append(node[2])
                 letters += node[3]
+                charge += node[4]
                 run = True
             else:
                 if run:
-                    subs.append(_leaf(coeff, tuple(letters)))
-                    coeff, letters, run = 1, [], False
+                    subs.append(_run_leaf(sign, lits, letters, charge))
+                    sign, lits, letters, charge, run = 1, [], [], 0, False
                 subs.append(node)
             if self.kind != "*":
                 break
             self.advance()
         if run:
-            subs.append(_leaf(coeff, tuple(letters)))
+            subs.append(_run_leaf(sign, lits, letters, charge))
         if len(subs) == 1:
             return subs[0]
         n = 1
         for sub in subs:  # every partial product counts toward the cap
             n = self.counted(n * sub[1])
         return ("mul", n, subs)
+
+    def power(self, node, k: int):
+        """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power
+        into the leaf, while the letters so built stay within
+        MAX_POWER_LETTERS: its charge grows by what _power would charge, and
+        charging letters alone, never bits, the fold still refuses in the
+        same order.  Every other base becomes a "pow" node."""
+        if node[0] == "w" and -1 <= node[2] <= 1:
+            _, _, c, w, charge = node
+            built = len(w) * k
+            if self.absorbed + built <= MAX_POWER_LETTERS:
+                self.absorbed += built
+                # the empty word stays empty: w * k cannot repeat it past sys.maxsize times
+                return _leaf(c ** k, w * k if w else w, charge + built if c else charge)
+        b = node[1]
+        # for b >= 2, b^k passes MAX_WORDS once k reaches its bit length
+        n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
+        return ("pow", self.counted(n), node, k)
 
     def group(self):
         opener = self.kind
@@ -288,12 +327,16 @@ def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple
 
 def to_words(node) -> list[tuple[int, Word]]:
     """Expand an expression tree to its raw weighted word list, with no
-    reduction: the words exactly as written out."""
+    reduction: the words exactly as written out.  A word leaf bills its
+    charge, the letters of the powers the parser took into it, as it is
+    expanded, and a power node charges as _power says."""
     spent = [0, 0]  # letters and coefficient bits built by one-word powers
 
     def expand(node):
         kind = node[0]
         if kind == "w":
+            if node[4]:
+                _charge_power(node[4], 1, 1, spent)
             return [(node[2], node[3])] if node[1] else []
         if kind == "pow":
             return _power(expand(node[2]), node[3], spent)
@@ -322,8 +365,12 @@ def fold_tree(node, lift, add, mul, terms):
     mul has just built.  terms(value) lists a ring value's canonical terms as
     (degree, coefficient) pairs, and a power of a value of one term, word or
     ring value alike, charges the power caps by that term (_charge_power), in
-    the order of the walk and from one budget for the whole expression.  The
-    fold returns a ring value.
+    the order of the walk and from one budget for the whole expression.  A
+    word leaf bills its charge when the walk reaches it: the parser ends a
+    run of word factors before the next other factor, so that is where the
+    powers it took in stood.  Their coefficients are -1, 0 or 1, which
+    charge letters alone, so merging them changes no refusal.  The fold
+    returns a ring value.
     """
     spent = [0, 0]  # letters and coefficient bits built by powers of one term
 
@@ -333,6 +380,8 @@ def fold_tree(node, lift, add, mul, terms):
     def walk(node):
         kind = node[0]
         if kind == "w":
+            if node[4]:
+                _charge_power(node[4], 1, 1, spent)
             return [(node[2], node[3])] if node[1] else []
         if kind == "pow":
             base, k = walk(node[2]), node[3]
@@ -391,8 +440,14 @@ def parse_poly(text: str) -> QPoly:
     or a product of sums costs the size of its canonical form, not of its
     raw expansion.  The word cap still applies to the raw expansion, and a
     power whose base normalizes to one term charges the power caps by that
-    term, as genmat.evaluate_tree does.
+    term, as genmat.evaluate_tree does.  A text that parses to one word leaf
+    skips the fold: the leaf is normalized as it is, since the parser took
+    powers into it only while their letters stayed within MAX_POWER_LETTERS,
+    so its charge cannot pass the caps.
     """
     # normalize is looked up on each call, so a wrapper patched over it sees the lifts
-    return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
+    node = parse(text)
+    if node[0] == "w":  # its charge is within the letters cap, as parse absorbed it
+        return normalize([(node[2], node[3])] if node[1] else [])
+    return fold_tree(node, normalize, _add_terms, QPoly.__mul__,
                      lambda f: [(m.degree, c) for m, c in f.terms.items()])

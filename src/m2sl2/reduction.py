@@ -243,7 +243,8 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     comparison against lm's, inlined here, is skipped before pwo_leq is
     called.  Only the tail of a usable generator is lifted and subtracted:
     its leading term would land on lm, whose coefficient ends at the residue
-    r, and lm leaves `work` anyway.
+    r, and lm leaves `work` anyway.  So a one-term generator, whose tail is
+    empty, costs no factorization and no lift, unless `trace` records them.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
@@ -267,7 +268,7 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
             q, r = divmod(lc, d)
             if q:
                 for (k, ld, tail, phi), beta in zip(usable, betas):
-                    if not beta:
+                    if not beta or not tail.terms and trace is None:
                         continue
                     triple = factorize_embedding(ld.lm, lm, phi)
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone

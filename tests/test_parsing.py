@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -289,7 +290,9 @@ def test_long_products_in_linear_time():
     # over a minute per walk
     n = 160_000
     want = QPoly.monomial(mk((n,)))
-    for text in ("*".join(["y1"] * n), "*".join(["y1^1"] * n)):
+    for text, charge in (("*".join(["y1"] * n), 0), ("*".join(["y1^1"] * n), n)):
+        # each y1^1 is absorbed into the one word leaf, billing its letter
+        assert parse(text) == ("w", 1, 1, (y(1),) * n, charge)
         t0 = time.perf_counter()
         assert parse_poly(text) == want
         assert evaluate_tree(parse(text)) == evaluate(want)
@@ -342,6 +345,87 @@ def test_power_caps(monkeypatch):
     assert parse_poly("2^25 - 2^25 + 1^1000") == QPoly.monomial(ONE)  # 50 + 50 + 0 bits
     with pytest.raises(ResourceBoundError, match="bits"):
         parse_poly("2^25 * 2^26")
+
+
+def _fold_outcomes(text):
+    """parse_poly, evaluate_tree and parse_words on a text, each as its value
+    or its ResourceBoundError message."""
+    out = []
+    for fn in (parse_poly, lambda t: evaluate_tree(parse(t)), parse_words):
+        try:
+            out.append(fn(text))
+        except ResourceBoundError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _oracle_outcomes(text):
+    """What _fold_outcomes must give, from the three-pass oracle."""
+    try:
+        words = oracle_words(oracle_parse(text))
+    except ResourceBoundError as exc:
+        return [str(exc)] * 3
+    return [normalize(words), raw_evaluate_tree(oracle_parse(text)), words]
+
+
+Y1 = y(1)
+W1 = ("w", 1, 1, (Y1,), 0)
+W2 = ("w", 1, 2, (), 0)
+
+
+@pytest.mark.parametrize("text,node,cap", [
+    ("y1^0", ("w", 1, 1, (), 0), None),
+    ("0^0", ("w", 1, 1, (), 0), None),
+    ("0^3", ("w", 0, 0, (), 0), None),
+    ("(-y1)^3", ("w", 1, -1, (Y1,) * 3, 3), None),
+    ("-2*y1^3*(-1)^5*y2", ("w", 1, 2, (Y1,) * 3 + (y(2),), 3), None),
+    ("1^" + "9" * 30, ("w", 1, 1, (), 0), None),
+    ("(1*1)^" + "9" * 30, ("w", 1, 1, (), 0), None),
+    ("(y1^10)^9", ("w", 1, 1, (Y1,) * 90, 100), None),
+    ("(y1^10)^0", ("w", 1, 1, (), 10), None),
+    ("0*y1^60 + y1^40", ("add", 1, [(1, ("w", 0, 0, (Y1,) * 60, 60)),
+                                    (1, ("w", 1, 1, (Y1,) * 40, 40))]), None),
+    ("(0*y1)^60*y1^41", ("mul", 0, [("w", 0, 0, (Y1,) * 60, 0), ("pow", 1, W1, 41)]), None),
+    ("(2*z1*y2)^3", ("pow", 1, ("w", 1, 2, (z(1), y(2)), 0), 3), None),
+    ("(y1^10)^10", ("pow", 1, ("w", 1, 1, (Y1,) * 10, 10), 10), "letters"),
+    ("y1^50*y1^51", ("mul", 1, [("w", 1, 1, (Y1,) * 50, 50), ("pow", 1, W1, 51)]), "letters"),
+    ("2^60*y1^60", ("mul", 1, [("pow", 1, W2, 60), ("w", 1, 1, (Y1,) * 60, 60)]), "bits"),
+    ("y1^30*y1^30*2^60", ("mul", 1, [("w", 1, 1, (Y1,) * 60, 60), ("pow", 1, W2, 60)]), "bits"),
+    ("y1^60*y1^41*2^51", ("mul", 1, [("w", 1, 1, (Y1,) * 60, 60), ("pow", 1, W1, 41),
+                                     ("pow", 1, W2, 51)]), "letters"),
+    ("(-y1)^3*y1^60*2^51*y1^38", ("mul", 1, [("w", 1, -1, (Y1,) * 63, 63), ("pow", 1, W2, 51),
+                                             ("pow", 1, W1, 38)]), "bits"),
+])
+def test_powers_of_unit_leaves_are_absorbed(monkeypatch, text, node, cap):
+    # a power of a word leaf of coefficient -1, 0 or 1 becomes part of the
+    # leaf while the letters so built stay within the letters cap, and the
+    # leaf bills what the powers would have: same answers and same cap
+    # messages as the oracle's powers
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 100)
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_BITS", 100)
+    assert parse(text) == node
+    outcomes = _fold_outcomes(text)
+    assert outcomes == _oracle_outcomes(text)
+    assert [isinstance(o, str) and cap in o for o in outcomes] == [cap is not None] * 3
+
+
+def test_run_coefficients_multiply_as_a_product_tree():
+    # a run's integer factors, zeros and negative ones (in brackets)
+    # included, give the sequential product
+    rng = random.Random(25)
+    for _ in range(400):
+        lits = [rng.choice((0, 1, -1, 2, -3, rng.randint(-10 ** 30, 10 ** 30)))
+                for _ in range(rng.randint(1, 40))]
+        factors = [f"({v})" if v < 0 else str(v) for v in lits] + ["y1"] * rng.randint(0, 2)
+        rng.shuffle(factors)
+        node = parse("*".join(factors))
+        assert node[0] == "w" and node[2] == math.prod(lits), factors
+    # long runs of long literals: one at a time, 4,000 factors took over 12 s
+    lit = "7" * 300
+    t0 = time.perf_counter()
+    f = parse_poly("*".join([lit] * 4000))
+    assert time.perf_counter() - t0 < 5.0
+    assert f == QPoly.monomial(ONE) * int(lit) ** 4000
 
 
 def test_error_mentions_offending_lexeme():

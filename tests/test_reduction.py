@@ -482,6 +482,48 @@ def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
     assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
 
 
+def _counting_step_names(monkeypatch) -> Counter:
+    """Count the calls of reduction.factorize_embedding and apply_reducer."""
+    calls: Counter = Counter()
+    for name in ("factorize_embedding", "apply_reducer"):
+        def counted(*args, _fn=getattr(reduction, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(reduction, name, counted)
+    return calls
+
+
+def test_one_term_generators_cost_no_factorization(monkeypatch):
+    # a unit-monomial stream adjoins one-term generators, whose tails are
+    # empty: a subtraction step has nothing to lift, so untraced it neither
+    # factorizes nor lifts
+    calls = _counting_step_names(monkeypatch)
+    stream = [mono(m) for m in random.Random(93).sample(list(enumerate_basis(5, 2)), 150)]
+    report = chain_demo(stream)
+    assert calls == Counter()
+    adjoined, gens = reference_chain(stream)
+    assert report.adjoined == adjoined and report.generators == gens
+    assert report.steps - len(gens) > 50  # items that reduced to zero by subtraction
+
+
+def test_traced_one_term_generators_keep_every_step(monkeypatch):
+    # with a trace, each subtraction record still comes from one call of
+    # each step function, and the records are the reference loop's
+    calls = _counting_step_names(monkeypatch)
+    rng = random.Random(94)
+    basis = list(enumerate_basis(5, 2))
+    gens = [mono(m, rng.choice((2, 3, -5))) for m in rng.sample(basis, 8)]
+    f = rand_sparse_poly(rng, basis, 60)
+    trace: list = []
+    want: list = []
+    assert reduce_by(f, gens, trace=trace) == reference_reduce(f, gens, want)
+    assert trace == want
+    steps = sum(1 for rec in trace if "against" in rec)
+    assert steps > 20
+    assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
+
+
 def test_support_built_once_per_generator(monkeypatch):
     # count, per polynomial, the _index_support calls that build the support
     # rather than read the kept one; building every generator's support on
