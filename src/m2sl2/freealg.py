@@ -15,9 +15,12 @@ ascending, and so are the ones in even positions (the d-slots).  The length-3
 rule permutes letters two apart, so each slot class can be sorted without any
 sign; only moving z past y costs a sign.
 
-The canonical monomial pins down a basis of the quotient: polynomials are
-integer combinations of canonical monomials and arithmetic always returns
-canonical representations.  Two of them multiply in closed form (_mono_mul):
+The canonical monomial pins down a basis of the quotient: polynomials
+(QPoly) are integer combinations of canonical monomials, whose sum,
+difference and scaling come from ring.Combination, and arithmetic always
+returns canonical representations.  The one rule of their own is the
+product (_mono_mul_into), where two monomials multiply in closed form
+(_mono_mul):
 a.b carries the sign (-1)^(zlen(a) * ydeg(b)), from moving b's y-letters past
 a's z-block; the y-exponents add; and b's c- and d-slot letters join a's
 slot classes, swapping class when zlen(a) is odd, because b's z-block then
@@ -30,7 +33,7 @@ from itertools import combinations_with_replacement, product, zip_longest
 from math import comb
 
 from .errors import GradeMismatchError, ResourceBoundError
-from .intlinalg import _row_axpy
+from .ring import Combination
 
 Letter = tuple[str, int]  # ("y" | "z", index >= 1)
 Word = tuple[Letter, ...]
@@ -229,19 +232,35 @@ def _mono_mul(ay: tuple, ac: tuple, ad: tuple,
         tuple(sorted(ac + bc)) if bc else ac, tuple(sorted(ad + bd)) if bd else ad)
 
 
-class QPoly:
-    """An integer combination of canonical monomials.
+def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
+    """acc += left * right for two CanonicalMonomial -> int dicts, in place,
+    dropping terms that cancel: QPoly's product, the twin of ring._mul_into."""
+    right = [(m2.yexp, m2.cseq, m2.dseq, c2) for m2, c2 in right.items()]
+    for m1, c1 in left.items():
+        ay, ac, ad = m1.yexp, m1.cseq, m1.dseq
+        for by, bc, bd, c2 in right:
+            sign, m = _mono_mul(ay, ac, ad, by, bc, bd)
+            n = acc.get(m, 0) + sign * c1 * c2
+            if n:
+                acc[m] = n
+            else:
+                acc.pop(m, None)
 
-    Treat instances as immutable.  The term dict maps CanonicalMonomial to a
-    nonzero int, so equality is plain dict equality.  The index support that
-    a renaming of the polynomial has to cover is built on first use and kept
-    (see _index_support).
+
+class QPoly(Combination):
+    """An integer combination of canonical monomials (ring.Combination), with
+    ONE as the unit and the canonical product _mono_mul_into.
+
+    The index support that a renaming of the polynomial has to cover is
+    built on first use and kept (see _index_support).
     """
 
-    __slots__ = ("terms", "_support")
+    __slots__ = ("_support",)
+    _unit = ONE
+    _product = staticmethod(_mono_mul_into)
 
     def __init__(self, terms: dict[CanonicalMonomial, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        super().__init__(terms)
         self._support = None
 
     def _index_support(self) -> tuple[int, ...]:
@@ -262,10 +281,6 @@ class QPoly:
         return support
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, m: CanonicalMonomial, coeff: int = 1) -> "QPoly":
         return cls({m: coeff})
 
@@ -273,58 +288,6 @@ class QPoly:
     def letter(cls, letter: Letter) -> "QPoly":
         sign, m = reduce_word((letter,))
         return cls({m: sign})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            other = QPoly({ONE: other})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other) -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        _row_axpy(acc, other.terms, 1)
-        return QPoly(acc)
-
-    def __sub__(self, other) -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            return QPoly({m: c * other for m, c in self.terms.items()}) if other else QPoly()
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        acc: dict[CanonicalMonomial, int] = {}
-        right = [(m2.yexp, m2.cseq, m2.dseq, c2) for m2, c2 in other.terms.items()]
-        for m1, c1 in self.terms.items():
-            ay, ac, ad = m1.yexp, m1.cseq, m1.dseq
-            for by, bc, bd, c2 in right:
-                sign, m = _mono_mul(ay, ac, ad, by, bc, bd)
-                n = acc.get(m, 0) + sign * c1 * c2
-                if n:
-                    acc[m] = n
-                else:
-                    acc.pop(m, None)
-        return QPoly(acc)
-
-    def __rmul__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     @property
     def degree(self) -> int:
@@ -334,9 +297,6 @@ class QPoly:
     @property
     def max_index(self) -> int:
         return max((m.max_index for m in self.terms), default=0)
-
-    def __repr__(self):
-        return f"QPoly({self.terms!r})"
 
 
 def normalize(weighted_words) -> QPoly:

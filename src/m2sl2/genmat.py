@@ -13,7 +13,7 @@ zero matrix.  Everything is exact integer polynomial arithmetic; there is no
 tolerance anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 
 from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
@@ -270,12 +270,7 @@ class IndependenceReport:
         return self.rank == self.monomials
 
     def to_obj(self) -> dict:
-        return {
-            "degree": self.degree,
-            "indices": self.indices,
-            "monomials": self.monomials,
-            "rank": self.rank,
-        }
+        return asdict(self)
 
 
 def independence_report(max_degree: int = 6, max_index: int = 3) -> IndependenceReport:

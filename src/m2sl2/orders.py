@@ -26,13 +26,16 @@ the engine never builds a Profile.  The two orders:
   This order is a well partial order, which is what makes the
   ascending-chain machinery downstream (reduction.chain_demo) terminate.
 
-Renaming endomorphisms act through one kernel.  rename_monomial and
-push_profile each extend the injection with covering once per call, over
-every index the call touches, read the extension as a dict, and push counts
-and slot indices through it (_push_counts, _rename).  The reduction step
-calls the kernel itself: factorize_embedding renames through the witness's
-pairs with no extension, and apply_reducer extends once over the generator's
-kept index support, then adds N's y-exponents and P's letters.
+Renaming endomorphisms act through one kernel.  rename_monomial extends
+the injection with covering once per call, over every index the call
+touches (_monomial_need), reads the extension as a dict, and pushes the
+y-exponents and slot indices through it (_push_counts, _rename).
+push_profile is that renaming conjugated by the profile bijection,
+xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
+the same injections.  The reduction step calls the kernel itself:
+factorize_embedding renames through the witness's pairs with no extension,
+and apply_reducer extends once over the generator's kept index support,
+then adds N's y-exponents and P's letters.
 """
 
 from dataclasses import dataclass
@@ -261,15 +264,6 @@ def _rename(m: CanonicalMonomial, image: dict[int, int], mode: str) -> tuple:
     return yexp, cseq, dseq
 
 
-def _nonzero_positions(u):
-    return [i for i, e in enumerate(u, start=1) if e]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in RENAME_MODES:
-        raise ValueError(f"mode must be one of {RENAME_MODES}")
-
-
 def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
     """Indices the renaming has to cover: those whose cached embedding row
     has a y-exponent (unless z_only) or a slot count (unless y_only).  One
@@ -281,25 +275,15 @@ def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
 
 
 def push_profile(p: Profile, phi: MonotoneInjection, mode: str = "both") -> Profile:
-    """The profile-side action matching rename on monomials."""
-    _check_mode(mode)
-    push_y, push_z = mode != "z_only", mode != "y_only"  # u2, u3 are empty in variant 1
-    need: set[int] = set(_nonzero_positions(p.u1)) if push_y else set()
-    if push_z:
-        need.update(_nonzero_positions(p.u2))
-        need.update(_nonzero_positions(p.u3))
-    image = dict(phi.covering(need).pairs)
-    u1, u2, u3 = p.u1, p.u2, p.u3
-    if push_y:
-        u1 = _push_counts(u1, image)
-    if push_z:
-        u2, u3 = _push_counts(u2, image), _push_counts(u3, image)
-    return Profile(p.variant, u1, u2, u3)
+    """The profile-side action matching rename on monomials: the renaming
+    conjugated by the profile bijection, xi(rename_monomial(xi_inv(p)))."""
+    return xi(rename_monomial(xi_inv(p), phi, mode))
 
 
 def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "both") -> CanonicalMonomial:
     """Rename letter indices along phi, extended over m's indices."""
-    _check_mode(mode)
+    if mode not in RENAME_MODES:
+        raise ValueError(f"mode must be one of {RENAME_MODES}")
     image = dict(phi.covering(_monomial_need(m, mode)).pairs)
     return CanonicalMonomial._trusted(*_rename(m, image, mode))
 

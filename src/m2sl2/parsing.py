@@ -325,19 +325,26 @@ def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple
     return _product([base] * k)
 
 
+def _leaf_words(node, spent: list[int]) -> list[tuple[int, Word]]:
+    """A word leaf's one-word list (empty for coefficient 0), after billing
+    its charge, the letters of the powers the parser took into it, to
+    `spent` (_charge_power)."""
+    if node[4]:
+        _charge_power(node[4], 1, 1, spent)
+    return [(node[2], node[3])] if node[1] else []
+
+
 def to_words(node) -> list[tuple[int, Word]]:
     """Expand an expression tree to its raw weighted word list, with no
     reduction: the words exactly as written out.  A word leaf bills its
-    charge, the letters of the powers the parser took into it, as it is
-    expanded, and a power node charges as _power says."""
+    charge as it is expanded (_leaf_words), and a power node charges as
+    _power says."""
     spent = [0, 0]  # letters and coefficient bits built by one-word powers
 
     def expand(node):
         kind = node[0]
         if kind == "w":
-            if node[4]:
-                _charge_power(node[4], 1, 1, spent)
-            return [(node[2], node[3])] if node[1] else []
+            return _leaf_words(node, spent)
         if kind == "pow":
             return _power(expand(node[2]), node[3], spent)
         if kind == "mul":
@@ -366,11 +373,11 @@ def fold_tree(node, lift, add, mul, terms):
     (degree, coefficient) pairs, and a power of a value of one term, word or
     ring value alike, charges the power caps by that term (_charge_power), in
     the order of the walk and from one budget for the whole expression.  A
-    word leaf bills its charge when the walk reaches it: the parser ends a
-    run of word factors before the next other factor, so that is where the
-    powers it took in stood.  Their coefficients are -1, 0 or 1, which
-    charge letters alone, so merging them changes no refusal.  The fold
-    returns a ring value.
+    word leaf bills its charge when the walk reaches it (_leaf_words): the
+    parser ends a run of word factors before the next other factor, so that
+    is where the powers it took in stood.  Their coefficients are -1, 0 or
+    1, which charge letters alone, so merging them changes no refusal.  The
+    fold returns a ring value.
     """
     spent = [0, 0]  # letters and coefficient bits built by powers of one term
 
@@ -380,9 +387,7 @@ def fold_tree(node, lift, add, mul, terms):
     def walk(node):
         kind = node[0]
         if kind == "w":
-            if node[4]:
-                _charge_power(node[4], 1, 1, spent)
-            return [(node[2], node[3])] if node[1] else []
+            return _leaf_words(node, spent)
         if kind == "pow":
             base, k = walk(node[2]), node[3]
             if isinstance(base, list) or not k:  # k == 0 is the word 1, whatever the base

@@ -1,9 +1,16 @@
-"""Exact sparse arithmetic in Z[alpha_i, beta_i, gamma_i].
+"""Exact sparse integer combinations, and Z[alpha_i, beta_i, gamma_i].
 
-Three families of commuting indexed variables over the integers.  A term is
-stored as a sorted tuple of ((family, index), exponent) pairs with positive
-exponents, so equal polynomials always have equal term dictionaries and
-comparing dicts decides equality without any normalization pass.
+Combination is the algebra shared by the package's two free Z-modules: a
+sparse dict from basis key to nonzero int, with its zero, equality (ints
+read as multiples of the unit key), negation, sum, difference and integer
+scaling.  A subclass names its unit key and its product kernel, nothing
+else: MultiPoly here, and freealg.QPoly over canonical monomials.
+
+MultiPoly has three families of commuting indexed variables over the
+integers.  A term is stored as a sorted tuple of ((family, index), exponent)
+pairs with positive exponents, so equal polynomials always have equal term
+dictionaries and comparing dicts decides equality without any normalization
+pass.
 
 Coefficients are plain Python ints: no precision ceiling, no floats anywhere.
 """
@@ -13,8 +20,6 @@ from .intlinalg import _row_axpy
 # ((family, index), exponent), sorted by (family, index), exponents >= 1
 Var = tuple[str, int]
 Term = tuple[tuple[Var, int], ...]
-
-_ONE_TERM: Term = ()
 
 
 def _mul_terms(s: Term, t: Term) -> Term:
@@ -55,73 +60,86 @@ def _mul_into(acc: dict, left: dict, right: dict) -> None:
                 acc.pop(key, None)
 
 
-class MultiPoly:
-    """A sparse integer polynomial in the alpha/beta/gamma variables.
+class Combination:
+    """An integer combination of basis keys: the dict `terms` maps each key to
+    a nonzero int, so equality is plain dict equality.
 
-    Treat instances as immutable: every operation returns a fresh value.
+    A subclass sets _unit, the key that an int stands for, and _product, its
+    kernel acc += left * right on two term dicts.  Every operand test is
+    against type(self): an int is read as a multiple of _unit, and any other
+    type is refused, so two subclasses never mix.  __rmul__ is reached only
+    with an int on the left, and a non-commutative _product never runs with
+    its operands swapped.  Treat instances as immutable: every operation
+    returns a fresh value.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Term, int] | None = None):
+    def __init__(self, terms: dict | None = None):
         self.terms = {t: c for t, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "MultiPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def const(cls, n: int) -> "MultiPoly":
-        return cls({_ONE_TERM: n}) if n else cls()
+    def const(cls, n: int):
+        return cls({cls._unit: n})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+            other = self.const(other)
+        elif not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; never used as a key
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({t: -c for t, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({t: -c for t, c in self.terms.items()})
 
-    def __add__(self, other) -> "MultiPoly":
+    def __add__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+            other = self.const(other)
+        elif not isinstance(other, type(self)):
             return NotImplemented
         acc = dict(self.terms)
         _row_axpy(acc, other.terms, 1)
-        return MultiPoly(acc)
+        return type(self)(acc)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "MultiPoly":
+    def __sub__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+            other = self.const(other)
+        elif not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "MultiPoly":
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "MultiPoly":
+    def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MultiPoly()
-            return MultiPoly({t: c * other for t, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
+            return type(self)({t: c * other for t, c in self.terms.items()})
+        if not isinstance(other, type(self)):
             return NotImplemented
-        acc: dict[Term, int] = {}
-        _mul_into(acc, self.terms, other.terms)
-        return MultiPoly(acc)
+        acc: dict = {}
+        self._product(acc, self.terms, other.terms)
+        return type(self)(acc)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"MultiPoly({self.terms!r})"
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class MultiPoly(Combination):
+    """A sparse integer polynomial in the alpha/beta/gamma variables."""
+
+    __slots__ = ()
+    _unit: Term = ()
+    _product = staticmethod(_mul_into)

@@ -6,6 +6,8 @@ import sys
 
 import m2sl2.cli
 import m2sl2.genmat
+from m2sl2.freealg import QPoly
+from m2sl2.ring import Combination, MultiPoly
 
 # the benchmark directory holds no bytecode; importing it must not add any
 _write_bytecode = sys.dont_write_bytecode
@@ -21,7 +23,11 @@ def test_every_traced_name_resolves_and_restores():
         (m2sl2.cli, "main"): m2sl2.cli.main,
         (m2sl2.genmat, "eval_word"): m2sl2.genmat.eval_word,
         (m2sl2.genmat, "evaluate"): m2sl2.genmat.evaluate,
+        (QPoly, "__mul__"): QPoly.__mul__,
+        (QPoly, "__add__"): QPoly.__add__,
+        (MultiPoly, "__mul__"): MultiPoly.__mul__,
     }
+    shared = dict(vars(Combination))
     tracer = Tracer()
     try:
         instrument(tracer)  # getattr without a default: a missing name raises here
@@ -29,9 +35,15 @@ def test_every_traced_name_resolves_and_restores():
         assert len(patched) == len(set(patched)) >= 26
         for owner, attr in patched:
             assert getattr(owner, attr).__name__ == "traced", (owner, attr)
+        # the wrappers sit on the subclasses, so the freealg.qpoly_mul and
+        # ring.mul rows stay apart, and the shared algebra is never wrapped
+        assert vars(Combination) == shared
+        assert QPoly.__mul__ is not MultiPoly.__mul__
     finally:
         tracer.restore()
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn
+    for owner, attr in ((QPoly, "__mul__"), (QPoly, "__add__"), (MultiPoly, "__mul__")):
+        assert getattr(owner, attr) is shared[attr], (owner, attr)
     for name in ("cli", "parsing", "freealg", "genmat", "ring", "reduction", "intlinalg"):
         importlib.import_module(f"m2sl2.{name}")

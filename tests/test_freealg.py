@@ -217,6 +217,14 @@ def test_qpoly_equals_integers():
     # an integer compares as that multiple of the constant monomial
     assert QPoly.monomial(ONE, -2) == -2 and QPoly() == 0
     assert QPoly.letter(y(1)) != 1 and QPoly.monomial(ONE, 3) != 0
+    # and mixes in as one, on either side (ring.Combination)
+    f = QPoly.letter(z(1)) * QPoly.letter(y(2)) + QPoly.monomial(ONE, 2)
+    assert f + 1 == f + QPoly.const(1) == 1 + f and 1 - f == -(f - 1)
+    assert 3 * f == f * 3 == f + f + f and (f * 0).is_zero() and (0 * f).is_zero()
+    assert QPoly.const(0).is_zero() and QPoly.const(3) == 3
+    assert repr(QPoly()) == "QPoly({})"
+    with pytest.raises(TypeError):
+        hash(QPoly())
 
 
 # --- Lie expressions and substitution ---------------------------------------

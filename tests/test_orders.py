@@ -309,8 +309,11 @@ def test_renaming_examples():
 
 
 def test_renaming_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        rename_monomial(mk((1,)), MonotoneInjection(), "z")
+    m = mk((1,))
+    for call in (lambda: rename_monomial(m, MonotoneInjection(), "z"),
+                 lambda: push_profile(xi(m), MonotoneInjection(), "z")):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            call()
 
 
 def test_rename_profile_agreement_partial_injection():
@@ -358,7 +361,8 @@ def test_rename_kernel_matches_word_oracle():
                 got = rename_monomial(m, phi, mode)
                 assert QPoly.monomial(got) == word_renaming(QPoly.monomial(m), phi, mode), (m, phi, mode)
                 assert CanonicalMonomial(got.yexp, got.cseq, got.dseq) == got
-                assert push_profile(xi(m), phi, mode) == xi(got), (m, phi, mode)
+                pushed = push_profile(xi(m), phi, mode)
+                assert pushed == xi(got) and xi_inv(pushed) == got, (m, phi, mode)
             if mode == "both":
                 assert renamed_whole(whole, phi) == word_renaming(whole, phi, mode)
                 for a, b in zip(basis, basis[7:] + basis[:7]):
@@ -371,7 +375,8 @@ def test_rename_kernel_matches_word_oracle():
                 assert QPoly.monomial(rename_monomial(m, NO_ROOM, mode)) == want
                 if mode == "both":
                     assert renamed_whole(QPoly.monomial(m), NO_ROOM) == want
-                assert push_profile(xi(m), NO_ROOM, mode) == xi(rename_monomial(m, NO_ROOM, mode))
+                pushed = push_profile(xi(m), NO_ROOM, mode)
+                assert pushed == xi(rename_monomial(m, NO_ROOM, mode)) and xi(xi_inv(pushed)) == pushed
                 continue
             refused += 1
             for call in (lambda: rename_monomial(m, NO_ROOM, mode),

@@ -1,6 +1,9 @@
+import operator
 import random
 
-from m2sl2 import MultiPoly
+import pytest
+
+from m2sl2 import MultiPoly, QPoly
 from tests.util import alpha, beta, gamma
 
 
@@ -26,6 +29,19 @@ def test_int_mixing():
     assert (a + 2) - 2 == a
     assert a * 0 == 0
     assert MultiPoly.const(7) == 7
+    assert repr(MultiPoly()) == "MultiPoly({})"
+    with pytest.raises(TypeError):
+        hash(MultiPoly())
+
+
+def test_other_combinations_never_mix():
+    # QPoly shares MultiPoly's algebra (ring.Combination) but not its module:
+    # equal term dicts do not make them equal, and no operator takes both
+    assert not (QPoly() == MultiPoly() or MultiPoly() == QPoly())
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((QPoly(), MultiPoly()), (MultiPoly(), QPoly())):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 def rand_poly(rng, size=4):
