@@ -7,13 +7,21 @@
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
 are commutators.  `parse` reads a text in one pass of recursive descent,
-pulling tokens straight from the compiled scanner's matches.  Each node gets
-its raw word count as it is built, and a product of letters and integers
-(parenthesized ones included, the term's sign too) becomes one word leaf.  So
-does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
-`(-y1)^3`): the leaf keeps, as its charge, the letters that power would have
-charged to the power caps, and the folds bill that charge where the power
-stood.  Powers of every other base stay power nodes.
+pulling tokens straight from the compiled scanner's matches, except in a
+run: letters, perhaps with exponents, and perhaps one integer before them,
+multiplied with no whitespace, as in `-15*y1*y3^3*z1*z2`.  A run, after a
+sign or at a letter or integer that a '*' or '^' follows, is read in one
+match of a second pattern that admits only what the scanner reads without
+error, and the scan resumes after it.  A run ends neither inside a token
+nor before a '^', and where it ends, or where its powers would pass the
+letters cap, the token path reads on, so the nodes, counts and errors are
+the token path's.  Each node gets its raw word count as it is built, and a
+product of letters and integers (parenthesized ones included, the term's
+sign too) becomes one word leaf.  So does a power of such a leaf whose
+coefficient is -1, 0 or 1 (`y3^2`, `(-y1)^3`): the leaf keeps, as its
+charge, the letters that power would have charged to the power caps, and
+the folds bill that charge where the power stood.  Powers of every other
+base stay power nodes.
 Errors keep a fixed precedence: the first lexical error anywhere in the text
 (a bad character, a letter index out of range, a literal too long), then the
 first syntax or nesting error, then the word cap, then the power caps.
@@ -81,6 +89,18 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
 _ATOM_STARTS = ("'y'", "'z'", "integer", "'('", "'['")
 _SIGNS = ("+", "-")
 _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
+# a run, after any whitespace: an integer I and a '*', or not, then 1 to 64
+# letters L joined by '*', each perhaps with an exponent, written with no
+# whitespace, ending where a token ends and not before a '^'.  L has no
+# leading zero and fewer digits than MAX_LETTER_INDEX, so its index is in
+# range, and I is no longer than the scanner admits; any other factor ends
+# the run before it.  The caps are read at import.  The token path reads a
+# run refused for its powers factor by factor, trying a run again at each,
+# so the bound on its length keeps that linear in the text.
+_RUN = re.compile(r"\s*(?:({I})\*)?({L}(?:\*{L}){{0,63}})(?!\s*[\^\d])".format(
+    I=rf"\d{{1,{MAX_COEFF_DIGITS}}}",
+    L=rf"[yz][1-9][0-9]{{0,{_INDEX_DIGITS - 2}}}(?:\^\d{{1,{MAX_COEFF_DIGITS}}})?"))
+_EXPONENTS = re.compile(r"\^(\d+)")
 
 
 def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
@@ -98,21 +118,23 @@ def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
 
 
 class _Parser:
-    """Recursive descent in one pass over the scanner's matches.
+    """Recursive descent in one pass over the scanner's matches, a run of
+    letter and integer factors read in one match of _RUN (see run).
 
     The current token is kind ("VAR", "INT", "EOF" or the operator character),
-    value and pos.  A lexical error raises as soon as it is read, being the
-    first one in the text; a syntax error first reads the rest of the text, so
-    that a lexical error after it wins.  A node whose count passes MAX_WORDS
+    value and pos; a letter or an integer also keeps the offset `after` its
+    end.  A lexical error raises as soon as it is read, being the first one
+    in the text; a syntax error first reads the rest of the text, so that a
+    lexical error after it wins.  A node whose count passes MAX_WORDS
     only sets `over`, for parse to raise once the text is read.  `absorbed`
     counts the letters built by powers taken into word leaves."""
 
-    __slots__ = ("matches", "end", "kind", "value", "pos", "depth", "powered", "over",
-                 "absorbed")
+    __slots__ = ("text", "matches", "kind", "value", "pos", "after", "depth", "powered",
+                 "over", "absorbed")
 
     def __init__(self, text: str):
+        self.text = text
         self.matches = _TOKEN.finditer(text)
-        self.end = len(text)
         self.depth = 0
         self.powered = False  # did the last factor read end in an exponent
         self.over = False
@@ -139,17 +161,17 @@ class _Parser:
                                      (f"index <= {MAX_LETTER_INDEX}",))
                 if idx < 1:
                     raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
-                self.kind, self.value = "VAR", (ch, idx)
+                self.kind, self.value, self.after = "VAR", (ch, idx), i + len(lexeme)
             elif group == "int":
                 if len(lexeme) > MAX_COEFF_DIGITS:
                     raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
                                      (f"at most {MAX_COEFF_DIGITS} digits",))
-                self.kind, self.value = "INT", int(lexeme)
+                self.kind, self.value, self.after = "INT", int(lexeme), i + len(lexeme)
             else:
                 raise ParseError(f"unexpected character {lexeme!r}", i, ())
             self.pos = i
             return
-        self.kind, self.value, self.pos = "EOF", None, self.end
+        self.kind, self.value, self.pos = "EOF", None, len(self.text)
 
     def fail(self, expected: tuple, message: str = "") -> None:
         """Raise a syntax error at the current token, unless the rest of the
@@ -192,32 +214,38 @@ class _Parser:
         # the run of one-word factors since the last other factor, sign
         # included, is sign * prod(lits) * letters, charging `charge`
         # letters; `run` says whether it holds any
-        sign, lits, letters, charge, run = 1, [], [], 0, False
+        sign, lits, letters, charge, run, read = 1, [], [], 0, False, None
         if self.kind in _SIGNS:
             if self.kind == "-":
                 sign, run = -1, True
-            self.advance()
+            read = self.run(letters, self.pos + 1)  # a run after the sign
+            if read is None:
+                self.advance()
         subs = []
         while True:
             kind, value = self.kind, self.value
-            if kind == "VAR":
+            # a letter or an integer that a '*' or a '^' follows may begin a run
+            read = read or ((kind == "VAR" or kind == "INT")
+                            and self.text.startswith(("*", "^"), self.after)
+                            and self.run(letters, self.pos))
+            if read:
+                node = read
+            elif kind == "VAR" or kind == "INT":
                 self.advance()
-                node = ("w", 1, 1, (value,), 0)
-            elif kind == "INT":
-                self.advance()
-                node = _leaf(value, ())
+                node = ("w", 1, 1, (value,), 0) if kind == "VAR" else _leaf(value, ())
             elif kind == "(" or kind == "[":
                 node = self.group()
             else:
                 self.fail(_ATOM_STARTS)
-            self.powered = self.kind == "^"
-            if self.powered:
-                self.advance()
-                if self.kind != "INT":
-                    self.fail(("nonnegative integer exponent",))
-                k = self.value
-                self.advance()
-                node = self.power(node, k)
+            if not read:  # no '^' follows a run, which sets `powered` itself
+                self.powered = self.kind == "^"
+                if self.powered:
+                    self.advance()
+                    if self.kind != "INT":
+                        self.fail(("nonnegative integer exponent",))
+                    k = self.value
+                    self.advance()
+                    node = self.power(node, k)
             if node[0] == "w":
                 if node[2] != 1:
                     lits.append(node[2])
@@ -232,6 +260,7 @@ class _Parser:
             if self.kind != "*":
                 break
             self.advance()
+            read = None
         if run:
             subs.append(_run_leaf(sign, lits, letters, charge))
         if len(subs) == 1:
@@ -240,6 +269,30 @@ class _Parser:
         for sub in subs:  # every partial product counts toward the cap
             n = self.counted(n * sub[1])
         return ("mul", n, subs)
+
+    def run(self, letters: list, at: int):
+        """Read the run at offset `at` in one match, as the token path would
+        read its factors: its letters join `letters`, a power of a letter
+        repeated and charged as power() takes it into a leaf, and the scan
+        resumes after it.  Return a word leaf of the run's integer (1 if it
+        has none), no letters and the run's charge, for term to merge.
+        Return None, reading nothing, if no run starts there or its powers
+        would pass MAX_POWER_LETTERS; the token path then reads the factors
+        one at a time and makes a "pow" node of the power that does not
+        fit."""
+        match = _RUN.match(self.text, at)
+        charge = sum(map(int, _EXPONENTS.findall(match[2]))) if match and "^" in match[2] else 0
+        if match is None or self.absorbed + charge > MAX_POWER_LETTERS:
+            return None
+        for piece in match[2].split("*"):
+            lex, _, exp = piece.partition("^")
+            letters += ((lex[0], int(lex[1:])),) * (int(exp) if exp else 1)
+        self.absorbed, self.powered = self.absorbed + charge, bool(exp)
+        # past the end of the text, an empty iterator: the next advance reads EOF
+        self.matches = (_TOKEN.finditer(self.text, match.end()) if match.end() < len(self.text)
+                        else iter(()))
+        self.advance()
+        return _leaf(int(match[1] or 1), (), charge)
 
     def power(self, node, k: int):
         """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power
@@ -287,7 +340,8 @@ def parse(text: str):
     counted in characters of `text`."""
     p = _Parser(text)
     node = p.expr()
-    p.close("EOF", "end of input")
+    if p.kind != "EOF":
+        p.close("EOF", "end of input")
     if p.over:
         raise ResourceBoundError(f"expression expands to more than {MAX_WORDS} words")
     return node

@@ -120,6 +120,9 @@ class Combination:
         return self + (-other)
 
     def __rsub__(self, other):
+        # refused here, not by the sum below, so the error names '-'
+        if not isinstance(other, (int, type(self))):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):

@@ -14,6 +14,7 @@ from m2sl2 import (
     ParseError,
     QPoly,
     ResourceBoundError,
+    enumerate_basis,
     is_graded_weak_identity,
     lie_to_words,
     normalize,
@@ -607,3 +608,122 @@ def test_syntax_error_wins_over_the_caps(monkeypatch):
         parse_poly("y1^1000 * (y1+z1)^100")
     with pytest.raises(ResourceBoundError, match="letters"):
         parse_poly("y1^1000 * (y1+z1)^2")
+
+
+def _factors(m: CanonicalMonomial) -> list[str]:
+    """A canonical monomial's factors as written: y powers, then the z block."""
+    ys = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in enumerate(m.yexp, start=1) if e]
+    zs = [f"z{i}" for pair in zip(m.cseq, m.dseq + (None,)) for i in pair if i is not None]
+    return ys + zs
+
+
+def _run_texts(m: CanonicalMonomial, rng: random.Random) -> list[str]:
+    """A monomial times 1, -1, 7, -7 and a 300-digit literal, its factors in
+    canonical order or shuffled, each with and without spaces around the
+    operators."""
+    shuffled = _factors(m)
+    rng.shuffle(shuffled)
+    out = []
+    for factors in (_factors(m), shuffled):
+        for coeff in ("", "-", "7*", "-7*", "7" * 300 + "*"):
+            for star, caret in (("*", "^"), (" * ", " ^ ")):
+                body = star.join(factors).replace("^", caret)
+                out.append(coeff.replace("*", star) + body if body
+                           else (coeff + "1").replace("*1", ""))  # 1, -1, 7, -7, ...
+    return out
+
+
+def test_runs_read_as_the_token_path_and_the_oracle(monkeypatch):
+    # every monomial of degree <= 6 over 3 indices: a run builds the very
+    # leaf the token path builds, charge included, and the words and word
+    # count of the three-pass oracle
+    rng = random.Random(26)
+    texts = [t for m in enumerate_basis(6, 3) for t in _run_texts(m, rng)]
+    texts += ["y01*z1", "y\u0661*z1^\u0662", "y1*y10000*z1", "1*y1*1", "0*y1^5*z2",
+              "y1^0*z1", "2*3*(y1+z1)*5*y2", "- y1*z2 - -y2*3", "(y1*y2^2)^3*z1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
+        token_nodes = [parse(text) for text in texts]
+    assert len(texts) > 30_000
+    for text, want in zip(texts, token_nodes):
+        node = parse(text)
+        assert node == want, text
+        tree = oracle_parse(text)
+        words = oracle_words(tree)
+        assert node[1] == oracle_word_count(tree) and to_words(node) == words, text
+        assert parse_poly(text) == normalize(words), text
+
+
+def test_a_run_is_one_scanner_step(monkeypatch):
+    # the scanner is called once per run, not once per token
+    calls = []
+    advance = _Parser.advance
+
+    def counting(self):
+        calls.append(None)
+        advance(self)
+
+    monkeypatch.setattr(_Parser, "advance", counting)
+    y1, y3, z1, z2 = y(1), y(3), z(1), z(2)
+    assert parse("-15*y1*y3^3*z1*z2") == ("w", 1, -15, (y1, y3, y3, y3, z1, z2), 3)
+    assert len(calls) <= 2  # the sign and the end; 13 one token at a time
+    # a reduce-style line of 120 terms: a sign and a run each
+    rng = random.Random(26)
+    terms = [f" {rng.choice('+-')} {rng.randint(1, 99)}*{'*'.join(_factors(m))}"
+             for m in rng.sample(list(enumerate_basis(7, 3))[1:], 120)]
+    text = "".join(terms).lstrip(" +")
+    calls.clear()
+    node = parse(text)
+    assert len(calls) <= 2 * len(terms) + 1  # over 1,000 one token at a time
+    tree = oracle_parse(text)
+    assert node[1] == oracle_word_count(tree) == 120 and to_words(node) == oracle_words(tree)
+
+
+def test_refused_runs_are_read_in_linear_time(monkeypatch):
+    # a run whose powers would pass the letters cap is left to the token
+    # path, which tries a run again at each factor; a run spans at most 64
+    # factors, so each character is matched by at most 64 of those tries
+    real, scanned = m2sl2.parsing._RUN, []
+
+    class Counting:
+        def match(self, text, pos):
+            found = real.match(text, pos)
+            scanned.append(found.end() - pos if found else 0)
+            return found
+
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 1000)
+    texts = ("y1*" * 20_000 + "y1^1001", "*".join(["y1^7"] * 5000))
+    with monkeypatch.context() as patch:
+        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
+        token_nodes = [parse(text) for text in texts]
+    monkeypatch.setattr(m2sl2.parsing, "_RUN", Counting())
+    for text, want in zip(texts, token_nodes):
+        scanned.clear()
+        assert parse(text) == want
+        assert want[0] == "mul" and want[2][-1][0] == "pow"
+        assert sum(scanned) <= 64 * len(text)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("3*y1*y0", 6),
+    ("-2*y1*y10001", 7),
+    ("y1*z2^", 6),
+    ("y1*z2 z3", 6),
+    ("y1*z2^3^2", 7),
+    ("-y1*z2^3 z3", 9),
+    ("7*y1*", 5),
+    ("y1*z2*(y3", 9),
+    pytest.param("y1*" + "1" * 4301, 3, id="run-then-literal-4301-digits"),
+    ("y1*\u00b2", 3),
+    ("y1 * z2 ^ 3 $", 12),
+])
+def test_errors_at_run_boundaries(text, offset):
+    # where a run stops or is refused, the error is the token path's and
+    # the oracle's: message, offset and expected tuple
+    errors = []
+    for parse_fn in (parse, oracle_parse):
+        with pytest.raises(ParseError) as ei:
+            parse_fn(text)
+        errors.append((str(ei.value), ei.value.offset, ei.value.expected))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == offset

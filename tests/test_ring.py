@@ -44,6 +44,23 @@ def test_other_combinations_never_mix():
                 op(left, right)
 
 
+def test_refused_difference_names_minus():
+    # the reflected difference refuses what the forward one does, so the
+    # error names '-' with the operands in the order they were written
+    for left, right in ((QPoly(), MultiPoly()), (MultiPoly(), QPoly()), ("a", QPoly()),
+                        ("a", MultiPoly()), (QPoly(), "a")):
+        message = (f"unsupported operand type(s) for -: '{type(left).__name__}' "
+                   f"and '{type(right).__name__}'")
+        with pytest.raises(TypeError) as ei:
+            left - right
+        assert str(ei.value) == message
+    f, g = QPoly.letter(("y", 1)) * 3, alpha(2) * 3
+    for p in (f, g):
+        assert 1 - p == -(p - 1) == type(p).const(1) - p
+        assert p - 1 == p + type(p).const(-1)
+        assert (1 - p) + (p - 1) == 0
+
+
 def rand_poly(rng, size=4):
     gens = [alpha(1), alpha(2), beta(1), beta(2), gamma(1), gamma(2)]
     acc = MultiPoly.const(rng.randint(-3, 3))
