@@ -263,6 +263,14 @@ class QPoly(Combination):
         super().__init__(terms)
         self._support = None
 
+    @classmethod
+    def _trusted(cls, terms: dict[CanonicalMonomial, int]) -> "QPoly":
+        """Wrap `terms`, a dict with no zero coefficient, as it is, where
+        __init__ would copy it."""
+        f = _new(cls)
+        f.terms, f._support = terms, None
+        return f
+
     def _index_support(self) -> tuple[int, ...]:
         """Every letter index some term uses (a nonzero y-exponent or a slot
         letter), sorted; built on the first call and kept.  A term's indices
@@ -311,7 +319,7 @@ def normalize(weighted_words) -> QPoly:
             acc[m] = n
         else:
             acc.pop(m, None)
-    return QPoly(acc)
+    return QPoly._trusted(acc)
 
 
 # --- Lie expressions over the letters -------------------------------------

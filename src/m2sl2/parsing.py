@@ -7,21 +7,21 @@
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
 are commutators.  `parse` reads a text in one pass of recursive descent,
-pulling tokens straight from the compiled scanner's matches, except in a
-run: letters, perhaps with exponents, and perhaps one integer before them,
-multiplied with no whitespace, as in `-15*y1*y3^3*z1*z2`.  A run, after a
-sign or at a letter or integer that a '*' or '^' follows, is read in one
-match of a second pattern that admits only what the scanner reads without
-error, and the scan resumes after it.  A run ends neither inside a token
-nor before a '^', and where it ends, or where its powers would pass the
-letters cap, the token path reads on, so the nodes, counts and errors are
-the token path's.  Each node gets its raw word count as it is built, and a
-product of letters and integers (parenthesized ones included, the term's
-sign too) becomes one word leaf.  So does a power of such a leaf whose
-coefficient is -1, 0 or 1 (`y3^2`, `(-y1)^3`): the leaf keeps, as its
-charge, the letters that power would have charged to the power caps, and
-the folds bill that charge where the power stood.  Powers of every other
-base stay power nodes.
+matching the compiled scanner once per token at the offset where the last
+token ended, except in a run: letters, perhaps with exponents, and perhaps
+one integer before them, multiplied with no whitespace, as in
+`-15*y1*y3^3*z1*z2`.  A run, after a sign or at a letter or integer that a
+'*' or '^' follows, is read in one match of a second pattern that admits
+only what the scanner reads without error, and the scan resumes after it.
+A run ends neither inside a token nor before a '^', and where it ends, or
+where its powers would pass the letters cap, the token path reads on, so
+the nodes, counts and errors are the token path's.  Each node gets its raw
+word count as it is built, and a product of letters and integers
+(parenthesized ones included, the term's sign too) becomes one word leaf.
+So does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
+`(-y1)^3`): the leaf keeps, as its charge, the letters that power would have
+charged to the power caps, and the folds bill that charge where the power
+stood.  Powers of every other base stay power nodes.
 Errors keep a fixed precedence: the first lexical error anywhere in the text
 (a bad character, a letter index out of range, a literal too long), then the
 first syntax or nesting error, then the word cap, then the power caps.
@@ -39,6 +39,7 @@ and all three bill a word leaf's charge when they reach it.
 """
 
 import re
+from functools import cache
 from itertools import groupby
 
 from .errors import ParseError, ResourceBoundError
@@ -72,11 +73,10 @@ def coeff_str(c: int) -> str:
     return str(c)
 
 
-# one match per token: whitespace | operator | letter and index digits |
-# integer | any other character.  \s is exactly str.isspace() and \d exactly
-# the decimal digits int() reads.
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)"
-                    r"|(?P<int>\d+)|(?P<other>.)", re.S)
+# one match per token, after any whitespace: operator | letter and index
+# digits | integer | any other character; none once only whitespace is left.
+# \s is exactly str.isspace() and \d exactly the decimal digits int() reads.
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)|(?P<int>\d+)|(?P<other>\S))")
 
 # expression nodes, each with its raw word count n (len(to_words(node))):
 #   ("w", n, coeff, word, charge)  a word leaf, a product of letters,
@@ -94,13 +94,18 @@ _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
 # whitespace, ending where a token ends and not before a '^'.  L has no
 # leading zero and fewer digits than MAX_LETTER_INDEX, so its index is in
 # range, and I is no longer than the scanner admits; any other factor ends
-# the run before it.  The caps are read at import.  The token path reads a
-# run refused for its powers factor by factor, trying a run again at each,
-# so the bound on its length keeps that linear in the text.
+# the run before it.  The pattern is built at import from MAX_LETTER_INDEX
+# and MAX_COEFF_DIGITS, as _INDEX_DIGITS and _COEFF_BOUND are, so those two
+# caps hold as they stand at import.  The token path reads a run refused for
+# its powers factor by factor, trying a run again at each, so the bound on
+# its length keeps that linear in the text.
 _RUN = re.compile(r"\s*(?:({I})\*)?({L}(?:\*{L}){{0,63}})(?!\s*[\^\d])".format(
     I=rf"\d{{1,{MAX_COEFF_DIGITS}}}",
     L=rf"[yz][1-9][0-9]{{0,{_INDEX_DIGITS - 2}}}(?:\^\d{{1,{MAX_COEFF_DIGITS}}})?"))
-_EXPONENTS = re.compile(r"\^(\d+)")
+# a run's letter by its lexeme, kept: _RUN admits 19,998 lexemes at most
+_letter = cache(lambda lex: (lex[0], int(lex[1:])))
+# the text before a token ends in an exponent: the last factor read has one
+_POWERED = re.compile(r"\^\s*\d+\s*\Z")
 
 
 def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
@@ -118,60 +123,55 @@ def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
 
 
 class _Parser:
-    """Recursive descent in one pass over the scanner's matches, a run of
-    letter and integer factors read in one match of _RUN (see run).
+    """Recursive descent in one pass, matching the scanner at the offset
+    where the last token ended, a run of letter and integer factors read in
+    one match of _RUN (see run).
 
     The current token is kind ("VAR", "INT", "EOF" or the operator character),
-    value and pos; a letter or an integer also keeps the offset `after` its
-    end.  A lexical error raises as soon as it is read, being the first one
-    in the text; a syntax error first reads the rest of the text, so that a
-    lexical error after it wins.  A node whose count passes MAX_WORDS
-    only sets `over`, for parse to raise once the text is read.  `absorbed`
-    counts the letters built by powers taken into word leaves."""
+    value and pos, and `after` is the offset where it ends, from which the
+    scan reads on.  A lexical error raises as soon as it is read, being the
+    first one in the text; a syntax error first reads the rest of the text,
+    so that a lexical error after it wins.  A node whose count passes
+    MAX_WORDS only sets `over`, for parse to raise once the text is read.
+    `absorbed` counts the letters built by powers taken into word leaves."""
 
-    __slots__ = ("text", "matches", "kind", "value", "pos", "after", "depth", "powered",
-                 "over", "absorbed")
+    __slots__ = ("text", "kind", "value", "pos", "after", "depth", "over", "absorbed")
 
     def __init__(self, text: str):
-        self.text = text
-        self.matches = _TOKEN.finditer(text)
-        self.depth = 0
-        self.powered = False  # did the last factor read end in an exponent
-        self.over = False
-        self.absorbed = 0
+        self.text, self.after = text, 0
+        self.depth, self.over, self.absorbed = 0, False, 0
         self.advance()
 
     def advance(self) -> None:
-        for match in self.matches:
-            group = match.lastgroup
-            if group == "space":
-                continue
-            lexeme, i = match[0], match.start()
-            if group == "op":
-                self.kind = self.value = lexeme
-            elif group == "var":
-                ch = lexeme[0]
-                if len(lexeme) == 1:
-                    raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
-                digits = lexeme[1:].lstrip("0")
-                # the length test keeps int() off huge digit strings
-                idx = int(digits or "0") if len(digits) <= _INDEX_DIGITS else MAX_LETTER_INDEX + 1
-                if idx > MAX_LETTER_INDEX:
-                    raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
-                                     (f"index <= {MAX_LETTER_INDEX}",))
-                if idx < 1:
-                    raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
-                self.kind, self.value, self.after = "VAR", (ch, idx), i + len(lexeme)
-            elif group == "int":
-                if len(lexeme) > MAX_COEFF_DIGITS:
-                    raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
-                                     (f"at most {MAX_COEFF_DIGITS} digits",))
-                self.kind, self.value, self.after = "INT", int(lexeme), i + len(lexeme)
-            else:
-                raise ParseError(f"unexpected character {lexeme!r}", i, ())
-            self.pos = i
+        match = _TOKEN.match(self.text, self.after)
+        if match is None:
+            self.kind, self.value, self.pos = "EOF", None, len(self.text)
             return
-        self.kind, self.value, self.pos = "EOF", None, len(self.text)
+        group = match.lastgroup
+        lexeme, i = match[group], match.start(group)
+        if group == "op":
+            self.kind = self.value = lexeme
+        elif group == "var":
+            ch = lexeme[0]
+            if len(lexeme) == 1:
+                raise ParseError(f"letter {ch!r} needs an index", i + 1, ("digits",))
+            digits = lexeme[1:].lstrip("0")
+            # the length test keeps int() off huge digit strings
+            idx = int(digits or "0") if len(digits) <= _INDEX_DIGITS else MAX_LETTER_INDEX + 1
+            if idx > MAX_LETTER_INDEX:
+                raise ParseError(f"letter index above {MAX_LETTER_INDEX}", i + 1,
+                                 (f"index <= {MAX_LETTER_INDEX}",))
+            if idx < 1:
+                raise ParseError("letter index must be >= 1", i + 1, ("index >= 1",))
+            self.kind, self.value = "VAR", (ch, idx)
+        elif group == "int":
+            if len(lexeme) > MAX_COEFF_DIGITS:
+                raise ParseError(f"integer longer than {MAX_COEFF_DIGITS} digits", i,
+                                 (f"at most {MAX_COEFF_DIGITS} digits",))
+            self.kind, self.value = "INT", int(lexeme)
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", i, ())
+        self.pos, self.after = i, match.end()
 
     def fail(self, expected: tuple, message: str = "") -> None:
         """Raise a syntax error at the current token, unless the rest of the
@@ -194,40 +194,43 @@ class _Parser:
         lists what may follow it, `what` last."""
         if self.kind != kind:
             # a complete expression continues only by an operator; a factor
-            # that has its exponent takes no second one
-            caret = () if self.powered else ("'^'",)
+            # that has its exponent (the text before the token ends in '^'
+            # and digits) takes no second one
+            caret = () if _POWERED.search(self.text, 0, self.pos) else ("'^'",)
             self.fail(("'*'", "'+'", "'-'", *caret, what))
         self.advance()
 
     def expr(self):
-        node = self.term()
-        if self.kind not in _SIGNS:
-            return node
-        items = [(1, node)]
+        items = [(1, self.term())]
         while self.kind in _SIGNS:
-            sign = 1 if self.kind == "+" else -1
-            self.advance()
-            items.append((sign, self.term()))
-        return ("add", self.counted(sum(sub[1] for _, sub in items)), items)
+            items.append((1 if self.kind == "+" else -1, self.term(self.past_sign())))
+        return items[0][1] if len(items) == 1 else (
+            "add", self.counted(sum(sub[1] for _, sub in items)), items)
 
-    def term(self):
-        # the run of one-word factors since the last other factor, sign
-        # included, is sign * prod(lits) * letters, charging `charge`
-        # letters; `run` says whether it holds any
-        sign, lits, letters, charge, run, read = 1, [], [], 0, False, None
-        if self.kind in _SIGNS:
+    def past_sign(self):
+        """Pass the sign that is the current token.  Return the run right
+        after it, if one starts there (see run); else read the next token
+        and return False, so that term tries no run at that token again."""
+        read = self.run(self.pos + 1)
+        if read is None:
+            self.advance()
+        return read or False
+
+    def term(self, read=None):
+        # `read` is what past_sign returned for the sign before the term,
+        # which expr has passed.  The run of one-word factors since the last
+        # other factor, sign included, is sign * prod(lits) * letters,
+        # charging `charge` letters; `run` says whether it holds any
+        sign, lits, letters, charge, run, subs = 1, [], [], 0, False, []
+        if not read and self.kind in _SIGNS:
             if self.kind == "-":
                 sign, run = -1, True
-            read = self.run(letters, self.pos + 1)  # a run after the sign
-            if read is None:
-                self.advance()
-        subs = []
+            read = self.past_sign()
         while True:
             kind, value = self.kind, self.value
-            # a letter or an integer that a '*' or a '^' follows may begin a run
-            read = read or ((kind == "VAR" or kind == "INT")
-                            and self.text.startswith(("*", "^"), self.after)
-                            and self.run(letters, self.pos))
+            if read is None:  # a letter or an integer that '*' or '^' follows may begin a run
+                read = ((kind == "VAR" or kind == "INT")
+                        and self.text.startswith(("*", "^"), self.after) and self.run(self.pos))
             if read:
                 node = read
             elif kind == "VAR" or kind == "INT":
@@ -237,15 +240,13 @@ class _Parser:
                 node = self.group()
             else:
                 self.fail(_ATOM_STARTS)
-            if not read:  # no '^' follows a run, which sets `powered` itself
-                self.powered = self.kind == "^"
-                if self.powered:
-                    self.advance()
-                    if self.kind != "INT":
-                        self.fail(("nonnegative integer exponent",))
-                    k = self.value
-                    self.advance()
-                    node = self.power(node, k)
+            if self.kind == "^":  # never after a run
+                self.advance()
+                if self.kind != "INT":
+                    self.fail(("nonnegative integer exponent",))
+                k = self.value
+                self.advance()
+                node = self.power(node, k)
             if node[0] == "w":
                 if node[2] != 1:
                     lits.append(node[2])
@@ -270,29 +271,30 @@ class _Parser:
             n = self.counted(n * sub[1])
         return ("mul", n, subs)
 
-    def run(self, letters: list, at: int):
+    def run(self, at: int):
         """Read the run at offset `at` in one match, as the token path would
-        read its factors: its letters join `letters`, a power of a letter
-        repeated and charged as power() takes it into a leaf, and the scan
-        resumes after it.  Return a word leaf of the run's integer (1 if it
-        has none), no letters and the run's charge, for term to merge.
-        Return None, reading nothing, if no run starts there or its powers
-        would pass MAX_POWER_LETTERS; the token path then reads the factors
-        one at a time and makes a "pow" node of the power that does not
-        fit."""
+        read its factors, a power of a letter repeated and charged as power()
+        takes it into a leaf, and resume the scan after it.  Return the word
+        leaf of its integer (1 if it has none), letters and charge, for term
+        to merge.  Return None, reading nothing, if no run starts there or
+        its powers would pass MAX_POWER_LETTERS; the token path then reads
+        the factors one at a time and makes a "pow" node of the power that
+        does not fit."""
         match = _RUN.match(self.text, at)
-        charge = sum(map(int, _EXPONENTS.findall(match[2]))) if match and "^" in match[2] else 0
-        if match is None or self.absorbed + charge > MAX_POWER_LETTERS:
+        if match is None:
             return None
+        letters, charge = [], 0
         for piece in match[2].split("*"):
             lex, _, exp = piece.partition("^")
-            letters += ((lex[0], int(lex[1:])),) * (int(exp) if exp else 1)
-        self.absorbed, self.powered = self.absorbed + charge, bool(exp)
-        # past the end of the text, an empty iterator: the next advance reads EOF
-        self.matches = (_TOKEN.finditer(self.text, match.end()) if match.end() < len(self.text)
-                        else iter(()))
+            if exp:  # charged before the power is built
+                charge += int(exp)
+                if self.absorbed + charge > MAX_POWER_LETTERS:
+                    return None
+            letters += (_letter(lex),) * int(exp or 1)
+        self.absorbed += charge
+        self.after = match.end()
         self.advance()
-        return _leaf(int(match[1] or 1), (), charge)
+        return _leaf(int(match[1] or 1), tuple(letters), charge)
 
     def power(self, node, k: int):
         """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power

@@ -1,7 +1,7 @@
 """Interleaved timing of parse_poly on the benchmark's job lines, for this
 tree against a second checkout.
 
-    python tests/front_end_timing.py --parent PATH [--rounds 15]
+    python tests/front_end_timing.py --parent PATH
 
 The lines are the expressions of the seed-1 `chain` jobs (every line of their
 stream files) and of the seed-1 `reduce` jobs (the polynomial each reduces),
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 15
 
 # run in the child: argv[1] is the tree's src directory, stdin the lines
 CHILD = """
@@ -63,20 +64,19 @@ def time_tree(src: Path, payload: str) -> dict[str, float]:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
-    ap.add_argument("--rounds", type=int, default=15)
     args = ap.parse_args(argv)
     lines = job_lines()
     payload = json.dumps(lines)
     trees = {"change": ROOT / "src", "parent": args.parent.resolve() / "src"}
     best = {tree: {name: float("inf") for name in lines} for tree in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for tree in (("change", "parent") if r % 2 else ("parent", "change")):
             for name, seconds in time_tree(trees[tree], payload).items():
                 best[tree][name] = min(best[tree][name], seconds)
     for name, texts in lines.items():
         parent, change = best["parent"][name] * 1e3, best["change"][name] * 1e3
         print(f"{name:7} {len(texts):5} lines  parent {parent:8.2f} ms  change {change:8.2f} ms"
-              f"  ratio {change / parent:.3f}  (min of {args.rounds} rounds)")
+              f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)")
 
 
 if __name__ == "__main__":

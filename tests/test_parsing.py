@@ -667,14 +667,14 @@ def test_a_run_is_one_scanner_step(monkeypatch):
     y1, y3, z1, z2 = y(1), y(3), z(1), z(2)
     assert parse("-15*y1*y3^3*z1*z2") == ("w", 1, -15, (y1, y3, y3, y3, z1, z2), 3)
     assert len(calls) <= 2  # the sign and the end; 13 one token at a time
-    # a reduce-style line of 120 terms: a sign and a run each
+    # a reduce-style line of 120 terms: one run each, read after its sign
     rng = random.Random(26)
     terms = [f" {rng.choice('+-')} {rng.randint(1, 99)}*{'*'.join(_factors(m))}"
              for m in rng.sample(list(enumerate_basis(7, 3))[1:], 120)]
     text = "".join(terms).lstrip(" +")
     calls.clear()
     node = parse(text)
-    assert len(calls) <= 2 * len(terms) + 1  # over 1,000 one token at a time
+    assert len(calls) <= len(terms) + 1  # over 1,000 one token at a time
     tree = oracle_parse(text)
     assert node[1] == oracle_word_count(tree) == 120 and to_words(node) == oracle_words(tree)
 
@@ -702,6 +702,9 @@ def test_refused_runs_are_read_in_linear_time(monkeypatch):
         assert parse(text) == want
         assert want[0] == "mul" and want[2][-1][0] == "pow"
         assert sum(scanned) <= 64 * len(text)
+    # a run refused right after a sign is not tried again at its first factor
+    scanned.clear()
+    assert parse("-y1^1001*y2")[2][1][0] == "pow" and len(scanned) == 1
 
 
 @pytest.mark.parametrize("text,offset", [
