@@ -139,7 +139,9 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text, self.after = text, 0
-        self.depth, self.over, self.absorbed = 0, False, 0
+        self.depth = 0
+        self.over = False
+        self.absorbed = 0
         self.advance()
 
     def advance(self) -> None:
@@ -221,11 +223,12 @@ class _Parser:
         # which expr has passed.  The run of one-word factors since the last
         # other factor, sign included, is sign * prod(lits) * letters,
         # charging `charge` letters; `run` says whether it holds any
-        sign, lits, letters, charge, run, subs = 1, [], [], 0, False, []
+        sign, lits, letters, charge, run = 1, [], [], 0, False
         if not read and self.kind in _SIGNS:
             if self.kind == "-":
                 sign, run = -1, True
             read = self.past_sign()
+        subs = []
         while True:
             kind, value = self.kind, self.value
             if read is None:  # a letter or an integer that '*' or '^' follows may begin a run
@@ -342,8 +345,7 @@ def parse(text: str):
     counted in characters of `text`."""
     p = _Parser(text)
     node = p.expr()
-    if p.kind != "EOF":
-        p.close("EOF", "end of input")
+    p.close("EOF", "end of input")
     if p.over:
         raise ResourceBoundError(f"expression expands to more than {MAX_WORDS} words")
     return node

@@ -666,7 +666,7 @@ def test_a_run_is_one_scanner_step(monkeypatch):
     monkeypatch.setattr(_Parser, "advance", counting)
     y1, y3, z1, z2 = y(1), y(3), z(1), z(2)
     assert parse("-15*y1*y3^3*z1*z2") == ("w", 1, -15, (y1, y3, y3, y3, z1, z2), 3)
-    assert len(calls) <= 2  # the sign and the end; 13 one token at a time
+    assert len(calls) <= 3  # the sign, the end and the check for it; 14 one token at a time
     # a reduce-style line of 120 terms: one run each, read after its sign
     rng = random.Random(26)
     terms = [f" {rng.choice('+-')} {rng.randint(1, 99)}*{'*'.join(_factors(m))}"
@@ -674,7 +674,7 @@ def test_a_run_is_one_scanner_step(monkeypatch):
     text = "".join(terms).lstrip(" +")
     calls.clear()
     node = parse(text)
-    assert len(calls) <= len(terms) + 1  # over 1,000 one token at a time
+    assert len(calls) <= len(terms) + 2  # over 1,000 one token at a time
     tree = oracle_parse(text)
     assert node[1] == oracle_word_count(tree) == 120 and to_words(node) == oracle_words(tree)
 
