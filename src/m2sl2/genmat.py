@@ -11,13 +11,20 @@ weak identities in play, so a polynomial vanishes under every graded
 substitution by (M2, sl2) pairs exactly when its generic evaluation is the
 zero matrix.  Everything is exact integer polynomial arithmetic; there is no
 tolerance anywhere.
+
+Every generic evaluation has the form [[a, b], [sigma b, sigma a]], where
+sigma (_conj) negates each alpha and swaps beta with gamma, so it is carried
+as its first row (e11, e12) alone.  A product is four block products of
+rows, in closed form; row 2 is built by _conj only where a GMatrix2 is
+handed out.  A basis monomial puts one +-1 term in row 1, so the rank of the
+independence matrix is the count of distinct row-1 entries.
 """
 
 from dataclasses import asdict, dataclass
 from itertools import groupby
 
 from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
-from .intlinalg import IntRowLattice, _row_axpy
+from .intlinalg import _row_axpy
 from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
 
@@ -65,29 +72,49 @@ def _family_term(family: str, items: list[tuple[int, int]]) -> Term:
     return tuple([((family, i), e) for i, e in items])
 
 
-def _word_entries(w) -> tuple[tuple[int, Term, int], tuple[int, Term, int]]:
-    """The two nonzero entries of a word's generic evaluation, in closed form.
+def _conj(entry: dict) -> dict:
+    """sigma(entry), for sigma the ring automorphism alpha_i -> -alpha_i,
+    beta_i <-> gamma_i: each term keeps its alpha part first, then the old
+    gamma part renamed beta, then the old beta part renamed gamma, so it
+    stays sorted by (family, index); its coefficient is negated when the
+    alpha degree is odd.
 
-    Follow rows 1 and 2 of the product through the word.  The rows always sit
-    in opposite columns: Y_i keeps a row's column and multiplies it by
-    alpha_i, negated in column 2; Z_i moves column 1 to 2 through beta_i and
-    column 2 to 1 through gamma_i.  So the k-th odd letter (k = 0, 1, ...)
-    gives row 1 a beta when k is even and a gamma when k is odd, and row 2
-    the other one; an even letter negates row 1 after an odd number of odd
-    letters and row 2 after an even number.  Returns two
-    (entry position, term, sign) triples, positions running e11, e12, e21,
-    e22: the diagonal pair for an even number of odd letters, else the
-    off-diagonal pair.
+    Why row 1 determines a generic evaluation: Y_i = [[alpha_i, 0], [0,
+    sigma alpha_i]] and Z_i = [[0, beta_i], [sigma beta_i, 0]].  For X =
+    [[a, b], [sigma b, sigma a]] and X' = [[c, d], [sigma d, sigma c]],
+    XX' = [[ac + b sigma d, ad + b sigma c], [sigma(ad + b sigma c),
+    sigma(ac + b sigma d)]].  Sums and integer multiples keep the form, and
+    sigma is an involutive ring automorphism of Z[alpha, beta, gamma].
+    """
+    out = {}
+    for term, c in entry.items():
+        a = [v for v in term if v[0][0] == "alpha"]
+        b = [(("beta", i), e) for (fam, i), e in term if fam == "gamma"]
+        g = [(("gamma", i), e) for (fam, i), e in term if fam == "beta"]
+        out[tuple(a + b + g)] = -c if sum(e for _, e in a) & 1 else c
+    return out
+
+
+def _word_entries(w) -> tuple[int, Term, int]:
+    """The one nonzero row-1 entry of a word's generic evaluation, in closed
+    form, as a (position, term, sign) triple: position 0 (e11) for an even
+    number of odd letters, else 1 (e12).
+
+    Follow row 1 of the product through the word.  Y_i keeps the row's
+    column and multiplies it by alpha_i, negated in column 2; Z_i moves
+    column 1 to 2 through beta_i and column 2 to 1 through gamma_i.  So the
+    k-th odd letter (k = 0, 1, ...) gives a beta when k is even and a gamma
+    when k is odd, and each even letter that comes after an odd number of
+    odd ones negates the sign.  No canonical reduction is involved.
     """
     ys: dict[int, int] = {}
     cs: dict[int, int] = {}
     ds: dict[int, int] = {}
-    nz = 0
-    flips = [0, 0]  # even letters seen after an even / odd number of odd ones
+    nz = flips = 0
     for fam, idx in w:
         if fam == "y":
             ys[idx] = ys.get(idx, 0) + 1
-            flips[nz & 1] += 1
+            flips += nz & 1
         elif fam == "z":
             slot = ds if nz & 1 else cs
             slot[idx] = slot.get(idx, 0) + 1
@@ -95,47 +122,33 @@ def _word_entries(w) -> tuple[tuple[int, Term, int], tuple[int, Term, int]]:
         else:
             raise ValueError(f"unknown letter family {fam!r}")
     y_items, c_items, d_items = sorted(ys.items()), sorted(cs.items()), sorted(ds.items())
-    for items in (y_items, c_items, d_items):
-        if items and items[0][0] < 1:
-            raise ValueError("letter index must be >= 1")
-    a = _family_term("alpha", y_items)
-    row1 = a + _family_term("beta", c_items) + _family_term("gamma", d_items)
-    row2 = a + _family_term("beta", d_items) + _family_term("gamma", c_items)
-    sign1 = -1 if flips[1] & 1 else 1
-    sign2 = -1 if flips[0] & 1 else 1
-    if nz & 1:
-        return (1, row1, sign1), (2, row2, sign2)
-    return (0, row1, sign1), (3, row2, sign2)
+    if any(items and items[0][0] < 1 for items in (y_items, c_items, d_items)):
+        raise ValueError("letter index must be >= 1")
+    return (nz & 1, _family_term("alpha", y_items) + _family_term("beta", c_items)
+            + _family_term("gamma", d_items), -1 if flips & 1 else 1)
 
 
 def _slot_entries(monos):
-    """The two nonzero entries of each canonical monomial's generic
-    evaluation, read off its slots, as _word_entries gives them for its word.
+    """The row-1 entry of each canonical monomial's generic evaluation, read
+    off its slots, as _word_entries gives it for its word.
 
     The canonical word puts every y-letter first, then the z-block
-    c1 d1 c2 d2 ...  So row 1's term is alpha^yexp * beta^cseq * gamma^dseq
-    with sign +1, and row 2's swaps beta and gamma, with sign (-1)^ydeg.  An
-    even z-block length gives the diagonal pair (e11, e22), an odd one the
-    off-diagonal pair (e12, e21).  The families sort alpha < beta < gamma, so
-    joining the three parts gives the term already sorted.  Each part is
-    built once per distinct y-exponent tuple or slot tuple in this call.
+    c1 d1 c2 d2 ...  So the term is alpha^yexp * beta^cseq * gamma^dseq with
+    sign +1, in e11 for an even z-block length and in e12 for an odd one.
+    The families sort alpha < beta < gamma, so joining the three parts gives
+    the term already sorted.  Each part is built once per distinct y-exponent
+    tuple or slot tuple in this call.
     """
     alphas: dict = {}
     betas: dict = {}
     gammas: dict = {}
     for m in monos:
         yexp, c, d = m.yexp, m.cseq, m.dseq
-        ys = alphas.get(yexp)
-        if ys is None:
-            a = _family_term("alpha", [(i, e) for i, e in enumerate(yexp, 1) if e])
-            ys = alphas[yexp] = (a, -1 if sum(yexp) & 1 else 1)
-        a, sign2 = ys
-        row1 = a + _slot_part(betas, "beta", c) + _slot_part(gammas, "gamma", d)
-        row2 = a + _slot_part(betas, "beta", d) + _slot_part(gammas, "gamma", c)
-        if len(c) != len(d):
-            yield (1, row1, 1), (2, row2, sign2)
-        else:
-            yield (0, row1, 1), (3, row2, sign2)
+        a = alphas.get(yexp)
+        if a is None:
+            a = alphas[yexp] = _family_term("alpha", [(i, e) for i, e in enumerate(yexp, 1) if e])
+        yield (int(len(c) != len(d)),
+               a + _slot_part(betas, "beta", c) + _slot_part(gammas, "gamma", d), 1)
 
 
 def _slot_part(memo: dict, family: str, seq: tuple) -> Term:
@@ -156,87 +169,91 @@ def evaluate(f) -> GMatrix2:
     """Evaluate a polynomial at the generic matrices.
 
     Accepts a QPoly, a single CanonicalMonomial, or an iterable of
-    (coeff, word) pairs.  A canonical monomial adds its two signed slot
-    entries (_slot_entries: row 1 alpha^yexp * beta^cseq * gamma^dseq with
-    sign +1, row 2 with beta and gamma swapped and sign (-1)^ydeg), scaled
-    by its coefficient; no word is built.  The pairs evaluate raw words with
-    no canonical reduction, which is what makes cross-checks against the
-    rewriting honest: each word adds its two signed terms, followed through
-    the word (_word_entries).  No matrix or polynomial product is formed.
+    (coeff, word) pairs.  A canonical monomial adds its row-1 slot entry
+    (_slot_entries: alpha^yexp * beta^cseq * gamma^dseq with sign +1),
+    scaled by its coefficient; no word is built.  The pairs evaluate raw
+    words with no canonical reduction, which is what makes cross-checks
+    against the rewriting honest: each word adds its signed row-1 term,
+    followed through the word (_word_entries).  Row 2 is sigma of row 1
+    (_conj).  No matrix or polynomial product is formed.
     """
     if isinstance(f, CanonicalMonomial):
         f = QPoly({f: 1})
     if isinstance(f, QPoly):
-        entries = _entries_matrix(zip(f.terms.values(), _slot_entries(f.terms)))
+        row = _entries_matrix(zip(f.terms.values(), _slot_entries(f.terms)))
     else:
-        entries = _words_matrix(f)
-    return GMatrix2(*(MultiPoly(entry) for entry in entries))
+        row = _words_matrix(f)
+    return _matrix(row)
 
 
 # --- the parse tree in the generic-matrix ring --------------------------------
-# A matrix is a tuple of four Term -> int dicts (e11, e12, e21, e22) with no
+# A matrix is its first row, a pair of Term -> int dicts (e11, e12) with no
 # zero coefficient; an empty dict is a zero block, which products skip.
 
-# (product entry, left entry, right entry) for the eight block products
-_PRODUCT_BLOCKS = ((0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 3),
-                   (2, 2, 0), (2, 3, 2), (3, 2, 1), (3, 3, 3))
+def _matrix(row: tuple[dict, dict]) -> GMatrix2:
+    """The whole matrix [[a, b], [sigma b, sigma a]] of the row (a, b)."""
+    a, b = row
+    return GMatrix2(MultiPoly(a), MultiPoly(b), MultiPoly(_conj(b)), MultiPoly(_conj(a)))
 
 
-def _entries_matrix(pairs) -> tuple[dict, ...]:
-    """The four entries summed over (coeff, two) pairs, where two holds the
-    (position, term, sign) triples of one monomial or one word."""
-    acc: tuple[dict, ...] = ({}, {}, {}, {})
-    for coeff, two in pairs:
-        for pos, term, sign in two:
-            entry = acc[pos]
-            n = entry.get(term, 0) + sign * coeff
-            if n:
-                entry[term] = n
-            else:
-                del entry[term]
+def _entries_matrix(pairs) -> tuple[dict, dict]:
+    """The row summed over (coeff, (position, term, sign)) pairs, one per
+    monomial or word."""
+    acc: tuple[dict, dict] = ({}, {})
+    for coeff, (pos, term, sign) in pairs:
+        entry = acc[pos]
+        n = entry.get(term, 0) + sign * coeff
+        if n:
+            entry[term] = n
+        else:
+            del entry[term]
     return acc
 
 
-def _words_matrix(pairs) -> tuple[dict, ...]:
-    """The generic evaluation of (coeff, word) pairs: each word adds its two
-    signed terms straight into the four entries."""
+def _words_matrix(pairs) -> tuple[dict, dict]:
+    """The generic evaluation of (coeff, word) pairs: each word adds its
+    signed term straight into the row."""
     return _entries_matrix((coeff, _word_entries(w)) for coeff, w in pairs if coeff)
 
 
-def _add_into(acc: tuple[dict, ...], m: tuple[dict, ...], sign: int) -> tuple[dict, ...]:
+def _add_into(acc: tuple[dict, dict], m: tuple[dict, dict], sign: int) -> tuple[dict, dict]:
     for entry, other in zip(acc, m):
         _row_axpy(entry, other, sign)
     return acc
 
 
-def _mat_mul(a: tuple[dict, ...], b: tuple[dict, ...]) -> tuple[dict, ...]:
-    out: tuple[dict, ...] = ({}, {}, {}, {})
-    for o, i, j in _PRODUCT_BLOCKS:
-        _mul_into(out[o], a[i], b[j])
-    return out
+def _mat_mul(x: tuple[dict, dict], y: tuple[dict, dict]) -> tuple[dict, dict]:
+    """(a, b)(c, d) = (ac + b sigma d, ad + b sigma c), by _conj's identity."""
+    (a, b), (c, d) = x, y
+    e11, e12 = {}, {}
+    _mul_into(e11, a, c)
+    _mul_into(e12, a, d)
+    if b:
+        _mul_into(e11, b, _conj(d))
+        _mul_into(e12, b, _conj(c))
+    return e11, e12
 
 
-def _row1_terms(m: tuple[dict, ...]) -> list[tuple[int, int]]:
+def _row1_terms(m: tuple[dict, dict]) -> list[tuple[int, int]]:
     """A matrix's canonical terms as (degree, coefficient) pairs, read off
-    row 1 (e11, e12): each canonical monomial puts one term there, with sign
-    +-1, and distinct monomials put distinct terms, so no two cancel."""
-    return [(sum(e for _, e in term), c) for entry in m[:2] for term, c in entry.items()]
+    its row: each canonical monomial puts one term there, with sign +-1, and
+    distinct monomials put distinct terms, so no two cancel."""
+    return [(sum(e for _, e in term), c) for entry in m for term, c in entry.items()]
 
 
 def evaluate_tree(node) -> GMatrix2:
     """The generic evaluation of a parse tree (parsing.parse), node by node.
 
     Equal to evaluate(parsing.to_words(node)): parsing.fold_tree over the
-    four-entry matrices (parse has checked the word cap).  Sums, brackets
-    and the nodes built on them are matrices: sums add, products multiply, a
+    first rows (parse has checked the word cap).  Sums, brackets and the
+    nodes built on them are matrices: sums add, products multiply, a
     power squares and a bracket is AB - BA, so the cost follows the tree, not
     its raw expansion.  A power whose base has one canonical term charges the power
     caps by that term, read off row 1, as parse_poly does; to_words charges
     only powers of single raw words, so such an input may fail here and
     expand there.  No canonical reduction is involved.
     """
-    entries = fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms)
-    return GMatrix2(*(MultiPoly(entry) for entry in entries))
+    return _matrix(fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms))
 
 
 def is_graded_weak_identity(f) -> bool:
@@ -250,12 +267,12 @@ def monomial_row(m: CanonicalMonomial) -> dict:
 
     Columns are (entry position, commutative-term key) pairs; entry positions
     run e11, e12, e21, e22.  Each basis monomial hits exactly two entries with
-    a single +/-1 term each: alpha^yexp * beta^cseq * gamma^dseq with +1 and
-    the beta/gamma swap with (-1)^ydeg, in e11 and e22 for an even z-block,
-    else in e12 and e21.  That is what makes the independence matrix easy to
-    rank exactly.
+    a single +/-1 term each: alpha^yexp * beta^cseq * gamma^dseq with +1 in
+    e11 for an even z-block, else in e12, and its _conj at the opposite
+    position of row 2.
     """
-    return {(pos, term): sign for pos, term, sign in next(_slot_entries((m,)))}
+    pos, term, sign = next(_slot_entries((m,)))
+    return {(pos, term): sign} | {(3 - pos, t): c for t, c in _conj({term: sign}).items()}
 
 
 @dataclass(frozen=True)
@@ -278,11 +295,13 @@ def independence_report(max_degree: int = 6, max_index: int = 3) -> Independence
 
     Full rank certifies that the enumerated monomials evaluate to Z-linearly
     independent matrices, i.e. that no nonzero integer combination of them is
-    a graded weak identity.
+    a graded weak identity.  The rank is a count, exact for any family of
+    rows: row 2 is a signed permutation of row 1's columns onto disjoint
+    positions, so the full rows have the rank of their row-1 parts, and each
+    row-1 part is a single +-1 entry, so that rank is the number of distinct
+    entries.
     """
     monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
     count = _capped_basis_size(max_degree, max_index, MAX_BASIS)
-    lattice = IntRowLattice()
-    for (p1, t1, s1), (p2, t2, s2) in _slot_entries(monos):
-        lattice.add({(p1, t1): s1, (p2, t2): s2})
-    return IndependenceReport(max_degree, max_index, count, lattice.rank)
+    return IndependenceReport(max_degree, max_index, count,
+                              len({(pos, term) for pos, term, _ in _slot_entries(monos)}))

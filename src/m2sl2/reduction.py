@@ -184,7 +184,7 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
         # N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial
         # of phi(t).(N P); only that product's sign, (-1)^(zlen * deg N), differs
         out[_mono_mul(yexp, cseq, dseq, ny, p_even, p_odd)[1]] = c
-    return QPoly(out)
+    return QPoly._trusted(out)
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
@@ -222,7 +222,7 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
     step, and Python 3.11 specializes that unpacking for exact tuples only (a
     NamedTuple made the chain engine about 13% slower).
     """
-    tail = QPoly({m: c for m, c in g.terms.items() if m != ld.lm})
+    tail = QPoly._trusted({m: c for m, c in g.terms.items() if m != ld.lm})
     tail._support = g._index_support()
     return (*_header(ld.lm), ld, tail)
 
@@ -294,7 +294,7 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
             rem[lm] = r
             if trace is not None:
                 trace.append({"frozen": {"coeff": coeff_str(r), "m": monomial_to_obj(lm)}})
-    return QPoly(rem)
+    return QPoly._trusted(rem)
 
 
 @dataclass

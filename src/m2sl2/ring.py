@@ -101,23 +101,20 @@ class Combination:
     def __neg__(self):
         return type(self)({t: -c for t, c in self.terms.items()})
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self + sign * other; __sub__ passes sign -1, so both share one type test
         if isinstance(other, int):
             other = self.const(other)
         elif not isinstance(other, type(self)):
             return NotImplemented
         acc = dict(self.terms)
-        _row_axpy(acc, other.terms, 1)
+        _row_axpy(acc, other.terms, sign)
         return type(self)(acc)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.const(other)
-        elif not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
+        return Combination.__add__(self, other, -1)
 
     def __rsub__(self, other):
         # refused here, not by the sum below, so the error names '-'

@@ -5,6 +5,7 @@ import pytest
 
 from m2sl2 import (
     CanonicalMonomial,
+    IntRowLattice,
     QPoly,
     ResourceBoundError,
     enumerate_basis,
@@ -114,6 +115,15 @@ def test_independence_small():
     assert (rep.monomials, rep.rank) == (3376, 3376)
 
 
+@pytest.mark.parametrize("caps", [(6, 3), (4, 5), (5, 2), (7, 3)])
+def test_independence_count_matches_lattice_rank(caps):
+    # the rank computed before it was a count: the full rows in a lattice
+    lattice = IntRowLattice()
+    for m in enumerate_basis(*caps):
+        lattice.add(monomial_row(m))
+    assert independence_report(*caps).rank == lattice.rank
+
+
 def test_independence_resource_bound(monkeypatch):
     with pytest.raises(ResourceBoundError, match="exceeded 200000 monomials"):
         independence_report(2, 5000)
@@ -200,7 +210,8 @@ def test_slot_entries_match_word_walk(caps, count):
     assert ((1, 2), (3,)) in slots and ((3, 3), (1, 2)) in slots
     for m, got in zip(monos, _slot_entries(monos), strict=True):
         assert got == _word_entries(m.word()), m
-        assert monomial_row(m) == {(pos, term): sign for pos, term, sign in got}, m
+        row = monomial_row(m)
+        assert len(row) == 2 and row[got[:2]] == got[2], m
     f = QPoly({m: k % 7 - 3 for k, m in enumerate(monos)})
     assert evaluate(f) == evaluate([(c, m.word()) for m, c in f.terms.items()])
 

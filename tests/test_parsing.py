@@ -30,6 +30,7 @@ from tests.util import (
     oracle_parse,
     oracle_word_count,
     oracle_words,
+    product_evaluate,
     rand_qpoly,
     raw_evaluate_tree,
     word,
@@ -226,6 +227,26 @@ def test_tree_evaluation_matches_raw_words():
         assert _outcome(evaluate_tree, text) == _outcome(raw_evaluate_tree, text), text
     for text in TREE_EDGE_CASES:
         assert evaluate_tree(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
+
+
+def test_tree_evaluation_matches_letter_by_letter_products():
+    # evaluate_tree and evaluate both build row 2 from row 1, so the general
+    # 2x2 product over the ring checks all four entries independently
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(600):
+        text = rand_expr(rng, 4)
+        try:
+            node = oracle_parse(text)
+            if oracle_word_count(node) > 300:
+                continue
+            want = product_evaluate(oracle_words(node))
+            got = evaluate_tree(parse(text))
+        except (ParseError, ResourceBoundError):
+            continue
+        assert got == want, text
+        checked += 1
+    assert checked > 300, checked
 
 
 def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
