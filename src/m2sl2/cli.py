@@ -14,7 +14,7 @@ import sys
 from .errors import EngineError, ParseError
 from .freealg import (MAX_BASIS, QPoly, _capped_basis_size, _interleave, enumerate_basis,
                       monomial_to_obj)
-from .genmat import evaluate_tree, independence_report
+from .genmat import _tree_row, independence_report
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
 from .parsing import coeff_str, parse, parse_poly
 from .reduction import chain_demo, factorize_embedding, reduce_by
@@ -25,14 +25,9 @@ from .parsing import parse_words  # noqa: F401
 
 
 def format_monomial(m) -> str:
-    parts = []
-    for i, e in enumerate(m.yexp, start=1):
-        if e == 1:
-            parts.append(f"y{i}")
-        elif e > 1:
-            parts.append(f"y{i}^{e}")
-    parts.extend(f"z{i}" for i in _interleave(m.cseq, m.dseq))
-    return "*".join(parts) if parts else "1"
+    parts = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in enumerate(m.yexp, start=1) if e]
+    parts += [f"z{i}" for i in _interleave(m.cseq, m.dseq)]
+    return "*".join(parts) or "1"
 
 
 def sorted_terms_desc(f: QPoly):
@@ -47,17 +42,25 @@ def format_term(c: int, m) -> str:
     return f"{'+' if c > 0 else '-'} {body}"
 
 
+def format_terms(items) -> str:
+    """(monomial, coefficient) pairs, in the order given, as signed terms."""
+    return " ".join([format_term(c, m) for m, c in items]) or "0"
+
+
 def format_qpoly(f: QPoly) -> str:
-    if f.is_zero():
-        return "0"
-    return " ".join(format_term(c, m) for m, c in sorted_terms_desc(f))
+    return format_terms(sorted_terms_desc(f))
+
+
+def terms_obj(items) -> list:
+    """(monomial, coefficient) pairs, in the order given, as {"coeff": str,
+    "m": monomial} records.  Coefficients are strings so arbitrary-precision
+    values survive any JSON consumer."""
+    return [{"coeff": coeff_str(c), "m": monomial_to_obj(m)} for m, c in items]
 
 
 def poly_obj(f: QPoly) -> list:
-    """Polynomial as {"coeff": str, "m": monomial} records, leading term
-    first.  Coefficients are strings so arbitrary-precision values survive
-    any JSON consumer."""
-    return [{"coeff": coeff_str(c), "m": monomial_to_obj(m)} for m, c in sorted_terms_desc(f)]
+    """Polynomial as terms_obj records, leading term first."""
+    return terms_obj(sorted_terms_desc(f))
 
 
 def _single_monomial(text: str):
@@ -95,8 +98,9 @@ def cmd_normalize(args) -> list[str]:
 
 
 def cmd_is_identity(args) -> list[str]:
-    # generic evaluation of the parse tree: the oracle sees no reduction
-    ok = evaluate_tree(parse(args.expr)).is_zero()
+    # generic evaluation of the parse tree: the oracle sees no reduction.  The
+    # matrix is zero exactly when its first row is, so row 2 is never built
+    ok = not any(_tree_row(parse(args.expr)))
     return [json.dumps({"identity": ok}) if args.json else ("true" if ok else "false")]
 
 
@@ -132,14 +136,14 @@ def cmd_reduce(args) -> list[str]:
     f = parse_poly(args.expr)
     gens = [parse_poly(s) for s in _read_exprs(args.gens)] if args.gens else []
     trace: list | None = [] if (args.trace or args.json) else None
-    r = reduce_by(f, gens, trace)
+    r = reduce_by(f, gens, trace)  # its terms are in print order: see reduce_by
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace, fh, indent=1)
             fh.write("\n")
     if args.json:
-        return [json.dumps({"remainder": poly_obj(r), "trace": trace})]
-    return [format_qpoly(r)]
+        return [json.dumps({"remainder": terms_obj(r.terms.items()), "trace": trace})]
+    return [format_terms(r.terms.items())]
 
 
 def _builtin_stream(degree: int, indices: int, order: str, budget: int):

@@ -265,8 +265,7 @@ class QPoly(Combination):
 
     @classmethod
     def _trusted(cls, terms: dict[CanonicalMonomial, int]) -> "QPoly":
-        """Wrap `terms`, a dict with no zero coefficient, as it is, where
-        __init__ would copy it."""
+        """Combination._trusted, with the kept index support reset."""
         f = _new(cls)
         f.terms, f._support = terms, None
         return f

@@ -253,7 +253,13 @@ def evaluate_tree(node) -> GMatrix2:
     only powers of single raw words, so such an input may fail here and
     expand there.  No canonical reduction is involved.
     """
-    return _matrix(fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms))
+    return _matrix(_tree_row(node))
+
+
+def _tree_row(node) -> tuple[dict, dict]:
+    """The first row of evaluate_tree(node), with no row 2 built: the matrix
+    is zero exactly when this row is, so cli's is-identity tests it alone."""
+    return fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms)
 
 
 def is_graded_weak_identity(f) -> bool:

@@ -41,7 +41,7 @@ then adds N's y-exponents and P's letters.
 from dataclasses import dataclass
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import CanonicalMonomial, _trim
+from .freealg import CanonicalMonomial, _new, _set, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
 
@@ -141,13 +141,27 @@ class MonotoneInjection:
                 raise ValueError("pairs must strictly increase in source and target")
             last_s, last_t = s, t
 
+    @classmethod
+    def _trusted(cls, pairs: tuple) -> "MonotoneInjection":
+        """Build without re-validation, for pairs that strictly increase in
+        both columns by construction (orders._scan's witnesses)."""
+        phi = _new(cls)
+        _set(phi, "pairs", pairs)
+        return phi
+
     def covering(self, indices) -> "MonotoneInjection":
-        """Extend to cover every index in `indices`.
+        """Extend to cover every index in the collection `indices`.
 
         New images take the smallest value that keeps both columns strictly
         increasing; a hole whose neighbouring targets leave no room raises
-        CannotExtendError.
+        CannotExtendError.  When the sources are exactly 1..n and every
+        index lies in 1..n, as for a pwo_leq witness and the indices of the
+        monomial it was found for, there is nothing to extend, and self is
+        returned before any set is built.
         """
+        if (self.pairs and self.pairs[-1][0] == len(self.pairs) and indices
+                and min(indices) > 0 and max(indices) <= len(self.pairs)):
+            return self  # positive, strictly increasing sources ending at n are 1..n
         need = sorted(set(indices) - {s for s, _ in self.pairs})
         if not need:
             return self
@@ -217,7 +231,8 @@ def _scan(ra: tuple, rb: tuple) -> MonotoneInjection | None:
 
     Greedy is complete here: any embedding can be pushed left row by row
     without breaking later choices, so failure of the greedy scan means no
-    embedding exists.
+    embedding exists.  The witness's sources are 1..len(ra) and its targets
+    strictly increase by construction, so it is built without re-validation.
     """
     nb = len(rb)
     pos: list[int] = []
@@ -233,7 +248,7 @@ def _scan(ra: tuple, rb: tuple) -> MonotoneInjection | None:
                 return None
             p += 1
         pos.append(p)
-    return MonotoneInjection(tuple(enumerate(pos, start=1)))
+    return MonotoneInjection._trusted(tuple(enumerate(pos, start=1)))
 
 
 # --- renaming endomorphisms -------------------------------------------------

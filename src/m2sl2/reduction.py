@@ -22,7 +22,9 @@ One reduction step renames once: factorize_embedding reads N and P off lm(g)
 renamed straight through the witness, which pwo_leq builds over all of
 lm(g)'s indices, and apply_reducer extends the witness once, over g's cached
 index support (QPoly._index_support, which the tail shares), for the tail's
-terms.  Only the tail is lifted: lm(g) lifts to M itself, whose coefficient
+terms.  The two hand over a ReducerTriple in the form the lift reads: N's
+y-exponents and P's letters at even and at odd positions, with no N
+monomial and no P word built.  Only the tail is lifted: lm(g) lifts to M itself, whose coefficient
 the Euclidean division below settles, and the renaming is injective, so no
 tail term lands on M.  The lift is a closed-form map on each term, with no
 word product: rename along the extension, then multiply by N and P through
@@ -35,7 +37,7 @@ strictly smaller tail.  Strict descent in a well-order terminates.
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
@@ -77,17 +79,44 @@ def leading(f: QPoly) -> LeadingData:
     return LeadingData(f.terms[lm], lm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReducerTriple:
     """A factorization M_big = N . phi(M) . P with sign +1.
 
     N is pure-y; P is the pure-z word (as an index tuple) whose letters fill
-    the slot classes left short after pushing M along phi.
+    the slot classes left short after pushing M along phi.  The triple keeps
+    them in the form apply_reducer reads: N's y-exponents (n_yexp) and P's
+    letters at even and at odd positions, counted from 0 (p_even, p_odd).
+    n_part and p_word rebuild N and P on demand, for trace records, the
+    factor command and tests.  The constructor takes N and P and refuses an
+    N with odd letters, which the stored exponents could not keep.
     """
 
     phi: MonotoneInjection
-    n_part: CanonicalMonomial
-    p_word: tuple[int, ...]
+    n_yexp: tuple[int, ...]
+    p_even: tuple[int, ...]
+    p_odd: tuple[int, ...]
+
+    def __init__(self, phi: MonotoneInjection, n_part: CanonicalMonomial, p_word: tuple[int, ...]):
+        if n_part.cseq:
+            raise ValueError("N must be pure-y")
+        vars(self).update(phi=phi, n_yexp=n_part.yexp, p_even=p_word[0::2], p_odd=p_word[1::2])
+
+    @classmethod
+    def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":
+        """Build from the stored parts as they are, with no check and no
+        dataclass __init__: factorize_embedding's path, once per lift."""
+        t = object.__new__(cls)
+        vars(t).update(phi=phi, n_yexp=n_yexp, p_even=p_even, p_odd=p_odd)
+        return t
+
+    @property
+    def n_part(self) -> CanonicalMonomial:
+        return CanonicalMonomial._trusted(self.n_yexp, (), ())
+
+    @property
+    def p_word(self) -> tuple[int, ...]:
+        return tuple(_interleave(self.p_even, self.p_odd))
 
     def to_obj(self) -> dict:
         return {
@@ -123,8 +152,10 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     phi(m)'s rows are renamed straight through phi's pairs, which a pwo_leq
     witness has for every index 1..max_index of m; only a caller's phi that
     falls short is extended, as rename_monomial extends it.  No phi(m)
-    monomial is built, and the slot deficits come from _fit.  The triple
-    keeps phi as given.
+    monomial is built: the y deficit comes from one pass over phi(m)'s
+    exponents, and the slot deficits from _fit.  The triple keeps phi as
+    given, N as its exponents and P as its two halves (see ReducerTriple),
+    so neither N's monomial nor P's word is built here.
     """
     if phi is None:
         phi = pwo_leq(m, target)
@@ -135,20 +166,20 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     except KeyError:  # phi lacks one of m's indices
         pm = rename_monomial(m, phi, "both")
         py, pc, pd = pm.yexp, pm.cseq, pm.dseq
-    ny = [t - e for t, e in zip_longest(target.yexp, py, fillvalue=0)]
-    if any(e < 0 for e in ny):
-        raise NotEmbeddableError("phi(m) does not fit under the target")
-    extra_c = _fit(target.cseq, pc)
-    extra_d = _fit(target.dseq, pd)
-    if len(pc) == len(pd):
-        first, second = extra_c, extra_d
-    else:
+    ny = list(target.yexp)
+    for i, e in enumerate(py):
+        # py is trimmed: past the target's exponents lies py's nonzero top,
+        # which cannot fit
+        if i >= len(ny) or ny[i] < e:
+            raise NotEmbeddableError("phi(m) does not fit under the target")
+        ny[i] -= e
+    first, second = _fit(target.cseq, pc), _fit(target.dseq, pd)
+    if len(pc) != len(pd):
         # the z-block of phi(m) ends on a c-slot, so P starts with a d-letter
-        first, second = extra_d, extra_c
+        first, second = second, first
     if len(first) - len(second) not in (0, 1):
         raise NotEmbeddableError("slot deficits cannot interleave into a word")
-    n_part = CanonicalMonomial._trusted(_trim(ny), (), ())
-    return ReducerTriple(phi, n_part, tuple(_interleave(first, second)))
+    return ReducerTriple._trusted(phi, _trim(ny), first, second)
 
 
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
@@ -157,26 +188,23 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     Each term of f is renamed along phi, then multiplied through
     freealg._mono_mul by the canonical monomial with N's y-exponents, P's
     even-position letters (from 0) as c-slots and its odd-position letters
-    as d-slots: no word product and no intermediate monomial.  phi is
-    extended once, over f's index support, which f computes on its first
-    lift and keeps, so the renaming acts as one letter substitution;
-    extending term by term could merge terms (phi 1->2 sends both y1*y2 and
-    y1*y3 to y2*y3 under separate extensions).  Renaming along one injection
-    is injective and N and P are fixed, so no two terms merge and every
-    coefficient carries over unchanged.
+    as d-slots, all three read off the triple as they are kept: no word
+    product, no slicing and no intermediate monomial.  phi is extended once,
+    over f's index support, which f computes on its first lift and keeps,
+    so the renaming acts as one letter substitution; extending term by term
+    could merge terms (phi 1->2 sends both y1*y2 and y1*y3 to y2*y3 under
+    separate extensions).  Renaming along one injection is injective and N
+    and P are fixed, so no two terms merge and every coefficient carries
+    over unchanged.
 
     The reduction loop passes a generator's tail (see _record), which keeps
     the generator's index support, so the extension is the one the whole
-    generator would get.  An empty tail, such as every unit-monomial
-    generator's, is returned at once.
+    generator would get.
     """
-    if not f.terms:
-        return f
-    p = triple.p_word
-    if p and min(p) < 1:
+    ny, p_even, p_odd = triple.n_yexp, triple.p_even, triple.p_odd
+    if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
         raise ValueError("letter index must be >= 1")
     image = dict(triple.phi.covering(f._index_support()).pairs)
-    ny, p_even, p_odd = triple.n_part.yexp, p[0::2], p[1::2]
     out: dict[CanonicalMonomial, int] = {}
     for m, c in f.terms.items():
         # unpacked first: passing *_rename(...) made the lift about 10% slower
@@ -198,6 +226,11 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     and the well-order guarantees termination.  The loop walks a list sorted
     by total_key: each term's order key is computed once, when the term
     enters the working polynomial, and no polynomial is copied per step.
+
+    The remainder's terms are in strictly descending total_key order, the
+    order in which they were frozen, so a caller may print them as they are
+    (cli's reduce does).  Each factorization goes to apply_reducer as it
+    is, with no N monomial or P word built (see ReducerTriple).
 
     When `trace` is a list, subtraction records
     {"against", "beta", "q", "phi", "N", "P"} and freeze records
@@ -284,9 +317,8 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
                         else:
                             work[m] = n - c
                     if trace is not None:
-                        rec = {"against": k, "beta": coeff_str(beta), "q": coeff_str(q)}
-                        rec.update(triple.to_obj())
-                        trace.append(rec)
+                        trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
+                                      **triple.to_obj()})
         else:
             r = lc
         work.pop(lm, None)
@@ -398,7 +430,6 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
                     raise ResourceBoundError(
                         f"membership enumeration exceeded {max_candidates} products"
                     )
-                n_mon = CanonicalMonomial._trusted(m.yexp, (), ())
-                p_word = tuple(_interleave(m.cseq, m.dseq))
-                lattice.add(vec(apply_reducer(ReducerTriple(phi, n_mon, p_word), g)))
+                lift = apply_reducer(ReducerTriple._trusted(phi, m.yexp, m.cseq, m.dseq), g)
+                lattice.add(vec(lift))
     return lattice.contains(vec(f))

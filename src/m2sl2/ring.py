@@ -79,6 +79,15 @@ class Combination:
         self.terms = {t: c for t, c in (terms or {}).items() if c}
 
     @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap `terms`, a fresh dict with no zero coefficient, as it is,
+        where __init__ would copy it.  A subclass with slots of its own
+        overrides this to set them (freealg.QPoly)."""
+        f = object.__new__(cls)
+        f.terms = terms
+        return f
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -99,7 +108,7 @@ class Combination:
     __hash__ = None  # mutable dict inside; never used as a key
 
     def __neg__(self):
-        return type(self)({t: -c for t, c in self.terms.items()})
+        return self._trusted({t: -c for t, c in self.terms.items()})
 
     def __add__(self, other, sign=1):
         # self + sign * other; __sub__ passes sign -1, so both share one type test
@@ -109,7 +118,7 @@ class Combination:
             return NotImplemented
         acc = dict(self.terms)
         _row_axpy(acc, other.terms, sign)
-        return type(self)(acc)
+        return self._trusted(acc)
 
     __radd__ = __add__
 
@@ -123,13 +132,13 @@ class Combination:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int):  # filtered: c * 0 makes zeros
             return type(self)({t: c * other for t, c in self.terms.items()})
         if not isinstance(other, type(self)):
             return NotImplemented
         acc: dict = {}
         self._product(acc, self.terms, other.terms)
-        return type(self)(acc)
+        return self._trusted(acc)
 
     __rmul__ = __mul__
 

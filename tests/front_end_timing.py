@@ -11,6 +11,9 @@ parses every line once untimed, then times five passes over them and keeps
 the least; the order of the two trees alternates from round to round.  The
 script prints, per workload, the least time of each tree over the rounds
 and their ratio, this tree over the parent.  It only prints; it is no gate.
+
+The child and the rounds are shared: tests/step_timing.py times reduce_by
+with them.
 """
 
 import argparse
@@ -22,61 +25,79 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 15
 
-# run in the child: argv[1] is the tree's src directory, stdin the lines
+# run in the child: argv[1] is the tree's src directory, stdin the items of
+# each workload.  `setup` defines prepare(item), run untimed before every
+# pass, and step(prepared), the timed call.
 CHILD = """
 import json, sys, time
 PASSES = 5
 sys.path.insert(0, sys.argv[1])
-from m2sl2.parsing import parse_poly
-out = {}
-for name, texts in json.load(sys.stdin).items():
-    for text in texts:
-        parse_poly(text)
+{setup}
+out = {{}}
+for name, items in json.load(sys.stdin).items():
+    for item in items:
+        step(prepare(item))
     best = float("inf")
     for _ in range(PASSES):
+        ready = [prepare(item) for item in items]
         t = time.perf_counter()
-        for text in texts:
-            parse_poly(text)
+        for item in ready:
+            step(item)
         best = min(best, time.perf_counter() - t)
     out[name] = best
 print(json.dumps(out))
 """
 
+PARSE = """
+from m2sl2.parsing import parse_poly
+prepare, step = str, parse_poly
+"""
+
 
 def job_lines() -> dict[str, list[str]]:
     """The expressions parse_poly reads on a seed-1 pass of each workload."""
+    chain = [line for job in seed1_jobs("chain") for _, text in job.files
+             for line in text.splitlines() if line.strip()]
+    reduce = [job.argv[1] for job in seed1_jobs("reduce")]
+    return {"chain": chain, "reduce": reduce}
+
+
+def seed1_jobs(workload: str) -> list:
+    """The seed-1 jobs of a workload, from this tree's perfbench/workloads.py."""
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    chain = [line for job in workloads.build("chain", 1) for _, text in job.files
-             for line in text.splitlines() if line.strip()]
-    reduce = [job.argv[1] for job in workloads.build("reduce", 1)]
-    return {"chain": chain, "reduce": reduce}
+    return workloads.build(workload, 1)
 
 
-def time_tree(src: Path, payload: str) -> dict[str, float]:
-    done = subprocess.run([sys.executable, "-B", "-c", CHILD, str(src)], input=payload,
-                          capture_output=True, text=True, check=True)
+def time_tree(src: Path, payload: str, setup: str) -> dict[str, float]:
+    done = subprocess.run([sys.executable, "-B", "-c", CHILD.format(setup=setup), str(src)],
+                          input=payload, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def compare(doc: str, items: dict[str, list], setup: str, unit: str, argv=None) -> None:
+    """Read --parent from argv, time `setup`'s step on the items in both trees
+    for ROUNDS alternating rounds, and print the least times and their ratio."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
     args = ap.parse_args(argv)
-    lines = job_lines()
-    payload = json.dumps(lines)
+    payload = json.dumps(items)
     trees = {"change": ROOT / "src", "parent": args.parent.resolve() / "src"}
-    best = {tree: {name: float("inf") for name in lines} for tree in trees}
+    best = {tree: {name: float("inf") for name in items} for tree in trees}
     for r in range(ROUNDS):
         for tree in (("change", "parent") if r % 2 else ("parent", "change")):
-            for name, seconds in time_tree(trees[tree], payload).items():
+            for name, seconds in time_tree(trees[tree], payload, setup).items():
                 best[tree][name] = min(best[tree][name], seconds)
-    for name, texts in lines.items():
+    for name, batch in items.items():
         parent, change = best["parent"][name] * 1e3, best["change"][name] * 1e3
-        print(f"{name:7} {len(texts):5} lines  parent {parent:8.2f} ms  change {change:8.2f} ms"
+        print(f"{name:7} {len(batch):5} {unit}  parent {parent:8.2f} ms  change {change:8.2f} ms"
               f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)")
+
+
+def main(argv=None) -> None:
+    compare(__doc__, job_lines(), PARSE, "lines", argv)
 
 
 if __name__ == "__main__":

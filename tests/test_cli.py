@@ -530,9 +530,15 @@ def test_is_identity_tree_matches_raw_words_on_caps(capsys, monkeypatch):
         return [run(capsys, "is-identity", expr, *flag)
                 for expr in cases for flag in ((), ("--json",))]
 
+    def raw_entries(node):
+        # all four entries of the oracle's matrix: none is nonzero exactly
+        # when the matrix is zero
+        m = raw_evaluate_tree(node)
+        return m.e11.terms, m.e12.terms, m.e21.terms, m.e22.terms
+
     tree = outputs()
     monkeypatch.setattr(m2sl2.cli, "parse", oracle_parse)
-    monkeypatch.setattr(m2sl2.cli, "evaluate_tree", raw_evaluate_tree)
+    monkeypatch.setattr(m2sl2.cli, "_tree_row", raw_entries)
     assert outputs() == tree
     assert sum(rc == 1 for rc, _, _ in tree) == 20
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from tests.util import (
     oracle_cmp_total,
     rand_injection,
     rand_monomial,
+    reference_covering,
     seq_embed,
     word_renaming,
 )
@@ -186,6 +188,58 @@ def test_covering_real_hole():
     phi = MonotoneInjection(((1, 1), (3, 2)))
     with pytest.raises(CannotExtendError):
         phi.covering((2,))
+
+
+def _covering_outcome(cover, phi, indices):
+    try:
+        return cover(phi, indices)
+    except (CannotExtendError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_covering_matches_reference_exhaustive():
+    # every injection with sources in 1..4 and targets in 1..6, holes
+    # included, against every index set inside 0..5: the early return (self
+    # when the sources are 1..n and every index lies in 1..n) gives what the
+    # general path gives, and an index below 1 is refused as before
+    seen = Counter()
+    for n in range(5):
+        for sources in itertools.combinations(range(1, 5), n):
+            for targets in itertools.combinations(range(1, 7), n):
+                phi = MonotoneInjection(tuple(zip(sources, targets)))
+                for k in range(7):
+                    for indices in itertools.combinations(range(6), k):
+                        want = _covering_outcome(reference_covering, phi, indices)
+                        got = _covering_outcome(MonotoneInjection.covering, phi, set(indices))
+                        assert got == want, (phi, indices)
+                        assert _covering_outcome(MonotoneInjection.covering, phi, indices) == want
+                        if isinstance(want, tuple):
+                            seen[want[0].__name__] += 1
+                        elif got is phi:
+                            seen["self, 1..n" if sources == tuple(range(1, n + 1)) else "self"] += 1
+                        else:
+                            seen["extended"] += 1
+    assert seen == {"CannotExtendError": 4756, "extended": 4235, "ValueError": 3160, "self": 816,
+                    "self, 1..n": 473}, seen
+
+
+def test_scan_witness_is_a_valid_injection():
+    # _scan builds its witness unvalidated: it must equal the validated
+    # injection on the same pairs, with sources 1..max_index of the left
+    # operand
+    basis = list(enumerate_basis(4, 3))
+    hits = 0
+    for a in basis:
+        ea = a._emb or a._embedding()
+        for b in basis:
+            eb = b._emb or b._embedding()
+            phi = _scan(ea[4], eb[4])
+            if phi is None:
+                continue
+            hits += 1
+            assert phi == MonotoneInjection(phi.pairs), (a, b)
+            assert [s for s, _ in phi.pairs] == list(range(1, a.max_index + 1)), (a, b)
+    assert hits == 3708  # the 2,751 pwo_leq pairs, and more that only the header rejects
 
 
 # --- embedding ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from m2sl2 import (
     normalize,
     parse_poly,
 )
-from m2sl2.cli import format_qpoly
+from m2sl2.cli import format_qpoly, main
 import m2sl2.parsing
 from m2sl2.genmat import evaluate, evaluate_tree
 from m2sl2.parsing import MAX_WORDS, _Parser, parse, parse_words, to_words
@@ -247,6 +247,20 @@ def test_tree_evaluation_matches_letter_by_letter_products():
         assert got == want, text
         checked += 1
     assert checked > 300, checked
+
+
+def test_is_identity_reads_the_first_row_alone(capsys):
+    # is-identity tests the fold's first row for zero, with no row 2 built;
+    # the whole matrix of evaluate_tree is the oracle
+    rng = random.Random(29)
+    seen = {"true": 0, "false": 0}
+    for _ in range(600):
+        text = rand_expr(rng, 4)
+        want = "true" if evaluate_tree(parse(text)).is_zero() else "false"
+        assert main(["is-identity", text]) == 0
+        assert capsys.readouterr().out == want + "\n", text
+        seen[want] += 1
+    assert seen == {"true": 129, "false": 471}, seen
 
 
 def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import combinations_with_replacement
 
 import pytest
@@ -29,7 +30,9 @@ from m2sl2 import (
     pwo_leq,
     reduce_by,
     reduce_word,
+    total_key,
 )
+from m2sl2.cli import format_qpoly, main, poly_obj
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -186,6 +189,39 @@ def test_factorize_matches_reference_exhaustive():
         assert outcome(factorize_embedding, mk((), (1,)), bad, phi) == want
 
 
+def test_public_triple_matches_factorized_exhaustive():
+    # the public constructor takes N and P and keeps what the lift reads;
+    # factorize_embedding stores those parts straight.  reference_factorize
+    # builds its triple through the public constructor
+    basis = list(enumerate_basis(4, 3))
+    pairs = 0
+    for a in basis:
+        for b in basis:
+            if pwo_leq(a, b) is None:
+                continue
+            pairs += 1
+            got, ref = factorize_embedding(a, b), reference_factorize(a, b)
+            assert got == ref and hash(got) == hash(ref), (a, b)
+            assert (got.n_part, got.p_word, got.to_obj()) == (ref.n_part, ref.p_word, ref.to_obj())
+            again = ReducerTriple(got.phi, got.n_part, got.p_word)
+            assert again == got and (again.n_part, again.p_word) == (got.n_part, got.p_word)
+    assert pairs == 2751
+
+
+def test_triple_refuses_odd_letters_in_n_and_is_frozen():
+    phi = MonotoneInjection(((1, 1),))
+    for n_part in (mk((), (1,)), mk((1,), (1,), (2,))):
+        with pytest.raises(ValueError, match="N must be pure-y"):
+            ReducerTriple(phi, n_part, ())
+    for t in (ReducerTriple(phi, mk((0, 2)), (3, 1, 2)), factorize_embedding(mk((1,)), mk((2, 1)))):
+        for name in ("phi", "n_yexp", "p_even", "p_odd", "n_part", "p_word"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+    t = ReducerTriple(phi, mk((0, 2)), (3, 1, 2))
+    assert (t.n_yexp, t.p_even, t.p_odd, t.n_part, t.p_word) == ((0, 2), (3, 2), (1,), mk((0, 2)),
+                                                                 (3, 1, 2))
+
+
 def test_triple_serialization():
     t = factorize_embedding(mk((), (1,)), mk((0, 1), (1, 1), (1,)))
     assert t.n_part == mk((0, 1))
@@ -261,6 +297,20 @@ def test_apply_reducer_matches_product_oracle():
         apply_reducer(triple, mono(mk((), (1,))))
     with pytest.raises(ValueError):
         product_apply_reducer(triple, mono(mk((), (1,))))
+
+
+def test_apply_reducer_refuses_a_letter_below_1_in_either_half_of_p():
+    # P's letters at even positions become c-slots and those at odd positions
+    # d-slots; a letter 0 in either half is refused, as the word product
+    # refuses it
+    phi = MonotoneInjection(((1, 1),))
+    for p_word in ((0,), (1, 0), (2, 3, 0), (0, 1, 2), (2, 0, 3, 4)):
+        triple = ReducerTriple(phi, mk(), p_word)
+        for g in (mono(mk((), (1,))), mono(mk((1,)), 2) + mono(mk((), (1,), (1,)))):
+            with pytest.raises(ValueError, match="letter index must be >= 1"):
+                apply_reducer(triple, g)
+            with pytest.raises(ValueError):
+                product_apply_reducer(triple, g)
 
 
 def test_apply_reducer_warm_support_matches_product_oracle():
@@ -445,6 +495,32 @@ def test_reduce_by_matches_reference_loop(monkeypatch):
         lead = Counter(m for g in gens for m in g.terms)
         recreated += sum(1 for m, n in keyed.items() if n - lead[m] > 1)
     assert recreated > 0
+
+
+def test_remainder_terms_come_in_print_order(tmp_path, capsys):
+    # the seeded inputs of test_reduce_by_matches_reference_loop: reduce_by
+    # freezes terms in strictly descending total_key order, so the
+    # remainder's dict order is its sorted order, and the reduce command
+    # prints it as it is, in both forms
+    basis = list(enumerate_basis(7, 3))
+    rng = random.Random(86)
+    cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
+    cases.append(("mixed", 100))
+    frozen = 0
+    for fam, terms in cases:
+        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
+        f = rand_sparse_poly(rng, basis, terms)
+        r = reduce_by(f, gens)
+        assert list(r.terms) == sorted(r.terms, key=total_key, reverse=True)
+        frozen += len(r.terms)
+        path = tmp_path / f"{fam}.txt"
+        path.write_text("".join(g + "\n" for g in GEN_FAMILIES[fam]))
+        text = format_qpoly(f)
+        assert main(["reduce", text, str(path)]) == 0
+        assert capsys.readouterr().out == format_qpoly(r) + "\n"
+        assert main(["reduce", text, str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["remainder"] == poly_obj(r)
+    assert frozen > 300, frozen
 
 
 def test_reduce_by_keys_each_entering_term_once(monkeypatch):

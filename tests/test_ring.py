@@ -4,7 +4,7 @@ import random
 import pytest
 
 from m2sl2 import MultiPoly, QPoly
-from tests.util import alpha, beta, gamma
+from tests.util import alpha, beta, gamma, rand_qpoly
 
 
 def test_constructors():
@@ -93,3 +93,22 @@ def test_no_zero_divisors_spot():
             continue
         assert not (a * b).is_zero()
 
+
+
+def test_results_hold_no_zero_and_share_no_dict():
+    # sums, differences, negations and products wrap the dict they build;
+    # it must hold no zero and be no operand's own dict, for both kinds of
+    # combination, cancelling operands included
+    rng = random.Random(28)
+    ops = (operator.add, operator.sub, operator.mul, lambda a, b: -a, lambda a, b: 1 - a,
+           lambda a, b: a + 1, lambda a, b: a * 0, lambda a, b: 0 * a, lambda a, b: a - a)
+    for _ in range(200):
+        for a, b in ((rand_poly(rng), rand_poly(rng)),
+                     (rand_qpoly(rng, max_terms=4), rand_qpoly(rng, max_terms=4))):
+            for x, y in ((a, b), (a, -a), (a, a), (a, type(a).zero())):
+                for op in ops:
+                    r = op(x, y)
+                    assert 0 not in r.terms.values(), (x, y, op)
+                    assert r.terms is not x.terms and r.terms is not y.terms, (x, y, op)
+                    if isinstance(r, QPoly):
+                        assert r._support is None

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from m2sl2 import (
     CanonicalMonomial,
+    CannotExtendError,
     GMatrix2,
     IntRowLattice,
     LieBracket,
@@ -194,6 +195,23 @@ def rand_injection(rng: random.Random, n: int, spread=4) -> MonotoneInjection:
 def injection_onto(targets) -> MonotoneInjection:
     """The injection mapping 1..n onto the given strictly increasing targets."""
     return MonotoneInjection(tuple(enumerate(targets, start=1)))
+
+
+def reference_covering(phi: MonotoneInjection, indices) -> MonotoneInjection:
+    """MonotoneInjection.covering with no early return: every index not yet
+    a source gets the smallest target that keeps both columns strictly
+    increasing, preferring the index itself, or CannotExtendError."""
+    assigned = dict(phi.pairs)
+    for i in sorted(set(indices) - set(assigned)):
+        lo = max((t for s, t in assigned.items() if s < i), default=0)
+        hi = min((t for s, t in assigned.items() if s > i), default=None)
+        cand = max(lo + 1, i)
+        if hi is not None and cand >= hi:
+            cand = lo + 1
+        if hi is not None and cand >= hi:
+            raise CannotExtendError(f"no room to extend injection at index {i}")
+        assigned[i] = cand
+    return MonotoneInjection(tuple(sorted(assigned.items())))
 
 
 def rand_lie(rng: random.Random, grade: int, depth: int, max_index=4):
