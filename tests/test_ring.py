@@ -94,7 +94,6 @@ def test_no_zero_divisors_spot():
         assert not (a * b).is_zero()
 
 
-
 def test_results_hold_no_zero_and_share_no_dict():
     # sums, differences, negations and products wrap the dict they build;
     # it must hold no zero and be no operand's own dict, for both kinds of
