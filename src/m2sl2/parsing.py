@@ -10,12 +10,13 @@ are commutators.  `parse` reads a text in one pass of recursive descent,
 matching the compiled scanner once per token at the offset where the last
 token ended, except in a run: letters, perhaps with exponents, and perhaps
 one integer before them, multiplied with no whitespace, as in
-`-15*y1*y3^3*z1*z2`.  A run, after a sign or at a letter or integer that a
-'*' or '^' follows, is read in one match of a second pattern that admits
-only what the scanner reads without error, and the scan resumes after it.
-A run ends neither inside a token nor before a '^', and where it ends, or
-where its powers would pass the letters cap, the token path reads on, so
-the nodes, counts and errors are the token path's.  Each node gets its raw
+`-15*y1*y3^3*z1*z2`.  Wherever a factor may start, at the start of the text
+and after a '+', '-', '*', '(', '[' or ',', a run is tried before the next
+token, in one match of a second pattern that admits only what the scanner
+reads without error, and the scan resumes after it.  A run ends neither
+inside a token nor before a '^', and where it ends, or where its powers
+would pass the letters cap, the token path reads on, so the nodes, counts
+and errors are the token path's.  Each node gets its raw
 word count as it is built, and a product of letters and integers
 (parenthesized ones included, the term's sign too) becomes one word leaf.
 So does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
@@ -88,6 +89,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)|(?P<int>\d+)|
 
 _ATOM_STARTS = ("'y'", "'z'", "integer", "'('", "'['")
 _SIGNS = ("+", "-")
+# the tokens a factor may follow, None standing for the start of the text:
+# a run is tried after each of them and nowhere else
+_BEFORE_FACTOR = frozenset((None, "+", "-", "*", "(", "[", ","))
 _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
 # a run, after any whitespace: an integer I and a '*', or not, then 1 to 64
 # letters L joined by '*', each perhaps with an exponent, written with no
@@ -97,8 +101,8 @@ _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
 # the run before it.  The pattern is built at import from MAX_LETTER_INDEX
 # and MAX_COEFF_DIGITS, as _INDEX_DIGITS and _COEFF_BOUND are, so those two
 # caps hold as they stand at import.  The token path reads a run refused for
-# its powers factor by factor, trying a run again at each, so the bound on
-# its length keeps that linear in the text.
+# its powers factor by factor, trying a run again after each '*', so the
+# bound on its length keeps that linear in the text.
 _RUN = re.compile(r"\s*(?:({I})\*)?({L}(?:\*{L}){{0,63}})(?!\s*[\^\d])".format(
     I=rf"\d{{1,{MAX_COEFF_DIGITS}}}",
     L=rf"[yz][1-9][0-9]{{0,{_INDEX_DIGITS - 2}}}(?:\^\d{{1,{MAX_COEFF_DIGITS}}})?"))
@@ -125,26 +129,32 @@ def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
 class _Parser:
     """Recursive descent in one pass, matching the scanner at the offset
     where the last token ended, a run of letter and integer factors read in
-    one match of _RUN (see run).
+    one match of _RUN wherever a factor may start (see advance and run).
 
-    The current token is kind ("VAR", "INT", "EOF" or the operator character),
-    value and pos, and `after` is the offset where it ends, from which the
-    scan reads on.  A lexical error raises as soon as it is read, being the
-    first one in the text; a syntax error first reads the rest of the text,
-    so that a lexical error after it wins.  A node whose count passes
-    MAX_WORDS only sets `over`, for parse to raise once the text is read.
+    The current token is kind ("VAR", "INT", "EOF" or the operator character,
+    None before the first), value and pos, and `after` is the offset where
+    it ends, from which the scan reads on.  `leaf` is the run read just
+    before the current token, or None; term takes it as a factor.  A
+    lexical error raises as soon as it is read, being the first one in the
+    text; a syntax error first reads the rest of the text, so that a lexical
+    error after it wins.  A node whose count passes MAX_WORDS only sets
+    `over`, for parse to raise once the text is read.
     `absorbed` counts the letters built by powers taken into word leaves."""
 
-    __slots__ = ("text", "kind", "value", "pos", "after", "depth", "over", "absorbed")
+    __slots__ = ("text", "kind", "value", "pos", "after", "leaf", "depth", "over", "absorbed")
 
     def __init__(self, text: str):
-        self.text, self.after = text, 0
+        self.text, self.after, self.kind = text, 0, None
         self.depth = 0
         self.over = False
         self.absorbed = 0
         self.advance()
 
     def advance(self) -> None:
+        """Pass the current token: read the run that starts after it, if one
+        does and the token comes before a factor (see run), then the next
+        token."""
+        self.leaf = self.run() if self.kind in _BEFORE_FACTOR else None
         match = _TOKEN.match(self.text, self.after)
         if match is None:
             self.kind, self.value, self.pos = "EOF", None, len(self.text)
@@ -205,37 +215,28 @@ class _Parser:
     def expr(self):
         items = [(1, self.term())]
         while self.kind in _SIGNS:
-            items.append((1 if self.kind == "+" else -1, self.term(self.past_sign())))
+            sign = 1 if self.kind == "+" else -1
+            self.advance()
+            items.append((sign, self.term()))
         return items[0][1] if len(items) == 1 else (
             "add", self.counted(sum(sub[1] for _, sub in items)), items)
 
-    def past_sign(self):
-        """Pass the sign that is the current token.  Return the run right
-        after it, if one starts there (see run); else read the next token
-        and return False, so that term tries no run at that token again."""
-        read = self.run(self.pos + 1)
-        if read is None:
-            self.advance()
-        return read or False
-
-    def term(self, read=None):
-        # `read` is what past_sign returned for the sign before the term,
-        # which expr has passed.  The run of one-word factors since the last
-        # other factor, sign included, is sign * prod(lits) * letters,
-        # charging `charge` letters; `run` says whether it holds any
+    def term(self):
+        # the run of one-word factors since the last other factor, sign
+        # included, is sign * prod(lits) * letters, charging `charge`
+        # letters; `run` says whether it holds any.  A run read by the last
+        # advance is the term's first factor, and the token after it is no
+        # sign of this term
         sign, lits, letters, charge, run = 1, [], [], 0, False
-        if not read and self.kind in _SIGNS:
+        if self.leaf is None and self.kind in _SIGNS:
             if self.kind == "-":
                 sign, run = -1, True
-            read = self.past_sign()
+            self.advance()
         subs = []
         while True:
             kind, value = self.kind, self.value
-            if read is None:  # a letter or an integer that '*' or '^' follows may begin a run
-                read = ((kind == "VAR" or kind == "INT")
-                        and self.text.startswith(("*", "^"), self.after) and self.run(self.pos))
-            if read:
-                node = read
+            if self.leaf is not None:
+                node = self.leaf
             elif kind == "VAR" or kind == "INT":
                 self.advance()
                 node = ("w", 1, 1, (value,), 0) if kind == "VAR" else _leaf(value, ())
@@ -264,7 +265,6 @@ class _Parser:
             if self.kind != "*":
                 break
             self.advance()
-            read = None
         if run:
             subs.append(_run_leaf(sign, lits, letters, charge))
         if len(subs) == 1:
@@ -274,16 +274,16 @@ class _Parser:
             n = self.counted(n * sub[1])
         return ("mul", n, subs)
 
-    def run(self, at: int):
-        """Read the run at offset `at` in one match, as the token path would
-        read its factors, a power of a letter repeated and charged as power()
-        takes it into a leaf, and resume the scan after it.  Return the word
-        leaf of its integer (1 if it has none), letters and charge, for term
-        to merge.  Return None, reading nothing, if no run starts there or
-        its powers would pass MAX_POWER_LETTERS; the token path then reads
-        the factors one at a time and makes a "pow" node of the power that
-        does not fit."""
-        match = _RUN.match(self.text, at)
+    def run(self):
+        """Read the run that starts where the last token ended in one match,
+        as the token path would read its factors, a power of a letter
+        repeated and charged as power() takes it into a leaf, and move the
+        scan past it.  Return the word leaf of its integer (1 if it has
+        none), letters and charge, for term to merge.  Return None, reading
+        nothing, if no run starts there or its powers would pass
+        MAX_POWER_LETTERS; the token path then reads the factors one at a
+        time and makes a "pow" node of the power that does not fit."""
+        match = _RUN.match(self.text, self.after)
         if match is None:
             return None
         letters, charge = [], 0
@@ -296,7 +296,6 @@ class _Parser:
             letters += (_letter(lex),) * int(exp or 1)
         self.absorbed += charge
         self.after = match.end()
-        self.advance()
         return _leaf(int(match[1] or 1), tuple(letters), charge)
 
     def power(self, node, k: int):

@@ -100,7 +100,9 @@ class ReducerTriple:
     def __init__(self, phi: MonotoneInjection, n_part: CanonicalMonomial, p_word: tuple[int, ...]):
         if n_part.cseq:
             raise ValueError("N must be pure-y")
-        vars(self).update(phi=phi, n_yexp=n_part.yexp, p_even=p_word[0::2], p_odd=p_word[1::2])
+        # a list P is stored as tuples too, so the triple hashes and lifts
+        vars(self).update(phi=phi, n_yexp=n_part.yexp,
+                          p_even=tuple(p_word[0::2]), p_odd=tuple(p_word[1::2]))
 
     @classmethod
     def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":

@@ -1,12 +1,15 @@
-"""Interleaved timing of parse_poly on the benchmark's job lines, for this
-tree against a second checkout.
+"""Interleaved timing of the front end on the benchmark's job lines, for
+this tree against a second checkout.
 
     python tests/front_end_timing.py --parent PATH
 
 The lines are the expressions of the seed-1 `chain` jobs (every line of their
 stream files) and of the seed-1 `reduce` jobs (the polynomial each reduces),
-built by this tree's `perfbench/workloads.py`, so both trees parse the same
-texts.  Each round times both trees, each in a fresh child interpreter that
+timed through parse_poly, and of the seed-1 `identity` jobs that read one
+(`is-identity` and `normalize`), timed through parse alone: their brackets
+and powers cost far more to evaluate than to parse.  This tree's
+`perfbench/workloads.py` builds them, so both trees parse the same texts.
+Each round times both trees, each in a fresh child interpreter that
 parses every line once untimed, then times five passes over them and keeps
 the least; the order of the two trees alternates from round to round.  The
 script prints, per workload, the least time of each tree over the rounds
@@ -27,7 +30,8 @@ ROUNDS = 15
 
 # run in the child: argv[1] is the tree's src directory, stdin the items of
 # each workload.  `setup` defines prepare(item), run untimed before every
-# pass, and step(prepared), the timed call.
+# pass, and step, which maps each workload to its timed call on a prepared
+# item.
 CHILD = """
 import json, sys, time
 PASSES = 5
@@ -35,22 +39,23 @@ sys.path.insert(0, sys.argv[1])
 {setup}
 out = {{}}
 for name, items in json.load(sys.stdin).items():
+    call = step[name]
     for item in items:
-        step(prepare(item))
+        call(prepare(item))
     best = float("inf")
     for _ in range(PASSES):
         ready = [prepare(item) for item in items]
         t = time.perf_counter()
         for item in ready:
-            step(item)
+            call(item)
         best = min(best, time.perf_counter() - t)
     out[name] = best
 print(json.dumps(out))
 """
 
 PARSE = """
-from m2sl2.parsing import parse_poly
-prepare, step = str, parse_poly
+from m2sl2.parsing import parse, parse_poly
+prepare, step = str, {"chain": parse_poly, "reduce": parse_poly, "identity": parse}
 """
 
 
@@ -59,7 +64,9 @@ def job_lines() -> dict[str, list[str]]:
     chain = [line for job in seed1_jobs("chain") for _, text in job.files
              for line in text.splitlines() if line.strip()]
     reduce = [job.argv[1] for job in seed1_jobs("reduce")]
-    return {"chain": chain, "reduce": reduce}
+    identity = [job.argv[1] for job in seed1_jobs("identity")
+                if job.argv[0] in ("is-identity", "normalize")]
+    return {"chain": chain, "reduce": reduce, "identity": identity}
 
 
 def seed1_jobs(workload: str) -> list:

@@ -24,8 +24,7 @@ def prepare(job):
     expr, gens = job
     return parse_poly(expr), [parse_poly(g) for g in gens]
 
-def step(job):
-    reduce_by(*job)
+step = {"reduce": lambda job: reduce_by(*job)}
 """
 
 

@@ -509,12 +509,14 @@ def _scan(fn, text):
 
 def _scanned(text: str) -> list[tuple]:
     """The (kind, value, pos) tokens the parser pulls from the scanner,
-    ending in EOF."""
-    p = _Parser(text)
-    toks = []
-    while p.kind != "EOF":
-        toks.append((p.kind, p.value, p.pos))
-        p.advance()
+    ending in EOF, with no run read: runs have their own tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
+        p = _Parser(text)
+        toks = []
+        while p.kind != "EOF":
+            toks.append((p.kind, p.value, p.pos))
+            p.advance()
     return toks + [("EOF", None, p.pos)]
 
 
@@ -714,32 +716,70 @@ def test_a_run_is_one_scanner_step(monkeypatch):
     assert node[1] == oracle_word_count(tree) == 120 and to_words(node) == oracle_words(tree)
 
 
+class _CountingRun:
+    """_RUN, recording the offset of each try and the length it matched."""
+
+    def __init__(self):
+        self.real, self.tries = m2sl2.parsing._RUN, []
+
+    def match(self, text, pos):
+        found = self.real.match(text, pos)
+        self.tries.append((pos, found.end() - pos if found else 0))
+        return found
+
+
 def test_refused_runs_are_read_in_linear_time(monkeypatch):
     # a run whose powers would pass the letters cap is left to the token
-    # path, which tries a run again at each factor; a run spans at most 64
+    # path, which tries a run again after each '*'; a run spans at most 64
     # factors, so each character is matched by at most 64 of those tries
-    real, scanned = m2sl2.parsing._RUN, []
-
-    class Counting:
-        def match(self, text, pos):
-            found = real.match(text, pos)
-            scanned.append(found.end() - pos if found else 0)
-            return found
+    counting = _CountingRun()
 
     monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 1000)
     texts = ("y1*" * 20_000 + "y1^1001", "*".join(["y1^7"] * 5000))
     with monkeypatch.context() as patch:
         patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
         token_nodes = [parse(text) for text in texts]
-    monkeypatch.setattr(m2sl2.parsing, "_RUN", Counting())
+    monkeypatch.setattr(m2sl2.parsing, "_RUN", counting)
     for text, want in zip(texts, token_nodes):
-        scanned.clear()
+        counting.tries.clear()
         assert parse(text) == want
         assert want[0] == "mul" and want[2][-1][0] == "pow"
-        assert sum(scanned) <= 64 * len(text)
+        assert sum(n for _, n in counting.tries) <= 64 * len(text)
     # a run refused right after a sign is not tried again at its first factor
-    scanned.clear()
-    assert parse("-y1^1001*y2")[2][1][0] == "pow" and len(scanned) == 1
+    counting.tries.clear()
+    assert parse("-y1^1001*y2")[2][1][0] == "pow"
+    offsets = [pos for pos, _ in counting.tries]
+    assert offsets.count(1) == 1 and len(set(offsets)) == len(offsets)
+
+
+def test_runs_are_tried_only_where_a_factor_starts(monkeypatch):
+    # a run is tried at the start of the text and after each '+', '-', '*',
+    # '(', '[' and ',' the parser reads, whitespace aside, and never twice
+    # at one offset, whether it is read, refused or fails; half the texts
+    # end in a run of powers, which the letters cap of 30 often refuses
+    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 30)
+    counting = _CountingRun()
+    monkeypatch.setattr(m2sl2.parsing, "_RUN", counting)
+    rng = random.Random(29)
+    tried = 0
+    for _ in range(3000):
+        text = _mutated(rng)
+        if rng.random() < 0.5:
+            powers = (f"{rng.choice('yz')}{rng.randint(1, 3)}^{rng.randint(0, 12)}"
+                      for _ in range(rng.randint(1, 6)))
+            text += rng.choice(("+", " - ", "*", ")*")) + "*".join(powers)
+        counting.tries.clear()
+        try:
+            parse(text)
+        except (ParseError, ResourceBoundError):
+            pass
+        offsets = [pos for pos, _ in counting.tries]
+        assert len(set(offsets)) == len(offsets), text
+        for pos in offsets:
+            before = text[:pos].rstrip()
+            assert pos == 0 or before.endswith(("+", "-", "*", "(", "[", ",")), (text, pos)
+        tried += len(offsets)
+    assert tried > 10_000
 
 
 @pytest.mark.parametrize("text,offset", [

@@ -222,6 +222,17 @@ def test_triple_refuses_odd_letters_in_n_and_is_frozen():
     assert (t.n_part, t.p_word) == (mk((0, 2)), (3, 1, 2))
 
 
+def test_triple_from_a_list_p_equals_the_tuple_built_triple():
+    phi = MonotoneInjection(((1, 1), (2, 3)))
+    g = mono(mk((1,), (2,)), 3) + mono(mk((0, 2)), -2)
+    for p_word in ((), (3,), (3, 1, 2), (2, 1, 4, 4)):
+        t = ReducerTriple(phi, mk((0, 2)), p_word)
+        listed = ReducerTriple(phi, mk((0, 2)), list(p_word))
+        assert listed == t and hash(listed) == hash(t)
+        assert listed.p_word == t.p_word == p_word and listed.to_obj() == t.to_obj()
+        assert apply_reducer(listed, g) == apply_reducer(t, g) == product_apply_reducer(t, g)
+
+
 def test_triple_serialization():
     t = factorize_embedding(mk((), (1,)), mk((0, 1), (1, 1), (1,)))
     assert t.n_part == mk((0, 1))
