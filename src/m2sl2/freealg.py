@@ -276,7 +276,8 @@ class QPoly(Combination):
         are those of the nonzero rows of its embedding data (see
         CanonicalMonomial._embedding).
 
-        reduction.apply_reducer extends its witness over this once per lift,
+        reduction's lift (apply_reducer, or _lift untraced) extends its
+        witness over this once per lift,
         so a generator's support is computed once, not once per step.  The
         lifted polynomial is the generator's tail, to which reduction._record
         hands the whole generator's support."""

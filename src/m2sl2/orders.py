@@ -34,8 +34,9 @@ push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
 the same injections.  The reduction step calls the kernel itself:
 factorize_embedding renames through the witness's pairs with no extension,
-and apply_reducer extends once over the generator's kept index support,
-then adds N's y-exponents and P's letters.
+and the lift (apply_reducer, or reduction._lift when no trace is kept)
+extends once over the generator's kept index support, then adds N's
+y-exponents and P's letters.
 """
 
 from dataclasses import dataclass

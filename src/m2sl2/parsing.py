@@ -282,12 +282,17 @@ class _Parser:
         none), letters and charge, for term to merge.  Return None, reading
         nothing, if no run starts there or its powers would pass
         MAX_POWER_LETTERS; the token path then reads the factors one at a
-        time and makes a "pow" node of the power that does not fit."""
+        time and makes a "pow" node of the power that does not fit.  A run of
+        one bare letter (the z2 in [y1, z2]) skips the split into factors."""
         match = _RUN.match(self.text, self.after)
         if match is None:
             return None
+        factors = match[2]
+        if match[1] is None and factors.isalnum():  # one bare letter: no integer, '*' or '^'
+            self.after = match.end()
+            return ("w", 1, 1, (_letter(factors),), 0)
         letters, charge = [], 0
-        for piece in match[2].split("*"):
+        for piece in factors.split("*"):
             lex, _, exp = piece.partition("^")
             if exp:  # charged before the power is built
                 charge += int(exp)

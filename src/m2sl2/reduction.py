@@ -18,16 +18,20 @@ it adjoins a generator and keeps it for the rest of the stream.  At each step
 a generator whose kept header already rules out lm(g) <=' M is skipped
 without a pwo_leq call.
 
-One reduction step renames once: factorize_embedding reads N and P off lm(g)
-renamed straight through the witness, which pwo_leq builds over all of
-lm(g)'s indices, and apply_reducer extends the witness once, over g's cached
-index support (QPoly._index_support, which the tail shares), for the tail's
-terms.  The two hand over a ReducerTriple in the form the lift reads: N's
-y-exponents and P's letters at even and at odd positions, with no N
-monomial and no P word built.  Only the tail is lifted: lm(g) lifts to M itself, whose coefficient
-the Euclidean division below settles, and the renaming is injective, so no
-tail term lands on M.  The lift is a closed-form map on each term, with no
-word product: rename along the extension, then multiply by N and P through
+One reduction step renames once.  With no trace, _lift does the whole step:
+it reads N's y-exponents and P's two halves straight off the witness, which
+pwo_leq builds over all of lm(g)'s indices, extends the witness once, over
+g's cached index support (QPoly._index_support, which the tail shares), and
+lifts the tail's terms, with no ReducerTriple and none of the checks a
+caller's injection needs.  With a trace, the step is the two public calls
+the trace records come from: factorize_embedding reads N and P the same way
+into a ReducerTriple (N's y-exponents and P's letters at even and at odd
+positions, with no N monomial and no P word built), and apply_reducer
+extends the witness and lifts the tail.  Only the tail is lifted: lm(g)
+lifts to M itself, whose coefficient the Euclidean division below settles,
+and the renaming is injective, so no tail term lands on M.  The lift is a
+closed-form map on each term, with no word product, written once
+(_lift_terms): rename along the extension, then multiply by N and P through
 the canonical product of freealg (_mono_mul).
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
@@ -207,14 +211,52 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
         raise ValueError("letter index must be >= 1")
     image = dict(triple.phi.covering(f._index_support()).pairs)
+    return QPoly._trusted(_lift_terms(f.terms, image, ny, p_even, p_odd))
+
+
+def _lift_terms(terms: dict, image: dict, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
+    """N . phi(t) . P for each term t of `terms`, as a new dict in the same
+    order: each monomial renamed through `image` (a dict covering its
+    indices), then multiplied by N's y-exponents `ny` and P's halves.  The
+    lift of apply_reducer and of _lift."""
     out: dict[CanonicalMonomial, int] = {}
-    for m, c in f.terms.items():
+    for m, c in terms.items():
         # unpacked first: passing *_rename(...) made the lift about 10% slower
         yexp, cseq, dseq = _rename(m, image, "both")
         # N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial
         # of phi(t).(N P); only that product's sign, (-1)^(zlen * deg N), differs
         out[_mono_mul(yexp, cseq, dseq, ny, p_even, p_odd)[1]] = c
-    return QPoly._trusted(out)
+    return out
+
+
+def _lift(m: CanonicalMonomial, target: CanonicalMonomial, phi: MonotoneInjection,
+          tail: QPoly) -> dict:
+    """apply_reducer(factorize_embedding(m, target, phi), tail).terms, in one
+    step and with no check, for the untraced reduction loop: phi must be the
+    witness pwo_leq(m, target).
+
+    Such a witness maps every index 1..max_index of m and puts each row of
+    m under a row of the target, so the y-deficits are >= 0, the slots fit,
+    the deficits interleave and P's letters are >= 1: none of
+    factorize_embedding's refusals can occur.  N's exponents are read off
+    the witness, the target's less m's at the indices phi maps them to;
+    P's halves are _fit's, swapped when m's z-length is odd.  phi is extended over the
+    tail's kept index support, and its pairs are read once when the
+    extension is phi itself.
+    """
+    image = dict(phi.pairs)
+    ny = list(target.yexp)
+    # m.yexp ends on a nonzero exponent, so every index it lists maps inside ny
+    for i, e in enumerate(m.yexp, start=1):
+        ny[image[i] - 1] -= e
+    first, second = (_fit(target.cseq, [image[i] for i in m.cseq]),
+                     _fit(target.dseq, [image[i] for i in m.dseq]))
+    if len(m.cseq) != len(m.dseq):
+        first, second = second, first
+    ext = phi.covering(tail._index_support())
+    if ext is not phi:
+        image = dict(ext.pairs)
+    return _lift_terms(tail.terms, image, _trim(ny), first, second)
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
@@ -231,12 +273,14 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
 
     The remainder's terms are in strictly descending total_key order, the
     order in which they were frozen, so a caller may print them as they are
-    (cli's reduce does).  Each factorization goes to apply_reducer as it
-    is, with no N monomial or P word built (see ReducerTriple).
+    (cli's reduce does).  With no trace, each step lifts a generator's tail
+    in one call of _lift, straight off the embedding witness.
 
-    When `trace` is a list, subtraction records
+    When `trace` is a list, each step goes through factorize_embedding and
+    apply_reducer instead, and subtraction records
     {"against", "beta", "q", "phi", "N", "P"} and freeze records
-    {"frozen": {"coeff", "m"}} are appended in execution order.
+    {"frozen": {"coeff", "m"}} are appended in execution order.  Both paths
+    give the same remainder, term for term.
     """
     recs = []
     for g in generators:
@@ -280,6 +324,9 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     its leading term would land on lm, whose coefficient ends at the residue
     r, and lm leaves `work` anyway.  So a one-term generator, whose tail is
     empty, costs no factorization and no lift, unless `trace` records them.
+    Untraced, the tail is lifted by _lift and its terms folded straight into
+    `work`; traced, by factorize_embedding and apply_reducer, whose
+    ReducerTriple the trace record reads.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
@@ -305,10 +352,16 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
                 for (k, ld, tail, phi), beta in zip(usable, betas):
                     if not beta or not tail.terms and trace is None:
                         continue
-                    triple = factorize_embedding(ld.lm, lm, phi)
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
+                    if trace is None:
+                        lifted = _lift(ld.lm, lm, phi, tail)
+                    else:
+                        triple = factorize_embedding(ld.lm, lm, phi)
+                        lifted = apply_reducer(triple, tail).terms
+                        trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
+                                      **triple.to_obj()})
                     scale = beta * q
-                    for m, c in apply_reducer(triple, tail).terms.items():
+                    for m, c in lifted.items():
                         c *= scale
                         n = work.get(m)
                         if n is None:
@@ -318,9 +371,6 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
                             del work[m]
                         else:
                             work[m] = n - c
-                    if trace is not None:
-                        trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
-                                      **triple.to_obj()})
         else:
             r = lc
         work.pop(lm, None)

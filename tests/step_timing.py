@@ -9,9 +9,13 @@ The child and the rounds are those of tests/front_end_timing.py: each round
 times both trees, each in a fresh child interpreter, in alternating order.
 A child parses every job afresh before each pass, untimed, so every pass
 starts from cold monomial and support caches as a job of the benchmark
-does; it runs one untimed pass, then times five and keeps the least.  The
-script prints the least time of each tree over the rounds and their ratio,
-this tree over the parent.  It only prints; it is no gate.
+does; it runs one untimed pass, then times five and keeps the least.  Two
+batches are timed: `reduce` calls reduce_by with no trace, as the reduce
+command does without --trace, and `traced` passes a fresh trace list, so
+the loop takes the path that builds every step's factorization for its
+trace record.  The script prints, per batch, the least time of each tree
+over the rounds and their ratio, this tree over the parent.  It only
+prints; it is no gate.
 """
 
 from front_end_timing import compare, seed1_jobs
@@ -24,17 +28,19 @@ def prepare(job):
     expr, gens = job
     return parse_poly(expr), [parse_poly(g) for g in gens]
 
-step = {"reduce": lambda job: reduce_by(*job)}
+step = {"reduce": lambda job: reduce_by(*job),
+        "traced": lambda job: reduce_by(*job, trace=[])}
 """
 
 
 def reduce_jobs() -> dict[str, list]:
-    """Each seed-1 `reduce` job as (polynomial text, generator texts)."""
+    """Each seed-1 `reduce` job as (polynomial text, generator texts), once
+    for each batch."""
     jobs = []
     for job in seed1_jobs("reduce"):
         (_, gens), = job.files
         jobs.append((job.argv[1], [g for g in gens.splitlines() if g.strip()]))
-    return {"reduce": jobs}
+    return {"reduce": jobs, "traced": jobs}
 
 
 def main(argv=None) -> None:

@@ -341,6 +341,36 @@ def test_apply_reducer_warm_support_matches_product_oracle():
     assert len(triples) > 100
 
 
+def test_fused_lift_matches_the_two_public_steps_exhaustive():
+    # every embedding pair (a, b) of a small basis: the untraced loop's one
+    # step gives apply_reducer(factorize_embedding(...)) term for term, on
+    # tails whose indices reach a.max_index + 1, so the witness is extended
+    rng = random.Random(95)
+    pools = {}
+    pairs = extended = 0
+    basis = list(enumerate_basis(3, 3))
+    for a in basis:
+        n = a.max_index + 1
+        if n not in pools:
+            terms = list(enumerate_basis(3, n))
+            pools[n] = terms, [m for m in terms if n in monomial_indices(m)]
+        terms, reaching = pools[n]
+        for b in basis:
+            phi = pwo_leq(a, b)
+            if phi is None:
+                continue
+            pairs += 1
+            for _ in range(2):
+                picked = [rng.choice(reaching)] + rng.sample(terms, rng.randint(0, 2))
+                tail = QPoly({m: rng.choice((-3, -1, 2, 5)) for m in picked})
+                want = apply_reducer(factorize_embedding(a, b, phi), tail)
+                got = reduction._lift(a, b, phi, tail)
+                assert list(got.items()) == list(want.terms.items()), (a, b, tail)
+                extended += phi.covering(tail._index_support()) is not phi
+    assert pairs == 618
+    assert extended == 2 * pairs
+
+
 def test_lift_keeps_ideal_membership():
     # the lift of an identity is an identity: outer multiplications and
     # renamings preserve the vanishing on generic matrices
@@ -506,6 +536,34 @@ def test_reduce_by_matches_reference_loop(monkeypatch):
         lead = Counter(m for g in gens for m in g.terms)
         recreated += sum(1 for m, n in keyed.items() if n - lead[m] > 1)
     assert recreated > 0
+
+
+def test_untraced_reduce_by_matches_reference_loop(monkeypatch):
+    # the cases of test_reduce_by_matches_reference_loop, with no trace: each
+    # step lifts through _lift, never through the two public names, and the
+    # remainder is the reference loop's in value and term order; in "mixed",
+    # the tail - y3 lies past the indices of its generator's leading term
+    calls = _counting_step_names(monkeypatch)
+    lift = reduction._lift
+
+    def counted(*args):
+        calls["_lift"] += 1
+        return lift(*args)
+
+    monkeypatch.setattr(reduction, "_lift", counted)
+    basis = list(enumerate_basis(7, 3))
+    rng = random.Random(86)
+    cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
+    cases.append(("mixed", 100))
+    for fam, terms in cases:
+        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
+        f = rand_sparse_poly(rng, basis, terms)
+        calls.clear()
+        r = reduce_by(f, gens)
+        ref = reference_reduce(f, gens)
+        assert r == ref
+        assert list(r.terms) == list(ref.terms)
+        assert set(calls) == {"_lift"} and calls["_lift"] > 20, (fam, calls)
 
 
 def test_remainder_terms_come_in_print_order(tmp_path, capsys):
