@@ -276,11 +276,11 @@ class QPoly(Combination):
         are those of the nonzero rows of its embedding data (see
         CanonicalMonomial._embedding).
 
-        reduction's lift (apply_reducer, or _lift untraced) extends its
-        witness over this once per lift,
-        so a generator's support is computed once, not once per step.  The
-        lifted polynomial is the generator's tail, to which reduction._record
-        hands the whole generator's support."""
+        reduction's lift (reduction._lift, traced or not, and apply_reducer)
+        extends its witness over this once per lift, so a generator's
+        support is computed once, not once per step.  The lifted polynomial
+        is the generator's tail, to which reduction._record hands the whole
+        generator's support."""
         support = self._support
         if support is None:
             idx = {i for m in self.terms

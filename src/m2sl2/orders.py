@@ -32,11 +32,11 @@ touches (_monomial_need), reads the extension as a dict, and pushes the
 y-exponents and slot indices through it (_push_counts, _rename).
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
-the same injections.  The reduction step calls the kernel itself:
-factorize_embedding renames through the witness's pairs with no extension,
-and the lift (apply_reducer, or reduction._lift when no trace is kept)
-extends once over the generator's kept index support, then adds N's
-y-exponents and P's letters.
+the same injections.  The reduction step (reduction._lift, traced or not)
+calls the kernel itself: it reads N and P through the witness's pairs with
+no extension, extends once over the generator's kept index support, then
+renames each tail term and adds N's y-exponents and P's letters.  The
+public factorize_embedding and apply_reducer call it the same way.
 """
 
 from dataclasses import dataclass

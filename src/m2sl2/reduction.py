@@ -18,21 +18,21 @@ it adjoins a generator and keeps it for the rest of the stream.  At each step
 a generator whose kept header already rules out lm(g) <=' M is skipped
 without a pwo_leq call.
 
-One reduction step renames once.  With no trace, _lift does the whole step:
-it reads N's y-exponents and P's two halves straight off the witness, which
+One reduction step renames once, traced or not: _lift does the whole step.
+It reads N's y-exponents and P's two halves straight off the witness, which
 pwo_leq builds over all of lm(g)'s indices, extends the witness once, over
 g's cached index support (QPoly._index_support, which the tail shares), and
-lifts the tail's terms, with no ReducerTriple and none of the checks a
-caller's injection needs.  With a trace, the step is the two public calls
-the trace records come from: factorize_embedding reads N and P the same way
-into a ReducerTriple (N's y-exponents and P's letters at even and at odd
-positions, with no N monomial and no P word built), and apply_reducer
-extends the witness and lifts the tail.  Only the tail is lifted: lm(g)
-lifts to M itself, whose coefficient the Euclidean division below settles,
-and the renaming is injective, so no tail term lands on M.  The lift is a
-closed-form map on each term, with no word product, written once
-(_lift_terms): rename along the extension, then multiply by N and P through
-the canonical product of freealg (_mono_mul).
+lifts the tail's terms, with none of the checks a caller's injection needs.
+It returns the factorization with the lifted terms, so a trace record is
+ReducerTriple._trusted over those parts, and no step goes through the public
+factorize_embedding and apply_reducer, which compute the same parts with
+those checks, for the factor command, membership_bounded and outside
+callers.  Only the tail is lifted: lm(g) lifts to M itself, whose
+coefficient the Euclidean division below settles, and the renaming is
+injective, so no tail term lands on M.  The lift is a closed-form map on
+each term, with no word product, written once (_lift_terms): rename along
+the extension, then multiply by N and P through the canonical product of
+freealg (_mono_mul).
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients;
 a nonzero residue freezes into the remainder and reduction continues on the
@@ -89,7 +89,7 @@ class ReducerTriple:
 
     N is pure-y; P is the pure-z word (as an index tuple) whose letters fill
     the slot classes left short after pushing M along phi.  The triple keeps
-    them in the form apply_reducer reads: N's y-exponents (n_yexp) and P's
+    them in the form the lift reads: N's y-exponents (n_yexp) and P's
     letters at even and at odd positions, counted from 0 (p_even, p_odd).
     n_part and p_word rebuild N and P on demand, for trace records, the
     factor command and tests.  The constructor takes N and P and refuses an
@@ -111,7 +111,8 @@ class ReducerTriple:
     @classmethod
     def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":
         """Build from the stored parts as they are, with no check and no
-        dataclass __init__: factorize_embedding's path, once per lift."""
+        dataclass __init__: factorize_embedding's result, and the record of
+        a traced reduction step, built from the parts _lift returns."""
         t = object.__new__(cls)
         vars(t).update(phi=phi, n_yexp=n_yexp, p_even=p_even, p_odd=p_odd)
         return t
@@ -133,8 +134,8 @@ class ReducerTriple:
 
 
 def _fit(big: tuple, small: tuple) -> tuple[int, ...]:
-    """The multiset big - small of two sorted tuples, sorted: each letter of
-    small is taken out of big; small must lie inside big."""
+    """The multiset big - small of a sorted tuple and an iterable, sorted:
+    each letter of small is taken out of big; small must lie inside big."""
     out = list(big)
     for x in small:
         try:
@@ -203,9 +204,8 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     and P are fixed, so no two terms merge and every coefficient carries
     over unchanged.
 
-    The reduction loop passes a generator's tail (see _record), which keeps
-    the generator's index support, so the extension is the one the whole
-    generator would get.
+    The reduction loop does not call it: _lift is its unchecked form.
+    membership_bounded passes whole generators.
     """
     ny, p_even, p_odd = triple.n_yexp, triple.p_even, triple.p_odd
     if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
@@ -230,33 +230,39 @@ def _lift_terms(terms: dict, image: dict, ny: tuple, p_even: tuple, p_odd: tuple
 
 
 def _lift(m: CanonicalMonomial, target: CanonicalMonomial, phi: MonotoneInjection,
-          tail: QPoly) -> dict:
-    """apply_reducer(factorize_embedding(m, target, phi), tail).terms, in one
-    step and with no check, for the untraced reduction loop: phi must be the
-    witness pwo_leq(m, target).
+          tail: QPoly) -> tuple:
+    """One reduction step, traced or not: the lifted tail's terms and the
+    factorization they were lifted by, (terms, n_yexp, p_even, p_odd).  That
+    is apply_reducer(t, tail).terms and t's stored parts, for
+    t = factorize_embedding(m, target, phi), in one step and with no check:
+    phi must be the witness pwo_leq(m, target).  A trace record is
+    ReducerTriple._trusted(phi, n_yexp, p_even, p_odd).to_obj().
 
     Such a witness maps every index 1..max_index of m and puts each row of
     m under a row of the target, so the y-deficits are >= 0, the slots fit,
     the deficits interleave and P's letters are >= 1: none of
     factorize_embedding's refusals can occur.  N's exponents are read off
     the witness, the target's less m's at the indices phi maps them to;
-    P's halves are _fit's, swapped when m's z-length is odd.  phi is extended over the
-    tail's kept index support, and its pairs are read once when the
-    extension is phi itself.
+    P's halves are _fit's, swapped when m's z-length is odd.  phi is
+    extended over the tail's kept index support, and its pairs are read once
+    when the extension is phi itself.  The tail of a one-term generator is
+    empty, and the step still returns its factorization.
     """
     image = dict(phi.pairs)
     ny = list(target.yexp)
     # m.yexp ends on a nonzero exponent, so every index it lists maps inside ny
     for i, e in enumerate(m.yexp, start=1):
         ny[image[i] - 1] -= e
-    first, second = (_fit(target.cseq, [image[i] for i in m.cseq]),
-                     _fit(target.dseq, [image[i] for i in m.dseq]))
+    # map, not a list comprehension: about 2% of an untraced reduce_by on 3.11
+    first, second = (_fit(target.cseq, map(image.__getitem__, m.cseq)),
+                     _fit(target.dseq, map(image.__getitem__, m.dseq)))
     if len(m.cseq) != len(m.dseq):
         first, second = second, first
     ext = phi.covering(tail._index_support())
     if ext is not phi:
         image = dict(ext.pairs)
-    return _lift_terms(tail.terms, image, _trim(ny), first, second)
+    ny = _trim(ny)
+    return _lift_terms(tail.terms, image, ny, first, second), ny, first, second
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
@@ -273,14 +279,14 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
 
     The remainder's terms are in strictly descending total_key order, the
     order in which they were frozen, so a caller may print them as they are
-    (cli's reduce does).  With no trace, each step lifts a generator's tail
-    in one call of _lift, straight off the embedding witness.
+    (cli's reduce does).  Each step lifts a generator's tail in one call of
+    _lift, straight off the embedding witness, traced or not.
 
-    When `trace` is a list, each step goes through factorize_embedding and
-    apply_reducer instead, and subtraction records
-    {"against", "beta", "q", "phi", "N", "P"} and freeze records
-    {"frozen": {"coeff", "m"}} are appended in execution order.  Both paths
-    give the same remainder, term for term.
+    When `trace` is a list, subtraction records
+    {"against", "beta", "q", "phi", "N", "P"}, whose factorization is the
+    one _lift returns, and freeze records {"frozen": {"coeff", "m"}} are
+    appended in execution order.  The trace only records: the remainder is
+    the same, term for term.
     """
     recs = []
     for g in generators:
@@ -296,8 +302,8 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
 
     The first four entries are the embedding header of lm(g)
     (orders._header).  The tail is g minus its leading term; it keeps g's
-    index support, so apply_reducer extends a witness over the same indices
-    as for g.  A plain tuple, because the loop unpacks one per generator per
+    index support, so _lift extends a witness over the same indices as for
+    g.  A plain tuple, because the loop unpacks one per generator per
     step, and Python 3.11 specializes that unpacking for exact tuples only (a
     NamedTuple made the chain engine about 13% slower).
     """
@@ -324,9 +330,9 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     its leading term would land on lm, whose coefficient ends at the residue
     r, and lm leaves `work` anyway.  So a one-term generator, whose tail is
     empty, costs no factorization and no lift, unless `trace` records them.
-    Untraced, the tail is lifted by _lift and its terms folded straight into
-    `work`; traced, by factorize_embedding and apply_reducer, whose
-    ReducerTriple the trace record reads.
+    Every other step calls _lift once and folds the lifted terms straight
+    into `work`; with a trace, the step's record reads the factorization
+    _lift returns, as a ReducerTriple, and there is no other branch.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
@@ -353,13 +359,10 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
                     if not beta or not tail.terms and trace is None:
                         continue
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
-                    if trace is None:
-                        lifted = _lift(ld.lm, lm, phi, tail)
-                    else:
-                        triple = factorize_embedding(ld.lm, lm, phi)
-                        lifted = apply_reducer(triple, tail).terms
+                    lifted, ny, first, second = _lift(ld.lm, lm, phi, tail)
+                    if trace is not None:
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
-                                      **triple.to_obj()})
+                                      **ReducerTriple._trusted(phi, ny, first, second).to_obj()})
                     scale = beta * q
                     for m, c in lifted.items():
                         c *= scale

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -342,9 +343,10 @@ def test_apply_reducer_warm_support_matches_product_oracle():
 
 
 def test_fused_lift_matches_the_two_public_steps_exhaustive():
-    # every embedding pair (a, b) of a small basis: the untraced loop's one
-    # step gives apply_reducer(factorize_embedding(...)) term for term, on
-    # tails whose indices reach a.max_index + 1, so the witness is extended
+    # every embedding pair (a, b) of a small basis: the loop's one step gives
+    # apply_reducer(factorize_embedding(...)) term for term, and returns the
+    # triple's stored parts, which a trace record reads, on tails whose
+    # indices reach a.max_index + 1, so the witness is extended
     rng = random.Random(95)
     pools = {}
     pairs = extended = 0
@@ -363,9 +365,11 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
             for _ in range(2):
                 picked = [rng.choice(reaching)] + rng.sample(terms, rng.randint(0, 2))
                 tail = QPoly({m: rng.choice((-3, -1, 2, 5)) for m in picked})
-                want = apply_reducer(factorize_embedding(a, b, phi), tail)
-                got = reduction._lift(a, b, phi, tail)
+                triple = factorize_embedding(a, b, phi)
+                want = apply_reducer(triple, tail)
+                got, *parts = reduction._lift(a, b, phi, tail)
                 assert list(got.items()) == list(want.terms.items()), (a, b, tail)
+                assert parts == [triple.n_yexp, triple.p_even, triple.p_odd], (a, b)
                 extended += phi.covering(tail._index_support()) is not phi
     assert pairs == 618
     assert extended == 2 * pairs
@@ -512,21 +516,36 @@ def count_keys(monkeypatch, name):
     return counts
 
 
-def test_reduce_by_matches_reference_loop(monkeypatch):
-    keyed = count_keys(monkeypatch, "total_key")
+@cache
+def _seeded_cases() -> tuple:
+    """(family, generators, f) for the seven seeded cases the reference-loop
+    and print-order tests share, built once per module."""
     basis = list(enumerate_basis(7, 3))
     rng = random.Random(86)
     cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
     cases.append(("mixed", 100))
+    return tuple((fam, [parse_poly(g) for g in GEN_FAMILIES[fam]],
+                  rand_sparse_poly(rng, basis, terms)) for fam, terms in cases)
+
+
+@cache
+def _reference_results() -> tuple:
+    """(remainder, trace) of reference_reduce on each of _seeded_cases, run
+    once per module: the slow part of the two reference-loop tests."""
+    out = []
+    for _, gens, f in _seeded_cases():
+        trace: list = []
+        out.append((reference_reduce(f, gens, trace=trace), trace))
+    return tuple(out)
+
+
+def test_reduce_by_matches_reference_loop(monkeypatch):
+    keyed = count_keys(monkeypatch, "total_key")
     recreated = 0
-    for fam, terms in cases:
-        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
-        f = rand_sparse_poly(rng, basis, terms)
+    for (fam, gens, f), (ref, ref_trace) in zip(_seeded_cases(), _reference_results()):
         keyed.clear()
         trace: list = []
         r = reduce_by(f, gens, trace=trace)
-        ref_trace: list = []
-        ref = reference_reduce(f, gens, trace=ref_trace)
         assert r == ref
         assert list(r.terms) == list(ref.terms)  # frozen in the same order
         assert trace == ref_trace
@@ -535,6 +554,9 @@ def test_reduce_by_matches_reference_loop(monkeypatch):
         # two sorted-list entries went stale
         lead = Counter(m for g in gens for m in g.terms)
         recreated += sum(1 for m, n in keyed.items() if n - lead[m] > 1)
+        # the trace only records: the untraced remainder is the same, term
+        # for term and in order
+        assert list(reduce_by(f, gens).terms.items()) == list(r.terms.items()), fam
     assert recreated > 0
 
 
@@ -544,23 +566,9 @@ def test_untraced_reduce_by_matches_reference_loop(monkeypatch):
     # remainder is the reference loop's in value and term order; in "mixed",
     # the tail - y3 lies past the indices of its generator's leading term
     calls = _counting_step_names(monkeypatch)
-    lift = reduction._lift
-
-    def counted(*args):
-        calls["_lift"] += 1
-        return lift(*args)
-
-    monkeypatch.setattr(reduction, "_lift", counted)
-    basis = list(enumerate_basis(7, 3))
-    rng = random.Random(86)
-    cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
-    cases.append(("mixed", 100))
-    for fam, terms in cases:
-        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
-        f = rand_sparse_poly(rng, basis, terms)
+    for (fam, gens, f), (ref, _) in zip(_seeded_cases(), _reference_results()):
         calls.clear()
         r = reduce_by(f, gens)
-        ref = reference_reduce(f, gens)
         assert r == ref
         assert list(r.terms) == list(ref.terms)
         assert set(calls) == {"_lift"} and calls["_lift"] > 20, (fam, calls)
@@ -571,14 +579,8 @@ def test_remainder_terms_come_in_print_order(tmp_path, capsys):
     # freezes terms in strictly descending total_key order, so the
     # remainder's dict order is its sorted order, and the reduce command
     # prints it as it is, in both forms
-    basis = list(enumerate_basis(7, 3))
-    rng = random.Random(86)
-    cases = [(fam, rng.randint(100, 300)) for fam in ("bench", "unit") for _ in range(3)]
-    cases.append(("mixed", 100))
     frozen = 0
-    for fam, terms in cases:
-        gens = [parse_poly(g) for g in GEN_FAMILIES[fam]]
-        f = rand_sparse_poly(rng, basis, terms)
+    for fam, gens, f in _seeded_cases():
         r = reduce_by(f, gens)
         assert list(r.terms) == sorted(r.terms, key=total_key, reverse=True)
         frozen += len(r.terms)
@@ -609,28 +611,24 @@ def test_reduce_by_keys_each_entering_term_once(monkeypatch):
 
 
 def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
-    # the benchmark's traced rows for the factorization and the lift wrap
-    # these two names; a step that bypassed either would read as 0 there
-    calls: Counter = Counter()
-    for name in ("factorize_embedding", "apply_reducer"):
-        def counted(*args, _fn=getattr(reduction, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(reduction, name, counted)
+    # a traced step is the untraced one plus its record: one _lift call per
+    # subtraction record, and no call of the public factorization or lift,
+    # so the benchmark's tracer has one step function to wrap
+    calls = _counting_step_names(monkeypatch)
     gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
     f = rand_sparse_poly(random.Random(89), list(enumerate_basis(7, 3)), 100)
     trace: list = []
     reduce_by(f, gens, trace=trace)
     steps = sum(1 for rec in trace if "against" in rec)
     assert steps > 50
-    assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
+    assert calls == {"_lift": steps}
 
 
 def _counting_step_names(monkeypatch) -> Counter:
-    """Count the calls of reduction.factorize_embedding and apply_reducer."""
+    """Count the calls of reduction._lift and of the public factorize_embedding
+    and apply_reducer, which the reduction loop must not call."""
     calls: Counter = Counter()
-    for name in ("factorize_embedding", "apply_reducer"):
+    for name in ("_lift", "factorize_embedding", "apply_reducer"):
         def counted(*args, _fn=getattr(reduction, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -641,20 +639,20 @@ def _counting_step_names(monkeypatch) -> Counter:
 
 def test_one_term_generators_cost_no_factorization(monkeypatch):
     # a unit-monomial stream adjoins one-term generators, whose tails are
-    # empty: a subtraction step has nothing to lift, so untraced it neither
-    # factorizes nor lifts
+    # empty: a subtraction step has nothing to lift, so untraced it makes no
+    # _lift call, and so neither factorizes nor lifts
     calls = _counting_step_names(monkeypatch)
     stream = [mono(m) for m in random.Random(93).sample(list(enumerate_basis(5, 2)), 150)]
     report = chain_demo(stream)
-    assert calls == Counter()
+    assert calls == Counter()  # not one _lift call
     adjoined, gens = reference_chain(stream)
     assert report.adjoined == adjoined and report.generators == gens
     assert report.steps - len(gens) > 50  # items that reduced to zero by subtraction
 
 
 def test_traced_one_term_generators_keep_every_step(monkeypatch):
-    # with a trace, each subtraction record still comes from one call of
-    # each step function, and the records are the reference loop's
+    # with a trace, each subtraction record still comes from one _lift call,
+    # on the empty tail, and the records are the reference loop's
     calls = _counting_step_names(monkeypatch)
     rng = random.Random(94)
     basis = list(enumerate_basis(5, 2))
@@ -666,7 +664,7 @@ def test_traced_one_term_generators_keep_every_step(monkeypatch):
     assert trace == want
     steps = sum(1 for rec in trace if "against" in rec)
     assert steps > 20
-    assert calls == {"factorize_embedding": steps, "apply_reducer": steps}
+    assert calls == {"_lift": steps}
 
 
 def test_support_built_once_per_generator(monkeypatch):

@@ -672,8 +672,10 @@ def reference_factorize(m: CanonicalMonomial, target: CanonicalMonomial, phi=Non
 def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
     """reduce_by written the plain way: every step takes max() over all terms
     by total_key and updates whole QPoly values, so it shares no sorted
-    worklist and no in-place term update with the package's loop.  Same
-    arguments, result and trace records as reduce_by."""
+    worklist and no in-place term update with the package's loop.  Each
+    step factors through reference_factorize and lifts through
+    product_apply_reducer, so neither shares code with the package's _lift.
+    Same arguments, result and trace records as reduce_by."""
     lead = [max(g.terms, key=total_key) for g in gens]
     remainder = QPoly.zero()
     work = f
@@ -689,7 +691,7 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
             for k, b in zip(usable, betas):
                 if not (q and b):
                     continue
-                triple = factorize_embedding(lead[k], lm)
+                triple = reference_factorize(lead[k], lm)
                 subtrahend = subtrahend + product_apply_reducer(triple, gens[k]) * b
                 if trace is not None:
                     rec = {"against": k, "beta": str(b), "q": str(q)}
