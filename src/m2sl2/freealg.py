@@ -69,8 +69,8 @@ class CanonicalMonomial:
     empty together.
 
     Instances are immutable and slotted.  The hash is computed once, at
-    construction.  The embedding data that orders.pwo_leq reads is built on
-    first use and kept (see _embedding).
+    construction.  The embedding data that the embedding-order kernel
+    orders.embedders reads is built on first use and kept (see _embedding).
     """
 
     __slots__ = ("yexp", "cseq", "dseq", "_hash", "_emb")
@@ -137,8 +137,10 @@ class CanonicalMonomial:
         built on the first call and kept.
 
         rows holds the (y-exponent, c-slot count, d-slot count) triple of
-        each index 1..max_index.  orders.pwo_leq reads the counts for its
-        cheap reject and scans the rows."""
+        each index 1..max_index.  orders.embedders, the one kernel of the
+        embedding order (pwo_leq is its one-key case), compares the counts
+        in its column-sum reject and scans the rows; the reduction loop
+        keeps a generator's leading monomial's data as its key."""
         emb = self._emb
         if emb is None:
             n = self.max_index

@@ -6,8 +6,8 @@ give a variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for
 the c- and d-slots).  Profiles, xi, xi_inv and push_profile are the paper's
 profile map.  The per-index counts have one source, the rows of the
 monomial's cached embedding data (CanonicalMonomial._embedding): xi reads
-its u2 and u3 there, and so do pwo_leq and the renaming's index cover, so
-the engine never builds a Profile.  The two orders:
+its u2 and u3 there, and so do the embedding kernel and the renaming's
+index cover, so the engine never builds a Profile.  The two orders:
 
 * total_key / cmp_total is a linear well-order.  Finite-support integer
   sequences compare by their highest differing index (right to left);
@@ -21,10 +21,15 @@ the engine never builds a Profile.  The two orders:
   count) row of u under the row of v at the matching index, componentwise
   with the same phi for all three columns.  Pure-y monomials only compare
   with pure-y ones, whose rows are (e, 0, 0).  The right operand carries an
-  implicit infinite zero tail.  The rows and column sums come from the
-  embedding data each monomial builds once (CanonicalMonomial._embedding).
-  This order is a well partial order, which is what makes the
-  ascending-chain machinery downstream (reduction.chain_demo) terminate.
+  implicit infinite zero tail.  This order is a well partial order, which
+  is what makes the ascending-chain machinery downstream
+  (reduction.chain_demo) terminate.  It is decided in one kernel,
+  embedders, which tests one monomial against a list of embedding data
+  (CanonicalMonomial._embedding, built once per monomial): the column-sum
+  reject and the greedy row scan are written there and nowhere else.  The
+  reduction loop calls it once per step, over the kept data of every
+  generator; pwo_leq is its one-key case, and minimal_elements calls it
+  once per item.
 
 Renaming endomorphisms act through one kernel.  rename_monomial extends
 the injection with covering once per call, over every index the call
@@ -145,7 +150,7 @@ class MonotoneInjection:
     @classmethod
     def _trusted(cls, pairs: tuple) -> "MonotoneInjection":
         """Build without re-validation, for pairs that strictly increase in
-        both columns by construction (orders._scan's witnesses)."""
+        both columns by construction (the witnesses of embedders)."""
         phi = _new(cls)
         _set(phi, "pairs", pairs)
         return phi
@@ -189,67 +194,60 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
+def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, MonotoneInjection]]:
+    """The keys that embed into b, as (position in keys, witness) pairs in
+    ascending position; the one embedding kernel.
+
+    Each key is the embedding data of some monomial a
+    (CanonicalMonomial._embedding: variant, c-slot count, d-slot count,
+    y-degree, rows).  An embedding puts each row of a under a distinct row
+    of b, so it keeps every column sum of a at or below b's: a key whose
+    variant differs or one of whose sums exceeds b's is rejected before any
+    row is read, and most keys fail there.  A key that passes is scanned
+    greedily: each row of a takes the leftmost row of b left unused that
+    covers it entrywise, and past b's rows only a zero row fits, into b's
+    implicit infinite zero tail.  Greedy is complete here: any embedding can
+    be pushed left row by row without breaking later choices, so failure of
+    the greedy scan means no embedding exists.  The witness maps 1..len(rows)
+    of a to the rows taken; its targets strictly increase by construction,
+    so it is built without re-validation.
+    """
+    variant, cslots, dslots, ydeg, rb = b._emb or b._embedding()
+    nb = len(rb)
+    out = []
+    for k, (av, ac, ad, ay, ra) in enumerate(keys):
+        if av != variant or ac > cslots or ad > dslots or ay > ydeg:
+            continue
+        pos: list[int] = []
+        p = 0  # rows of b (and of its zero tail) used up so far
+        for ya, ca, da in ra:
+            while p < nb:
+                yb, cb, db = rb[p]
+                p += 1
+                if ya <= yb and ca <= cb and da <= db:
+                    break
+            else:
+                if ya or ca or da:  # only zero rows fit into the tail
+                    break
+                p += 1
+            pos.append(p)
+        else:
+            out.append((k, MonotoneInjection._trusted(tuple(enumerate(pos, start=1)))))
+    return out
+
+
 def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
     """Embedding-order test a <=' b; returns a witness injection or None.
 
-    Monomials of different variants never compare.  The witness maps the
-    indices 1..max_index of a strictly increasingly into those of b so that
-    each (y-exponent, c-slot count, d-slot count) row of a sits entrywise
-    under its image row; indices of b beyond its support count as zero rows.
-    Pure-y rows are (e, 0, 0), so one scan serves both variants.  Both
-    operands' counts and rows come from their cached embedding data.
+    The one-key case of embedders, on a's cached embedding data.  Monomials
+    of different variants never compare.  The witness maps the indices
+    1..max_index of a strictly increasingly into those of b so that each
+    (y-exponent, c-slot count, d-slot count) row of a sits entrywise under
+    its image row; indices of b beyond its support count as zero rows.
+    Pure-y rows are (e, 0, 0), so one scan serves both variants.
     """
-    ea = a._emb or a._embedding()
-    eb = b._emb or b._embedding()
-    if _rejects(ea, eb):
-        return None
-    return _scan(ea[4], eb[4])
-
-
-def _header(m: CanonicalMonomial) -> tuple:
-    """The embedding header of m, (has odd letters, c-slot count, d-slot
-    count, y-degree): the leading entries of its cached embedding data, and
-    all that _rejects compares."""
-    return (m._emb or m._embedding())[:4]
-
-
-def _rejects(ea: tuple, eb: tuple) -> bool:
-    """The variants differ or a column sum of a's rows exceeds b's, so a
-    cannot embed into b (ea, eb: headers, or the embedding data they lead).
-
-    An embedding puts each row of a under a distinct row of b, so it keeps
-    every column sum of a at or below b's: the c- and d-slot counts and the
-    y-degree.  Most pairs fail here, before any row is scanned.
-    reduction._reduce repeats this comparison inline, on headers from
-    _header, because it runs once per generator per reduction step.
-    """
-    return ea[0] != eb[0] or ea[1] > eb[1] or ea[2] > eb[2] or ea[3] > eb[3]
-
-
-def _scan(ra: tuple, rb: tuple) -> MonotoneInjection | None:
-    """Greedy leftmost embedding of the rows ra into the rows rb, followed by
-    an infinite zero tail; the witness injection or None.
-
-    Greedy is complete here: any embedding can be pushed left row by row
-    without breaking later choices, so failure of the greedy scan means no
-    embedding exists.  The witness's sources are 1..len(ra) and its targets
-    strictly increase by construction, so it is built without re-validation.
-    """
-    nb = len(rb)
-    pos: list[int] = []
-    p = 0  # rows of rb (and of its zero tail) used up so far
-    for ya, ca, da in ra:
-        while p < nb:
-            yb, cb, db = rb[p]
-            p += 1
-            if ya <= yb and ca <= cb and da <= db:
-                break
-        else:
-            if ya or ca or da:  # only zero rows fit into the tail
-                return None
-            p += 1
-        pos.append(p)
-    return MonotoneInjection._trusted(tuple(enumerate(pos, start=1)))
+    hits = embedders(b, [a._emb or a._embedding()])
+    return hits[0][1] if hits else None
 
 
 # --- renaming endomorphisms -------------------------------------------------
@@ -307,10 +305,9 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
 # --- antichains -------------------------------------------------------------
 
 def minimal_elements(monomials) -> list[CanonicalMonomial]:
-    """The <='-minimal elements of a finite set (duplicates collapsed)."""
+    """The <='-minimal elements of a finite set (duplicates collapsed), in
+    first-seen order: one embedders call per item, which is minimal when
+    the only item embedding into it is itself."""
     items = list(dict.fromkeys(monomials))
-    out = []
-    for m in items:
-        if not any(other != m and pwo_leq(other, m) is not None for other in items):
-            out.append(m)
-    return out
+    keys = [m._emb or m._embedding() for m in items]
+    return [m for i, m in enumerate(items) if [k for k, _ in embedders(m, keys)] == [i]]

@@ -9,18 +9,19 @@ witness phi, the monomial M factors exactly as
 with N pure-y on the left and P a pure-z word on the right, so g lifts to a
 reducer with leading term exactly M and unchanged leading coefficient.
 
-Everything the loop needs from a generator is built once, in one record per
-generator (_record): its leading data, the embedding header of its leading
-monomial (the variant flag, the slot counts and the y-degree that the cheap
-reject of the embedding order compares) and its tail, g minus its leading
-term.  reduce_by builds the records once per call; chain_demo builds one when
-it adjoins a generator and keeps it for the rest of the stream.  At each step
-a generator whose kept header already rules out lm(g) <=' M is skipped
-without a pwo_leq call.
+Everything the loop needs from a generator is built once: a record
+(_record) of its leading data and its tail, g minus its leading term, and
+beside it the embedding data of its leading monomial
+(CanonicalMonomial._embedding), its key for the embedding order.  reduce_by
+builds the records and keys once per call; chain_demo builds them when it
+adjoins a generator and keeps them for the rest of the stream.  At each step
+one call of orders.embedders over the keys returns the generators whose
+leading monomial embeds into M, with their witnesses; the loop holds no
+comparison of the embedding order of its own.
 
 One reduction step renames once, traced or not: _lift does the whole step.
 It reads N's y-exponents and P's two halves straight off the witness, which
-pwo_leq builds over all of lm(g)'s indices, extends the witness once, over
+embedders builds over all of lm(g)'s indices, extends the witness once, over
 g's cached index support (QPoly._index_support, which the tail shares), and
 lifts the tail's terms, with none of the checks a caller's injection needs.
 It returns the factorization with the lifted terms, so a trace record is
@@ -57,8 +58,8 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
-    _header,
     _rename,
+    embedders,
     pwo_leq,
     rename_monomial,
     total_key,
@@ -235,8 +236,9 @@ def _lift(m: CanonicalMonomial, target: CanonicalMonomial, phi: MonotoneInjectio
     factorization they were lifted by, (terms, n_yexp, p_even, p_odd).  That
     is apply_reducer(t, tail).terms and t's stored parts, for
     t = factorize_embedding(m, target, phi), in one step and with no check:
-    phi must be the witness pwo_leq(m, target).  A trace record is
-    ReducerTriple._trusted(phi, n_yexp, p_even, p_odd).to_obj().
+    phi must be the witness pwo_leq(m, target), as orders.embedders returns
+    it.  A trace record is ReducerTriple._trusted(phi, n_yexp, p_even,
+    p_odd).to_obj().
 
     Such a witness maps every index 1..max_index of m and puts each row of
     m under a row of the target, so the y-deficits are >= 0, the slots fit,
@@ -269,10 +271,12 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     """Remainder of f under the generator family.
 
     At each step the usable generators are those whose leading monomial
-    embeds into lm(f).  Their lifted combination realizes the gcd d of their
-    leading coefficients at lm(f); Euclidean division lc(f) = q*d + r
-    subtracts q times that combination and freezes any nonzero residue r into
-    the remainder.  Each step strictly lowers the working leading monomial,
+    embeds into lm(f), found by one orders.embedders call over the keys
+    built here, the embedding data of each generator's leading monomial.
+    Their lifted combination realizes the gcd d of their leading
+    coefficients at lm(f); Euclidean division lc(f) = q*d + r subtracts q
+    times that combination and freezes any nonzero residue r into the
+    remainder.  Each step strictly lowers the working leading monomial,
     and the well-order guarantees termination.  The loop walks a list sorted
     by total_key: each term's order key is computed once, when the term
     enters the working polynomial, and no polynomial is copied per step.
@@ -288,32 +292,34 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     appended in execution order.  The trace only records: the remainder is
     the same, term for term.
     """
-    recs = []
+    recs, keys = [], []
     for g in generators:
         if g.is_zero():
             raise ZeroPolynomialError("generators must be nonzero")
-        recs.append(_record(g, leading(g)))
-    return _reduce(f, recs, trace)
+        ld = leading(g)
+        recs.append(_record(g, ld))
+        keys.append(ld.lm._embedding())
+    return _reduce(f, recs, keys, trace)
 
 
 def _record(g: QPoly, ld: LeadingData) -> tuple:
     """What the reduction loop reads of a nonzero generator g with leading
-    data ld, built once: (variant, c-slots, d-slots, y-degree, ld, tail).
+    data ld when g is usable, built once: (ld, tail).
 
-    The first four entries are the embedding header of lm(g)
-    (orders._header).  The tail is g minus its leading term; it keeps g's
-    index support, so _lift extends a witness over the same indices as for
-    g.  A plain tuple, because the loop unpacks one per generator per
-    step, and Python 3.11 specializes that unpacking for exact tuples only (a
-    NamedTuple made the chain engine about 13% slower).
+    The tail is g minus its leading term; it keeps g's index support, so
+    _lift extends a witness over the same indices as for g.  Which
+    generators are usable is decided on their keys, kept beside the records
+    (see _reduce), so the record holds nothing of the embedding order.
     """
     tail = QPoly._trusted({m: c for m, c in g.terms.items() if m != ld.lm})
     tail._support = g._index_support()
-    return (*_header(ld.lm), ld, tail)
+    return ld, tail
 
 
-def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
-    """The reduce_by loop, given each generator's record (see _record).
+def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPoly:
+    """The reduce_by loop, given each generator's record (see _record) and,
+    at the same position of `keys`, the embedding data of its leading
+    monomial.
 
     `work` maps each live term to its coefficient; `keyed` holds
     (total_key(m), m) for every monomial inserted when it entered `work`,
@@ -324,15 +330,16 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
 
-    At each step a generator whose kept header fails the orders._rejects
-    comparison against lm's, inlined here, is skipped before pwo_leq is
-    called.  Only the tail of a usable generator is lifted and subtracted:
-    its leading term would land on lm, whose coefficient ends at the residue
-    r, and lm leaves `work` anyway.  So a one-term generator, whose tail is
-    empty, costs no factorization and no lift, unless `trace` records them.
-    Every other step calls _lift once and folds the lifted terms straight
-    into `work`; with a trace, the step's record reads the factorization
-    _lift returns, as a ReducerTriple, and there is no other branch.
+    At each step one orders.embedders call over the keys gives the usable
+    generators and their witnesses, in ascending position, and the loop
+    compares no embeddings itself.  Only the tail of a usable generator is
+    lifted and subtracted: its leading term would land on lm, whose
+    coefficient ends at the residue r, and lm leaves `work` anyway.  So a
+    one-term generator, whose tail is empty, costs no factorization and no
+    lift, unless `trace` records them.  Every other step calls _lift once
+    and folds the lifted terms straight into `work`; with a trace, the
+    step's record reads the factorization _lift returns, as a
+    ReducerTriple, and there is no other branch.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
@@ -342,15 +349,8 @@ def _reduce(f: QPoly, recs: list, trace: list | None = None) -> QPoly:
         lc = work.get(lm)
         if lc is None:
             continue
-        variant, cslots, dslots, ydeg = _header(lm)
-        usable = []  # (generator index, leading data, tail, embedding witness)
-        for k, (gv, gc, gd, gy, ld, tail) in enumerate(recs):
-            # orders._rejects, inlined
-            if gv != variant or gc > cslots or gd > dslots or gy > ydeg:
-                continue
-            phi = pwo_leq(ld.lm, lm)
-            if phi is not None:
-                usable.append((k, ld, tail, phi))
+        # (generator index, leading data, tail, embedding witness)
+        usable = [(k, *recs[k], phi) for k, phi in embedders(lm, keys)]
         if usable:
             d, betas = bezout([ld.lc for _, ld, _, _ in usable])
             q, r = divmod(lc, d)
@@ -415,13 +415,14 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     monomial is adjoined exactly when no adjoined one embeds into it, and
     adjoined ones are never revisited, so the well-partial-order property
     bounds how long the chain can grow.  Each generator's record (_record:
-    leading term, embedding header, tail) is built once, when it is
-    adjoined, and kept for the rest of the stream.
+    leading data, tail) and key (its leading monomial's embedding data) are
+    built once, when it is adjoined, and kept for the rest of the stream.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
     recs: list[tuple] = []
+    keys: list[tuple] = []
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
     truncated = False
@@ -430,11 +431,12 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = _reduce(fpoly, recs)
+        r = _reduce(fpoly, recs, keys)
         if not r.is_zero():
             gens.append(r)
             ld = leading(r)
             recs.append(_record(r, ld))
+            keys.append(ld.lm._embedding())
             adjoined.append((steps, ld))
     return ChainReport(adjoined, steps, truncated, gens)
 

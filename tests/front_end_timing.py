@@ -13,7 +13,10 @@ Each round times both trees, each in a fresh child interpreter that
 parses every line once untimed, then times five passes over them and keeps
 the least; the order of the two trees alternates from round to round.  The
 script prints, per workload, the least time of each tree over the rounds
-and their ratio, this tree over the parent.  It only prints; it is no gate.
+and their ratio, this tree over the parent.  Next to it, the spread: the
+quartiles of the per-round ratio (each round's time of this tree over the
+parent's in that round) and the number of rounds this tree was faster, so a
+reading can be told from the host's drift.  It only prints; it is no gate.
 
 The child and the rounds are shared: tests/step_timing.py times reduce_by
 with them.
@@ -21,6 +24,7 @@ with them.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -86,21 +90,26 @@ def time_tree(src: Path, payload: str, setup: str) -> dict[str, float]:
 
 def compare(doc: str, items: dict[str, list], setup: str, unit: str, argv=None) -> None:
     """Read --parent from argv, time `setup`'s step on the items in both trees
-    for ROUNDS alternating rounds, and print the least times and their ratio."""
+    for ROUNDS alternating rounds, and print the least times and their ratio,
+    with the quartiles of the per-round ratio and the rounds won."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
     args = ap.parse_args(argv)
     payload = json.dumps(items)
     trees = {"change": ROOT / "src", "parent": args.parent.resolve() / "src"}
-    best = {tree: {name: float("inf") for name in items} for tree in trees}
+    times = {tree: {name: [] for name in items} for tree in trees}  # one entry per round
     for r in range(ROUNDS):
         for tree in (("change", "parent") if r % 2 else ("parent", "change")):
             for name, seconds in time_tree(trees[tree], payload, setup).items():
-                best[tree][name] = min(best[tree][name], seconds)
+                times[tree][name].append(seconds)
     for name, batch in items.items():
-        parent, change = best["parent"][name] * 1e3, best["change"][name] * 1e3
+        parent, change = min(times["parent"][name]) * 1e3, min(times["change"][name]) * 1e3
+        ratios = [c / p for c, p in zip(times["change"][name], times["parent"][name])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        won = sum(x < 1 for x in ratios)
         print(f"{name:7} {len(batch):5} {unit}  parent {parent:8.2f} ms  change {change:8.2f} ms"
-              f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)")
+              f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)"
+              f"  per-round ratio quartiles {q1:.3f} {median:.3f} {q3:.3f}, won {won}/{ROUNDS}")
 
 
 def main(argv=None) -> None:

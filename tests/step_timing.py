@@ -20,7 +20,9 @@ then times five and keeps the least.  Three batches are timed:
   same reduction loop against the generators adjoined so far.
 
 The script prints, per batch, the least time of each tree over the rounds
-and their ratio, this tree over the parent.  It only prints; it is no gate.
+and their ratio, this tree over the parent, then the quartiles of the
+per-round ratio and the rounds this tree won.  It only prints; it is no
+gate.
 """
 
 from front_end_timing import compare, seed1_jobs

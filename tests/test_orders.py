@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -26,7 +27,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
-from m2sl2.orders import _rejects, _scan
+from m2sl2.orders import embedders
 from tests.util import (
     assert_witness_valid,
     brute_embed,
@@ -224,7 +225,7 @@ def test_covering_matches_reference_exhaustive():
 
 
 def test_scan_witness_is_a_valid_injection():
-    # _scan builds its witness unvalidated: it must equal the validated
+    # embedders builds its witness unvalidated: it must equal the validated
     # injection on the same pairs, with sources 1..max_index of the left
     # operand
     basis = list(enumerate_basis(4, 3))
@@ -232,14 +233,11 @@ def test_scan_witness_is_a_valid_injection():
     for a in basis:
         ea = a._emb or a._embedding()
         for b in basis:
-            eb = b._emb or b._embedding()
-            phi = _scan(ea[4], eb[4])
-            if phi is None:
-                continue
-            hits += 1
-            assert phi == MonotoneInjection(phi.pairs), (a, b)
-            assert [s for s, _ in phi.pairs] == list(range(1, a.max_index + 1)), (a, b)
-    assert hits == 3708  # the 2,751 pwo_leq pairs, and more that only the header rejects
+            for _, phi in embedders(b, [ea]):
+                hits += 1
+                assert phi == MonotoneInjection(phi.pairs), (a, b)
+                assert [s for s, _ in phi.pairs] == list(range(1, a.max_index + 1)), (a, b)
+    assert hits == 2751  # the pwo_leq pairs: the column-sum reject runs before the scan
 
 
 # --- embedding ---------------------------------------------------------------
@@ -302,17 +300,46 @@ def test_pwo_compatible_with_cmp():
             assert cmp_total(a, b) <= 0, (a, b)
 
 
-def test_sums_reject_never_contradicts_scan_exhaustive():
+@cache
+def _basis_embeddings() -> tuple:
+    """enumerate_basis(4, 3) and the set of its (i, j) pairs with
+    brute_embed(basis[i], basis[j]), computed once per module."""
     base = list(enumerate_basis(4, 3))
+    return base, {(i, j) for i, a in enumerate(base) for j, b in enumerate(base)
+                  if brute_embed(a, b)}
+
+
+def test_sums_reject_never_contradicts_scan_exhaustive():
+    # the column-sum reject is sound: a pair of one variant where a's c-slot
+    # count, d-slot count or y-degree exceeds b's never embeds, by the oracle
+    base, embeds = _basis_embeddings()
     rejected = 0
-    for a in base:
-        for b in base:
-            ea, eb = a._embedding(), b._embedding()
-            if ea[0] != eb[0] or not _rejects(ea, eb):
+    for i, a in enumerate(base):
+        for j, b in enumerate(base):
+            if bool(a.cseq) != bool(b.cseq) or (
+                    len(a.cseq) <= len(b.cseq) and len(a.dseq) <= len(b.dseq)
+                    and sum(a.yexp) <= sum(b.yexp)):
                 continue
             rejected += 1
-            assert _scan(ea[4], eb[4]) is None, (a, b)
+            assert (i, j) not in embeds, (a, b)
     assert rejected > 0
+
+
+def test_embedders_match_oracles_exhaustive():
+    # one kernel call per b against the data of the whole basis: the hits
+    # are exactly the oracle's, in ascending position, with the leftmost
+    # witnesses
+    base, embeds = _basis_embeddings()
+    keys = [a._embedding() for a in base]
+    hits = 0
+    for j, b in enumerate(base):
+        got = embedders(b, keys)
+        assert [k for k, _ in got] == [i for i in range(len(base)) if (i, j) in embeds], b
+        for i, phi in got:
+            assert phi.pairs == greedy_witness(base[i], b), (base[i], b)
+            assert_witness_valid(base[i], b, phi)
+        hits += len(got)
+    assert hits == len(embeds) == 2751
 
 
 def test_greedy_vs_brute_small_random():
