@@ -25,11 +25,12 @@ a.b carries the sign (-1)^(zlen(a) * ydeg(b)), from moving b's y-letters past
 a's z-block; the y-exponents add; and b's c- and d-slot letters join a's
 slot classes, swapping class when zlen(a) is odd, because b's z-block then
 starts on a d-slot.  No product goes through words; reduce_word reads a word
-in, and CanonicalMonomial.word writes one out.
+in, reduce_powers a word written as powers of letters, without building it,
+and CanonicalMonomial.word writes one out.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import combinations_with_replacement, product, zip_longest
+from itertools import combinations_with_replacement, product, repeat, zip_longest
 from math import comb
 
 from .errors import GradeMismatchError, ResourceBoundError
@@ -106,11 +107,11 @@ class CanonicalMonomial:
         canonical by construction: trimmed yexp, sorted slot sequences of
         admissible lengths, indices >= 1."""
         m = _new(cls)
-        _set(m, "yexp", yexp)
-        _set(m, "cseq", cseq)
-        _set(m, "dseq", dseq)
-        _set(m, "_hash", hash((yexp, cseq, dseq)))
-        _set(m, "_emb", None)
+        _set_yexp(m, yexp)
+        _set_cseq(m, cseq)
+        _set_dseq(m, dseq)
+        _set_hash(m, hash((yexp, cseq, dseq)))
+        _set_emb(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -183,38 +184,47 @@ class CanonicalMonomial:
         return f"CanonicalMonomial({self.yexp}, {self.cseq}, {self.dseq})"
 
 
+# the slots' own setters, quicker than _set by name
+_set_yexp, _set_cseq, _set_dseq, _set_hash, _set_emb = (
+    vars(CanonicalMonomial)[name].__set__ for name in ("yexp", "cseq", "dseq", "_hash", "_emb"))
 ONE = CanonicalMonomial()
 
 
 def reduce_word(w: Word) -> tuple[int, CanonicalMonomial]:
-    """Canonical image of a word: (sign, monomial).
-
-    The sign is (-1)^t where t counts pairs (i, j), i < j, with w[i] odd and
-    w[j] even: commuting the even letters to the front crosses exactly those
-    pairs.  The surviving odd letters keep their slot parity and each slot
-    class sorts freely.
-    """
-    t = 0
-    seen_z = 0
-    ycount: dict[int, int] = {}
-    zs: list[int] = []
-    for fam, idx in w:
-        if fam == "z":
-            seen_z += 1
-            zs.append(idx)
-        elif fam == "y":
-            t += seen_z
-            ycount[idx] = ycount.get(idx, 0) + 1
-        else:
+    """Canonical image of a word: (sign, monomial).  Its letters are
+    checked, then read as factors, each to the first power (reduce_powers)."""
+    for fam, _ in w:
+        if fam != "y" and fam != "z":
             raise ValueError(f"unknown letter family {fam!r}")
-    if (ycount and min(ycount) < 1) or (zs and min(zs) < 1):
+    if any(idx < 1 for _, idx in w):
         raise ValueError("letter index must be >= 1")
-    yexp = [0] * (max(ycount) if ycount else 0)
-    for idx, e in ycount.items():
-        yexp[idx - 1] = e
-    sign = -1 if t % 2 else 1
-    return sign, CanonicalMonomial._trusted(tuple(yexp), tuple(sorted(zs[0::2])),
-                                            tuple(sorted(zs[1::2])))
+    return reduce_powers(zip(w, repeat(1)))
+
+
+def reduce_powers(factors) -> tuple[int, CanonicalMonomial]:
+    """Canonical image of a word written as (letter, exponent) factors:
+    (sign, monomial), in closed form, with no letter built.  The letters
+    are not checked: each must be y or z, with an index >= 1.
+
+    The sign is (-1)^t where t counts pairs (i, j), i < j, of letters with
+    an odd one at i and an even one at j: commuting the even letters to the
+    front crosses exactly those pairs.  So y_i^k adds k to the exponent of
+    y_i, and k times the odd letters before it to t.  z_i^k appends k odd
+    letters, which keep their slot parity, and each slot class sorts freely.
+    A zero exponent adds nothing, so the exponents stay trimmed.
+    """
+    t, seen_z, yexp, zs = 0, 0, [], []
+    for (fam, idx), k in factors:
+        if fam == "z":
+            seen_z += k
+            zs += [idx] * k
+        elif k:
+            t += seen_z * k
+            if idx > len(yexp):
+                yexp += [0] * (idx - len(yexp))
+            yexp[idx - 1] += k
+    return (-1 if t % 2 else 1), CanonicalMonomial._trusted(
+        tuple(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2])))
 
 
 def _mono_mul(ay: tuple, ac: tuple, ad: tuple,
@@ -311,11 +321,15 @@ class QPoly(Combination):
 
 def normalize(weighted_words) -> QPoly:
     """Fold a list of (coeff, word) pairs into a canonical polynomial."""
+    return _sum_signed((coeff, reduce_word(tuple(w))) for coeff, w in weighted_words if coeff)
+
+
+def _sum_signed(items) -> QPoly:
+    """The canonical polynomial of (coeff, (sign, monomial)) items: the sum
+    of sign * coeff * monomial, dropping terms that cancel; each monomial
+    keeps its place from when it last became nonzero."""
     acc: dict[CanonicalMonomial, int] = {}
-    for coeff, w in weighted_words:
-        if not coeff:
-            continue
-        sign, m = reduce_word(tuple(w))
+    for coeff, (sign, m) in items:
         n = acc.get(m, 0) + sign * coeff
         if n:
             acc[m] = n

@@ -37,6 +37,14 @@ genmat.evaluate_tree the same fold over generic matrices.  The word cap and
 the power caps are applied here alone; both folds charge a power by its
 base's canonical term when it has one, the raw expansion by its base's word,
 and all three bill a word leaf's charge when they reach it.
+
+`parse_poly` first tries the text as a signed sum of terms, each a run or an
+integer alone, as every `chain` and `reduce` job line is: one match of _TERM
+(built from _RUN's pattern) per term, and each run's monomial built in
+closed form from its powers of letters (freealg.reduce_powers), with no
+tree and no word.  _powers, the factor loop that _Parser.run calls too,
+charges the letters cap as the parser does, and any other text, or one the
+caps would refuse, is parsed, so every value and error is the parser's.
 """
 
 import re
@@ -44,7 +52,7 @@ from functools import cache
 from itertools import groupby
 
 from .errors import ParseError, ResourceBoundError
-from .freealg import QPoly, Word, _bracket, _product, normalize
+from .freealg import QPoly, Word, _bracket, _product, _sum_signed, normalize, reduce_powers
 from .intlinalg import _row_axpy
 
 # Input caps that keep hostile input from costing a traceback: letter indices
@@ -108,12 +116,35 @@ _RUN = re.compile(r"\s*(?:({I})\*)?({L}(?:\*{L}){{0,63}})(?!\s*[\^\d])".format(
     L=rf"[yz][1-9][0-9]{{0,{_INDEX_DIGITS - 2}}}(?:\^\d{{1,{MAX_COEFF_DIGITS}}})?"))
 # a run's letter by its lexeme, kept: _RUN admits 19,998 lexemes at most
 _letter = cache(lambda lex: (lex[0], int(lex[1:])))
+# a term of a sum of runs: its sign ('+' or '-', optional on the first term),
+# then a run or an integer alone, then any whitespace, before the next sign
+# or the end of the text.  The sign takes the whitespace before it, so no two
+# repeats of \s are adjacent and a failed match backtracks in linear time
+_TERM = re.compile(r"(?:\s*([+-]))?(?:{}|\s*(\d{{1,{}}}))\s*(?=[+-]|\Z)".format(
+    _RUN.pattern, MAX_COEFF_DIGITS))
 # the text before a token ends in an exponent: the last factor read has one
 _POWERED = re.compile(r"\^\s*\d+\s*\Z")
 
 
 def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
     return ("w", 1 if coeff else 0, coeff, word, charge)
+
+
+def _powers(run: str, absorbed: int):
+    """A run's factors, as (letter, exponent) pairs, each letter read
+    through _letter, and the letters its powers charge: the exponent of
+    each factor that has one.  None if that charge, with `absorbed` charged
+    before it, would pass MAX_POWER_LETTERS; each exponent is charged
+    before anything is built."""
+    factors, charge = [], 0
+    for piece in run.split("*"):
+        lex, _, exp = piece.partition("^")
+        if exp:
+            charge += int(exp)
+            if absorbed + charge > MAX_POWER_LETTERS:
+                return None
+        factors.append((_letter(lex), int(exp) if exp else 1))
+    return factors, charge
 
 
 def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
@@ -291,17 +322,14 @@ class _Parser:
         if match[1] is None and factors.isalnum():  # one bare letter: no integer, '*' or '^'
             self.after = match.end()
             return ("w", 1, 1, (_letter(factors),), 0)
-        letters, charge = [], 0
-        for piece in factors.split("*"):
-            lex, _, exp = piece.partition("^")
-            if exp:  # charged before the power is built
-                charge += int(exp)
-                if self.absorbed + charge > MAX_POWER_LETTERS:
-                    return None
-            letters += (_letter(lex),) * int(exp or 1)
-        self.absorbed += charge
-        self.after = match.end()
-        return _leaf(int(match[1] or 1), tuple(letters), charge)
+        read = _powers(factors, self.absorbed)
+        if read is None:
+            return None
+        self.absorbed, self.after = self.absorbed + read[1], match.end()
+        letters = []
+        for letter, k in read[0]:
+            letters += (letter,) * k
+        return _leaf(int(match[1] or 1), tuple(letters), read[1])
 
     def power(self, node, k: int):
         """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power
@@ -503,18 +531,30 @@ def _add_terms(acc: QPoly, other: QPoly, sign: int) -> QPoly:
 def parse_poly(text: str) -> QPoly:
     """The canonical polynomial of an expression.
 
-    Equal to normalize(parse_words(text)): fold_tree over QPoly, so a power
-    or a product of sums costs the size of its canonical form, not of its
-    raw expansion.  The word cap still applies to the raw expansion, and a
-    power whose base normalizes to one term charges the power caps by that
-    term, as genmat.evaluate_tree does.  A text that parses to one word leaf
-    skips the fold: the leaf is normalized as it is, since the parser took
-    powers into it only while their letters stayed within MAX_POWER_LETTERS,
-    so its charge cannot pass the caps.
+    Equal to normalize(parse_words(text)).  A text that is a signed sum of
+    runs and integers alone, such as `-15*y1*y3^3*z1*z2 + 4`, is read one
+    term per match of _TERM, and each run's monomial is built in closed
+    form from its powers of letters (freealg.reduce_powers): no parse tree,
+    no letters and no reduce_word.  The caps are charged as the parser
+    charges them (_powers), and any other text, or one they would refuse,
+    is parsed, so its value and errors are the parser's.  The tree is
+    folded over QPoly (fold_tree), so a power or a product of sums costs
+    the size of its canonical form, not of its raw expansion.  The word cap
+    still applies to the raw expansion, and a power whose base normalizes
+    to one term charges the power caps by that term, as
+    genmat.evaluate_tree does.
     """
-    # normalize is looked up on each call, so a wrapper patched over it sees the lifts
-    node = parse(text)
-    if node[0] == "w":  # its charge is within the letters cap, as parse absorbed it
-        return normalize([(node[2], node[3])] if node[1] else [])
-    return fold_tree(node, normalize, _add_terms, QPoly.__mul__,
-                     lambda f: [(m.degree, c) for m, c in f.terms.items()])
+    coeffs, runs, absorbed, pos = [], [], 0, 0  # the terms read, letters charged, offset
+    while pos < len(text) or not runs:
+        match = _TERM.match(text, pos)
+        read = match and len(runs) < MAX_WORDS and (
+            _powers(match[3], absorbed) if match[3] else ((), 0))
+        if not read:
+            # normalize is looked up on each call, so a wrapper patched over it sees the lifts
+            return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
+                             lambda f: [(m.degree, c) for m, c in f.terms.items()])
+        # the sign, then the run's integer or the integer alone
+        coeffs.append(int((match[1] or "") + (match[2] or match[4] or "1")))
+        runs.append(read[0])
+        absorbed, pos = absorbed + read[1], match.end()
+    return _sum_signed(zip(coeffs, map(reduce_powers, runs)))  # a zero coefficient adds nothing

@@ -4,8 +4,9 @@ this tree against a second checkout.
     python tests/front_end_timing.py --parent PATH
 
 The lines are the expressions of the seed-1 `chain` jobs (every line of their
-stream files) and of the seed-1 `reduce` jobs (the polynomial each reduces),
-timed through parse_poly, and of the seed-1 `identity` jobs that read one
+stream files) and of the seed-1 `reduce` jobs (the polynomial each reduces,
+then the three lines of its generator file, which `reduce` parses on every
+job), timed through parse_poly, and of the seed-1 `identity` jobs that read one
 (`is-identity` and `normalize`), timed through parse alone: their brackets
 and powers cost far more to evaluate than to parse.  This tree's
 `perfbench/workloads.py` builds them, so both trees parse the same texts.
@@ -65,12 +66,16 @@ prepare, step = str, {"chain": parse_poly, "reduce": parse_poly, "identity": par
 
 def job_lines() -> dict[str, list[str]]:
     """The expressions parse_poly reads on a seed-1 pass of each workload."""
-    chain = [line for job in seed1_jobs("chain") for _, text in job.files
-             for line in text.splitlines() if line.strip()]
-    reduce = [job.argv[1] for job in seed1_jobs("reduce")]
+    chain = [line for job in seed1_jobs("chain") for line in file_lines(job)]
+    reduce = [line for job in seed1_jobs("reduce") for line in (job.argv[1], *file_lines(job))]
     identity = [job.argv[1] for job in seed1_jobs("identity")
                 if job.argv[0] in ("is-identity", "normalize")]
     return {"chain": chain, "reduce": reduce, "identity": identity}
+
+
+def file_lines(job) -> list[str]:
+    """The nonblank lines of a job's files."""
+    return [line for _, text in job.files for line in text.splitlines() if line.strip()]
 
 
 def seed1_jobs(workload: str) -> list:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -447,7 +448,7 @@ def test_is_identity_never_rewrites(capsys, monkeypatch):
         rc, out, _ = run(capsys, "is-identity", expr, "--json")
         assert rc == 0 and json.loads(out) == {"identity": want == "true"}
     with pytest.raises(AssertionError, match="reduce_word"):
-        parse_poly("y1 + z1")
+        parse_poly("(y1 + z1)")
 
 
 def test_huge_powers_of_single_words(capsys):
@@ -470,6 +471,31 @@ def test_huge_powers_of_single_words(capsys):
         assert time.perf_counter() - t0 < 1.0
         assert outcomes[0] == outcomes[1] and outcomes[0][:2] == (1, "")
         assert "coefficients of more than 4000000 bits" in outcomes[0][2]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_normalize_reads_a_power_of_y_as_its_exponent(capsys, as_json):
+    # y1^10000000 is within the letters cap and is read as an exponent: the
+    # traced peak stays far below the 80 MB of a tuple of its letters, and
+    # one letter more is refused as before
+    flag = ("--json",) if as_json else ()
+    tracemalloc.start()
+    try:
+        done = run(capsys, "normalize", "y1^10000000", *flag)
+        refused = run(capsys, "normalize", "y1^10000001", *flag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    message = "powers of single words build more than 10000000 letters"
+    if as_json:
+        assert done[0] == 0 and json.loads(done[1]) == [
+            {"coeff": "1", "m": {"y": [10000000], "c": [], "d": []}}]
+        assert refused[0] == 1 and json.loads(refused[2]) == {
+            "error": "ResourceBoundError", "message": message}
+    else:
+        assert done == (0, "+ y1^10000000\n", "")
+        assert refused == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+from itertools import groupby
 
 import pytest
 
@@ -23,7 +24,7 @@ from m2sl2 import (
 from m2sl2.cli import format_qpoly, main
 import m2sl2.parsing
 from m2sl2.genmat import evaluate, evaluate_tree
-from m2sl2.parsing import MAX_WORDS, _Parser, parse, parse_words, to_words
+from m2sl2.parsing import MAX_WORDS, _Parser, _add_terms, fold_tree, parse, parse_words, to_words
 from tests.util import (
     LOOP_KINDS,
     loop_tokenize,
@@ -805,3 +806,108 @@ def test_errors_at_run_boundaries(text, offset):
         errors.append((str(ei.value), ei.value.offset, ei.value.expected))
     assert errors[0] == errors[1]
     assert errors[0][1] == offset
+
+
+def _tree_poly(text: str) -> QPoly:
+    """The tree path, the reference for parse_poly: fold_tree over parse."""
+    return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
+                     lambda f: [(m.degree, c) for m, c in f.terms.items()])
+
+
+def _poly_outcome(fn, text: str) -> tuple:
+    """fn's value on a text as its terms in order, or its error's type,
+    message and offset."""
+    try:
+        return ("ok", list(fn(text).terms.items()))
+    except (ParseError, ResourceBoundError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "offset", None))
+
+
+def _written(m: CanonicalMonomial, rng: random.Random) -> str:
+    """A monomial's factors, in canonical order or shuffled, and perhaps
+    with each stretch of one letter written as its power."""
+    factors = _factors(m)
+    if rng.random() < 0.5:
+        rng.shuffle(factors)
+    if rng.random() < 0.3:
+        factors = [f if len(same) == 1 else f"{f}^{len(same)}"
+                   for f, same in ((f, list(g)) for f, g in groupby(factors))]
+    return "*".join(factors)
+
+
+def _sum_texts(rng: random.Random) -> list[str]:
+    """Sums shaped like the benchmark's job lines: `reduce` polynomials of
+    50-150 terms over enumerate_basis(7, 3), and `chain` items, one signed
+    run each."""
+    basis = list(enumerate_basis(7, 3))
+    texts = []
+    for _ in range(40):
+        terms = []
+        for m in rng.sample(basis, rng.randint(50, 150)):
+            run = _written(m, rng)
+            c = rng.randint(1, 99)
+            terms.append(f" {rng.choice('+-')} {f'{c}*{run}' if run else c}")
+        texts.append("".join(terms).lstrip(" +"))
+    for _ in range(400):
+        c = rng.choice((2, 3, 4, 5, 6, 9, 10, 12, 15, 30))
+        texts.append(f"{rng.choice(('', '-'))}{c}*{_written(rng.choice(basis[1:]), rng)}")
+    return texts
+
+
+_EDGE_TEXTS = (
+    "0", "0*y1", "-0*y1*z2 + 3", "y1 - y1", "7 - 7", "1-1+y1",
+    "y1*z1 - y1*z1 + y1*z1", "2*y1 - 2*y1 + 5*z2 + 2*y1", "z1 + y1 - z1 + z1",
+    "z1*y1", "z2*z1*y3^2*z1", "z1^3*y1^2", "z1*y1^3 - y1^3*z1", "z2^2*z1*y2*z1^3*y1",
+    "y10^00", "y10^00*z1 + y10", "z1^0*y1 - y1", "y1^0", "-y1^1*z1",
+    "\u0663*z1 - \u0664", "\u0663\u0660*y1^\u0662 + \u0661", "y1^\u0662*z1",
+    "  y1*z2  ", "\t-y1\n", " + y1 - z1 ", "-   3*y1   +   4*z2", "+y1", "- y1",
+    "y1 +-z1", "- 3 + - y1", "y1--z1", "--y1", "y1 +", "+", "", "   ", "y1 z1", "y1*2",
+    "2*3*y1", "y1 * z1", "3 4", "y1^2^3", "y1 ^2", "y1*(z1)", "y01*z1", "y10000*z1",
+    "y10001", "y0*z1", "z1 + $", "7" * 4300 + "*y1", "7" * 4301 + "*y1", "9" * 4301,
+    "y1 + " + "9" * 4301, "-" + "9" * 4300, "y1^" + "9" * 4301,
+    "y1^50*y1^50", "y1^50 + y1^50", "y1^50 + y1^51", "y1^40*z1^40 - y2^30*y1",
+    "z1^101", "y1^100", "-y1^99*y2^2", "0*y1^101", "y1^101 - y1^101",
+    "*".join(["y1"] * 64), "*".join(["y1"] * 65), "*".join(["z1^2"] * 70),
+    "y1^10000000", "y1^10000001", "y1^5000000 + z2^5000001",
+)
+
+
+def test_sums_of_runs_read_as_the_tree(monkeypatch):
+    # parse_poly reads a signed sum of runs and integers alone without a
+    # parse tree; on every text, under the real caps and a letters cap of
+    # 100, its outcome is the tree path's: the same terms in the same order,
+    # or the same error, message and offset
+    rng = random.Random(33)
+    mutated = [_mutated(rng) for _ in range(5000)]
+    sums = _sum_texts(rng)
+    parsed = []
+    real = m2sl2.parsing.parse
+    monkeypatch.setattr(m2sl2.parsing, "parse", lambda text: parsed.append(text) or real(text))
+    for cap in (m2sl2.parsing.MAX_POWER_LETTERS, 100):
+        monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", cap)
+        for texts in (mutated, sums, _EDGE_TEXTS):
+            parsed.clear()
+            for text in texts:
+                if cap < 1000 or "^1000000" not in text:  # the tree would build 10**7 letters
+                    assert _poly_outcome(parse_poly, text) == _poly_outcome(_tree_poly, text), text
+            if texts is sums and cap > 100:
+                assert parsed == []  # not one sum took the tree
+            elif texts is sums:
+                assert 0 < len(parsed) < len(texts) // 10  # those the small cap refuses did
+    # these edge texts take no tree either, the letters cap still at 100
+    parsed.clear()
+    for text in ("0*y1", "7 - 7", "y10^00", "\u0663*z1 - \u0664", "\t-y1\n", "7" * 4300 + "*y1",
+                 "y1^50 + y1^50", "*".join(["y1"] * 64)):
+        parse_poly(text)
+    assert parsed == []
+
+
+def test_sums_of_runs_fall_back_past_the_word_cap(monkeypatch):
+    # a sum of more than MAX_WORDS terms is parsed: the parser counts only
+    # terms of nonzero coefficient, so the first text answers, the second
+    # passes the cap
+    monkeypatch.setattr(m2sl2.parsing, "MAX_WORDS", 3)
+    for text in ("0 + 0*y2 + 0 + y1 - z1 + 2", "y1 + y2 + y3 + y4"):
+        assert _poly_outcome(parse_poly, text) == _poly_outcome(_tree_poly, text), text
+    with pytest.raises(ResourceBoundError, match="more than 3 words"):
+        parse_poly("y1 + y2 + y3 + y4")
