@@ -26,10 +26,12 @@ index cover, so the engine never builds a Profile.  The two orders:
   (reduction.chain_demo) terminate.  It is decided in one kernel,
   embedders, which tests one monomial against a list of embedding data
   (CanonicalMonomial._embedding, built once per monomial): the column-sum
-  reject and the greedy row scan are written there and nowhere else.  The
-  reduction loop calls it once per step, over the kept data of every
-  generator; pwo_leq is its one-key case, and minimal_elements calls it
-  once per item.
+  reject and the greedy row scan are written there and nowhere else.  Its
+  witness is a plain index table (table[i] the image of index i, table[0]
+  = 0), and a MonotoneInjection is built from it (from_table) only where a
+  caller needs one.  The reduction loop calls it once per step, over the
+  kept data of every generator; pwo_leq is its one-key case, and
+  minimal_elements calls it once per item.
 
 Renaming endomorphisms act through one kernel.  rename_monomial extends
 the injection with covering once per call, over every index the call
@@ -38,10 +40,12 @@ y-exponents and slot indices through it (_push_counts, _rename).
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
 the same injections.  The reduction step (reduction._lift, traced or not)
-calls the kernel itself: it reads N and P through the witness's pairs with
-no extension, extends once over the generator's kept index support, then
-renames each tail term and adds N's y-exponents and P's letters.  The
-public factorize_embedding and apply_reducer call it the same way.
+calls the kernel itself: it reads N and P through the witness table, which
+_rename and _push_counts index as they index an image dict, renames each
+tail term through the table when the generator's kept index support lies
+within its sources and through one covering extension otherwise, and adds
+N's y-exponents and P's letters.  The public factorize_embedding and
+apply_reducer call it with an injection's pairs read as a dict.
 """
 
 from dataclasses import dataclass
@@ -148,11 +152,14 @@ class MonotoneInjection:
             last_s, last_t = s, t
 
     @classmethod
-    def _trusted(cls, pairs: tuple) -> "MonotoneInjection":
-        """Build without re-validation, for pairs that strictly increase in
-        both columns by construction (the witnesses of embedders)."""
+    def from_table(cls, table) -> "MonotoneInjection":
+        """The injection i -> table[i] on 1..len(table) - 1, from an index
+        table whose entries strictly increase from table[0] = 0, as the
+        witness tables of embedders do; so its pairs strictly increase in
+        both columns by construction, and it is built without
+        re-validation."""
         phi = _new(cls)
-        _set(phi, "pairs", pairs)
+        _set(phi, "pairs", tuple(enumerate(table[1:], start=1)))
         return phi
 
     def covering(self, indices) -> "MonotoneInjection":
@@ -194,7 +201,7 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
-def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, MonotoneInjection]]:
+def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, list[int]]]:
     """The keys that embed into b, as (position in keys, witness) pairs in
     ascending position; the one embedding kernel.
 
@@ -208,9 +215,12 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, MonotoneInjection]]
     covers it entrywise, and past b's rows only a zero row fits, into b's
     implicit infinite zero tail.  Greedy is complete here: any embedding can
     be pushed left row by row without breaking later choices, so failure of
-    the greedy scan means no embedding exists.  The witness maps 1..len(rows)
-    of a to the rows taken; its targets strictly increase by construction,
-    so it is built without re-validation.
+    the greedy scan means no embedding exists.  The witness is an index
+    table: table[i] is the row of b (counted from 1) that row i of a took,
+    and table[0] is 0, so it maps 1..len(rows) of a strictly increasingly
+    and indexes like the image dict of a renaming.  No MonotoneInjection
+    is built; a caller that needs one converts the table with
+    MonotoneInjection.from_table.
     """
     variant, cslots, dslots, ydeg, rb = b._emb or b._embedding()
     nb = len(rb)
@@ -218,7 +228,7 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, MonotoneInjection]]
     for k, (av, ac, ad, ay, ra) in enumerate(keys):
         if av != variant or ac > cslots or ad > dslots or ay > ydeg:
             continue
-        pos: list[int] = []
+        pos = [0]  # the witness table; pos[i] is the row that row i of a took
         p = 0  # rows of b (and of its zero tail) used up so far
         for ya, ca, da in ra:
             while p < nb:
@@ -232,7 +242,7 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, MonotoneInjection]]
                 p += 1
             pos.append(p)
         else:
-            out.append((k, MonotoneInjection._trusted(tuple(enumerate(pos, start=1)))))
+            out.append((k, pos))
     return out
 
 
@@ -244,16 +254,18 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     1..max_index of a strictly increasingly into those of b so that each
     (y-exponent, c-slot count, d-slot count) row of a sits entrywise under
     its image row; indices of b beyond its support count as zero rows.
-    Pure-y rows are (e, 0, 0), so one scan serves both variants.
+    Pure-y rows are (e, 0, 0), so one scan serves both variants.  The
+    kernel's witness table is converted here, with from_table.
     """
     hits = embedders(b, [a._emb or a._embedding()])
-    return hits[0][1] if hits else None
+    return MonotoneInjection.from_table(hits[0][1]) if hits else None
 
 
 # --- renaming endomorphisms -------------------------------------------------
 
-def _push_counts(u, image: dict[int, int]) -> tuple[int, ...]:
-    """Push a trimmed count sequence along the image dict: result[image[i]] = u[i]."""
+def _push_counts(u, image) -> tuple[int, ...]:
+    """Push a trimmed count sequence along the image, a dict or an index
+    table: result[image[i]] = u[i]."""
     if not u:
         return ()
     out = [0] * image[len(u)]  # u ends on a nonzero entry, whose image is the top
@@ -263,9 +275,10 @@ def _push_counts(u, image: dict[int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rename(m: CanonicalMonomial, image: dict[int, int], mode: str) -> tuple:
+def _rename(m: CanonicalMonomial, image, mode: str) -> tuple:
     """m's (yexp, cseq, dseq) with the letter indices renamed through an
-    image dict covering them; a missing index raises KeyError.
+    image covering them: a dict, where a missing index raises KeyError, or
+    a witness table of embedders (table[i] the image of i).
 
     Strict monotonicity keeps slot sequences sorted and never merges
     exponents, so the three tuples are canonical and no sign appears."""

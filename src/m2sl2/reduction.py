@@ -16,16 +16,20 @@ beside it the embedding data of its leading monomial
 builds the records and keys once per call; chain_demo builds them when it
 adjoins a generator and keeps them for the rest of the stream.  At each step
 one call of orders.embedders over the keys returns the generators whose
-leading monomial embeds into M, with their witnesses; the loop holds no
-comparison of the embedding order of its own.
+leading monomial embeds into M, with their witnesses as plain index tables
+(table[i] the image of index i); the loop holds no comparison of the
+embedding order of its own, and builds no MonotoneInjection unless a trace
+records the step.
 
 One reduction step renames once, traced or not: _lift does the whole step.
-It reads N's y-exponents and P's two halves straight off the witness, which
-embedders builds over all of lm(g)'s indices, extends the witness once, over
-g's cached index support (QPoly._index_support, which the tail shares), and
-lifts the tail's terms, with none of the checks a caller's injection needs.
-It returns the factorization with the lifted terms, so a trace record is
-ReducerTriple._trusted over those parts, and no step goes through the public
+It reads N's y-exponents and P's two halves straight off the witness table,
+which embedders builds over all of lm(g)'s indices.  The table is the
+renaming's image when g's cached index support (QPoly._index_support, which
+the tail shares) ends within those indices; otherwise the witness is
+extended once, over that support.  It lifts the tail's terms with none of
+the checks a caller's injection needs, and returns the factorization with
+the lifted terms, so a trace record is ReducerTriple._trusted over those
+parts, and no step goes through the public
 factorize_embedding and apply_reducer, which compute the same parts with
 those checks, for the factor command, membership_bounded and outside
 callers.  Only the tail is lifted: lm(g) lifts to M itself, whose
@@ -35,7 +39,8 @@ each term, with no word product, written once (_lift_terms): rename along
 the extension, then multiply by N and P through the canonical product of
 freealg (_mono_mul).
 Coefficients live in Z, so a reduction step is Euclidean division of the
-leading coefficient by the gcd of the usable reducers' leading coefficients;
+leading coefficient by the gcd of the usable reducers' leading coefficients,
+taken once per distinct set of usable reducers within one loop call;
 a nonzero residue freezes into the remainder and reduction continues on the
 strictly smaller tail.  Strict descent in a well-order terminates.
 """
@@ -215,11 +220,11 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     return QPoly._trusted(_lift_terms(f.terms, image, ny, p_even, p_odd))
 
 
-def _lift_terms(terms: dict, image: dict, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
+def _lift_terms(terms: dict, image, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
     """N . phi(t) . P for each term t of `terms`, as a new dict in the same
-    order: each monomial renamed through `image` (a dict covering its
-    indices), then multiplied by N's y-exponents `ny` and P's halves.  The
-    lift of apply_reducer and of _lift."""
+    order: each monomial renamed through `image` (a dict or a witness table
+    covering its indices), then multiplied by N's y-exponents `ny` and P's
+    halves.  The lift of apply_reducer and of _lift."""
     out: dict[CanonicalMonomial, int] = {}
     for m, c in terms.items():
         # unpacked first: passing *_rename(...) made the lift about 10% slower
@@ -230,39 +235,41 @@ def _lift_terms(terms: dict, image: dict, ny: tuple, p_even: tuple, p_odd: tuple
     return out
 
 
-def _lift(m: CanonicalMonomial, target: CanonicalMonomial, phi: MonotoneInjection,
+def _lift(m: CanonicalMonomial, target: CanonicalMonomial, table: list,
           tail: QPoly) -> tuple:
     """One reduction step, traced or not: the lifted tail's terms and the
     factorization they were lifted by, (terms, n_yexp, p_even, p_odd).  That
     is apply_reducer(t, tail).terms and t's stored parts, for
     t = factorize_embedding(m, target, phi), in one step and with no check:
-    phi must be the witness pwo_leq(m, target), as orders.embedders returns
-    it.  A trace record is ReducerTriple._trusted(phi, n_yexp, p_even,
-    p_odd).to_obj().
+    table must be the witness table of m <=' target as orders.embedders
+    returns it (table[i] the image of index i, table[0] = 0), and phi is
+    MonotoneInjection.from_table(table).  A trace record is
+    ReducerTriple._trusted(phi, n_yexp, p_even, p_odd).to_obj().
 
     Such a witness maps every index 1..max_index of m and puts each row of
     m under a row of the target, so the y-deficits are >= 0, the slots fit,
     the deficits interleave and P's letters are >= 1: none of
     factorize_embedding's refusals can occur.  N's exponents are read off
-    the witness, the target's less m's at the indices phi maps them to;
-    P's halves are _fit's, swapped when m's z-length is odd.  phi is
-    extended over the tail's kept index support, and its pairs are read once
-    when the extension is phi itself.  The tail of a one-term generator is
-    empty, and the step still returns its factorization.
+    the table, the target's less m's at the indices it maps them to; P's
+    halves are _fit's, swapped when m's z-length is odd.  The table indexes
+    like an image dict, so it is the renaming's image when the tail's kept
+    index support ends within its sources; a support reaching past them
+    extends phi with covering, holes included, as apply_reducer does.  The
+    tail of a one-term generator is empty, and the step still returns its
+    factorization.
     """
-    image = dict(phi.pairs)
     ny = list(target.yexp)
     # m.yexp ends on a nonzero exponent, so every index it lists maps inside ny
     for i, e in enumerate(m.yexp, start=1):
-        ny[image[i] - 1] -= e
+        ny[table[i] - 1] -= e
     # map, not a list comprehension: about 2% of an untraced reduce_by on 3.11
-    first, second = (_fit(target.cseq, map(image.__getitem__, m.cseq)),
-                     _fit(target.dseq, map(image.__getitem__, m.dseq)))
+    first, second = (_fit(target.cseq, map(table.__getitem__, m.cseq)),
+                     _fit(target.dseq, map(table.__getitem__, m.dseq)))
     if len(m.cseq) != len(m.dseq):
         first, second = second, first
-    ext = phi.covering(tail._index_support())
-    if ext is not phi:
-        image = dict(ext.pairs)
+    image, sup = table, tail._index_support()
+    if sup and sup[-1] >= len(table):
+        image = dict(MonotoneInjection.from_table(table).covering(sup).pairs)
     ny = _trim(ny)
     return _lift_terms(tail.terms, image, ny, first, second), ny, first, second
 
@@ -331,36 +338,47 @@ def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPol
     because every later term lies strictly below it.
 
     At each step one orders.embedders call over the keys gives the usable
-    generators and their witnesses, in ascending position, and the loop
-    compares no embeddings itself.  Only the tail of a usable generator is
+    generators and their witness tables, in ascending position, and the
+    loop compares no embeddings itself.  The gcd of the usable leading
+    coefficients and their Bezout coefficients, (d, betas), depend only on
+    which generators are usable, and a call meets few such sets: `gcds`
+    keeps them by the tuple of positions, for this call only, so bezout
+    runs once per distinct set.  Only the tail of a usable generator is
     lifted and subtracted: its leading term would land on lm, whose
     coefficient ends at the residue r, and lm leaves `work` anyway.  So a
     one-term generator, whose tail is empty, costs no factorization and no
     lift, unless `trace` records them.  Every other step calls _lift once
     and folds the lifted terms straight into `work`; with a trace, the
     step's record reads the factorization _lift returns, as a
-    ReducerTriple, and there is no other branch.
+    ReducerTriple whose phi is built from the table, and there is no other
+    branch.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
     rem: dict[CanonicalMonomial, int] = {}
+    gcds: dict[tuple, tuple] = {}  # (d, betas) of each usable set met in this call
     while keyed:
         lm = keyed.pop()[1]
         lc = work.get(lm)
         if lc is None:
             continue
-        # (generator index, leading data, tail, embedding witness)
-        usable = [(k, *recs[k], phi) for k, phi in embedders(lm, keys)]
-        if usable:
-            d, betas = bezout([ld.lc for _, ld, _, _ in usable])
+        hits = embedders(lm, keys)  # (generator index, witness table)
+        if hits:
+            usable = tuple([k for k, _ in hits])
+            gcd = gcds.get(usable)
+            if gcd is None:
+                gcd = gcds[usable] = bezout([recs[k][0].lc for k in usable])
+            d, betas = gcd
             q, r = divmod(lc, d)
             if q:
-                for (k, ld, tail, phi), beta in zip(usable, betas):
+                for (k, table), beta in zip(hits, betas):
+                    ld, tail = recs[k]
                     if not beta or not tail.terms and trace is None:
                         continue
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
-                    lifted, ny, first, second = _lift(ld.lm, lm, phi, tail)
+                    lifted, ny, first, second = _lift(ld.lm, lm, table, tail)
                     if trace is not None:
+                        phi = MonotoneInjection.from_table(table)
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
                                       **ReducerTriple._trusted(phi, ny, first, second).to_obj()})
                     scale = beta * q

@@ -8,8 +8,11 @@ stream files) and of the seed-1 `reduce` jobs (the polynomial each reduces,
 then the three lines of its generator file, which `reduce` parses on every
 job), timed through parse_poly, and of the seed-1 `identity` jobs that read one
 (`is-identity` and `normalize`), timed through parse alone: their brackets
-and powers cost far more to evaluate than to parse.  This tree's
-`perfbench/workloads.py` builds them, so both trees parse the same texts.
+and powers cost far more to evaluate than to parse.  The `identity` texts
+parse in about 1.5 ms, too short to resolve a 2% difference, so its batch is
+the same texts repeated IDENTITY_REPEAT times, about 20 ms a pass.  This
+tree's `perfbench/workloads.py` builds them, so both trees parse the same
+texts.
 Each round times both trees, each in a fresh child interpreter that
 parses every line once untimed, then times five passes over them and keeps
 the least; the order of the two trees alternates from round to round.  The
@@ -32,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 15
+IDENTITY_REPEAT = 14  # copies of the identity texts in one timed pass
 
 # run in the child: argv[1] is the tree's src directory, stdin the items of
 # each workload.  `setup` defines prepare(item), run untimed before every
@@ -65,11 +69,12 @@ prepare, step = str, {"chain": parse_poly, "reduce": parse_poly, "identity": par
 
 
 def job_lines() -> dict[str, list[str]]:
-    """The expressions parse_poly reads on a seed-1 pass of each workload."""
+    """The expressions parse_poly reads on a seed-1 pass of each workload,
+    and those parse reads on one of `identity`, repeated."""
     chain = [line for job in seed1_jobs("chain") for line in file_lines(job)]
     reduce = [line for job in seed1_jobs("reduce") for line in (job.argv[1], *file_lines(job))]
     identity = [job.argv[1] for job in seed1_jobs("identity")
-                if job.argv[0] in ("is-identity", "normalize")]
+                if job.argv[0] in ("is-identity", "normalize")] * IDENTITY_REPEAT
     return {"chain": chain, "reduce": reduce, "identity": identity}
 
 

@@ -1,0 +1,107 @@
+"""Work counts of the reduction engine on the benchmark's seed-1 jobs.
+
+Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
+reduce_by on its polynomial against the three generators of its file, with
+no trace, as the reduce command runs it; each `chain` job is chain_demo on
+its stream.  The counts are taken by wrapping the names the loop calls: the
+embedding kernel, the lift, the gcd, and every MonotoneInjection built."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import m2sl2.orders
+import m2sl2.reduction as reduction
+from m2sl2.orders import MonotoneInjection
+from m2sl2.parsing import parse_poly
+
+# the benchmark directory holds no bytecode; importing it must not add any
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True
+try:
+    from perfbench import workloads
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+
+def _jobs(workload: str) -> list[list]:
+    """Each seed-1 job of a workload as its parsed polynomials: a `reduce`
+    job's polynomial then its generators, a `chain` job's stream."""
+    out = []
+    for job in workloads.build(workload, 1):
+        (_, text), = job.files
+        lines = [line for line in text.splitlines() if line.strip()]
+        if job.argv[0] == "reduce":
+            lines.insert(0, job.argv[1])
+        out.append([parse_poly(line) for line in lines])
+    return out
+
+
+@pytest.fixture
+def counts(monkeypatch) -> Counter:
+    """Calls of embedders, _lift and bezout as reduction calls them, the
+    MonotoneInjections built (validated or not), and `sets`: the distinct
+    tuples of usable generator positions met within each _reduce call,
+    summed over the calls."""
+    seen: Counter = Counter()
+    sets: list[set] = []
+    embedders = reduction.embedders
+
+    def counted_embedders(b, keys):
+        seen["embedders"] += 1
+        hits = embedders(b, keys)
+        if hits:
+            sets[-1].add(tuple(k for k, _ in hits))
+        return hits
+
+    def counted_reduce(*args, _fn=reduction._reduce):
+        sets.append(set())
+        try:
+            return _fn(*args)
+        finally:
+            seen["sets"] += len(sets.pop())
+
+    monkeypatch.setattr(reduction, "embedders", counted_embedders)
+    monkeypatch.setattr(reduction, "_reduce", counted_reduce)
+    for name in ("_lift", "bezout"):
+        def counted(*args, _fn=getattr(reduction, name), _name=name):
+            seen[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(reduction, name, counted)
+
+    new, post_init = m2sl2.orders._new, MonotoneInjection.__post_init__
+
+    def counted_new(cls):
+        seen["MonotoneInjection"] += cls is MonotoneInjection
+        return new(cls)
+
+    def counted_post_init(self):
+        seen["MonotoneInjection"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(m2sl2.orders, "_new", counted_new)
+    monkeypatch.setattr(MonotoneInjection, "__post_init__", counted_post_init)
+    return seen
+
+
+def test_reduce_work(counts):
+    jobs = _jobs("reduce")
+    assert len(jobs) == 34
+    for f, *gens in jobs:
+        reduction.reduce_by(f, gens)
+    # one embedders call per step, one lift per usable generator with a tail
+    # and a nonzero Bezout coefficient, and one gcd per distinct usable set
+    # of each reduce_by call: the witness tables build no injection
+    assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136}
+
+
+def test_chain_work(counts):
+    jobs = _jobs("chain")
+    assert len(jobs) == 30
+    for stream in jobs:
+        reduction.chain_demo(stream)
+    # the stream's items are single terms, so the generators' tails are
+    # empty and no untraced step lifts or builds an injection
+    assert counts == {"embedders": 3600, "bezout": 1796, "sets": 1796}

@@ -225,16 +225,18 @@ def test_covering_matches_reference_exhaustive():
 
 
 def test_scan_witness_is_a_valid_injection():
-    # embedders builds its witness unvalidated: it must equal the validated
-    # injection on the same pairs, with sources 1..max_index of the left
-    # operand
+    # embedders returns its witness as an index table, unvalidated: table[0]
+    # is 0, and its injection must equal the validated injection on the same
+    # pairs, with sources 1..max_index of the left operand
     basis = list(enumerate_basis(4, 3))
     hits = 0
     for a in basis:
         ea = a._emb or a._embedding()
         for b in basis:
-            for _, phi in embedders(b, [ea]):
+            for _, table in embedders(b, [ea]):
                 hits += 1
+                assert table[0] == 0, (a, b)
+                phi = MonotoneInjection.from_table(table)
                 assert phi == MonotoneInjection(phi.pairs), (a, b)
                 assert [s for s, _ in phi.pairs] == list(range(1, a.max_index + 1)), (a, b)
     assert hits == 2751  # the pwo_leq pairs: the column-sum reject runs before the scan
@@ -335,7 +337,9 @@ def test_embedders_match_oracles_exhaustive():
     for j, b in enumerate(base):
         got = embedders(b, keys)
         assert [k for k, _ in got] == [i for i in range(len(base)) if (i, j) in embeds], b
-        for i, phi in got:
+        for i, table in got:
+            assert table[0] == 0, (base[i], b)
+            phi = MonotoneInjection.from_table(table)
             assert phi.pairs == greedy_witness(base[i], b), (base[i], b)
             assert_witness_valid(base[i], b, phi)
         hits += len(got)

@@ -34,6 +34,7 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
+from m2sl2.orders import embedders
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -343,10 +344,11 @@ def test_apply_reducer_warm_support_matches_product_oracle():
 
 
 def test_fused_lift_matches_the_two_public_steps_exhaustive():
-    # every embedding pair (a, b) of a small basis: the loop's one step gives
-    # apply_reducer(factorize_embedding(...)) term for term, and returns the
-    # triple's stored parts, which a trace record reads, on tails whose
-    # indices reach a.max_index + 1, so the witness is extended
+    # every embedding pair (a, b) of a small basis: the loop's one step, on
+    # the kernel's witness table, gives apply_reducer(factorize_embedding(...))
+    # term for term, and returns the triple's stored parts, which a trace
+    # record reads, on tails whose indices reach a.max_index + 1, so the
+    # witness is extended
     rng = random.Random(95)
     pools = {}
     pairs = extended = 0
@@ -358,16 +360,18 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
             pools[n] = terms, [m for m in terms if n in monomial_indices(m)]
         terms, reaching = pools[n]
         for b in basis:
-            phi = pwo_leq(a, b)
-            if phi is None:
+            hits = embedders(b, [a._embedding()])
+            if not hits:
                 continue
+            (_, table), = hits
+            phi = MonotoneInjection.from_table(table)
             pairs += 1
             for _ in range(2):
                 picked = [rng.choice(reaching)] + rng.sample(terms, rng.randint(0, 2))
                 tail = QPoly({m: rng.choice((-3, -1, 2, 5)) for m in picked})
                 triple = factorize_embedding(a, b, phi)
                 want = apply_reducer(triple, tail)
-                got, *parts = reduction._lift(a, b, phi, tail)
+                got, *parts = reduction._lift(a, b, table, tail)
                 assert list(got.items()) == list(want.terms.items()), (a, b, tail)
                 assert parts == [triple.n_yexp, triple.p_even, triple.p_odd], (a, b)
                 extended += phi.covering(tail._index_support()) is not phi
@@ -572,6 +576,34 @@ def test_untraced_reduce_by_matches_reference_loop(monkeypatch):
         assert r == ref
         assert list(r.terms) == list(ref.terms)
         assert set(calls) == {"_lift"} and calls["_lift"] > 20, (fam, calls)
+
+
+def test_tails_past_the_witness_extend_over_holes(monkeypatch):
+    # each generator's tail reaches past the indices of its leading term,
+    # with an index between left out (y3 past z1, y4 past z1*z2), so every
+    # lift extends its witness table through covering, over the hole as
+    # covering extends it; remainder and trace are the reference loop's
+    gens = [parse_poly(g) for g in ("z1 + y3", "2*z1*z2 - y1*y4")]
+    lift = reduction._lift
+    extended = Counter()
+
+    def counted(m, target, table, tail):
+        extended[tail._index_support()[-1] >= len(table)] += 1
+        return lift(m, target, table, tail)
+
+    monkeypatch.setattr(reduction, "_lift", counted)
+    basis = list(enumerate_basis(5, 5))
+    rng = random.Random(96)
+    for _ in range(4):
+        f = rand_sparse_poly(rng, basis, 80)
+        trace: list = []
+        want: list = []
+        ref = reference_reduce(f, gens, want)
+        r = reduce_by(f, gens, trace=trace)
+        assert list(r.terms.items()) == list(ref.terms.items())
+        assert trace == want
+        assert list(reduce_by(f, gens).terms.items()) == list(ref.terms.items())
+    assert set(extended) == {True} and extended[True] > 100, extended
 
 
 def test_remainder_terms_come_in_print_order(tmp_path, capsys):
