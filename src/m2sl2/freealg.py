@@ -144,15 +144,16 @@ class CanonicalMonomial:
         keeps a generator's leading monomial's data as its key."""
         emb = self._emb
         if emb is None:
-            n = self.max_index
-            cs, ds = [0] * n, [0] * n
-            for i in self.cseq:
+            yexp, cseq, dseq = self.yexp, self.cseq, self.dseq
+            cs = [0] * (cseq[-1] if cseq else 0)
+            ds = [0] * (dseq[-1] if dseq else 0)
+            for i in cseq:
                 cs[i - 1] += 1
-            for i in self.dseq:
+            for i in dseq:
                 ds[i - 1] += 1
-            ys = self.yexp + (0,) * (n - len(self.yexp))
-            emb = (bool(self.cseq), len(self.cseq), len(self.dseq), sum(self.yexp),
-                   tuple(zip(ys, cs, ds)))
+            # the rows run to the longest column: a pure-y monomial's are (e, 0, 0)
+            emb = (bool(cseq), len(cseq), len(dseq), sum(yexp),
+                   tuple(zip_longest(yexp, cs, ds, fillvalue=0)))
             _set(self, "_emb", emb)
         return emb
 
@@ -292,7 +293,7 @@ class QPoly(Combination):
         extends its witness over this once per lift, so a generator's
         support is computed once, not once per step.  The lifted polynomial
         is the generator's tail, to which reduction._record hands the whole
-        generator's support."""
+        generator's support when the tail has terms."""
         support = self._support
         if support is None:
             idx = {i for m in self.terms

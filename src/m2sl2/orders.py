@@ -39,13 +39,13 @@ touches (_monomial_need), reads the extension as a dict, and pushes the
 y-exponents and slot indices through it (_push_counts, _rename).
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
-the same injections.  The reduction step (reduction._lift, traced or not)
-calls the kernel itself: it reads N and P through the witness table, which
-_rename and _push_counts index as they index an image dict, renames each
-tail term through the table when the generator's kept index support lies
-within its sources and through one covering extension otherwise, and adds
-N's y-exponents and P's letters.  The public factorize_embedding and
-apply_reducer call it with an injection's pairs read as a dict.
+the same injections.  The public factorize_embedding renames through it
+with an injection's pairs read as a dict.  The reduction step
+(reduction._lift, traced or not) and apply_reducer do not call it: their
+lift (reduction._lift_terms) renames each term in the same pass that adds
+N's y-exponents and P's letters, through the witness table, which indexes
+like an image dict, when the generator's kept index support lies within
+its sources, and through one covering extension otherwise.
 """
 
 from dataclasses import dataclass

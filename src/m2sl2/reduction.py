@@ -35,9 +35,9 @@ those checks, for the factor command, membership_bounded and outside
 callers.  Only the tail is lifted: lm(g) lifts to M itself, whose
 coefficient the Euclidean division below settles, and the renaming is
 injective, so no tail term lands on M.  The lift is a closed-form map on
-each term, with no word product, written once (_lift_terms): rename along
-the extension, then multiply by N and P through the canonical product of
-freealg (_mono_mul).
+each term, with no word product, written once (_lift_terms): one pass per
+term adds the term's y-exponents, pushed along the extension, to N's, joins
+P's halves to its renamed slot classes, and builds the monomial once.
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients,
 taken once per distinct set of usable reducers within one loop call;
@@ -54,7 +54,6 @@ from .freealg import (
     CanonicalMonomial,
     QPoly,
     _interleave,
-    _mono_mul,
     _trim,
     enumerate_basis,
     monomial_to_obj,
@@ -198,11 +197,12 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
-    Each term of f is renamed along phi, then multiplied through
-    freealg._mono_mul by the canonical monomial with N's y-exponents, P's
-    even-position letters (from 0) as c-slots and its odd-position letters
-    as d-slots, all three read off the triple as they are kept: no word
-    product, no slicing and no intermediate monomial.  phi is extended once,
+    Each term of f is lifted in one pass of _lift_terms: renamed along phi,
+    with N's y-exponents added, P's even-position letters (from 0) joined
+    to its c-slots and its odd-position letters to its d-slots: no word
+    product and no intermediate monomial.  A triple built from a caller's P
+    word may keep P's halves unsorted, so they are sorted once per call,
+    as the kernel reads them.  phi is extended once,
     over f's index support, which f computes on its first lift and keeps,
     so the renaming acts as one letter substitution; extending term by term
     could merge terms (phi 1->2 sends both y1*y2 and y1*y3 to y2*y3 under
@@ -213,7 +213,7 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     The reduction loop does not call it: _lift is its unchecked form.
     membership_bounded passes whole generators.
     """
-    ny, p_even, p_odd = triple.n_yexp, triple.p_even, triple.p_odd
+    ny, p_even, p_odd = triple.n_yexp, tuple(sorted(triple.p_even)), tuple(sorted(triple.p_odd))
     if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
         raise ValueError("letter index must be >= 1")
     image = dict(triple.phi.covering(f._index_support()).pairs)
@@ -222,16 +222,41 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
 
 def _lift_terms(terms: dict, image, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
     """N . phi(t) . P for each term t of `terms`, as a new dict in the same
-    order: each monomial renamed through `image` (a dict or a witness table
-    covering its indices), then multiplied by N's y-exponents `ny` and P's
-    halves.  The lift of apply_reducer and of _lift."""
+    order, in one closed-form pass per term: the lift of apply_reducer and
+    of _lift.  `image` is a dict or a witness table covering t's indices,
+    `ny` N's trimmed y-exponents, and p_even, p_odd P's halves, each sorted.
+
+    N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial of
+    phi(t).(N P).  Its y-exponents are N's plus t's pushed along the image,
+    which stay trimmed; its slot classes are t's, mapped through the image
+    (which keeps them sorted), each joined by one of P's halves and sorted,
+    the halves swapped when t's z-length is odd, because P's letters then
+    start on a d-slot.  A term with no odd letters takes P's halves as they
+    are.  Each monomial is built once, with no intermediate one."""
     out: dict[CanonicalMonomial, int] = {}
     for m, c in terms.items():
-        # unpacked first: passing *_rename(...) made the lift about 10% slower
-        yexp, cseq, dseq = _rename(m, image, "both")
-        # N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial
-        # of phi(t).(N P); only that product's sign, (-1)^(zlen * deg N), differs
-        out[_mono_mul(yexp, cseq, dseq, ny, p_even, p_odd)[1]] = c
+        yexp, cseq = m.yexp, m.cseq
+        if yexp:
+            y = list(ny)
+            # yexp ends on a nonzero exponent, so its last index maps to the top
+            y += [0] * (image[len(yexp)] - len(y))
+            for i, e in enumerate(yexp, start=1):
+                if e:
+                    y[image[i] - 1] += e
+            y = tuple(y)
+        else:
+            y = ny
+        if cseq:
+            cs = [image[i] for i in cseq]
+            ds = [image[i] for i in m.dseq]
+            pc, pd = (p_even, p_odd) if len(cs) == len(ds) else (p_odd, p_even)
+            if pc:
+                cs = sorted([*cs, *pc])
+            if pd:
+                ds = sorted([*ds, *pd])
+            out[CanonicalMonomial._trusted(y, tuple(cs), tuple(ds))] = c
+        else:
+            out[CanonicalMonomial._trusted(y, p_even, p_odd)] = c
     return out
 
 
@@ -313,13 +338,18 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
     """What the reduction loop reads of a nonzero generator g with leading
     data ld when g is usable, built once: (ld, tail).
 
-    The tail is g minus its leading term; it keeps g's index support, so
-    _lift extends a witness over the same indices as for g.  Which
+    The tail is g minus its leading term.  A tail with terms keeps g's index
+    support, so _lift extends a witness over the same indices as for g.  An
+    empty tail lifts nothing, and _lift reads a support only to choose the
+    image, so g's support is not built for it: a one-term generator never
+    builds one, and a traced step on it still records its factorization,
+    read off the witness table.  Which
     generators are usable is decided on their keys, kept beside the records
     (see _reduce), so the record holds nothing of the embedding order.
     """
     tail = QPoly._trusted({m: c for m, c in g.terms.items() if m != ld.lm})
-    tail._support = g._index_support()
+    if tail.terms:
+        tail._support = g._index_support()
     return ld, tail
 
 

@@ -1,0 +1,98 @@
+"""Alternating benchmark runs of this tree and a second checkout.
+
+    python tests/bench_pairs.py --parent PATH --workload W --seeds A-B [--seconds 30]
+
+For each seed from A to B, one pair of runs of
+`perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, each
+tree running its own `perfbench/` from its own root in a fresh interpreter.
+On an even seed the parent runs first, on an odd one this tree does, so
+neither tree always runs on a host that has just warmed up.
+
+Each run's last stdout line is its JSON result.  The script prints, for
+each end-to-end metric that this tree's BENCHMARK.json lists, the median of
+each tree over the seeds, their ratio (this tree over the parent), the
+pairs this tree read better in the metric's direction, and the
+interquartile range of the parent's runs, which a median gain must exceed
+to stand out from the parent's own spread.  It exits non-zero when any run
+failed, read incorrect, or counted a failed job.  It only prints the
+ratios; it is no gate on them.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """One benchmark run in `tree`: its JSON result, or None when the run
+    crashed or printed none."""
+    done = subprocess.run(
+        [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(done.stdout + done.stderr)
+        return None
+
+
+def iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=seed_range, help="A-B, both included")
+    ap.add_argument("--seconds", type=float, default=30)
+    args = ap.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    results: dict[str, list] = {"parent": [], "change": []}
+    bad = []
+    for seed in args.seeds:
+        for tree in (("parent", "change") if seed % 2 == 0 else ("change", "parent")):
+            res = run(trees[tree], args.workload, seed, args.seconds)
+            if res is None or not res["correct"] or res["failed"]:
+                bad.append(f"{tree} seed {seed}: "
+                           + ("no result" if res is None else f"{res['failed']} failed jobs"))
+                continue
+            results[tree].append((seed, {k: v["value"] for k, v in res["metrics"].items()}))
+            print(f"seed {seed} {tree:6} " + "  ".join(
+                f"{m['name']} {results[tree][-1][1][m['name']]:.6g}" for m in metrics), flush=True)
+    for line in bad:
+        print(f"FAIL {line}")
+    if bad:
+        return 1
+    print(f"{args.workload}, {len(args.seeds)} pairs: parent median -> change median (ratio), "
+          "pairs the change read better, parent IQR")
+    for metric in metrics:
+        name = metric["name"]
+        parent = [m[name] for _, m in results["parent"]]
+        change = [m[name] for _, m in results["change"]]
+        sign = 1 if metric["better"] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        p50, c50 = statistics.median(parent), statistics.median(change)
+        print(f"  {name:14} {p50:10.5g} -> {c50:10.5g} {metric['unit']:4} (x{c50 / p50:.3f})"
+              f"  won {won}/{len(parent)}  parent IQR {iqr(parent):.4g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,9 @@ Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
 reduce_by on its polynomial against the three generators of its file, with
 no trace, as the reduce command runs it; each `chain` job is chain_demo on
 its stream.  The counts are taken by wrapping the names the loop calls: the
-embedding kernel, the lift, the gcd, and every MonotoneInjection built."""
+embedding kernel, the lift, the gcd, the renaming of the public
+factorization (which the lift does not call), every MonotoneInjection built,
+and every index support built rather than read from its cache."""
 
 import sys
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 
 import m2sl2.orders
 import m2sl2.reduction as reduction
+from m2sl2.freealg import QPoly
 from m2sl2.orders import MonotoneInjection
 from m2sl2.parsing import parse_poly
 
@@ -40,10 +43,10 @@ def _jobs(workload: str) -> list[list]:
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Calls of embedders, _lift and bezout as reduction calls them, the
-    MonotoneInjections built (validated or not), and `sets`: the distinct
-    tuples of usable generator positions met within each _reduce call,
-    summed over the calls."""
+    """Calls of embedders, _lift, bezout and _rename as reduction calls them,
+    the MonotoneInjections built (validated or not), the index supports
+    built (`supports`), and `sets`: the distinct tuples of usable generator
+    positions met within each _reduce call, summed over the calls."""
     seen: Counter = Counter()
     sets: list[set] = []
     embedders = reduction.embedders
@@ -64,7 +67,7 @@ def counts(monkeypatch) -> Counter:
 
     monkeypatch.setattr(reduction, "embedders", counted_embedders)
     monkeypatch.setattr(reduction, "_reduce", counted_reduce)
-    for name in ("_lift", "bezout"):
+    for name in ("_lift", "bezout", "_rename"):
         def counted(*args, _fn=getattr(reduction, name), _name=name):
             seen[_name] += 1
             return _fn(*args)
@@ -83,6 +86,12 @@ def counts(monkeypatch) -> Counter:
 
     monkeypatch.setattr(m2sl2.orders, "_new", counted_new)
     monkeypatch.setattr(MonotoneInjection, "__post_init__", counted_post_init)
+
+    def counted_support(self, _fn=QPoly._index_support):
+        seen["supports"] += self._support is None
+        return _fn(self)
+
+    monkeypatch.setattr(QPoly, "_index_support", counted_support)
     return seen
 
 
@@ -93,8 +102,22 @@ def test_reduce_work(counts):
         reduction.reduce_by(f, gens)
     # one embedders call per step, one lift per usable generator with a tail
     # and a nonzero Bezout coefficient, and one gcd per distinct usable set
-    # of each reduce_by call: the witness tables build no injection
-    assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136}
+    # of each reduce_by call: the witness tables build no injection, the
+    # lift renames no term through _rename, and each generator's support is
+    # built once
+    assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
+                      "supports": 102}
+
+
+def test_traced_reduce_work(counts):
+    jobs = _jobs("reduce")
+    for f, *gens in jobs:
+        reduction.reduce_by(f, gens, trace=[])
+    # every generator of these jobs has a tail, so a traced pass lifts as an
+    # untraced one does, still with no _rename call, and builds only the
+    # injection each step's record prints
+    assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
+                      "supports": 102, "MonotoneInjection": 7504}
 
 
 def test_chain_work(counts):
@@ -103,5 +126,6 @@ def test_chain_work(counts):
     for stream in jobs:
         reduction.chain_demo(stream)
     # the stream's items are single terms, so the generators' tails are
-    # empty and no untraced step lifts or builds an injection
+    # empty: no untraced step lifts or builds an injection, and no
+    # generator builds an index support
     assert counts == {"embedders": 3600, "bezout": 1796, "sets": 1796}

@@ -34,7 +34,8 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
-from m2sl2.orders import embedders
+from m2sl2.freealg import _mono_mul
+from m2sl2.orders import _rename, embedders
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -379,6 +380,48 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
     assert extended == 2 * pairs
 
 
+def _rows(terms) -> list:
+    """A lift's terms as plain data, in order: (yexp, cseq, dseq, coeff)."""
+    return [(m.yexp, m.cseq, m.dseq, c) for m, c in terms.items()]
+
+
+def _lift_by_product(terms: dict, image, ny, p_even, p_odd) -> list:
+    """The lift written the long way: each term renamed through the image,
+    then multiplied by N and P through the canonical product, as rows."""
+    return _rows({_mono_mul(*_rename(m, image, "both"), ny, p_even, p_odd)[1]: c
+                  for m, c in terms.items()})
+
+
+def test_lift_terms_match_rename_then_product_exhaustive():
+    # every term of a small basis, lifted in the kernel's one pass, gives the
+    # monomial of the renamed term times N and P, as tuples, in the same
+    # order and with the same coefficient; under a witness table of
+    # embedders and under a covering dict that filled a hole, with P of
+    # even and of odd length after terms of every z-length parity
+    terms = {m: k + 1 for k, m in enumerate(enumerate_basis(4, 3))}
+    (_, table), = embedders(mk((1, 0, 2, 0, 1, 3)), [mk((1, 1, 1))._embedding()])
+    assert table == [0, 1, 3, 5]
+    filled = dict(MonotoneInjection(((1, 2), (3, 7))).covering(range(1, 4)).pairs)
+    assert filled == {1: 2, 2: 3, 3: 7}
+    halves = [((), ()), ((3,), ()), ((2, 5), (1, 4)), ((1, 1, 6), (2, 2))]
+    for image in (table, filled):
+        for ny in ((), (2,), (1, 0, 3), (0,) * 7 + (1,)):
+            for p_even, p_odd in halves:
+                got = reduction._lift_terms(terms, image, ny, p_even, p_odd)
+                assert _rows(got) == _lift_by_product(terms, image, ny, p_even, p_odd), \
+                    (image, ny, p_even, p_odd)
+
+    # a triple built from a caller's P word may keep its halves unsorted:
+    # apply_reducer lifts as the canonical product does, which sorts them
+    g = QPoly(terms)
+    phi = MonotoneInjection(((1, 2), (3, 7)))
+    for p_word in ((5, 1, 2), (4, 3, 1, 2, 2), (6, 2, 3, 1)):
+        triple = ReducerTriple(phi, mk((1, 0, 3)), p_word)
+        assert sorted(triple.p_even) != list(triple.p_even)
+        want = _lift_by_product(g.terms, filled, triple.n_yexp, triple.p_even, triple.p_odd)
+        assert _rows(apply_reducer(triple, g).terms) == want, p_word
+
+
 def test_lift_keeps_ideal_membership():
     # the lift of an identity is an identity: outer multiplications and
     # renamings preserve the vanishing on generic matrices
@@ -717,8 +760,14 @@ def test_support_built_once_per_generator(monkeypatch):
     stream = [mono(m, rng.choice((-6, -4, -3, 2, 3, 5, 7))) for m in rng.sample(basis, 120)]
     report = chain_demo(stream)
     assert len(report.generators) >= 20
+    # one-term generators have empty tails, which lift nothing: no support
+    assert builds == Counter()
+
+    # a generator with a tail builds its support once, when it is adjoined
+    basis = list(enumerate_basis(4, 2))
+    gens = [g for _ in range(10) for g in chain_demo(rand_stream(rng, basis, 12)).generators]
     assert sum(builds.values()) >= 10
-    assert set(builds) <= {id(g) for g in report.generators}
+    assert set(builds) <= {id(g) for g in gens if len(g.terms) > 1}
     assert max(builds.values()) == 1
 
     builds.clear()
