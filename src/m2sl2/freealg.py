@@ -19,12 +19,13 @@ The canonical monomial pins down a basis of the quotient: polynomials
 (QPoly) are integer combinations of canonical monomials, whose sum,
 difference and scaling come from ring.Combination, and arithmetic always
 returns canonical representations.  The one rule of their own is the
-product (_mono_mul_into), where two monomials multiply in closed form
-(_mono_mul):
+product (_mono_mul_into), where two monomials multiply in closed form:
 a.b carries the sign (-1)^(zlen(a) * ydeg(b)), from moving b's y-letters past
 a's z-block; the y-exponents add; and b's c- and d-slot letters join a's
 slot classes, swapping class when zlen(a) is odd, because b's z-block then
-starts on a d-slot.  No product goes through words; reduce_word reads a word
+starts on a d-slot.  The product sums these as plain (yexp, cseq, dseq)
+tuples and builds a CanonicalMonomial only for each term that survives.
+No product goes through words; reduce_word reads a word
 in, reduce_powers a word written as powers of letters, without building it,
 and CanonicalMonomial.word writes one out.
 """
@@ -228,36 +229,37 @@ def reduce_powers(factors) -> tuple[int, CanonicalMonomial]:
         tuple(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2])))
 
 
-def _mono_mul(ay: tuple, ac: tuple, ad: tuple,
-              by: tuple, bc: tuple, bd: tuple) -> tuple[int, CanonicalMonomial]:
-    """The product of the canonical monomials with parts (ay, ac, ad) and
-    (by, bc, bd), as (sign, monomial), by the rule in the module docstring.
-
-    a's parts must be canonical; b's slot tuples may come in any order, as
-    each slot class that gains letters is sorted here.  The sum of two
-    trimmed exponent rows is trimmed."""
-    if len(ac) == len(ad):  # zlen(a) is even
-        sign = 1
-    else:
-        bc, bd, sign = bd, bc, (-1 if sum(by) & 1 else 1)
-    return sign, CanonicalMonomial._trusted(
-        tuple([e + f for e, f in zip_longest(ay, by, fillvalue=0)]) if by else ay,
-        tuple(sorted(ac + bc)) if bc else ac, tuple(sorted(ad + bd)) if bd else ad)
-
-
 def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
-    """acc += left * right for two CanonicalMonomial -> int dicts, in place,
-    dropping terms that cancel: QPoly's product, the twin of ring._mul_into."""
-    right = [(m2.yexp, m2.cseq, m2.dseq, c2) for m2, c2 in right.items()]
+    """acc, which comes in empty, gets left * right for two CanonicalMonomial
+    -> int dicts, dropping terms that cancel: QPoly's product, the twin of
+    ring._mul_into.
+
+    Each pair multiplies in closed form, by the rule in the module
+    docstring, and its product is summed under its plain (yexp, cseq, dseq)
+    tuple; a CanonicalMonomial is built only for each term that survives.
+    A term keeps its place from when it last became nonzero, so one that
+    cancels and comes back moves to the end.  The sum of two trimmed
+    exponent rows is trimmed, and slot tuples of canonical monomials come
+    sorted, so a class that gains letters from both sides is the one sorted."""
+    # b's parts as a meets them: with zlen(a) odd, b's classes swap and
+    # its y-letters each cost a sign
+    even = [(m.yexp, m.cseq, m.dseq, c) for m, c in right.items()]
+    odd = [(by, bd, bc, -c if sum(by) & 1 else c) for by, bc, bd, c in even]
+    sums: dict[tuple, int] = {}
     for m1, c1 in left.items():
         ay, ac, ad = m1.yexp, m1.cseq, m1.dseq
-        for by, bc, bd, c2 in right:
-            sign, m = _mono_mul(ay, ac, ad, by, bc, bd)
-            n = acc.get(m, 0) + sign * c1 * c2
+        for by, bc, bd, c2 in (odd if len(ac) != len(ad) else even):
+            y = tuple([e + f for e, f in zip_longest(ay, by, fillvalue=0)]) if ay and by else ay or by
+            key = (y, tuple(sorted(ac + bc)) if ac and bc else ac or bc,
+                   tuple(sorted(ad + bd)) if ad and bd else ad or bd)
+            n = sums.get(key, 0) + c1 * c2
             if n:
-                acc[m] = n
+                sums[key] = n
             else:
-                acc.pop(m, None)
+                sums.pop(key, None)
+    trusted = CanonicalMonomial._trusted
+    for (y, c, d), n in sums.items():
+        acc[trusted(y, c, d)] = n
 
 
 class QPoly(Combination):
@@ -469,9 +471,22 @@ def enumerate_basis(max_degree: int, max_index: int):
     index <= max_index, in a fixed degree-graded order.
 
     The caps are checked on the call; the monomials are generated lazily."""
+    return _basis(_basis_classes(max_degree, max_index), range(1, max_index + 1))
+
+
+def _basis_classes(max_degree: int, max_index: int):
+    """The (degree, y-degree) classes of enumerate_basis, in its order: by
+    degree d, then y-degree e from d down to 0, each as (its y-exponent
+    vectors, c-slot count ceil((d-e)/2), d-slot count floor((d-e)/2)).
+
+    The caps are checked on the call; the classes, and each class's
+    vectors, are generated lazily, so a caller that stops early draws only
+    the vectors it read.  enumerate_basis joins each vector to every slot
+    choice; genmat.independence_report reads the classes themselves."""
     if max_degree < 0 or max_index < 1:
         raise ValueError("need max_degree >= 0 and max_index >= 1")
-    return _basis(max_degree, max_index)
+    return ((_exponent_vectors(max_index, e), (d - e + 1) // 2, (d - e) // 2)
+            for d in range(max_degree + 1) for e in range(d, -1, -1))
 
 
 def _basis_size(max_degree: int, max_index: int, cap: int) -> int:
@@ -501,15 +516,12 @@ def _capped_basis_size(max_degree: int, max_index: int, cap: int = MAX_BASIS) ->
     return count
 
 
-def _basis(max_degree: int, max_index: int):
-    idx = range(1, max_index + 1)
-    for d in range(max_degree + 1):
-        for ydeg in range(d, -1, -1):
-            zlen = d - ydeg
-            clen = (zlen + 1) // 2
-            dlen = zlen // 2
-            for yv in _exponent_vectors(max_index, ydeg):
-                yexp = _trim(yv)
-                for cs in combinations_with_replacement(idx, clen):
-                    for ds in combinations_with_replacement(idx, dlen):
-                        yield CanonicalMonomial._trusted(yexp, cs, ds)
+def _basis(classes, idx: range):
+    """Each class's monomials: every y-exponent vector, trimmed, with every
+    c-slot then d-slot multiset over idx, nothing built ahead of its turn."""
+    for yvecs, clen, dlen in classes:
+        for yv in yvecs:
+            yexp = _trim(yv)
+            for cs in combinations_with_replacement(idx, clen):
+                for ds in combinations_with_replacement(idx, dlen):
+                    yield CanonicalMonomial._trusted(yexp, cs, ds)

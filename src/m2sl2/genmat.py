@@ -17,13 +17,16 @@ sigma (_conj) negates each alpha and swaps beta with gamma, so it is carried
 as its first row (e11, e12) alone.  A product is four block products of
 rows, in closed form; row 2 is built by _conj only where a GMatrix2 is
 handed out.  A basis monomial puts one +-1 term in row 1, so the rank of the
-independence matrix is the count of distinct row-1 entries.
+independence matrix is the count of distinct row-1 entries.  That count is
+read per (degree, y-degree) class of the basis (freealg._basis_classes):
+each class's beta- and gamma-parts are built once and joined to each
+alpha-part, with no monomial built.
 """
 
 from dataclasses import asdict, dataclass
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 
-from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size, enumerate_basis
+from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _basis_classes, _capped_basis_size
 from .intlinalg import _row_axpy
 from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
@@ -106,26 +109,27 @@ def _word_entries(w) -> tuple[int, Term, int]:
     k-th odd letter (k = 0, 1, ...) gives a beta when k is even and a gamma
     when k is odd, and each even letter that comes after an odd number of
     odd ones negates the sign.  No canonical reduction is involved.
+
+    The letters are counted into one dict keyed by ring variable, and the
+    families sort alpha < beta < gamma, so one sort gives the term.  An
+    unknown family raises as it is read; indices below 1 are checked after.
     """
-    ys: dict[int, int] = {}
-    cs: dict[int, int] = {}
-    ds: dict[int, int] = {}
+    counts: dict = {}
     nz = flips = 0
     for fam, idx in w:
         if fam == "y":
-            ys[idx] = ys.get(idx, 0) + 1
+            var = ("alpha", idx)
             flips += nz & 1
         elif fam == "z":
-            slot = ds if nz & 1 else cs
-            slot[idx] = slot.get(idx, 0) + 1
+            var = ("gamma" if nz & 1 else "beta", idx)
             nz += 1
         else:
             raise ValueError(f"unknown letter family {fam!r}")
-    y_items, c_items, d_items = sorted(ys.items()), sorted(cs.items()), sorted(ds.items())
-    if any(items and items[0][0] < 1 for items in (y_items, c_items, d_items)):
+        counts[var] = counts.get(var, 0) + 1
+    term = tuple(sorted(counts.items()))
+    if any(idx < 1 for _, idx in counts):
         raise ValueError("letter index must be >= 1")
-    return (nz & 1, _family_term("alpha", y_items) + _family_term("beta", c_items)
-            + _family_term("gamma", d_items), -1 if flips & 1 else 1)
+    return nz & 1, term, -1 if flips & 1 else 1
 
 
 def _slot_entries(monos):
@@ -156,8 +160,13 @@ def _slot_part(memo: dict, family: str, seq: tuple) -> Term:
     with that tuple and kept in memo."""
     part = memo.get(seq)
     if part is None:
-        part = memo[seq] = _family_term(family, [(i, len(list(run))) for i, run in groupby(seq)])
+        part = memo[seq] = _slot_term(family, seq)
     return part
+
+
+def _slot_term(family: str, seq: tuple) -> Term:
+    """The family's term for a sorted slot tuple."""
+    return _family_term(family, [(i, len(list(run))) for i, run in groupby(seq)])
 
 
 def eval_word(w) -> GMatrix2:
@@ -241,44 +250,27 @@ def _row1_terms(m: tuple[dict, dict]) -> list[tuple[int, int]]:
     return [(sum(e for _, e in term), c) for entry in m for term, c in entry.items()]
 
 
-def evaluate_tree(node) -> GMatrix2:
-    """The generic evaluation of a parse tree (parsing.parse), node by node.
-
-    Equal to evaluate(parsing.to_words(node)): parsing.fold_tree over the
-    first rows (parse has checked the word cap).  Sums, brackets and the
-    nodes built on them are matrices: sums add, products multiply, a
-    power squares and a bracket is AB - BA, so the cost follows the tree, not
-    its raw expansion.  A power whose base has one canonical term charges the power
-    caps by that term, read off row 1, as parse_poly does; to_words charges
-    only powers of single raw words, so such an input may fail here and
-    expand there.  No canonical reduction is involved.
-    """
-    return _matrix(_tree_row(node))
-
-
 def _tree_row(node) -> tuple[dict, dict]:
-    """The first row of evaluate_tree(node), with no row 2 built: the matrix
-    is zero exactly when this row is, so cli's is-identity tests it alone."""
+    """The first row of the generic evaluation of a parse tree
+    (parsing.parse), node by node, with no row 2 built: the matrix is zero
+    exactly when this row is, so cli's is-identity tests it alone.
+
+    Equal to the first row of evaluate(parsing.to_words(node)):
+    parsing.fold_tree over the first rows (parse has checked the word cap).
+    Sums, brackets and the nodes built on them are matrices: sums add,
+    products multiply, a power squares and a bracket is AB - BA, so the cost
+    follows the tree, not its raw expansion.  A power whose base has one
+    canonical term charges the power caps by that term, read off row 1, as
+    parse_poly does; to_words charges only powers of single raw words, so
+    such an input may fail here and expand there.  No canonical reduction is
+    involved.
+    """
     return fold_tree(node, _words_matrix, _add_into, _mat_mul, _row1_terms)
 
 
 def is_graded_weak_identity(f) -> bool:
     """True iff f vanishes identically on the graded pair; exact."""
     return evaluate(f).is_zero()
-
-
-def monomial_row(m: CanonicalMonomial) -> dict:
-    """The evaluation of m flattened to a sparse integer row, read off its
-    slots (_slot_entries).
-
-    Columns are (entry position, commutative-term key) pairs; entry positions
-    run e11, e12, e21, e22.  Each basis monomial hits exactly two entries with
-    a single +/-1 term each: alpha^yexp * beta^cseq * gamma^dseq with +1 in
-    e11 for an even z-block, else in e12, and its _conj at the opposite
-    position of row 2.
-    """
-    pos, term, sign = next(_slot_entries((m,)))
-    return {(pos, term): sign} | {(3 - pos, t): c for t, c in _conj({term: sign}).items()}
 
 
 @dataclass(frozen=True)
@@ -306,8 +298,23 @@ def independence_report(max_degree: int = 6, max_index: int = 3) -> Independence
     positions, so the full rows have the rank of their row-1 parts, and each
     row-1 part is a single +-1 entry, so that rank is the number of distinct
     entries.
+
+    The entries are read per (degree, y-degree) class of the basis, after
+    the cap has passed: a class's c- and d-slot multisets give its
+    beta-gamma parts, built once, and each y-exponent vector's alpha-part
+    joins every one of them, as _slot_entries would join them per monomial,
+    in e12 when the class has an odd z-block.
     """
-    monos = enumerate_basis(max_degree, max_index)  # validates the caps at once
+    classes = _basis_classes(max_degree, max_index)  # validates the caps at once
     count = _capped_basis_size(max_degree, max_index, MAX_BASIS)
-    return IndependenceReport(max_degree, max_index, count,
-                              len({(pos, term) for pos, term, _ in _slot_entries(monos)}))
+    idx = range(1, max_index + 1)
+    seen: set = set()
+    for yvecs, clen, dlen in classes:
+        pos = int(clen != dlen)
+        betas = [_slot_term("beta", cs) for cs in combinations_with_replacement(idx, clen)]
+        gammas = [_slot_term("gamma", ds) for ds in combinations_with_replacement(idx, dlen)]
+        slots = [b + g for b in betas for g in gammas]
+        for yv in yvecs:
+            a = _family_term("alpha", [(i, e) for i, e in enumerate(yv, 1) if e])
+            seen.update([(pos, a + s) for s in slots])
+    return IndependenceReport(max_degree, max_index, count, len(seen))

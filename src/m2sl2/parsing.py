@@ -33,7 +33,7 @@ of a text.  `fold_tree` folds a parse tree into a ring instead, keeping
 products and powers of word leaves as words and everything else as ring
 values, so that the cost follows the tree, not its raw expansion.
 `parse_poly` is that fold over canonical polynomials (QPoly), and
-genmat.evaluate_tree the same fold over generic matrices.  The word cap and
+genmat._tree_row the same fold over generic matrices.  The word cap and
 the power caps are applied here alone; both folds charge a power by its
 base's canonical term when it has one, the raw expansion by its base's word,
 and all three bill a word leaf's charge when they reach it.
@@ -542,7 +542,7 @@ def parse_poly(text: str) -> QPoly:
     the size of its canonical form, not of its raw expansion.  The word cap
     still applies to the raw expansion, and a power whose base normalizes
     to one term charges the power caps by that term, as
-    genmat.evaluate_tree does.
+    genmat._tree_row does.
     """
     coeffs, runs, absorbed, pos = [], [], 0, 0  # the terms read, letters charged, offset
     while pos < len(text) or not runs:

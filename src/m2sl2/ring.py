@@ -65,7 +65,8 @@ class Combination:
     a nonzero int, so equality is plain dict equality.
 
     A subclass sets _unit, the key that an int stands for, and _product, its
-    kernel acc += left * right on two term dicts.  Every operand test is
+    kernel acc += left * right on two term dicts, which __mul__ calls with a
+    fresh, empty acc.  Every operand test is
     against type(self): an int is read as a multiple of _unit, and any other
     type is refused, so two subclasses never mix.  __rmul__ is reached only
     with an int on the left, and a non-commutative _product never runs with

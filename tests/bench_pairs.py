@@ -1,6 +1,7 @@
 """Alternating benchmark runs of this tree and a second checkout.
 
     python tests/bench_pairs.py --parent PATH --workload W --seeds A-B [--seconds 30]
+                                [--write FILE]
 
 For each seed from A to B, one pair of runs of
 `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, each
@@ -16,10 +17,19 @@ interquartile range of the parent's runs, which a median gain must exceed
 to stand out from the parent's own spread.  It exits non-zero when any run
 failed, read incorrect, or counted a failed job.  It only prints the
 ratios; it is no gate on them.
+
+With --write FILE it also writes those figures, and each run's values, as
+the workload's entry of a JSON object in FILE, keeping the entries of other
+workloads already there.  The entry records the seeds, --seconds, the
+Python version, the CPU count, and the commit of each tree that is a git
+checkout, with whether its files differed from that commit.  The root
+BENCH_e2e.json holds one such entry per workload.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -48,6 +58,26 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
         return None
 
 
+def commit(tree: Path) -> dict | None:
+    """The commit a tree is checked out at, and whether its tracked files
+    differ from it; None when the tree is not the root of a git checkout."""
+    def git(*argv) -> str | None:
+        done = subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    if git("rev-parse", "--show-toplevel") != str(tree):
+        return None
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "-uno"))}
+
+
+def write_entry(path: Path, workload: str, entry: dict) -> None:
+    """Set the workload's entry of the JSON object in `path`, keeping the
+    others."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[workload] = entry
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def iqr(values: list) -> float:
     if len(values) < 2:
         return 0.0
@@ -61,6 +91,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_range, help="A-B, both included")
     ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--write", type=Path, metavar="FILE",
+                    help="also write the figures as the workload's entry of this JSON file")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
@@ -82,6 +114,7 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, {len(args.seeds)} pairs: parent median -> change median (ratio), "
           "pairs the change read better, parent IQR")
+    figures = {}
     for metric in metrics:
         name = metric["name"]
         parent = [m[name] for _, m in results["parent"]]
@@ -91,6 +124,15 @@ def main(argv=None) -> int:
         p50, c50 = statistics.median(parent), statistics.median(change)
         print(f"  {name:14} {p50:10.5g} -> {c50:10.5g} {metric['unit']:4} (x{c50 / p50:.3f})"
               f"  won {won}/{len(parent)}  parent IQR {iqr(parent):.4g}")
+        figures[name] = {"unit": metric["unit"], "better": metric["better"], "parent_median": p50,
+                         "change_median": c50, "ratio": c50 / p50, "won": won,
+                         "pairs": len(parent), "parent_iqr": iqr(parent)}
+    if args.write:
+        write_entry(args.write, args.workload, {
+            "seeds": [args.seeds.start, args.seeds.stop - 1], "seconds": args.seconds,
+            "python": platform.python_version(), "cpus": os.cpu_count(),
+            "commits": {tree: commit(path) for tree, path in trees.items()},
+            "metrics": figures, "runs": results})
     return 0
 
 

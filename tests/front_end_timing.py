@@ -112,12 +112,13 @@ def compare(doc: str, items: dict[str, list], setup: str, unit: str, argv=None) 
         for tree in (("change", "parent") if r % 2 else ("parent", "change")):
             for name, seconds in time_tree(trees[tree], payload, setup).items():
                 times[tree][name].append(seconds)
+    width = max(map(len, items))
     for name, batch in items.items():
         parent, change = min(times["parent"][name]) * 1e3, min(times["change"][name]) * 1e3
         ratios = [c / p for c, p in zip(times["change"][name], times["parent"][name])]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
         won = sum(x < 1 for x in ratios)
-        print(f"{name:7} {len(batch):5} {unit}  parent {parent:8.2f} ms  change {change:8.2f} ms"
+        print(f"{name:{width}} {len(batch):5} {unit}  parent {parent:8.2f} ms  change {change:8.2f} ms"
               f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)"
               f"  per-round ratio quartiles {q1:.3f} {median:.3f} {q3:.3f}, won {won}/{ROUNDS}")
 

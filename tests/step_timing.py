@@ -1,5 +1,6 @@
 """Interleaved in-process timing of the reduction loop on the benchmark's
-seed-1 `reduce` and `chain` jobs, for this tree against a second checkout.
+seed-1 `reduce` and `chain` jobs, and of the seed-1 `identity` jobs, for
+this tree against a second checkout.
 
     python tests/step_timing.py --parent PATH
 
@@ -18,6 +19,15 @@ then times five and keeps the least.  Three batches are timed:
   from the factorization the lift returns;
 - `chain` calls chain_demo on the stream, whose items each go through the
   same reduction loop against the generators adjoined so far.
+
+Then, in children of their own, the seed-1 `identity` jobs, one batch per
+job kind, each job a one-item list untouched by prepare, so its parse is
+timed as the command runs it:
+- `is-identity` folds each text's parse tree over generic first rows,
+  `_tree_row(parse(text))`, as is-identity does before it tests for zero;
+- `normalize` reads each text through parse_poly;
+- `independence` runs independence_report(5, 3) and (6, 3), the seed-1
+  `independence` jobs.
 
 The script prints, per batch, the least time of each tree over the rounds
 and their ratio, this tree over the parent, then the quartiles of the
@@ -40,6 +50,17 @@ step = {"reduce": lambda job: reduce_by(job[0], job[1:]),
 """
 
 
+IDENTITY = """
+from m2sl2.genmat import _tree_row, independence_report
+from m2sl2.parsing import parse, parse_poly
+
+prepare = tuple
+step = {"is-identity": lambda job: _tree_row(parse(job[0])),
+        "normalize": lambda job: parse_poly(job[0]),
+        "independence": lambda job: independence_report(*job)}
+"""
+
+
 def step_jobs() -> dict[str, list]:
     """Each seed-1 job of a batch as its list of polynomial texts."""
     def lines(job) -> list[str]:
@@ -51,8 +72,23 @@ def step_jobs() -> dict[str, list]:
     return {"reduce": reduce, "traced": reduce, "chain": chain}
 
 
+def identity_jobs() -> dict[str, list]:
+    """Each seed-1 `identity` job of a kind as its argument list: the text
+    of an is-identity or normalize job, the caps of an independence job."""
+    out: dict[str, list] = {"is-identity": [], "normalize": [], "independence": []}
+    for job in seed1_jobs("identity"):
+        kind = job.argv[0]
+        if kind == "independence":
+            argv = job.argv
+            out[kind].append([int(argv[argv.index(flag) + 1]) for flag in ("--degree", "--indices")])
+        else:
+            out[kind].append([job.argv[1]])
+    return out
+
+
 def main(argv=None) -> None:
     compare(__doc__, step_jobs(), REDUCE, "jobs", argv)
+    compare(__doc__, identity_jobs(), IDENTITY, "jobs", argv)
 
 
 if __name__ == "__main__":

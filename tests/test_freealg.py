@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +23,19 @@ from m2sl2 import (
     reduce_word,
     subst_words,
 )
-from m2sl2.cli import poly_obj
-from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors, _mono_mul
+from m2sl2.cli import main, poly_obj
+import m2sl2.freealg as freealg
+from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
 from tests.util import (
+    mono_mul,
     monomial_from_obj,
     monomial_indices,
+    pairwise_product,
     rand_lie,
     rand_monomial,
     rand_qpoly,
     recursive_exponent_vectors,
+    reference_basis,
     word,
     y,
     z,
@@ -146,18 +151,47 @@ def test_mono_mul_matches_word_product_exhaustive():
         for a in basis:
             wa, parts = a.word(), (a.yexp, a.cseq, a.dseq)
             for b in basis:
-                assert _mono_mul(*parts, b.yexp, b.cseq, b.dseq) == reduce_word(wa + b.word()), (a, b)
+                sign, m = reduce_word(wa + b.word())
+                assert mono_mul(*parts, b.yexp, b.cseq, b.dseq) == (sign, m), (a, b)
+                assert QPoly.monomial(a) * QPoly.monomial(b) == QPoly.monomial(m, sign), (a, b)
                 pairs += 1
     assert pairs == 18_212
 
 
+def test_qpoly_product_matches_pairwise_fold():
+    # QPoly's product sums plain tuples and builds each surviving monomial
+    # once; the fold through mono_mul one pair at a time is the oracle, for
+    # the terms and for their dict order, where a term that cancels and
+    # comes back moves to the end
+    y1, y2, k = mk((1,)), mk((0, 1)), mk((1, 1))
+    a = QPoly({y1: 1, y2: -1, ONE: 1})
+    b = QPoly({y2: 1, y1: 1, k: 1})
+    want, back = pairwise_product(a, b)
+    assert back == 1 and list(want)[-1] == k  # y1*y2 - y2*y1 + 1*(y1 y2)
+    assert list((a * b).terms.items()) == list(want.items())
+    rng = random.Random(107)
+    basis = list(enumerate_basis(2, 2))
+    comebacks = 0
+    for _ in range(400):
+        a, b = (QPoly({rng.choice(basis): rng.choice((-1, 1)) for _ in range(rng.randint(1, 12))})
+                for _ in range(2))
+        want, back = pairwise_product(a, b)
+        got = a * b
+        assert list(got.terms.items()) == list(want.items()), (a, b)
+        comebacks += back
+    for _ in range(100):
+        a, b = rand_qpoly(rng), rand_qpoly(rng)
+        assert list((a * b).terms.items()) == list(pairwise_product(a, b)[0].items()), (a, b)
+    assert comebacks > 50, comebacks  # 94 here
+
+
 def test_mono_mul_sign_and_slot_swap():
     # z1 times y1*z2: y1 moves past one odd letter, and z2 lands on a d-slot
-    assert _mono_mul((), (1,), (), (1,), (2,), ()) == (-1, mk((1,), (1,), (2,)))
+    assert mono_mul((), (1,), (), (1,), (2,), ()) == (-1, mk((1,), (1,), (2,)))
     # an even z-block keeps b's classes, and y-letters cost no sign past it
-    assert _mono_mul((), (1,), (3,), (1,), (2,), ()) == (1, mk((1,), (1, 2), (3,)))
+    assert mono_mul((), (1,), (3,), (1,), (2,), ()) == (1, mk((1,), (1, 2), (3,)))
     # y-exponents add, and b's slot tuples need not come sorted
-    assert _mono_mul((0, 1), (), (), (2,), (3, 1), (2,)) == (1, mk((2, 1), (1, 3), (2,)))
+    assert mono_mul((0, 1), (), (), (2,), (3, 1), (2,)) == (1, mk((2, 1), (1, 3), (2,)))
 
 
 def test_commutator_examples():
@@ -396,6 +430,38 @@ def test_exponent_vectors_many_slots():
     assert next(vecs) == (0,) * 4999 + (2,)
     assert next(vecs) == (0,) * 4998 + (1, 1)
     assert sum(1 for _ in _exponent_vectors(5000, 1)) == 5000
+
+
+def test_enumerate_basis_matches_nested_loops():
+    # the shared class loop against a plain nested-loop enumerator, in order
+    for degree in range(7):
+        for indices in range(1, 5):
+            assert list(enumerate_basis(degree, indices)) == reference_basis(degree, indices), (
+                degree, indices)
+
+
+def test_enumerate_basis_draws_only_what_it_yields(monkeypatch, capsys):
+    # the stream is lazy: pulling a few monomials draws one y-exponent
+    # vector each, not a class's worth, so `chain-demo --budget` bounds the
+    # work however many indices there are
+    drawn = []
+    real = freealg._exponent_vectors
+
+    def counted(slots, total):
+        for v in real(slots, total):
+            drawn.append(total)
+            yield v
+
+    monkeypatch.setattr(freealg, "_exponent_vectors", counted)
+    stream = enumerate_basis(8, 10_000)
+    assert drawn == []
+    first = list(islice(stream, 5))
+    assert first == [ONE] + [mk((0,) * (i - 1) + (1,)) for i in range(10_000, 9_996, -1)]
+    assert drawn == [0, 1, 1, 1, 1]
+    drawn.clear()
+    assert main(["chain-demo", "--degree", "8", "--indices", "10000", "--budget", "5"]) == 0
+    assert capsys.readouterr().out.endswith("budget exhausted after 5 steps; no stabilization claim\n")
+    assert len(drawn) <= 6, len(drawn)
 
 
 def test_capped_basis_size_boundary():

@@ -18,7 +18,7 @@ from m2sl2 import (
     reduce_word,
 )
 from m2sl2.freealg import _basis_size
-from m2sl2.genmat import _slot_entries, _word_entries, monomial_row
+from m2sl2.genmat import _slot_entries, _word_entries
 from tests.util import (
     alpha,
     beta,
@@ -26,10 +26,12 @@ from tests.util import (
     expected_y_product,
     expected_z_product,
     gamma,
+    monomial_row,
     product_eval_word,
     product_evaluate,
     rand_qpoly,
     rand_word,
+    three_dict_word_entries,
     word,
     y,
     z,
@@ -190,12 +192,49 @@ def test_evaluate_drops_terms_that_cancel_between_words():
 
 
 def test_monomial_row_matches_product_oracle():
+    # a monomial's evaluation read off its slots (_slot_entries, row 2 by
+    # _conj), flattened, against the letter-by-letter product of its word
     for m in enumerate_basis(5, 3):
-        want = {}
-        for pos, poly in enumerate(entries(product_eval_word(m.word()))):
-            for term, coeff in poly.terms.items():
-                want[(pos, term)] = coeff
-        assert monomial_row(m) == want, m
+        got = {(pos, term): c for pos, poly in enumerate(entries(evaluate(m)))
+               for term, c in poly.terms.items()}
+        assert got == monomial_row(m), m
+
+
+def test_independence_rank_counts_distinct_slot_entries():
+    # the report reads the entries per basis class; the per-monomial
+    # entries over the enumerated basis are the oracle
+    for degree in range(7):
+        for indices in range(1, 5):
+            monos = list(enumerate_basis(degree, indices))
+            rep = independence_report(degree, indices)
+            want = len({(pos, term) for pos, term, _ in _slot_entries(monos)})
+            assert (rep.monomials, rep.rank) == (len(monos), want), (degree, indices)
+
+
+def _word_outcome(fn, w):
+    """fn(w), or the type and message of the ValueError it raised."""
+    try:
+        return fn(w)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_word_entries_match_three_dict_form():
+    rng = random.Random(101)
+    for _ in range(3000):
+        w = rand_word(rng, max_len=10, max_index=4)
+        assert _word_entries(w) == three_dict_word_entries(w), w
+    # bad letters: an unknown family raises as it is read, wherever a bad
+    # index stands; a bad index alone raises after the loop
+    bad = [(("x", 1),), (("z", 0),), (("y", 0),), (("y", 1), ("z", 0), ("x", 1)),
+           (("x", 1), ("z", 0)), (("z", 0), ("y", 2), ("x", 1)), (("z", 2), ("y", -1), ("z", 1))]
+    errors = set()
+    for w in bad:
+        got = _word_outcome(_word_entries, w)
+        assert got == _word_outcome(three_dict_word_entries, w), w
+        errors.add(got)
+    assert errors == {(ValueError, "unknown letter family 'x'"),
+                      (ValueError, "letter index must be >= 1")}
 
 
 @pytest.mark.parametrize("caps, count", [((6, 3), 1627), ((4, 5), 1606)])

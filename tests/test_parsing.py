@@ -23,7 +23,7 @@ from m2sl2 import (
 )
 from m2sl2.cli import format_qpoly, main
 import m2sl2.parsing
-from m2sl2.genmat import evaluate, evaluate_tree
+from m2sl2.genmat import _matrix, _tree_row, evaluate
 from m2sl2.parsing import MAX_WORDS, _Parser, _add_terms, fold_tree, parse, parse_words, to_words
 from tests.util import (
     LOOP_KINDS,
@@ -38,6 +38,12 @@ from tests.util import (
     y,
     z,
 )
+
+
+def tree_matrix(node):
+    """The whole generic matrix of a parse tree, from the first row that
+    is-identity folds (genmat._tree_row)."""
+    return _matrix(_tree_row(node))
 
 
 def rand_expr(rng: random.Random, depth: int) -> str:
@@ -203,7 +209,7 @@ def test_basis_theorem_on_random_expressions():
 
 def _outcome(evaluate_fn, text):
     """The evaluation of the text's tree, or the ResourceBoundError message:
-    genmat.evaluate_tree on the package's tree, raw_evaluate_tree on the
+    tree_matrix on the package's tree, raw_evaluate_tree on the
     oracle's."""
     try:
         return evaluate_fn((oracle_parse if evaluate_fn is raw_evaluate_tree else parse)(text))
@@ -225,13 +231,13 @@ def test_tree_evaluation_matches_raw_words():
     rng = random.Random(23)
     for _ in range(1200):
         text = rand_expr(rng, 4)
-        assert _outcome(evaluate_tree, text) == _outcome(raw_evaluate_tree, text), text
+        assert _outcome(tree_matrix, text) == _outcome(raw_evaluate_tree, text), text
     for text in TREE_EDGE_CASES:
-        assert evaluate_tree(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
+        assert tree_matrix(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
 
 
 def test_tree_evaluation_matches_letter_by_letter_products():
-    # evaluate_tree and evaluate both build row 2 from row 1, so the general
+    # tree_matrix and evaluate both build row 2 from row 1, so the general
     # 2x2 product over the ring checks all four entries independently
     rng = random.Random(27)
     checked = 0
@@ -242,7 +248,7 @@ def test_tree_evaluation_matches_letter_by_letter_products():
             if oracle_word_count(node) > 300:
                 continue
             want = product_evaluate(oracle_words(node))
-            got = evaluate_tree(parse(text))
+            got = tree_matrix(parse(text))
         except (ParseError, ResourceBoundError):
             continue
         assert got == want, text
@@ -252,12 +258,12 @@ def test_tree_evaluation_matches_letter_by_letter_products():
 
 def test_is_identity_reads_the_first_row_alone(capsys):
     # is-identity tests the fold's first row for zero, with no row 2 built;
-    # the whole matrix of evaluate_tree is the oracle
+    # the whole matrix of tree_matrix is the oracle
     rng = random.Random(29)
     seen = {"true": 0, "false": 0}
     for _ in range(600):
         text = rand_expr(rng, 4)
-        want = "true" if evaluate_tree(parse(text)).is_zero() else "false"
+        want = "true" if tree_matrix(parse(text)).is_zero() else "false"
         assert main(["is-identity", text]) == 0
         assert capsys.readouterr().out == want + "\n", text
         seen[want] += 1
@@ -275,7 +281,7 @@ def test_tree_evaluation_charges_the_power_caps_like_to_words(monkeypatch):
                  "(3*y1^2)^60", "([0, y1+z1] + y1)^101", "([y1, 0] - y1)^101",
                  "(y1+z1)^" + "9" * 30, "1^" + "9" * 30 + " * y1^100"):
         want = _outcome(raw_evaluate_tree, text)
-        assert _outcome(evaluate_tree, text) == want, text
+        assert _outcome(tree_matrix, text) == want, text
         errors += isinstance(want, str)
     assert errors == 13, errors
 
@@ -293,12 +299,12 @@ def test_parse_poly_charges_one_term_power_bases(monkeypatch):
         with pytest.raises(ResourceBoundError, match=cap) as ei:
             parse_poly(text)
         with pytest.raises(ResourceBoundError) as tree_ei:
-            evaluate_tree(parse(text))
+            tree_matrix(parse(text))
         assert str(tree_ei.value) == str(ei.value), text
     for text, want in (("(y1 + y1)^19 * y1^80", QPoly.monomial(mk((99,)), 2 ** 19)),
                        ("(y1^10 - y1^10 + z1)^9", QPoly.monomial(mk((), (1,) * 5, (1,) * 4)))):
         assert parse_poly(text) == want, text
-        assert evaluate_tree(parse(text)) == evaluate(want), text
+        assert tree_matrix(parse(text)) == evaluate(want), text
     # (y1 + y1)^19 * y1^80 answers there too, but its 2^19 raw words are not built here
     for text in ("(y1^10 + y1^10)^9", "(2^20 + 2^20)^5", "(2^20*y1 + 2^20*y1)^5",
                  "(y1^10 - y1^10 + z1)^9"):
@@ -332,7 +338,7 @@ def test_long_products_in_linear_time():
         assert parse(text) == ("w", 1, 1, (y(1),) * n, charge)
         t0 = time.perf_counter()
         assert parse_poly(text) == want
-        assert evaluate_tree(parse(text)) == evaluate(want)
+        assert tree_matrix(parse(text)) == evaluate(want)
         assert parse_words(text) == [(1, (y(1),) * n)]
         assert time.perf_counter() - t0 < 5.0
 
@@ -385,10 +391,10 @@ def test_power_caps(monkeypatch):
 
 
 def _fold_outcomes(text):
-    """parse_poly, evaluate_tree and parse_words on a text, each as its value
+    """parse_poly, tree_matrix and parse_words on a text, each as its value
     or its ResourceBoundError message."""
     out = []
-    for fn in (parse_poly, lambda t: evaluate_tree(parse(t)), parse_words):
+    for fn in (parse_poly, lambda t: tree_matrix(parse(t)), parse_words):
         try:
             out.append(fn(text))
         except ResourceBoundError as exc:
@@ -616,7 +622,7 @@ def test_parse_matches_three_pass_oracle(monkeypatch):
     for i, (text, words) in enumerate(ok):
         assert parse_poly(text) == normalize(words), text
         if i % 4 == 0:
-            assert evaluate_tree(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
+            assert tree_matrix(parse(text)) == raw_evaluate_tree(oracle_parse(text)), text
 
 
 @pytest.mark.parametrize("text,offset,message", [

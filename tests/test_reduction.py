@@ -34,7 +34,6 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
-from m2sl2.freealg import _mono_mul
 from m2sl2.orders import _rename, embedders
 from tests.util import (
     brute_embed,
@@ -43,6 +42,7 @@ from tests.util import (
     counter_fit,
     inflate,
     lift_reducer,
+    mono_mul,
     monomial_from_obj,
     monomial_indices,
     product_apply_reducer,
@@ -388,7 +388,7 @@ def _rows(terms) -> list:
 def _lift_by_product(terms: dict, image, ny, p_even, p_odd) -> list:
     """The lift written the long way: each term renamed through the image,
     then multiplied by N and P through the canonical product, as rows."""
-    return _rows({_mono_mul(*_rename(m, image, "both"), ny, p_even, p_odd)[1]: c
+    return _rows({mono_mul(*_rename(m, image, "both"), ny, p_even, p_odd)[1]: c
                   for m, c in terms.items()})
 
 

@@ -122,7 +122,7 @@ def _mat_mul(a, b):
 
 def raw_evaluate_tree(node) -> GMatrix2:
     """An oracle_parse tree's generic evaluation through its raw words,
-    after the word cap: the oracle for genmat.evaluate_tree."""
+    after the word cap: the oracle for genmat._tree_row's matrix."""
     oracle_word_count(node)
     return evaluate(oracle_words(node))
 
@@ -148,6 +148,42 @@ def product_evaluate(weighted_words) -> GMatrix2:
     for c, w in weighted_words:
         acc = [x + e * c for x, e in zip(acc, entries(product_eval_word(w)))]
     return GMatrix2(*acc)
+
+
+def monomial_row(m: CanonicalMonomial) -> dict:
+    """m's generic evaluation flattened to a sparse integer row, from the
+    letter-by-letter product of its word: columns are (entry position,
+    ring term) pairs, with positions e11, e12, e21, e22 as 0..3."""
+    return {(pos, term): c for pos, poly in enumerate(entries(product_eval_word(m.word())))
+            for term, c in poly.terms.items()}
+
+
+def three_dict_word_entries(w) -> tuple:
+    """A word's one row-1 entry (position, term, sign), followed through the
+    word with one count dict per family (y -> alpha, c-slot z -> beta,
+    d-slot z -> gamma), each sorted on its own: the form genmat._word_entries
+    had before it counted into one dict.  An unknown family raises as it is
+    read; indices below 1 are checked after the loop."""
+    ys: dict[int, int] = {}
+    cs: dict[int, int] = {}
+    ds: dict[int, int] = {}
+    nz = flips = 0
+    for fam, idx in w:
+        if fam == "y":
+            ys[idx] = ys.get(idx, 0) + 1
+            flips += nz & 1
+        elif fam == "z":
+            slot = ds if nz & 1 else cs
+            slot[idx] = slot.get(idx, 0) + 1
+            nz += 1
+        else:
+            raise ValueError(f"unknown letter family {fam!r}")
+    y_items, c_items, d_items = sorted(ys.items()), sorted(cs.items()), sorted(ds.items())
+    if any(items and items[0][0] < 1 for items in (y_items, c_items, d_items)):
+        raise ValueError("letter index must be >= 1")
+    term = tuple([((fam, i), e) for fam, items in (("alpha", y_items), ("beta", c_items),
+                                                   ("gamma", d_items)) for i, e in items])
+    return nz & 1, term, -1 if flips & 1 else 1
 
 
 def rand_monomial(rng: random.Random, max_degree=8, max_index=5, variant=None) -> CanonicalMonomial:
@@ -614,6 +650,42 @@ def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly
     return QPoly(acc)
 
 
+def mono_mul(ay: tuple, ac: tuple, ad: tuple,
+             by: tuple, bc: tuple, bd: tuple) -> tuple[int, CanonicalMonomial]:
+    """The product of the canonical monomials with parts (ay, ac, ad) and
+    (by, bc, bd), as (sign, monomial), one pair at a time: moving b's
+    y-letters past a's z-block costs (-1)^(zlen(a) * ydeg(b)), the
+    y-exponents add, and b's c- and d-slot letters join a's slot classes,
+    swapped when zlen(a) is odd.  b's slot tuples may come in any order.
+    The oracle that QPoly's product (freealg._mono_mul_into) folds per
+    pair."""
+    if len(ac) == len(ad):  # zlen(a) is even
+        sign = 1
+    else:
+        bc, bd, sign = bd, bc, (-1 if sum(by) & 1 else 1)
+    yexp = _trim(e + f for e, f in zip_longest(ay, by, fillvalue=0))
+    return sign, CanonicalMonomial(yexp, tuple(sorted(ac + bc)), tuple(sorted(ad + bd)))
+
+
+def pairwise_product(a: QPoly, b: QPoly) -> tuple[dict, int]:
+    """a * b as a term dict, folded one pair at a time through mono_mul, and
+    how many times a term came back after it had cancelled: a term that
+    cancels is dropped, and one that comes back goes to the end."""
+    acc: dict = {}
+    cancelled, comebacks = set(), 0
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            sign, m = mono_mul(m1.yexp, m1.cseq, m1.dseq, m2.yexp, m2.cseq, m2.dseq)
+            comebacks += m in cancelled and m not in acc
+            n = acc.get(m, 0) + sign * c1 * c2
+            if n:
+                acc[m] = n
+            else:
+                del acc[m]
+                cancelled.add(m)
+    return acc, comebacks
+
+
 def word_product(a: QPoly, b: QPoly) -> QPoly:
     """a * b through words: each pair of terms concatenates the two canonical
     words and reduce_word (by way of normalize) canonicalizes the result.
@@ -708,6 +780,22 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
 
 
 # --- independent enumeration oracle ------------------------------------------
+
+def reference_basis(max_degree: int, max_index: int) -> list[CanonicalMonomial]:
+    """enumerate_basis's monomials in its order, by nested loops: degree d
+    ascending, then y-degree from d down to 0, then the y-exponent vectors
+    in ascending lexicographic order, then the c-slot and the d-slot
+    multisets, c-slots outermost."""
+    idx = range(1, max_index + 1)
+    out = []
+    for d in range(max_degree + 1):
+        for ydeg in range(d, -1, -1):
+            for yv in recursive_exponent_vectors(max_index, ydeg):
+                for cs in combinations_with_replacement(idx, (d - ydeg + 1) // 2):
+                    for ds in combinations_with_replacement(idx, (d - ydeg) // 2):
+                        out.append(CanonicalMonomial(_trim(yv), cs, ds))
+    return out
+
 
 def recursive_exponent_vectors(slots: int, total: int):
     """All tuples of `slots` nonnegative ints summing to `total`, first entry
