@@ -22,7 +22,8 @@ With --write FILE it also writes those figures, and each run's values, as
 the workload's entry of a JSON object in FILE, keeping the entries of other
 workloads already there.  The entry records the seeds, --seconds, the
 Python version, the CPU count, and the commit of each tree that is a git
-checkout, with whether its files differed from that commit.  The root
+checkout, read before the runs, with whether its tracked files other than
+FILE differed from that commit.  The root
 BENCH_e2e.json holds one such entry per workload.
 """
 
@@ -58,16 +59,19 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
         return None
 
 
-def commit(tree: Path) -> dict | None:
-    """The commit a tree is checked out at, and whether its tracked files
-    differ from it; None when the tree is not the root of a git checkout."""
+def commit(tree: Path, written: Path | None) -> dict | None:
+    """The commit a tree is checked out at, and whether its tracked files,
+    other than the file `written`, differ from it; None when the tree is
+    not the root of a git checkout."""
     def git(*argv) -> str | None:
         done = subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
 
     if git("rev-parse", "--show-toplevel") != str(tree):
         return None
-    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "-uno"))}
+    changed = {(tree / name).resolve() for name in git("diff", "--name-only", "HEAD").splitlines()}
+    changed.discard(written and written.resolve())
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(changed)}
 
 
 def write_entry(path: Path, workload: str, entry: dict) -> None:
@@ -96,6 +100,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    commits = {tree: commit(path, args.write) for tree, path in trees.items()}  # as measured
     results: dict[str, list] = {"parent": [], "change": []}
     bad = []
     for seed in args.seeds:
@@ -131,7 +136,7 @@ def main(argv=None) -> int:
         write_entry(args.write, args.workload, {
             "seeds": [args.seeds.start, args.seeds.stop - 1], "seconds": args.seconds,
             "python": platform.python_version(), "cpus": os.cpu_count(),
-            "commits": {tree: commit(path) for tree, path in trees.items()},
+            "commits": commits,
             "metrics": figures, "runs": results})
     return 0
 
