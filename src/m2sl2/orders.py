@@ -33,19 +33,18 @@ index cover, so the engine never builds a Profile.  The two orders:
   kept data of every generator; pwo_leq is its one-key case, and
   minimal_elements calls it once per item.
 
-Renaming endomorphisms act through one kernel.  rename_monomial extends
-the injection with covering once per call, over every index the call
-touches (_monomial_need), reads the extension as a dict, and pushes the
-y-exponents and slot indices through it (_push_counts, _rename).
+Renaming endomorphisms act through one kernel, _lift_terms: it pushes
+each term's indices through an image (a dict, or a witness table of
+embedders, which indexes like one) and, in the same pass, multiplies the
+term by a pure-y N on the left and a pure-z P on the right, N . phi(t) . P.
+rename_monomial extends the injection with covering once per call, over
+every index the call moves (_monomial_need), and lifts the part of the
+monomial its mode moves, with N and P empty in mode "both" and, in the
+one-family modes, the part the mode keeps as N or as P's halves.
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
-the same injections.  The public factorize_embedding renames through it
-with an injection's pairs read as a dict.  The reduction step
-(reduction._lift, traced or not) and apply_reducer do not call it: their
-lift (reduction._lift_terms) renames each term in the same pass that adds
-N's y-exponents and P's letters, through the witness table, which indexes
-like an image dict, when the generator's kept index support lies within
-its sources, and through one covering extension otherwise.
+the same injections.  The reduction step and apply_reducer (reduction)
+lift through the same kernel, with N and P from the factorization.
 """
 
 from dataclasses import dataclass
@@ -263,32 +262,47 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
 
 # --- renaming endomorphisms -------------------------------------------------
 
-def _push_counts(u, image) -> tuple[int, ...]:
-    """Push a trimmed count sequence along the image, a dict or an index
-    table: result[image[i]] = u[i]."""
-    if not u:
-        return ()
-    out = [0] * image[len(u)]  # u ends on a nonzero entry, whose image is the top
-    for i, e in enumerate(u, start=1):
-        if e:
-            out[image[i] - 1] = e
-    return tuple(out)
+def _lift_terms(terms: dict, image, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
+    """N . phi(t) . P for each term t of `terms`, as a new dict in the same
+    order, in one closed-form pass per term, with no check: the one code
+    that pushes a monomial's indices through an image.  `image` is a dict
+    or a witness table of embedders (table[i] the image of i) covering t's
+    indices, `ny` N's trimmed y-exponents, and p_even, p_odd P's halves,
+    each sorted.  rename_monomial, apply_reducer and the reduction step
+    (reduction._lift) all rename through it.
 
-
-def _rename(m: CanonicalMonomial, image, mode: str) -> tuple:
-    """m's (yexp, cseq, dseq) with the letter indices renamed through an
-    image covering them: a dict, where a missing index raises KeyError, or
-    a witness table of embedders (table[i] the image of i).
-
-    Strict monotonicity keeps slot sequences sorted and never merges
-    exponents, so the three tuples are canonical and no sign appears."""
-    yexp, cseq, dseq = m.yexp, m.cseq, m.dseq
-    if mode != "z_only":
-        yexp = _push_counts(yexp, image)
-    if mode != "y_only":
-        cseq = tuple([image[i] for i in cseq])
-        dseq = tuple([image[i] for i in dseq])
-    return yexp, cseq, dseq
+    N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial of
+    phi(t).(N P).  Its y-exponents are N's plus t's pushed along the image,
+    which stay trimmed; its slot classes are t's, mapped through the image
+    (which keeps them sorted), each joined by one of P's halves and sorted,
+    the halves swapped when t's z-length is odd, because P's letters then
+    start on a d-slot.  A term with no odd letters takes P's halves as they
+    are.  Each monomial is built once, with no intermediate one."""
+    out: dict[CanonicalMonomial, int] = {}
+    for m, c in terms.items():
+        yexp, cseq = m.yexp, m.cseq
+        if yexp:
+            y = list(ny)
+            # yexp ends on a nonzero exponent, so its last index maps to the top
+            y += [0] * (image[len(yexp)] - len(y))
+            for i, e in enumerate(yexp, start=1):
+                if e:
+                    y[image[i] - 1] += e
+            y = tuple(y)
+        else:
+            y = ny
+        if cseq:
+            cs = [image[i] for i in cseq]
+            ds = [image[i] for i in m.dseq]
+            pc, pd = (p_even, p_odd) if len(cs) == len(ds) else (p_odd, p_even)
+            if pc:
+                cs = sorted([*cs, *pc])
+            if pd:
+                ds = sorted([*ds, *pd])
+            out[CanonicalMonomial._trusted(y, tuple(cs), tuple(ds))] = c
+        else:
+            out[CanonicalMonomial._trusted(y, p_even, p_odd)] = c
+    return out
 
 
 def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
@@ -308,11 +322,25 @@ def push_profile(p: Profile, phi: MonotoneInjection, mode: str = "both") -> Prof
 
 
 def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "both") -> CanonicalMonomial:
-    """Rename letter indices along phi, extended over m's indices."""
+    """Rename letter indices along phi, extended with covering over the
+    indices the mode moves (_monomial_need): the y-letters in y_only mode,
+    the odd letters in z_only mode, both in mode "both".
+
+    The moved part goes through _lift_terms; the part the mode keeps rides
+    along as N (m's y-exponents, in z_only mode) or as P's halves (m's slot
+    classes, in y_only mode), which the lift joins to it unrenamed: m is its
+    y-part times its z-block, so this is the lift N . phi(part) . P.
+    Strict monotonicity keeps slot sequences sorted and never merges
+    exponents, so no sign appears."""
     if mode not in RENAME_MODES:
         raise ValueError(f"mode must be one of {RENAME_MODES}")
     image = dict(phi.covering(_monomial_need(m, mode)).pairs)
-    return CanonicalMonomial._trusted(*_rename(m, image, mode))
+    y, c, d = m.yexp, m.cseq, m.dseq
+    part, n, p_even, p_odd = {"both": (m, (), (), ()),
+                              "y_only": (CanonicalMonomial._trusted(y, (), ()), (), c, d),
+                              "z_only": (CanonicalMonomial._trusted((), c, d), y, (), ())}[mode]
+    (r,) = _lift_terms({part: 1}, image, n, p_even, p_odd)
+    return r
 
 
 # --- antichains -------------------------------------------------------------

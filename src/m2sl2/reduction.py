@@ -17,27 +17,22 @@ builds the records and keys once per call; chain_demo builds them when it
 adjoins a generator and keeps them for the rest of the stream.  At each step
 one call of orders.embedders over the keys returns the generators whose
 leading monomial embeds into M, with their witnesses as plain index tables
-(table[i] the image of index i); the loop holds no comparison of the
-embedding order of its own, and builds no MonotoneInjection unless a trace
-records the step.
+(table[i] the image of index i).
 
-One reduction step renames once, traced or not: _lift does the whole step.
-It reads N's y-exponents and P's two halves straight off the witness table,
-which embedders builds over all of lm(g)'s indices.  The table is the
-renaming's image when g's cached index support (QPoly._index_support, which
-the tail shares) ends within those indices; otherwise the witness is
-extended once, over that support.  It lifts the tail's terms with none of
-the checks a caller's injection needs, and returns the factorization with
-the lifted terms, so a trace record is ReducerTriple._trusted over those
-parts, and no step goes through the public
-factorize_embedding and apply_reducer, which compute the same parts with
-those checks, for the factor command, membership_bounded and outside
-callers.  Only the tail is lifted: lm(g) lifts to M itself, whose
-coefficient the Euclidean division below settles, and the renaming is
-injective, so no tail term lands on M.  The lift is a closed-form map on
-each term, with no word product, written once (_lift_terms): one pass per
-term adds the term's y-exponents, pushed along the extension, to N's, joins
-P's halves to its renamed slot classes, and builds the monomial once.
+The factorization has one core, _factor, with no check: N's y-exponents
+are the target's less phi(m)'s, and P's halves are the slot letters of the
+target that phi(m) leaves over (_fit).  The public factorize_embedding
+calls it with phi extended over m's indices and refuses each way m can
+fail to fit; the reduction step, _lift, calls it with the witness table,
+which cannot fail.  Both lifts, _lift and the public apply_reducer, go
+through the one renaming kernel, orders._lift_terms, which writes
+N . phi(t) . P for each term in one closed-form pass.  Only a generator's
+tail is lifted: lm(g) lifts to M itself, whose coefficient the Euclidean
+division below settles, and the renaming is injective, so no tail term
+lands on M.  A traced step records phi as the witness table's pairs and N
+and P from the parts _lift returns, so a step, traced or not, builds no
+MonotoneInjection unless the tail reaches past the witness.
+
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients,
 taken once per distinct set of usable reducers within one loop call;
@@ -62,10 +57,10 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
-    _rename,
+    _lift_terms,
+    _monomial_need,
     embedders,
     pwo_leq,
-    rename_monomial,
     total_key,
 )
 from .parsing import coeff_str
@@ -96,8 +91,8 @@ class ReducerTriple:
     the slot classes left short after pushing M along phi.  The triple keeps
     them in the form the lift reads: N's y-exponents (n_yexp) and P's
     letters at even and at odd positions, counted from 0 (p_even, p_odd).
-    n_part and p_word rebuild N and P on demand, for trace records, the
-    factor command and tests.  The constructor takes N and P and refuses an
+    n_part and p_word rebuild N and P on demand, for the factor command and
+    tests.  The constructor takes N and P and refuses an
     N with odd letters, which the stored exponents could not keep.
     """
 
@@ -116,8 +111,8 @@ class ReducerTriple:
     @classmethod
     def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":
         """Build from the stored parts as they are, with no check and no
-        dataclass __init__: factorize_embedding's result, and the record of
-        a traced reduction step, built from the parts _lift returns."""
+        dataclass __init__: factorize_embedding's result, and
+        membership_bounded's lifts."""
         t = object.__new__(cls)
         vars(t).update(phi=phi, n_yexp=n_yexp, p_even=p_even, p_odd=p_odd)
         return t
@@ -150,6 +145,33 @@ def _fit(big: tuple, small: tuple) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _factor(m: CanonicalMonomial, target: CanonicalMonomial, image) -> tuple:
+    """The parts (n_yexp, p_even, p_odd) of target = N . phi(m) . P, with no
+    check: the one factorization core of factorize_embedding and _lift.
+    `image` is phi as a witness table of embedders (table[i] the image of
+    i) or as a dict covering m's indices.
+
+    N's exponents are the target's less m's at the indices the image maps
+    them to; a zero exponent of m is skipped, because a caller's phi may
+    leave its index out.  P's halves are the slot letters of the target
+    that phi(m) leaves over (_fit), swapped when m's z-length is odd,
+    because P's letters then start on a d-slot.  Where m does not embed
+    under the image the result is not a factorization: N may have a
+    negative exponent, an index may fall past the target's exponents
+    (IndexError), _fit may refuse, or the halves may not interleave.
+    """
+    ny = list(target.yexp)
+    for i, e in enumerate(m.yexp, start=1):
+        if e:
+            ny[image[i] - 1] -= e
+    # map, not a list comprehension: about 2% of an untraced reduce_by on 3.11
+    first, second = (_fit(target.cseq, map(image.__getitem__, m.cseq)),
+                     _fit(target.dseq, map(image.__getitem__, m.dseq)))
+    if len(m.cseq) != len(m.dseq):
+        first, second = second, first
+    return _trim(ny), first, second
+
+
 def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
                         phi: MonotoneInjection | None = None) -> ReducerTriple:
     """Factor target = N . phi(m) . P, given m <=' target.
@@ -161,51 +183,42 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     one, and P only appends.  `phi` defaults to the witness pwo_leq(m,
     target); a caller that already holds it passes it.
 
-    phi(m)'s rows are renamed straight through phi's pairs, which a pwo_leq
-    witness has for every index 1..max_index of m; only a caller's phi that
-    falls short is extended, as rename_monomial extends it.  No phi(m)
-    monomial is built: the y deficit comes from one pass over phi(m)'s
-    exponents, and the slot deficits from _fit.  The triple keeps phi as
-    given, N as its exponents and P as its two halves (see ReducerTriple),
-    so neither N's monomial nor P's word is built here.
+    phi is extended with covering over m's indices, as rename_monomial
+    extends it (a pwo_leq witness already maps them all, and is kept as it
+    is), and _factor computes the parts through the extension read as a
+    dict.  Each way m can fail to fit under the target is refused here, with
+    NotEmbeddableError.  The triple keeps phi as given, N as its exponents
+    and P as its two halves (see ReducerTriple).
     """
     if phi is None:
         phi = pwo_leq(m, target)
         if phi is None:
             raise NotEmbeddableError("source monomial does not embed into the target")
+    image = dict(phi.covering(_monomial_need(m, "both")).pairs)
     try:
-        py, pc, pd = _rename(m, dict(phi.pairs), "both")
-    except KeyError:  # phi lacks one of m's indices
-        pm = rename_monomial(m, phi, "both")
-        py, pc, pd = pm.yexp, pm.cseq, pm.dseq
-    ny = list(target.yexp)
-    for i, e in enumerate(py):
-        # py is trimmed: past the target's exponents lies py's nonzero top,
-        # which cannot fit
-        if i >= len(ny) or ny[i] < e:
-            raise NotEmbeddableError("phi(m) does not fit under the target")
-        ny[i] -= e
-    first, second = _fit(target.cseq, pc), _fit(target.dseq, pd)
-    if len(pc) != len(pd):
-        # the z-block of phi(m) ends on a c-slot, so P starts with a d-letter
-        first, second = second, first
+        ny, first, second = _factor(m, target, image)
+        fits = min(ny, default=0) >= 0
+    except IndexError:  # a y-exponent of phi(m) lies past the target's
+        fits = False
+    if not fits:
+        raise NotEmbeddableError("phi(m) does not fit under the target")
     if len(first) - len(second) not in (0, 1):
         raise NotEmbeddableError("slot deficits cannot interleave into a word")
-    return ReducerTriple._trusted(phi, _trim(ny), first, second)
+    return ReducerTriple._trusted(phi, ny, first, second)
 
 
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
-    Each term of f is lifted in one pass of _lift_terms: renamed along phi,
-    with N's y-exponents added, P's even-position letters (from 0) joined
-    to its c-slots and its odd-position letters to its d-slots: no word
-    product and no intermediate monomial.  A triple built from a caller's P
-    word may keep P's halves unsorted, so they are sorted once per call,
-    as the kernel reads them.  phi is extended once,
-    over f's index support, which f computes on its first lift and keeps,
-    so the renaming acts as one letter substitution; extending term by term
-    could merge terms (phi 1->2 sends both y1*y2 and y1*y3 to y2*y3 under
+    Each term of f is lifted in one pass of orders._lift_terms: renamed
+    along phi, with N's y-exponents added, P's even-position letters (from
+    0) joined to its c-slots and its odd-position letters to its d-slots:
+    no word product and no intermediate monomial.  A triple built from a
+    caller's P word may keep P's halves unsorted, so they are sorted once
+    per call, as the kernel reads them.  phi is extended once, over f's
+    index support, which f computes on its first lift and keeps, so the
+    renaming acts as one letter substitution; extending term by term could
+    merge terms (phi 1->2 sends both y1*y2 and y1*y3 to y2*y3 under
     separate extensions).  Renaming along one injection is injective and N
     and P are fixed, so no two terms merge and every coefficient carries
     over unchanged.
@@ -220,82 +233,29 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     return QPoly._trusted(_lift_terms(f.terms, image, ny, p_even, p_odd))
 
 
-def _lift_terms(terms: dict, image, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
-    """N . phi(t) . P for each term t of `terms`, as a new dict in the same
-    order, in one closed-form pass per term: the lift of apply_reducer and
-    of _lift.  `image` is a dict or a witness table covering t's indices,
-    `ny` N's trimmed y-exponents, and p_even, p_odd P's halves, each sorted.
-
-    N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial of
-    phi(t).(N P).  Its y-exponents are N's plus t's pushed along the image,
-    which stay trimmed; its slot classes are t's, mapped through the image
-    (which keeps them sorted), each joined by one of P's halves and sorted,
-    the halves swapped when t's z-length is odd, because P's letters then
-    start on a d-slot.  A term with no odd letters takes P's halves as they
-    are.  Each monomial is built once, with no intermediate one."""
-    out: dict[CanonicalMonomial, int] = {}
-    for m, c in terms.items():
-        yexp, cseq = m.yexp, m.cseq
-        if yexp:
-            y = list(ny)
-            # yexp ends on a nonzero exponent, so its last index maps to the top
-            y += [0] * (image[len(yexp)] - len(y))
-            for i, e in enumerate(yexp, start=1):
-                if e:
-                    y[image[i] - 1] += e
-            y = tuple(y)
-        else:
-            y = ny
-        if cseq:
-            cs = [image[i] for i in cseq]
-            ds = [image[i] for i in m.dseq]
-            pc, pd = (p_even, p_odd) if len(cs) == len(ds) else (p_odd, p_even)
-            if pc:
-                cs = sorted([*cs, *pc])
-            if pd:
-                ds = sorted([*ds, *pd])
-            out[CanonicalMonomial._trusted(y, tuple(cs), tuple(ds))] = c
-        else:
-            out[CanonicalMonomial._trusted(y, p_even, p_odd)] = c
-    return out
-
-
 def _lift(m: CanonicalMonomial, target: CanonicalMonomial, table: list,
           tail: QPoly) -> tuple:
     """One reduction step, traced or not: the lifted tail's terms and the
-    factorization they were lifted by, (terms, n_yexp, p_even, p_odd).  That
-    is apply_reducer(t, tail).terms and t's stored parts, for
-    t = factorize_embedding(m, target, phi), in one step and with no check:
-    table must be the witness table of m <=' target as orders.embedders
-    returns it (table[i] the image of index i, table[0] = 0), and phi is
-    MonotoneInjection.from_table(table).  A trace record is
-    ReducerTriple._trusted(phi, n_yexp, p_even, p_odd).to_obj().
+    factorization they were lifted by, (terms, n_yexp, p_even, p_odd), with
+    no check.  That is apply_reducer(t, tail).terms and t's stored parts,
+    for t = factorize_embedding(m, target, MonotoneInjection.from_table(table)),
+    where table must be the witness table of m <=' target as
+    orders.embedders returns it (table[i] the image of index i, table[0] =
+    0).
 
     Such a witness maps every index 1..max_index of m and puts each row of
-    m under a row of the target, so the y-deficits are >= 0, the slots fit,
-    the deficits interleave and P's letters are >= 1: none of
-    factorize_embedding's refusals can occur.  N's exponents are read off
-    the table, the target's less m's at the indices it maps them to; P's
-    halves are _fit's, swapped when m's z-length is odd.  The table indexes
-    like an image dict, so it is the renaming's image when the tail's kept
-    index support ends within its sources; a support reaching past them
-    extends phi with covering, holes included, as apply_reducer does.  The
-    tail of a one-term generator is empty, and the step still returns its
-    factorization.
+    m under a row of the target, so none of factorize_embedding's refusals
+    can occur, and _factor reads the parts straight off the table.  The
+    table indexes like an image dict, so it is the renaming's image when
+    the tail's kept index support ends within its sources; a support
+    reaching past them extends the witness with covering, holes included,
+    as apply_reducer does.  The tail of a one-term generator is empty, and
+    the step still returns its factorization.
     """
-    ny = list(target.yexp)
-    # m.yexp ends on a nonzero exponent, so every index it lists maps inside ny
-    for i, e in enumerate(m.yexp, start=1):
-        ny[table[i] - 1] -= e
-    # map, not a list comprehension: about 2% of an untraced reduce_by on 3.11
-    first, second = (_fit(target.cseq, map(table.__getitem__, m.cseq)),
-                     _fit(target.dseq, map(table.__getitem__, m.dseq)))
-    if len(m.cseq) != len(m.dseq):
-        first, second = second, first
+    ny, first, second = _factor(m, target, table)
     image, sup = table, tail._index_support()
     if sup and sup[-1] >= len(table):
         image = dict(MonotoneInjection.from_table(table).covering(sup).pairs)
-    ny = _trim(ny)
     return _lift_terms(tail.terms, image, ny, first, second), ny, first, second
 
 
@@ -379,9 +339,9 @@ def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPol
     one-term generator, whose tail is empty, costs no factorization and no
     lift, unless `trace` records them.  Every other step calls _lift once
     and folds the lifted terms straight into `work`; with a trace, the
-    step's record reads the factorization _lift returns, as a
-    ReducerTriple whose phi is built from the table, and there is no other
-    branch.
+    step's record has the fields of ReducerTriple.to_obj, read off the
+    witness table and the parts _lift returns, with no injection or triple
+    built, and there is no other branch.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
@@ -407,10 +367,11 @@ def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPol
                         continue
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
                     lifted, ny, first, second = _lift(ld.lm, lm, table, tail)
-                    if trace is not None:
-                        phi = MonotoneInjection.from_table(table)
+                    if trace is not None:  # ReducerTriple.to_obj's fields, read off the parts
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
-                                      **ReducerTriple._trusted(phi, ny, first, second).to_obj()})
+                                      "phi": [[i, table[i]] for i in range(1, len(table))],
+                                      "N": monomial_to_obj(CanonicalMonomial._trusted(ny, (), ())),
+                                      "P": _interleave(first, second)})
                     scale = beta * q
                     for m, c in lifted.items():
                         c *= scale

@@ -29,6 +29,17 @@ timed as the command runs it:
 - `independence` runs independence_report(5, 3) and (6, 3), the seed-1
   `independence` jobs.
 
+Last, in children of their own, the seed-1 `reduce` jobs through the
+command line, cli.main on each job's argv with stdout discarded, so the
+parse, the output and, for a trace, the file are timed with the step.  A
+child writes each job's generator file to a temporary directory in
+prepare, untimed, and reads the job's argv with its file names pointing
+there:
+- `reduce` prints the remainder as text;
+- `reduce --json` prints it with the trace, as JSON;
+- `reduce --trace FILE` prints the text and writes the trace to a file in
+  the same directory.
+
 The script prints, per batch, the least time of each tree over the rounds
 and their ratio, this tree over the parent, then the quartiles of the
 per-round ratio and the rounds this tree won.  It only prints; it is no
@@ -61,6 +72,31 @@ step = {"is-identity": lambda job: _tree_row(parse(job[0])),
 """
 
 
+CLI = """
+import contextlib, io, os, tempfile
+from m2sl2.cli import main
+
+_dir = tempfile.TemporaryDirectory()  # removed when the child exits
+TRACE = os.path.join(_dir.name, "trace.json")
+
+def prepare(job):
+    argv, files = job
+    for name, text in files:
+        with open(os.path.join(_dir.name, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    names = {name for name, _ in files}
+    return [os.path.join(_dir.name, a) if a in names else a for a in argv]
+
+def cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+step = {"reduce": cli,
+        "reduce --json": lambda argv: cli(argv + ["--json"]),
+        "reduce --trace FILE": lambda argv: cli(argv + ["--trace", TRACE])}
+"""
+
+
 def step_jobs() -> dict[str, list]:
     """Each seed-1 job of a batch as its list of polynomial texts."""
     def lines(job) -> list[str]:
@@ -86,9 +122,16 @@ def identity_jobs() -> dict[str, list]:
     return out
 
 
+def cli_jobs() -> dict[str, list]:
+    """Each seed-1 `reduce` job as [argv, files], once per command form."""
+    jobs = [[list(job.argv), [list(f) for f in job.files]] for job in seed1_jobs("reduce")]
+    return {"reduce": jobs, "reduce --json": jobs, "reduce --trace FILE": jobs}
+
+
 def main(argv=None) -> None:
     compare(__doc__, step_jobs(), REDUCE, "jobs", argv)
     compare(__doc__, identity_jobs(), IDENTITY, "jobs", argv)
+    compare(__doc__, cli_jobs(), CLI, "jobs", argv)
 
 
 if __name__ == "__main__":

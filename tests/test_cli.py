@@ -636,6 +636,48 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# (argv, the subcommand that reports, the argument its error names): each
+# subcommand's missing positional, each integer option given a non-integer,
+# a bad --order, an unknown subcommand and none at all
+USAGE_ERRORS = [
+    (["normalize"], "normalize", "expr"),
+    (["is-identity"], "is-identity", "expr"),
+    (["compare", "y1"], "compare", "right"),
+    (["embed"], "embed", "left"),
+    (["factor", "y1"], "factor", "right"),
+    (["reduce"], "reduce", "expr"),
+    (["pwos-min"], "pwos-min", "file"),
+    (["chain-demo", "--degree", "x"], "chain-demo", "--degree"),
+    (["chain-demo", "--indices", "2.5"], "chain-demo", "--indices"),
+    (["chain-demo", "--budget", "ten"], "chain-demo", "--budget"),
+    (["chain-demo", "--order", "bad"], "chain-demo", "--order"),
+    (["independence", "--degree", "x"], "independence", "--degree"),
+    (["independence", "--indices", "x"], "independence", "--indices"),
+    (["frobnicate"], None, "command"),
+    ([], None, "command"),
+]
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("argv, cmd, arg", USAGE_ERRORS, ids=[" ".join(c[0]) or "none" for c in USAGE_ERRORS])
+def test_usage_error_names_the_argument(capsys, argv, cmd, arg, json_flag):
+    # argparse's own wording and wrapping vary between Python versions, so
+    # the error line is checked by its prefix and the argument it names
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--json"] * json_flag)
+    assert ei.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    prefix = f"m2sl2 {cmd}: error:" if cmd else "m2sl2: error:"
+    line, = [ln for ln in cap.err.splitlines() if ": error:" in ln]
+    assert line.startswith(prefix) and arg in line[len(prefix):], line
+
+
+def test_usage_errors_cover_every_subcommand():
+    choices = next(a.choices for a in m2sl2.cli._PARSER._actions if a.dest == "command")
+    assert {cmd for _, cmd, _ in USAGE_ERRORS} - {None} == set(choices) and len(choices) == 9
+
+
 def test_deterministic_output(capsys):
     outs = set()
     for _ in range(3):

@@ -4,9 +4,8 @@ Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
 reduce_by on its polynomial against the three generators of its file, with
 no trace, as the reduce command runs it; each `chain` job is chain_demo on
 its stream.  The counts are taken by wrapping the names the loop calls: the
-embedding kernel, the lift, the gcd, the renaming of the public
-factorization (which the lift does not call), every MonotoneInjection built,
-and every index support built rather than read from its cache."""
+embedding kernel, the lift and the gcd, every MonotoneInjection built, and
+every index support built rather than read from its cache."""
 
 import sys
 from collections import Counter
@@ -43,7 +42,7 @@ def _jobs(workload: str) -> list[list]:
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Calls of embedders, _lift, bezout and _rename as reduction calls them,
+    """Calls of embedders, _lift and bezout as reduction calls them,
     the MonotoneInjections built (validated or not), the index supports
     built (`supports`), and `sets`: the distinct tuples of usable generator
     positions met within each _reduce call, summed over the calls."""
@@ -67,7 +66,7 @@ def counts(monkeypatch) -> Counter:
 
     monkeypatch.setattr(reduction, "embedders", counted_embedders)
     monkeypatch.setattr(reduction, "_reduce", counted_reduce)
-    for name in ("_lift", "bezout", "_rename"):
+    for name in ("_lift", "bezout"):
         def counted(*args, _fn=getattr(reduction, name), _name=name):
             seen[_name] += 1
             return _fn(*args)
@@ -102,9 +101,8 @@ def test_reduce_work(counts):
         reduction.reduce_by(f, gens)
     # one embedders call per step, one lift per usable generator with a tail
     # and a nonzero Bezout coefficient, and one gcd per distinct usable set
-    # of each reduce_by call: the witness tables build no injection, the
-    # lift renames no term through _rename, and each generator's support is
-    # built once
+    # of each reduce_by call: the witness tables build no injection, and
+    # each generator's support is built once
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
                       "supports": 102}
 
@@ -114,10 +112,10 @@ def test_traced_reduce_work(counts):
     for f, *gens in jobs:
         reduction.reduce_by(f, gens, trace=[])
     # every generator of these jobs has a tail, so a traced pass lifts as an
-    # untraced one does, still with no _rename call, and builds only the
-    # injection each step's record prints
+    # untraced one does; each step's record reads the witness table and the
+    # parts _lift returns, so the pass builds no injection either
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102, "MonotoneInjection": 7504}
+                      "supports": 102}
 
 
 def test_chain_work(counts):

@@ -34,7 +34,7 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
-from m2sl2.orders import _rename, embedders
+from m2sl2.orders import embedders
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -52,6 +52,7 @@ from tests.util import (
     reference_factorize,
     reference_reduce,
     reducer_word,
+    rename_parts,
     word,
     y,
     z,
@@ -388,7 +389,7 @@ def _rows(terms) -> list:
 def _lift_by_product(terms: dict, image, ny, p_even, p_odd) -> list:
     """The lift written the long way: each term renamed through the image,
     then multiplied by N and P through the canonical product, as rows."""
-    return _rows({mono_mul(*_rename(m, image, "both"), ny, p_even, p_odd)[1]: c
+    return _rows({mono_mul(*rename_parts(m, image, "both"), ny, p_even, p_odd)[1]: c
                   for m, c in terms.items()})
 
 

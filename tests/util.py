@@ -650,6 +650,37 @@ def word_renaming(f: QPoly, phi: MonotoneInjection, mode: str = "both") -> QPoly
     return QPoly(acc)
 
 
+def push_counts(u, image) -> tuple[int, ...]:
+    """Push a trimmed count sequence along the image, a dict or an index
+    table: result[image[i]] = u[i]."""
+    if not u:
+        return ()
+    out = [0] * image[len(u)]  # u ends on a nonzero entry, whose image is the top
+    for i, e in enumerate(u, start=1):
+        if e:
+            out[image[i] - 1] = e
+    return tuple(out)
+
+
+def rename_parts(m: CanonicalMonomial, image, mode: str) -> tuple:
+    """m's (yexp, cseq, dseq) with the letter indices of the families the
+    mode moves renamed through an image covering them: a dict, where a
+    missing index raises KeyError, or a witness table of embedders
+    (table[i] the image of i).  Each family is pushed on its own, with no
+    N or P joined: the renaming the package's lift kernel
+    (orders._lift_terms) performs together with N and P.
+
+    Strict monotonicity keeps slot sequences sorted and never merges
+    exponents, so the three tuples are canonical and no sign appears."""
+    yexp, cseq, dseq = m.yexp, m.cseq, m.dseq
+    if mode != "z_only":
+        yexp = push_counts(yexp, image)
+    if mode != "y_only":
+        cseq = tuple([image[i] for i in cseq])
+        dseq = tuple([image[i] for i in dseq])
+    return yexp, cseq, dseq
+
+
 def mono_mul(ay: tuple, ac: tuple, ad: tuple,
              by: tuple, bc: tuple, bd: tuple) -> tuple[int, CanonicalMonomial]:
     """The product of the canonical monomials with parts (ay, ac, ad) and
