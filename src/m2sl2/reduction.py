@@ -197,10 +197,9 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     image = dict(phi.covering(_monomial_need(m, "both")).pairs)
     try:
         ny, first, second = _factor(m, target, image)
-        fits = min(ny, default=0) >= 0
     except IndexError:  # a y-exponent of phi(m) lies past the target's
-        fits = False
-    if not fits:
+        raise NotEmbeddableError("phi(m) does not fit under the target") from None
+    if min(ny, default=0) < 0:
         raise NotEmbeddableError("phi(m) does not fit under the target")
     if len(first) - len(second) not in (0, 1):
         raise NotEmbeddableError("slot deficits cannot interleave into a word")
