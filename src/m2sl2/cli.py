@@ -36,10 +36,9 @@ def sorted_terms_desc(f: QPoly):
 
 def format_term(c: int, m) -> str:
     """One signed term, e.g. "+ y1", "- 3*z1*z2" or "+ 1"."""
-    body = format_monomial(m)
-    if abs(c) != 1:
-        body = f"{coeff_str(abs(c))}*{body}"
-    return f"{'+' if c > 0 else '-'} {body}"
+    if c > 0:
+        return "+ " + format_monomial(m) if c == 1 else f"+ {coeff_str(c)}*{format_monomial(m)}"
+    return "- " + format_monomial(m) if c == -1 else f"- {coeff_str(-c)}*{format_monomial(m)}"
 
 
 def format_terms(items) -> str:
@@ -90,7 +89,8 @@ def _phi_text(phi) -> str:
 
 # --- subcommand handlers ----------------------------------------------------
 # Each returns its stdout as a list of lines and prints nothing: main writes
-# them once the command has succeeded, so a failing command prints none.
+# them, in one write, once the command has succeeded, so a failing command
+# prints none.
 
 def cmd_normalize(args) -> list[str]:
     f = parse_poly(args.expr)
@@ -274,10 +274,13 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code: 0 with the handler's
+    lines, each ended by a newline, written to stdout in one write; 1 for a
+    domain error, with one error line on stderr, the handler having
+    returned no lines; 2 for a usage error, from argparse."""
     args = _PARSER.parse_args(argv)
     try:
-        for line in args.func(args):
-            print(line)
+        sys.stdout.write("".join([line + "\n" for line in args.func(args)]))
         return 0
     except (EngineError, ValueError, OSError) as exc:
         if getattr(args, "json", False):

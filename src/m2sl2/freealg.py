@@ -215,17 +215,19 @@ def reduce_powers(factors) -> tuple[int, CanonicalMonomial]:
     letters, which keep their slot parity, and each slot class sorts freely.
     A zero exponent adds nothing, so the exponents stay trimmed.
     """
-    t, seen_z, yexp, zs = 0, 0, [], []
+    t, yexp, zs = 0, [], []
     for (fam, idx), k in factors:
         if fam == "z":
-            seen_z += k
-            zs += [idx] * k
+            if k == 1:
+                zs.append(idx)
+            else:
+                zs += [idx] * k
         elif k:
-            t += seen_z * k
+            t += len(zs) * k
             if idx > len(yexp):
                 yexp += [0] * (idx - len(yexp))
             yexp[idx - 1] += k
-    return (-1 if t % 2 else 1), CanonicalMonomial._trusted(
+    return (-1 if t & 1 else 1), CanonicalMonomial._trusted(
         tuple(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2])))
 
 

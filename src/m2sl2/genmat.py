@@ -232,13 +232,18 @@ def _add_into(acc: tuple[dict, dict], m: tuple[dict, dict], sign: int) -> tuple[
 
 
 def _mat_mul(x: tuple[dict, dict], y: tuple[dict, dict]) -> tuple[dict, dict]:
-    """(a, b)(c, d) = (ac + b sigma d, ad + b sigma c), by _conj's identity."""
+    """(a, b)(c, d) = (ac + b sigma d, ad + b sigma c), by _conj's identity.
+    A block product with an empty operand adds nothing, so it is skipped,
+    and sigma is taken of a nonempty block only."""
     (a, b), (c, d) = x, y
     e11, e12 = {}, {}
-    _mul_into(e11, a, c)
-    _mul_into(e12, a, d)
-    if b:
+    if a and c:
+        _mul_into(e11, a, c)
+    if a and d:
+        _mul_into(e12, a, d)
+    if b and d:
         _mul_into(e11, b, _conj(d))
+    if b and c:
         _mul_into(e12, b, _conj(c))
     return e11, e12
 

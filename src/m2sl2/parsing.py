@@ -42,9 +42,10 @@ and all three bill a word leaf's charge when they reach it.
 integer alone, as every `chain` and `reduce` job line is: one match of _TERM
 (built from _RUN's pattern) per term, and each run's monomial built in
 closed form from its powers of letters (freealg.reduce_powers), with no
-tree and no word.  _powers, the factor loop that _Parser.run calls too,
-charges the letters cap as the parser does, and any other text, or one the
-caps would refuse, is parsed, so every value and error is the parser's.
+tree and no word, and folded into the sum as it is read.  _powers, the
+factor loop that _Parser.run calls too, charges the letters cap as the
+parser does, and any other text, or one the caps would refuse, is parsed,
+so every value and error is the parser's.
 """
 
 import re
@@ -52,7 +53,7 @@ from functools import cache
 from itertools import groupby
 
 from .errors import ParseError, ResourceBoundError
-from .freealg import QPoly, Word, _bracket, _product, _sum_signed, normalize, reduce_powers
+from .freealg import QPoly, Word, _bracket, _product, normalize, reduce_powers
 from .intlinalg import _row_axpy
 
 # Input caps that keep hostile input from costing a traceback: letter indices
@@ -532,29 +533,38 @@ def parse_poly(text: str) -> QPoly:
     """The canonical polynomial of an expression.
 
     Equal to normalize(parse_words(text)).  A text that is a signed sum of
-    runs and integers alone, such as `-15*y1*y3^3*z1*z2 + 4`, is read one
-    term per match of _TERM, and each run's monomial is built in closed
-    form from its powers of letters (freealg.reduce_powers): no parse tree,
-    no letters and no reduce_word.  The caps are charged as the parser
-    charges them (_powers), and any other text, or one they would refuse,
-    is parsed, so its value and errors are the parser's.  The tree is
-    folded over QPoly (fold_tree), so a power or a product of sums costs
-    the size of its canonical form, not of its raw expansion.  The word cap
-    still applies to the raw expansion, and a power whose base normalizes
-    to one term charges the power caps by that term, as
-    genmat._tree_row does.
+    runs and integers alone, such as `-15*y1*y3^3*z1*z2 + 4`, is read in
+    one loop, one term per match of _TERM: each run's monomial is built in
+    closed form from its powers of letters (freealg.reduce_powers), with no
+    parse tree, no letters and no reduce_word, and the term is added to the
+    sum at once, a monomial keeping its place from when it last became
+    nonzero.  The caps are charged as the parser charges them (_powers),
+    each run's before its monomial is built, and any other text, or one
+    they would refuse, is parsed, so its value and errors are the
+    parser's.  The tree is folded over QPoly (fold_tree), so a power or a
+    product of sums costs the size of its canonical form, not of its raw
+    expansion.  The word cap still applies to the raw expansion, and a
+    power whose base normalizes to one term charges the power caps by that
+    term, as genmat._tree_row does.
     """
-    coeffs, runs, absorbed, pos = [], [], 0, 0  # the terms read, letters charged, offset
-    while pos < len(text) or not runs:
+    acc, absorbed, pos, n = {}, 0, 0, 0  # the sum so far, letters charged, offset, terms read
+    while pos < len(text) or not n:
         match = _TERM.match(text, pos)
-        read = match and len(runs) < MAX_WORDS and (
-            _powers(match[3], absorbed) if match[3] else ((), 0))
+        read = match and n < MAX_WORDS and (_powers(match[3], absorbed) if match[3] else ((), 0))
         if not read:
             # normalize is looked up on each call, so a wrapper patched over it sees the lifts
             return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
                              lambda f: [(m.degree, c) for m, c in f.terms.items()])
-        # the sign, then the run's integer or the integer alone
-        coeffs.append(int((match[1] or "") + (match[2] or match[4] or "1")))
-        runs.append(read[0])
-        absorbed, pos = absorbed + read[1], match.end()
-    return _sum_signed(zip(coeffs, map(reduce_powers, runs)))  # a zero coefficient adds nothing
+        # the written sign, then the run's integer or the integer alone
+        sgn, lit, _, num = match.groups()
+        sign, m = reduce_powers(read[0])
+        c = int(lit or num or 1)
+        # negated when one of the written sign and the monomial's is minus;
+        # a zero coefficient adds nothing
+        c = acc.get(m, 0) + (-c if (sgn == "-") != (sign < 0) else c)
+        if c:
+            acc[m] = c
+        else:
+            acc.pop(m, None)
+        absorbed, pos, n = absorbed + read[1], match.end(), n + 1
+    return QPoly._trusted(acc)

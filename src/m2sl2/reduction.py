@@ -14,7 +14,8 @@ Everything the loop needs from a generator is built once: a record
 beside it the embedding data of its leading monomial
 (CanonicalMonomial._embedding), its key for the embedding order.  reduce_by
 builds the records and keys once per call; chain_demo builds them when it
-adjoins a generator and keeps them for the rest of the stream.  At each step
+adjoins a generator, reading its leading data off the remainder's first
+term, and keeps them for the rest of the stream.  At each step
 one call of orders.embedders over the keys returns the generators whose
 leading monomial embeds into M, with their witnesses as plain index tables
 (table[i] the image of index i).
@@ -35,9 +36,9 @@ MonotoneInjection unless the tail reaches past the witness.
 
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients,
-taken once per distinct set of usable reducers within one loop call;
-a nonzero residue freezes into the remainder and reduction continues on the
-strictly smaller tail.  Strict descent in a well-order terminates.
+taken once per distinct set of usable reducers within one reduce_by call
+or one chain_demo stream; a nonzero residue freezes into the remainder and
+reduction continues on the strictly smaller tail.  Strict descent in a well-order terminates.
 """
 
 from bisect import insort
@@ -290,7 +291,7 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
         ld = leading(g)
         recs.append(_record(g, ld))
         keys.append(ld.lm._embedding())
-    return _reduce(f, recs, keys, trace)
+    return _reduce(f, recs, keys, {}, trace)
 
 
 def _record(g: QPoly, ld: LeadingData) -> tuple:
@@ -312,10 +313,10 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
     return ld, tail
 
 
-def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPoly:
-    """The reduce_by loop, given each generator's record (see _record) and,
-    at the same position of `keys`, the embedding data of its leading
-    monomial.
+def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = None) -> QPoly:
+    """The reduce_by loop, given each generator's record (see _record), at
+    the same position of `keys` the embedding data of its leading monomial,
+    and the caller's gcd table `gcds` (see below).
 
     `work` maps each live term to its coefficient; `keyed` holds
     (total_key(m), m) for every monomial inserted when it entered `work`,
@@ -330,10 +331,13 @@ def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPol
     generators and their witness tables, in ascending position, and the
     loop compares no embeddings itself.  The gcd of the usable leading
     coefficients and their Bezout coefficients, (d, betas), depend only on
-    which generators are usable, and a call meets few such sets: `gcds`
-    keeps them by the tuple of positions, for this call only, so bezout
-    runs once per distinct set.  Only the tail of a usable generator is
-    lifted and subtracted: its leading term would land on lm, whose
+    which generators are usable, and few such sets occur: `gcds` keeps them
+    by the tuple of positions, so bezout runs once per distinct set in the
+    table's life.  The table is valid while the generator at each position,
+    and so its leading coefficient, stays the same: reduce_by passes a
+    fresh one per call, and chain_demo one per stream, whose generators are
+    only ever appended.  Only the tail of a usable generator is lifted and
+    subtracted: its leading term would land on lm, whose
     coefficient ends at the residue r, and lm leaves `work` anyway.  So a
     one-term generator, whose tail is empty, costs no factorization and no
     lift, unless `trace` records them.  Every other step calls _lift once
@@ -341,11 +345,14 @@ def _reduce(f: QPoly, recs: list, keys: list, trace: list | None = None) -> QPol
     step's record has the fields of ReducerTriple.to_obj, read off the
     witness table and the parts _lift returns, with no injection or triple
     built, and there is no other branch.
+
+    Terms freeze into the remainder in strictly descending total_key
+    order, each the leading term of `work` when it froze, so the
+    remainder's first term is its leading term.
     """
     work = dict(f.terms)
     keyed = sorted([(total_key(m), m) for m in work])
     rem: dict[CanonicalMonomial, int] = {}
-    gcds: dict[tuple, tuple] = {}  # (d, betas) of each usable set met in this call
     while keyed:
         lm = keyed.pop()[1]
         lc = work.get(lm)
@@ -424,13 +431,16 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     adjoined ones are never revisited, so the well-partial-order property
     bounds how long the chain can grow.  Each generator's record (_record:
     leading data, tail) and key (its leading monomial's embedding data) are
-    built once, when it is adjoined, and kept for the rest of the stream.
+    built once, when it is adjoined, and kept for the rest of the stream,
+    as is the gcd table of every usable set met (see _reduce).  The
+    leading data is the remainder's first term, which _reduce froze first.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
     recs: list[tuple] = []
     keys: list[tuple] = []
+    gcds: dict[tuple, tuple] = {}  # (d, betas) of each usable set met in the stream
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
     truncated = False
@@ -439,10 +449,11 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = _reduce(fpoly, recs, keys)
-        if not r.is_zero():
+        r = _reduce(fpoly, recs, keys, gcds)
+        if r.terms:
             gens.append(r)
-            ld = leading(r)
+            lm = next(iter(r.terms))
+            ld = LeadingData(r.terms[lm], lm)
             recs.append(_record(r, ld))
             keys.append(ld.lm._embedding())
             adjoined.append((steps, ld))

@@ -29,16 +29,18 @@ timed as the command runs it:
 - `independence` runs independence_report(5, 3) and (6, 3), the seed-1
   `independence` jobs.
 
-Last, in children of their own, the seed-1 `reduce` jobs through the
-command line, cli.main on each job's argv with stdout discarded, so the
-parse, the output and, for a trace, the file are timed with the step.  A
-child writes each job's generator file to a temporary directory in
-prepare, untimed, and reads the job's argv with its file names pointing
-there:
+Last, in children of their own, the seed-1 `reduce` and `chain` jobs
+through the command line, cli.main on each job's argv with stdout
+discarded, so the parse, the output and, for a trace, the file are timed
+with the step.  A child writes each job's generator or stream file to a
+temporary directory in prepare, untimed, and reads the job's argv with its
+file names pointing there:
 - `reduce` prints the remainder as text;
 - `reduce --json` prints it with the trace, as JSON;
 - `reduce --trace FILE` prints the text and writes the trace to a file in
-  the same directory.
+  the same directory;
+- `chain-demo FILE` reads the stream file, grows the chain and prints a
+  line per adjoined generator, the whole path of a `chain` job.
 
 The script prints, per batch, the least time of each tree over the rounds
 and their ratio, this tree over the parent, then the quartiles of the
@@ -93,7 +95,8 @@ def cli(argv):
 
 step = {"reduce": cli,
         "reduce --json": lambda argv: cli(argv + ["--json"]),
-        "reduce --trace FILE": lambda argv: cli(argv + ["--trace", TRACE])}
+        "reduce --trace FILE": lambda argv: cli(argv + ["--trace", TRACE]),
+        "chain-demo FILE": cli}
 """
 
 
@@ -123,9 +126,14 @@ def identity_jobs() -> dict[str, list]:
 
 
 def cli_jobs() -> dict[str, list]:
-    """Each seed-1 `reduce` job as [argv, files], once per command form."""
-    jobs = [[list(job.argv), [list(f) for f in job.files]] for job in seed1_jobs("reduce")]
-    return {"reduce": jobs, "reduce --json": jobs, "reduce --trace FILE": jobs}
+    """Each seed-1 `reduce` job as [argv, files], once per command form,
+    then each seed-1 `chain` job."""
+    def jobs(workload: str) -> list:
+        return [[list(job.argv), [list(f) for f in job.files]] for job in seed1_jobs(workload)]
+
+    reduce = jobs("reduce")
+    return {"reduce": reduce, "reduce --json": reduce, "reduce --trace FILE": reduce,
+            "chain-demo FILE": jobs("chain")}
 
 
 def main(argv=None) -> None:

@@ -1,4 +1,5 @@
-"""Work counts of the reduction engine on the benchmark's seed-1 jobs.
+"""Work counts of the reduction engine on the benchmark's seed-1 jobs, and
+of the generic evaluation and the command line that carry them.
 
 Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
 reduce_by on its polynomial against the three generators of its file, with
@@ -7,16 +8,19 @@ its stream.  The counts are taken by wrapping the names the loop calls: the
 embedding kernel, the lift and the gcd, every MonotoneInjection built, and
 every index support built rather than read from its cache."""
 
+import io
 import sys
 from collections import Counter
 
 import pytest
 
+import m2sl2.cli
+import m2sl2.genmat as genmat
 import m2sl2.orders
 import m2sl2.reduction as reduction
 from m2sl2.freealg import QPoly
 from m2sl2.orders import MonotoneInjection
-from m2sl2.parsing import parse_poly
+from m2sl2.parsing import parse, parse_poly
 
 # the benchmark directory holds no bytecode; importing it must not add any
 _write_bytecode = sys.dont_write_bytecode
@@ -125,5 +129,73 @@ def test_chain_work(counts):
         reduction.chain_demo(stream)
     # the stream's items are single terms, so the generators' tails are
     # empty: no untraced step lifts or builds an injection, and no
-    # generator builds an index support
-    assert counts == {"embedders": 3600, "bezout": 1796, "sets": 1796}
+    # generator builds an index support.  The gcd table lives for the
+    # whole stream, so bezout runs once per usable set new to the stream,
+    # fewer times than a table per _reduce call would run it (`sets`)
+    assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796}
+
+
+def test_chain_reads_leading_data_off_the_remainder(monkeypatch):
+    # an adjoined remainder's leading data is its first term, which _reduce
+    # froze first: chain_demo calls leading on none of them, and the data
+    # is what leading returns
+    calls = Counter()
+    leading = reduction.leading
+
+    def counted(f):
+        calls["leading"] += 1
+        return leading(f)
+
+    monkeypatch.setattr(reduction, "leading", counted)
+    adjoined = []
+    for stream in _jobs("chain"):
+        report = reduction.chain_demo(stream)
+        assert len(report.adjoined) == len(report.generators)
+        adjoined += zip(report.adjoined, report.generators)
+    assert calls == {}
+    assert len(adjoined) == 2727
+    assert all(ld == leading(g) for (_, ld), g in adjoined)
+
+
+def test_identity_products_skip_empty_blocks(monkeypatch):
+    # is-identity folds each seed-1 text over generic first rows: a block
+    # product with an empty operand adds nothing, so _mat_mul makes none
+    seen = Counter()
+    mul_into = genmat._mul_into
+
+    def counted(acc, left, right):
+        seen["empty" if not left or not right else "nonempty"] += 1
+        mul_into(acc, left, right)
+
+    monkeypatch.setattr(genmat, "_mul_into", counted)
+    texts = [job.argv[1] for job in workloads.build("identity", 1) if job.argv[0] == "is-identity"]
+    assert len(texts) == 30
+    for text in texts:
+        genmat._tree_row(parse(text))
+    assert seen == {"nonempty": 467}
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("workload", ["reduce", "chain", "identity"])
+def test_a_command_writes_stdout_once(monkeypatch, tmp_path, workload):
+    # every seed-1 job of the workload through cli.main, its files written
+    # to tmp_path: a successful command writes all of its lines at once
+    for job in workloads.build(workload, 1):
+        for name, text in job.files:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        names = {name for name, _ in job.files}
+        argv = [str(tmp_path / a) if a in names else a for a in job.argv]
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert m2sl2.cli.main(argv) == 0
+        assert out.writes == 1, job.argv
+        assert out.getvalue().endswith("\n"), job.argv
