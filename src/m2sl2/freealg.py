@@ -293,11 +293,9 @@ class QPoly(Combination):
         are those of the nonzero rows of its embedding data (see
         CanonicalMonomial._embedding).
 
-        reduction's lift (reduction._lift, traced or not, and apply_reducer)
-        extends its witness over this once per lift, so a generator's
-        support is computed once, not once per step.  The lifted polynomial
-        is the generator's tail, to which reduction._record hands the whole
-        generator's support when the tail has terms."""
+        apply_reducer extends its injection over this once per lift, and
+        reduction._record keeps it in a generator's record, so the
+        reduction step does not compute it per step."""
         support = self._support
         if support is None:
             idx = {i for m in self.terms

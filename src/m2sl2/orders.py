@@ -33,26 +33,30 @@ index cover, so the engine never builds a Profile.  The two orders:
   kept data of every generator; pwo_leq is its one-key case, and
   minimal_elements calls it once per item.
 
-Renaming endomorphisms act through one kernel, _lift_terms: it pushes
-each term's indices through an image (a dict, or a witness table of
-embedders, which indexes like one) and, in the same pass, multiplies the
-term by a pure-y N on the left and a pure-z P on the right, N . phi(t) . P.
-rename_monomial extends the injection with covering once per call, over
+Renaming endomorphisms act through one kernel, _lift_terms: for target =
+N . phi(lm) . P it writes N . phi(t) . P for each term t of a program
+compiled against lm (_compile), adding t's y-deltas against lm, pushed
+through an image (a dict, or a witness table of embedders), to the
+target's exponents and joining phi(t)'s slot letters to those phi(lm)
+leaves over, so N is never built.  The reduction step compiles each
+generator's tail once; apply_reducer and rename_monomial compile against
+ONE, where the target's exponents are N's.  rename_monomial extends the injection with covering once per call, over
 every index the call moves (_monomial_need), and lifts the part of the
 monomial its mode moves, with N and P empty in mode "both" and, in the
 one-family modes, the part the mode keeps as N or as P's halves.
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
-the same injections.  The reduction step and apply_reducer (reduction)
-lift through the same kernel, with N and P from the factorization.
+the same injections.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import CanonicalMonomial, _new, _set, _trim
+from .freealg import ONE, CanonicalMonomial, _new, _set, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
+_monomial = CanonicalMonomial._trusted  # bound once: the lift kernel builds one per term
 
 
 @dataclass(frozen=True)
@@ -262,46 +266,68 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
 
 # --- renaming endomorphisms -------------------------------------------------
 
-def _lift_terms(terms: dict, image, ny: tuple, p_even: tuple, p_odd: tuple) -> dict:
-    """N . phi(t) . P for each term t of `terms`, as a new dict in the same
-    order, in one closed-form pass per term, with no check: the one code
-    that pushes a monomial's indices through an image.  `image` is a dict
-    or a witness table of embedders (table[i] the image of i) covering t's
-    indices, `ny` N's trimmed y-exponents, and p_even, p_odd P's halves,
-    each sorted.  rename_monomial, apply_reducer and the reduction step
-    (reduction._lift) all rename through it.
+def _compile(lm: CanonicalMonomial, terms: dict) -> tuple:
+    """The lift program of `terms` against lm, which _lift_terms runs: per
+    term t, in order, (t's c-slots, t's d-slots, swap, deltas, top, t's
+    coefficient).  deltas are t's y-exponents less lm's as nonzero
+    (index, delta) pairs; top is the last pair's index if its delta is
+    positive, else 0.  swap is whether t's z-length parity differs from
+    lm's (a z-free t is even): the letters phi(lm) leaves over follow lm's
+    z-block in the target and t's in the lift, so they keep their slot
+    class exactly when the parities agree."""
+    ly, odd = lm.yexp, len(lm.cseq) != len(lm.dseq)
+    out = []
+    for t, c in terms.items():
+        d = tuple([(i, b - a) for i, (a, b)
+                   in enumerate(zip_longest(ly, t.yexp, fillvalue=0), start=1) if a != b])
+        out.append((t.cseq, t.dseq, (len(t.cseq) != len(t.dseq)) != odd, d,
+                    d[-1][0] if d and d[-1][1] > 0 else 0, c))
+    return tuple(out)
 
-    N is pure-y and P pure-z, so N.phi(t).P has sign +1 and the monomial of
-    phi(t).(N P).  Its y-exponents are N's plus t's pushed along the image,
-    which stay trimmed; its slot classes are t's, mapped through the image
-    (which keeps them sorted), each joined by one of P's halves and sorted,
-    the halves swapped when t's z-length is odd, because P's letters then
-    start on a d-slot.  A term with no odd letters takes P's halves as they
-    are.  Each monomial is built once, with no intermediate one."""
+
+def _lift_terms(prog: tuple, base: tuple, image, left_c: tuple, left_d: tuple) -> dict:
+    """N . phi(t) . P for each term t of a program compiled against lm
+    (_compile), as a dict in the program's order, one closed-form pass per
+    term, with no check: the one code that pushes indices through an image.
+    For target = N . phi(lm) . P, `base` is the target's y-exponents and
+    left_c, left_d its c- and d-slot letters that phi(lm) leaves over, each
+    sorted (against ONE: N's exponents and P's halves); `image`, a dict or
+    a witness table (table[i] the image of i), covers lm's and the terms'
+    indices.
+
+    N.phi(t).P has sign +1 and the monomial of phi(t).(N P).  Its
+    y-exponents are base plus t's deltas pushed along the image: a positive
+    top delta may run past base, a negative one may empty its last index,
+    which is trimmed.  Its slot classes are t's, mapped through the image
+    (which keeps them sorted), each joined by one class of leftovers,
+    swapped where the program says so, and sorted.  Each monomial is built
+    once."""
     out: dict[CanonicalMonomial, int] = {}
-    for m, c in terms.items():
-        yexp, cseq = m.yexp, m.cseq
-        if yexp:
-            y = list(ny)
-            # yexp ends on a nonzero exponent, so its last index maps to the top
-            y += [0] * (image[len(yexp)] - len(y))
-            for i, e in enumerate(yexp, start=1):
-                if e:
-                    y[image[i] - 1] += e
+    for cs, ds, swap, deltas, top, c in prog:
+        if deltas:
+            y = [*base]
+            if top:  # a positive top delta: its index maps to the new top
+                y += [0] * (image[top] - len(y))
+            for i, e in deltas:
+                y[image[i] - 1] += e
+            while y and not y[-1]:  # a negative top delta emptied the last index
+                y.pop()
             y = tuple(y)
         else:
-            y = ny
-        if cseq:
-            cs = [image[i] for i in cseq]
-            ds = [image[i] for i in m.dseq]
-            pc, pd = (p_even, p_odd) if len(cs) == len(ds) else (p_odd, p_even)
+            y = base
+        if cs:
+            pc, pd = (left_d, left_c) if swap else (left_c, left_d)
+            cs = [image[i] for i in cs]
+            ds = [image[i] for i in ds]
             if pc:
                 cs = sorted([*cs, *pc])
             if pd:
                 ds = sorted([*ds, *pd])
-            out[CanonicalMonomial._trusted(y, tuple(cs), tuple(ds))] = c
+            out[_monomial(y, tuple(cs), tuple(ds))] = c
+        elif swap:
+            out[_monomial(y, left_d, left_c)] = c
         else:
-            out[CanonicalMonomial._trusted(y, p_even, p_odd)] = c
+            out[_monomial(y, left_c, left_d)] = c
     return out
 
 
@@ -339,7 +365,7 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
     part, n, p_even, p_odd = {"both": (m, (), (), ()),
                               "y_only": (CanonicalMonomial._trusted(y, (), ()), (), c, d),
                               "z_only": (CanonicalMonomial._trusted((), c, d), y, (), ())}[mode]
-    (r,) = _lift_terms({part: 1}, image, n, p_even, p_odd)
+    (r,) = _lift_terms(_compile(ONE, {part: 1}), n, image, p_even, p_odd)
     return r
 
 

@@ -10,8 +10,9 @@ with N pure-y on the left and P a pure-z word on the right, so g lifts to a
 reducer with leading term exactly M and unchanged leading coefficient.
 
 Everything the loop needs from a generator is built once: a record
-(_record) of its leading data and its tail, g minus its leading term, and
-beside it the embedding data of its leading monomial
+(_record) of its leading data and its tail, g minus its leading term,
+compiled against the leading monomial (orders._compile), and beside it
+the embedding data of its leading monomial
 (CanonicalMonomial._embedding), its key for the embedding order.  reduce_by
 builds the records and keys once per call; chain_demo builds them when it
 adjoins a generator, reading its leading data off the remainder's first
@@ -24,14 +25,16 @@ The factorization has one core, _factor, with no check: N's y-exponents
 are the target's less phi(m)'s, and P's halves are the slot letters of the
 target that phi(m) leaves over (_fit).  The public factorize_embedding
 calls it with phi extended over m's indices and refuses each way m can
-fail to fit; the reduction step, _lift, calls it with the witness table,
-which cannot fail.  Both lifts, _lift and the public apply_reducer, go
-through the one renaming kernel, orders._lift_terms, which writes
-N . phi(t) . P for each term in one closed-form pass.  Only a generator's
-tail is lifted: lm(g) lifts to M itself, whose coefficient the Euclidean
-division below settles, and the renaming is injective, so no tail term
-lands on M.  A traced step records phi as the witness table's pairs and N
-and P from the parts _lift returns, so a step, traced or not, builds no
+fail to fit; a traced reduction step calls it with the witness table,
+which cannot fail.  Both lifts, the step _lift and the public
+apply_reducer, go through the one renaming kernel, orders._lift_terms,
+which writes N . phi(t) . P for each term in one closed-form pass; the
+step runs the record's program straight off the target and the witness
+table, so an untraced step builds no N.  Only a generator's tail is
+lifted: lm(g) lifts to M itself, whose coefficient the Euclidean division
+below settles, and the renaming is injective, so no tail term lands on M.
+A traced step records phi as the witness table's pairs and N and P from
+the parts _lift returns, so a step, traced or not, builds no
 MonotoneInjection unless the tail reaches past the witness.
 
 Coefficients live in Z, so a reduction step is Euclidean division of the
@@ -47,6 +50,7 @@ from itertools import combinations
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
+    ONE,
     CanonicalMonomial,
     QPoly,
     _interleave,
@@ -58,6 +62,7 @@ from .freealg import (
 from .intlinalg import IntRowLattice, bezout
 from .orders import (
     MonotoneInjection,
+    _compile,
     _lift_terms,
     _monomial_need,
     embedders,
@@ -134,21 +139,24 @@ class ReducerTriple:
         }
 
 
-def _fit(big: tuple, small: tuple) -> tuple[int, ...]:
-    """The multiset big - small of a sorted tuple and an iterable, sorted:
-    each letter of small is taken out of big; small must lie inside big."""
-    out = list(big)
-    for x in small:
+def _fit(big: tuple, small: tuple, image) -> tuple[int, ...]:
+    """The multiset big - image(small) for a sorted tuple big, sorted: the
+    image of each letter of small is taken out of big, and must be in it."""
+    if not small:
+        return big
+    out = [*big]
+    for i in small:
         try:
-            out.remove(x)
-        except ValueError:  # x is not left in big
+            out.remove(image[i])
+        except ValueError:  # image[i] is not left in big
             raise NotEmbeddableError("phi(m) does not fit under the target") from None
     return tuple(out)
 
 
 def _factor(m: CanonicalMonomial, target: CanonicalMonomial, image) -> tuple:
     """The parts (n_yexp, p_even, p_odd) of target = N . phi(m) . P, with no
-    check: the one factorization core of factorize_embedding and _lift.
+    check: the one factorization core of factorize_embedding and the
+    traced _lift.
     `image` is phi as a witness table of embedders (table[i] the image of
     i) or as a dict covering m's indices.
 
@@ -165,9 +173,7 @@ def _factor(m: CanonicalMonomial, target: CanonicalMonomial, image) -> tuple:
     for i, e in enumerate(m.yexp, start=1):
         if e:
             ny[image[i] - 1] -= e
-    # map, not a list comprehension: about 2% of an untraced reduce_by on 3.11
-    first, second = (_fit(target.cseq, map(image.__getitem__, m.cseq)),
-                     _fit(target.dseq, map(image.__getitem__, m.dseq)))
+    first, second = _fit(target.cseq, m.cseq, image), _fit(target.dseq, m.dseq, image)
     if len(m.cseq) != len(m.dseq):
         first, second = second, first
     return _trim(ny), first, second
@@ -210,10 +216,11 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     """N . phi(f) . P as a canonical polynomial, in closed form.
 
-    Each term of f is lifted in one pass of orders._lift_terms: renamed
-    along phi, with N's y-exponents added, P's even-position letters (from
-    0) joined to its c-slots and its odd-position letters to its d-slots:
-    no word product and no intermediate monomial.  A triple built from a
+    f's terms are compiled against ONE (orders._compile) and each is lifted
+    in one pass of orders._lift_terms: renamed along phi, with N's
+    y-exponents added, P's even-position letters (from 0) joined to its
+    c-slots and its odd-position letters to its d-slots: no word product
+    and no intermediate monomial.  A triple built from a
     caller's P word may keep P's halves unsorted, so they are sorted once
     per call, as the kernel reads them.  phi is extended once, over f's
     index support, which f computes on its first lift and keeps, so the
@@ -230,33 +237,41 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
         raise ValueError("letter index must be >= 1")
     image = dict(triple.phi.covering(f._index_support()).pairs)
-    return QPoly._trusted(_lift_terms(f.terms, image, ny, p_even, p_odd))
+    return QPoly._trusted(_lift_terms(_compile(ONE, f.terms), ny, image, p_even, p_odd))
 
 
-def _lift(m: CanonicalMonomial, target: CanonicalMonomial, table: list,
-          tail: QPoly) -> tuple:
-    """One reduction step, traced or not: the lifted tail's terms and the
-    factorization they were lifted by, (terms, n_yexp, p_even, p_odd), with
-    no check.  That is apply_reducer(t, tail).terms and t's stored parts,
-    for t = factorize_embedding(m, target, MonotoneInjection.from_table(table)),
-    where table must be the witness table of m <=' target as
-    orders.embedders returns it (table[i] the image of index i, table[0] =
-    0).
+def _lift(m: CanonicalMonomial, prog: tuple | None, target: CanonicalMonomial,
+          table: list, traced: bool = False):
+    """One reduction step, traced or not, with no check: the lifted terms
+    of a generator's tail as a dict, and when `traced` also the
+    factorization, (terms, n_yexp, p_even, p_odd).  That is
+    apply_reducer(t, tail).terms and t's stored parts, for
+    t = factorize_embedding(m, target, MonotoneInjection.from_table(table)),
+    where m is the generator's leading monomial, table the witness table of
+    m <=' target from orders.embedders, and prog the record's program (see
+    _record).
 
     Such a witness maps every index 1..max_index of m and puts each row of
-    m under a row of the target, so none of factorize_embedding's refusals
-    can occur, and _factor reads the parts straight off the table.  The
-    table indexes like an image dict, so it is the renaming's image when
-    the tail's kept index support ends within its sources; a support
-    reaching past them extends the witness with covering, holes included,
-    as apply_reducer does.  The tail of a one-term generator is empty, and
-    the step still returns its factorization.
+    m under a row of the target, so no refusal can occur.  The kernel adds
+    the compiled deltas to the target's y-exponents and joins the target's
+    slot letters left over by phi(m) (_fit), so an untraced step builds no
+    N; with a trace, _factor reads N and P's halves off the table as well.
+    The table is the renaming's image when the support ends within its
+    sources; a support reaching past them extends the witness with
+    covering, holes included, as apply_reducer does.
     """
-    ny, first, second = _factor(m, target, table)
-    image, sup = table, tail._index_support()
-    if sup and sup[-1] >= len(table):
-        image = dict(MonotoneInjection.from_table(table).covering(sup).pairs)
-    return _lift_terms(tail.terms, image, ny, first, second), ny, first, second
+    if traced:
+        ny, first, second = _factor(m, target, table)
+        left_c, left_d = (first, second) if len(m.cseq) == len(m.dseq) else (second, first)
+    else:
+        left_c, left_d = _fit(target.cseq, m.cseq, table), _fit(target.dseq, m.dseq, table)
+    lifted = {}
+    if prog is not None:
+        sup, terms = prog
+        image = table if sup[-1] < len(table) else dict(
+            MonotoneInjection.from_table(table).covering(sup).pairs)
+        lifted = _lift_terms(terms, target.yexp, image, left_c, left_d)
+    return (lifted, ny, first, second) if traced else lifted
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
@@ -296,21 +311,17 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
 
 def _record(g: QPoly, ld: LeadingData) -> tuple:
     """What the reduction loop reads of a nonzero generator g with leading
-    data ld when g is usable, built once: (ld, tail).
+    data ld when g is usable, built once: (ld, prog).
 
-    The tail is g minus its leading term.  A tail with terms keeps g's index
-    support, so _lift extends a witness over the same indices as for g.  An
-    empty tail lifts nothing, and _lift reads a support only to choose the
-    image, so g's support is not built for it: a one-term generator never
-    builds one, and a traced step on it still records its factorization,
-    read off the witness table.  Which
+    prog is None when g's tail, g minus its leading term, is empty, so a
+    one-term generator builds no support and no program.  Otherwise it is
+    (g's index support, the tail compiled against ld.lm), which _lift runs;
+    the support is read only where the tail reaches past a witness.  Which
     generators are usable is decided on their keys, kept beside the records
     (see _reduce), so the record holds nothing of the embedding order.
     """
-    tail = QPoly._trusted({m: c for m, c in g.terms.items() if m != ld.lm})
-    if tail.terms:
-        tail._support = g._index_support()
-    return ld, tail
+    tail = {m: c for m, c in g.terms.items() if m != ld.lm}
+    return ld, ((g._index_support(), _compile(ld.lm, tail)) if tail else None)
 
 
 def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = None) -> QPoly:
@@ -339,9 +350,10 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
     only ever appended.  Only the tail of a usable generator is lifted and
     subtracted: its leading term would land on lm, whose
     coefficient ends at the residue r, and lm leaves `work` anyway.  So a
-    one-term generator, whose tail is empty, costs no factorization and no
-    lift, unless `trace` records them.  Every other step calls _lift once
-    and folds the lifted terms straight into `work`; with a trace, the
+    one-term generator, whose record holds no program, costs no
+    factorization and no lift, unless `trace` records them.  Every other
+    step calls _lift once and folds the lifted terms straight into `work`;
+    with a trace, the
     step's record has the fields of ReducerTriple.to_obj, read off the
     witness table and the parts _lift returns, with no injection or triple
     built, and there is no other branch.
@@ -368,12 +380,13 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
             q, r = divmod(lc, d)
             if q:
                 for (k, table), beta in zip(hits, betas):
-                    ld, tail = recs[k]
-                    if not beta or not tail.terms and trace is None:
+                    ld, prog = recs[k]
+                    if not beta or prog is None and trace is None:
                         continue
                     # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
-                    lifted, ny, first, second = _lift(ld.lm, lm, table, tail)
+                    lifted = _lift(ld.lm, prog, lm, table, trace is not None)
                     if trace is not None:  # ReducerTriple.to_obj's fields, read off the parts
+                        lifted, ny, first, second = lifted
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
                                       "phi": [[i, table[i]] for i in range(1, len(table))],
                                       "N": monomial_to_obj(CanonicalMonomial._trusted(ny, (), ())),

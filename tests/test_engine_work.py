@@ -5,8 +5,9 @@ Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
 reduce_by on its polynomial against the three generators of its file, with
 no trace, as the reduce command runs it; each `chain` job is chain_demo on
 its stream.  The counts are taken by wrapping the names the loop calls: the
-embedding kernel, the lift and the gcd, every MonotoneInjection built, and
-every index support built rather than read from its cache."""
+embedding kernel, the lift and the gcd, the compile of a generator's lift
+program, every MonotoneInjection built, and every index support built
+rather than read from its cache."""
 
 import io
 import sys
@@ -46,7 +47,7 @@ def _jobs(workload: str) -> list[list]:
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Calls of embedders, _lift and bezout as reduction calls them,
+    """Calls of embedders, _lift, bezout and _compile as reduction calls them,
     the MonotoneInjections built (validated or not), the index supports
     built (`supports`), and `sets`: the distinct tuples of usable generator
     positions met within each _reduce call, summed over the calls."""
@@ -70,7 +71,7 @@ def counts(monkeypatch) -> Counter:
 
     monkeypatch.setattr(reduction, "embedders", counted_embedders)
     monkeypatch.setattr(reduction, "_reduce", counted_reduce)
-    for name in ("_lift", "bezout"):
+    for name in ("_lift", "bezout", "_compile"):
         def counted(*args, _fn=getattr(reduction, name), _name=name):
             seen[_name] += 1
             return _fn(*args)
@@ -106,9 +107,9 @@ def test_reduce_work(counts):
     # one embedders call per step, one lift per usable generator with a tail
     # and a nonzero Bezout coefficient, and one gcd per distinct usable set
     # of each reduce_by call: the witness tables build no injection, and
-    # each generator's support is built once
+    # each generator's support is built and its tail compiled once per call
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102}
+                      "supports": 102, "_compile": 102}
 
 
 def test_traced_reduce_work(counts):
@@ -119,7 +120,7 @@ def test_traced_reduce_work(counts):
     # untraced one does; each step's record reads the witness table and the
     # parts _lift returns, so the pass builds no injection either
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102}
+                      "supports": 102, "_compile": 102}
 
 
 def test_chain_work(counts):
@@ -129,9 +130,10 @@ def test_chain_work(counts):
         reduction.chain_demo(stream)
     # the stream's items are single terms, so the generators' tails are
     # empty: no untraced step lifts or builds an injection, and no
-    # generator builds an index support.  The gcd table lives for the
-    # whole stream, so bezout runs once per usable set new to the stream,
-    # fewer times than a table per _reduce call would run it (`sets`)
+    # generator builds an index support or compiles a lift program (no
+    # `_compile` count).  The gcd table lives for the whole stream, so
+    # bezout runs once per usable set new to the stream, fewer times than a
+    # table per _reduce call would run it (`sets`)
     assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796}
 
 

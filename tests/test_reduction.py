@@ -34,7 +34,7 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
-from m2sl2.orders import embedders
+from m2sl2.orders import _compile, embedders
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -49,6 +49,7 @@ from tests.util import (
     product_membership_bounded,
     rand_monomial,
     rand_qpoly,
+    reference_covering,
     reference_factorize,
     reference_reduce,
     reducer_word,
@@ -137,13 +138,16 @@ def outcome(fn, *args):
 
 
 def test_fit_matches_counter_fit():
-    # every pair of sorted tuples of length <= 4 over 1..4, fits and misses
+    # every pair of sorted tuples of length <= 4 over 1..4, fits and misses;
+    # _fit takes out the images of small's letters, here under a table that
+    # permutes 1..4, so each image multiset is met once
     tuples = [t for n in range(5) for t in combinations_with_replacement(range(1, 5), n)]
+    image = [0, 3, 1, 4, 2]
     seen: Counter = Counter()
     for big in tuples:
         for small in tuples:
-            want = outcome(counter_fit, big, small)
-            assert outcome(reduction._fit, big, small) == want, (big, small)
+            want = outcome(counter_fit, big, [image[i] for i in small])
+            assert outcome(reduction._fit, big, small, image) == want, (big, small)
             seen["miss" if want == (NotEmbeddableError, "phi(m) does not fit under the target")
                  else "fit"] += 1
     # a fit splits big into small and the rest: C(12, 4) pairs of multisets
@@ -347,8 +351,9 @@ def test_apply_reducer_warm_support_matches_product_oracle():
 
 def test_fused_lift_matches_the_two_public_steps_exhaustive():
     # every embedding pair (a, b) of a small basis: the loop's one step, on
-    # the kernel's witness table, gives apply_reducer(factorize_embedding(...))
-    # term for term, and returns the triple's stored parts, which a trace
+    # the kernel's witness table and the tail's program compiled against a,
+    # gives apply_reducer(factorize_embedding(...)) term for term, traced or
+    # not, and traced returns the triple's stored parts, which a trace
     # record reads, on tails whose indices reach a.max_index + 1, so the
     # witness is extended
     rng = random.Random(95)
@@ -373,9 +378,12 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
                 tail = QPoly({m: rng.choice((-3, -1, 2, 5)) for m in picked})
                 triple = factorize_embedding(a, b, phi)
                 want = apply_reducer(triple, tail)
-                got, *parts = reduction._lift(a, b, table, tail)
+                prog = tail._index_support(), _compile(a, tail.terms)
+                got, *parts = reduction._lift(a, prog, b, table, True)
                 assert list(got.items()) == list(want.terms.items()), (a, b, tail)
                 assert parts == [triple.n_yexp, triple.p_even, triple.p_odd], (a, b)
+                untraced = reduction._lift(a, prog, b, table)
+                assert list(untraced.items()) == list(got.items()), (a, b, tail)
                 extended += phi.covering(tail._index_support()) is not phi
     assert pairs == 618
     assert extended == 2 * pairs
@@ -394,7 +402,8 @@ def _lift_by_product(terms: dict, image, ny, p_even, p_odd) -> list:
 
 
 def test_lift_terms_match_rename_then_product_exhaustive():
-    # every term of a small basis, lifted in the kernel's one pass, gives the
+    # every term of a small basis, compiled against ONE (as apply_reducer
+    # and rename_monomial compile) and lifted in the kernel's one pass, gives the
     # monomial of the renamed term times N and P, as tuples, in the same
     # order and with the same coefficient; under a witness table of
     # embedders and under a covering dict that filled a hole, with P of
@@ -408,7 +417,7 @@ def test_lift_terms_match_rename_then_product_exhaustive():
     for image in (table, filled):
         for ny in ((), (2,), (1, 0, 3), (0,) * 7 + (1,)):
             for p_even, p_odd in halves:
-                got = reduction._lift_terms(terms, image, ny, p_even, p_odd)
+                got = reduction._lift_terms(_compile(ONE, terms), ny, image, p_even, p_odd)
                 assert _rows(got) == _lift_by_product(terms, image, ny, p_even, p_odd), \
                     (image, ny, p_even, p_odd)
 
@@ -421,6 +430,49 @@ def test_lift_terms_match_rename_then_product_exhaustive():
         assert sorted(triple.p_even) != list(triple.p_even)
         want = _lift_by_product(g.terms, filled, triple.n_yexp, triple.p_even, triple.p_odd)
         assert _rows(apply_reducer(triple, g).terms) == want, p_word
+
+
+def _parity(m) -> str:
+    return "free" if not m.cseq else "odd" if len(m.cseq) != len(m.dseq) else "even"
+
+
+def test_compiled_lift_matches_rename_then_product_exhaustive():
+    # every pair lm <=' target of a small basis and every term t of another,
+    # t compiled against lm and lifted onto the target by the kernel with
+    # the target's leftover slot letters, as the reduction step lifts a
+    # tail: the monomial is phi(t) times N and P through the oracle
+    # product, N and P from reference_factorize, with t's coefficient.  The
+    # image is the witness table, or, when t reaches past it, the table
+    # extended over lm's and t's indices by reference_covering, holes
+    # included
+    lms = list(enumerate_basis(3, 2))
+    terms = list(enumerate_basis(2, 3))
+    seen: Counter = Counter()
+    for lm in lms:
+        for target in lms:
+            hits = embedders(target, [lm._embedding()])
+            if not hits:
+                continue
+            (_, table), = hits
+            triple = reference_factorize(lm, target, MonotoneInjection.from_table(table))
+            _, pc, pd = rename_parts(lm, table, "both")
+            left = counter_fit(target.cseq, pc), counter_fit(target.dseq, pd)
+            for k, t in enumerate(terms):
+                sup = monomial_indices(lm) | monomial_indices(t)
+                image = table
+                if max(sup, default=0) >= len(table):
+                    phi = reference_covering(MonotoneInjection.from_table(table), sup)
+                    image = dict(phi.pairs)
+                    seen["hole"] += bool(set(range(len(table), max(sup))) - sup)
+                got = reduction._lift_terms(_compile(lm, {t: k - 7}), target.yexp, image, *left)
+                _, want = mono_mul(*rename_parts(t, image, "both"),
+                                   triple.n_yexp, triple.p_even, triple.p_odd)
+                assert list(got.items()) == [(want, k - 7)], (lm, target, t)
+                seen[_parity(lm), _parity(t)] += 1
+                seen["trimmed"] += len(want.yexp) < len(target.yexp)
+    parities = {(a, b) for a in ("free", "even", "odd") for b in ("free", "even", "odd")}
+    assert min(seen[p] for p in parities) >= 300, seen
+    assert seen["hole"] >= 500 and seen["trimmed"] >= 500, seen
 
 
 def test_lift_keeps_ideal_membership():
@@ -631,9 +683,9 @@ def test_tails_past_the_witness_extend_over_holes(monkeypatch):
     lift = reduction._lift
     extended = Counter()
 
-    def counted(m, target, table, tail):
-        extended[tail._index_support()[-1] >= len(table)] += 1
-        return lift(m, target, table, tail)
+    def counted(m, prog, target, table, traced=False):
+        extended[prog[0][-1] >= len(table)] += 1
+        return lift(m, prog, target, table, traced)
 
     monkeypatch.setattr(reduction, "_lift", counted)
     basis = list(enumerate_basis(5, 5))
