@@ -12,8 +12,7 @@ import json
 import sys
 
 from .errors import EngineError, ParseError
-from .freealg import (MAX_BASIS, QPoly, _capped_basis_size, _interleave, enumerate_basis,
-                      monomial_to_obj)
+from .freealg import MAX_BASIS, QPoly, _capped_basis_size, enumerate_basis, monomial_to_obj
 from .genmat import _tree_row, independence_report
 from .orders import cmp_total, minimal_elements, pwo_leq, total_key
 from .parsing import coeff_str, parse, parse_poly
@@ -25,8 +24,19 @@ from .parsing import parse_words  # noqa: F401
 
 
 def format_monomial(m) -> str:
-    parts = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in enumerate(m.yexp, start=1) if e]
-    parts += [f"z{i}" for i in _interleave(m.cseq, m.dseq)]
+    """The monomial's text, "y1^2*y3*z1*z2" or "1", built in one list."""
+    parts = []
+    i = 0
+    for e in m.yexp:
+        i += 1
+        if e:
+            parts.append(f"y{i}" if e == 1 else f"y{i}^{e}")
+    cseq, dseq = m.cseq, m.dseq
+    for c, d in zip(cseq, dseq):  # the z-block c1 d1 c2 d2 ...
+        parts.append(f"z{c}")
+        parts.append(f"z{d}")
+    if len(cseq) > len(dseq):
+        parts.append(f"z{cseq[-1]}")
     return "*".join(parts) or "1"
 
 

@@ -139,22 +139,25 @@ class CanonicalMonomial:
         built on the first call and kept.
 
         rows holds the (y-exponent, c-slot count, d-slot count) triple of
-        each index 1..max_index.  orders.embedders, the one kernel of the
-        embedding order (pwo_leq is its one-key case), compares the counts
-        in its column-sum reject and scans the rows; the reduction loop
-        keeps a generator's leading monomial's data as its key."""
+        each index 1..max_index, built in one pass over the indices: the
+        y-exponent is 0 past the end of yexp, and a pure-y monomial's rows
+        are (e, 0, 0).  orders.embedders, the one kernel of the embedding
+        order (pwo_leq is its one-key case), compares the counts in its
+        column-sum reject and scans the rows; the reduction loop keeps a
+        generator's leading monomial's data as its key."""
         emb = self._emb
         if emb is None:
             yexp, cseq, dseq = self.yexp, self.cseq, self.dseq
-            cs = [0] * (cseq[-1] if cseq else 0)
-            ds = [0] * (dseq[-1] if dseq else 0)
-            for i in cseq:
-                cs[i - 1] += 1
-            for i in dseq:
-                ds[i - 1] += 1
-            # the rows run to the longest column: a pure-y monomial's are (e, 0, 0)
-            emb = (bool(cseq), len(cseq), len(dseq), sum(yexp),
-                   tuple(zip_longest(yexp, cs, ds, fillvalue=0)))
+            if cseq:
+                # one pass over 1..max_index, yexp padded with zeros to it
+                rows = []
+                i = 0
+                for e in yexp + (0,) * (max(cseq[-1], dseq[-1] if dseq else 0) - len(yexp)):
+                    i += 1
+                    rows.append((e, cseq.count(i), dseq.count(i)))
+                emb = (True, len(cseq), len(dseq), sum(yexp), tuple(rows))
+            else:
+                emb = (False, 0, 0, sum(yexp), tuple([(e, 0, 0) for e in yexp]))
             _set(self, "_emb", emb)
         return emb
 

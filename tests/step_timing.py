@@ -20,6 +20,15 @@ then times five and keeps the least.  Three batches are timed:
 - `chain` calls chain_demo on the stream, whose items each go through the
   same reduction loop against the generators adjoined so far.
 
+Then, in children of their own, the two builders every remainder term
+passes through, on the terms of each seed-1 `reduce` job's remainder.  A
+child reduces each job once and keeps the remainder; prepare makes fresh
+copies of its monomials, untimed, so no embedding data is kept from an
+earlier pass:
+- `_embedding` builds each term's embedding data, cold, as the reduction
+  loop does for every monomial it pops;
+- `format_terms` prints the remainder as the reduce command does.
+
 Then, in children of their own, the seed-1 `identity` jobs, one batch per
 job kind, each job a one-item list untouched by prepare, so its parse is
 timed as the command runs it:
@@ -60,6 +69,29 @@ def prepare(texts):
 step = {"reduce": lambda job: reduce_by(job[0], job[1:]),
         "traced": lambda job: reduce_by(job[0], job[1:], trace=[]),
         "chain": chain_demo}
+"""
+
+
+BUILDERS = """
+from m2sl2.cli import format_terms
+from m2sl2.freealg import CanonicalMonomial
+from m2sl2.parsing import parse_poly
+from m2sl2.reduction import reduce_by
+
+_remainders = {}
+
+def prepare(texts):
+    key = tuple(texts)
+    if key not in _remainders:
+        f, *gens = [parse_poly(t) for t in texts]
+        _remainders[key] = list(reduce_by(f, gens).terms.items())
+    return [(CanonicalMonomial(m.yexp, m.cseq, m.dseq), c) for m, c in _remainders[key]]
+
+def embed(items):
+    for m, _ in items:
+        m._embedding()
+
+step = {"_embedding": embed, "format_terms": format_terms}
 """
 
 
@@ -137,7 +169,10 @@ def cli_jobs() -> dict[str, list]:
 
 
 def main(argv=None) -> None:
-    compare(__doc__, step_jobs(), REDUCE, "jobs", argv)
+    steps = step_jobs()
+    compare(__doc__, steps, REDUCE, "jobs", argv)
+    reduce = steps["reduce"]
+    compare(__doc__, {"_embedding": reduce, "format_terms": reduce}, BUILDERS, "jobs", argv)
     compare(__doc__, identity_jobs(), IDENTITY, "jobs", argv)
     compare(__doc__, cli_jobs(), CLI, "jobs", argv)
 

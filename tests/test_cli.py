@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import m2sl2
-from m2sl2 import ONE, CanonicalMonomial, QPoly, parse_poly
+from m2sl2 import ONE, CanonicalMonomial, QPoly, ResourceBoundError, enumerate_basis, parse_poly
 import m2sl2.cli
-from m2sl2.cli import format_monomial, format_qpoly, main
-from tests.util import oracle_parse, raw_evaluate_tree
+from m2sl2.cli import format_monomial, format_qpoly, format_term, main
+from tests.util import format_oracle, format_term_oracle, oracle_parse, raw_evaluate_tree
 
 
 def mk(yexp=(), cseq=(), dseq=()):
@@ -31,6 +31,25 @@ def test_format_monomial():
     assert format_monomial(mk()) == "1"
     assert format_monomial(mk((2, 0, 1), (1,), (2,))) == "y1^2*y3*z1*z2"
     assert format_monomial(mk((), (1, 3), (2,))) == "z1*z2*z3"
+
+
+def test_format_matches_word_oracle_exhaustive():
+    # every monomial of degree <= 6 on indices <= 4: the text is the one read
+    # off the monomial's word, and it parses back to the monomial alone
+    basis = list(enumerate_basis(6, 4))
+    assert len(basis) == 6134
+    for m in basis:
+        text = format_monomial(m)
+        assert text == format_oracle(m), m
+        assert parse_poly(text).terms == {m: 1}, text
+    # the coefficient is printed unless it is 1 or -1, up to the cap's 4300 digits
+    big = int("9" * 4300)
+    for c in (1, -1, 2, -7, big, -big):
+        for m in basis[::7]:
+            assert format_term(c, m) == format_term_oracle(c, m), (c, m)
+    for c in (big + 1, -big - 1):
+        with pytest.raises(ResourceBoundError, match="longer than 4300 digits"):
+            format_term(c, basis[-1])
 
 
 def test_format_qpoly_leading_term_first():

@@ -50,14 +50,25 @@ def counts(monkeypatch) -> Counter:
     """Calls of embedders, _lift, bezout and _compile as reduction calls them,
     the MonotoneInjections built (validated or not), the index supports
     built (`supports`), and `sets`: the distinct tuples of usable generator
-    positions met within each _reduce call, summed over the calls."""
+    positions met within each _reduce call, summed over the calls.  The
+    kernel's keys are counted too: `visited`, every key handed to embedders,
+    and `scanned`, the keys that pass the column-sum reject and so reach
+    the row scan, which iterates their rows."""
     seen: Counter = Counter()
     sets: list[set] = []
     embedders = reduction.embedders
 
+    class Rows(tuple):
+        """A key's rows, counting each scan the kernel starts over them."""
+
+        def __iter__(self):
+            seen["scanned"] += 1
+            return tuple.__iter__(self)
+
     def counted_embedders(b, keys):
         seen["embedders"] += 1
-        hits = embedders(b, keys)
+        seen["visited"] += len(keys)
+        hits = embedders(b, [(*key[:4], Rows(key[4])) for key in keys])
         if hits:
             sets[-1].add(tuple(k for k, _ in hits))
         return hits
@@ -107,9 +118,11 @@ def test_reduce_work(counts):
     # one embedders call per step, one lift per usable generator with a tail
     # and a nonzero Bezout coefficient, and one gcd per distinct usable set
     # of each reduce_by call: the witness tables build no injection, and
-    # each generator's support is built and its tail compiled once per call
+    # each generator's support is built and its tail compiled once per call.
+    # The column-sum reject stops about half of the keys visited before
+    # their rows are read
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102, "_compile": 102}
+                      "supports": 102, "_compile": 102, "visited": 27495, "scanned": 14445}
 
 
 def test_traced_reduce_work(counts):
@@ -120,7 +133,7 @@ def test_traced_reduce_work(counts):
     # untraced one does; each step's record reads the witness table and the
     # parts _lift returns, so the pass builds no injection either
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102, "_compile": 102}
+                      "supports": 102, "_compile": 102, "visited": 27495, "scanned": 14445}
 
 
 def test_chain_work(counts):
@@ -133,8 +146,10 @@ def test_chain_work(counts):
     # generator builds an index support or compiles a lift program (no
     # `_compile` count).  The gcd table lives for the whole stream, so
     # bezout runs once per usable set new to the stream, fewer times than a
-    # table per _reduce call would run it (`sets`)
-    assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796}
+    # table per _reduce call would run it (`sets`).  The column-sum reject
+    # stops all but about a fifth of the keys visited before the row scan
+    assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796,
+                      "visited": 178213, "scanned": 38438}
 
 
 def test_chain_reads_leading_data_off_the_remainder(monkeypatch):

@@ -27,9 +27,11 @@ from m2sl2.cli import main, poly_obj
 import m2sl2.freealg as freealg
 from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
 from tests.util import (
+    inflate,
     mono_mul,
     monomial_from_obj,
     monomial_indices,
+    monomial_rows,
     pairwise_product,
     rand_lie,
     rand_monomial,
@@ -245,6 +247,31 @@ def test_index_support_matches_monomial_indices():
         for m in f.terms:
             m._embedding()
         assert QPoly(f.terms)._index_support() == want, f
+
+
+def test_embedding_matches_monomial_rows():
+    # cold copies of every monomial of degree <= 5 on indices <= 4, then
+    # seeded monomials that others embed into, which have index holes and
+    # repeated slot letters: the kept data is the counts and the rows of the
+    # independent oracle
+    def want(m):
+        return (bool(m.cseq), len(m.cseq), len(m.dseq), sum(m.yexp), tuple(monomial_rows(m)))
+
+    def check(m):
+        assert m._emb is None
+        assert m._embedding() == want(m), m
+        assert m._embedding() is m._emb
+
+    for m in enumerate_basis(5, 4):
+        check(CanonicalMonomial(m.yexp, m.cseq, m.dseq))
+    rng = random.Random(40)
+    both = 0
+    for _ in range(600):
+        m = inflate(rng, rand_monomial(rng, max_degree=6, max_index=4))
+        check(m)
+        hole = (0, 0, 0) in monomial_rows(m)
+        both += hole and (len(set(m.cseq)) < len(m.cseq) or len(set(m.dseq)) < len(m.dseq))
+    assert both > 150, both
 
 
 def test_qpoly_equals_integers():

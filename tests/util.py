@@ -8,7 +8,7 @@ that agreement actually means something.
 import random
 import re
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, zip_longest
+from itertools import combinations, combinations_with_replacement, groupby, zip_longest
 from typing import NamedTuple
 
 from m2sl2 import (
@@ -319,6 +319,26 @@ def monomial_rows(m: CanonicalMonomial):
             sum(1 for d in m.dseq if d == i),
         ))
     return rows
+
+
+def format_oracle(m: CanonicalMonomial) -> str:
+    """The command line's text of a monomial, read off its word: each run of
+    one y-letter as a power (y_i^e, or y_i when e is 1), each z-letter on its
+    own, joined by "*"; "1" for the empty word."""
+    parts = []
+    for (kind, i), run in groupby(m.word()):
+        if kind == "y":
+            e = len(list(run))
+            parts.append(f"y{i}" if e == 1 else f"y{i}^{e}")
+        else:
+            parts.extend(f"z{i}" for _ in run)
+    return "*".join(parts) or "1"
+
+
+def format_term_oracle(c: int, m: CanonicalMonomial) -> str:
+    """One signed term as the command line prints it: the sign, then the
+    coefficient's digits and "*" unless it is 1 or -1, then the monomial."""
+    return ("+ " if c > 0 else "- ") + ("" if abs(c) == 1 else f"{abs(c)}*") + format_oracle(m)
 
 
 def brute_embed(a: CanonicalMonomial, b: CanonicalMonomial) -> bool:
