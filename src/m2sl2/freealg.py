@@ -140,22 +140,30 @@ class CanonicalMonomial:
 
         rows holds the (y-exponent, c-slot count, d-slot count) triple of
         each index 1..max_index, built in one pass over the indices: the
-        y-exponent is 0 past the end of yexp, and a pure-y monomial's rows
-        are (e, 0, 0).  orders.embedders, the one kernel of the embedding
-        order (pwo_leq is its one-key case), compares the counts in its
-        column-sum reject and scans the rows; the reduction loop keeps a
-        generator's leading monomial's data as its key."""
+        y-exponent is 0 past the end of yexp, each slot count is the run of
+        i in the sorted slots, walked by one pointer per slot tuple, so the
+        pass is linear in max_index plus the letters, and a pure-y
+        monomial's rows are (e, 0, 0).  orders.embedders, the one kernel of
+        the embedding order (pwo_leq is its one-key case), compares the
+        counts in its column-sum reject and scans the rows; the reduction
+        loop keeps a generator's leading monomial's data as its key."""
         emb = self._emb
         if emb is None:
             yexp, cseq, dseq = self.yexp, self.cseq, self.dseq
             if cseq:
                 # one pass over 1..max_index, yexp padded with zeros to it
                 rows = []
-                i = 0
+                i = j = k = 0
+                nc, nd = len(cseq), len(dseq)
                 for e in yexp + (0,) * (max(cseq[-1], dseq[-1] if dseq else 0) - len(yexp)):
                     i += 1
-                    rows.append((e, cseq.count(i), dseq.count(i)))
-                emb = (True, len(cseq), len(dseq), sum(yexp), tuple(rows))
+                    j0, k0 = j, k
+                    while j < nc and cseq[j] == i:
+                        j += 1
+                    while k < nd and dseq[k] == i:
+                        k += 1
+                    rows.append((e, j - j0, k - k0))
+                emb = (True, nc, nd, sum(yexp), tuple(rows))
             else:
                 emb = (False, 0, 0, sum(yexp), tuple([(e, 0, 0) for e in yexp]))
             _set(self, "_emb", emb)

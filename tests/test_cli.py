@@ -270,6 +270,22 @@ def test_chain_demo_graded_many_indices():
                            "budget exhausted after 10 steps; no stabilization claim\n")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("embed", "z1^1999999*z10000", "z1"), "incomparable\n"),
+    (("embed", "z1", "z1^1999999*z10000"), "1->1\n"),
+    (("reduce", "y1*z1^1999999*z10000", "GENS"), "0\n"),
+], ids=["embed-left", "embed-right", "reduce"])
+def test_embedding_rows_linear_in_letters(tmp_path, argv, out):
+    # 2,000,000 letters on index 1 and one on index 10,000: a monomial's
+    # rows are built in one walk over its letters, not one count of the
+    # slots per index, which took over two minutes here
+    gens = tmp_path / "gens.txt"
+    gens.write_text("z1^1999999*z10000\n")
+    proc, seconds = _fresh_cli(*[str(gens) if a == "GENS" else a for a in argv])
+    assert seconds < 3.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("--degree", "2", "--indices", "5000", "--order", "lex"),  # 62,512,501 monomials
     ("--degree", "14", "--indices", "6", "--order", "total", "--budget", "10"),  # 94,991,472
