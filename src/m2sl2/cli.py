@@ -25,13 +25,13 @@ from .parsing import parse_words  # noqa: F401
 
 def format_monomial(m) -> str:
     """The monomial's text, "y1^2*y3*z1*z2" or "1", built in one list."""
+    yexp, cseq, dseq = m
     parts = []
     i = 0
-    for e in m.yexp:
+    for e in yexp:
         i += 1
         if e:
             parts.append(f"y{i}" if e == 1 else f"y{i}^{e}")
-    cseq, dseq = m.cseq, m.dseq
     for c, d in zip(cseq, dseq):  # the z-block c1 d1 c2 d2 ...
         parts.append(f"z{c}")
         parts.append(f"z{d}")
@@ -165,8 +165,8 @@ def _builtin_stream(degree: int, indices: int, order: str, budget: int):
     if order == "graded":
         # the enumerator's own order: stream lazily, so --budget bounds the work
         return (QPoly.monomial(m) for m in monos)
-    key = total_key if order == "total" else (lambda m: (m.yexp, m.cseq, m.dseq))
-    return [QPoly.monomial(m) for m in sorted(monos, key=key)]
+    # a monomial sorts as its (yexp, cseq, dseq) tuple: that is the lex order
+    return [QPoly.monomial(m) for m in sorted(monos, key=total_key if order == "total" else None)]
 
 
 def cmd_chain_demo(args) -> list[str]:

@@ -23,16 +23,19 @@ product (_mono_mul_into), where two monomials multiply in closed form:
 a.b carries the sign (-1)^(zlen(a) * ydeg(b)), from moving b's y-letters past
 a's z-block; the y-exponents add; and b's c- and d-slot letters join a's
 slot classes, swapping class when zlen(a) is odd, because b's z-block then
-starts on a d-slot.  The product sums these as plain (yexp, cseq, dseq)
-tuples and builds a CanonicalMonomial only for each term that survives.
+starts on a d-slot.  A CanonicalMonomial is itself the tuple
+(yexp, cseq, dseq), so the product sums plain tuples and wraps each that
+survives, at C level.
 No product goes through words; reduce_word reads a word
 in, reduce_powers a word written as powers of letters, without building it,
 and CanonicalMonomial.word writes one out.
 """
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement, product, repeat, zip_longest
 from math import comb
+from operator import itemgetter
 
 from .errors import GradeMismatchError, ResourceBoundError
 from .ring import Combination
@@ -42,7 +45,6 @@ Word = tuple[Letter, ...]
 
 
 _new = object.__new__
-_set = object.__setattr__  # bypasses CanonicalMonomial's blocking __setattr__
 
 
 def _trim(seq) -> tuple[int, ...]:
@@ -61,8 +63,9 @@ def _interleave(first, second) -> list[int]:
     return out
 
 
-class CanonicalMonomial:
-    """A basis monomial: y-exponents plus the sorted c- and d-slot indices.
+class CanonicalMonomial(tuple):
+    """A basis monomial: the tuple (yexp, cseq, dseq) of its y-exponents
+    and sorted c- and d-slot indices.
 
     yexp[i-1] is the exponent of y_i (trailing zeros trimmed).  cseq and dseq
     list the odd-letter indices sitting in the odd resp. even positions of the
@@ -70,14 +73,19 @@ class CanonicalMonomial:
     c1 d1 c2 d2 ..., so len(dseq) is len(cseq) or len(cseq) - 1, and both are
     empty together.
 
-    Instances are immutable and slotted.  The hash is computed once, at
-    construction.  The embedding data that the embedding-order kernel
-    orders.embedders reads is built on first use and kept (see _embedding).
+    Being a slotless tuple, a monomial is immutable, and hashes, compares
+    and sorts as the plain tuple of its fields, at C level; it equals that
+    tuple too.  The constructor validates; copy, deepcopy and pickle
+    rebuild through it.  Engine code whose tuples are canonical by
+    construction builds through _monomial, tuple.__new__ on a ready
+    (yexp, cseq, dseq) tuple, with no check and no Python frame, and
+    unpacks a monomial once (y, c, d = m) where it reads more than one
+    field.
     """
 
-    __slots__ = ("yexp", "cseq", "dseq", "_hash", "_emb")
+    __slots__ = ()
 
-    def __init__(self, yexp: tuple = (), cseq: tuple = (), dseq: tuple = ()):
+    def __new__(cls, yexp: tuple = (), cseq: tuple = (), dseq: tuple = ()):
         if yexp and yexp[-1] == 0:
             raise ValueError("yexp must have trailing zeros trimmed")
         if any(e < 0 for e in yexp):
@@ -92,51 +100,31 @@ class CanonicalMonomial:
                 raise ValueError("d-slot count must be c-slot count or one less")
         elif dseq:
             raise ValueError("d-slots cannot exist without c-slots")
-        _set(self, "yexp", yexp)
-        _set(self, "cseq", cseq)
-        _set(self, "dseq", dseq)
-        _set(self, "_hash", hash((yexp, cseq, dseq)))
-        _set(self, "_emb", None)
+        return tuple.__new__(cls, (yexp, cseq, dseq))
+
+    yexp = property(itemgetter(0))
+    cseq = property(itemgetter(1))
+    dseq = property(itemgetter(2))
 
     @classmethod
     def make(cls, yexp=(), cseq=(), dseq=()) -> "CanonicalMonomial":
         return cls(_trim(yexp), tuple(cseq), tuple(dseq))
 
-    @classmethod
-    def _trusted(cls, yexp: tuple, cseq: tuple, dseq: tuple) -> "CanonicalMonomial":
-        """Build without re-validation, for engine code whose tuples are
-        canonical by construction: trimmed yexp, sorted slot sequences of
-        admissible lengths, indices >= 1."""
-        m = _new(cls)
-        _set_yexp(m, yexp)
-        _set_cseq(m, cseq)
-        _set_dseq(m, dseq)
-        _set_hash(m, hash((yexp, cseq, dseq)))
-        _set_emb(m, None)
-        return m
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    @staticmethod
+    def _trusted(yexp: tuple, cseq: tuple, dseq: tuple) -> "CanonicalMonomial":
+        """Build without re-validation, for tuples canonical by construction:
+        trimmed yexp, sorted slot sequences of admissible lengths, indices
+        >= 1.  A thin form of _monomial, which engine code calls straight
+        on a ready tuple."""
+        return _monomial((yexp, cseq, dseq))
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the validating constructor
-        return (self.__class__, (self.yexp, self.cseq, self.dseq))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.yexp == other.yexp
-                and self.cseq == other.cseq and self.dseq == other.dseq)
-
-    def __hash__(self):
-        return self._hash
+        return (self.__class__, tuple(self))
 
     def _embedding(self) -> tuple:
         """(has odd letters, c-slot count, d-slot count, y-degree, rows),
-        built on the first call and kept.
+        built on each call: a caller that reads it more than once keeps it.
 
         rows holds the (y-exponent, c-slot count, d-slot count) triple of
         each index 1..max_index, built in one pass over the indices: the
@@ -147,31 +135,27 @@ class CanonicalMonomial:
         the embedding order (pwo_leq is its one-key case), compares the
         counts in its column-sum reject and scans the rows; the reduction
         loop keeps a generator's leading monomial's data as its key."""
-        emb = self._emb
-        if emb is None:
-            yexp, cseq, dseq = self.yexp, self.cseq, self.dseq
-            if cseq:
-                # one pass over 1..max_index, yexp padded with zeros to it
-                rows = []
-                i = j = k = 0
-                nc, nd = len(cseq), len(dseq)
-                for e in yexp + (0,) * (max(cseq[-1], dseq[-1] if dseq else 0) - len(yexp)):
-                    i += 1
-                    j0, k0 = j, k
-                    while j < nc and cseq[j] == i:
-                        j += 1
-                    while k < nd and dseq[k] == i:
-                        k += 1
-                    rows.append((e, j - j0, k - k0))
-                emb = (True, nc, nd, sum(yexp), tuple(rows))
-            else:
-                emb = (False, 0, 0, sum(yexp), tuple([(e, 0, 0) for e in yexp]))
-            _set(self, "_emb", emb)
-        return emb
+        yexp, cseq, dseq = self
+        if not cseq:
+            return (False, 0, 0, sum(yexp), tuple([(e, 0, 0) for e in yexp]))
+        # one pass over 1..max_index, yexp padded with zeros to it
+        rows = []
+        i = j = k = 0
+        nc, nd = len(cseq), len(dseq)
+        for e in yexp + (0,) * (max(cseq[-1], dseq[-1] if dseq else 0) - len(yexp)):
+            i += 1
+            j0, k0 = j, k
+            while j < nc and cseq[j] == i:
+                j += 1
+            while k < nd and dseq[k] == i:
+                k += 1
+            rows.append((e, j - j0, k - k0))
+        return (True, nc, nd, sum(yexp), tuple(rows))
 
     @property
     def degree(self) -> int:
-        return sum(self.yexp) + len(self.cseq) + len(self.dseq)
+        yexp, cseq, dseq = self
+        return sum(yexp) + len(cseq) + len(dseq)
 
     @property
     def grade(self) -> int:
@@ -179,27 +163,28 @@ class CanonicalMonomial:
 
     @property
     def max_index(self) -> int:
-        m = len(self.yexp)
-        if self.cseq:
-            m = max(m, self.cseq[-1])
-        if self.dseq:
-            m = max(m, self.dseq[-1])
+        yexp, cseq, dseq = self
+        m = len(yexp)
+        if cseq:
+            m = max(m, cseq[-1])
+        if dseq:
+            m = max(m, dseq[-1])
         return m
 
     def word(self) -> Word:
+        yexp, cseq, dseq = self
         letters: list[Letter] = []
-        for i, e in enumerate(self.yexp, start=1):
+        for i, e in enumerate(yexp, start=1):
             letters.extend([("y", i)] * e)
-        letters.extend([("z", i) for i in _interleave(self.cseq, self.dseq)])
+        letters.extend([("z", i) for i in _interleave(cseq, dseq)])
         return tuple(letters)
 
     def __repr__(self):
-        return f"CanonicalMonomial({self.yexp}, {self.cseq}, {self.dseq})"
+        return "CanonicalMonomial({}, {}, {})".format(*self)
 
 
-# the slots' own setters, quicker than _set by name
-_set_yexp, _set_cseq, _set_dseq, _set_hash, _set_emb = (
-    vars(CanonicalMonomial)[name].__set__ for name in ("yexp", "cseq", "dseq", "_hash", "_emb"))
+# the unchecked constructor, called on a ready (yexp, cseq, dseq) tuple
+_monomial = partial(tuple.__new__, CanonicalMonomial)
 ONE = CanonicalMonomial()
 
 
@@ -238,8 +223,8 @@ def reduce_powers(factors) -> tuple[int, CanonicalMonomial]:
             if idx > len(yexp):
                 yexp += [0] * (idx - len(yexp))
             yexp[idx - 1] += k
-    return (-1 if t & 1 else 1), CanonicalMonomial._trusted(
-        tuple(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2])))
+    return (-1 if t & 1 else 1), _monomial(
+        (tuple(yexp), tuple(sorted(zs[0::2])), tuple(sorted(zs[1::2]))))
 
 
 def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
@@ -249,18 +234,17 @@ def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
 
     Each pair multiplies in closed form, by the rule in the module
     docstring, and its product is summed under its plain (yexp, cseq, dseq)
-    tuple; a CanonicalMonomial is built only for each term that survives.
+    tuple; each sum key that survives is wrapped as a CanonicalMonomial.
     A term keeps its place from when it last became nonzero, so one that
     cancels and comes back moves to the end.  The sum of two trimmed
     exponent rows is trimmed, and slot tuples of canonical monomials come
     sorted, so a class that gains letters from both sides is the one sorted."""
     # b's parts as a meets them: with zlen(a) odd, b's classes swap and
     # its y-letters each cost a sign
-    even = [(m.yexp, m.cseq, m.dseq, c) for m, c in right.items()]
+    even = [(by, bc, bd, c) for (by, bc, bd), c in right.items()]
     odd = [(by, bd, bc, -c if sum(by) & 1 else c) for by, bc, bd, c in even]
     sums: dict[tuple, int] = {}
-    for m1, c1 in left.items():
-        ay, ac, ad = m1.yexp, m1.cseq, m1.dseq
+    for (ay, ac, ad), c1 in left.items():
         for by, bc, bd, c2 in (odd if len(ac) != len(ad) else even):
             y = tuple([e + f for e, f in zip_longest(ay, by, fillvalue=0)]) if ay and by else ay or by
             key = (y, tuple(sorted(ac + bc)) if ac and bc else ac or bc,
@@ -270,9 +254,7 @@ def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
                 sums[key] = n
             else:
                 sums.pop(key, None)
-    trusted = CanonicalMonomial._trusted
-    for (y, c, d), n in sums.items():
-        acc[trusted(y, c, d)] = n
+    acc.update(zip(map(_monomial, sums), sums.values()))
 
 
 class QPoly(Combination):
@@ -300,17 +282,17 @@ class QPoly(Combination):
 
     def _index_support(self) -> tuple[int, ...]:
         """Every letter index some term uses (a nonzero y-exponent or a slot
-        letter), sorted; built on the first call and kept.  A term's indices
+        letter), sorted; built on the first call and kept, which is the one
+        place a polynomial keeps anything of its terms.  A term's indices
         are those of the nonzero rows of its embedding data (see
-        CanonicalMonomial._embedding).
+        CanonicalMonomial._embedding), built here once per term.
 
         apply_reducer extends its injection over this once per lift, and
         reduction._record keeps it in a generator's record, so the
         reduction step does not compute it per step."""
         support = self._support
         if support is None:
-            idx = {i for m in self.terms
-                   for i, row in enumerate((m._emb or m._embedding())[4], start=1) if any(row)}
+            idx = {i for m in self.terms for i, row in enumerate(m._embedding()[4], start=1) if any(row)}
             support = self._support = tuple(sorted(idx))
         return support
 
@@ -535,4 +517,4 @@ def _basis(classes, idx: range):
             yexp = _trim(yv)
             for cs in combinations_with_replacement(idx, clen):
                 for ds in combinations_with_replacement(idx, dlen):
-                    yield CanonicalMonomial._trusted(yexp, cs, ds)
+                    yield _monomial((yexp, cs, ds))

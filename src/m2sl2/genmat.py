@@ -147,7 +147,7 @@ def _slot_entries(monos):
     betas: dict = {}
     gammas: dict = {}
     for m in monos:
-        yexp, c, d = m.yexp, m.cseq, m.dseq
+        yexp, c, d = m
         a = alphas.get(yexp)
         if a is None:
             a = alphas[yexp] = _family_term("alpha", [(i, e) for i, e in enumerate(yexp, 1) if e])

@@ -5,16 +5,17 @@ variant-1 profile (just the exponent sequence u1), monomials with odd letters
 give a variant-2 profile (u1 plus the two slot-count sequences u2 and u3 for
 the c- and d-slots).  Profiles, xi, xi_inv and push_profile are the paper's
 profile map.  The per-index counts have one source, the rows of the
-monomial's cached embedding data (CanonicalMonomial._embedding): xi reads
-its u2 and u3 there, and so do the embedding kernel and the renaming's
-index cover, so the engine never builds a Profile.  The two orders:
+monomial's embedding data (CanonicalMonomial._embedding): xi reads its u2
+and u3 there, and so do the embedding kernel and the renaming's index
+cover, so the engine never builds a Profile.  The two orders:
 
 * total_key / cmp_total is a linear well-order.  Finite-support integer
   sequences compare by their highest differing index (right to left);
   variant 1 sits below variant 2; within variant 2 the total z-count decides
   first, then u3, then u2, then u1.  total_key encodes this as a plain tuple
-  read straight off the monomial, so sorting, max() and bisect need no
-  comparator.  It is injective: distinct monomials get distinct keys.
+  read straight off the monomial's fields, so sorting, max() and bisect
+  need no comparator.  It is injective: distinct monomials get distinct
+  keys.  (A monomial's own tuple order is not this order.)
 
 * pwo_leq is the Higman-style embedding order: u <= v when some strictly
   increasing index map phi puts every (y-exponent, c-slot count, d-slot
@@ -25,8 +26,9 @@ index cover, so the engine never builds a Profile.  The two orders:
   is what makes the ascending-chain machinery downstream
   (reduction.chain_demo) terminate.  It is decided in one kernel,
   embedders, which tests one monomial against a list of embedding data
-  (CanonicalMonomial._embedding, built once per monomial): the column-sum
-  reject and the greedy row scan are written there and nowhere else.  Its
+  (CanonicalMonomial._embedding), built by the caller and kept as long as
+  it needs them: the column-sum reject and the greedy row scan are written
+  there and nowhere else.  Its
   witness is a plain index table (table[i] the image of index i, table[0]
   = 0), and a MonotoneInjection is built from it (from_table) only where a
   caller needs one.  The reduction loop calls it once per step, over the
@@ -53,10 +55,9 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import ONE, CanonicalMonomial, _new, _set, _trim
+from .freealg import ONE, CanonicalMonomial, _monomial, _new, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
-_monomial = CanonicalMonomial._trusted  # bound once: the lift kernel builds one per term
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ class Profile:
 def xi(m: CanonicalMonomial) -> Profile:
     """The profile of a canonical monomial.  Bijective onto valid profiles.
 
-    u2 and u3 are the c- and d-slot columns of m's cached embedding rows,
+    u2 and u3 are the c- and d-slot columns of m's embedding rows,
     trimmed: the rows run to m's largest index, which may be a y-index."""
     if not m.cseq:
         return Profile(1, m.yexp)
-    _, cs, ds = zip(*(m._emb or m._embedding())[4])
+    _, cs, ds = zip(*m._embedding()[4])
     return Profile(2, m.yexp, _trim(cs), _trim(ds))
 
 
@@ -121,10 +122,11 @@ def total_key(m: CanonicalMonomial) -> tuple:
     at equal z-count, of equal length, so comparing them reversed is the same
     rule on their slot counts.
     """
-    y = (len(m.yexp), m.yexp[::-1])
-    if not m.cseq:
-        return (1, y)
-    return (2, len(m.cseq) + len(m.dseq), m.dseq[::-1], m.cseq[::-1], y)
+    y, c, d = m
+    yk = (len(y), y[::-1])
+    if not c:
+        return (1, yk)
+    return (2, len(c) + len(d), d[::-1], c[::-1], yk)
 
 
 def cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:
@@ -162,7 +164,7 @@ class MonotoneInjection:
         both columns by construction, and it is built without
         re-validation."""
         phi = _new(cls)
-        _set(phi, "pairs", tuple(enumerate(table[1:], start=1)))
+        object.__setattr__(phi, "pairs", tuple(enumerate(table[1:], start=1)))
         return phi
 
     def covering(self, indices) -> "MonotoneInjection":
@@ -225,7 +227,7 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, list[int]]]:
     is built; a caller that needs one converts the table with
     MonotoneInjection.from_table.
     """
-    variant, cslots, dslots, ydeg, rb = b._emb or b._embedding()
+    variant, cslots, dslots, ydeg, rb = b._embedding()
     nb = len(rb)
     out = []
     for k, (av, ac, ad, ay, ra) in enumerate(keys):
@@ -252,7 +254,7 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, list[int]]]:
 def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | None:
     """Embedding-order test a <=' b; returns a witness injection or None.
 
-    The one-key case of embedders, on a's cached embedding data.  Monomials
+    The one-key case of embedders, on a's embedding data.  Monomials
     of different variants never compare.  The witness maps the indices
     1..max_index of a strictly increasingly into those of b so that each
     (y-exponent, c-slot count, d-slot count) row of a sits entrywise under
@@ -260,7 +262,7 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     Pure-y rows are (e, 0, 0), so one scan serves both variants.  The
     kernel's witness table is converted here, with from_table.
     """
-    hits = embedders(b, [a._emb or a._embedding()])
+    hits = embedders(b, [a._embedding()])
     return MonotoneInjection.from_table(hits[0][1]) if hits else None
 
 
@@ -275,12 +277,13 @@ def _compile(lm: CanonicalMonomial, terms: dict) -> tuple:
     lm's (a z-free t is even): the letters phi(lm) leaves over follow lm's
     z-block in the target and t's in the lift, so they keep their slot
     class exactly when the parities agree."""
-    ly, odd = lm.yexp, len(lm.cseq) != len(lm.dseq)
+    ly, lc, ld = lm
+    odd = len(lc) != len(ld)
     out = []
-    for t, c in terms.items():
+    for (ty, tc, td), c in terms.items():
         d = tuple([(i, b - a) for i, (a, b)
-                   in enumerate(zip_longest(ly, t.yexp, fillvalue=0), start=1) if a != b])
-        out.append((t.cseq, t.dseq, (len(t.cseq) != len(t.dseq)) != odd, d,
+                   in enumerate(zip_longest(ly, ty, fillvalue=0), start=1) if a != b])
+        out.append((tc, td, (len(tc) != len(td)) != odd, d,
                     d[-1][0] if d and d[-1][1] > 0 else 0, c))
     return tuple(out)
 
@@ -323,21 +326,21 @@ def _lift_terms(prog: tuple, base: tuple, image, left_c: tuple, left_d: tuple) -
                 cs = sorted([*cs, *pc])
             if pd:
                 ds = sorted([*ds, *pd])
-            out[_monomial(y, tuple(cs), tuple(ds))] = c
+            out[_monomial((y, tuple(cs), tuple(ds)))] = c
         elif swap:
-            out[_monomial(y, left_d, left_c)] = c
+            out[_monomial((y, left_d, left_c))] = c
         else:
-            out[_monomial(y, left_c, left_d)] = c
+            out[_monomial((y, left_c, left_d))] = c
     return out
 
 
 def _monomial_need(m: CanonicalMonomial, mode: str) -> set[int]:
-    """Indices the renaming has to cover: those whose cached embedding row
+    """Indices the renaming has to cover: those whose embedding row
     has a y-exponent (unless z_only) or a slot count (unless y_only).  One
     shared extension per operation: extending per component would let the
     u2 and u3 pushes drift apart."""
     push_y, push_z = mode != "z_only", mode != "y_only"
-    return {i for i, (e, c, d) in enumerate((m._emb or m._embedding())[4], start=1)
+    return {i for i, (e, c, d) in enumerate(m._embedding()[4], start=1)
             if (push_y and e) or (push_z and (c or d))}
 
 
@@ -361,10 +364,10 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
     if mode not in RENAME_MODES:
         raise ValueError(f"mode must be one of {RENAME_MODES}")
     image = dict(phi.covering(_monomial_need(m, mode)).pairs)
-    y, c, d = m.yexp, m.cseq, m.dseq
+    y, c, d = m
     part, n, p_even, p_odd = {"both": (m, (), (), ()),
-                              "y_only": (CanonicalMonomial._trusted(y, (), ()), (), c, d),
-                              "z_only": (CanonicalMonomial._trusted((), c, d), y, (), ())}[mode]
+                              "y_only": (_monomial((y, (), ())), (), c, d),
+                              "z_only": (_monomial(((), c, d)), y, (), ())}[mode]
     (r,) = _lift_terms(_compile(ONE, {part: 1}), n, image, p_even, p_odd)
     return r
 
@@ -376,5 +379,5 @@ def minimal_elements(monomials) -> list[CanonicalMonomial]:
     first-seen order: one embedders call per item, which is minimal when
     the only item embedding into it is itself."""
     items = list(dict.fromkeys(monomials))
-    keys = [m._emb or m._embedding() for m in items]
+    keys = [m._embedding() for m in items]
     return [m for i, m in enumerate(items) if [k for k, _ in embedders(m, keys)] == [i]]

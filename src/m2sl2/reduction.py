@@ -54,6 +54,7 @@ from .freealg import (
     CanonicalMonomial,
     QPoly,
     _interleave,
+    _monomial,
     _trim,
     enumerate_basis,
     monomial_to_obj,
@@ -117,15 +118,14 @@ class ReducerTriple:
     @classmethod
     def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":
         """Build from the stored parts as they are, with no check and no
-        dataclass __init__: factorize_embedding's result, and
-        membership_bounded's lifts."""
+        dataclass __init__: factorize_embedding's result."""
         t = object.__new__(cls)
         vars(t).update(phi=phi, n_yexp=n_yexp, p_even=p_even, p_odd=p_odd)
         return t
 
     @property
     def n_part(self) -> CanonicalMonomial:
-        return CanonicalMonomial._trusted(self.n_yexp, (), ())
+        return _monomial((self.n_yexp, (), ()))
 
     @property
     def p_word(self) -> tuple[int, ...]:
@@ -169,12 +169,13 @@ def _factor(m: CanonicalMonomial, target: CanonicalMonomial, image) -> tuple:
     negative exponent, an index may fall past the target's exponents
     (IndexError), _fit may refuse, or the halves may not interleave.
     """
-    ny = list(target.yexp)
-    for i, e in enumerate(m.yexp, start=1):
+    (my, mc, md), (ty, tc, td) = m, target
+    ny = list(ty)
+    for i, e in enumerate(my, start=1):
         if e:
             ny[image[i] - 1] -= e
-    first, second = _fit(target.cseq, m.cseq, image), _fit(target.dseq, m.dseq, image)
-    if len(m.cseq) != len(m.dseq):
+    first, second = _fit(tc, mc, image), _fit(td, md, image)
+    if len(mc) != len(md):
         first, second = second, first
     return _trim(ny), first, second
 
@@ -230,8 +231,8 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     and P are fixed, so no two terms merge and every coefficient carries
     over unchanged.
 
-    The reduction loop does not call it: _lift is its unchecked form.
-    membership_bounded passes whole generators.
+    The reduction loop does not call it: _lift is its unchecked form, and
+    membership_bounded runs the same kernel on each generator's program.
     """
     ny, p_even, p_odd = triple.n_yexp, tuple(sorted(triple.p_even)), tuple(sorted(triple.p_odd))
     if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
@@ -260,17 +261,18 @@ def _lift(m: CanonicalMonomial, prog: tuple | None, target: CanonicalMonomial,
     sources; a support reaching past them extends the witness with
     covering, holes included, as apply_reducer does.
     """
+    (_, mc, md), (ty, tc, td) = m, target
     if traced:
         ny, first, second = _factor(m, target, table)
-        left_c, left_d = (first, second) if len(m.cseq) == len(m.dseq) else (second, first)
+        left_c, left_d = (first, second) if len(mc) == len(md) else (second, first)
     else:
-        left_c, left_d = _fit(target.cseq, m.cseq, table), _fit(target.dseq, m.dseq, table)
+        left_c, left_d = _fit(tc, mc, table), _fit(td, md, table)
     lifted = {}
     if prog is not None:
         sup, terms = prog
         image = table if sup[-1] < len(table) else dict(
             MonotoneInjection.from_table(table).covering(sup).pairs)
-        lifted = _lift_terms(terms, target.yexp, image, left_c, left_d)
+        lifted = _lift_terms(terms, ty, image, left_c, left_d)
     return (lifted, ny, first, second) if traced else lifted
 
 
@@ -333,7 +335,8 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
     (total_key(m), m) for every monomial inserted when it entered `work`,
     sorted ascending, so its last entry is the leading term.  total_key is
     injective, so two entries tie only when their monomials are equal, and
-    CanonicalMonomial needs no `<`.  An entry whose monomial has since
+    the sort never compares monomials, whose own tuple order is not the
+    well-order.  An entry whose monomial has since
     cancelled out of `work` is stale and skipped when popped (lazy
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
@@ -389,7 +392,7 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
                         lifted, ny, first, second = lifted
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
                                       "phi": [[i, table[i]] for i in range(1, len(table))],
-                                      "N": monomial_to_obj(CanonicalMonomial._trusted(ny, (), ())),
+                                      "N": monomial_to_obj(_monomial((ny, (), ()))),
                                       "P": _interleave(first, second)})
                     scale = beta * q
                     for m, c in lifted.items():
@@ -478,12 +481,14 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
                        max_candidates: int = 100_000) -> bool:
     """Truncated membership test for the one-sided closure of the generators.
 
-    Enumerates lifts N . phi(g) . P (apply_reducer) over all monotone
-    injections phi of g's index support into 1..cap and every canonical
-    monomial of degree <= max_degree - deg g with indices <= cap, read as its
-    pure-y part N and its pure-z block P, so each lift's degree
-    deg N + deg g + len P stays within max_degree; then asks whether f lies
-    in the Z-row-span of their coefficient vectors.  A True answer is a
+    Enumerates lifts N . phi(g) . P over all monotone injections phi of g's
+    index support into 1..cap and every canonical monomial of degree
+    <= max_degree - deg g with indices <= cap, read as its pure-y part N
+    and its pure-z block P, so each lift's degree deg N + deg g + len P
+    stays within max_degree; then asks whether f lies in the Z-row-span of
+    their coefficient vectors, each a lift's term dict.  Each generator is
+    compiled against ONE once, and each lift runs its program
+    (orders._lift_terms), as apply_reducer does.  A True answer is a
     certificate; a False answer only says the truncated family misses f,
     because the cap and the degree bound cut the enumeration off.  This is a
     bounded check, not a decision procedure.
@@ -499,9 +504,6 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
         src_max = max([f.max_index] + [g.max_index for g in gens], default=1)
         max_index = max(1, src_max) + max_degree
 
-    def vec(poly: QPoly) -> dict:
-        return {(m.yexp, m.cseq, m.dseq): c for m, c in poly.terms.items()}
-
     lattice = IntRowLattice()
     count = 0
     for g in gens:
@@ -510,15 +512,14 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
         room = max_degree - g.degree
         if room < 0:
             continue
-        src = g._index_support()
+        src, prog = g._index_support(), _compile(ONE, g.terms)
         for targets in combinations(range(1, max_index + 1), len(src)):
-            phi = MonotoneInjection(tuple(zip(src, targets)))
-            for m in enumerate_basis(room, max_index):
+            image = dict(zip(src, targets))
+            for n_yexp, p_even, p_odd in enumerate_basis(room, max_index):
                 count += 1
                 if count > max_candidates:
                     raise ResourceBoundError(
                         f"membership enumeration exceeded {max_candidates} products"
                     )
-                lift = apply_reducer(ReducerTriple._trusted(phi, m.yexp, m.cseq, m.dseq), g)
-                lattice.add(vec(lift))
-    return lattice.contains(vec(f))
+                lattice.add(_lift_terms(prog, n_yexp, image, p_even, p_odd))
+    return lattice.contains(f.terms)

@@ -7,7 +7,10 @@ For each seed from A to B, one pair of runs of
 `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, each
 tree running its own `perfbench/` from its own root in a fresh interpreter.
 On an even seed the parent runs first, on an odd one this tree does, so
-neither tree always runs on a host that has just warmed up.
+neither tree always runs on a host that has just warmed up.  Each run gets
+a fresh, empty PYTHONPYCACHEPREFIX, so it reads no bytecode that an earlier
+run or test left in either tree (`-B` stops Python writing bytecode, not
+reading it) and both trees compile every module they import alike.
 
 Each run's last stdout line is its JSON result.  The script prints, for
 each end-to-end metric that this tree's BENCHMARK.json lists, the median of
@@ -34,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,10 +51,11 @@ def seed_range(text: str) -> range:
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
     """One benchmark run in `tree`: its JSON result, or None when the run
     crashed or printed none."""
-    done = subprocess.run(
-        [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as cache:
+        done = subprocess.run(
+            [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])

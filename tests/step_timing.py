@@ -10,8 +10,8 @@ is its polynomial followed by the lines of its generator file, a `chain`
 job the lines of its stream file.  The child and the rounds are those of
 tests/front_end_timing.py: each round times both trees, each in a fresh
 child interpreter, in alternating order.  A child parses every job afresh
-before each pass, untimed, so every pass starts from cold monomial and
-support caches as a job of the benchmark does; it runs one untimed pass,
+before each pass, untimed, so every pass starts from cold index-support
+caches as a job of the benchmark does; it runs one untimed pass,
 then times five and keeps the least.  Three batches are timed:
 - `reduce` calls reduce_by with no trace, as the reduce command does
   without --trace;
@@ -23,10 +23,11 @@ then times five and keeps the least.  Three batches are timed:
 Then, in children of their own, the two builders every remainder term
 passes through, on the terms of each seed-1 `reduce` job's remainder.  A
 child reduces each job once and keeps the remainder; prepare makes fresh
-copies of its monomials, untimed, so no embedding data is kept from an
-earlier pass:
-- `_embedding` builds each term's embedding data, cold, as the reduction
-  loop does for every monomial it pops;
+copies of its monomials, untimed, through the validating constructor, so
+each pass reads objects no earlier pass touched (a monomial keeps no
+embedding data, so a copy also times a tree that kept it):
+- `_embedding` builds each term's embedding data, as the reduction loop
+  does for every monomial it pops;
 - `format_terms` prints the remainder as the reduce command does.
 
 Then, in children of their own, the seed-1 `identity` jobs, one batch per

@@ -26,9 +26,10 @@ EXPORTS = [
 
 # The paper's objects that are exported although no package code calls them:
 # the profile map (Profile, xi, xi_inv, push_profile), the bounded Specht
-# membership check, and the defining identities with graded substitution.
+# membership check, the lift N . phi(f) . P of a factorization
+# (apply_reducer), and the defining identities with graded substitution.
 PAPER_FACING = {
-    "Profile", "xi", "xi_inv", "push_profile", "membership_bounded",
+    "Profile", "xi", "xi_inv", "push_profile", "membership_bounded", "apply_reducer",
     "identity_generators", "subst_words",
 }
 

@@ -1,5 +1,6 @@
 """Work counts of the reduction engine on the benchmark's seed-1 jobs, and
-of the generic evaluation and the command line that carry them.
+of the generic evaluation and the command line that carry them, and of the
+bounded membership check on seeded cases.
 
 Counts are exact where wall-clock is not.  Each seed-1 `reduce` job is
 reduce_by on its polynomial against the three generators of its file, with
@@ -10,6 +11,7 @@ program, every MonotoneInjection built, and every index support built
 rather than read from its cache."""
 
 import io
+import random
 import sys
 from collections import Counter
 
@@ -22,6 +24,7 @@ import m2sl2.reduction as reduction
 from m2sl2.freealg import QPoly
 from m2sl2.orders import MonotoneInjection
 from m2sl2.parsing import parse, parse_poly
+from tests.util import rand_qpoly
 
 # the benchmark directory holds no bytecode; importing it must not add any
 _write_bytecode = sys.dont_write_bytecode
@@ -150,6 +153,25 @@ def test_chain_work(counts):
     # stops all but about a fifth of the keys visited before the row scan
     assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796,
                       "visited": 178213, "scanned": 38438}
+
+
+def test_membership_compiles_each_generator_once(counts):
+    # the cases of test_membership_matches_product_oracle's generator, with
+    # the degree bound one past f's and indices up to 3: each generator with
+    # room for a lift is compiled against ONE once per call, not once per
+    # candidate lift, and no injection is built for the candidates' renamings
+    rng = random.Random(85)
+    answers, room = Counter(), 0
+    for _ in range(40):
+        gens = [rand_qpoly(rng, max_terms=2, max_degree=2, max_index=2)
+                for _ in range(rng.randint(1, 2))]
+        f = rand_qpoly(rng, max_terms=2, max_degree=3, max_index=2)
+        max_degree = max(f.degree, 1) + 1
+        answers[reduction.membership_bounded(f, gens, max_degree, 3)] += 1
+        room += sum(not g.is_zero() and g.degree <= max_degree for g in gens) if f.terms else 0
+    assert answers == {True: 10, False: 30}
+    assert room == 63
+    assert counts == {"_compile": 63, "supports": 63}
 
 
 def test_chain_reads_leading_data_off_the_remainder(monkeypatch):

@@ -233,8 +233,9 @@ def test_degree_and_max_index():
 
 
 def test_index_support_matches_monomial_indices():
-    # the support reads each term's embedding rows: with the rows cold (built
-    # by the call) and warm (built before it), and across zero rows
+    # the support reads each term's embedding rows, which a monomial does not
+    # keep: on fresh copies of the terms and on the terms themselves, after
+    # their rows were built once, and across zero rows
     f = QPoly.monomial(mk((1,), (3,))) + QPoly.monomial(mk((0, 0, 0, 2)))
     assert f._index_support() == (1, 3, 4)
     rng = random.Random(48)
@@ -242,7 +243,6 @@ def test_index_support_matches_monomial_indices():
         f = rand_qpoly(rng, max_terms=5, max_degree=6, max_index=6)
         want = tuple(sorted(set().union(*map(monomial_indices, f.terms))))
         cold = QPoly({CanonicalMonomial(m.yexp, m.cseq, m.dseq): c for m, c in f.terms.items()})
-        assert all(m._emb is None for m in cold.terms)
         assert cold._index_support() == want, f
         for m in f.terms:
             m._embedding()
@@ -250,17 +250,15 @@ def test_index_support_matches_monomial_indices():
 
 
 def test_embedding_matches_monomial_rows():
-    # cold copies of every monomial of degree <= 5 on indices <= 4, then
+    # fresh copies of every monomial of degree <= 5 on indices <= 4, then
     # seeded monomials that others embed into, which have index holes and
-    # repeated slot letters: the kept data is the counts and the rows of the
+    # repeated slot letters: the data is the counts and the rows of the
     # independent oracle
     def want(m):
         return (bool(m.cseq), len(m.cseq), len(m.dseq), sum(m.yexp), tuple(monomial_rows(m)))
 
     def check(m):
-        assert m._emb is None
         assert m._embedding() == want(m), m
-        assert m._embedding() is m._emb
 
     for m in enumerate_basis(5, 4):
         check(CanonicalMonomial(m.yexp, m.cseq, m.dseq))
@@ -382,6 +380,38 @@ def test_monomial_copy_and_pickle_roundtrip():
     bad = CanonicalMonomial._trusted((0,), (), ())
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(bad))
+
+
+def test_monomial_is_its_field_tuple():
+    # a monomial is the tuple (yexp, cseq, dseq): it equals, hashes and
+    # orders as that plain tuple, so either one finds the other in a dict
+    rng = random.Random(29)
+    pool = [rand_monomial(rng) for _ in range(300)]
+    for m in pool:
+        t = (m.yexp, m.cseq, m.dseq)
+        assert m == t and t == m and not m != t and hash(m) == hash(t)
+        assert tuple(m) == t and type(tuple(m)) is tuple and len(m) == 3
+        assert {t: 1}[m] == 1 and {m: 1}[t] == 1
+    assert sorted(pool) == sorted([(m.yexp, m.cseq, m.dseq) for m in pool])
+
+
+def test_copy_and_pickle_validate_on_every_protocol():
+    # each rebuild goes through the validating constructor, so a monomial
+    # built unchecked with a bad field is refused by every one of them
+    trusted = CanonicalMonomial._trusted
+    bad = [trusted((0,), (), ()), trusted((-1,), (), ()), trusted((), (0,), ()),
+           trusted((), (2, 1), ()), trusted((), (1,), (1, 2)), trusted((), (), (1,))]
+    rebuilds = [copy.copy, copy.deepcopy, *(
+        lambda m, proto=proto: pickle.loads(pickle.dumps(m, proto))
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1))]
+    for m in bad:
+        for rebuild in rebuilds:
+            with pytest.raises(ValueError):
+                rebuild(m)
+    good = CanonicalMonomial((2, 1), (1, 3), (2,))
+    for rebuild in rebuilds:
+        back = rebuild(good)
+        assert type(back) is CanonicalMonomial and back == good
 
 
 def test_monomial_is_immutable():

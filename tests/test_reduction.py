@@ -31,6 +31,7 @@ from m2sl2 import (
     pwo_leq,
     reduce_by,
     reduce_word,
+    rename_monomial,
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
@@ -942,6 +943,39 @@ def test_generator_record_built_once(monkeypatch):
         assert sum(1 for rec in trace if "against" in rec) > 50
         assert built == Counter({id(g): 1 for g in report.generators}) + \
             Counter({id(g): calls for g in gens})
+
+
+def test_every_term_key_is_a_monomial():
+    # a monomial equals its plain field tuple, so a plain tuple among a
+    # polynomial's keys would pass every equality check: each producer of
+    # terms must key them by CanonicalMonomial itself
+    def check(f):
+        assert all(type(m) is CanonicalMonomial for m in f.terms), f
+
+    rng = random.Random(98)
+    stream = []
+    for _ in range(60):
+        f, g, h = (rand_qpoly(rng, max_terms=4, max_degree=5, max_index=3) for _ in range(3))
+        for p in (parse_poly(format_qpoly(f)), normalize([(c, m.word()) for m, c in f.terms.items()]),
+                  f + g, f - g, -f, 3 * f, f * g, g * f + h):
+            check(p)
+        gens = [p for p in (g, h) if not p.is_zero()]
+        if gens:
+            check(reduce_by(f, gens))
+            check(reduce_by(f, gens, trace=[]))
+        if not f.is_zero():
+            lm = leading(f).lm
+            check(apply_reducer(factorize_embedding(lm, inflate(rng, lm)), f))
+        for m in f.terms:
+            for mode in ("both", "y_only", "z_only"):
+                r = rename_monomial(m, MonotoneInjection(((1, 2), (2, 4), (3, 5))), mode)
+                assert type(r) is CanonicalMonomial
+        stream.append(f)
+    report = chain_demo(stream)
+    assert len(report.generators) > 10
+    for g in report.generators:
+        check(g)
+    assert all(type(ld.lm) is CanonicalMonomial for _, ld in report.adjoined)
 
 
 # --- bounded membership ------------------------------------------------------
