@@ -282,10 +282,10 @@ class QPoly(Combination):
 
     def _index_support(self) -> tuple[int, ...]:
         """Every letter index some term uses (a nonzero y-exponent or a slot
-        letter), sorted; built on the first call and kept, which is the one
-        place a polynomial keeps anything of its terms.  A term's indices
+        letter), sorted; built on the first call and kept.  A term's indices
         are those of the nonzero rows of its embedding data (see
-        CanonicalMonomial._embedding), built here once per term.
+        CanonicalMonomial._embedding), which the monomial does not keep, so
+        they are built here once per term.
 
         apply_reducer extends its injection over this once per lift, and
         reduction._record keeps it in a generator's record, so the
