@@ -44,9 +44,6 @@ Letter = tuple[str, int]  # ("y" | "z", index >= 1)
 Word = tuple[Letter, ...]
 
 
-_new = object.__new__
-
-
 def _trim(seq) -> tuple[int, ...]:
     seq = list(seq)
     while seq and seq[-1] == 0:
@@ -109,14 +106,6 @@ class CanonicalMonomial(tuple):
     @classmethod
     def make(cls, yexp=(), cseq=(), dseq=()) -> "CanonicalMonomial":
         return cls(_trim(yexp), tuple(cseq), tuple(dseq))
-
-    @staticmethod
-    def _trusted(yexp: tuple, cseq: tuple, dseq: tuple) -> "CanonicalMonomial":
-        """Build without re-validation, for tuples canonical by construction:
-        trimmed yexp, sorted slot sequences of admissible lengths, indices
-        >= 1.  A thin form of _monomial, which engine code calls straight
-        on a ready tuple."""
-        return _monomial((yexp, cseq, dseq))
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the validating constructor
@@ -259,42 +248,23 @@ def _mono_mul_into(acc: dict, left: dict, right: dict) -> None:
 
 class QPoly(Combination):
     """An integer combination of canonical monomials (ring.Combination), with
-    ONE as the unit and the canonical product _mono_mul_into.
+    ONE as the unit and the canonical product _mono_mul_into."""
 
-    The index support that a renaming of the polynomial has to cover is
-    built on first use and kept (see _index_support).
-    """
-
-    __slots__ = ("_support",)
+    __slots__ = ()
     _unit = ONE
     _product = staticmethod(_mono_mul_into)
 
-    def __init__(self, terms: dict[CanonicalMonomial, int] | None = None):
-        super().__init__(terms)
-        self._support = None
-
-    @classmethod
-    def _trusted(cls, terms: dict[CanonicalMonomial, int]) -> "QPoly":
-        """Combination._trusted, with the kept index support reset."""
-        f = _new(cls)
-        f.terms, f._support = terms, None
-        return f
-
     def _index_support(self) -> tuple[int, ...]:
         """Every letter index some term uses (a nonzero y-exponent or a slot
-        letter), sorted; built on the first call and kept.  A term's indices
-        are those of the nonzero rows of its embedding data (see
-        CanonicalMonomial._embedding), which the monomial does not keep, so
-        they are built here once per term.
+        letter), sorted, built on each call: a term's indices are those of
+        the nonzero rows of its embedding data (see
+        CanonicalMonomial._embedding).
 
         apply_reducer extends its injection over this once per lift, and
         reduction._record keeps it in a generator's record, so the
         reduction step does not compute it per step."""
-        support = self._support
-        if support is None:
-            idx = {i for m in self.terms for i, row in enumerate(m._embedding()[4], start=1) if any(row)}
-            support = self._support = tuple(sorted(idx))
-        return support
+        return tuple(sorted({i for m in self.terms
+                             for i, row in enumerate(m._embedding()[4], start=1) if any(row)}))
 
     @classmethod
     def monomial(cls, m: CanonicalMonomial, coeff: int = 1) -> "QPoly":

@@ -25,15 +25,15 @@ cover, so the engine never builds a Profile.  The two orders:
   implicit infinite zero tail.  This order is a well partial order, which
   is what makes the ascending-chain machinery downstream
   (reduction.chain_demo) terminate.  It is decided in one kernel,
-  embedders, which tests one monomial against a list of embedding data
-  (CanonicalMonomial._embedding), built by the caller and kept as long as
-  it needs them: the column-sum reject and the greedy row scan are written
-  there and nowhere else.  Its
+  embedders, which tests one monomial's embedding data
+  (CanonicalMonomial._embedding) against a list of others', all built by
+  the caller and kept as long as it needs them: the column-sum reject and
+  the greedy row scan are written there and nowhere else.  Its
   witness is a plain index table (table[i] the image of index i, table[0]
   = 0), and a MonotoneInjection is built from it (from_table) only where a
   caller needs one.  The reduction loop calls it once per step, over the
   kept data of every generator; pwo_leq is its one-key case, and
-  minimal_elements calls it once per item.
+  minimal_elements calls it once per item, on the item's own key.
 
 Renaming endomorphisms act through one kernel, _lift_terms: for target =
 N . phi(lm) . P it writes N . phi(t) . P for each term t of a program
@@ -55,9 +55,10 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import ONE, CanonicalMonomial, _monomial, _new, _trim
+from .freealg import ONE, CanonicalMonomial, _monomial, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,15 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
-def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, list[int]]]:
-    """The keys that embed into b, as (position in keys, witness) pairs in
-    ascending position; the one embedding kernel.
+def embedders(target: tuple, keys) -> list[tuple[int, list[int]]]:
+    """The keys that embed into a monomial b, given b's embedding data as
+    `target`, as (position in keys, witness) pairs in ascending position;
+    the one embedding kernel.
 
-    Each key is the embedding data of some monomial a
+    Each key, and `target`, is the embedding data of some monomial
     (CanonicalMonomial._embedding: variant, c-slot count, d-slot count,
-    y-degree, rows).  An embedding puts each row of a under a distinct row
+    y-degree, rows), built by the caller, so data it already keeps is not
+    built again.  An embedding puts each row of a under a distinct row
     of b, so it keeps every column sum of a at or below b's: a key whose
     variant differs or one of whose sums exceeds b's is rejected before any
     row is read, and most keys fail there.  A key that passes is scanned
@@ -227,7 +230,7 @@ def embedders(b: CanonicalMonomial, keys) -> list[tuple[int, list[int]]]:
     is built; a caller that needs one converts the table with
     MonotoneInjection.from_table.
     """
-    variant, cslots, dslots, ydeg, rb = b._embedding()
+    variant, cslots, dslots, ydeg, rb = target
     nb = len(rb)
     out = []
     for k, (av, ac, ad, ay, ra) in enumerate(keys):
@@ -262,7 +265,7 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     Pure-y rows are (e, 0, 0), so one scan serves both variants.  The
     kernel's witness table is converted here, with from_table.
     """
-    hits = embedders(b, [a._embedding()])
+    hits = embedders(b._embedding(), [a._embedding()])
     return MonotoneInjection.from_table(hits[0][1]) if hits else None
 
 
@@ -365,10 +368,10 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
         raise ValueError(f"mode must be one of {RENAME_MODES}")
     image = dict(phi.covering(_monomial_need(m, mode)).pairs)
     y, c, d = m
-    part, n, p_even, p_odd = {"both": (m, (), (), ()),
-                              "y_only": (_monomial((y, (), ())), (), c, d),
-                              "z_only": (_monomial(((), c, d)), y, (), ())}[mode]
-    (r,) = _lift_terms(_compile(ONE, {part: 1}), n, image, p_even, p_odd)
+    part, n, left_c, left_d = {"both": (m, (), (), ()),
+                                   "y_only": (_monomial((y, (), ())), (), c, d),
+                                   "z_only": (_monomial(((), c, d)), y, (), ())}[mode]
+    (r,) = _lift_terms(_compile(ONE, {part: 1}), n, image, left_c, left_d)
     return r
 
 
@@ -376,8 +379,9 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
 
 def minimal_elements(monomials) -> list[CanonicalMonomial]:
     """The <='-minimal elements of a finite set (duplicates collapsed), in
-    first-seen order: one embedders call per item, which is minimal when
-    the only item embedding into it is itself."""
+    first-seen order: one embedders call per item, with the item's own key
+    as the target, so each item's embedding data is built once; an item is
+    minimal when the only item embedding into it is itself."""
     items = list(dict.fromkeys(monomials))
     keys = [m._embedding() for m in items]
-    return [m for i, m in enumerate(items) if [k for k, _ in embedders(m, keys)] == [i]]
+    return [m for i, m in enumerate(items) if [k for k, _ in embedders(keys[i], keys)] == [i]]

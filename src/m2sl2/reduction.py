@@ -26,16 +26,16 @@ are the target's less phi(m)'s, and P's halves are the slot letters of the
 target that phi(m) leaves over (_fit).  The public factorize_embedding
 calls it with phi extended over m's indices and refuses each way m can
 fail to fit; a traced reduction step calls it with the witness table,
-which cannot fail.  Both lifts, the step _lift and the public
-apply_reducer, go through the one renaming kernel, orders._lift_terms,
-which writes N . phi(t) . P for each term in one closed-form pass; the
-step runs the record's program straight off the target and the witness
-table, so an untraced step builds no N.  Only a generator's tail is
+which cannot fail, for its record's N and P.  Both lifts, the step _lift
+and the public apply_reducer, go through the one renaming kernel,
+orders._lift_terms, which writes N . phi(t) . P for each term in one
+closed-form pass; the step runs the record's program straight off the
+target and the witness table, so it builds no N.  Only a generator's tail is
 lifted: lm(g) lifts to M itself, whose coefficient the Euclidean division
 below settles, and the renaming is injective, so no tail term lands on M.
 A traced step records phi as the witness table's pairs and N and P from
-the parts _lift returns, so a step, traced or not, builds no
-MonotoneInjection unless the tail reaches past the witness.
+_factor, so a step, traced or not, builds no MonotoneInjection unless the
+tail reaches past the witness.
 
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients,
@@ -90,46 +90,24 @@ def leading(f: QPoly) -> LeadingData:
     return LeadingData(f.terms[lm], lm)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ReducerTriple:
     """A factorization M_big = N . phi(M) . P with sign +1.
 
     N is pure-y; P is the pure-z word (as an index tuple) whose letters fill
-    the slot classes left short after pushing M along phi.  The triple keeps
-    them in the form the lift reads: N's y-exponents (n_yexp) and P's
-    letters at even and at odd positions, counted from 0 (p_even, p_odd).
-    n_part and p_word rebuild N and P on demand, for the factor command and
-    tests.  The constructor takes N and P and refuses an
-    N with odd letters, which the stored exponents could not keep.
+    the slot classes left short after pushing M along phi.  An N with odd
+    letters is refused, and a P given as a list is kept as a tuple, so the
+    triple hashes.
     """
 
     phi: MonotoneInjection
-    n_yexp: tuple[int, ...]
-    p_even: tuple[int, ...]
-    p_odd: tuple[int, ...]
+    n_part: CanonicalMonomial
+    p_word: tuple[int, ...]
 
-    def __init__(self, phi: MonotoneInjection, n_part: CanonicalMonomial, p_word: tuple[int, ...]):
-        if n_part.cseq:
+    def __post_init__(self):
+        if self.n_part.cseq:
             raise ValueError("N must be pure-y")
-        # a list P is stored as tuples too, so the triple hashes and lifts
-        vars(self).update(phi=phi, n_yexp=n_part.yexp,
-                          p_even=tuple(p_word[0::2]), p_odd=tuple(p_word[1::2]))
-
-    @classmethod
-    def _trusted(cls, phi, n_yexp, p_even, p_odd) -> "ReducerTriple":
-        """Build from the stored parts as they are, with no check and no
-        dataclass __init__: factorize_embedding's result."""
-        t = object.__new__(cls)
-        vars(t).update(phi=phi, n_yexp=n_yexp, p_even=p_even, p_odd=p_odd)
-        return t
-
-    @property
-    def n_part(self) -> CanonicalMonomial:
-        return _monomial((self.n_yexp, (), ()))
-
-    @property
-    def p_word(self) -> tuple[int, ...]:
-        return tuple(_interleave(self.p_even, self.p_odd))
+        object.__setattr__(self, "p_word", tuple(self.p_word))
 
     def to_obj(self) -> dict:
         return {
@@ -154,9 +132,10 @@ def _fit(big: tuple, small: tuple, image) -> tuple[int, ...]:
 
 
 def _factor(m: CanonicalMonomial, target: CanonicalMonomial, image) -> tuple:
-    """The parts (n_yexp, p_even, p_odd) of target = N . phi(m) . P, with no
-    check: the one factorization core of factorize_embedding and the
-    traced _lift.
+    """The parts (N's y-exponents, P's even-position letters, P's
+    odd-position letters) of target = N . phi(m) . P, with no check: the
+    one factorization core of factorize_embedding and a traced step's
+    record.
     `image` is phi as a witness table of embedders (table[i] the image of
     i) or as a dict covering m's indices.
 
@@ -195,8 +174,7 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
     extends it (a pwo_leq witness already maps them all, and is kept as it
     is), and _factor computes the parts through the extension read as a
     dict.  Each way m can fail to fit under the target is refused here, with
-    NotEmbeddableError.  The triple keeps phi as given, N as its exponents
-    and P as its two halves (see ReducerTriple).
+    NotEmbeddableError.  The triple keeps phi as given.
     """
     if phi is None:
         phi = pwo_leq(m, target)
@@ -211,7 +189,7 @@ def factorize_embedding(m: CanonicalMonomial, target: CanonicalMonomial,
         raise NotEmbeddableError("phi(m) does not fit under the target")
     if len(first) - len(second) not in (0, 1):
         raise NotEmbeddableError("slot deficits cannot interleave into a word")
-    return ReducerTriple._trusted(phi, ny, first, second)
+    return ReducerTriple(phi, _monomial((ny, (), ())), tuple(_interleave(first, second)))
 
 
 def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
@@ -221,10 +199,9 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     in one pass of orders._lift_terms: renamed along phi, with N's
     y-exponents added, P's even-position letters (from 0) joined to its
     c-slots and its odd-position letters to its d-slots: no word product
-    and no intermediate monomial.  A triple built from a
-    caller's P word may keep P's halves unsorted, so they are sorted once
-    per call, as the kernel reads them.  phi is extended once, over f's
-    index support, which f computes on its first lift and keeps, so the
+    and no intermediate monomial.  P's halves are split off and sorted
+    once per call, as the kernel reads them: a caller's P word may leave
+    them unsorted.  phi is extended once, over f's index support, so the
     renaming acts as one letter substitution; extending term by term could
     merge terms (phi 1->2 sends both y1*y2 and y1*y3 to y2*y3 under
     separate extensions).  Renaming along one injection is injective and N
@@ -234,19 +211,17 @@ def apply_reducer(triple: ReducerTriple, f: QPoly) -> QPoly:
     The reduction loop does not call it: _lift is its unchecked form, and
     membership_bounded runs the same kernel on each generator's program.
     """
-    ny, p_even, p_odd = triple.n_yexp, tuple(sorted(triple.p_even)), tuple(sorted(triple.p_odd))
-    if p_even and min(p_even + p_odd) < 1:  # P's odd half is empty when its even one is
+    p = triple.p_word
+    if p and min(p) < 1:
         raise ValueError("letter index must be >= 1")
     image = dict(triple.phi.covering(f._index_support()).pairs)
-    return QPoly._trusted(_lift_terms(_compile(ONE, f.terms), ny, image, p_even, p_odd))
+    return QPoly._trusted(_lift_terms(_compile(ONE, f.terms), triple.n_part.yexp, image,
+                                      tuple(sorted(p[0::2])), tuple(sorted(p[1::2]))))
 
 
-def _lift(m: CanonicalMonomial, prog: tuple | None, target: CanonicalMonomial,
-          table: list, traced: bool = False):
-    """One reduction step, traced or not, with no check: the lifted terms
-    of a generator's tail as a dict, and when `traced` also the
-    factorization, (terms, n_yexp, p_even, p_odd).  That is
-    apply_reducer(t, tail).terms and t's stored parts, for
+def _lift(m: CanonicalMonomial, prog: tuple, target: CanonicalMonomial, table: list) -> dict:
+    """One reduction step, with no check: the lifted terms of a generator's
+    tail as a dict.  That is apply_reducer(t, tail).terms for
     t = factorize_embedding(m, target, MonotoneInjection.from_table(table)),
     where m is the generator's leading monomial, table the witness table of
     m <=' target from orders.embedders, and prog the record's program (see
@@ -255,25 +230,16 @@ def _lift(m: CanonicalMonomial, prog: tuple | None, target: CanonicalMonomial,
     Such a witness maps every index 1..max_index of m and puts each row of
     m under a row of the target, so no refusal can occur.  The kernel adds
     the compiled deltas to the target's y-exponents and joins the target's
-    slot letters left over by phi(m) (_fit), so an untraced step builds no
-    N; with a trace, _factor reads N and P's halves off the table as well.
+    slot letters left over by phi(m) (_fit), so the step builds no N.
     The table is the renaming's image when the support ends within its
     sources; a support reaching past them extends the witness with
     covering, holes included, as apply_reducer does.
     """
     (_, mc, md), (ty, tc, td) = m, target
-    if traced:
-        ny, first, second = _factor(m, target, table)
-        left_c, left_d = (first, second) if len(mc) == len(md) else (second, first)
-    else:
-        left_c, left_d = _fit(tc, mc, table), _fit(td, md, table)
-    lifted = {}
-    if prog is not None:
-        sup, terms = prog
-        image = table if sup[-1] < len(table) else dict(
-            MonotoneInjection.from_table(table).covering(sup).pairs)
-        lifted = _lift_terms(terms, ty, image, left_c, left_d)
-    return (lifted, ny, first, second) if traced else lifted
+    sup, terms = prog
+    image = table if sup[-1] < len(table) else dict(
+        MonotoneInjection.from_table(table).covering(sup).pairs)
+    return _lift_terms(terms, ty, image, _fit(tc, mc, table), _fit(td, md, table))
 
 
 def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
@@ -296,8 +262,8 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     _lift, straight off the embedding witness, traced or not.
 
     When `trace` is a list, subtraction records
-    {"against", "beta", "q", "phi", "N", "P"}, whose factorization is the
-    one _lift returns, and freeze records {"frozen": {"coeff", "m"}} are
+    {"against", "beta", "q", "phi", "N", "P"}, whose factorization _factor
+    reads off the witness, and freeze records {"frozen": {"coeff", "m"}} are
     appended in execution order.  The trace only records: the remainder is
     the same, term for term.
     """
@@ -353,13 +319,12 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
     only ever appended.  Only the tail of a usable generator is lifted and
     subtracted: its leading term would land on lm, whose
     coefficient ends at the residue r, and lm leaves `work` anyway.  So a
-    one-term generator, whose record holds no program, costs no
-    factorization and no lift, unless `trace` records them.  Every other
-    step calls _lift once and folds the lifted terms straight into `work`;
-    with a trace, the
-    step's record has the fields of ReducerTriple.to_obj, read off the
-    witness table and the parts _lift returns, with no injection or triple
-    built, and there is no other branch.
+    one-term generator, whose record holds no program, costs no lift, and
+    no factorization unless `trace` records it.  Every other step calls
+    _lift once and folds the lifted terms straight into `work`.  With a
+    trace, each step's record has the fields of ReducerTriple.to_obj, read
+    off the witness table and _factor's parts, with no injection or triple
+    built.
 
     Terms freeze into the remainder in strictly descending total_key
     order, each the leading term of `work` when it froze, so the
@@ -373,7 +338,7 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
         lc = work.get(lm)
         if lc is None:
             continue
-        hits = embedders(lm, keys)  # (generator index, witness table)
+        hits = embedders(lm._embedding(), keys)  # (generator index, witness table)
         if hits:
             usable = tuple([k for k, _ in hits])
             gcd = gcds.get(usable)
@@ -384,18 +349,19 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
             if q:
                 for (k, table), beta in zip(hits, betas):
                     ld, prog = recs[k]
-                    if not beta or prog is None and trace is None:
+                    if not beta:
                         continue
-                    # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
-                    lifted = _lift(ld.lm, prog, lm, table, trace is not None)
                     if trace is not None:  # ReducerTriple.to_obj's fields, read off the parts
-                        lifted, ny, first, second = lifted
+                        ny, first, second = _factor(ld.lm, lm, table)
                         trace.append({"against": k, "beta": coeff_str(beta), "q": coeff_str(q),
                                       "phi": [[i, table[i]] for i in range(1, len(table))],
                                       "N": monomial_to_obj(_monomial((ny, (), ()))),
                                       "P": _interleave(first, second)})
+                    if prog is None:
+                        continue
                     scale = beta * q
-                    for m, c in lifted.items():
+                    # lm(g) lifts onto lm, whose coefficient ends at r: lift the tail alone
+                    for m, c in _lift(ld.lm, prog, lm, table).items():
                         c *= scale
                         n = work.get(m)
                         if n is None:
@@ -515,11 +481,11 @@ def membership_bounded(f: QPoly, generators, max_degree: int,
         src, prog = g._index_support(), _compile(ONE, g.terms)
         for targets in combinations(range(1, max_index + 1), len(src)):
             image = dict(zip(src, targets))
-            for n_yexp, p_even, p_odd in enumerate_basis(room, max_index):
+            for ny, pc, pd in enumerate_basis(room, max_index):
                 count += 1
                 if count > max_candidates:
                     raise ResourceBoundError(
                         f"membership enumeration exceeded {max_candidates} products"
                     )
-                lattice.add(_lift_terms(prog, n_yexp, image, p_even, p_odd))
+                lattice.add(_lift_terms(prog, ny, image, pc, pd))
     return lattice.contains(f.terms)

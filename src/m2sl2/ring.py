@@ -82,15 +82,10 @@ class Combination:
     @classmethod
     def _trusted(cls, terms: dict):
         """Wrap `terms`, a fresh dict with no zero coefficient, as it is,
-        where __init__ would copy it.  A subclass with slots of its own
-        overrides this to set them (freealg.QPoly)."""
+        where __init__ would copy it."""
         f = object.__new__(cls)
         f.terms = terms
         return f
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def const(cls, n: int):

@@ -28,6 +28,11 @@ Python version, the CPU count, and the commit of each tree that is a git
 checkout, read before the runs, with whether its tracked files other than
 FILE differed from that commit.  The root
 BENCH_e2e.json holds one such entry per workload.
+
+`peak_rss_mib` steps by about 0.45 MiB with the length of a checkout's path
+alone, so the two trees' resolved paths must be of equal length for the
+figures to compare: when they are not, the script prints a warning, and
+with --write it refuses to run at all.
 """
 
 import argparse
@@ -105,6 +110,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    lengths = [len(str(path)) for path in trees.values()]
+    if lengths[0] != lengths[1]:
+        msg = (f"the checkouts' paths differ in length ({lengths[0]} and {lengths[1]} characters),"
+               " which moves peak_rss_mib by itself")
+        if args.write:
+            ap.error(msg + "; --write needs paths of equal length")
+        print("warning: " + msg, file=sys.stderr)
     commits = {tree: commit(path, args.write) for tree, path in trees.items()}  # as measured
     results: dict[str, list] = {"parent": [], "change": []}
     bad = []

@@ -10,13 +10,13 @@ is its polynomial followed by the lines of its generator file, a `chain`
 job the lines of its stream file.  The child and the rounds are those of
 tests/front_end_timing.py: each round times both trees, each in a fresh
 child interpreter, in alternating order.  A child parses every job afresh
-before each pass, untimed, so every pass starts from cold index-support
-caches as a job of the benchmark does; it runs one untimed pass,
+before each pass, untimed, so every pass starts from freshly parsed
+polynomials as a job of the benchmark does; it runs one untimed pass,
 then times five and keeps the least.  Three batches are timed:
 - `reduce` calls reduce_by with no trace, as the reduce command does
   without --trace;
 - `traced` passes a fresh trace list, so each step also builds its record
-  from the factorization the lift returns;
+  from the factorization that `_factor` reads off the witness;
 - `chain` calls chain_demo on the stream, whose items each go through the
   same reduction loop against the generators adjoined so far.
 

@@ -55,7 +55,7 @@ def test_format_matches_word_oracle_exhaustive():
 def test_format_qpoly_leading_term_first():
     f = QPoly.monomial(mk((1,)), 3) + QPoly.monomial(mk((1, 1)), -1)
     assert format_qpoly(f) == "- y1*y2 + 3*y1"
-    assert format_qpoly(QPoly.zero()) == "0"
+    assert format_qpoly(QPoly()) == "0"
     assert format_qpoly(QPoly.monomial(ONE)) == "+ 1"
 
 

@@ -7,8 +7,8 @@ reduce_by on its polynomial against the three generators of its file, with
 no trace, as the reduce command runs it; each `chain` job is chain_demo on
 its stream.  The counts are taken by wrapping the names the loop calls: the
 embedding kernel, the lift and the gcd, the compile of a generator's lift
-program, every MonotoneInjection built, and every index support built
-rather than read from its cache."""
+program, every MonotoneInjection built, and every index support built.
+The embedding data built for the antichain of a basis is counted too."""
 
 import io
 import random
@@ -21,7 +21,7 @@ import m2sl2.cli
 import m2sl2.genmat as genmat
 import m2sl2.orders
 import m2sl2.reduction as reduction
-from m2sl2.freealg import QPoly
+from m2sl2.freealg import CanonicalMonomial, QPoly, enumerate_basis
 from m2sl2.orders import MonotoneInjection
 from m2sl2.parsing import parse, parse_poly
 from tests.util import rand_qpoly
@@ -52,7 +52,7 @@ def _jobs(workload: str) -> list[list]:
 def counts(monkeypatch) -> Counter:
     """Calls of embedders, _lift, bezout and _compile as reduction calls them,
     the MonotoneInjections built (validated or not), the index supports
-    built (`supports`), and `sets`: the distinct tuples of usable generator
+    built (`supports`, one per _index_support call), and `sets`: the distinct tuples of usable generator
     positions met within each _reduce call, summed over the calls.  The
     kernel's keys are counted too: `visited`, every key handed to embedders,
     and `scanned`, the keys that pass the column-sum reject and so reach
@@ -106,7 +106,7 @@ def counts(monkeypatch) -> Counter:
     monkeypatch.setattr(MonotoneInjection, "__post_init__", counted_post_init)
 
     def counted_support(self, _fn=QPoly._index_support):
-        seen["supports"] += self._support is None
+        seen["supports"] += 1
         return _fn(self)
 
     monkeypatch.setattr(QPoly, "_index_support", counted_support)
@@ -172,6 +172,23 @@ def test_membership_compiles_each_generator_once(counts):
     assert answers == {True: 10, False: 30}
     assert room == 63
     assert counts == {"_compile": 63, "supports": 63}
+
+
+def test_minimal_elements_builds_each_embedding_once(monkeypatch):
+    # minimal_elements keeps each item's embedding data as its key and hands
+    # the kernel that key as the target, so each item's data is built once
+    seen = Counter()
+    embedding = CanonicalMonomial._embedding
+
+    def counted(m):
+        seen["_embedding"] += 1
+        return embedding(m)
+
+    monkeypatch.setattr(CanonicalMonomial, "_embedding", counted)
+    basis = list(enumerate_basis(3, 3))
+    assert len(basis) == 104
+    assert m2sl2.orders.minimal_elements(basis) == [CanonicalMonomial(), CanonicalMonomial((), (1,))]
+    assert seen == {"_embedding": 104}
 
 
 def test_chain_reads_leading_data_off_the_remainder(monkeypatch):

@@ -25,7 +25,7 @@ from m2sl2 import (
 )
 from m2sl2.cli import main, poly_obj
 import m2sl2.freealg as freealg
-from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors
+from m2sl2.freealg import MAX_BASIS, _capped_basis_size, _exponent_vectors, _monomial
 from tests.util import (
     inflate,
     mono_mul,
@@ -212,7 +212,7 @@ def test_qpoly_algebra_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
-        assert a * 1 == a and 0 * a == QPoly.zero()
+        assert a * 1 == a and 0 * a == QPoly()
 
 
 def test_grade_coherence_randomized():
@@ -229,7 +229,7 @@ def test_degree_and_max_index():
     f = QPoly.monomial(mk((1,), (2,))) + QPoly.monomial(mk((3,)))
     assert f.degree == 3
     assert f.max_index == 2
-    assert QPoly.zero().degree == -1
+    assert QPoly().degree == -1
 
 
 def test_index_support_matches_monomial_indices():
@@ -342,11 +342,11 @@ def test_generators_die_under_any_graded_substitution():
 
 def _each_constructor(m):
     """m rebuilt by the public constructor, make (also from its JSON record),
-    the trusted constructor and reduce_word."""
+    the unchecked constructor _monomial and reduce_word."""
     yield CanonicalMonomial(m.yexp, m.cseq, m.dseq)
     yield CanonicalMonomial.make(list(m.yexp) + [0, 0], list(m.cseq), list(m.dseq))
     yield monomial_from_obj(monomial_to_obj(m))
-    yield CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
+    yield _monomial((m.yexp, m.cseq, m.dseq))
     sign, r = reduce_word(m.word())
     assert sign == 1
     yield r
@@ -377,7 +377,7 @@ def test_monomial_copy_and_pickle_roundtrip():
                 assert back == m and hash(back) == hash(m)
                 assert back._embedding() == m._embedding()
     # pickling rebuilds through the validating constructor
-    bad = CanonicalMonomial._trusted((0,), (), ())
+    bad = _monomial(((0,), (), ()))
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(bad))
 
@@ -398,9 +398,8 @@ def test_monomial_is_its_field_tuple():
 def test_copy_and_pickle_validate_on_every_protocol():
     # each rebuild goes through the validating constructor, so a monomial
     # built unchecked with a bad field is refused by every one of them
-    trusted = CanonicalMonomial._trusted
-    bad = [trusted((0,), (), ()), trusted((-1,), (), ()), trusted((), (0,), ()),
-           trusted((), (2, 1), ()), trusted((), (1,), (1, 2)), trusted((), (), (1,))]
+    bad = [_monomial(fields) for fields in (((0,), (), ()), ((-1,), (), ()), ((), (0,), ()),
+                                            ((), (2, 1), ()), ((), (1,), (1, 2)), ((), (), (1,)))]
     rebuilds = [copy.copy, copy.deepcopy, *(
         lambda m, proto=proto: pickle.loads(pickle.dumps(m, proto))
         for proto in range(pickle.HIGHEST_PROTOCOL + 1))]

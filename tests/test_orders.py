@@ -27,6 +27,7 @@ from m2sl2 import (
     xi,
     xi_inv,
 )
+from m2sl2.freealg import _monomial
 from m2sl2.orders import embedders
 from tests.util import (
     assert_witness_valid,
@@ -84,14 +85,10 @@ def test_xi_roundtrip_randomized():
     for _ in range(1000):
         m = rand_monomial(rng)
         assert xi_inv(xi(m)) == m
-    # a whole basis, each monomial with its embedding data cold, then warm:
-    # the slot columns of the rows run to the largest index of any family
+    # a whole basis: the slot columns of the rows run to the largest index
+    # of any family
     for m in enumerate_basis(5, 4):
-        cold = CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
-        p = xi(cold)
-        assert xi_inv(p) == m, m
-        m._embedding()
-        assert xi(m) == p, m
+        assert xi_inv(xi(m)) == m, m
 
 
 # --- the linear order --------------------------------------------------------
@@ -233,7 +230,7 @@ def test_scan_witness_is_a_valid_injection():
     for a in basis:
         ea = a._embedding()
         for b in basis:
-            for _, table in embedders(b, [ea]):
+            for _, table in embedders(b._embedding(), [ea]):
                 hits += 1
                 assert table[0] == 0, (a, b)
                 phi = MonotoneInjection.from_table(table)
@@ -335,7 +332,7 @@ def test_embedders_match_oracles_exhaustive():
     keys = [a._embedding() for a in base]
     hits = 0
     for j, b in enumerate(base):
-        got = embedders(b, keys)
+        got = embedders(keys[j], keys)
         assert [k for k, _ in got] == [i for i in range(len(base)) if (i, j) in embeds], b
         for i, table in got:
             assert table[0] == 0, (base[i], b)
@@ -365,7 +362,7 @@ def test_pwo_leq_warm_caches_match_oracles():
         m = rand_monomial(rng, max_degree=5, max_index=4)
         sign, r = reduce_word(m.word())
         assert sign == 1
-        pool += [m, r, CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq),
+        pool += [m, r, _monomial((m.yexp, m.cseq, m.dseq)),
                  CanonicalMonomial(m.yexp, m.cseq, m.dseq)]
     expect = {}
     for _ in range(3):
@@ -473,23 +470,19 @@ def test_rename_kernel_matches_word_oracle():
         with pytest.raises(CannotExtendError):
             renamed_whole(whole, NO_ROOM)
 
-    # rename_monomial alone on a larger basis, each monomial with its
-    # embedding data cold (a fresh copy per call) and warm
+    # rename_monomial alone on a larger basis
     for m in enumerate_basis(5, 4):
-        warm = CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq)
-        warm._embedding()
         for mode in ("both", "y_only", "z_only"):
             for phi in (*RENAME_INJECTIONS, NO_ROOM):
                 try:
                     want = word_renaming(QPoly.monomial(m), phi, mode)
                 except CannotExtendError:
                     want = None
-                for src in (CanonicalMonomial._trusted(m.yexp, m.cseq, m.dseq), warm):
-                    if want is None:
-                        with pytest.raises(CannotExtendError):
-                            rename_monomial(src, phi, mode)
-                    else:
-                        assert QPoly.monomial(rename_monomial(src, phi, mode)) == want, (m, phi, mode)
+                if want is None:
+                    with pytest.raises(CannotExtendError):
+                        rename_monomial(m, phi, mode)
+                else:
+                    assert QPoly.monomial(rename_monomial(m, phi, mode)) == want, (m, phi, mode)
 
 
 def test_comp_suite_small():

@@ -26,6 +26,7 @@ from m2sl2 import (
     factorize_embedding,
     leading,
     membership_bounded,
+    monomial_to_obj,
     normalize,
     parse_poly,
     pwo_leq,
@@ -35,6 +36,7 @@ from m2sl2 import (
     total_key,
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
+from m2sl2.freealg import _interleave, _monomial
 from m2sl2.orders import _compile, embedders
 from tests.util import (
     brute_embed,
@@ -86,7 +88,7 @@ def test_leading_examples():
 
 def test_leading_zero_rejected():
     with pytest.raises(ZeroPolynomialError):
-        leading(QPoly.zero())
+        leading(QPoly())
 
 
 # --- factorization -----------------------------------------------------------
@@ -191,7 +193,7 @@ def test_factorize_matches_reference_exhaustive():
     # validated monomials always leave slot deficits that interleave, so the
     # interleave failure needs a target built unvalidated, with two more
     # d-slots than c-slots
-    bad = CanonicalMonomial._trusted((), (1,), (2, 3))
+    bad = _monomial(((), (1,), (2, 3)))
     for phi in (MonotoneInjection(((1, 1),)), MonotoneInjection()):
         want = outcome(reference_factorize, mk((), (1,)), bad, phi)
         assert want == (NotEmbeddableError, "slot deficits cannot interleave into a word")
@@ -199,9 +201,8 @@ def test_factorize_matches_reference_exhaustive():
 
 
 def test_public_triple_matches_factorized_exhaustive():
-    # the public constructor takes N and P and keeps what the lift reads;
-    # factorize_embedding stores those parts straight.  reference_factorize
-    # builds its triple through the public constructor
+    # factorize_embedding builds its triple from _factor's parts;
+    # reference_factorize builds its own from N and P the plain way
     basis = list(enumerate_basis(4, 3))
     pairs = 0
     for a in basis:
@@ -223,12 +224,11 @@ def test_triple_refuses_odd_letters_in_n_and_is_frozen():
         with pytest.raises(ValueError, match="N must be pure-y"):
             ReducerTriple(phi, n_part, ())
     for t in (ReducerTriple(phi, mk((0, 2)), (3, 1, 2)), factorize_embedding(mk((1,)), mk((2, 1)))):
-        for name in ("phi", "n_yexp", "p_even", "p_odd", "n_part", "p_word"):
+        for name in ("phi", "n_part", "p_word"):
             with pytest.raises(FrozenInstanceError):
                 setattr(t, name, getattr(t, name))
     t = ReducerTriple(phi, mk((0, 2)), (3, 1, 2))
-    assert (t.n_yexp, t.p_even, t.p_odd) == ((0, 2), (3, 2), (1,))
-    assert (t.n_part, t.p_word) == (mk((0, 2)), (3, 1, 2))
+    assert (t.phi, t.n_part, t.p_word) == (phi, mk((0, 2)), (3, 1, 2))
 
 
 def test_triple_from_a_list_p_equals_the_tuple_built_triple():
@@ -334,18 +334,17 @@ def test_apply_reducer_refuses_a_letter_below_1_in_either_half_of_p():
 
 
 def test_apply_reducer_warm_support_matches_product_oracle():
-    # one generator lifted under many triples: its index support is built on
-    # the first lift and kept, and lm uses only indices 1 and 2, so every
-    # lift extends the witness over the other terms' indices 3 and 4
+    # one generator lifted under many triples: lm uses only indices 1 and 2,
+    # and its index support is 1..4, so every lift extends the witness over
+    # the other terms' indices 3 and 4
     g = mono(mk((), (1,), (2,)), 3) + mono(mk((0, 0, 2)), -2) + mono(mk((1,), (4,)), 5)
     lm = leading(g).lm
-    assert lm == mk((), (1,), (2,)) and g._support is None
+    assert lm == mk((), (1,), (2,)) and g._index_support() == (1, 2, 3, 4)
     rng = random.Random(91)
     triples = set()
     for _ in range(300):
         triple = factorize_embedding(lm, inflate(rng, lm))
         assert apply_reducer(triple, g) == product_apply_reducer(triple, g), triple
-        assert g._support == (1, 2, 3, 4)
         triples.add(json.dumps(triple.to_obj()))
     assert len(triples) > 100
 
@@ -353,10 +352,10 @@ def test_apply_reducer_warm_support_matches_product_oracle():
 def test_fused_lift_matches_the_two_public_steps_exhaustive():
     # every embedding pair (a, b) of a small basis: the loop's one step, on
     # the kernel's witness table and the tail's program compiled against a,
-    # gives apply_reducer(factorize_embedding(...)) term for term, traced or
-    # not, and traced returns the triple's stored parts, which a trace
-    # record reads, on tails whose indices reach a.max_index + 1, so the
-    # witness is extended
+    # gives apply_reducer(factorize_embedding(...)) term for term, on tails
+    # whose indices reach a.max_index + 1, so the witness is extended; and
+    # _factor on the table gives the triple's N and P, as a trace record
+    # writes them
     rng = random.Random(95)
     pools = {}
     pairs = extended = 0
@@ -368,23 +367,23 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
             pools[n] = terms, [m for m in terms if n in monomial_indices(m)]
         terms, reaching = pools[n]
         for b in basis:
-            hits = embedders(b, [a._embedding()])
+            hits = embedders(b._embedding(), [a._embedding()])
             if not hits:
                 continue
             (_, table), = hits
             phi = MonotoneInjection.from_table(table)
             pairs += 1
+            ny, first, second = reduction._factor(a, b, table)
+            triple = factorize_embedding(a, b, phi)
+            assert ({"N": monomial_to_obj(_monomial((ny, (), ()))), "P": _interleave(first, second)}
+                    == {"N": monomial_to_obj(triple.n_part), "P": list(triple.p_word)}), (a, b)
             for _ in range(2):
                 picked = [rng.choice(reaching)] + rng.sample(terms, rng.randint(0, 2))
                 tail = QPoly({m: rng.choice((-3, -1, 2, 5)) for m in picked})
-                triple = factorize_embedding(a, b, phi)
                 want = apply_reducer(triple, tail)
                 prog = tail._index_support(), _compile(a, tail.terms)
-                got, *parts = reduction._lift(a, prog, b, table, True)
+                got = reduction._lift(a, prog, b, table)
                 assert list(got.items()) == list(want.terms.items()), (a, b, tail)
-                assert parts == [triple.n_yexp, triple.p_even, triple.p_odd], (a, b)
-                untraced = reduction._lift(a, prog, b, table)
-                assert list(untraced.items()) == list(got.items()), (a, b, tail)
                 extended += phi.covering(tail._index_support()) is not phi
     assert pairs == 618
     assert extended == 2 * pairs
@@ -410,7 +409,7 @@ def test_lift_terms_match_rename_then_product_exhaustive():
     # embedders and under a covering dict that filled a hole, with P of
     # even and of odd length after terms of every z-length parity
     terms = {m: k + 1 for k, m in enumerate(enumerate_basis(4, 3))}
-    (_, table), = embedders(mk((1, 0, 2, 0, 1, 3)), [mk((1, 1, 1))._embedding()])
+    (_, table), = embedders(mk((1, 0, 2, 0, 1, 3))._embedding(), [mk((1, 1, 1))._embedding()])
     assert table == [0, 1, 3, 5]
     filled = dict(MonotoneInjection(((1, 2), (3, 7))).covering(range(1, 4)).pairs)
     assert filled == {1: 2, 2: 3, 3: 7}
@@ -428,8 +427,9 @@ def test_lift_terms_match_rename_then_product_exhaustive():
     phi = MonotoneInjection(((1, 2), (3, 7)))
     for p_word in ((5, 1, 2), (4, 3, 1, 2, 2), (6, 2, 3, 1)):
         triple = ReducerTriple(phi, mk((1, 0, 3)), p_word)
-        assert sorted(triple.p_even) != list(triple.p_even)
-        want = _lift_by_product(g.terms, filled, triple.n_yexp, triple.p_even, triple.p_odd)
+        p_even, p_odd = triple.p_word[0::2], triple.p_word[1::2]
+        assert sorted(p_even) != list(p_even)
+        want = _lift_by_product(g.terms, filled, triple.n_part.yexp, p_even, p_odd)
         assert _rows(apply_reducer(triple, g).terms) == want, p_word
 
 
@@ -451,7 +451,7 @@ def test_compiled_lift_matches_rename_then_product_exhaustive():
     seen: Counter = Counter()
     for lm in lms:
         for target in lms:
-            hits = embedders(target, [lm._embedding()])
+            hits = embedders(target._embedding(), [lm._embedding()])
             if not hits:
                 continue
             (_, table), = hits
@@ -467,7 +467,7 @@ def test_compiled_lift_matches_rename_then_product_exhaustive():
                     seen["hole"] += bool(set(range(len(table), max(sup))) - sup)
                 got = reduction._lift_terms(_compile(lm, {t: k - 7}), target.yexp, image, *left)
                 _, want = mono_mul(*rename_parts(t, image, "both"),
-                                   triple.n_yexp, triple.p_even, triple.p_odd)
+                                   triple.n_part.yexp, triple.p_word[0::2], triple.p_word[1::2])
                 assert list(got.items()) == [(want, k - 7)], (lm, target, t)
                 seen[_parity(lm), _parity(t)] += 1
                 seen["trimmed"] += len(want.yexp) < len(target.yexp)
@@ -500,7 +500,7 @@ def test_reduce_by_examples():
 
 def test_reduce_by_rejects_zero_generator():
     with pytest.raises(ZeroPolynomialError):
-        reduce_by(mono(mk((1,))), [QPoly.zero()])
+        reduce_by(mono(mk((1,))), [QPoly()])
 
 
 def test_reduce_by_no_usable_generators():
@@ -528,8 +528,8 @@ def test_euclid_walk_trace():
 
 def replay_trace(f, gens, trace, remainder):
     """Rebuild f from the recorded subtractions plus the remainder, exactly."""
-    rebuilt = QPoly.zero()
-    frozen = QPoly.zero()
+    rebuilt = QPoly()
+    frozen = QPoly()
     for rec in trace:
         if "frozen" in rec:
             fr = rec["frozen"]
@@ -684,9 +684,9 @@ def test_tails_past_the_witness_extend_over_holes(monkeypatch):
     lift = reduction._lift
     extended = Counter()
 
-    def counted(m, prog, target, table, traced=False):
+    def counted(m, prog, target, table):
         extended[prog[0][-1] >= len(table)] += 1
-        return lift(m, prog, target, table, traced)
+        return lift(m, prog, target, table)
 
     monkeypatch.setattr(reduction, "_lift", counted)
     basis = list(enumerate_basis(5, 5))
@@ -740,9 +740,10 @@ def test_reduce_by_keys_each_entering_term_once(monkeypatch):
 
 
 def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
-    # a traced step is the untraced one plus its record: one _lift call per
-    # subtraction record, and no call of the public factorization or lift,
-    # so the benchmark's tracer has one step function to wrap
+    # a traced step is the untraced one plus its record: one _lift call and
+    # one _factor call per subtraction record, and no call of the public
+    # factorization or lift, so the benchmark's tracer has one step
+    # function to wrap
     calls = _counting_step_names(monkeypatch)
     gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
     f = rand_sparse_poly(random.Random(89), list(enumerate_basis(7, 3)), 100)
@@ -750,14 +751,15 @@ def test_reduce_by_calls_the_traced_lift_names(monkeypatch):
     reduce_by(f, gens, trace=trace)
     steps = sum(1 for rec in trace if "against" in rec)
     assert steps > 50
-    assert calls == {"_lift": steps}
+    assert calls == {"_lift": steps, "_factor": steps}
 
 
 def _counting_step_names(monkeypatch) -> Counter:
-    """Count the calls of reduction._lift and of the public factorize_embedding
-    and apply_reducer, which the reduction loop must not call."""
+    """Count the calls of reduction._lift, of reduction._factor, which only a
+    traced step calls, and of the public factorize_embedding and
+    apply_reducer, which the reduction loop must not call."""
     calls: Counter = Counter()
-    for name in ("_lift", "factorize_embedding", "apply_reducer"):
+    for name in ("_lift", "_factor", "factorize_embedding", "apply_reducer"):
         def counted(*args, _fn=getattr(reduction, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -769,7 +771,7 @@ def _counting_step_names(monkeypatch) -> Counter:
 def test_one_term_generators_cost_no_factorization(monkeypatch):
     # a unit-monomial stream adjoins one-term generators, whose tails are
     # empty: a subtraction step has nothing to lift, so untraced it makes no
-    # _lift call, and so neither factorizes nor lifts
+    # _lift call and no _factor call
     calls = _counting_step_names(monkeypatch)
     stream = [mono(m) for m in random.Random(93).sample(list(enumerate_basis(5, 2)), 150)]
     report = chain_demo(stream)
@@ -780,8 +782,9 @@ def test_one_term_generators_cost_no_factorization(monkeypatch):
 
 
 def test_traced_one_term_generators_keep_every_step(monkeypatch):
-    # with a trace, each subtraction record still comes from one _lift call,
-    # on the empty tail, and the records are the reference loop's
+    # with a trace, each subtraction record still comes from one _factor
+    # call, and no step lifts the empty tail; the records are the reference
+    # loop's
     calls = _counting_step_names(monkeypatch)
     rng = random.Random(94)
     basis = list(enumerate_basis(5, 2))
@@ -793,19 +796,20 @@ def test_traced_one_term_generators_keep_every_step(monkeypatch):
     assert trace == want
     steps = sum(1 for rec in trace if "against" in rec)
     assert steps > 20
-    assert calls == {"_lift": steps}
+    assert calls == {"_factor": steps}
 
 
 def test_support_built_once_per_generator(monkeypatch):
-    # count, per polynomial, the _index_support calls that build the support
-    # rather than read the kept one; building every generator's support on
-    # every _reduce call would build it once per stream item per generator
+    # count, per polynomial, the _index_support calls, each of which builds
+    # the support: a generator's is built once per reduce_by call, or once
+    # per stream when chain_demo adjoins it; building every generator's
+    # support on every _reduce call would build it once per stream item per
+    # generator
     builds: Counter = Counter()
     build = QPoly._index_support
 
     def counted(self):
-        if self._support is None:
-            builds[id(self)] += 1
+        builds[id(self)] += 1
         return build(self)
 
     monkeypatch.setattr(QPoly, "_index_support", counted)
@@ -827,11 +831,11 @@ def test_support_built_once_per_generator(monkeypatch):
     builds.clear()
     gens = [parse_poly(g) for g in GEN_FAMILIES["bench"]]
     f = rand_sparse_poly(rng, list(enumerate_basis(7, 3)), 200)
-    for _ in range(2):  # the kept support outlives one reduce_by call
+    for _ in range(2):  # each reduce_by call builds each support once
         trace: list = []
         reduce_by(f, gens, trace=trace)
         assert sum(1 for rec in trace if "against" in rec) > 50
-    assert builds == Counter({id(g): 1 for g in gens})
+    assert builds == Counter({id(g): 2 for g in gens})
 
 
 # --- ascending chains --------------------------------------------------------
@@ -983,7 +987,7 @@ def test_every_term_key_is_a_monomial():
 def test_membership_examples():
     assert membership_bounded(mono(mk((0, 2, 1))), [mono(mk((1,)))], 3)
     assert not membership_bounded(mono(mk((), (1,))), [mono(mk((1,)))], 2)
-    assert membership_bounded(QPoly.zero(), [mono(mk((1,)))], 2)
+    assert membership_bounded(QPoly(), [mono(mk((1,)))], 2)
     with pytest.raises(ValueError, match="f exceeds the degree bound"):
         membership_bounded(mono(mk((2,))), [mono(mk((1,)))], 1)
 

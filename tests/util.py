@@ -90,7 +90,7 @@ def expected_y_product(indices) -> GMatrix2:
     prod = MultiPoly.const(1)
     for i in indices:
         prod = prod * alpha(i)
-    return GMatrix2(prod, MultiPoly.zero(), MultiPoly.zero(),
+    return GMatrix2(prod, MultiPoly(), MultiPoly(),
                     prod * (-1) ** len(indices))
 
 
@@ -102,7 +102,7 @@ def expected_z_product(indices) -> GMatrix2:
             upper, lower = upper * beta(i), lower * gamma(i)
         else:
             upper, lower = upper * gamma(i), lower * beta(i)
-    zero = MultiPoly.zero()
+    zero = MultiPoly()
     if len(indices) % 2 == 0:
         return GMatrix2(upper, zero, zero, lower)
     return GMatrix2(zero, upper, lower, zero)
@@ -131,7 +131,7 @@ def product_eval_word(w) -> GMatrix2:
     """A word's generic evaluation as the letter-by-letter product of general
     2x2 matrices over the alpha/beta/gamma ring, with Y_i = diag(a_i, -a_i)
     and Z_i = [[0, b_i], [c_i, 0]] built here from the ring's variables."""
-    zero, one = MultiPoly.zero(), MultiPoly.const(1)
+    zero, one = MultiPoly(), MultiPoly.const(1)
     acc = (one, zero, zero, one)
     for fam, idx in w:
         if fam == "y":
@@ -144,7 +144,7 @@ def product_eval_word(w) -> GMatrix2:
 
 def product_evaluate(weighted_words) -> GMatrix2:
     """The sum of coeff * product_eval_word(word) over (coeff, word) pairs."""
-    acc = [MultiPoly.zero()] * 4
+    acc = [MultiPoly()] * 4
     for c, w in weighted_words:
         acc = [x + e * c for x, e in zip(acc, entries(product_eval_word(w)))]
     return GMatrix2(*acc)
@@ -215,7 +215,7 @@ def rand_zword(rng: random.Random, max_len=6, max_index=4):
 
 
 def rand_qpoly(rng: random.Random, max_terms=4, max_degree=6, max_index=4) -> QPoly:
-    acc = QPoly.zero()
+    acc = QPoly()
     for _ in range(rng.randint(1, max_terms)):
         m = rand_monomial(rng, max_degree, max_index)
         acc = acc + QPoly.monomial(m, rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -800,7 +800,7 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
     product_apply_reducer, so neither shares code with the package's _lift.
     Same arguments, result and trace records as reduce_by."""
     lead = [max(g.terms, key=total_key) for g in gens]
-    remainder = QPoly.zero()
+    remainder = QPoly()
     work = f
     while not work.is_zero():
         lm = max(work.terms, key=total_key)
@@ -810,7 +810,7 @@ def reference_reduce(f: QPoly, gens, trace: list | None = None) -> QPoly:
         if usable:
             d, betas = reference_bezout([gens[k].terms[lead[k]] for k in usable])
             q, r = divmod(lc, d)
-            subtrahend = QPoly.zero()
+            subtrahend = QPoly()
             for k, b in zip(usable, betas):
                 if not (q and b):
                     continue
