@@ -92,19 +92,14 @@ class IntRowLattice:
             work = rest
         return False
 
-    def reduce(self, row: dict) -> dict:
-        """Reduce a row by the pivot rows; the remainder is {} iff row is in the span."""
+    def contains(self, row: dict) -> bool:
+        """Whether row is in the span: reduced by the pivot rows, it leaves
+        nothing."""
         work = {c: v for c, v in row.items() if v}
         while work:
             col = min(work)
             piv = self.pivots.get(col)
-            if piv is None:
-                return work
-            a, b = piv[col], work[col]
-            if b % a:
-                return work
-            _row_axpy(work, piv, -(b // a))
-        return {}
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+            if piv is None or work[col] % piv[col]:
+                return False
+            _row_axpy(work, piv, -(work[col] // piv[col]))
+        return True

@@ -173,14 +173,8 @@ class MonotoneInjection:
 
         New images take the smallest value that keeps both columns strictly
         increasing; a hole whose neighbouring targets leave no room raises
-        CannotExtendError.  When the sources are exactly 1..n and every
-        index lies in 1..n, as for a pwo_leq witness and the indices of the
-        monomial it was found for, there is nothing to extend, and self is
-        returned before any set is built.
+        CannotExtendError.  With nothing to extend, self is returned.
         """
-        if (self.pairs and self.pairs[-1][0] == len(self.pairs) and indices
-                and min(indices) > 0 and max(indices) <= len(self.pairs)):
-            return self  # positive, strictly increasing sources ending at n are 1..n
         need = sorted(set(indices) - {s for s, _ in self.pairs})
         if not need:
             return self

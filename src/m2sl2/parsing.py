@@ -7,18 +7,10 @@
 
 Multiplication is always explicit; juxtaposition is a syntax error.  Brackets
 are commutators.  `parse` reads a text in one pass of recursive descent,
-matching the compiled scanner once per token at the offset where the last
-token ended, except in a run: letters, perhaps with exponents, and perhaps
-one integer before them, multiplied with no whitespace, as in
-`-15*y1*y3^3*z1*z2`.  Wherever a factor may start, at the start of the text
-and after a '+', '-', '*', '(', '[' or ',', a run is tried before the next
-token, in one match of a second pattern that admits only what the scanner
-reads without error, and the scan resumes after it.  A run ends neither
-inside a token nor before a '^', and where it ends, or where its powers
-would pass the letters cap, the token path reads on, so the nodes, counts
-and errors are the token path's.  Each node gets its raw
-word count as it is built, and a product of letters and integers
-(parenthesized ones included, the term's sign too) becomes one word leaf.
+stepping one iterator over the compiled scanner's matches, one per token.
+Each node gets its raw word count as it is built, and a product of letters
+and integers (parenthesized ones included, the term's sign too) becomes one
+word leaf.
 So does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
 `(-y1)^3`): the leaf keeps, as its charge, the letters that power would have
 charged to the power caps, and the folds bill that charge where the power
@@ -39,13 +31,14 @@ base's canonical term when it has one, the raw expansion by its base's word,
 and all three bill a word leaf's charge when they reach it.
 
 `parse_poly` first tries the text as a signed sum of terms, each a run or an
-integer alone, as every `chain` and `reduce` job line is: one match of _TERM
-(built from _RUN's pattern) per term, and each run's monomial built in
-closed form from its powers of letters (freealg.reduce_powers), with no
-tree and no word, and folded into the sum as it is read.  _powers, the
-factor loop that _Parser.run calls too, charges the letters cap as the
-parser does, and any other text, or one the caps would refuse, is parsed,
-so every value and error is the parser's.
+integer alone, as every `chain` and `reduce` job line is: a run is letters,
+perhaps with exponents, and perhaps one integer before them, multiplied with
+no whitespace, as in `-15*y1*y3^3*z1*z2`.  It reads one match of _TERM per
+term, builds each run's monomial in closed form from its powers of letters
+(freealg.reduce_powers), with no tree and no word, and folds it into the sum
+as it is read.  _powers charges the letters cap as the parser does, and any
+other text, or one the caps would refuse, is parsed, so every value and
+error is the parser's.
 """
 
 import re
@@ -98,31 +91,23 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)|(?P<int>\d+)|
 
 _ATOM_STARTS = ("'y'", "'z'", "integer", "'('", "'['")
 _SIGNS = ("+", "-")
-# the tokens a factor may follow, None standing for the start of the text:
-# a run is tried after each of them and nowhere else
-_BEFORE_FACTOR = frozenset((None, "+", "-", "*", "(", "[", ","))
 _INDEX_DIGITS = len(str(MAX_LETTER_INDEX))
-# a run, after any whitespace: an integer I and a '*', or not, then 1 to 64
-# letters L joined by '*', each perhaps with an exponent, written with no
-# whitespace, ending where a token ends and not before a '^'.  L has no
-# leading zero and fewer digits than MAX_LETTER_INDEX, so its index is in
-# range, and I is no longer than the scanner admits; any other factor ends
-# the run before it.  The pattern is built at import from MAX_LETTER_INDEX
-# and MAX_COEFF_DIGITS, as _INDEX_DIGITS and _COEFF_BOUND are, so those two
-# caps hold as they stand at import.  The token path reads a run refused for
-# its powers factor by factor, trying a run again after each '*', so the
-# bound on its length keeps that linear in the text.
-_RUN = re.compile(r"\s*(?:({I})\*)?({L}(?:\*{L}){{0,63}})(?!\s*[\^\d])".format(
+# a term of a sum of runs: its sign ('+' or '-', optional on the first term),
+# then, after any whitespace, a run or an integer alone, then any whitespace,
+# before the next sign or the end of the text.  A run is an integer I and a
+# '*', or not, then any number of letters L joined by '*', each perhaps with
+# an exponent, written with no whitespace.  L has no leading zero and fewer
+# digits than MAX_LETTER_INDEX, so its index is in range, and I is no longer
+# than the scanner admits.  The pattern is built at import from
+# MAX_LETTER_INDEX and MAX_COEFF_DIGITS, as _INDEX_DIGITS and _COEFF_BOUND
+# are, so those two caps hold as they stand at import.  The sign takes the
+# whitespace before it, so a failed match backtracks in linear time.  Groups:
+# the sign, I, the run, the integer alone.
+_TERM = re.compile(r"(?:\s*([+-]))?\s*(?:(?:({I})\*)?({L}(?:\*{L})*)|({I}))\s*(?=[+-]|\Z)".format(
     I=rf"\d{{1,{MAX_COEFF_DIGITS}}}",
     L=rf"[yz][1-9][0-9]{{0,{_INDEX_DIGITS - 2}}}(?:\^\d{{1,{MAX_COEFF_DIGITS}}})?"))
-# a run's letter by its lexeme, kept: _RUN admits 19,998 lexemes at most
+# a run's letter by its lexeme, kept: _TERM admits 19,998 lexemes at most
 _letter = cache(lambda lex: (lex[0], int(lex[1:])))
-# a term of a sum of runs: its sign ('+' or '-', optional on the first term),
-# then a run or an integer alone, then any whitespace, before the next sign
-# or the end of the text.  The sign takes the whitespace before it, so no two
-# repeats of \s are adjacent and a failed match backtracks in linear time
-_TERM = re.compile(r"(?:\s*([+-]))?(?:{}|\s*(\d{{1,{}}}))\s*(?=[+-]|\Z)".format(
-    _RUN.pattern, MAX_COEFF_DIGITS))
 # the text before a token ends in an exponent: the last factor read has one
 _POWERED = re.compile(r"\^\s*\d+\s*\Z")
 
@@ -132,11 +117,11 @@ def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
 
 
 def _powers(run: str, absorbed: int):
-    """A run's factors, as (letter, exponent) pairs, each letter read
-    through _letter, and the letters its powers charge: the exponent of
-    each factor that has one.  None if that charge, with `absorbed` charged
-    before it, would pass MAX_POWER_LETTERS; each exponent is charged
-    before anything is built."""
+    """The factors of a run that _TERM matched, for parse_poly, as
+    (letter, exponent) pairs, each letter read through _letter, and the
+    letters its powers charge: the exponent of each factor that has one.
+    None if that charge, with `absorbed` charged before it, would pass
+    MAX_POWER_LETTERS; each exponent is charged before anything is built."""
     factors, charge = [], 0
     for piece in run.split("*"):
         lex, _, exp = piece.partition("^")
@@ -159,35 +144,31 @@ def _run_leaf(sign: int, lits: list[int], letters: list, charge: int) -> tuple:
 
 
 class _Parser:
-    """Recursive descent in one pass, matching the scanner at the offset
-    where the last token ended, a run of letter and integer factors read in
-    one match of _RUN wherever a factor may start (see advance and run).
+    """Recursive descent in one pass, stepping one iterator over the
+    scanner's matches, one per token.
 
-    The current token is kind ("VAR", "INT", "EOF" or the operator character,
-    None before the first), value and pos, and `after` is the offset where
-    it ends, from which the scan reads on.  `leaf` is the run read just
-    before the current token, or None; term takes it as a factor.  A
-    lexical error raises as soon as it is read, being the first one in the
-    text; a syntax error first reads the rest of the text, so that a lexical
-    error after it wins.  A node whose count passes MAX_WORDS only sets
-    `over`, for parse to raise once the text is read.
-    `absorbed` counts the letters built by powers taken into word leaves."""
+    The current token is kind ("VAR", "INT", "EOF" or the operator
+    character), value and pos.  A lexical error raises as soon as it is
+    read, being the first one in the text; a syntax error first reads the
+    rest of the text, so that a lexical error after it wins.  A node whose
+    count passes MAX_WORDS only sets `over`, for parse to raise once the
+    text is read.  `absorbed` counts the letters built by powers taken into
+    word leaves."""
 
-    __slots__ = ("text", "kind", "value", "pos", "after", "leaf", "depth", "over", "absorbed")
+    __slots__ = ("text", "tokens", "kind", "value", "pos", "depth", "over", "absorbed")
 
     def __init__(self, text: str):
-        self.text, self.after, self.kind = text, 0, None
+        # the scan ends where the trailing whitespace starts, so every match
+        # starts where the last one ended and no offset is searched twice
+        self.text, self.tokens = text, _TOKEN.finditer(text, 0, len(text.rstrip()))
         self.depth = 0
         self.over = False
         self.absorbed = 0
         self.advance()
 
     def advance(self) -> None:
-        """Pass the current token: read the run that starts after it, if one
-        does and the token comes before a factor (see run), then the next
-        token."""
-        self.leaf = self.run() if self.kind in _BEFORE_FACTOR else None
-        match = _TOKEN.match(self.text, self.after)
+        """Pass the current token: read the next one."""
+        match = next(self.tokens, None)
         if match is None:
             self.kind, self.value, self.pos = "EOF", None, len(self.text)
             return
@@ -215,7 +196,7 @@ class _Parser:
             self.kind, self.value = "INT", int(lexeme)
         else:
             raise ParseError(f"unexpected character {lexeme!r}", i, ())
-        self.pos, self.after = i, match.end()
+        self.pos = i
 
     def fail(self, expected: tuple, message: str = "") -> None:
         """Raise a syntax error at the current token, unless the rest of the
@@ -256,27 +237,23 @@ class _Parser:
     def term(self):
         # the run of one-word factors since the last other factor, sign
         # included, is sign * prod(lits) * letters, charging `charge`
-        # letters; `run` says whether it holds any.  A run read by the last
-        # advance is the term's first factor, and the token after it is no
-        # sign of this term
+        # letters; `run` says whether it holds any
         sign, lits, letters, charge, run = 1, [], [], 0, False
-        if self.leaf is None and self.kind in _SIGNS:
+        if self.kind in _SIGNS:
             if self.kind == "-":
                 sign, run = -1, True
             self.advance()
         subs = []
         while True:
             kind, value = self.kind, self.value
-            if self.leaf is not None:
-                node = self.leaf
-            elif kind == "VAR" or kind == "INT":
+            if kind == "VAR" or kind == "INT":
                 self.advance()
                 node = ("w", 1, 1, (value,), 0) if kind == "VAR" else _leaf(value, ())
             elif kind == "(" or kind == "[":
                 node = self.group()
             else:
                 self.fail(_ATOM_STARTS)
-            if self.kind == "^":  # never after a run
+            if self.kind == "^":
                 self.advance()
                 if self.kind != "INT":
                     self.fail(("nonnegative integer exponent",))
@@ -305,32 +282,6 @@ class _Parser:
         for sub in subs:  # every partial product counts toward the cap
             n = self.counted(n * sub[1])
         return ("mul", n, subs)
-
-    def run(self):
-        """Read the run that starts where the last token ended in one match,
-        as the token path would read its factors, a power of a letter
-        repeated and charged as power() takes it into a leaf, and move the
-        scan past it.  Return the word leaf of its integer (1 if it has
-        none), letters and charge, for term to merge.  Return None, reading
-        nothing, if no run starts there or its powers would pass
-        MAX_POWER_LETTERS; the token path then reads the factors one at a
-        time and makes a "pow" node of the power that does not fit.  A run of
-        one bare letter (the z2 in [y1, z2]) skips the split into factors."""
-        match = _RUN.match(self.text, self.after)
-        if match is None:
-            return None
-        factors = match[2]
-        if match[1] is None and factors.isalnum():  # one bare letter: no integer, '*' or '^'
-            self.after = match.end()
-            return ("w", 1, 1, (_letter(factors),), 0)
-        read = _powers(factors, self.absorbed)
-        if read is None:
-            return None
-        self.absorbed, self.after = self.absorbed + read[1], match.end()
-        letters = []
-        for letter, k in read[0]:
-            letters += (letter,) * k
-        return _leaf(int(match[1] or 1), tuple(letters), read[1])
 
     def power(self, node, k: int):
         """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power

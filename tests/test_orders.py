@@ -197,9 +197,9 @@ def _covering_outcome(cover, phi, indices):
 
 def test_covering_matches_reference_exhaustive():
     # every injection with sources in 1..4 and targets in 1..6, holes
-    # included, against every index set inside 0..5: the early return (self
-    # when the sources are 1..n and every index lies in 1..n) gives what the
-    # general path gives, and an index below 1 is refused as before
+    # included, against every index set inside 0..5: covering gives what
+    # the reference gives, self when there is nothing to extend (sources
+    # 1..n among them), and an index below 1 is refused as before
     seen = Counter()
     for n in range(5):
         for sources in itertools.combinations(range(1, 5), n):

@@ -516,14 +516,12 @@ def _scan(fn, text):
 
 def _scanned(text: str) -> list[tuple]:
     """The (kind, value, pos) tokens the parser pulls from the scanner,
-    ending in EOF, with no run read: runs have their own tests."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
-        p = _Parser(text)
-        toks = []
-        while p.kind != "EOF":
-            toks.append((p.kind, p.value, p.pos))
-            p.advance()
+    ending in EOF."""
+    p = _Parser(text)
+    toks = []
+    while p.kind != "EOF":
+        toks.append((p.kind, p.value, p.pos))
+        p.advance()
     return toks + [("EOF", None, p.pos)]
 
 
@@ -560,6 +558,19 @@ def test_scanner_character_classes():
     decimals = re.findall(r"\d", every)
     assert decimals == [c for c in every if c.isdecimal()]
     assert all(0 <= int(c) <= 9 for c in decimals)
+
+
+def test_trailing_whitespace_is_scanned_once():
+    # the scan ends where the trailing whitespace starts: a scanner search
+    # from each offset inside it took over 10 s on each of these texts
+    spaces = " \t\n\u3000" * 4_000
+    t0 = time.perf_counter()
+    assert _scanned("y1*z2" + spaces)[-2:] == [("VAR", ("z", 2), 3), ("EOF", None, 16_005)]
+    assert parse("y1*z2" + spaces) == parse("y1*z2")
+    with pytest.raises(ParseError) as ei:
+        parse("y1*" + spaces)
+    assert ei.value.offset == 16_003 and "input ended" in str(ei.value)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def _whole_outcome(parse_fn, count_fn, words_fn, text):
@@ -677,57 +688,41 @@ def _run_texts(m: CanonicalMonomial, rng: random.Random) -> list[str]:
     return out
 
 
-def test_runs_read_as_the_token_path_and_the_oracle(monkeypatch):
-    # every monomial of degree <= 6 over 3 indices: a run builds the very
-    # leaf the token path builds, charge included, and the words and word
-    # count of the three-pass oracle
+def test_runs_read_as_the_token_path_and_the_oracle():
+    # every monomial of degree <= 6 over 3 indices: a run builds the word
+    # leaf, charge included, whose word count and words are the three-pass
+    # oracle's, and parse_poly reads it as the oracle's words normalized
     rng = random.Random(26)
     texts = [t for m in enumerate_basis(6, 3) for t in _run_texts(m, rng)]
     texts += ["y01*z1", "y\u0661*z1^\u0662", "y1*y10000*z1", "1*y1*1", "0*y1^5*z2",
               "y1^0*z1", "2*3*(y1+z1)*5*y2", "- y1*z2 - -y2*3", "(y1*y2^2)^3*z1"]
-    with monkeypatch.context() as patch:
-        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
-        token_nodes = [parse(text) for text in texts]
     assert len(texts) > 30_000
-    for text, want in zip(texts, token_nodes):
+    for text in texts:
         node = parse(text)
-        assert node == want, text
         tree = oracle_parse(text)
         words = oracle_words(tree)
         assert node[1] == oracle_word_count(tree) and to_words(node) == words, text
         assert parse_poly(text) == normalize(words), text
 
 
-def test_a_run_is_one_scanner_step(monkeypatch):
-    # the scanner is called once per run, not once per token
-    calls = []
-    advance = _Parser.advance
-
-    def counting(self):
-        calls.append(None)
-        advance(self)
-
-    monkeypatch.setattr(_Parser, "advance", counting)
+def test_a_run_is_one_word_leaf():
     y1, y3, z1, z2 = y(1), y(3), z(1), z(2)
     assert parse("-15*y1*y3^3*z1*z2") == ("w", 1, -15, (y1, y3, y3, y3, z1, z2), 3)
-    assert len(calls) <= 3  # the sign, the end and the check for it; 14 one token at a time
-    # a reduce-style line of 120 terms: one run each, read after its sign
+    # a reduce-style line of 120 terms, one run each
     rng = random.Random(26)
     terms = [f" {rng.choice('+-')} {rng.randint(1, 99)}*{'*'.join(_factors(m))}"
              for m in rng.sample(list(enumerate_basis(7, 3))[1:], 120)]
     text = "".join(terms).lstrip(" +")
-    calls.clear()
     node = parse(text)
-    assert len(calls) <= len(terms) + 2  # over 1,000 one token at a time
     tree = oracle_parse(text)
     assert node[1] == oracle_word_count(tree) == 120 and to_words(node) == oracle_words(tree)
 
 
-class _CountingRun:
-    """_RUN, recording the offset of each try and the length it matched."""
+class _CountingTerm:
+    """_TERM, recording the offset of each try and the length it matched."""
 
     def __init__(self):
-        self.real, self.tries = m2sl2.parsing._RUN, []
+        self.real, self.tries = m2sl2.parsing._TERM, []
 
     def match(self, text, pos):
         found = self.real.match(text, pos)
@@ -736,57 +731,41 @@ class _CountingRun:
 
 
 def test_refused_runs_are_read_in_linear_time(monkeypatch):
-    # a run whose powers would pass the letters cap is left to the token
-    # path, which tries a run again after each '*'; a run spans at most 64
-    # factors, so each character is matched by at most 64 of those tries
-    counting = _CountingRun()
-
+    # parse_poly tries _TERM once per term it reads, each where the last
+    # ended, and parses the text once a run fails to match or its powers
+    # would pass the letters cap: here a long run whose last power passes
+    # it, one whose powers pass it part way, and one that ends in a
+    # juxtaposition.  A run has no bound on its factors, so the matches and
+    # the parse stay linear in the text; the parse makes a "pow" node of the
+    # first power that does not fit, or raises the ParseError of the token
+    # path and the oracle
+    counting = _CountingTerm()
     monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 1000)
-    texts = ("y1*" * 20_000 + "y1^1001", "*".join(["y1^7"] * 5000))
-    with monkeypatch.context() as patch:
-        patch.setattr(m2sl2.parsing, "_RUN", re.compile(r"(?!)"))  # matches nothing
-        token_nodes = [parse(text) for text in texts]
-    monkeypatch.setattr(m2sl2.parsing, "_RUN", counting)
-    for text, want in zip(texts, token_nodes):
+    monkeypatch.setattr(m2sl2.parsing, "_TERM", counting)
+    texts = ("y1*" * 20_000 + "y1^1001", "*".join(["y1^7"] * 5000), "y1*" * 20_000 + "y1 y2")
+    for text in texts:
         counting.tries.clear()
-        assert parse(text) == want
-        assert want[0] == "mul" and want[2][-1][0] == "pow"
-        assert sum(n for _, n in counting.tries) <= 64 * len(text)
-    # a run refused right after a sign is not tried again at its first factor
-    counting.tries.clear()
-    assert parse("-y1^1001*y2")[2][1][0] == "pow"
-    offsets = [pos for pos, _ in counting.tries]
-    assert offsets.count(1) == 1 and len(set(offsets)) == len(offsets)
-
-
-def test_runs_are_tried_only_where_a_factor_starts(monkeypatch):
-    # a run is tried at the start of the text and after each '+', '-', '*',
-    # '(', '[' and ',' the parser reads, whitespace aside, and never twice
-    # at one offset, whether it is read, refused or fails; half the texts
-    # end in a run of powers, which the letters cap of 30 often refuses
-    monkeypatch.setattr(m2sl2.parsing, "MAX_POWER_LETTERS", 30)
-    counting = _CountingRun()
-    monkeypatch.setattr(m2sl2.parsing, "_RUN", counting)
-    rng = random.Random(29)
-    tried = 0
-    for _ in range(3000):
-        text = _mutated(rng)
-        if rng.random() < 0.5:
-            powers = (f"{rng.choice('yz')}{rng.randint(1, 3)}^{rng.randint(0, 12)}"
-                      for _ in range(rng.randint(1, 6)))
-            text += rng.choice(("+", " - ", "*", ")*")) + "*".join(powers)
-        counting.tries.clear()
-        try:
-            parse(text)
-        except (ParseError, ResourceBoundError):
-            pass
+        t0 = time.perf_counter()
+        got = _poly_outcome(parse_poly, text)
+        assert time.perf_counter() - t0 < 5.0
         offsets = [pos for pos, _ in counting.tries]
-        assert len(set(offsets)) == len(offsets), text
-        for pos in offsets:
-            before = text[:pos].rstrip()
-            assert pos == 0 or before.endswith(("+", "-", "*", "(", "[", ",")), (text, pos)
-        tried += len(offsets)
-    assert tried > 10_000
+        assert offsets == [0]  # one try, refused or failed, then the parse
+        assert sum(n for _, n in counting.tries) <= len(text)
+        assert got == _poly_outcome(_tree_poly, text)
+        if text.endswith("y2"):
+            error = _scan(parse, text)
+            assert error == _scan(oracle_parse, text) and got == error[:3]
+            assert error[2] == len(text) - 2
+        else:
+            node = parse(text)
+            assert node[0] == "mul" and node[2][-1][0] == "pow"
+    # a sum of runs, the last of which is refused: one try per term
+    counting.tries.clear()
+    text = " + ".join(["3*y1*z2"] * 50 + ["y1^1001*y2"])
+    assert _poly_outcome(parse_poly, text) == _poly_outcome(_tree_poly, text)
+    offsets = [pos for pos, _ in counting.tries]
+    assert len(offsets) == 51 and offsets == sorted(set(offsets))
+    assert sum(n for _, n in counting.tries) <= len(text)
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -900,10 +879,11 @@ def test_sums_of_runs_read_as_the_tree(monkeypatch):
                 assert parsed == []  # not one sum took the tree
             elif texts is sums:
                 assert 0 < len(parsed) < len(texts) // 10  # those the small cap refuses did
-    # these edge texts take no tree either, the letters cap still at 100
+    # these edge texts take no tree either, the letters cap still at 100; a
+    # run has no bound on its factors
     parsed.clear()
     for text in ("0*y1", "7 - 7", "y10^00", "\u0663*z1 - \u0664", "\t-y1\n", "7" * 4300 + "*y1",
-                 "y1^50 + y1^50", "*".join(["y1"] * 64)):
+                 "y1^50 + y1^50", "*".join(["y1"] * 64), "*".join(["y1"] * 65)):
         parse_poly(text)
     assert parsed == []
 

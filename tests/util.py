@@ -234,8 +234,8 @@ def injection_onto(targets) -> MonotoneInjection:
 
 
 def reference_covering(phi: MonotoneInjection, indices) -> MonotoneInjection:
-    """MonotoneInjection.covering with no early return: every index not yet
-    a source gets the smallest target that keeps both columns strictly
+    """MonotoneInjection.covering, written apart: every index not yet a
+    source gets the smallest target that keeps both columns strictly
     increasing, preferring the index itself, or CannotExtendError."""
     assigned = dict(phi.pairs)
     for i in sorted(set(indices) - set(assigned)):
