@@ -26,13 +26,17 @@ cover, so the engine never builds a Profile.  The two orders:
   is what makes the ascending-chain machinery downstream
   (reduction.chain_demo) terminate.  It is decided in one kernel,
   embedders, which tests one monomial's embedding data
-  (CanonicalMonomial._embedding) against a list of others', all built by
-  the caller and kept as long as it needs them: the column-sum reject and
-  the greedy row scan are written there and nowhere else.  Its
+  (CanonicalMonomial._embedding) against an index of others', all built by
+  the caller and kept as long as it needs them.  The index (file_key,
+  key_index) is the one key layout: a dict from a bucket header (variant,
+  c-slot count, d-slot count, row count) to that bucket's keys in
+  ascending y-degree, so one header compared rejects a whole bucket and a
+  bucket is walked only up to the target's y-degree; the header reject
+  and the greedy row scan are written there and nowhere else.  Its
   witness is a plain index table (table[i] the image of index i, table[0]
   = 0), and a MonotoneInjection is built from it (from_table) only where a
   caller needs one.  The reduction loop calls it once per step, over the
-  kept data of every generator; pwo_leq is its one-key case, and
+  index of every generator's key; pwo_leq is its one-key case, and
   minimal_elements calls it once per item, on the item's own key.
 
 Renaming endomorphisms act through one kernel, _lift_terms: for target =
@@ -51,6 +55,7 @@ xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
 the same injections.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -201,50 +206,78 @@ class MonotoneInjection:
 
 # --- the embedding order ----------------------------------------------------
 
-def embedders(target: tuple, keys) -> list[tuple[int, list[int]]]:
-    """The keys that embed into a monomial b, given b's embedding data as
-    `target`, as (position in keys, witness) pairs in ascending position;
-    the one embedding kernel.
+def file_key(index: dict, key: tuple, pos: int) -> None:
+    """File `key`, the embedding data of the monomial at position `pos`, in
+    an index of embedders: under its bucket header (variant, c-slot count,
+    d-slot count, row count), as (y-degree, pos, rows), kept in ascending
+    y-degree.  Positions are distinct, so they break ties and rows are
+    never compared."""
+    variant, cslots, dslots, ydeg, rows = key
+    insort(index.setdefault((variant, cslots, dslots, len(rows)), []), (ydeg, pos, rows))
+
+
+def key_index(keys) -> dict:
+    """The index of embedders over a list of keys, each filed at its
+    position in the list."""
+    index: dict = {}
+    for pos, key in enumerate(keys):
+        file_key(index, key, pos)
+    return index
+
+
+def embedders(target: tuple, index: dict) -> list[tuple[int, list[int]]]:
+    """The keys filed in `index` (file_key) that embed into a monomial b,
+    given b's embedding data as `target`, as (position, witness) pairs in
+    ascending position; the one embedding kernel.
 
     Each key, and `target`, is the embedding data of some monomial
     (CanonicalMonomial._embedding: variant, c-slot count, d-slot count,
     y-degree, rows), built by the caller, so data it already keeps is not
     built again.  An embedding puts each row of a under a distinct row
-    of b, so it keeps every column sum of a at or below b's: a key whose
-    variant differs or one of whose sums exceeds b's is rejected before any
-    row is read, and most keys fail there.  A key that passes is scanned
+    of b, so it keeps every column sum of a at or below b's, and it puts
+    a's last row, which is nonzero because rows stop at a's largest index,
+    at or past a's row count: past b's rows only zero rows fit, into b's
+    implicit infinite zero tail, so a key with more rows than b never
+    embeds.  So a bucket whose header differs in variant or exceeds b's in
+    a count is rejected once for all its keys, and a bucket is walked only
+    while its keys' y-degree stays at or below b's: most keys fail there,
+    before any row is read.  A key that passes is scanned
     greedily: each row of a takes the leftmost row of b left unused that
-    covers it entrywise, and past b's rows only a zero row fits, into b's
-    implicit infinite zero tail.  Greedy is complete here: any embedding can
+    covers it entrywise, and a scan that runs out of b's rows fails, since
+    a's last row is nonzero.  Greedy is complete here: any embedding can
     be pushed left row by row without breaking later choices, so failure of
     the greedy scan means no embedding exists.  The witness is an index
     table: table[i] is the row of b (counted from 1) that row i of a took,
     and table[0] is 0, so it maps 1..len(rows) of a strictly increasingly
     and indexes like the image dict of a renaming.  No MonotoneInjection
     is built; a caller that needs one converts the table with
-    MonotoneInjection.from_table.
+    MonotoneInjection.from_table.  Hits are found bucket by bucket and
+    sorted by position when there are two or more.
     """
     variant, cslots, dslots, ydeg, rb = target
     nb = len(rb)
     out = []
-    for k, (av, ac, ad, ay, ra) in enumerate(keys):
-        if av != variant or ac > cslots or ad > dslots or ay > ydeg:
+    for (av, ac, ad, an), bucket in index.items():
+        if av != variant or ac > cslots or ad > dslots or an > nb:
             continue
-        pos = [0]  # the witness table; pos[i] is the row that row i of a took
-        p = 0  # rows of b (and of its zero tail) used up so far
-        for ya, ca, da in ra:
-            while p < nb:
-                yb, cb, db = rb[p]
-                p += 1
-                if ya <= yb and ca <= cb and da <= db:
+        for ay, k, ra in bucket:
+            if ay > ydeg:
+                break
+            pos = [0]  # the witness table; pos[i] is the row that row i of a took
+            p = 0  # rows of b used up so far
+            for ya, ca, da in ra:
+                while p < nb:
+                    yb, cb, db = rb[p]
+                    p += 1
+                    if ya <= yb and ca <= cb and da <= db:
+                        break
+                else:  # out of b's rows, with a's nonzero last row still to place
                     break
+                pos.append(p)
             else:
-                if ya or ca or da:  # only zero rows fit into the tail
-                    break
-                p += 1
-            pos.append(p)
-        else:
-            out.append((k, pos))
+                out.append((k, pos))
+    if len(out) > 1:
+        out.sort()
     return out
 
 
@@ -259,7 +292,7 @@ def pwo_leq(a: CanonicalMonomial, b: CanonicalMonomial) -> MonotoneInjection | N
     Pure-y rows are (e, 0, 0), so one scan serves both variants.  The
     kernel's witness table is converted here, with from_table.
     """
-    hits = embedders(b._embedding(), [a._embedding()])
+    hits = embedders(b._embedding(), key_index([a._embedding()]))
     return MonotoneInjection.from_table(hits[0][1]) if hits else None
 
 
@@ -373,9 +406,11 @@ def rename_monomial(m: CanonicalMonomial, phi: MonotoneInjection, mode: str = "b
 
 def minimal_elements(monomials) -> list[CanonicalMonomial]:
     """The <='-minimal elements of a finite set (duplicates collapsed), in
-    first-seen order: one embedders call per item, with the item's own key
-    as the target, so each item's embedding data is built once; an item is
-    minimal when the only item embedding into it is itself."""
+    first-seen order: one embedders call per item over the index of every
+    item's key, with the item's own key as the target, so each item's
+    embedding data is built once; an item is minimal when the only item
+    embedding into it is itself."""
     items = list(dict.fromkeys(monomials))
     keys = [m._embedding() for m in items]
-    return [m for i, m in enumerate(items) if [k for k, _ in embedders(keys[i], keys)] == [i]]
+    index = key_index(keys)
+    return [m for i, m in enumerate(items) if [k for k, _ in embedders(keys[i], index)] == [i]]

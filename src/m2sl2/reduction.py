@@ -13,13 +13,15 @@ Everything the loop needs from a generator is built once: a record
 (_record) of its leading data and its tail, g minus its leading term,
 compiled against the leading monomial (orders._compile), and beside it
 the embedding data of its leading monomial
-(CanonicalMonomial._embedding), its key for the embedding order.  reduce_by
-builds the records and keys once per call; chain_demo builds them when it
-adjoins a generator, reading its leading data off the remainder's first
-term, and keeps them for the rest of the stream.  At each step
-one call of orders.embedders over the keys returns the generators whose
-leading monomial embeds into M, with their witnesses as plain index tables
-(table[i] the image of index i).
+(CanonicalMonomial._embedding), its key for the embedding order, filed
+at the generator's position in an index of the keys (orders.file_key).
+reduce_by builds the records and the index once per call; chain_demo
+files each generator when it adjoins it, reading its leading data off the
+remainder's first term, and keeps both for the rest of the stream.  At
+each step one call of orders.embedders over the index returns the
+generators whose leading monomial embeds into M, in ascending position,
+with their witnesses as plain index tables (table[i] the image of index
+i).
 
 The factorization has one core, _factor, with no check: N's y-exponents
 are the target's less phi(m)'s, and P's halves are the slot letters of the
@@ -67,6 +69,7 @@ from .orders import (
     _lift_terms,
     _monomial_need,
     embedders,
+    file_key,
     pwo_leq,
     total_key,
 )
@@ -246,8 +249,9 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     """Remainder of f under the generator family.
 
     At each step the usable generators are those whose leading monomial
-    embeds into lm(f), found by one orders.embedders call over the keys
-    built here, the embedding data of each generator's leading monomial.
+    embeds into lm(f), found by one orders.embedders call over the index
+    built here, which files the embedding data of each generator's leading
+    monomial at the generator's position.
     Their lifted combination realizes the gcd d of their leading
     coefficients at lm(f); Euclidean division lc(f) = q*d + r subtracts q
     times that combination and freezes any nonzero residue r into the
@@ -267,14 +271,14 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
     appended in execution order.  The trace only records: the remainder is
     the same, term for term.
     """
-    recs, keys = [], []
+    recs, index = [], {}
     for g in generators:
         if g.is_zero():
             raise ZeroPolynomialError("generators must be nonzero")
         ld = leading(g)
+        file_key(index, ld.lm._embedding(), len(recs))
         recs.append(_record(g, ld))
-        keys.append(ld.lm._embedding())
-    return _reduce(f, recs, keys, {}, trace)
+    return _reduce(f, recs, index, {}, trace)
 
 
 def _record(g: QPoly, ld: LeadingData) -> tuple:
@@ -285,17 +289,19 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
     one-term generator builds no support and no program.  Otherwise it is
     (g's index support, the tail compiled against ld.lm), which _lift runs;
     the support is read only where the tail reaches past a witness.  Which
-    generators are usable is decided on their keys, kept beside the records
-    (see _reduce), so the record holds nothing of the embedding order.
+    generators are usable is decided on their keys, filed in an index
+    beside the records (see _reduce), so the record holds nothing of the
+    embedding order.
     """
     tail = {m: c for m, c in g.terms.items() if m != ld.lm}
     return ld, ((g._index_support(), _compile(ld.lm, tail)) if tail else None)
 
 
-def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = None) -> QPoly:
-    """The reduce_by loop, given each generator's record (see _record), at
-    the same position of `keys` the embedding data of its leading monomial,
-    and the caller's gcd table `gcds` (see below).
+def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = None) -> QPoly:
+    """The reduce_by loop, given each generator's record (see _record), the
+    embedding data of its leading monomial filed in `index` at the record's
+    position (orders.file_key), and the caller's gcd table `gcds` (see
+    below).
 
     `work` maps each live term to its coefficient; `keyed` holds
     (total_key(m), m) for every monomial inserted when it entered `work`,
@@ -307,7 +313,7 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
     deletion); a monomial never re-enters after it was the leading term,
     because every later term lies strictly below it.
 
-    At each step one orders.embedders call over the keys gives the usable
+    At each step one orders.embedders call over the index gives the usable
     generators and their witness tables, in ascending position, and the
     loop compares no embeddings itself.  The gcd of the usable leading
     coefficients and their Bezout coefficients, (d, betas), depend only on
@@ -338,7 +344,7 @@ def _reduce(f: QPoly, recs: list, keys: list, gcds: dict, trace: list | None = N
         lc = work.get(lm)
         if lc is None:
             continue
-        hits = embedders(lm._embedding(), keys)  # (generator index, witness table)
+        hits = embedders(lm._embedding(), index)  # (generator position, witness table)
         if hits:
             usable = tuple([k for k, _ in hits])
             gcd = gcds.get(usable)
@@ -413,15 +419,16 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     adjoined ones are never revisited, so the well-partial-order property
     bounds how long the chain can grow.  Each generator's record (_record:
     leading data, tail) and key (its leading monomial's embedding data) are
-    built once, when it is adjoined, and kept for the rest of the stream,
-    as is the gcd table of every usable set met (see _reduce).  The
+    built once, when it is adjoined, the key filed in the index at the
+    record's position (orders.file_key), and both are kept for the rest of
+    the stream, as is the gcd table of every usable set met (see _reduce).  The
     leading data is the remainder's first term, which _reduce froze first.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
     recs: list[tuple] = []
-    keys: list[tuple] = []
+    index: dict = {}
     gcds: dict[tuple, tuple] = {}  # (d, betas) of each usable set met in the stream
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
@@ -431,13 +438,13 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = _reduce(fpoly, recs, keys, gcds)
+        r = _reduce(fpoly, recs, index, gcds)
         if r.terms:
             gens.append(r)
             lm = next(iter(r.terms))
             ld = LeadingData(r.terms[lm], lm)
+            file_key(index, ld.lm._embedding(), len(recs))
             recs.append(_record(r, ld))
-            keys.append(ld.lm._embedding())
             adjoined.append((steps, ld))
     return ChainReport(adjoined, steps, truncated, gens)
 

@@ -98,33 +98,44 @@ def time_tree(src: Path, payload: str, setup: str) -> dict[str, float]:
     return json.loads(done.stdout)
 
 
-def compare(doc: str, items: dict[str, list], setup: str, unit: str, argv=None) -> None:
-    """Read --parent from argv, time `setup`'s step on the items in both trees
-    for ROUNDS alternating rounds, and print the least times and their ratio,
-    with the quartiles of the per-round ratio and the rounds won."""
+def parser(doc: str) -> argparse.ArgumentParser:
+    """The command line of a timing script: --parent, the other checkout."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def compare(items: dict[str, list], setup: str, unit: str, parent: Path) -> dict[str, dict]:
+    """Time `setup`'s step on the items in this tree and the checkout at
+    `parent` for ROUNDS alternating rounds, print the least times and their
+    ratio, with the quartiles of the per-round ratio and the rounds won, and
+    return those figures, with each round's times, per batch."""
     payload = json.dumps(items)
-    trees = {"change": ROOT / "src", "parent": args.parent.resolve() / "src"}
+    trees = {"change": ROOT / "src", "parent": parent.resolve() / "src"}
     times = {tree: {name: [] for name in items} for tree in trees}  # one entry per round
     for r in range(ROUNDS):
         for tree in (("change", "parent") if r % 2 else ("parent", "change")):
             for name, seconds in time_tree(trees[tree], payload, setup).items():
-                times[tree][name].append(seconds)
+                times[tree][name].append(seconds * 1e3)
     width = max(map(len, items))
+    figures = {}
     for name, batch in items.items():
-        parent, change = min(times["parent"][name]) * 1e3, min(times["change"][name]) * 1e3
+        parent_ms, change_ms = min(times["parent"][name]), min(times["change"][name])
         ratios = [c / p for c, p in zip(times["change"][name], times["parent"][name])]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
         won = sum(x < 1 for x in ratios)
-        print(f"{name:{width}} {len(batch):5} {unit}  parent {parent:8.2f} ms  change {change:8.2f} ms"
-              f"  ratio {change / parent:.3f}  (min of {ROUNDS} rounds)"
+        print(f"{name:{width}} {len(batch):5} {unit}  parent {parent_ms:8.2f} ms  change {change_ms:8.2f} ms"
+              f"  ratio {change_ms / parent_ms:.3f}  (min of {ROUNDS} rounds)"
               f"  per-round ratio quartiles {q1:.3f} {median:.3f} {q3:.3f}, won {won}/{ROUNDS}")
+        figures[name] = {unit: len(batch), "parent_ms": parent_ms, "change_ms": change_ms,
+                         "ratio": change_ms / parent_ms, "per_round_ratio_quartiles": [q1, median, q3],
+                         "won": won, "rounds": ROUNDS,
+                         "runs_ms": {tree: times[tree][name] for tree in ("parent", "change")}}
+    return figures
 
 
 def main(argv=None) -> None:
-    compare(__doc__, job_lines(), PARSE, "lines", argv)
+    compare(job_lines(), PARSE, "lines", parser(__doc__).parse_args(argv).parent)
 
 
 if __name__ == "__main__":

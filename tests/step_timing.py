@@ -2,7 +2,7 @@
 seed-1 `reduce` and `chain` jobs, and of the seed-1 `identity` jobs, for
 this tree against a second checkout.
 
-    python tests/step_timing.py --parent PATH
+    python tests/step_timing.py --parent PATH [--write PATH]
 
 Each job is read as a list of polynomial texts, built by this tree's
 `perfbench/workloads.py`, so both trees run the same inputs: a `reduce` job
@@ -54,11 +54,24 @@ file names pointing there:
 
 The script prints, per batch, the least time of each tree over the rounds
 and their ratio, this tree over the parent, then the quartiles of the
-per-round ratio and the rounds this tree won.  It only prints; it is no
-gate.
+per-round ratio and the rounds this tree won.  It only prints and writes;
+it is no gate.
+
+With --write PATH it also writes those figures, and each round's times, as
+one entry per batch of a JSON object in PATH, named by its group and batch
+("step chain", "cli reduce", ...), keeping the entries already there.  Each
+entry records the Python version, the CPU count, and the commit of each
+tree that is a git checkout, read before the runs, with whether its
+tracked files other than PATH differed from that commit (bench_pairs.py's
+commit and write_entry).  The root BENCH_steps.json holds one such set.
 """
 
-from front_end_timing import compare, seed1_jobs
+import os
+import platform
+from pathlib import Path
+
+from bench_pairs import commit, write_entry
+from front_end_timing import ROOT, compare, parser, seed1_jobs
 
 REDUCE = """
 from m2sl2.parsing import parse_poly
@@ -170,12 +183,25 @@ def cli_jobs() -> dict[str, list]:
 
 
 def main(argv=None) -> None:
+    ap = parser(__doc__)
+    ap.add_argument("--write", type=Path, metavar="PATH",
+                    help="also write each batch's figures as its entry of this JSON file")
+    args = ap.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    commits = {tree: commit(path, args.write) for tree, path in trees.items()}  # as measured
     steps = step_jobs()
-    compare(__doc__, steps, REDUCE, "jobs", argv)
     reduce = steps["reduce"]
-    compare(__doc__, {"_embedding": reduce, "format_terms": reduce}, BUILDERS, "jobs", argv)
-    compare(__doc__, identity_jobs(), IDENTITY, "jobs", argv)
-    compare(__doc__, cli_jobs(), CLI, "jobs", argv)
+    groups = {"step": (steps, REDUCE),
+              "builders": ({"_embedding": reduce, "format_terms": reduce}, BUILDERS),
+              "identity": (identity_jobs(), IDENTITY),
+              "cli": (cli_jobs(), CLI)}
+    figures = {f"{group} {name}": figure for group, (items, setup) in groups.items()
+               for name, figure in compare(items, setup, "jobs", args.parent).items()}
+    if args.write:
+        for name, figure in figures.items():
+            write_entry(args.write, name, {**figure, "commits": commits,
+                                           "python": platform.python_version(),
+                                           "cpus": os.cpu_count()})
 
 
 if __name__ == "__main__":

@@ -54,9 +54,10 @@ def counts(monkeypatch) -> Counter:
     the MonotoneInjections built (validated or not), the index supports
     built (`supports`, one per _index_support call), and `sets`: the distinct tuples of usable generator
     positions met within each _reduce call, summed over the calls.  The
-    kernel's keys are counted too: `visited`, every key handed to embedders,
-    and `scanned`, the keys that pass the column-sum reject and so reach
-    the row scan, which iterates their rows."""
+    kernel's work over the index is counted too: `headers`, the bucket
+    headers it compares; `compared`, the keys whose y-degree it compares in
+    the buckets that pass; and `scanned`, the keys that pass both and so
+    reach the row scan, which iterates their rows."""
     seen: Counter = Counter()
     sets: list[set] = []
     embedders = reduction.embedders
@@ -68,10 +69,27 @@ def counts(monkeypatch) -> Counter:
             seen["scanned"] += 1
             return tuple.__iter__(self)
 
-    def counted_embedders(b, keys):
+    class Bucket(list):
+        """A bucket's entries, counting each key whose y-degree the kernel
+        compares."""
+
+        def __iter__(self):
+            for entry in list.__iter__(self):
+                seen["compared"] += 1
+                yield entry
+
+    class Index(dict):
+        """An index, counting each bucket header the kernel compares."""
+
+        def items(self):
+            for header, bucket in dict.items(self):
+                seen["headers"] += 1
+                yield header, bucket
+
+    def counted_embedders(b, index):
         seen["embedders"] += 1
-        seen["visited"] += len(keys)
-        hits = embedders(b, [(*key[:4], Rows(key[4])) for key in keys])
+        hits = embedders(b, Index({header: Bucket([(y, k, Rows(rows)) for y, k, rows in bucket])
+                                   for header, bucket in index.items()}))
         if hits:
             sets[-1].add(tuple(k for k, _ in hits))
         return hits
@@ -122,10 +140,12 @@ def test_reduce_work(counts):
     # and a nonzero Bezout coefficient, and one gcd per distinct usable set
     # of each reduce_by call: the witness tables build no injection, and
     # each generator's support is built and its tail compiled once per call.
-    # The column-sum reject stops about half of the keys visited before
-    # their rows are read
+    # Each generator's key sits alone in its bucket (`headers` counts one
+    # per key and step), and the bucket reject or the y-degree stops about
+    # half of them before their rows are read
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102, "_compile": 102, "visited": 27495, "scanned": 14445}
+                      "supports": 102, "_compile": 102, "headers": 27495, "compared": 15356,
+                      "scanned": 14318}
 
 
 def test_traced_reduce_work(counts):
@@ -136,7 +156,8 @@ def test_traced_reduce_work(counts):
     # untraced one does; each step's record reads the witness table and the
     # parts _lift returns, so the pass builds no injection either
     assert counts == {"embedders": 9165, "_lift": 7504, "bezout": 136, "sets": 136,
-                      "supports": 102, "_compile": 102, "visited": 27495, "scanned": 14445}
+                      "supports": 102, "_compile": 102, "headers": 27495, "compared": 15356,
+                      "scanned": 14318}
 
 
 def test_chain_work(counts):
@@ -149,10 +170,13 @@ def test_chain_work(counts):
     # generator builds an index support or compiles a lift program (no
     # `_compile` count).  The gcd table lives for the whole stream, so
     # bezout runs once per usable set new to the stream, fewer times than a
-    # table per _reduce call would run it (`sets`).  The column-sum reject
-    # stops all but about a fifth of the keys visited before the row scan
+    # table per _reduce call would run it (`sets`).  The 2,727 keys filed
+    # fall into about 11 buckets per call: a header compared rejects a
+    # bucket's keys at once, so fewer keys are compared than the 178,213
+    # a flat list of the keys would visit, and the row-count bucket sends
+    # fewer of them to the scan
     assert counts == {"embedders": 3600, "bezout": 809, "sets": 1796,
-                      "visited": 178213, "scanned": 38438}
+                      "headers": 40870, "compared": 47176, "scanned": 34209}
 
 
 def test_membership_compiles_each_generator_once(counts):

@@ -28,7 +28,7 @@ from m2sl2 import (
     xi_inv,
 )
 from m2sl2.freealg import _monomial
-from m2sl2.orders import embedders
+from m2sl2.orders import embedders, file_key, key_index
 from tests.util import (
     assert_witness_valid,
     brute_embed,
@@ -228,9 +228,9 @@ def test_scan_witness_is_a_valid_injection():
     basis = list(enumerate_basis(4, 3))
     hits = 0
     for a in basis:
-        ea = a._embedding()
+        index = key_index([a._embedding()])
         for b in basis:
-            for _, table in embedders(b._embedding(), [ea]):
+            for _, table in embedders(b._embedding(), index):
                 hits += 1
                 assert table[0] == 0, (a, b)
                 phi = MonotoneInjection.from_table(table)
@@ -330,9 +330,10 @@ def test_embedders_match_oracles_exhaustive():
     # witnesses
     base, embeds = _basis_embeddings()
     keys = [a._embedding() for a in base]
+    index = key_index(keys)
     hits = 0
     for j, b in enumerate(base):
-        got = embedders(keys[j], keys)
+        got = embedders(keys[j], index)
         assert [k for k, _ in got] == [i for i in range(len(base)) if (i, j) in embeds], b
         for i, table in got:
             assert table[0] == 0, (base[i], b)
@@ -341,6 +342,39 @@ def test_embedders_match_oracles_exhaustive():
             assert_witness_valid(base[i], b, phi)
         hits += len(got)
     assert hits == len(embeds) == 2751
+
+
+def test_filed_index_matches_oracles_exhaustive():
+    # the basis' keys filed one at a time in a shuffled order, which
+    # interleaves the buckets, each at its basis position: the index is
+    # key_index's over the list, and each kernel call gives exactly the
+    # oracle's hits in ascending position, also where the buckets, read in
+    # the index's order, give them out of order, so the final sort matters.
+    # The basis holds ONE, pure-y keys, buckets with tied y-degrees and
+    # keys that pass every count of a target's header but have more rows
+    # than it, which never embed
+    base, embeds = _basis_embeddings()
+    keys = [a._embedding() for a in base]
+    order = list(range(len(base)))
+    random.Random(58).shuffle(order)
+    index: dict = {}
+    for i in order:
+        file_key(index, keys[i], i)
+    assert index == key_index(keys)
+    assert all(bucket == sorted(bucket) for bucket in index.values())
+    seen = Counter(ties=sum(len({y for y, _, _ in bucket}) < len(bucket) for bucket in index.values()))
+    for j, b in enumerate(base):
+        got = [k for k, _ in embedders(keys[j], index)]
+        assert got == [i for i in range(len(base)) if (i, j) in embeds], b
+        hit = set(got)
+        seen["resorted"] += [k for bucket in index.values() for _, k, _ in bucket if k in hit] != got
+        seen["ONE"] += 0 in hit
+        v, c, d, y, rows = keys[j]
+        seen["row count alone rejects"] += sum(
+            kv == v and kc <= c and kd <= d and ky <= y and len(kr) > len(rows)
+            for kv, kc, kd, ky, kr in keys)
+    assert base[0] == ONE
+    assert seen == {"ties": 10, "resorted": 284, "ONE": 35, "row count alone rejects": 3555}, seen
 
 
 def test_greedy_vs_brute_small_random():

@@ -37,7 +37,7 @@ from m2sl2 import (
 )
 from m2sl2.cli import format_qpoly, main, poly_obj
 from m2sl2.freealg import _interleave, _monomial
-from m2sl2.orders import _compile, embedders
+from m2sl2.orders import _compile, embedders, key_index
 from tests.util import (
     brute_embed,
     check_mult5,
@@ -367,7 +367,7 @@ def test_fused_lift_matches_the_two_public_steps_exhaustive():
             pools[n] = terms, [m for m in terms if n in monomial_indices(m)]
         terms, reaching = pools[n]
         for b in basis:
-            hits = embedders(b._embedding(), [a._embedding()])
+            hits = embedders(b._embedding(), key_index([a._embedding()]))
             if not hits:
                 continue
             (_, table), = hits
@@ -409,7 +409,8 @@ def test_lift_terms_match_rename_then_product_exhaustive():
     # embedders and under a covering dict that filled a hole, with P of
     # even and of odd length after terms of every z-length parity
     terms = {m: k + 1 for k, m in enumerate(enumerate_basis(4, 3))}
-    (_, table), = embedders(mk((1, 0, 2, 0, 1, 3))._embedding(), [mk((1, 1, 1))._embedding()])
+    (_, table), = embedders(mk((1, 0, 2, 0, 1, 3))._embedding(),
+                              key_index([mk((1, 1, 1))._embedding()]))
     assert table == [0, 1, 3, 5]
     filled = dict(MonotoneInjection(((1, 2), (3, 7))).covering(range(1, 4)).pairs)
     assert filled == {1: 2, 2: 3, 3: 7}
@@ -451,7 +452,7 @@ def test_compiled_lift_matches_rename_then_product_exhaustive():
     seen: Counter = Counter()
     for lm in lms:
         for target in lms:
-            hits = embedders(target._embedding(), [lm._embedding()])
+            hits = embedders(target._embedding(), key_index([lm._embedding()]))
             if not hits:
                 continue
             (_, table), = hits

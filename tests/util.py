@@ -234,20 +234,25 @@ def injection_onto(targets) -> MonotoneInjection:
 
 
 def reference_covering(phi: MonotoneInjection, indices) -> MonotoneInjection:
-    """MonotoneInjection.covering, written apart: every index not yet a
-    source gets the smallest target that keeps both columns strictly
-    increasing, preferring the index itself, or CannotExtendError."""
-    assigned = dict(phi.pairs)
-    for i in sorted(set(indices) - set(assigned)):
-        lo = max((t for s, t in assigned.items() if s < i), default=0)
-        hi = min((t for s, t in assigned.items() if s > i), default=None)
-        cand = max(lo + 1, i)
-        if hi is not None and cand >= hi:
-            cand = lo + 1
-        if hi is not None and cand >= hi:
+    """MonotoneInjection.covering, found by search: every index not yet a
+    source, in ascending order, gets the index itself when that keeps the
+    pairs strictly increasing in both columns, else the least target that
+    does, searched over the target column from 1 past every target in use,
+    or CannotExtendError when none does.  The injection is built, and so
+    validated, once all are placed: an index below 1 fails there."""
+    pairs = list(phi.pairs)
+
+    def monotone(candidate) -> bool:
+        ordered = sorted(candidate)
+        return all(s < s2 and t < t2 for (s, t), (s2, t2) in zip(ordered, ordered[1:]))
+
+    for i in sorted(set(indices) - {s for s, _ in pairs}):
+        column = range(1, max([i] + [t for _, t in pairs]) + 2)
+        legal = [t for t in column if monotone(pairs + [(i, t)])]
+        if not legal:
             raise CannotExtendError(f"no room to extend injection at index {i}")
-        assigned[i] = cand
-    return MonotoneInjection(tuple(sorted(assigned.items())))
+        pairs.append((i, i if i in legal else legal[0]))
+    return MonotoneInjection(tuple(sorted(pairs)))
 
 
 def rand_lie(rng: random.Random, grade: int, depth: int, max_index=4):
