@@ -187,8 +187,8 @@ def main(argv=None) -> None:
     ap.add_argument("--write", type=Path, metavar="PATH",
                     help="also write each batch's figures as its entry of this JSON file")
     args = ap.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": ROOT}
-    commits = {tree: commit(path, args.write) for tree, path in trees.items()}  # as measured
+    commits = {"parent": commit(args.parent.resolve(), args.write),
+               "change": commit(ROOT, args.write)}  # as measured, read before the runs
     steps = step_jobs()
     reduce = steps["reduce"]
     groups = {"step": (steps, REDUCE),
