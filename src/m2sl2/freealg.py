@@ -122,8 +122,9 @@ class CanonicalMonomial(tuple):
         pass is linear in max_index plus the letters, and a pure-y
         monomial's rows are (e, 0, 0).  orders.embedders, the one kernel of
         the embedding order (pwo_leq is its one-key case), compares the
-        counts in its column-sum reject and scans the rows; the reduction
-        loop keeps a generator's leading monomial's data as its key."""
+        counts and the row count in its bucket headers and scans the rows;
+        the reduction loop files a generator's leading monomial's data in
+        its index as the generator's key."""
         yexp, cseq, dseq = self
         if not cseq:
             return (False, 0, 0, sum(yexp), tuple([(e, 0, 0) for e in yexp]))
