@@ -46,10 +46,11 @@ through an image (a dict, or a witness table of embedders), to the
 target's exponents and joining phi(t)'s slot letters to those phi(lm)
 leaves over, so N is never built.  The reduction step compiles each
 generator's tail once; apply_reducer and rename_monomial compile against
-ONE, where the target's exponents are N's.  rename_monomial extends the injection with covering once per call, over
-every index the call moves (_monomial_need), and lifts the part of the
-monomial its mode moves, with N and P empty in mode "both" and, in the
-one-family modes, the part the mode keeps as N or as P's halves.
+ONE, where the target's exponents are N's.  rename_monomial extends the
+injection with covering once per call, over every index the call moves
+(_monomial_need), and lifts the part of the monomial its mode moves, with
+N and P empty in mode "both" and, in the one-family modes, the part the
+mode keeps as N or as P's halves.
 push_profile is that renaming conjugated by the profile bijection,
 xi(rename_monomial(xi_inv(p))), so it covers the same indices and refuses
 the same injections.

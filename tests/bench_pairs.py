@@ -33,9 +33,13 @@ BENCH_e2e.json holds one such entry per workload.
 alone, so the two trees' resolved paths must be of equal length for the
 figures to compare: when they are not, the script prints a warning, and
 with --write it refuses to run at all.
+
+The other scripts and tests in tests/ read the benchmark's modules through
+bench_module, and the lines of a job's files through file_lines.
 """
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -46,6 +50,27 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "perfbench"
+
+
+def bench_module(name: str):
+    """A module of this tree's perfbench/, imported by bare name, as
+    perfbench/run.py imports it, so its modules import each other alike and
+    are loaded once.  The import writes no bytecode under perfbench/, and
+    leaves sys.path and sys.dont_write_bytecode as they were."""
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+        sys.dont_write_bytecode = write_bytecode
+
+
+def file_lines(job) -> list[str]:
+    """The nonblank lines of a job's files."""
+    return [line for _, text in job.files for line in text.splitlines() if line.strip()]
 
 
 def seed_range(text: str) -> range:

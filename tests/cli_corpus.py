@@ -36,27 +36,13 @@ from pathlib import Path
 from unittest import mock
 
 import m2sl2.cli
+from bench_pairs import bench_module
 
 TESTS = Path(__file__).resolve().parent
 DATA = TESTS / "data" / "cli_corpus.json"
-BENCH_DIR = TESTS.parent / "perfbench"
 SEED = 21
 TRACE = "trace.json"  # the --trace argument of every call that writes one
 GOLDEN_STRIDE = 20    # golden-pool reduce and chain-demo jobs taken: every 20th, from the 2nd
-
-
-def _golden_pool():
-    # the benchmark directory holds no bytecode, and its modules import each
-    # other by bare name, as perfbench/run.py does
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH_DIR))
-        sys.dont_write_bytecode = write_bytecode
-    return workloads.golden_pool()
 
 
 # --- random texts --------------------------------------------------------------
@@ -133,7 +119,7 @@ def corpus() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
         base.append((tuple(argv), tuple(files)))
 
     seen = {}
-    for job in _golden_pool():
+    for job in bench_module("workloads").golden_pool():
         k = seen[job.kind] = seen.get(job.kind, -1) + 1
         if job.kind == "normalize" or k % GOLDEN_STRIDE == 1:
             add(*job.argv, files=job.files)

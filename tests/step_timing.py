@@ -1,18 +1,34 @@
-"""Interleaved in-process timing of the reduction loop on the benchmark's
-seed-1 `reduce` and `chain` jobs, and of the seed-1 `identity` jobs, for
-this tree against a second checkout.
+"""Interleaved in-process timing of the front end, the reduction loop and
+the command line on the benchmark's seed-1 jobs, for this tree against a
+second checkout.
 
     python tests/step_timing.py --parent PATH [--write PATH]
 
-Each job is read as a list of polynomial texts, built by this tree's
-`perfbench/workloads.py`, so both trees run the same inputs: a `reduce` job
-is its polynomial followed by the lines of its generator file, a `chain`
-job the lines of its stream file.  The child and the rounds are those of
-tests/front_end_timing.py: each round times both trees, each in a fresh
-child interpreter, in alternating order.  A child parses every job afresh
-before each pass, untimed, so every pass starts from freshly parsed
-polynomials as a job of the benchmark does; it runs one untimed pass,
-then times five and keeps the least.  Three batches are timed:
+The jobs are built by this tree's `perfbench/workloads.py`, so both trees
+run the same inputs.  Each round times both trees, each in a fresh child
+interpreter, and the order of the two trees alternates from round to
+round.  A child prepares every item of a batch and runs it once, untimed;
+then, five times, it prepares every item afresh, untimed, times one pass
+over them, and keeps the least pass.
+
+First the front end, the `parse` group, on lines:
+- `chain`: every line of the seed-1 `chain` jobs' stream files, through
+  parse_poly;
+- `reduce`: each seed-1 `reduce` job's polynomial, then the three lines of
+  its generator file, which `reduce` parses on every job, through
+  parse_poly;
+- `identity`: the texts of the seed-1 `identity` jobs that read one
+  (`is-identity` and `normalize`), through parse alone: their brackets and
+  powers cost far more to evaluate than to parse.  The texts parse in about
+  1.5 ms, too short to resolve a 2% difference, so the batch is the same
+  texts repeated IDENTITY_REPEAT times, about 20 ms a pass.
+
+Then, in children of their own, the reduction loop, the `step` group.  Each
+job is read as a list of polynomial texts: a `reduce` job is its polynomial
+followed by the lines of its generator file, a `chain` job the lines of its
+stream file.  A child parses every job afresh before each pass, untimed, so
+every pass starts from freshly parsed polynomials as a job of the benchmark
+does:
 - `reduce` calls reduce_by with no trace, as the reduce command does
   without --trace;
 - `traced` passes a fresh trace list, so each step also builds its record
@@ -20,31 +36,32 @@ then times five and keeps the least.  Three batches are timed:
 - `chain` calls chain_demo on the stream, whose items each go through the
   same reduction loop against the generators adjoined so far.
 
-Then, in children of their own, the two builders every remainder term
-passes through, on the terms of each seed-1 `reduce` job's remainder.  A
-child reduces each job once and keeps the remainder; prepare makes fresh
-copies of its monomials, untimed, through the validating constructor, so
-each pass reads objects no earlier pass touched (a monomial keeps no
-embedding data, so a copy also times a tree that kept it):
+Then, in children of their own, the `builders` group: the two builders
+every remainder term passes through, on the terms of each seed-1 `reduce`
+job's remainder.  A child reduces each job once and keeps the remainder;
+prepare makes fresh copies of its monomials, untimed, through the
+validating constructor, so each pass reads objects no earlier pass touched
+(a monomial keeps no embedding data, so a copy also times a tree that kept
+it):
 - `_embedding` builds each term's embedding data, as the reduction loop
   does for every monomial it pops;
 - `format_terms` prints the remainder as the reduce command does.
 
-Then, in children of their own, the seed-1 `identity` jobs, one batch per
-job kind, each job a one-item list untouched by prepare, so its parse is
-timed as the command runs it:
+Then, in children of their own, the `identity` group: the seed-1
+`identity` jobs, one batch per job kind, each job a one-item list
+untouched by prepare, so its parse is timed as the command runs it:
 - `is-identity` folds each text's parse tree over generic first rows,
   `_tree_row(parse(text))`, as is-identity does before it tests for zero;
 - `normalize` reads each text through parse_poly;
 - `independence` runs independence_report(5, 3) and (6, 3), the seed-1
   `independence` jobs.
 
-Last, in children of their own, the seed-1 `reduce` and `chain` jobs
-through the command line, cli.main on each job's argv with stdout
-discarded, so the parse, the output and, for a trace, the file are timed
-with the step.  A child writes each job's generator or stream file to a
-temporary directory in prepare, untimed, and reads the job's argv with its
-file names pointing there:
+Last, in children of their own, the `cli` group: the seed-1 `reduce` and
+`chain` jobs through the command line, cli.main on each job's argv with
+stdout discarded, so the parse, the output and, for a trace, the file are
+timed with the step.  A child writes each job's generator or stream file to
+a temporary directory in prepare, untimed, and reads the job's argv with
+its file names pointing there:
 - `reduce` prints the remainder as text;
 - `reduce --json` prints it with the trace, as JSON;
 - `reduce --trace FILE` prints the text and writes the trace to a file in
@@ -66,12 +83,50 @@ tracked files other than PATH differed from that commit (bench_pairs.py's
 commit and write_entry).  The root BENCH_steps.json holds one such set.
 """
 
+import argparse
+import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
-from bench_pairs import commit, write_entry
-from front_end_timing import ROOT, compare, parser, seed1_jobs
+from bench_pairs import ROOT, bench_module, commit, file_lines, write_entry
+
+ROUNDS = 15
+IDENTITY_REPEAT = 14  # copies of the identity texts in one timed pass
+
+# run in the child: argv[1] is the tree's src directory, stdin the items of
+# each batch.  `setup` defines prepare(item), run untimed before every
+# pass, and step, which maps each batch to its timed call on a prepared
+# item.
+CHILD = """
+import json, sys, time
+PASSES = 5
+sys.path.insert(0, sys.argv[1])
+{setup}
+out = {{}}
+for name, items in json.load(sys.stdin).items():
+    call = step[name]
+    for item in items:
+        call(prepare(item))
+    best = float("inf")
+    for _ in range(PASSES):
+        ready = [prepare(item) for item in items]
+        t = time.perf_counter()
+        for item in ready:
+            call(item)
+        best = min(best, time.perf_counter() - t)
+    out[name] = best
+print(json.dumps(out))
+"""
+
+PARSE = """
+from m2sl2.parsing import parse, parse_poly
+prepare, step = str, {"chain": parse_poly, "reduce": parse_poly, "identity": parse}
+"""
+
 
 REDUCE = """
 from m2sl2.parsing import parse_poly
@@ -146,57 +201,80 @@ step = {"reduce": cli,
 """
 
 
-def step_jobs() -> dict[str, list]:
-    """Each seed-1 job of a batch as its list of polynomial texts."""
-    def lines(job) -> list[str]:
-        (_, text), = job.files
-        return [line for line in text.splitlines() if line.strip()]
+def groups() -> dict[str, tuple[dict[str, list], str, str]]:
+    """Each group's batches, the setup of its child, and what its items are."""
+    workloads = bench_module("workloads")
+    reduce, chain, identity = (workloads.build(w, 1) for w in ("reduce", "chain", "identity"))
+    reduce_texts = [[job.argv[1], *file_lines(job)] for job in reduce]
+    chain_texts = [file_lines(job) for job in chain]
+    kinds: dict[str, list] = {"is-identity": [], "normalize": [], "independence": []}
+    for job in identity:  # the text of a job, or the caps of an independence job
+        argv = job.argv
+        kinds[argv[0]].append([int(argv[argv.index(flag) + 1]) for flag in ("--degree", "--indices")]
+                              if argv[0] == "independence" else [argv[1]])
+    texts = [job.argv[1] for job in identity if job.argv[0] in ("is-identity", "normalize")]
+    cli = [[job.argv, job.files] for job in reduce]
+    return {
+        "parse": ({"chain": [t for job in chain_texts for t in job],
+                   "reduce": [t for job in reduce_texts for t in job],
+                   "identity": texts * IDENTITY_REPEAT}, PARSE, "lines"),
+        "step": ({"reduce": reduce_texts, "traced": reduce_texts, "chain": chain_texts},
+                 REDUCE, "jobs"),
+        "builders": ({"_embedding": reduce_texts, "format_terms": reduce_texts}, BUILDERS, "jobs"),
+        "identity": (kinds, IDENTITY, "jobs"),
+        "cli": ({"reduce": cli, "reduce --json": cli, "reduce --trace FILE": cli,
+                 "chain-demo FILE": [[job.argv, job.files] for job in chain]}, CLI, "jobs"),
+    }
 
-    reduce = [[job.argv[1]] + lines(job) for job in seed1_jobs("reduce")]
-    chain = [lines(job) for job in seed1_jobs("chain")]
-    return {"reduce": reduce, "traced": reduce, "chain": chain}
+
+def time_tree(src: Path, payload: str, setup: str) -> dict[str, float]:
+    done = subprocess.run([sys.executable, "-B", "-c", CHILD.format(setup=setup), str(src)],
+                          input=payload, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
-def identity_jobs() -> dict[str, list]:
-    """Each seed-1 `identity` job of a kind as its argument list: the text
-    of an is-identity or normalize job, the caps of an independence job."""
-    out: dict[str, list] = {"is-identity": [], "normalize": [], "independence": []}
-    for job in seed1_jobs("identity"):
-        kind = job.argv[0]
-        if kind == "independence":
-            argv = job.argv
-            out[kind].append([int(argv[argv.index(flag) + 1]) for flag in ("--degree", "--indices")])
-        else:
-            out[kind].append([job.argv[1]])
-    return out
-
-
-def cli_jobs() -> dict[str, list]:
-    """Each seed-1 `reduce` job as [argv, files], once per command form,
-    then each seed-1 `chain` job."""
-    def jobs(workload: str) -> list:
-        return [[list(job.argv), [list(f) for f in job.files]] for job in seed1_jobs(workload)]
-
-    reduce = jobs("reduce")
-    return {"reduce": reduce, "reduce --json": reduce, "reduce --trace FILE": reduce,
-            "chain-demo FILE": jobs("chain")}
+def compare(group: str, items: dict[str, list], setup: str, unit: str,
+            parent: Path) -> dict[str, dict]:
+    """Time `setup`'s step on the items in this tree and the checkout at
+    `parent` for ROUNDS alternating rounds, print the least times and their
+    ratio, with the quartiles of the per-round ratio and the rounds won, and
+    return those figures, with each round's times, per batch, named by the
+    group and the batch."""
+    payload = json.dumps(items)
+    trees = {"change": ROOT / "src", "parent": parent.resolve() / "src"}
+    times = {tree: {name: [] for name in items} for tree in trees}  # one entry per round
+    for r in range(ROUNDS):
+        for tree in (("change", "parent") if r % 2 else ("parent", "change")):
+            for name, seconds in time_tree(trees[tree], payload, setup).items():
+                times[tree][name].append(seconds * 1e3)
+    width = len(group) + 1 + max(map(len, items))
+    figures = {}
+    for name, batch in items.items():
+        parent_ms, change_ms = min(times["parent"][name]), min(times["change"][name])
+        ratios = [c / p for c, p in zip(times["change"][name], times["parent"][name])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        won = sum(x < 1 for x in ratios)
+        entry = f"{group} {name}"
+        print(f"{entry:{width}} {len(batch):5} {unit}  parent {parent_ms:8.2f} ms  change {change_ms:8.2f} ms"
+              f"  ratio {change_ms / parent_ms:.3f}  (min of {ROUNDS} rounds)"
+              f"  per-round ratio quartiles {q1:.3f} {median:.3f} {q3:.3f}, won {won}/{ROUNDS}")
+        figures[entry] = {unit: len(batch), "parent_ms": parent_ms, "change_ms": change_ms,
+                          "ratio": change_ms / parent_ms, "per_round_ratio_quartiles": [q1, median, q3],
+                          "won": won, "rounds": ROUNDS,
+                          "runs_ms": {tree: times[tree][name] for tree in ("parent", "change")}}
+    return figures
 
 
 def main(argv=None) -> None:
-    ap = parser(__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
     ap.add_argument("--write", type=Path, metavar="PATH",
                     help="also write each batch's figures as its entry of this JSON file")
     args = ap.parse_args(argv)
     commits = {"parent": commit(args.parent.resolve(), args.write),
                "change": commit(ROOT, args.write)}  # as measured, read before the runs
-    steps = step_jobs()
-    reduce = steps["reduce"]
-    groups = {"step": (steps, REDUCE),
-              "builders": ({"_embedding": reduce, "format_terms": reduce}, BUILDERS),
-              "identity": (identity_jobs(), IDENTITY),
-              "cli": (cli_jobs(), CLI)}
-    figures = {f"{group} {name}": figure for group, (items, setup) in groups.items()
-               for name, figure in compare(items, setup, "jobs", args.parent).items()}
+    figures = {name: figure for group, (items, setup, unit) in groups().items()
+               for name, figure in compare(group, items, setup, unit, args.parent).items()}
     if args.write:
         for name, figure in figures.items():
             write_entry(args.write, name, {**figure, "commits": commits,

@@ -2,20 +2,14 @@
 patches must keep resolving, or `perfbench/run.py --trace 1` stops working."""
 
 import importlib
-import sys
 
 import m2sl2.cli
 import m2sl2.genmat
 from m2sl2.freealg import QPoly
 from m2sl2.ring import Combination, MultiPoly
+from tests.bench_pairs import bench_module
 
-# the benchmark directory holds no bytecode; importing it must not add any
-_write_bytecode = sys.dont_write_bytecode
-sys.dont_write_bytecode = True
-try:
-    from perfbench.tracing import Tracer, instrument
-finally:
-    sys.dont_write_bytecode = _write_bytecode
+tracing = bench_module("tracing")
 
 
 def test_every_traced_name_resolves_and_restores():
@@ -28,9 +22,9 @@ def test_every_traced_name_resolves_and_restores():
         (MultiPoly, "__mul__"): MultiPoly.__mul__,
     }
     shared = dict(vars(Combination))
-    tracer = Tracer()
+    tracer = tracing.Tracer()
     try:
-        instrument(tracer)  # getattr without a default: a missing name raises here
+        tracing.instrument(tracer)  # getattr without a default: a missing name raises here
         patched = [(owner, attr) for owner, attr, _ in tracer._undo]
         assert len(patched) == len(set(patched)) >= 26
         for owner, attr in patched:

@@ -24,15 +24,10 @@ import m2sl2.reduction as reduction
 from m2sl2.freealg import CanonicalMonomial, QPoly, enumerate_basis
 from m2sl2.orders import MonotoneInjection
 from m2sl2.parsing import parse, parse_poly
+from tests.bench_pairs import bench_module
 from tests.util import rand_qpoly
 
-# the benchmark directory holds no bytecode; importing it must not add any
-_write_bytecode = sys.dont_write_bytecode
-sys.dont_write_bytecode = True
-try:
-    from perfbench import workloads
-finally:
-    sys.dont_write_bytecode = _write_bytecode
+workloads = bench_module("workloads")
 
 
 def _jobs(workload: str) -> list[list]:

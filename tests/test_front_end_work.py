@@ -5,21 +5,14 @@ Counts are exact where wall-clock is not: a sum of runs, every `chain` and
 while the bracket and power texts of `identity`'s `normalize` jobs still
 take the tree."""
 
-import sys
-
 import pytest
 
 import m2sl2.freealg
 import m2sl2.parsing
 from m2sl2.parsing import _Parser, parse_poly
+from tests.bench_pairs import bench_module, file_lines
 
-# the benchmark directory holds no bytecode; importing it must not add any
-_write_bytecode = sys.dont_write_bytecode
-sys.dont_write_bytecode = True
-try:
-    from perfbench import workloads
-finally:
-    sys.dont_write_bytecode = _write_bytecode
+workloads = bench_module("workloads")
 
 
 def _job_lines(workload: str) -> list[str]:
@@ -31,7 +24,7 @@ def _job_lines(workload: str) -> list[str]:
         if job.argv[0] in ("reduce", "normalize"):
             lines.append(job.argv[1])
         if job.argv[0] in ("reduce", "chain-demo"):
-            lines += [line for _, text in job.files for line in text.splitlines() if line.strip()]
+            lines += file_lines(job)
     return lines
 
 

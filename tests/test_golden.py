@@ -9,26 +9,14 @@ compares the digests, so a change to any answer fails here as well as in
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from m2sl2.cli import main
+from tests.bench_pairs import bench_module
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
-
-# the benchmark directory holds no bytecode; importing it must not add any,
-# and its modules import each other by bare name, as perfbench/run.py does
-_write_bytecode = sys.dont_write_bytecode
-sys.dont_write_bytecode = True
-sys.path.insert(0, str(BENCH_DIR))
-try:
-    import checks
-    import workloads
-finally:
-    sys.path.remove(str(BENCH_DIR))
-    sys.dont_write_bytecode = _write_bytecode
+checks = bench_module("checks")
+workloads = bench_module("workloads")
 
 STRIDE = {"normalize": 1, "reduce": 4, "chain-demo": 4}
 
