@@ -31,7 +31,7 @@ in, reduce_powers a word written as powers of letters, without building it,
 and CanonicalMonomial.word writes one out.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import combinations_with_replacement, product, repeat, zip_longest
 from math import comb
@@ -60,6 +60,14 @@ def _interleave(first, second) -> list[int]:
     return out
 
 
+def _rebuild(record) -> tuple:
+    """The __reduce__ of a validating tuple record: copy, deepcopy and
+    pickle, on every protocol, rebuild it by calling its class on its
+    fields, so a bad record is refused.  (A namedtuple's own
+    __getnewargs__ serves copy and pickle protocols 2 and up only.)"""
+    return (record.__class__, tuple(record))
+
+
 class CanonicalMonomial(tuple):
     """A basis monomial: the tuple (yexp, cseq, dseq) of its y-exponents
     and sorted c- and d-slot indices.
@@ -72,7 +80,8 @@ class CanonicalMonomial(tuple):
 
     Being a slotless tuple, a monomial is immutable, and hashes, compares
     and sorts as the plain tuple of its fields, at C level; it equals that
-    tuple too.  The constructor validates; copy, deepcopy and pickle
+    tuple too.  The constructor validates, keeping each field as a tuple
+    (a list is read as the tuple of its items); copy, deepcopy and pickle
     rebuild through it.  Engine code whose tuples are canonical by
     construction builds through _monomial, tuple.__new__ on a ready
     (yexp, cseq, dseq) tuple, with no check and no Python frame, and
@@ -83,6 +92,7 @@ class CanonicalMonomial(tuple):
     __slots__ = ()
 
     def __new__(cls, yexp: tuple = (), cseq: tuple = (), dseq: tuple = ()):
+        yexp, cseq, dseq = tuple(yexp), tuple(cseq), tuple(dseq)
         if yexp and yexp[-1] == 0:
             raise ValueError("yexp must have trailing zeros trimmed")
         if any(e < 0 for e in yexp):
@@ -105,11 +115,9 @@ class CanonicalMonomial(tuple):
 
     @classmethod
     def make(cls, yexp=(), cseq=(), dseq=()) -> "CanonicalMonomial":
-        return cls(_trim(yexp), tuple(cseq), tuple(dseq))
+        return cls(_trim(yexp), cseq, dseq)
 
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the validating constructor
-        return (self.__class__, tuple(self))
+    __reduce__ = _rebuild
 
     def _embedding(self) -> tuple:
         """(has odd letters, c-slot count, d-slot count, y-degree, rows),
@@ -307,19 +315,16 @@ def _sum_signed(items) -> QPoly:
 
 # --- Lie expressions over the letters -------------------------------------
 
-@dataclass(frozen=True)
-class LieVar:
-    letter: Letter
+class LieVar(namedtuple("LieVar", "letter")):
+    __slots__ = ()
 
     @property
     def grade(self) -> int:
         return 1 if self.letter[0] == "z" else 0
 
 
-@dataclass(frozen=True)
-class LieBracket:
-    left: "LieVar | LieBracket"
-    right: "LieVar | LieBracket"
+class LieBracket(namedtuple("LieBracket", "left right")):
+    __slots__ = ()
 
     @property
     def grade(self) -> int:

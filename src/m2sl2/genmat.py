@@ -23,7 +23,7 @@ each class's beta- and gamma-parts are built once and joined to each
 alpha-part, with no monomial built.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, groupby
 
 from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _basis_classes, _capped_basis_size
@@ -32,12 +32,8 @@ from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
 
 
-@dataclass(frozen=True)
-class GMatrix2:
-    e11: MultiPoly
-    e12: MultiPoly
-    e21: MultiPoly
-    e22: MultiPoly
+class GMatrix2(namedtuple("GMatrix2", "e11 e12 e21 e22")):
+    __slots__ = ()
 
     def __add__(self, other: "GMatrix2") -> "GMatrix2":
         return GMatrix2(
@@ -278,19 +274,15 @@ def is_graded_weak_identity(f) -> bool:
     return evaluate(f).is_zero()
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    degree: int
-    indices: int
-    monomials: int
-    rank: int
+class IndependenceReport(namedtuple("IndependenceReport", "degree indices monomials rank")):
+    __slots__ = ()
 
     @property
     def full_rank(self) -> bool:
         return self.rank == self.monomials
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def independence_report(max_degree: int = 6, max_index: int = 3) -> IndependenceReport:

@@ -57,42 +57,45 @@ the same injections.
 """
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 
 from .errors import CannotExtendError, InvalidProfileError
-from .freealg import ONE, CanonicalMonomial, _monomial, _trim
+from .freealg import ONE, CanonicalMonomial, _monomial, _rebuild, _trim
 
 RENAME_MODES = ("both", "y_only", "z_only")
-_new = object.__new__
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Finite-support count sequences attached to a canonical monomial."""
+class Profile(namedtuple("Profile", "variant u1 u2 u3")):
+    """Finite-support count sequences attached to a canonical monomial.
 
-    variant: int
-    u1: tuple[int, ...] = ()
-    u2: tuple[int, ...] = ()
-    u3: tuple[int, ...] = ()
+    The constructor validates, keeping each sequence as a tuple (a list is
+    read as the tuple of its items); copy, deepcopy and pickle rebuild
+    through it."""
 
-    def __post_init__(self):
-        if self.variant not in (1, 2):
-            raise InvalidProfileError(f"variant must be 1 or 2, got {self.variant}")
-        for seq in (self.u1, self.u2, self.u3):
+    __slots__ = ()
+
+    def __new__(cls, variant: int, u1: tuple = (), u2: tuple = (), u3: tuple = ()):
+        u1, u2, u3 = tuple(u1), tuple(u2), tuple(u3)
+        if variant not in (1, 2):
+            raise InvalidProfileError(f"variant must be 1 or 2, got {variant}")
+        for seq in (u1, u2, u3):
             if any(e < 0 for e in seq):
                 raise InvalidProfileError("profile entries must be >= 0")
             if seq and seq[-1] == 0:
                 raise InvalidProfileError("trailing zeros must be trimmed")
-        if self.variant == 1:
-            if self.u2 or self.u3:
+        if variant == 1:
+            if u2 or u3:
                 raise InvalidProfileError("variant 1 carries only u1")
         else:
-            c, d = sum(self.u2), sum(self.u3)
+            c, d = sum(u2), sum(u3)
             if c < 1:
                 raise InvalidProfileError("variant 2 needs at least one c-slot")
             if c - d not in (0, 1):
                 raise InvalidProfileError("c-slot count minus d-slot count must be 0 or 1")
+        return super().__new__(cls, variant, u1, u2, u3)
+
+    __reduce__ = _rebuild
 
 
 def xi(m: CanonicalMonomial) -> Profile:
@@ -144,24 +147,27 @@ def cmp_total(a: CanonicalMonomial, b: CanonicalMonomial) -> int:
 
 # --- monotone injections ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneInjection:
+class MonotoneInjection(namedtuple("MonotoneInjection", "pairs")):
     """A strictly increasing partial map on positive indices.
 
     Stored as explicit (source, target) pairs sorted by source; both columns
     strictly increase.  Extension past the stored support picks the smallest
     target compatible with monotonicity, so greedily built witnesses can be
-    applied to polynomials mentioning extra indices.
+    applied to polynomials mentioning extra indices.  The constructor
+    validates; copy, deepcopy and pickle rebuild through it.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple = ()):
         last_s, last_t = 0, 0
-        for s, t in self.pairs:
+        for s, t in pairs:
             if s <= last_s or t <= last_t:
                 raise ValueError("pairs must strictly increase in source and target")
             last_s, last_t = s, t
+        return super().__new__(cls, pairs)
+
+    __reduce__ = _rebuild
 
     @classmethod
     def from_table(cls, table) -> "MonotoneInjection":
@@ -170,9 +176,7 @@ class MonotoneInjection:
         witness tables of embedders do; so its pairs strictly increase in
         both columns by construction, and it is built without
         re-validation."""
-        phi = _new(cls)
-        object.__setattr__(phi, "pairs", tuple(enumerate(table[1:], start=1)))
-        return phi
+        return tuple.__new__(cls, (tuple(enumerate(table[1:], start=1)),))
 
     def covering(self, indices) -> "MonotoneInjection":
         """Extend to cover every index in the collection `indices`.

@@ -47,8 +47,9 @@ reduction continues on the strictly smaller tail.  Strict descent in a well-orde
 """
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
+from types import SimpleNamespace
 
 from .errors import NotEmbeddableError, ResourceBoundError, ZeroPolynomialError
 from .freealg import (
@@ -57,6 +58,7 @@ from .freealg import (
     QPoly,
     _interleave,
     _monomial,
+    _rebuild,
     _trim,
     enumerate_basis,
     monomial_to_obj,
@@ -76,10 +78,8 @@ from .orders import (
 from .parsing import coeff_str
 
 
-@dataclass(frozen=True)
-class LeadingData:
-    lc: int
-    lm: CanonicalMonomial
+class LeadingData(namedtuple("LeadingData", "lc lm")):
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {"coeff": coeff_str(self.lc), "m": monomial_to_obj(self.lm)}
@@ -93,24 +93,23 @@ def leading(f: QPoly) -> LeadingData:
     return LeadingData(f.terms[lm], lm)
 
 
-@dataclass(frozen=True)
-class ReducerTriple:
+class ReducerTriple(namedtuple("ReducerTriple", "phi n_part p_word")):
     """A factorization M_big = N . phi(M) . P with sign +1.
 
     N is pure-y; P is the pure-z word (as an index tuple) whose letters fill
     the slot classes left short after pushing M along phi.  An N with odd
     letters is refused, and a P given as a list is kept as a tuple, so the
-    triple hashes.
+    triple hashes; copy, deepcopy and pickle rebuild through the check.
     """
 
-    phi: MonotoneInjection
-    n_part: CanonicalMonomial
-    p_word: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_part.cseq:
+    def __new__(cls, phi: MonotoneInjection, n_part: CanonicalMonomial, p_word: tuple):
+        if n_part.cseq:
             raise ValueError("N must be pure-y")
-        object.__setattr__(self, "p_word", tuple(self.p_word))
+        return super().__new__(cls, phi, n_part, tuple(p_word))
+
+    __reduce__ = _rebuild
 
     def to_obj(self) -> dict:
         return {
@@ -387,12 +386,13 @@ def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = 
     return QPoly._trusted(rem)
 
 
-@dataclass
-class ChainReport:
-    adjoined: list  # (step, LeadingData) for each generator the chain gained
-    steps: int
-    truncated: bool
-    generators: list
+class ChainReport(SimpleNamespace):
+    def __init__(self, adjoined: list, steps: int, truncated: bool, generators: list):
+        # adjoined: (step, LeadingData) for each generator the chain gained
+        super().__init__(adjoined=adjoined, steps=steps, truncated=truncated, generators=generators)
+
+    def __reduce__(self):  # copy, deepcopy and pickle go through __init__
+        return (type(self), (self.adjoined, self.steps, self.truncated, self.generators), vars(self))
 
     @property
     def stabilized_at(self) -> int | None:

@@ -69,6 +69,16 @@ its file names pointing there:
 - `chain-demo FILE` reads the stream file, grows the chain and prints a
   line per adjoined generator, the whole path of a `chain` job.
 
+Then the `fresh` group, which shares no process: each of the nine
+subcommands on one fixed small input (FRESH; `pwos-min` reads a file
+written to a temporary directory), run as `python -m m2sl2.cli ...` in a
+child of its own with stdout discarded, so a batch times what a user pays
+for one command, the interpreter's start and the package's import
+included.  Each tree's children read its bytecode from a cache directory
+of its own (PYTHONPYCACHEPREFIX), written by one untimed run of every
+command, and each round runs every command once per tree, the order of the
+trees alternating as above.
+
 The script prints, per batch, the least time of each tree over the rounds
 and their ratio, this tree over the parent, then the quartiles of the
 per-round ratio and the rounds this tree won.  It only prints and writes;
@@ -90,6 +100,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 from bench_pairs import ROOT, bench_module, commit, file_lines, write_entry
@@ -227,38 +239,97 @@ def groups() -> dict[str, tuple[dict[str, list], str, str]]:
     }
 
 
+# the `fresh` group: each subcommand on a fixed small input; FILE is pwos-min's file
+FRESH = {"normalize": ["y1"], "is-identity": ["[y1,z1]*z2"], "compare": ["y1*z1", "y2"],
+         "embed": ["y1*z1", "y1^2*y2*z2*z3"], "factor": ["y1*z1", "y1^2*y2*z2"], "reduce": ["3*y1"],
+         "chain-demo": ["--degree", "3", "--indices", "2"],
+         "independence": ["--degree", "3", "--indices", "2"], "pwos-min": ["FILE"]}
+PWOS_MIN_FILE = "y1^2\ny1*y2\nz1\ny1*z1\n"
+
+
+def fresh_argvs(directory: str) -> dict[str, list[str]]:
+    """The argv of each `fresh` command, with pwos-min's file written to
+    `directory`."""
+    path = os.path.join(directory, "pwos-min.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(PWOS_MIN_FILE)
+    return {name: [name, *[path if a == "FILE" else a for a in args]] for name, args in FRESH.items()}
+
+
 def time_tree(src: Path, payload: str, setup: str) -> dict[str, float]:
     done = subprocess.run([sys.executable, "-B", "-c", CHILD.format(setup=setup), str(src)],
                           input=payload, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
+def trees(parent: Path) -> dict[str, Path]:
+    return {"change": ROOT / "src", "parent": parent.resolve() / "src"}
+
+
+def rounds() -> list[tuple[str, str]]:
+    """The order of the two trees in each round."""
+    return [("change", "parent") if r % 2 else ("parent", "change") for r in range(ROUNDS)]
+
+
 def compare(group: str, items: dict[str, list], setup: str, unit: str,
             parent: Path) -> dict[str, dict]:
     """Time `setup`'s step on the items in this tree and the checkout at
-    `parent` for ROUNDS alternating rounds, print the least times and their
-    ratio, with the quartiles of the per-round ratio and the rounds won, and
-    return those figures, with each round's times, per batch, named by the
-    group and the batch."""
+    `parent` for ROUNDS alternating rounds; summarize."""
     payload = json.dumps(items)
-    trees = {"change": ROOT / "src", "parent": parent.resolve() / "src"}
-    times = {tree: {name: [] for name in items} for tree in trees}  # one entry per round
-    for r in range(ROUNDS):
-        for tree in (("change", "parent") if r % 2 else ("parent", "change")):
-            for name, seconds in time_tree(trees[tree], payload, setup).items():
+    src = trees(parent)
+    times = {tree: {name: [] for name in items} for tree in src}  # one entry per round
+    for order in rounds():
+        for tree in order:
+            for name, seconds in time_tree(src[tree], payload, setup).items():
                 times[tree][name].append(seconds * 1e3)
-    width = len(group) + 1 + max(map(len, items))
+    return summarize(group, {name: len(batch) for name, batch in items.items()}, unit, times)
+
+
+def compare_fresh(parent: Path) -> dict[str, dict]:
+    """Time each `fresh` command as a child of its own in this tree and the
+    checkout at `parent` for ROUNDS alternating rounds, after one untimed
+    run of each in each tree; summarize."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = fresh_argvs(tmp)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        envs = {tree: {**env, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": os.path.join(tmp, tree)}
+                for tree, src in trees(parent).items()}
+
+        def run(tree: str, argv: list[str]) -> float:
+            t = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "m2sl2.cli", *argv], env=envs[tree],
+                           stdout=subprocess.DEVNULL, check=True)
+            return (time.perf_counter() - t) * 1e3
+
+        for tree in envs:  # writes each tree's bytecode cache
+            for argv in argvs.values():
+                run(tree, argv)
+        times = {tree: {name: [] for name in argvs} for tree in envs}  # one entry per round
+        for order in rounds():
+            for tree in order:
+                for name, argv in argvs.items():
+                    times[tree][name].append(run(tree, argv))
+    return summarize("fresh", dict.fromkeys(argvs, 1), "command", times)
+
+
+def summarize(group: str, sizes: dict[str, int], unit: str, times: dict) -> dict[str, dict]:
+    """Print, per batch, the least times over the rounds and their ratio,
+    with the quartiles of the per-round ratio and the rounds won, and return
+    those figures, with each round's times, per batch, named by the group
+    and the batch.  `times` holds each tree's times in ms, per batch and
+    round."""
+    width = len(group) + 1 + max(map(len, sizes))
     figures = {}
-    for name, batch in items.items():
+    for name, size in sizes.items():
         parent_ms, change_ms = min(times["parent"][name]), min(times["change"][name])
         ratios = [c / p for c, p in zip(times["change"][name], times["parent"][name])]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
         won = sum(x < 1 for x in ratios)
         entry = f"{group} {name}"
-        print(f"{entry:{width}} {len(batch):5} {unit}  parent {parent_ms:8.2f} ms  change {change_ms:8.2f} ms"
+        print(f"{entry:{width}} {size:5} {unit}  parent {parent_ms:8.2f} ms  change {change_ms:8.2f} ms"
               f"  ratio {change_ms / parent_ms:.3f}  (min of {ROUNDS} rounds)"
               f"  per-round ratio quartiles {q1:.3f} {median:.3f} {q3:.3f}, won {won}/{ROUNDS}")
-        figures[entry] = {unit: len(batch), "parent_ms": parent_ms, "change_ms": change_ms,
+        figures[entry] = {unit: size, "parent_ms": parent_ms, "change_ms": change_ms,
                           "ratio": change_ms / parent_ms, "per_round_ratio_quartiles": [q1, median, q3],
                           "won": won, "rounds": ROUNDS,
                           "runs_ms": {tree: times[tree][name] for tree in ("parent", "change")}}
@@ -275,6 +346,7 @@ def main(argv=None) -> None:
                "change": commit(ROOT, args.write)}  # as measured, read before the runs
     figures = {name: figure for group, (items, setup, unit) in groups().items()
                for name, figure in compare(group, items, setup, unit, args.parent).items()}
+    figures.update(compare_fresh(args.parent))
     if args.write:
         for name, figure in figures.items():
             write_entry(args.write, name, {**figure, "commits": commits,

@@ -1,7 +1,8 @@
 """tests/bench_pairs.py refuses to write figures from checkouts whose paths
 differ in length, since the path alone moves peak_rss_mib.  Its reader of
 the benchmark's modules leaves the interpreter and perfbench/ as they were,
-and tests/step_timing.py builds the batches it times from them."""
+and tests/step_timing.py builds the batches it times from them, and runs
+each subcommand in its `fresh` group."""
 
 import json
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from m2sl2.cli import main
 from tests import bench_pairs, step_timing
 
 # run in a fresh interpreter that writes bytecode, so the import is the
@@ -77,3 +79,14 @@ def test_step_timing_batches_build_without_a_child():
         "cli": ("jobs", {"reduce": 34, "reduce --json": 34, "reduce --trace FILE": 34,
                          "chain-demo FILE": 30}),
     }
+
+
+def test_step_timing_fresh_group_runs_every_subcommand(tmp_path, capsys):
+    # one fixed input per subcommand, each of which the command line
+    # answers; a fresh child runs the same argv through python -m m2sl2.cli
+    argvs = step_timing.fresh_argvs(str(tmp_path))
+    assert list(argvs) == ["normalize", "is-identity", "compare", "embed", "factor", "reduce",
+                           "chain-demo", "independence", "pwos-min"]
+    for name, argv in argvs.items():
+        assert argv[0] == name and main(argv) == 0, argv
+    assert capsys.readouterr().out.splitlines()[-3:] == ["y1^2", "y1*y2", "z1"]

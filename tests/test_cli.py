@@ -260,6 +260,18 @@ def _fresh_cli(*argv):
     return proc, time.perf_counter() - start
 
 
+def test_cli_import_loads_no_dataclasses_or_code_tools():
+    # a one-shot command pays for what it runs: importing the command line
+    # in a fresh interpreter loads neither dataclasses nor the modules it
+    # pulls in
+    src = str(Path(m2sl2.__file__).resolve().parents[1])
+    code = ("import sys, m2sl2.cli; "
+            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+
+
 def test_chain_demo_graded_many_indices():
     # 5,000 y-exponent slots: the enumeration must not recurse once per slot
     argv = ("chain-demo", "--degree", "2", "--indices", "5000", "--budget", "10")

@@ -105,18 +105,18 @@ def counts(monkeypatch) -> Counter:
 
         monkeypatch.setattr(reduction, name, counted)
 
-    new, post_init = m2sl2.orders._new, MonotoneInjection.__post_init__
+    new, from_table = MonotoneInjection.__new__, MonotoneInjection.from_table.__func__
 
-    def counted_new(cls):
-        seen["MonotoneInjection"] += cls is MonotoneInjection
-        return new(cls)
-
-    def counted_post_init(self):
+    def counted_new(cls, *args):
         seen["MonotoneInjection"] += 1
-        post_init(self)
+        return new(cls, *args)
 
-    monkeypatch.setattr(m2sl2.orders, "_new", counted_new)
-    monkeypatch.setattr(MonotoneInjection, "__post_init__", counted_post_init)
+    def counted_from_table(cls, table):
+        seen["MonotoneInjection"] += 1
+        return from_table(cls, table)
+
+    monkeypatch.setattr(MonotoneInjection, "__new__", counted_new)
+    monkeypatch.setattr(MonotoneInjection, "from_table", classmethod(counted_from_table))
 
     def counted_support(self, _fn=QPoly._index_support):
         seen["supports"] += 1

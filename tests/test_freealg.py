@@ -11,11 +11,16 @@ from m2sl2 import (
     ONE,
     CanonicalMonomial,
     GradeMismatchError,
+    InvalidProfileError,
     ResourceBoundError,
     LieBracket,
     LieVar,
+    MonotoneInjection,
+    Profile,
     QPoly,
+    ReducerTriple,
     enumerate_basis,
+    factorize_embedding,
     identity_generators,
     lie_to_words,
     monomial_to_obj,
@@ -65,6 +70,12 @@ def test_monomial_validation():
         CanonicalMonomial((), (0,))
     # length difference of one is the odd-length case
     CanonicalMonomial((), (1, 2), (1,))
+    # fields given as lists are kept as tuples: the monomial equals the
+    # tuple-built one, and hashes
+    listed = CanonicalMonomial([1], [1], [])
+    assert listed == CanonicalMonomial((1,), (1,), ()) and listed == ((1,), (1,), ())
+    assert QPoly({listed: 1}) == QPoly({CanonicalMonomial((1,), (1,)): 1})
+    assert CanonicalMonomial.make([2, 0], [1, 3], [2]) == CanonicalMonomial((2,), (1, 3), (2,))
 
 
 def test_monomial_props():
@@ -406,6 +417,38 @@ def test_copy_and_pickle_validate_on_every_protocol():
     for rebuild in rebuilds:
         back = rebuild(good)
         assert type(back) is CanonicalMonomial and back == good
+
+
+def test_records_rebuild_through_their_validating_constructor():
+    # a triple, a profile or an injection built unchecked with bad fields
+    # is refused by copy, deepcopy and pickle on every protocol; good ones,
+    # from_table's unchecked build included, come back equal, of their type
+    phi = MonotoneInjection(((1, 1),))
+    bad = [(ReducerTriple, (phi, CanonicalMonomial((), (1,)), ()), ValueError),
+           (ReducerTriple, (phi, CanonicalMonomial((1,), (1,), (2,)), (3,)), ValueError),
+           (Profile, (3, (), (), ()), InvalidProfileError),
+           (Profile, (1, (1, 0), (), ()), InvalidProfileError),
+           (Profile, (2, (), (1,), (0, 2)), InvalidProfileError),
+           (MonotoneInjection, (((2, 1), (1, 2)),), ValueError),
+           (MonotoneInjection, (((1, 2), (2, 2)),), ValueError),
+           (MonotoneInjection, (((0, 1),),), ValueError)]
+    rebuilds = [copy.copy, copy.deepcopy, *(
+        lambda r, proto=proto: pickle.loads(pickle.dumps(r, proto))
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1))]
+    for cls, fields, error in bad:
+        record = tuple.__new__(cls, fields)
+        for rebuild in rebuilds:
+            with pytest.raises(error):
+                rebuild(record)
+    good = [ReducerTriple(MonotoneInjection(((1, 1), (2, 3))), CanonicalMonomial((0, 2)), [3, 1, 2]),
+            factorize_embedding(CanonicalMonomial((1,), (1,)), CanonicalMonomial((2, 1), (1, 3), (2,))),
+            Profile(1), Profile(1, (2, 1)), Profile(2, (1,), (1,), ()), Profile(2, (), (1, 1), (0, 2)),
+            MonotoneInjection(), MonotoneInjection(((1, 2), (3, 5))),
+            MonotoneInjection.from_table([0, 2, 4])]
+    for record in good:
+        for rebuild in rebuilds:
+            back = rebuild(record)
+            assert type(back) is type(record) and back == record and hash(back) == hash(record)
 
 
 def test_monomial_is_immutable():

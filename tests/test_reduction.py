@@ -2,7 +2,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -225,7 +224,7 @@ def test_triple_refuses_odd_letters_in_n_and_is_frozen():
             ReducerTriple(phi, n_part, ())
     for t in (ReducerTriple(phi, mk((0, 2)), (3, 1, 2)), factorize_embedding(mk((1,)), mk((2, 1)))):
         for name in ("phi", "n_part", "p_word"):
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(t, name, getattr(t, name))
     t = ReducerTriple(phi, mk((0, 2)), (3, 1, 2))
     assert (t.phi, t.n_part, t.p_word) == (phi, mk((0, 2)), (3, 1, 2))
