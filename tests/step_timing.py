@@ -1,6 +1,6 @@
-"""Interleaved in-process timing of the front end, the reduction loop and
-the command line on the benchmark's seed-1 jobs, for this tree against a
-second checkout.
+"""Interleaved timing of the front end, the reduction loop and the command
+line, in process on the benchmark's seed-1 jobs and one fresh process per
+command on fixed inputs, for this tree against a second checkout.
 
     python tests/step_timing.py --parent PATH [--write PATH]
 
@@ -291,6 +291,7 @@ def compare_fresh(parent: Path) -> dict[str, dict]:
     run of each in each tree; summarize."""
     with tempfile.TemporaryDirectory() as tmp:
         argvs = fresh_argvs(tmp)
+        # the untimed runs must write each tree's bytecode cache
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         envs = {tree: {**env, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": os.path.join(tmp, tree)}
                 for tree, src in trees(parent).items()}

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from functools import cache
@@ -605,6 +607,22 @@ def test_chain_degree_six_enumeration_stabilizes():
     assert not report.truncated
     assert report.stabilized_at is not None
     assert report.stabilized_at < len(stream)
+
+
+def test_chain_report_is_mutable_and_copies():
+    # the report is a mutable record built positionally; copies and
+    # pickles come back equal, of its type, with any attribute set on it
+    from m2sl2 import ChainReport
+
+    report = chain_demo(monomial_stream([mk((0, 1)), mk((1,)), mk((1, 1))]), budget=2)
+    assert report == ChainReport(report.adjoined, 2, True, report.generators)
+    assert repr(report).startswith("ChainReport(adjoined=[(1, LeadingData(lc=1, lm=")
+    report.steps, report.note = 3, "x"
+    for back in (copy.copy(report), copy.deepcopy(report),
+                 *(pickle.loads(pickle.dumps(report, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(back) is ChainReport and back == report and back is not report
+        assert (back.steps, back.note, retained(back)) == (3, "x", [mk((0, 1)), mk((1,))])
 
 
 def test_chain_budget_validation():
