@@ -154,12 +154,15 @@ class MonotoneInjection(namedtuple("MonotoneInjection", "pairs")):
     strictly increase.  Extension past the stored support picks the smallest
     target compatible with monotonicity, so greedily built witnesses can be
     applied to polynomials mentioning extra indices.  The constructor
-    validates; copy, deepcopy and pickle rebuild through it.
+    validates, keeping the pairs as a tuple of tuples (lists are read as the
+    tuples of their items), so the injection hashes; copy, deepcopy and
+    pickle rebuild through it.
     """
 
     __slots__ = ()
 
     def __new__(cls, pairs: tuple = ()):
+        pairs = tuple(map(tuple, pairs))
         last_s, last_t = 0, 0
         for s, t in pairs:
             if s <= last_s or t <= last_t:

@@ -17,7 +17,9 @@ the embedding data of its leading monomial
 at the generator's position in an index of the keys (orders.file_key).
 reduce_by builds the records and the index once per call; chain_demo
 files each generator when it adjoins it, reading its leading data off the
-remainder's first term, and keeps both for the rest of the stream.  At
+remainder's first term and its key off _reduce, which returns the data it
+built at the step that froze that term, and keeps both for the rest of the
+stream.  At
 each step one call of orders.embedders over the index returns the
 generators whose leading monomial embeds into M, in ascending position,
 with their witnesses as plain index tables (table[i] the image of index
@@ -42,8 +44,10 @@ tail reaches past the witness.
 Coefficients live in Z, so a reduction step is Euclidean division of the
 leading coefficient by the gcd of the usable reducers' leading coefficients,
 taken once per distinct set of usable reducers within one reduce_by call
-or one chain_demo stream; a nonzero residue freezes into the remainder and
-reduction continues on the strictly smaller tail.  Strict descent in a well-order terminates.
+or one chain_demo stream, beside whether any of them with a nonzero Bezout
+coefficient has a tail to lift; a nonzero residue freezes into the
+remainder and reduction continues on the strictly smaller tail.  Strict
+descent in a well-order terminates.
 """
 
 from bisect import insort
@@ -277,7 +281,7 @@ def reduce_by(f: QPoly, generators, trace: list | None = None) -> QPoly:
         ld = leading(g)
         file_key(index, ld.lm._embedding(), len(recs))
         recs.append(_record(g, ld))
-    return _reduce(f, recs, index, {}, trace)
+    return _reduce(f, recs, index, {}, trace)[0]
 
 
 def _record(g: QPoly, ld: LeadingData) -> tuple:
@@ -285,32 +289,40 @@ def _record(g: QPoly, ld: LeadingData) -> tuple:
     data ld when g is usable, built once: (ld, prog).
 
     prog is None when g's tail, g minus its leading term, is empty, so a
-    one-term generator builds no support and no program.  Otherwise it is
-    (g's index support, the tail compiled against ld.lm), which _lift runs;
+    one-term generator builds no tail, no support and no program.
+    Otherwise it is (g's index support, the tail compiled against ld.lm),
+    which _lift runs;
     the support is read only where the tail reaches past a witness.  Which
     generators are usable is decided on their keys, filed in an index
     beside the records (see _reduce), so the record holds nothing of the
     embedding order.
     """
+    if len(g.terms) == 1:
+        return ld, None
     tail = {m: c for m, c in g.terms.items() if m != ld.lm}
-    return ld, ((g._index_support(), _compile(ld.lm, tail)) if tail else None)
+    return ld, (g._index_support(), _compile(ld.lm, tail))
 
 
-def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = None) -> QPoly:
+def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = None) -> tuple:
     """The reduce_by loop, given each generator's record (see _record), the
     embedding data of its leading monomial filed in `index` at the record's
     position (orders.file_key), and the caller's gcd table `gcds` (see
-    below).
+    below).  It returns the remainder and, beside it, the embedding data
+    built for the remainder's leading monomial at the step that froze it
+    (None for a zero remainder), which chain_demo files as the adjoined
+    generator's key and reduce_by discards.
 
     `work` maps each live term to its coefficient; `keyed` holds
     (total_key(m), m) for every monomial inserted when it entered `work`,
     sorted ascending, so its last entry is the leading term.  total_key is
     injective, so two entries tie only when their monomials are equal, and
     the sort never compares monomials, whose own tuple order is not the
-    well-order.  An entry whose monomial has since
-    cancelled out of `work` is stale and skipped when popped (lazy
-    deletion); a monomial never re-enters after it was the leading term,
-    because every later term lies strictly below it.
+    well-order.  When f has one term, its entry holds None for the key:
+    it is popped before any lifted term is inserted, so no comparison
+    reads it.  The leading term leaves `work` when it is read; an entry
+    whose monomial has since cancelled out of `work` is stale and skipped
+    when popped (lazy deletion).  A monomial never re-enters after it was
+    the leading term, because every later term lies strictly below it.
 
     At each step one orders.embedders call over the index gives the usable
     generators and their witness tables, in ascending position, and the
@@ -318,15 +330,18 @@ def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = 
     coefficients and their Bezout coefficients, (d, betas), depend only on
     which generators are usable, and few such sets occur: `gcds` keeps them
     by the tuple of positions, so bezout runs once per distinct set in the
-    table's life.  The table is valid while the generator at each position,
-    and so its leading coefficient, stays the same: reduce_by passes a
+    table's life, as (d, betas, lifts), where lifts says whether any of
+    the set's generators with a nonzero Bezout coefficient has a tail.
+    The table is valid while the generator at each position, and so its
+    leading coefficient, stays the same: reduce_by passes a
     fresh one per call, and chain_demo one per stream, whose generators are
     only ever appended.  Only the tail of a usable generator is lifted and
     subtracted: its leading term would land on lm, whose
-    coefficient ends at the residue r, and lm leaves `work` anyway.  So a
+    coefficient ends at the residue r, and lm has left `work`.  So a
     one-term generator, whose record holds no program, costs no lift, and
-    no factorization unless `trace` records it.  Every other step calls
-    _lift once and folds the lifted terms straight into `work`.  With a
+    no factorization unless `trace` records it, and an untraced step whose
+    set has nothing to lift skips the usable generators.  Every other step
+    calls _lift once and folds the lifted terms straight into `work`.  With a
     trace, each step's record has the fields of ReducerTriple.to_obj, read
     off the witness table and _factor's parts, with no injection or triple
     built.
@@ -336,22 +351,29 @@ def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = 
     remainder's first term is its leading term.
     """
     work = dict(f.terms)
-    keyed = sorted([(total_key(m), m) for m in work])
+    # a lone term is popped before any lifted term is inserted, so no
+    # comparison reads its entry's key, and it is built with none
+    keyed = (sorted([(total_key(m), m) for m in work]) if len(work) > 1
+             else [(None, m) for m in work])
     rem: dict[CanonicalMonomial, int] = {}
+    lead_key = None  # the embedding data of the remainder's leading monomial
     while keyed:
         lm = keyed.pop()[1]
-        lc = work.get(lm)
+        lc = work.pop(lm, None)  # no lifted term lands on lm: all lie strictly below it
         if lc is None:
             continue
-        hits = embedders(lm._embedding(), index)  # (generator position, witness table)
+        emb = lm._embedding()
+        hits = embedders(emb, index)  # (generator position, witness table)
         if hits:
             usable = tuple([k for k, _ in hits])
             gcd = gcds.get(usable)
             if gcd is None:
-                gcd = gcds[usable] = bezout([recs[k][0].lc for k in usable])
-            d, betas = gcd
+                d, betas = bezout([recs[k][0].lc for k in usable])
+                lifts = any(beta and recs[k][1] is not None for k, beta in zip(usable, betas))
+                gcd = gcds[usable] = d, betas, lifts
+            d, betas, lifts = gcd
             q, r = divmod(lc, d)
-            if q:
+            if q and (lifts or trace is not None):
                 for (k, table), beta in zip(hits, betas):
                     ld, prog = recs[k]
                     if not beta:
@@ -378,12 +400,13 @@ def _reduce(f: QPoly, recs: list, index: dict, gcds: dict, trace: list | None = 
                             work[m] = n - c
         else:
             r = lc
-        work.pop(lm, None)
         if r:
+            if not rem:
+                lead_key = emb
             rem[lm] = r
             if trace is not None:
                 trace.append({"frozen": {"coeff": coeff_str(r), "m": monomial_to_obj(lm)}})
-    return QPoly._trusted(rem)
+    return QPoly._trusted(rem), lead_key
 
 
 class ChainReport(SimpleNamespace):
@@ -422,14 +445,17 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
     built once, when it is adjoined, the key filed in the index at the
     record's position (orders.file_key), and both are kept for the rest of
     the stream, as is the gcd table of every usable set met (see _reduce).  The
-    leading data is the remainder's first term, which _reduce froze first.
+    leading data is the remainder's first term, which _reduce froze first,
+    and the key is the embedding data _reduce returns beside the remainder,
+    built at the step that froze that term, so each stream item's target
+    is built once and never again as a key.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     gens: list[QPoly] = []
     recs: list[tuple] = []
     index: dict = {}
-    gcds: dict[tuple, tuple] = {}  # (d, betas) of each usable set met in the stream
+    gcds: dict[tuple, tuple] = {}  # (d, betas, lifts) of each usable set met in the stream
     adjoined: list[tuple[int, LeadingData]] = []
     steps = 0
     truncated = False
@@ -438,12 +464,12 @@ def chain_demo(stream, budget: int = 1_000_000) -> ChainReport:
             truncated = True
             break
         steps += 1
-        r = _reduce(fpoly, recs, index, gcds)
+        r, key = _reduce(fpoly, recs, index, gcds)
         if r.terms:
             gens.append(r)
             lm = next(iter(r.terms))
             ld = LeadingData(r.terms[lm], lm)
-            file_key(index, ld.lm._embedding(), len(recs))
+            file_key(index, key, len(recs))
             recs.append(_record(r, ld))
             adjoined.append((steps, ld))
     return ChainReport(adjoined, steps, truncated, gens)

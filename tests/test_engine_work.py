@@ -193,9 +193,10 @@ def test_membership_compiles_each_generator_once(counts):
     assert counts == {"_compile": 63, "supports": 63}
 
 
-def test_minimal_elements_builds_each_embedding_once(monkeypatch):
-    # minimal_elements keeps each item's embedding data as its key and hands
-    # the kernel that key as the target, so each item's data is built once
+@pytest.fixture
+def builds(monkeypatch) -> Counter:
+    """Calls of CanonicalMonomial._embedding: each builds one monomial's
+    embedding data."""
     seen = Counter()
     embedding = CanonicalMonomial._embedding
 
@@ -204,10 +205,32 @@ def test_minimal_elements_builds_each_embedding_once(monkeypatch):
         return embedding(m)
 
     monkeypatch.setattr(CanonicalMonomial, "_embedding", counted)
+    return seen
+
+
+def test_minimal_elements_builds_each_embedding_once(builds):
+    # minimal_elements keeps each item's embedding data as its key and hands
+    # the kernel that key as the target, so each item's data is built once
     basis = list(enumerate_basis(3, 3))
     assert len(basis) == 104
     assert m2sl2.orders.minimal_elements(basis) == [CanonicalMonomial(), CanonicalMonomial((), (1,))]
-    assert seen == {"_embedding": 104}
+    assert builds == {"_embedding": 104}
+
+
+@pytest.mark.parametrize("workload, count", [("chain", 3600), ("reduce", 9471)])
+def test_engine_builds_each_embedding_once(builds, workload, count):
+    # a step builds its target's embedding data once, and chain_demo files
+    # the data built at the step that froze a remainder's leading term as
+    # the adjoined generator's key: one build per item of the 3,600 in the
+    # `chain` streams, none more for the 2,727 generators adjoined.  On
+    # `reduce` the steps, the generators' keys and their index supports
+    # build theirs
+    for job in _jobs(workload):
+        if workload == "chain":
+            reduction.chain_demo(job)
+        else:
+            reduction.reduce_by(job[0], job[1:])
+    assert builds == {"_embedding": count}
 
 
 def test_chain_reads_leading_data_off_the_remainder(monkeypatch):

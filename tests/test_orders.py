@@ -174,6 +174,18 @@ def test_injection_validation():
         MonotoneInjection(((1, 2), (2, 2)))  # target repeats
     with pytest.raises(ValueError):
         MonotoneInjection(((2, 1), (1, 3)))  # sources out of order
+    with pytest.raises(ValueError):
+        MonotoneInjection([[1, 2], [2, 2]])  # lists are checked alike
+    # pairs given as lists are kept as a tuple of tuples: the injection
+    # equals the tuple-built one, hashes alike, and so does a triple holding it
+    built = MonotoneInjection(((1, 2), (2, 3)))
+    for listed in (MonotoneInjection([(1, 2), (2, 3)]), MonotoneInjection([[1, 2], [2, 3]])):
+        assert listed == built and hash(listed) == hash(built)
+        assert listed.pairs == ((1, 2), (2, 3)) and type(listed.pairs[0]) is tuple
+        back = pickle.loads(pickle.dumps(listed))
+        assert back == built and hash(back) == hash(built)
+        triple = ReducerTriple(listed, CanonicalMonomial(), ())
+        assert hash(triple) == hash(ReducerTriple(built, CanonicalMonomial(), ()))
 
 
 def test_injection_call_and_support():
