@@ -16,17 +16,19 @@ Every generic evaluation has the form [[a, b], [sigma b, sigma a]], where
 sigma (_conj) negates each alpha and swaps beta with gamma, so it is carried
 as its first row (e11, e12) alone.  A product is four block products of
 rows, in closed form; row 2 is built by _conj only where a GMatrix2 is
-handed out.  A basis monomial puts one +-1 term in row 1, so the rank of the
-independence matrix is the count of distinct row-1 entries.  That count is
-read per (degree, y-degree) class of the basis (freealg._basis_classes):
-each class's beta- and gamma-parts are built once and joined to each
-alpha-part, with no monomial built.
+handed out.  A ring term alpha^a * beta^b * gamma^g is the tuple (a, b, g)
+in the layout of a canonical monomial's (yexp, cseq, dseq) (see ring), so a
+basis monomial's one +-1 term in row 1 is the monomial's own tuple, and the
+rank of the independence matrix is the count of distinct row-1 entries.
+That count is read per (degree, y-degree) class of the basis
+(freealg._basis_classes): each class's slot pairs are built once and joined
+to each trimmed y-exponent vector, with no monomial built.
 """
 
 from collections import namedtuple
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
-from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _basis_classes, _capped_basis_size
+from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _basis_classes, _capped_basis_size, _trim
 from .intlinalg import _row_axpy
 from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
@@ -66,17 +68,10 @@ class GMatrix2(namedtuple("GMatrix2", "e11 e12 e21 e22")):
         )
 
 
-def _family_term(family: str, items: list[tuple[int, int]]) -> Term:
-    """Sorted (index, exponent) pairs of one family as a ring term."""
-    return tuple([((family, i), e) for i, e in items])
-
-
 def _conj(entry: dict) -> dict:
     """sigma(entry), for sigma the ring automorphism alpha_i -> -alpha_i,
-    beta_i <-> gamma_i: each term keeps its alpha part first, then the old
-    gamma part renamed beta, then the old beta part renamed gamma, so it
-    stays sorted by (family, index); its coefficient is negated when the
-    alpha degree is odd.
+    beta_i <-> gamma_i: each term (a, b, g) becomes (a, g, b), its
+    coefficient negated when the alpha degree sum(a) is odd.
 
     Why row 1 determines a generic evaluation: Y_i = [[alpha_i, 0], [0,
     sigma alpha_i]] and Z_i = [[0, beta_i], [sigma beta_i, 0]].  For X =
@@ -85,13 +80,7 @@ def _conj(entry: dict) -> dict:
     sigma(ac + b sigma d)]].  Sums and integer multiples keep the form, and
     sigma is an involutive ring automorphism of Z[alpha, beta, gamma].
     """
-    out = {}
-    for term, c in entry.items():
-        a = [v for v in term if v[0][0] == "alpha"]
-        b = [(("beta", i), e) for (fam, i), e in term if fam == "gamma"]
-        g = [(("gamma", i), e) for (fam, i), e in term if fam == "beta"]
-        out[tuple(a + b + g)] = -c if sum(e for _, e in a) & 1 else c
-    return out
+    return {(a, g, b): -c if sum(a) & 1 else c for (a, b, g), c in entry.items()}
 
 
 def _word_entries(w) -> tuple[int, Term, int]:
@@ -106,26 +95,33 @@ def _word_entries(w) -> tuple[int, Term, int]:
     when k is odd, and each even letter that comes after an odd number of
     odd ones negates the sign.  No canonical reduction is involved.
 
-    The letters are counted into one dict keyed by ring variable, and the
-    families sort alpha < beta < gamma, so one sort gives the term.  An
-    unknown family raises as it is read; indices below 1 are checked after.
+    The y-letters are counted into a list of exponents by index, grown as
+    an index past its end is read, and the z indices are collected into
+    one list per slot class, sorted after the loop: the term in ring's
+    layout.  An unknown family raises as it is read; indices below 1 are
+    checked after the loop.
     """
-    counts: dict = {}
-    nz = flips = 0
+    a: list[int] = []
+    slots: tuple[list[int], list[int]] = ([], [])
+    nz = flips = low = 0  # low: a y index below 1 was read
     for fam, idx in w:
         if fam == "y":
-            var = ("alpha", idx)
+            if idx > len(a):
+                a += [0] * (idx - len(a))
+            elif idx < 1:
+                low = 1
+                continue
+            a[idx - 1] += 1
             flips += nz & 1
         elif fam == "z":
-            var = ("gamma" if nz & 1 else "beta", idx)
+            slots[nz & 1].append(idx)
             nz += 1
         else:
             raise ValueError(f"unknown letter family {fam!r}")
-        counts[var] = counts.get(var, 0) + 1
-    term = tuple(sorted(counts.items()))
-    if any(idx < 1 for _, idx in counts):
+    b, g = sorted(slots[0]), sorted(slots[1])
+    if low or b and b[0] < 1 or g and g[0] < 1:
         raise ValueError("letter index must be >= 1")
-    return nz & 1, term, -1 if flips & 1 else 1
+    return nz & 1, (tuple(a), tuple(b), tuple(g)), -1 if flips & 1 else 1
 
 
 def _slot_entries(monos):
@@ -134,35 +130,11 @@ def _slot_entries(monos):
 
     The canonical word puts every y-letter first, then the z-block
     c1 d1 c2 d2 ...  So the term is alpha^yexp * beta^cseq * gamma^dseq with
-    sign +1, in e11 for an even z-block length and in e12 for an odd one.
-    The families sort alpha < beta < gamma, so joining the three parts gives
-    the term already sorted.  Each part is built once per distinct y-exponent
-    tuple or slot tuple in this call.
+    sign +1, in e11 for an even z-block length and in e12 for an odd one:
+    the monomial's own fields are the term, handed out as a plain tuple.
     """
-    alphas: dict = {}
-    betas: dict = {}
-    gammas: dict = {}
-    for m in monos:
-        yexp, c, d = m
-        a = alphas.get(yexp)
-        if a is None:
-            a = alphas[yexp] = _family_term("alpha", [(i, e) for i, e in enumerate(yexp, 1) if e])
-        yield (int(len(c) != len(d)),
-               a + _slot_part(betas, "beta", c) + _slot_part(gammas, "gamma", d), 1)
-
-
-def _slot_part(memo: dict, family: str, seq: tuple) -> Term:
-    """The family's term for a sorted slot tuple, built on its first call
-    with that tuple and kept in memo."""
-    part = memo.get(seq)
-    if part is None:
-        part = memo[seq] = _slot_term(family, seq)
-    return part
-
-
-def _slot_term(family: str, seq: tuple) -> Term:
-    """The family's term for a sorted slot tuple."""
-    return _family_term(family, [(i, len(list(run))) for i, run in groupby(seq)])
+    for yexp, c, d in monos:
+        yield int(len(c) != len(d)), (yexp, c, d), 1
 
 
 def eval_word(w) -> GMatrix2:
@@ -247,8 +219,9 @@ def _mat_mul(x: tuple[dict, dict], y: tuple[dict, dict]) -> tuple[dict, dict]:
 def _row1_terms(m: tuple[dict, dict]) -> list[tuple[int, int]]:
     """A matrix's canonical terms as (degree, coefficient) pairs, read off
     its row: each canonical monomial puts one term there, with sign +-1, and
-    distinct monomials put distinct terms, so no two cancel."""
-    return [(sum(e for _, e in term), c) for entry in m for term, c in entry.items()]
+    distinct monomials put distinct terms, so no two cancel.  A term
+    (a, b, g) has the degree of its monomial, sum(a) + len(b) + len(g)."""
+    return [(sum(a) + len(b) + len(g), c) for entry in m for (a, b, g), c in entry.items()]
 
 
 def _tree_row(node) -> tuple[dict, dict]:
@@ -297,10 +270,11 @@ def independence_report(max_degree: int = 6, max_index: int = 3) -> Independence
     entries.
 
     The entries are read per (degree, y-degree) class of the basis, after
-    the cap has passed: a class's c- and d-slot multisets give its
-    beta-gamma parts, built once, and each y-exponent vector's alpha-part
-    joins every one of them, as _slot_entries would join them per monomial,
-    in e12 when the class has an odd z-block.
+    the cap has passed: a class's c- and d-slot multisets are paired once,
+    with the class's position, and each trimmed y-exponent vector joins
+    every pair, so an entry is counted as the flat tuple (position, yexp,
+    cseq, dseq): the (position, term) of _slot_entries, in e12 when the
+    class has an odd z-block, with one tuple built per monomial.
     """
     classes = _basis_classes(max_degree, max_index)  # validates the caps at once
     count = _capped_basis_size(max_degree, max_index, MAX_BASIS)
@@ -308,10 +282,9 @@ def independence_report(max_degree: int = 6, max_index: int = 3) -> Independence
     seen: set = set()
     for yvecs, clen, dlen in classes:
         pos = int(clen != dlen)
-        betas = [_slot_term("beta", cs) for cs in combinations_with_replacement(idx, clen)]
-        gammas = [_slot_term("gamma", ds) for ds in combinations_with_replacement(idx, dlen)]
-        slots = [b + g for b in betas for g in gammas]
+        slots = [(pos, cs, ds) for cs in combinations_with_replacement(idx, clen)
+                 for ds in combinations_with_replacement(idx, dlen)]
         for yv in yvecs:
-            a = _family_term("alpha", [(i, e) for i, e in enumerate(yv, 1) if e])
-            seen.update([(pos, a + s) for s in slots])
+            a = (_trim(yv),)
+            seen.update([a + s for s in slots])
     return IndependenceReport(max_degree, max_index, count, len(seen))

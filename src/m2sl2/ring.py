@@ -7,44 +7,33 @@ scaling.  A subclass names its unit key and its product kernel, nothing
 else: MultiPoly here, and freealg.QPoly over canonical monomials.
 
 MultiPoly has three families of commuting indexed variables over the
-integers.  A term is stored as a sorted tuple of ((family, index), exponent)
-pairs with positive exponents, so equal polynomials always have equal term
-dictionaries and comparing dicts decides equality without any normalization
-pass.
+integers.  A term alpha^a * beta^b * gamma^g is stored in the layout of a
+canonical monomial's (yexp, cseq, dseq): the tuple (a, b, g), where a holds
+the alpha exponents by index (a[i-1] for alpha_i) with no trailing zero, and
+b and g hold the beta and gamma indices sorted, each repeated as often as
+its exponent.  So equal polynomials always have equal term dictionaries and
+comparing dicts decides equality without any normalization pass.
 
 Coefficients are plain Python ints: no precision ceiling, no floats anywhere.
 """
 
+from itertools import zip_longest
+
 from .intlinalg import _row_axpy
 
-# ((family, index), exponent), sorted by (family, index), exponents >= 1
-Var = tuple[str, int]
-Term = tuple[tuple[Var, int], ...]
+# (alpha exponents, trimmed; beta indices, sorted; gamma indices, sorted)
+Term = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _mul_terms(s: Term, t: Term) -> Term:
-    """Merge two sorted exponent lists, adding exponents of shared variables."""
-    if not s:
-        return t
-    if not t:
-        return s
-    out = []
-    i = j = 0
-    while i < len(s) and j < len(t):
-        (vs, es), (vt, et) = s[i], t[j]
-        if vs == vt:
-            out.append((vs, es + et))
-            i += 1
-            j += 1
-        elif vs < vt:
-            out.append(s[i])
-            i += 1
-        else:
-            out.append(t[j])
-            j += 1
-    out.extend(s[i:])
-    out.extend(t[j:])
-    return tuple(out)
+    """Add the alpha exponents and merge the beta and gamma index multisets.
+    The sum of two trimmed exponent tuples is trimmed, and the merge of two
+    sorted tuples is the one sorted, so a part that one side lacks is the
+    other side's as it is."""
+    (sa, sb, sg), (ta, tb, tg) = s, t
+    return (tuple([e + f for e, f in zip_longest(sa, ta, fillvalue=0)]) if sa and ta else sa or ta,
+            tuple(sorted(sb + tb)) if sb and tb else sb or tb,
+            tuple(sorted(sg + tg)) if sg and tg else sg or tg)
 
 
 def _mul_into(acc: dict, left: dict, right: dict) -> None:
@@ -143,8 +132,10 @@ class Combination:
 
 
 class MultiPoly(Combination):
-    """A sparse integer polynomial in the alpha/beta/gamma variables."""
+    """A sparse integer polynomial in the alpha/beta/gamma variables, a dict
+    from Term (the module docstring's layout) to nonzero int; the unit term
+    is ((), (), ())."""
 
     __slots__ = ()
-    _unit: Term = ()
+    _unit: Term = ((), (), ())
     _product = staticmethod(_mul_into)

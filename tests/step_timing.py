@@ -54,7 +54,10 @@ untouched by prepare, so its parse is timed as the command runs it:
   `_tree_row(parse(text))`, as is-identity does before it tests for zero;
 - `normalize` reads each text through parse_poly;
 - `independence` runs independence_report(5, 3) and (6, 3), the seed-1
-  `independence` jobs.
+  `independence` jobs;
+- `scaling` runs the larger cases the ROADMAP's north star names, past
+  the benchmark's: independence_report(7, 4), then `_tree_row(parse(text))`
+  on "(y1+z1+z2)^k" for k = 8, 10 and 12 (SCALING).
 
 Last, in children of their own, the `cli` group: the seed-1 `reduce` and
 `chain` jobs through the command line, cli.main on each job's argv with
@@ -181,10 +184,18 @@ from m2sl2.genmat import _tree_row, independence_report
 from m2sl2.parsing import parse, parse_poly
 
 prepare = tuple
+
+def scaling(job):  # the caps of an independence report, or a text
+    return independence_report(*job) if isinstance(job[0], int) else _tree_row(parse(job[0]))
+
 step = {"is-identity": lambda job: _tree_row(parse(job[0])),
         "normalize": lambda job: parse_poly(job[0]),
-        "independence": lambda job: independence_report(*job)}
+        "independence": lambda job: independence_report(*job),
+        "scaling": scaling}
 """
+
+# the `identity` group's `scaling` batch: caps of one independence report, then texts
+SCALING = [[7, 4], *([f"(y1+z1+z2)^{k}"] for k in (8, 10, 12))]
 
 
 CLI = """
@@ -219,7 +230,8 @@ def groups() -> dict[str, tuple[dict[str, list], str, str]]:
     reduce, chain, identity = (workloads.build(w, 1) for w in ("reduce", "chain", "identity"))
     reduce_texts = [[job.argv[1], *file_lines(job)] for job in reduce]
     chain_texts = [file_lines(job) for job in chain]
-    kinds: dict[str, list] = {"is-identity": [], "normalize": [], "independence": []}
+    kinds: dict[str, list] = {"is-identity": [], "normalize": [], "independence": [],
+                              "scaling": SCALING}
     for job in identity:  # the text of a job, or the caps of an independence job
         argv = job.argv
         kinds[argv[0]].append([int(argv[argv.index(flag) + 1]) for flag in ("--degree", "--indices")]

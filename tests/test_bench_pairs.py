@@ -75,7 +75,8 @@ def test_step_timing_batches_build_without_a_child():
         "parse": ("lines", {"chain": 3600, "reduce": 136, "identity": 588}),
         "step": ("jobs", {"reduce": 34, "traced": 34, "chain": 30}),
         "builders": ("jobs", {"_embedding": 34, "format_terms": 34}),
-        "identity": ("jobs", {"is-identity": 30, "normalize": 12, "independence": 2}),
+        "identity": ("jobs", {"is-identity": 30, "normalize": 12, "independence": 2,
+                              "scaling": 4}),
         "cli": ("jobs", {"reduce": 34, "reduce --json": 34, "reduce --trace FILE": 34,
                          "chain-demo FILE": 30}),
     }

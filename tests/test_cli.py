@@ -481,10 +481,14 @@ def test_is_identity_never_rewrites(capsys, monkeypatch):
     # the oracle evaluates raw words; the rewriting it checks is never consulted
     import m2sl2.freealg
 
-    def refuse(w):
-        raise AssertionError("is-identity called reduce_word")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"is-identity called {name}")
+        return call
 
-    monkeypatch.setattr(m2sl2.freealg, "reduce_word", refuse)
+    monkeypatch.setattr(m2sl2.freealg, "reduce_word", refuse("reduce_word"))
+    for module in (m2sl2.freealg, m2sl2.parsing):
+        monkeypatch.setattr(module, "reduce_powers", refuse("reduce_powers"))
     for expr, want in (("[[y1,z1],[z2,y2]] + z1*y2 + y2*z1", "false"),
                        ("(y1*z1 + z1*y1)*(z2+y3)^2", "true"),
                        ("(z1+z2)*(z2+z3)*(z3+z1) - (z3+z1)*(z2+z3)*(z1+z2)", "true"),
@@ -496,6 +500,8 @@ def test_is_identity_never_rewrites(capsys, monkeypatch):
         assert rc == 0 and json.loads(out) == {"identity": want == "true"}
     with pytest.raises(AssertionError, match="reduce_word"):
         parse_poly("(y1 + z1)")
+    with pytest.raises(AssertionError, match="reduce_powers"):
+        parse_poly("y1*z1")
 
 
 def test_huge_powers_of_single_words(capsys):

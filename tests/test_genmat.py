@@ -18,7 +18,7 @@ from m2sl2 import (
     reduce_word,
 )
 from m2sl2.freealg import _basis_size
-from m2sl2.genmat import _slot_entries, _word_entries
+from m2sl2.genmat import _conj, _mat_mul, _slot_entries, _word_entries, _words_matrix
 from tests.util import (
     alpha,
     beta,
@@ -29,6 +29,7 @@ from tests.util import (
     monomial_row,
     product_eval_word,
     product_evaluate,
+    rand_monomial,
     rand_qpoly,
     rand_word,
     three_dict_word_entries,
@@ -227,7 +228,8 @@ def test_word_entries_match_three_dict_form():
     # bad letters: an unknown family raises as it is read, wherever a bad
     # index stands; a bad index alone raises after the loop
     bad = [(("x", 1),), (("z", 0),), (("y", 0),), (("y", 1), ("z", 0), ("x", 1)),
-           (("x", 1), ("z", 0)), (("z", 0), ("y", 2), ("x", 1)), (("z", 2), ("y", -1), ("z", 1))]
+           (("x", 1), ("z", 0)), (("z", 0), ("y", 2), ("x", 1)), (("z", 2), ("y", -1), ("z", 1)),
+           (("y", 2), ("y", 0)), (("y", 3), ("y", -1), ("y", 1)), (("y", 0), ("x", 1))]
     errors = set()
     for w in bad:
         got = _word_outcome(_word_entries, w)
@@ -239,9 +241,8 @@ def test_word_entries_match_three_dict_form():
 
 @pytest.mark.parametrize("caps, count", [((6, 3), 1627), ((4, 5), 1606)])
 def test_slot_entries_match_word_walk(caps, count):
-    # one call over the whole basis, so every part is built once and then
-    # reused; c- and d-slot tuples swap roles between monomials, which a memo
-    # keyed by the slot tuple alone, not by its family, would confuse
+    # one call over the whole basis; c- and d-slot tuples swap roles between
+    # monomials, and each must land in its own part of the term
     monos = list(enumerate_basis(*caps))
     assert len(monos) == count
     slots = {(m.cseq, m.dseq) for m in monos}
@@ -253,6 +254,34 @@ def test_slot_entries_match_word_walk(caps, count):
         assert len(row) == 2 and row[got[:2]] == got[2], m
     f = QPoly({m: k % 7 - 3 for k, m in enumerate(monos)})
     assert evaluate(f) == evaluate([(c, m.word()) for m, c in f.terms.items()])
+
+
+def test_row1_term_is_the_monomials_own_tuple():
+    # ring's term layout is the canonical monomial's: alpha^yexp *
+    # beta^cseq * gamma^dseq is written (yexp, cseq, dseq), as an exact tuple
+    rng = random.Random(102)
+    monos = list(enumerate_basis(5, 3))
+    monos += [rand_monomial(rng, max_degree=8, max_index=50) for _ in range(500)]
+    assert max(max((len(m.yexp), *m.cseq, *m.dseq)) for m in monos) > 40
+    for m in monos:
+        want = (int(len(m.cseq) != len(m.dseq)), (m.yexp, m.cseq, m.dseq), 1)
+        for got in (_word_entries(m.word()), next(_slot_entries([m]))):
+            assert got == want and type(got[1]) is tuple, m
+
+
+def test_conj_is_an_involution():
+    # sigma swaps the beta and gamma parts and signs odd alpha degrees, so
+    # it moves most entries; twice is the identity
+    rng = random.Random(103)
+    moved = 0
+    for _ in range(200):
+        x, y = ([(rng.choice((-2, -1, 1, 3)), rand_word(rng, max_len=6, max_index=5))
+                 for _ in range(rng.randint(1, 4))] for _ in range(2))
+        row = _mat_mul(_words_matrix(x), _words_matrix(y))
+        for entry in row:
+            assert _conj(_conj(entry)) == entry, (x, y)
+            moved += _conj(entry) != entry
+    assert moved > 200
 
 
 def test_eval_word_rejects_bad_letters():

@@ -60,8 +60,12 @@ def word(*letters) -> tuple:
 
 
 def ring_var(family: str, i: int) -> MultiPoly:
-    """The ring variable family_i, as its one-term dict."""
-    return MultiPoly({(((family, i), 1),): 1})
+    """The ring variable family_i, as its one-term dict, the term written
+    out in ring's layout: (alpha exponents by index, beta indices, gamma
+    indices)."""
+    terms = {"alpha": ((0,) * (i - 1) + (1,), (), ()), "beta": ((), (i,), ()),
+             "gamma": ((), (), (i,))}
+    return MultiPoly({terms[family]: 1})
 
 
 def alpha(i: int) -> MultiPoly:
@@ -161,9 +165,10 @@ def monomial_row(m: CanonicalMonomial) -> dict:
 def three_dict_word_entries(w) -> tuple:
     """A word's one row-1 entry (position, term, sign), followed through the
     word with one count dict per family (y -> alpha, c-slot z -> beta,
-    d-slot z -> gamma), each sorted on its own: the form genmat._word_entries
-    had before it counted into one dict.  An unknown family raises as it is
-    read; indices below 1 are checked after the loop."""
+    d-slot z -> gamma), each sorted on its own, then written out in ring's
+    term layout: the alpha exponents by index, and each slot index repeated
+    as often as it was counted.  An unknown family raises as it is read;
+    indices below 1 are checked after the loop."""
     ys: dict[int, int] = {}
     cs: dict[int, int] = {}
     ds: dict[int, int] = {}
@@ -181,8 +186,8 @@ def three_dict_word_entries(w) -> tuple:
     y_items, c_items, d_items = sorted(ys.items()), sorted(cs.items()), sorted(ds.items())
     if any(items and items[0][0] < 1 for items in (y_items, c_items, d_items)):
         raise ValueError("letter index must be >= 1")
-    term = tuple([((fam, i), e) for fam, items in (("alpha", y_items), ("beta", c_items),
-                                                   ("gamma", d_items)) for i, e in items])
+    alphas = tuple(ys.get(i, 0) for i in range(1, y_items[-1][0] + 1)) if y_items else ()
+    term = (alphas, *(tuple(i for i, e in items for _ in range(e)) for items in (c_items, d_items)))
     return nz & 1, term, -1 if flips & 1 else 1
 
 
