@@ -437,25 +437,17 @@ MAX_BASIS = 200_000
 
 def enumerate_basis(max_degree: int, max_index: int):
     """All canonical monomials with degree <= max_degree and every letter
-    index <= max_index, in a fixed degree-graded order.
+    index <= max_index, in a fixed degree-graded order (see _basis).
 
     The caps are checked on the call; the monomials are generated lazily."""
-    return _basis(_basis_classes(max_degree, max_index), range(1, max_index + 1))
+    _check_caps(max_degree, max_index)
+    return _basis(max_degree, range(1, max_index + 1))
 
 
-def _basis_classes(max_degree: int, max_index: int):
-    """The (degree, y-degree) classes of enumerate_basis, in its order: by
-    degree d, then y-degree e from d down to 0, each as (its y-exponent
-    vectors, c-slot count ceil((d-e)/2), d-slot count floor((d-e)/2)).
-
-    The caps are checked on the call; the classes, and each class's
-    vectors, are generated lazily, so a caller that stops early draws only
-    the vectors it read.  enumerate_basis joins each vector to every slot
-    choice; genmat.independence_report reads the classes themselves."""
+def _check_caps(max_degree: int, max_index: int) -> None:
+    """The caps that enumerate_basis and _basis_size accept."""
     if max_degree < 0 or max_index < 1:
         raise ValueError("need max_degree >= 0 and max_index >= 1")
-    return ((_exponent_vectors(max_index, e), (d - e + 1) // 2, (d - e) // 2)
-            for d in range(max_degree + 1) for e in range(d, -1, -1))
 
 
 def _basis_size(max_degree: int, max_index: int, cap: int) -> int:
@@ -465,7 +457,9 @@ def _basis_size(max_degree: int, max_index: int, cap: int) -> int:
     At degree d and y-degree e there are C(e+n-1, n-1) y-exponent vectors
     and multisets of c = ceil((d-e)/2) c-slots and h = floor((d-e)/2)
     d-slots over n indices.  Every summand is at least 1, so the loop stops
-    within cap + 1 summands whatever the caps are."""
+    within cap + 1 summands whatever the caps are.  The caps are checked
+    first, as enumerate_basis checks them."""
+    _check_caps(max_degree, max_index)
     n, total = max_index, 0
     for d in range(max_degree + 1):
         for e in range(d + 1):
@@ -485,12 +479,19 @@ def _capped_basis_size(max_degree: int, max_index: int, cap: int = MAX_BASIS) ->
     return count
 
 
-def _basis(classes, idx: range):
-    """Each class's monomials: every y-exponent vector, trimmed, with every
-    c-slot then d-slot multiset over idx, nothing built ahead of its turn."""
-    for yvecs, clen, dlen in classes:
-        for yv in yvecs:
-            yexp = _trim(yv)
-            for cs in combinations_with_replacement(idx, clen):
-                for ds in combinations_with_replacement(idx, dlen):
-                    yield _monomial((yexp, cs, ds))
+def _basis(max_degree: int, idx: range):
+    """enumerate_basis's monomials, in its order: by degree d, then y-degree
+    e from d down to 0; within that class, every y-exponent vector over idx
+    (_exponent_vectors, trimmed), joined to every multiset of
+    ceil((d-e)/2) c-slots, then of floor((d-e)/2) d-slots, over idx.
+
+    Nothing is built ahead of its turn, so a caller that stops early draws
+    only the exponent vectors it read."""
+    for d in range(max_degree + 1):
+        for e in range(d, -1, -1):
+            clen, dlen = (d - e + 1) // 2, (d - e) // 2
+            for yv in _exponent_vectors(len(idx), e):
+                yexp = _trim(yv)
+                for cs in combinations_with_replacement(idx, clen):
+                    for ds in combinations_with_replacement(idx, dlen):
+                        yield _monomial((yexp, cs, ds))

@@ -32,6 +32,7 @@ from m2sl2 import (
     xi_inv,
 )
 from m2sl2.cli import main as cli_main
+from m2sl2.genmat import _slot_entries, _word_entries
 from tests.util import (
     assert_witness_valid,
     check_comp,
@@ -108,7 +109,18 @@ def test_criterion_2_evaluation_formulas():
 
 
 def test_criterion_3_basis_independence():
+    # each basis word, walked letter by letter as is-identity walks it
+    # (_word_entries), evaluates to one +-1 term in row 1, at the entry its
+    # monomial's slots give (_slot_entries); the entries are pairwise
+    # distinct, so the evaluations are independent, and the rank is the
+    # count that independence_report reads
     with criterion(3, "basis independence", 60):
+        monos = list(enumerate_basis(6, 3))
+        entries = [_word_entries(m.word()) for m in monos]
+        for m, got, want in zip(monos, entries, _slot_entries(monos), strict=True):
+            assert got == want, m
+        assert {sign for _, _, sign in entries} <= {1, -1}
+        assert len({(pos, term) for pos, term, _ in entries}) == len(monos) == 1627
         rep = independence_report(max_degree=6, max_index=3)
         assert rep.monomials == 1627
         assert rep.rank == 1627

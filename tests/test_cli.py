@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -247,6 +248,19 @@ def test_chain_demo_graded_streams_under_budget(capsys):
     assert out == ("step 1: adjoined + 1\n"
                    "step 8: adjoined + z1\n"
                    "budget exhausted after 10 steps; no stabilization claim\n")
+
+
+def test_python_dash_m_runs_main(capsys, monkeypatch):
+    # `python -m m2sl2 ...` runs cli.main, in process here so the line trace
+    # reaches the package's __main__: the same exit code and output
+    argv = ["independence", "--degree", "6", "--indices", "3"]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["m2sl2", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("m2sl2", run_name="__main__")
+    cap = capsys.readouterr()
+    assert (exc.value.code, cap.out, cap.err) == want
+    assert want[0] == 0 and want[1].endswith("full rank: yes\n")
 
 
 def _fresh_cli(*argv):

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import m2sl2
-from m2sl2 import ParseError, ResourceBoundError, enumerate_basis, freealg, genmat
+from m2sl2 import ParseError, ResourceBoundError, enumerate_basis, freealg
 from m2sl2.cli import format_monomial, main
 from m2sl2.parsing import parse
 
@@ -208,23 +208,22 @@ def test_independence_fuzz(degree, indices, as_json):
     check(argv)
 
 
-def _enumerated():
-    raise AssertionError("an oversize basis was enumerated")
-
-
-def _classes_unread(max_degree, max_index):
-    """The class loop independence_report reads, checking the caps on the
-    call as it does, but failing as soon as a class is drawn."""
-    return (_enumerated() for _ in freealg._basis_classes(max_degree, max_index))
+def _enumerated(*args):
+    raise AssertionError("independence enumerated the basis")
 
 
 @pytest.mark.parametrize("degree, indices", [(100, 100), (8, 40), (40, 3), (2, 5000)])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_independence_refuses_oversize_before_enumerating(monkeypatch, degree, indices, as_json):
-    monkeypatch.setattr(genmat, "_basis_classes", _classes_unread)
-    argv = ["independence", "--degree", str(degree), "--indices", str(indices)]
-    if as_json:
-        argv.append("--json")
+    # the rank is a count: independence enumerates nothing, at valid caps
+    # or at oversize ones, which it refuses
+    monkeypatch.setattr(freealg, "_basis", _enumerated)
+    flag = ["--json"] if as_json else []
+    rc, out, _ = run(["independence", "--degree", "6", "--indices", "3", *flag])
+    want = ('{"degree": 6, "indices": 3, "monomials": 1627, "rank": 1627}\n' if as_json else
+            "degree: 6\nindices: 3\nmonomials: 1627\nrank: 1627\nfull rank: yes\n")
+    assert (rc, out) == (0, want)
+    argv = ["independence", "--degree", str(degree), "--indices", str(indices), *flag]
     rc, out, err = run(argv)
     assert rc == 1 and out == ""
     message = json.loads(err)["message"] if as_json else err

@@ -527,7 +527,7 @@ def test_exponent_vectors_many_slots():
 
 
 def test_enumerate_basis_matches_nested_loops():
-    # the shared class loop against a plain nested-loop enumerator, in order
+    # the lazy basis generator against a plain nested-loop enumerator, in order
     for degree in range(7):
         for indices in range(1, 5):
             assert list(enumerate_basis(degree, indices)) == reference_basis(degree, indices), (
