@@ -40,8 +40,13 @@ from operator import itemgetter
 from .errors import GradeMismatchError, ResourceBoundError
 from .ring import Combination
 
-Letter = tuple[str, int]  # ("y" | "z", index >= 1)
+Letter = tuple[str, int]  # ("y" | "z", 1 <= index <= MAX_LETTER_INDEX)
 Word = tuple[Letter, ...]
+
+# the largest letter index: a y index sizes a dense exponent tuple, so the
+# parser and every reader of raw words (reduce_word, genmat._word_entries)
+# refuse a larger one
+MAX_LETTER_INDEX = 10_000
 
 
 def _trim(seq) -> tuple[int, ...]:
@@ -188,12 +193,16 @@ ONE = CanonicalMonomial()
 
 def reduce_word(w: Word) -> tuple[int, CanonicalMonomial]:
     """Canonical image of a word: (sign, monomial).  Its letters are
-    checked, then read as factors, each to the first power (reduce_powers)."""
+    checked (an unknown family first, then an index below 1, then one above
+    MAX_LETTER_INDEX), then read as factors, each to the first power
+    (reduce_powers)."""
     for fam, _ in w:
         if fam != "y" and fam != "z":
             raise ValueError(f"unknown letter family {fam!r}")
     if any(idx < 1 for _, idx in w):
         raise ValueError("letter index must be >= 1")
+    if any(idx > MAX_LETTER_INDEX for _, idx in w):
+        raise ValueError(f"letter index above {MAX_LETTER_INDEX}")
     return reduce_powers(zip(w, repeat(1)))
 
 

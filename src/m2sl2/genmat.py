@@ -27,7 +27,7 @@ really evaluate so is acceptance criterion 3, which walks each word.
 
 from collections import namedtuple
 
-from .freealg import MAX_BASIS, CanonicalMonomial, QPoly, _capped_basis_size
+from .freealg import MAX_BASIS, MAX_LETTER_INDEX, CanonicalMonomial, QPoly, _capped_basis_size
 from .intlinalg import _row_axpy
 from .parsing import fold_tree
 from .ring import MultiPoly, Term, _mul_into
@@ -97,15 +97,19 @@ def _word_entries(w) -> tuple[int, Term, int]:
     The y-letters are counted into a list of exponents by index, grown as
     an index past its end is read, and the z indices are collected into
     one list per slot class, sorted after the loop: the term in ring's
-    layout.  An unknown family raises as it is read; indices below 1 are
-    checked after the loop.
+    layout.  An unknown family raises as it is read; indices below 1, then
+    indices above MAX_LETTER_INDEX, are checked after the loop, and no y
+    index above it grows the list.
     """
     a: list[int] = []
     slots: tuple[list[int], list[int]] = ([], [])
-    nz = flips = low = 0  # low: a y index below 1 was read
+    nz = flips = low = high = 0  # a y index below 1, or above the cap, was read
     for fam, idx in w:
         if fam == "y":
             if idx > len(a):
+                if idx > MAX_LETTER_INDEX:
+                    high = 1
+                    continue
                 a += [0] * (idx - len(a))
             elif idx < 1:
                 low = 1
@@ -120,6 +124,8 @@ def _word_entries(w) -> tuple[int, Term, int]:
     b, g = sorted(slots[0]), sorted(slots[1])
     if low or b and b[0] < 1 or g and g[0] < 1:
         raise ValueError("letter index must be >= 1")
+    if high or b and b[-1] > MAX_LETTER_INDEX or g and g[-1] > MAX_LETTER_INDEX:
+        raise ValueError(f"letter index above {MAX_LETTER_INDEX}")
     return nz & 1, (tuple(a), tuple(b), tuple(g)), -1 if flips & 1 else 1
 
 
@@ -230,9 +236,9 @@ def _tree_row(node) -> tuple[dict, dict]:
 
     Equal to the first row of evaluate(parsing.to_words(node)):
     parsing.fold_tree over the first rows (parse has checked the word cap).
-    Sums, brackets and the nodes built on them are matrices: sums add,
-    products multiply, a power squares and a bracket is AB - BA, so the cost
-    follows the tree, not its raw expansion.  A power whose base has one
+    Every node is a matrix: a word leaf lifts through _words_matrix, sums
+    add, products multiply, a power squares and a bracket is AB - BA, so
+    the cost follows the tree, not its raw expansion, and y1^k is one term.  A power whose base has one
     canonical term charges the power caps by that term, read off row 1, as
     parse_poly does; to_words charges only powers of single raw words, so
     such an input may fail here and expand there.  No canonical reduction is

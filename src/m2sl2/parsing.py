@@ -11,19 +11,20 @@ stepping one iterator over the compiled scanner's matches, one per token.
 Each node gets its raw word count as it is built, and a product of letters
 and integers (parenthesized ones included, the term's sign too) becomes one
 word leaf.
-So does a power of such a leaf whose coefficient is -1, 0 or 1 (`y3^2`,
-`(-y1)^3`): the leaf keeps, as its charge, the letters that power would have
-charged to the power caps, and the folds bill that charge where the power
-stood.  Powers of every other base stay power nodes.
+So does a power to the exponent 0 or 1 of such a leaf whose coefficient is
+-1, 0 or 1 (`y3^1`, `(-y1)^0`), which repeats no letter: the leaf keeps, as
+its charge, the letters that power would have charged to the power caps,
+and the folds bill that charge where the power stood.  Every other power
+is a power node, so the tree holds only letters the text wrote.
 Errors keep a fixed precedence: the first lexical error anywhere in the text
 (a bad character, a letter index out of range, a literal too long), then the
 first syntax or nesting error, then the word cap, then the power caps.
 
 `to_words` expands a parse tree into its raw weighted word list over the
 graded letters, with no canonical reduction; `parse_words` is that expansion
-of a text.  `fold_tree` folds a parse tree into a ring instead, keeping
-products and powers of word leaves as words and everything else as ring
-values, so that the cost follows the tree, not its raw expansion.
+of a text.  `fold_tree` folds a parse tree into a ring instead, lifting
+each word leaf and powering in the ring, so that the cost follows the tree,
+not its raw expansion, and no word is built to be powered.
 `parse_poly` is that fold over canonical polynomials (QPoly), and
 genmat._tree_row the same fold over generic matrices.  The word cap and
 the power caps are applied here alone; both folds charge a power by its
@@ -43,23 +44,22 @@ error is the parser's.
 
 import re
 from functools import cache
-from itertools import groupby
 
 from .errors import ParseError, ResourceBoundError
-from .freealg import QPoly, Word, _bracket, _product, normalize, reduce_powers
+from .freealg import MAX_LETTER_INDEX, QPoly, Word, _bracket, _product, normalize, reduce_powers
 from .intlinalg import _row_axpy
 
 # Input caps that keep hostile input from costing a traceback: letter indices
-# size the dense exponent tuples, each '(' or '[' costs parser recursion, and
-# every word of the expansion is built in memory.  A power of a single word is
-# built in one step, so the letters and the coefficient bits (bounded by
-# k * bit_length) that such powers build are capped too, summed over the
-# expression; a power of a value of one canonical term is charged the same.
+# (MAX_LETTER_INDEX, from freealg) size the dense exponent tuples, each '('
+# or '[' costs parser recursion, and every word of the raw expansion is built
+# in memory.  A power of a value of one canonical term, or of a single word
+# in the raw expansion, is built in one step, so the letters and the
+# coefficient bits (bounded by k * bit_length) that such powers build are
+# capped too, summed over the expression.
 # Integers are capped at the 4,300 digits that int() and str()
 # convert by default from Python 3.10.7 on (earlier versions convert more),
 # so every Python refuses the same ones: a longer literal is a ParseError, a
 # longer coefficient in the output a ResourceBoundError (coeff_str).
-MAX_LETTER_INDEX = 10_000
 MAX_COEFF_DIGITS = 4_300
 MAX_NESTING = 100
 MAX_WORDS = 1_000_000
@@ -83,9 +83,10 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^()\[\],])|(?P<var>[yz]\d*)|(?P<int>\d+)|
 
 # expression nodes, each with its raw word count n (len(to_words(node))):
 #   ("w", n, coeff, word, charge)  a word leaf, a product of letters,
-#           integers and their powers of coefficient -1, 0 or 1: the word
-#           list [(coeff, word)], or [] if coeff is 0; those powers would
-#           have charged `charge` letters to the power caps
+#           integers and their powers to the exponent 0 or 1 of
+#           coefficient -1, 0 or 1: the word list [(coeff, word)], or [] if
+#           coeff is 0; those powers would have charged `charge` letters to
+#           the power caps
 #   ("pow", n, node, k)    ("mul", n, [nodes])    ("br", n, a, b)
 #   ("add", n, [(sign, node), ...])
 
@@ -116,18 +117,18 @@ def _leaf(coeff: int, word: tuple, charge: int = 0) -> tuple:
     return ("w", 1 if coeff else 0, coeff, word, charge)
 
 
-def _powers(run: str, absorbed: int):
+def _powers(run: str, charged: int):
     """The factors of a run that _TERM matched, for parse_poly, as
     (letter, exponent) pairs, each letter read through _letter, and the
     letters its powers charge: the exponent of each factor that has one.
-    None if that charge, with `absorbed` charged before it, would pass
+    None if that charge, with `charged` letters before it, would pass
     MAX_POWER_LETTERS; each exponent is charged before anything is built."""
     factors, charge = [], 0
     for piece in run.split("*"):
         lex, _, exp = piece.partition("^")
         if exp:
             charge += int(exp)
-            if absorbed + charge > MAX_POWER_LETTERS:
+            if charged + charge > MAX_POWER_LETTERS:
                 return None
         factors.append((_letter(lex), int(exp) if exp else 1))
     return factors, charge
@@ -152,10 +153,9 @@ class _Parser:
     read, being the first one in the text; a syntax error first reads the
     rest of the text, so that a lexical error after it wins.  A node whose
     count passes MAX_WORDS only sets `over`, for parse to raise once the
-    text is read.  `absorbed` counts the letters built by powers taken into
-    word leaves."""
+    text is read."""
 
-    __slots__ = ("text", "tokens", "kind", "value", "pos", "depth", "over", "absorbed")
+    __slots__ = ("text", "tokens", "kind", "value", "pos", "depth", "over")
 
     def __init__(self, text: str):
         # the scan ends where the trailing whitespace starts, so every match
@@ -163,7 +163,6 @@ class _Parser:
         self.text, self.tokens = text, _TOKEN.finditer(text, 0, len(text.rstrip()))
         self.depth = 0
         self.over = False
-        self.absorbed = 0
         self.advance()
 
     def advance(self) -> None:
@@ -284,18 +283,14 @@ class _Parser:
         return ("mul", n, subs)
 
     def power(self, node, k: int):
-        """node^k.  A word leaf of coefficient -1, 0 or 1 takes the power
-        into the leaf, while the letters so built stay within
-        MAX_POWER_LETTERS: its charge grows by what _power would charge, and
-        charging letters alone, never bits, the fold still refuses in the
-        same order.  Every other base becomes a "pow" node."""
-        if node[0] == "w" and -1 <= node[2] <= 1:
+        """node^k.  A word leaf of coefficient -1, 0 or 1 takes an exponent
+        of 0 or 1 into the leaf, which repeats no letter: its charge grows
+        by the letters _power would charge, so `y1^1` still bills one.
+        Every other power becomes a "pow" node, which the folds charge and
+        build in their ring."""
+        if k <= 1 and node[0] == "w" and -1 <= node[2] <= 1:
             _, _, c, w, charge = node
-            built = len(w) * k
-            if self.absorbed + built <= MAX_POWER_LETTERS:
-                self.absorbed += built
-                # the empty word stays empty: w * k cannot repeat it past sys.maxsize times
-                return _leaf(c ** k, w * k if w else w, charge + built if c else charge)
+            return _leaf(c ** k, w if k else (), charge + len(w) * k if c else charge)
         b = node[1]
         # for b >= 2, b^k passes MAX_WORDS once k reaches its bit length
         n = b ** k if b <= 1 else b ** min(k, MAX_WORDS.bit_length())
@@ -351,9 +346,10 @@ def _charge_power(degree: int, c: int, k: int, spent: list[int]) -> None:
 
 
 def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple[int, Word]]:
-    """The k-th power of a raw word list, left operand outermost.
+    """The k-th power of a raw word list, left operand outermost, for
+    to_words alone: the words written out.
 
-    A power of a single word is built in closed form, after charging its
+    A power of a single word is built in one step, after charging its
     letters and coefficient bits to `spent` (_charge_power)."""
     if k == 0:
         return [(1, ())]
@@ -369,8 +365,8 @@ def _power(base: list[tuple[int, Word]], k: int, spent: list[int]) -> list[tuple
 
 def _leaf_words(node, spent: list[int]) -> list[tuple[int, Word]]:
     """A word leaf's one-word list (empty for coefficient 0), after billing
-    its charge, the letters of the powers the parser took into it, to
-    `spent` (_charge_power)."""
+    its charge, the letters of the first powers the parser took into it,
+    to `spent` (_charge_power)."""
     if node[4]:
         _charge_power(node[4], 1, 1, spent)
     return [(node[2], node[3])] if node[1] else []
@@ -402,41 +398,37 @@ def to_words(node) -> list[tuple[int, Word]]:
 
 
 def fold_tree(node, lift, add, mul, terms):
-    """Fold an expression tree into a ring, node by node.
+    """Fold an expression tree into a ring, node by node; every value is a
+    ring value.
 
-    Word leaves, and products and powers built of them alone, are kept as
-    word lists of at most one word: a run of them in a product is multiplied
-    by _product, a power by _power.  Every other node is a ring value, never
-    a list: a sum lifts its word operands with lift(words) and
-    adds the rest with add(acc, value, sign), products multiply with
-    mul(a, b), a power squares and a bracket is add(mul(a, b), mul(b, a), -1).
-    add may update acc in place; the fold only passes an acc that lift or
-    mul has just built.  terms(value) lists a ring value's canonical terms as
-    (degree, coefficient) pairs, and a power of a value of one term, word or
-    ring value alike, charges the power caps by that term (_charge_power), in
-    the order of the walk and from one budget for the whole expression.  A
-    word leaf bills its charge when the walk reaches it (_leaf_words): the
-    parser ends a run of word factors before the next other factor, so that
-    is where the powers it took in stood.  Their coefficients are -1, 0 or
-    1, which charge letters alone, so merging them changes no refusal.  The
-    fold returns a ring value.
+    A word leaf is lifted with lift(words) where the walk reaches it, after
+    billing its charge (_leaf_words).  A sum starts from lift([]) and adds
+    its operands one at a time, in text order, with add(acc, value, sign);
+    a product walks all its factors, then multiplies them with mul(a, b); a
+    power squares; and a bracket is add(mul(a, b), mul(b, a), -1).  add may
+    update acc in place; the fold only passes an acc that lift or mul has
+    just built.  terms(value) lists a ring value's canonical terms as
+    (degree, coefficient) pairs, and a power of a value of one term charges
+    the power caps by that term (_charge_power), in the order of the walk
+    and from one budget for the whole expression; a power of a scalar c is
+    lift([(c ** k, ())]), with no squaring in the ring.
     """
     spent = [0, 0]  # letters and coefficient bits built by powers of one term
-
-    def ring(v):
-        return lift(v) if isinstance(v, list) else v
 
     def walk(node):
         kind = node[0]
         if kind == "w":
-            return _leaf_words(node, spent)
+            return lift(_leaf_words(node, spent))
         if kind == "pow":
             base, k = walk(node[2]), node[3]
-            if isinstance(base, list) or not k:  # k == 0 is the word 1, whatever the base
-                return _power(base, k, spent)
+            if not k:  # the word 1, whatever the base
+                return lift([(1, ())])
             base_terms = terms(base)
             if len(base_terms) == 1:
-                _charge_power(*base_terms[0], k, spent)
+                degree, c = base_terms[0]
+                _charge_power(degree, c, k, spent)
+                if not degree:  # a scalar, whose exponent no cap bounds when c is +-1
+                    return lift([(c ** k, ())])
             out = None
             while k:  # repeated squaring, low bits first
                 if k & 1:
@@ -446,27 +438,19 @@ def fold_tree(node, lift, add, mul, terms):
                     base = mul(base, base)
             return out
         if kind == "add":
-            words, vals = [], []
+            acc = lift([])
             for sign, sub in node[2]:
-                v = walk(sub)
-                if isinstance(v, list):
-                    words.extend((sign * c, w) for c, w in v)
-                else:
-                    vals.append((sign, v))
-            acc = lift(words)
-            for sign, v in vals:
-                acc = add(acc, v, sign)
+                acc = add(acc, walk(sub), sign)
             return acc
         if kind == "mul":
-            out = None
-            for cls, run in groupby([walk(sub) for sub in node[2]], type):
-                for v in ((_product(run),) if cls is list else run):
-                    out = v if out is None else mul(ring(out), ring(v))
+            out, *rest = [walk(sub) for sub in node[2]]
+            for v in rest:
+                out = mul(out, v)
             return out
-        a, b = ring(walk(node[2])), ring(walk(node[3]))  # "br", the one kind left
+        a, b = walk(node[2]), walk(node[3])  # "br", the one kind left
         return add(mul(a, b), mul(b, a), -1)
 
-    return ring(walk(node))
+    return walk(node)
 
 
 def parse_words(text: str) -> list[tuple[int, Word]]:
@@ -498,10 +482,10 @@ def parse_poly(text: str) -> QPoly:
     power whose base normalizes to one term charges the power caps by that
     term, as genmat._tree_row does.
     """
-    acc, absorbed, pos, n = {}, 0, 0, 0  # the sum so far, letters charged, offset, terms read
+    acc, charged, pos, n = {}, 0, 0, 0  # the sum so far, letters charged, offset, terms read
     while pos < len(text) or not n:
         match = _TERM.match(text, pos)
-        read = match and n < MAX_WORDS and (_powers(match[3], absorbed) if match[3] else ((), 0))
+        read = match and n < MAX_WORDS and (_powers(match[3], charged) if match[3] else ((), 0))
         if not read:
             # normalize is looked up on each call, so a wrapper patched over it sees the lifts
             return fold_tree(parse(text), normalize, _add_terms, QPoly.__mul__,
@@ -517,5 +501,5 @@ def parse_poly(text: str) -> QPoly:
             acc[m] = c
         else:
             acc.pop(m, None)
-        absorbed, pos, n = absorbed + read[1], match.end(), n + 1
+        charged, pos, n = charged + read[1], match.end(), n + 1
     return QPoly._trusted(acc)

@@ -565,6 +565,28 @@ def test_normalize_reads_a_power_of_y_as_its_exponent(capsys, as_json):
         assert refused == (1, "", f"error: {message}\n")
 
 
+def test_powers_on_the_tree_build_no_word(capsys):
+    # texts that take the parse tree fold a power of a word in the ring, as
+    # an exponent, in both commands: the traced peak stays far below the
+    # 80 MB of a tuple of ten million letters
+    tracemalloc.start()
+    try:
+        outcomes = [run(capsys, *argv) for argv in (
+            ("is-identity", "y1^10000000"),
+            ("normalize", "(y1)^10000000"),
+            ("normalize", "(y1)^10000000", "--json"),
+            ("is-identity", "[y1^3000000, z1]"))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert outcomes[0] == (0, "false\n", "")
+    assert outcomes[1] == (0, "+ y1^10000000\n", "")
+    assert outcomes[2][0] == 0 and outcomes[2][2] == "" and json.loads(outcomes[2][1]) == [
+        {"coeff": "1", "m": {"y": [10000000], "c": [], "d": []}}]
+    assert outcomes[3] == (0, "true\n", "")
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_empty_word_powers_past_maxsize(capsys, as_json):
     # the empty word's power is built without repeating it k times

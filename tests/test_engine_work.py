@@ -270,7 +270,7 @@ def test_identity_products_skip_empty_blocks(monkeypatch):
     assert len(texts) == 30
     for text in texts:
         genmat._tree_row(parse(text))
-    assert seen == {"nonempty": 467}
+    assert seen == {"nonempty": 471}
 
 
 class _CountingStdout(io.StringIO):

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+import m2sl2
 from m2sl2 import (
     CanonicalMonomial,
     IntRowLattice,
@@ -237,6 +238,33 @@ def test_word_entries_match_three_dict_form():
         errors.add(got)
     assert errors == {(ValueError, "unknown letter family 'x'"),
                       (ValueError, "letter index must be >= 1")}
+
+
+def test_letter_index_above_the_cap_is_refused():
+    # a raw word's index above MAX_LETTER_INDEX is refused in either family
+    # before an exponent list is sized by it, by every reader of raw words;
+    # an index of 10**10 would not fit in memory.  The cap itself answers.
+    assert m2sl2.parsing.MAX_LETTER_INDEX == m2sl2.freealg.MAX_LETTER_INDEX == 10_000
+    readers = (eval_word, lambda w: evaluate([(1, w)]),
+               lambda w: is_graded_weak_identity([(2, w)]), reduce_word,
+               lambda w: normalize([(1, w)]))
+    for fam in "yz":
+        for idx in (10_001, 10**10):
+            for w in (((fam, idx),), (y(1), (fam, idx), z(2)), (z(1), (fam, idx))):
+                for read in readers:
+                    with pytest.raises(ValueError, match="^letter index above 10000$"):
+                        read(w)
+        w = (y(1), (fam, 10_000), z(2))
+        assert eval_word(w) == product_eval_word(w)
+        assert not is_graded_weak_identity([(2, w)])
+        assert normalize([(1, w)]) == QPoly({reduce_word(w)[1]: reduce_word(w)[0]})
+        assert reduce_word(((fam, 10_000),))[1].max_index == 10_000
+    # below 1 is still reported first, and an unknown family before both
+    for read in readers:
+        with pytest.raises(ValueError, match=">= 1"):
+            read((("y", 10**10), ("z", 0)))
+        with pytest.raises(ValueError, match="family"):
+            read((("y", 10**10), ("x", 1)))
 
 
 @pytest.mark.parametrize("caps, count", [((6, 3), 1627), ((4, 5), 1606)])
